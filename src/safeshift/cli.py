@@ -12,7 +12,10 @@ medians on stderr.  All runs must be of the same task.
 
 All emitted numbers go through one formatter (%.17g) and the experiment
 itself is deterministic, so rerunning with the same config and seed
-reproduces the output files byte for byte.
+reproduces the output files byte for byte, provided the BLAS library runs
+with the same thread count (e.g. OPENBLAS_NUM_THREADS=1 for both runs):
+a different thread count changes the low bits of the linear algebra, which
+can move printed values and, through the fit, later decisions.
 """
 
 from __future__ import annotations

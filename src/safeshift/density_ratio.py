@@ -5,6 +5,12 @@ much source (training) mass covers a query relative to the target
 trajectory's mass there.  Ratios are clipped into [r_lo, r_hi] so they
 stay bounded away from zero (the variance formula needs a positive floor)
 and from blowing up where the target density vanishes.
+
+Each ratio formula lives in one helper that takes precomputed densities
+(`clipped_ratio`, `max_ratio`).  `density_ratio` and `max_ratio_on_traj`
+evaluate the KDEs and call them; the exploration loop calls them directly
+on cached densities: p_trg once per experiment on every candidate grid,
+p_src once per episode on all grids together.
 """
 
 from __future__ import annotations
@@ -21,12 +27,17 @@ __all__ = [
     "kde_density",
     "density_ratio",
     "max_ratio_on_traj",
+    "clipped_ratio",
+    "max_ratio",
     "DENSITY_FLOOR",
     "SIGMA_FLOOR",
 ]
 
 DENSITY_FLOOR = 1e-12
 SIGMA_FLOOR = 1e-3
+# elements of the (block, n_samples) kernel temporary in kde_density:
+# 512 KB, small enough to stay in cache
+KDE_BLOCK_ELEMENTS = 64_000
 
 
 @dataclass(frozen=True)
@@ -98,7 +109,7 @@ def kde_density(model: KdeModel, x) -> np.ndarray | float:
     s = model.samples / h
     s_sq = np.einsum("ij,ij->i", s, s)
     dens = np.empty(len(pts))
-    block = max(1, int(4e6 / n))  # cap the (block, n) temporary
+    block = max(1, KDE_BLOCK_ELEMENTS // n)
     for lo in range(0, len(pts), block):
         q = pts[lo : lo + block] / h
         d2 = q @ (-2.0 * s.T)
@@ -109,13 +120,22 @@ def kde_density(model: KdeModel, x) -> np.ndarray | float:
     return float(dens[0]) if scalar else dens
 
 
+def clipped_ratio(p_src, p_trg, cfg: RatioConfig = RatioConfig()) -> np.ndarray:
+    """p_src / max(p_trg, DENSITY_FLOOR) clipped into [r_lo, r_hi]."""
+    p_t = np.maximum(p_trg, DENSITY_FLOOR)
+    return np.clip(np.asarray(p_src, dtype=float) / p_t, cfg.r_lo, cfg.r_hi)
+
+
+def max_ratio(p_trg, p_src) -> float:
+    """Unclipped max of p_trg / max(p_src, DENSITY_FLOOR)."""
+    return float(np.max(np.asarray(p_trg, dtype=float) / np.maximum(p_src, DENSITY_FLOOR)))
+
+
 def density_ratio(src: KdeModel, trg: KdeModel, x, cfg: RatioConfig = RatioConfig()):
     """Clipped ratio p_src(x) / p_trg(x), elementwise over queries."""
     if src.dim != trg.dim:
         raise ValueError("source/target dimension mismatch")
-    p_s = np.asarray(kde_density(src, x), dtype=float)
-    p_t = np.maximum(np.asarray(kde_density(trg, x), dtype=float), DENSITY_FLOOR)
-    r = np.clip(p_s / p_t, cfg.r_lo, cfg.r_hi)
+    r = clipped_ratio(kde_density(src, x), kde_density(trg, x), cfg)
     return float(r) if r.ndim == 0 else r
 
 
@@ -129,6 +149,4 @@ def max_ratio_on_traj(trg: KdeModel, src: KdeModel, traj) -> float:
     pts = traj.grid_xy() if hasattr(traj, "grid_xy") else np.atleast_2d(np.asarray(traj))
     if len(pts) == 0:
         raise ValueError("empty trajectory")
-    p_t = np.asarray(kde_density(trg, pts), dtype=float)
-    p_s = np.maximum(np.asarray(kde_density(src, pts), dtype=float), DENSITY_FLOOR)
-    return float(np.max(p_t / p_s))
+    return max_ratio(kde_density(trg, pts), kde_density(src, pts))

@@ -11,6 +11,13 @@ by sigma0 and the loop starts conservative by construction.
 The learner is pluggable: the robust covariate-shift regressor or a GP
 baseline, both exposing candidate scoring, a d_hat closure for the
 controller, and a retrain hook.
+
+Scoring does each piece of work once, at the level where its inputs
+change.  The pool is fixed, so each candidate's grid, certification
+stride, target KDE and p_trg on its grid are computed once per experiment
+(`PoolCache`).  The source density changes once per episode: one p_src
+pass over all grids together gives every candidate's clipped ratios and
+its w_hat screen value.
 """
 
 from __future__ import annotations
@@ -41,9 +48,11 @@ from .density_ratio import (
     DENSITY_FLOOR,
     KdeModel,
     RatioConfig,
+    clipped_ratio,
     density_ratio,
+    kde_density,
     kde_fit,
-    max_ratio_on_traj,
+    max_ratio,
 )
 from .dynamics import (
     DroneParams,
@@ -62,6 +71,8 @@ __all__ = [
     "EpisodeOutcome",
     "RobustLearner",
     "GpLearner",
+    "PoolCache",
+    "build_pool_cache",
     "make_learner",
     "default_config",
     "run_episode",
@@ -238,14 +249,61 @@ def _subsample_rows(x: np.ndarray, max_rows: int) -> np.ndarray:
     return x[idx]
 
 
-def _strided_grid(traj: DesiredTrajectory, stride: int) -> np.ndarray:
-    pts = traj.grid_xy()
-    if stride <= 1 or len(pts) <= 2:
-        return pts
-    idx = list(range(0, len(pts), stride))
-    if idx[-1] != len(pts) - 1:
-        idx.append(len(pts) - 1)
-    return pts[idx]
+def _stride_index(n: int, stride: int) -> np.ndarray:
+    """Every stride-th grid index, always ending at the last grid point."""
+    if stride <= 1 or n <= 2:
+        return np.arange(n)
+    idx = list(range(0, n, stride))
+    if idx[-1] != n - 1:
+        idx.append(n - 1)
+    return np.array(idx)
+
+
+@dataclass(frozen=True)
+class PoolCache:
+    """Per-experiment scoring state of a fixed candidate pool.
+
+    `grids` stacks every candidate's full (q, qdot) grid; candidate k owns
+    rows `spans[k]`, certifies on the subset `cert_idx[k]` of them, and
+    has target KDE `trg_kdes[k]` with density `p_trg` on its own rows.
+    """
+
+    grids: np.ndarray  # (sum of grid lengths, 2)
+    spans: tuple  # slice into grids per candidate
+    cert_idx: tuple  # strided indices into each candidate's grid
+    trg_kdes: tuple  # KdeModel per candidate
+    p_trg: np.ndarray  # (len(grids),)
+
+    def episode_inputs(self, src_kde: Optional[KdeModel], cfg: RatioConfig):
+        """(certification points, clipped ratios, w_hat) per candidate.
+
+        One p_src pass over all grids.  Without a source density (episode
+        1) the ratios are None, meaning r = 1, and w_hat is 1.
+        """
+        p_src = None if src_kde is None else kde_density(src_kde, self.grids)
+        out = []
+        for span, idx in zip(self.spans, self.cert_idx):
+            pts = self.grids[span][idx]
+            if p_src is None:
+                out.append((pts, None, 1.0))
+                continue
+            p_s, p_t = p_src[span], self.p_trg[span]
+            out.append((pts, clipped_ratio(p_s[idx], p_t[idx], cfg), max_ratio(p_t, p_s)))
+        return out
+
+
+def build_pool_cache(pool: list[DesiredTrajectory], config: ExperimentConfig) -> PoolCache:
+    """Fit every candidate's target KDE and evaluate it on its grid, once."""
+    grids = [traj.grid_xy() for traj in pool]
+    ends = np.cumsum([len(g) for g in grids])
+    trg_kdes = tuple(kde_fit(_subsample_rows(g, config.kde_trg_max)) for g in grids)
+    return PoolCache(
+        grids=np.concatenate(grids),
+        spans=tuple(slice(end - len(g), end) for g, end in zip(grids, ends)),
+        cert_idx=tuple(_stride_index(len(g), config.cert_stride) for g in grids),
+        trg_kdes=trg_kdes,
+        p_trg=np.concatenate([kde_density(kde, g) for kde, g in zip(trg_kdes, grids)]),
+    )
 
 
 def _fast_ratio_point(src: KdeModel, trg: KdeModel, cfg: RatioConfig):
@@ -285,19 +343,17 @@ class RobustLearner:
             net=net,
         )
 
-    def eval_candidate(self, traj, pts, src_kde):
-        trg_kde = kde_fit(_subsample_rows(traj.grid_xy(), self.cfg.kde_trg_max))
-        if src_kde is None:
+    def eval_candidate(self, traj, pts, ratios):
+        """Max predictive std of dimension 0 on pts; ratios None means r = 1."""
+        if ratios is None:
             ratios = np.ones(len(pts))
-        else:
-            ratios = density_ratio(src_kde, trg_kde, pts, self.cfg.ratio)
         _, var = rr.predict(self.model, pts, ratios=ratios)
-        return float(np.sqrt(np.max(var[:, 0]))), trg_kde
+        return float(np.sqrt(np.max(var[:, 0])))
 
     def d_hat_fn(self, src_kde, trg_kde):
         m = self.model
-        w1, w2, w3 = m.net.weights
-        b1, b2, b3 = m.net.biases
+        hidden = tuple(zip(m.net.weights[:-1], m.net.biases[:-1]))
+        w_out, b_out = m.net.weights[-1], m.net.biases[-1]
         head = m.theta_phi[0]
         theta_y0 = float(m.theta_y[0])
         inv_s0 = 1.0 / m.sigma0_sq
@@ -310,9 +366,16 @@ class RobustLearner:
 
         def d_hat(q: float, qdot: float) -> float:
             r = 1.0 if ratio is None else ratio(q, qdot)
-            h = np.maximum(np.array((q, qdot)) @ w1 + b1, 0.0)
-            h = np.maximum(h @ w2 + b2, 0.0)
-            a = float((h @ w3 + b3) @ head)
+            # FeatureNet.forward for one point, updating in place to keep
+            # the per-step cost down
+            h = np.array((q, qdot))
+            for w, b in hidden:
+                h = h @ w
+                h += b
+                np.maximum(h, 0.0, out=h)
+            h = h @ w_out
+            h += b_out
+            a = float(h @ head)
             return (base + r * a) / (inv_s0 + 2.0 * r * theta_y0)
 
         return d_hat
@@ -364,13 +427,11 @@ class GpLearner:
         self.model: Optional[GpModel] = None
         self.kind = "gp_" + ("rbf" if hyper.kernel == "rbf" else "matern")
 
-    def eval_candidate(self, traj, pts, src_kde):
+    def eval_candidate(self, traj, pts, ratios):
         if self.model is None:
-            sigma_max = math.sqrt(self.hyper.sigma_f_sq)
-        else:
-            _, var = gp_predict(self.model, pts)
-            sigma_max = float(np.sqrt(np.max(var)))
-        return sigma_max, None
+            return math.sqrt(self.hyper.sigma_f_sq)
+        _, var = gp_predict(self.model, pts)
+        return float(np.sqrt(np.max(var)))
 
     def d_hat_fn(self, src_kde, trg_kde):
         if self.model is None:
@@ -400,6 +461,7 @@ class GpLearner:
         pass
 
     def retrain(self, dataset: Dataset, src_kde, trg_kde, rng):
+        self.model = None  # release the old n x n factor before fitting
         self.model = gp_fit(dataset.inputs, dataset.targets, self.hyper)
 
     def moment_residual_max(self) -> float:
@@ -479,11 +541,13 @@ def run_episode(
     src_data: Optional[Dataset],
     config: ExperimentConfig,
     rng: Optional[np.random.Generator] = None,
+    cache: Optional[PoolCache] = None,
 ) -> EpisodeOutcome:
     """One episode: score, certify, select, track, collect.
 
     src_data holds all previously collected inputs; empty or None means
     episode 1, where the source density is undefined and r = 1 everywhere.
+    cache is the pool's `build_pool_cache`; it is built here when not given.
     A candidate is admissible when its tube certificate passes AND its
     worst estimated density ratio against the data stays within w_max;
     the chosen candidate is the cost argmin of that admissible set.
@@ -492,6 +556,10 @@ def run_episode(
     """
     if not pool:
         raise ValueError("empty candidate pool")
+    if cache is None:
+        cache = build_pool_cache(pool, config)
+    elif len(cache.spans) != len(pool):
+        raise ValueError("cache was built for a different pool")
     rng = rng if rng is not None else np.random.default_rng(config.seed)
     if src_data is not None and len(src_data):
         src_kde = kde_fit(_subsample_rows(src_data.inputs, config.kde_src_max))
@@ -501,19 +569,11 @@ def run_episode(
     safe_set = config.safety_set()
 
     evals = []
-    for traj in pool:
-        pts = _strided_grid(traj, config.cert_stride)
-        sigma_max, trg_kde = learner.eval_candidate(traj, pts, src_kde)
+    inputs = cache.episode_inputs(src_kde, config.ratio)
+    for traj, trg_kde, (pts, ratios, w_hat_k) in zip(pool, cache.trg_kdes, inputs):
+        sigma_max = learner.eval_candidate(traj, pts, ratios)
         eps_m = eps_m_from_sigma(sigma_max, config.beta)
         cert = certify_trajectory(traj, gamma_val, eps_m, safe_set)
-        if src_kde is not None:
-            if trg_kde is None:
-                # the GP scorer has no use for candidate KDEs; fit one
-                # here for the ratio screen and diagnostics
-                trg_kde = kde_fit(_subsample_rows(traj.grid_xy(), config.kde_trg_max))
-            w_hat_k = max_ratio_on_traj(trg_kde, src_kde, traj)
-        else:
-            w_hat_k = 1.0
         evals.append((traj, trg_kde, sigma_max, eps_m, cert, w_hat_k))
 
     # admission requires both the tracking-tube certificate and a bounded
@@ -617,6 +677,7 @@ def run_experiment(config: ExperimentConfig, learner=None) -> ExperimentResult:
     if learner is None:
         learner = make_learner(config, rng)
     pool = config.pool()
+    cache = build_pool_cache(pool, config)
     safe_set = config.safety_set()
 
     dataset = Dataset.empty(config.output_dim)
@@ -627,7 +688,7 @@ def run_experiment(config: ExperimentConfig, learner=None) -> ExperimentResult:
     last_rollout = None
 
     for episode in range(1, config.episodes + 1):
-        out = run_episode(pool, learner, dataset, config, rng=rng)
+        out = run_episode(pool, learner, dataset, config, rng=rng, cache=cache)
         rec = EpisodeRecord(episode=episode, status=out.status)
         rec.sigma_max = out.sigma_max
         rec.eps_m = out.eps_m

@@ -47,33 +47,32 @@ class GpHyper:
 
 
 def _dists(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    d2 = np.sum(xa * xa, axis=1)[:, None] + np.sum(xb * xb, axis=1)[None, :]
-    d2 -= 2.0 * (xa @ xb.T)
-    return np.sqrt(np.maximum(d2, 0.0))
+    # coordinate differences, not the |a|^2 + |b|^2 - 2ab expansion, so
+    # identical points are exactly at distance 0
+    d2 = np.zeros((len(xa), len(xb)))
+    for j in range(xa.shape[1]):
+        diff = xa[:, j, None] - xb[None, :, j]
+        d2 += diff * diff
+    return np.sqrt(d2)
 
 
 def kernel_eval(kind: str, x, x2, sigma_f_sq: float, ell: float) -> float:
-    """Covariance between two points.
-
-    rbf:      sigma_f_sq * exp(-d^2 / (2 ell^2))
-    matern52: sigma_f_sq * (1 + sqrt(5) d/ell + 5 d^2/(3 ell^2)) * exp(-sqrt(5) d/ell)
-    """
+    """Covariance between two points: the 1x1 case of kernel_matrix."""
     if ell <= 0:
         raise ValueError("ell must be positive")
     a = np.asarray(x, dtype=float).ravel()
     b = np.asarray(x2, dtype=float).ravel()
     if a.shape != b.shape:
         raise ValueError("dimension mismatch")
-    d = float(np.linalg.norm(a - b))
-    if kind == "rbf":
-        return sigma_f_sq * math.exp(-d * d / (2.0 * ell * ell))
-    if kind == "matern52":
-        z = math.sqrt(5.0) * d / ell
-        return sigma_f_sq * (1.0 + z + z * z / 3.0) * math.exp(-z)
-    raise ValueError(f"unknown kernel {kind!r}")
+    return float(kernel_matrix(kind, a[None, :], b[None, :], sigma_f_sq, ell)[0, 0])
 
 
 def kernel_matrix(kind: str, xa, xb, sigma_f_sq: float, ell: float) -> np.ndarray:
+    """Covariances between the rows of xa and xb, shape (len(xa), len(xb)).
+
+    rbf:      sigma_f_sq * exp(-d^2 / (2 ell^2))
+    matern52: sigma_f_sq * (1 + sqrt(5) d/ell + 5 d^2/(3 ell^2)) * exp(-sqrt(5) d/ell)
+    """
     xa = np.atleast_2d(np.asarray(xa, dtype=float))
     xb = np.atleast_2d(np.asarray(xb, dtype=float))
     d = _dists(xa, xb)
@@ -89,7 +88,7 @@ def kernel_matrix(kind: str, xa, xb, sigma_f_sq: float, ell: float) -> np.ndarra
 class GpModel:
     hyper: GpHyper
     x_train: np.ndarray  # (n, d)
-    chol: np.ndarray  # lower Cholesky factor of K + sigma_n_sq I (+ jitter)
+    chol_inv: np.ndarray  # L^-1, L the lower Cholesky factor of K + sigma_n_sq I (+ jitter)
     alpha: np.ndarray  # (n, d_out), (K + sigma_n_sq I)^-1 y
 
     @property
@@ -98,7 +97,11 @@ class GpModel:
 
 
 def gp_fit(inputs, targets, hyper: GpHyper = GpHyper()) -> GpModel:
-    """Factor the kernel matrix once; each output column gets its own alpha."""
+    """Factor the kernel matrix once; each output column gets its own alpha.
+
+    The model keeps L^-1 instead of the factor L, so each prediction's
+    variance is one matrix product instead of a triangular solve.
+    """
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.asarray(targets, dtype=float)
     if y.ndim == 1:
@@ -112,7 +115,7 @@ def gp_fit(inputs, targets, hyper: GpHyper = GpHyper()) -> GpModel:
     jitter = 0.0
     while True:
         try:
-            chol = np.linalg.cholesky(k + jitter * np.eye(len(k)))
+            chol = np.linalg.cholesky(k if jitter == 0.0 else k + jitter * np.eye(len(k)))
             break
         except np.linalg.LinAlgError:
             jitter = 1e-10 if jitter == 0.0 else jitter * 10.0
@@ -120,8 +123,9 @@ def gp_fit(inputs, targets, hyper: GpHyper = GpHyper()) -> GpModel:
                 raise HyperparameterError(
                     f"kernel matrix not factorizable with jitter up to {MAX_JITTER}"
                 )
+    del k  # keep at most three n x n arrays alive while inverting
     alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, y))
-    return GpModel(hyper=hyper, x_train=x, chol=chol, alpha=alpha)
+    return GpModel(hyper=hyper, x_train=x, chol_inv=np.linalg.inv(chol), alpha=alpha)
 
 
 def gp_predict(model: GpModel, x):
@@ -129,7 +133,8 @@ def gp_predict(model: GpModel, x):
 
     x: (m, d) or a single (d,) point.  Returns mu of shape (m, d_out) and
     sigma_sq of shape (m,) — the variance is shared across output
-    dimensions because they share the kernel.  Variance is floored at 0.
+    dimensions because they share the kernel: sigma_f_sq - ||L^-1 k*||^2,
+    floored at 0.
     """
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
@@ -137,7 +142,7 @@ def gp_predict(model: GpModel, x):
     h = model.hyper
     k_star = kernel_matrix(h.kernel, model.x_train, pts, h.sigma_f_sq, h.ell)  # (n, m)
     mu = k_star.T @ model.alpha
-    v = np.linalg.solve(model.chol, k_star)  # (n, m)
+    v = model.chol_inv @ k_star  # (n, m)
     var = np.maximum(h.sigma_f_sq - np.sum(v * v, axis=0), 0.0)
     if single:
         return mu[0], float(var[0])

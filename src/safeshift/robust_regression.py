@@ -371,11 +371,6 @@ def _moment(model, x, y, r, weights, theta_y=None):
     return (weights[:, None] * (y * y - mu * mu - var)).mean(axis=0)
 
 
-def _weighted_moment(model, x, y, r, theta_y=None):
-    """mean_i r_i (y_i^2 - mu_i^2 - sigma_i^2) per output dim."""
-    return _moment(model, x, y, r, r, theta_y)
-
-
 def moment_residual(model: RobustModel, dataset: Dataset, ratios=None) -> np.ndarray:
     """Unweighted stationarity residual mean(y^2 - mu^2 - sigma^2) per dim."""
     r = _ratios_for(model, dataset.inputs, ratios)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import math
 
 import numpy as np
@@ -10,9 +11,11 @@ import pytest
 from safeshift.density_ratio import (
     RatioConfig,
     SIGMA_FLOOR,
+    clipped_ratio,
     density_ratio,
     kde_density,
     kde_fit,
+    max_ratio,
     max_ratio_on_traj,
 )
 
@@ -125,3 +128,22 @@ def test_max_ratio_diagnostic():
     far = x + 12.0
     big = max_ratio_on_traj(kde_fit(far), src, far)
     assert big > 50.0
+
+
+def test_kde_density_independent_of_block_size(monkeypatch):
+    rng = np.random.default_rng(9)
+    model = kde_fit(rng.normal(0.0, 1.0, (300, 2)))
+    pts = rng.uniform(-4.0, 4.0, (1000, 2))
+    module = importlib.import_module("safeshift.density_ratio")
+    monkeypatch.setattr(module, "KDE_BLOCK_ELEMENTS", 1)  # one query row per block
+    tiny = kde_density(model, pts)
+    monkeypatch.setattr(module, "KDE_BLOCK_ELEMENTS", 10**9)  # a single block
+    single = kde_density(model, pts)
+    np.testing.assert_allclose(tiny, single, rtol=1e-12, atol=0)
+
+
+def test_ratio_helpers_floor_the_denominator():
+    cfg = RatioConfig(r_lo=0.1, r_hi=10.0)
+    r = clipped_ratio(np.array([1e-13, 2.0, 3.0]), np.array([0.0, 4.0, 0.0]), cfg)
+    np.testing.assert_array_equal(r, [0.1, 0.5, 10.0])
+    assert max_ratio(np.array([1e-6, 2.0]), np.array([0.0, 4.0])) == pytest.approx(1e6)

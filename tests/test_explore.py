@@ -3,19 +3,24 @@
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from safeshift import explore
+from safeshift import robust_regression as rr
 from safeshift.bounds import certify_trajectory, gamma
 from safeshift.controller import ControllerGains
 from safeshift.core import Dataset
+from safeshift.density_ratio import density_ratio, kde_fit, max_ratio_on_traj
 from safeshift.explore import (
     ConfigError,
     ExperimentConfig,
     GpLearner,
     RobustLearner,
+    build_pool_cache,
     default_config,
     make_learner,
     run_episode,
@@ -34,9 +39,9 @@ class StubLearner:
         self.default = default
         self.retrain_calls = 0
 
-    def eval_candidate(self, traj, pts, src_kde):
+    def eval_candidate(self, traj, pts, ratios):
         key = round(traj.params.get("C", 0.0), 10)
-        return float(self.sigma_for.get(key, self.default)), None
+        return float(self.sigma_for.get(key, self.default))
 
     def d_hat_fn(self, src_kde, trg_kde):
         return lambda q, qdot: 0.0
@@ -284,9 +289,8 @@ def test_make_learner_kinds():
 def test_gp_learner_prior_sigma_and_zero_compensation():
     cfg = default_config("pendulum", model_kind="gp_rbf")
     learner = make_learner(cfg, np.random.default_rng(0))
-    sigma, trg = learner.eval_candidate(cfg.pool()[0], None, None)
+    sigma = learner.eval_candidate(cfg.pool()[0], None, None)
     assert sigma == pytest.approx(math.sqrt(cfg.gp.sigma_f_sq))
-    assert trg is None
     assert learner.d_hat_fn(None, None)(0.3, -0.2) == 0.0
 
 
@@ -301,3 +305,113 @@ def test_gp_learner_d_hat_matches_posterior_mean(model_kind, rng):
     for q, qdot in [(0.0, 0.0), (0.4, -1.1), (-0.9, 0.3)]:
         mu, _ = gp_predict(learner.model, np.array([q, qdot]))
         assert fn(q, qdot) == pytest.approx(float(mu[0]), abs=1e-10)
+
+
+@pytest.mark.parametrize("model_kind", ["gp_rbf", "gp_matern"])
+def test_gp_retrain_releases_previous_model_before_fit(model_kind, rng, monkeypatch):
+    cfg = default_config("pendulum", model_kind=model_kind)
+    learner = make_learner(cfg, rng)
+    x = rng.normal(size=(30, 2))
+    data = Dataset(x, np.sin(x[:, 0:1]))
+    learner.retrain(data, None, None, rng)
+    old = weakref.ref(learner.model)
+    alive_during_fit = []
+    real_fit = explore.gp_fit
+
+    def spy(*args, **kwargs):
+        alive_during_fit.append(old() is not None)
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(explore, "gp_fit", spy)
+    learner.retrain(data, None, None, rng)
+    assert alive_during_fit == [False]
+
+
+# -- robust d_hat closure -----------------------------------------------------
+
+
+@pytest.mark.parametrize("hidden", [(32, 32), (32,)])
+def test_robust_d_hat_matches_predicted_mean(hidden):
+    # the rollout closure must agree with predict() for any net depth
+    cfg = default_config("pendulum")
+    g = np.random.default_rng(11)
+    learner = RobustLearner(cfg, g)
+    net = rr.feature_net_init(g, hidden=hidden)
+    learner.model = replace(
+        learner.model,
+        net=net,
+        theta_phi=g.normal(size=(1, net.feature_dim)),
+        theta_y=np.array([2.5]),
+    )
+    src = kde_fit(g.normal(0.0, 0.5, (200, 2)))
+    trg = kde_fit(g.normal(0.4, 0.6, (150, 2)))
+    learner.bind(src, trg)
+    d_hat = learner.d_hat_fn(src, trg)
+    pts = g.normal(0.0, 0.8, (25, 2))
+    mu, _ = rr.predict(learner.model, pts)  # ratios from the bound ratio_fn
+    got = np.array([d_hat(float(q), float(qdot)) for q, qdot in pts])
+    np.testing.assert_allclose(got, mu[:, 0], rtol=1e-9, atol=0)
+
+
+# -- cached candidate scoring ---------------------------------------------------
+
+
+def test_cached_scoring_matches_density_ratio_and_max_ratio():
+    cfg = default_config("landing")
+    pool = cfg.pool()
+    cache = build_pool_cache(pool, cfg)
+    g = np.random.default_rng(2)
+    # source data around a few candidate grids, so the ratios span the
+    # clip interval and w_hat varies across the pool
+    src_pts = np.concatenate([pool[k].grid_xy()[::7] for k in (0, 25, 50)])
+    src = kde_fit(src_pts + g.normal(0.0, 0.05, src_pts.shape))
+    inputs = cache.episode_inputs(src, cfg.ratio)
+    assert len(inputs) == len(pool)
+
+    all_r, w_hats = [], []
+    for traj, trg, (pts, r, w_hat) in zip(pool, cache.trg_kdes, inputs):
+        grid = traj.grid_xy()
+        idx = list(range(0, len(grid), cfg.cert_stride))
+        if idx[-1] != len(grid) - 1:
+            idx.append(len(grid) - 1)
+        np.testing.assert_array_equal(pts, grid[idx])
+        np.testing.assert_allclose(r, density_ratio(src, trg, pts, cfg.ratio), rtol=1e-12)
+        assert w_hat == pytest.approx(max_ratio_on_traj(trg, src, traj), rel=1e-12)
+        all_r.append(r)
+        w_hats.append(w_hat)
+    all_r = np.concatenate(all_r)
+    assert np.any(all_r == cfg.ratio.r_lo) and np.any(all_r == cfg.ratio.r_hi)
+    assert np.any((all_r > cfg.ratio.r_lo) & (all_r < cfg.ratio.r_hi))
+    assert min(w_hats) < cfg.w_max < max(w_hats)
+
+
+def test_episode_one_inputs_have_unit_ratios():
+    cfg = tube02_config()
+    inputs = build_pool_cache(cfg.pool(), cfg).episode_inputs(None, cfg.ratio)
+    assert [(r, w) for _, r, w in inputs] == [(None, 1.0)] * len(cfg.pool())
+
+
+def test_cache_for_another_pool_rejected():
+    cfg = tube02_config()
+    cache = build_pool_cache(cfg.pool()[:2], cfg)
+    with pytest.raises(ValueError, match="pool"):
+        run_episode(cfg.pool(), StubLearner(), None, cfg, cache=cache)
+
+
+def test_target_kdes_fit_once_per_experiment(monkeypatch):
+    cfg = replace(default_config("pendulum"), horizon=2.0, episodes=3, sample_hz=5.0)
+    fitted = []
+    real_fit = explore.kde_fit
+
+    def spy(samples, *args, **kwargs):
+        fitted.append(np.array(samples, copy=True))
+        return real_fit(samples, *args, **kwargs)
+
+    monkeypatch.setattr(explore, "kde_fit", spy)
+    result = run_experiment(cfg, learner=StubLearner(default=0.01))
+    assert [r.status for r in result.records] == ["ok"] * 3
+
+    grids = [traj.grid_xy() for traj in cfg.pool()]
+    assert all(len(grid) <= cfg.kde_trg_max for grid in grids)  # fit on the full grid
+    for grid in grids:
+        assert sum(np.array_equal(samples, grid) for samples in fitted) == 1

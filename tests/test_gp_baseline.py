@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from safeshift.gp_baseline import (
     GpHyper,
+    GpModel,
     HyperparameterError,
     gp_fit,
     gp_predict,
@@ -179,3 +181,31 @@ def test_unfactorizable_matrix_raises_hyperparameter_error():
     hyper = GpHyper(sigma_f_sq=1e14, ell=0.5, sigma_n_sq=1e-15)
     with pytest.raises(HyperparameterError):
         gp_fit(x, y, hyper)
+
+
+@pytest.mark.parametrize("kind", ["rbf", "matern52"])
+def test_variance_from_inverse_factor_matches_cholesky_solve(kind, rng):
+    n = 80
+    x = rng.uniform(-2.0, 2.0, size=(n, 2))
+    y = np.sin(x[:, 0]) * np.cos(x[:, 1])
+    hyper = GpHyper(kernel=kind, sigma_f_sq=1.5, ell=0.6, sigma_n_sq=1e-3)
+    model = gp_fit(x, y, hyper)
+
+    chol = np.linalg.cholesky(kernel_matrix(kind, x, x, 1.5, 0.6) + 1e-3 * np.eye(n))
+    xq = rng.uniform(-3.0, 3.0, size=(40, 2))
+    v = np.linalg.solve(chol, kernel_matrix(kind, x, xq, 1.5, 0.6))
+    var_ref = np.maximum(1.5 - np.sum(v * v, axis=0), 0.0)
+
+    _, var = gp_predict(model, xq)
+    np.testing.assert_allclose(var, var_ref, rtol=1e-8, atol=0)
+
+
+def test_model_holds_one_square_matrix(rng):
+    n = 25
+    model = gp_fit(rng.normal(size=(n, 2)), rng.normal(size=(n, 2)))
+    square = [
+        f.name
+        for f in dataclasses.fields(GpModel)
+        if getattr(getattr(model, f.name), "shape", None) == (n, n)
+    ]
+    assert square == ["chol_inv"]
