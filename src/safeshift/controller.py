@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import DesiredPoint, DesiredTrajectory, State
+from .core import DesiredPoint, DesiredTrajectory, State, desired_values
 from .dynamics import DIVERGENCE_LIMIT, MixedModelParams, drone_actuator_invert
 
 __all__ = [
@@ -121,38 +121,6 @@ def x0_on_trajectory(traj: DesiredTrajectory) -> State:
     return State(float(traj.q_g[0]), float(traj.qdot_g[0]))
 
 
-def _desired_evaluator(traj: DesiredTrajectory):
-    """Fast closed-form (q_g, qdot_g, qddot_g) at arbitrary t."""
-    if traj.task == "pendulum":
-        c = traj.params["C"]
-
-        def ev(t: float):
-            st = math.sin(t)
-            return c * st, c * math.cos(t), -c * st
-
-        return ev
-    if traj.task == "landing":
-        c = traj.params["C"]
-        h_g = traj.params["h_g"]
-        a = 1.5 - h_g
-
-        def ev(t: float):
-            e = math.exp(-c * t)
-            return (
-                a * e * (1.0 + c * t) + h_g,
-                -a * c * c * t * e,
-                -a * c * c * e * (1.0 - c * t),
-            )
-
-        return ev
-
-    def ev(t: float):
-        p = traj.at(t)
-        return p.q_g, p.qdot_g, p.qddot_g
-
-    return ev
-
-
 def simulate_closed_loop(
     model: MixedModelParams,
     gains: ControllerGains,
@@ -194,7 +162,11 @@ def simulate_closed_loop(
         raise ValueError("x0 must be finite")
 
     n_steps = int(round(traj.horizon / dt))
-    desired_at = _desired_evaluator(traj)
+    # desired values on the step grid, as lists: the loop indexes Python
+    # floats, which are much faster there than numpy scalars
+    qg_all, qdg_all, qddg_all = (
+        v.tolist() for v in desired_values(traj.task, traj.params, np.arange(n_steps + 1) * dt)
+    )
     k, lam = gains.k, gains.lam
     b = model.actuation
     force_input = model.force_input
@@ -230,7 +202,7 @@ def simulate_closed_loop(
 
     for i in range(n_steps + 1):
         t = i * dt
-        qg, qdg, qddg = desired_at(t)
+        qg, qdg, qddg = qg_all[i], qdg_all[i], qddg_all[i]
         q_t = q - qg
         qd_t = qdot - qdg
         s = qd_t + lam * q_t
@@ -280,7 +252,7 @@ def simulate_closed_loop(
             break
         if ground is not None and q <= ground:
             t_next = (i + 1) * dt
-            qg, qdg, _ = desired_at(t_next)
+            qg, qdg = qg_all[i + 1], qdg_all[i + 1]
             times[n_rec] = t_next
             states[n_rec, 0] = q
             states[n_rec, 1] = qdot

@@ -3,8 +3,9 @@
 States, desired trajectories, candidate pools, safety sets, and the
 dataset / episode bookkeeping containers used by the exploration loop.
 Desired trajectories live on a uniform time grid but also carry the
-closed-form expressions (task name + parameters) so the simulator can
-evaluate them at arbitrary times without interpolation.
+closed-form expressions (task name + parameters); `desired_values` is the
+one implementation of each, used by the pool builders, by
+`DesiredTrajectory.at` and by the simulator on its own step grid.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "Dataset",
     "EpisodeRecord",
     "RejectedCandidate",
+    "desired_values",
     "desired_point",
     "pendulum_pool",
     "landing_pool",
@@ -63,8 +65,10 @@ class DesiredPoint:
     qddot_g: float
 
 
-def desired_point(task: str, params: dict, t: float) -> DesiredPoint:
-    """Evaluate the closed-form desired trajectory of `task` at time t.
+def desired_values(task: str, params: dict, t):
+    """Closed-form desired (q_g, qdot_g, qddot_g) of `task` at time(s) t.
+
+    t is a scalar or an array; the three values have its shape.
 
     Tasks:
       "pendulum": q_g = C sin t, a swing of amplitude C.
@@ -73,17 +77,25 @@ def desired_point(task: str, params: dict, t: float) -> DesiredPoint:
     """
     if task == "pendulum":
         c = params["C"]
-        return DesiredPoint(t, c * math.sin(t), c * math.cos(t), -c * math.sin(t))
+        st = np.sin(t)
+        return c * st, c * np.cos(t), -c * st
     if task == "landing":
         c = params["C"]
         h_g = params["h_g"]
         a = 1.5 - h_g
-        e = math.exp(-c * t)
-        q = a * e * (1.0 + c * t) + h_g
-        qd = -a * c * c * t * e
-        qdd = -a * c * c * e * (1.0 - c * t)
-        return DesiredPoint(t, q, qd, qdd)
+        e = np.exp(-c * t)
+        return (
+            a * e * (1.0 + c * t) + h_g,
+            -a * c * c * t * e,
+            -a * c * c * e * (1.0 - c * t),
+        )
     raise ValueError(f"unknown task {task!r}")
+
+
+def desired_point(task: str, params: dict, t: float) -> DesiredPoint:
+    """`desired_values` at one time t, as a DesiredPoint."""
+    q, qd, qdd = desired_values(task, params, t)
+    return DesiredPoint(t, float(q), float(qd), float(qdd))
 
 
 @dataclass(frozen=True)
@@ -214,14 +226,16 @@ def pendulum_pool(
         c = float(c)
         if not 0.0 < c <= 1.0:
             raise RejectedCandidate(f"pendulum amplitude {c} outside (0, 1]")
+        params = {"C": c}
+        q, qd, qdd = desired_values("pendulum", params, times)
         pool.append(
             DesiredTrajectory(
                 task="pendulum",
-                params={"C": c},
+                params=params,
                 times=times,
-                q_g=c * np.sin(times),
-                qdot_g=c * np.cos(times),
-                qddot_g=-c * np.sin(times),
+                q_g=q,
+                qdot_g=qd,
+                qddot_g=qdd,
                 cost=-c,
             )
         )
@@ -250,17 +264,14 @@ def landing_pool(
             raise RejectedCandidate(f"descent rate {c} must be positive")
         if not 0.0 <= h_g < 1.5:
             raise RejectedCandidate(f"hover altitude {h_g} outside [0, 1.5)")
-        a = 1.5 - h_g
-        e = np.exp(-c * times)
-        q = a * e * (1.0 + c * times) + h_g
-        qd = -a * c * c * times * e
-        qdd = -a * c * c * e * (1.0 - c * times)
+        params = {"C": c, "h_g": h_g}
+        q, qd, qdd = desired_values("landing", params, times)
         touched = np.nonzero(q <= ground + contact_tol)[0]
         cost = float(times[touched[0]]) if len(touched) else math.inf
         pool.append(
             DesiredTrajectory(
                 task="landing",
-                params={"C": c, "h_g": h_g},
+                params=params,
                 times=times,
                 q_g=q,
                 qdot_g=qd,
