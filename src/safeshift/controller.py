@@ -6,8 +6,14 @@ to zero; with the learned residual compensation d_hat the closed loop obeys
     M sdot + (C + K) s = d - d_hat
 
 so the tracking error is driven entirely by the residual prediction error.
-The rollout integrates the true plant with RK4 while the controller uses the
-nominal model plus d_hat.
+The rollout integrates the true plant with the scalar RK4 step of
+`dynamics` while the controller uses the nominal model plus d_hat.
+
+Each formula has one implementation here: the desired trajectory comes
+from `core.desired_values`, evaluated once per rollout on the step grid;
+every step calls `control_law` and `dynamics.step_rk4`; the recorded
+tracking error x_tilde and composite variable s are computed from the
+recorded states after the loop.
 """
 
 from __future__ import annotations
@@ -18,13 +24,18 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import DesiredPoint, DesiredTrajectory, State, desired_values
-from .dynamics import DIVERGENCE_LIMIT, MixedModelParams, drone_actuator_invert
+from .core import DesiredTrajectory, State, desired_values
+from .dynamics import (
+    MixedModelParams,
+    SimulationDiverged,
+    drone_actuator_invert,
+    forward_dynamics,
+    step_rk4,
+)
 
 __all__ = [
     "ControllerGains",
     "Rollout",
-    "composite_vars",
     "control_law",
     "drone_actuator_invert",
     "simulate_closed_loop",
@@ -44,44 +55,41 @@ class ControllerGains:
             raise ValueError("gains must be strictly positive")
 
 
-def composite_vars(state, desired: DesiredPoint, lam: float):
-    """Tracking error, reference velocity/acceleration, composite variable.
-
-    q_tilde = q - q_g
-    qdot_r  = qdot_g - lam * q_tilde
-    qddot_r = qddot_g - lam * (qdot - qdot_g)
-    s       = qdot - qdot_r = (qdot - qdot_g) + lam * q_tilde
-    """
-    q = state.q if hasattr(state, "q") else state[0]
-    qdot = state.qdot if hasattr(state, "q") else state[1]
-    q_tilde = q - desired.q_g
-    qd_tilde = qdot - desired.qdot_g
-    qdot_r = desired.qdot_g - lam * q_tilde
-    qddot_r = desired.qddot_g - lam * qd_tilde
-    s = qdot - qdot_r
-    return q_tilde, qdot_r, qddot_r, s
-
-
 def control_law(
     model: MixedModelParams,
-    state,
-    desired: DesiredPoint,
     gains: ControllerGains,
+    q: float,
+    qdot: float,
+    q_g: float,
+    qdot_g: float,
+    qddot_g: float,
     d_hat: float,
 ) -> float:
     """Feedback-linearizing tracking control, linear in d_hat.
 
-    u = B^+ (M qddot_r + C qdot_r - K s + G - d_hat).  For force-input
-    plants the returned value is the commanded force, to be mapped to an
-    actuator command by the plant-specific inversion.
+    With q_tilde = q - q_g and qdot_tilde = qdot - qdot_g:
+
+        s       = qdot_tilde + lam * q_tilde
+        qdot_r  = qdot_g - lam * q_tilde
+        qddot_r = qddot_g - lam * qdot_tilde
+        u       = B^+ (M qddot_r + C qdot_r - K s + G - d_hat)
+
+    For force-input plants the returned value is the commanded force, to
+    be mapped to an actuator command by the plant-specific inversion.
     """
-    q = state.q if hasattr(state, "q") else state[0]
-    qdot = state.qdot if hasattr(state, "q") else state[1]
-    _, qdot_r, qddot_r, s = composite_vars(state, desired, gains.lam)
-    m = model.mass_matrix(q)
-    c = model.coriolis(q, qdot)
-    g = model.gravity(q)
-    return (m * qddot_r + c * qdot_r - gains.k * s + g - d_hat) / model.actuation
+    lam = gains.lam
+    q_t = q - q_g
+    qd_t = qdot - qdot_g
+    s = qd_t + lam * q_t
+    qdot_r = qdot_g - lam * q_t
+    qddot_r = qddot_g - lam * qd_t
+    return (
+        model.mass_matrix(q) * qddot_r
+        + model.coriolis(q, qdot) * qdot_r
+        - gains.k * s
+        + model.gravity(q)
+        - d_hat
+    ) / model.actuation
 
 
 @dataclass
@@ -162,21 +170,27 @@ def simulate_closed_loop(
         raise ValueError("x0 must be finite")
 
     n_steps = int(round(traj.horizon / dt))
-    # desired values on the step grid, as lists: the loop indexes Python
-    # floats, which are much faster there than numpy scalars
-    qg_all, qdg_all, qddg_all = (
-        v.tolist() for v in desired_values(traj.task, traj.params, np.arange(n_steps + 1) * dt)
-    )
-    k, lam = gains.k, gains.lam
-    b = model.actuation
-    force_input = model.force_input
+    times = np.arange(n_steps + 1) * dt
+    desired = np.column_stack(desired_values(traj.task, traj.params, times))
+    # the loop indexes lists of Python floats, which are much faster
+    # there than numpy scalars
+    t_all = times.tolist()
+    qg_all, qdg_all, qddg_all = desired.T.tolist()
 
-    times = np.empty(n_steps + 1)
     states = np.empty((n_steps + 1, 2))
     controls = np.empty(n_steps + 1)
-    s_values = np.empty(n_steps + 1)
-    x_tilde = np.empty((n_steps + 1, 2))
     eps = np.empty(n_steps + 1)
+
+    accel = model.accel
+    if accel is not None:
+        b = model.actuation
+
+        def deriv(t, q, qdot, u):
+            return accel(q, qdot, b * u, true_residual_fn(t, q, qdot))
+    else:
+
+        def deriv(t, q, qdot, u):
+            return forward_dynamics(model, (q, qdot), u, true_residual_fn(t, q, qdot))
 
     status = "ok"
     touchdown_time = None
@@ -184,95 +198,53 @@ def simulate_closed_loop(
     clamp_count = 0
     d_hat = 0.0
     n_rec = 0
-
-    mass = model.mass_matrix
-    cor = model.coriolis
-    grav = model.gravity
-    accel = model.accel
-    sixth = dt / 6.0
-    half = 0.5 * dt
-
-    if accel is not None:
-        def deriv(tt, qq, qqd, bu):
-            return accel(qq, qqd, bu, true_residual_fn(tt, qq, qqd))
-    else:
-        def deriv(tt, qq, qqd, bu):
-            d = true_residual_fn(tt, qq, qqd)
-            return (bu - cor(qq, qqd) * qqd - grav(qq) + d) / mass(qq)
-
     for i in range(n_steps + 1):
-        t = i * dt
-        qg, qdg, qddg = qg_all[i], qdg_all[i], qddg_all[i]
-        q_t = q - qg
-        qd_t = qdot - qdg
-        s = qd_t + lam * q_t
+        t = t_all[i]
         if i % d_hat_hold_steps == 0:
             d_hat = d_hat_fn(q, qdot)
-
-        qdot_r = qdg - lam * q_t
-        qddot_r = qddg - lam * qd_t
-        force = (mass(q) * qddot_r + cor(q, qdot) * qdot_r - k * s + grav(q) - d_hat) / b
-        if force_input:
+        force = control_law(model, gains, q, qdot, qg_all[i], qdg_all[i], qddg_all[i], d_hat)
+        if model.force_input:
             u_cmd, clamped = model.actuator_invert(force)
             # applied thrust is exactly max(force, 0): the inversion and
             # the quadratic thrust map cancel, the clamp does not
             applied = force if force > 0.0 else 0.0
             clamp_count += clamped
         else:
-            u_cmd = force
-            applied = force
+            u_cmd = applied = force
 
-        times[n_rec] = t
-        states[n_rec, 0] = q
-        states[n_rec, 1] = qdot
-        controls[n_rec] = u_cmd
-        s_values[n_rec] = s
-        x_tilde[n_rec, 0] = q_t
-        x_tilde[n_rec, 1] = qd_t
-        eps[n_rec] = true_residual_fn(t, q, qdot) - d_hat
-        n_rec += 1
-
+        states[i, 0] = q
+        states[i, 1] = qdot
+        controls[i] = u_cmd
+        eps[i] = true_residual_fn(t, q, qdot) - d_hat
+        n_rec = i + 1
         if i == n_steps:
             break
 
-        # inline scalar RK4 with u held constant over the step
-        bu = b * applied
-        k1v = deriv(t, q, qdot, bu)
-        q2, qd2 = q + half * qdot, qdot + half * k1v
-        k2v = deriv(t + half, q2, qd2, bu)
-        q3, qd3 = q + half * qd2, qdot + half * k2v
-        k3v = deriv(t + half, q3, qd3, bu)
-        q4, qd4 = q + dt * qd3, qdot + dt * k3v
-        k4v = deriv(t + dt, q4, qd4, bu)
-        q = q + sixth * (qdot + 2.0 * qd2 + 2.0 * qd3 + qd4)
-        qdot = qdot + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-
-        if not (math.isfinite(q) and math.isfinite(qdot)) or max(abs(q), abs(qdot)) > DIVERGENCE_LIMIT:
+        try:
+            q, qdot = step_rk4(deriv, t, q, qdot, applied, dt)
+        except SimulationDiverged:
             status = "diverged"
             break
         if ground is not None and q <= ground:
-            t_next = (i + 1) * dt
-            qg, qdg = qg_all[i + 1], qdg_all[i + 1]
-            times[n_rec] = t_next
+            # record the contact state under the control and d_hat held
+            # over the step that reached it
             states[n_rec, 0] = q
             states[n_rec, 1] = qdot
             controls[n_rec] = u_cmd
-            s_values[n_rec] = (qdot - qdg) + lam * (q - qg)
-            x_tilde[n_rec, 0] = q - qg
-            x_tilde[n_rec, 1] = qdot - qdg
-            eps[n_rec] = true_residual_fn(t_next, q, qdot) - d_hat
-            n_rec += 1
+            eps[n_rec] = true_residual_fn(t_all[n_rec], q, qdot) - d_hat
             status = "touchdown"
-            touchdown_time = t_next
+            touchdown_time = t_all[n_rec]
             touchdown_speed = qdot
+            n_rec += 1
             break
 
+    x_tilde = states[:n_rec] - desired[:n_rec, :2]
     return Rollout(
         times=times[:n_rec],
         states=states[:n_rec],
         controls=controls[:n_rec],
-        s_values=s_values[:n_rec],
-        x_tilde=x_tilde[:n_rec],
+        s_values=x_tilde[:, 1] + gains.lam * x_tilde[:, 0],
+        x_tilde=x_tilde,
         eps=eps[:n_rec],
         status=status,
         touchdown_time=touchdown_time,

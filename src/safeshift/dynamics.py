@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
 __all__ = [
     "MixedModelParams",
     "PendulumParams",
@@ -204,28 +202,34 @@ def forward_dynamics(model: MixedModelParams, state, u: float, d: float) -> floa
 
 
 def step_rk4(
-    derivative: Callable[[float, np.ndarray, float], np.ndarray],
+    accel: Callable[[float, float, float, float], float],
     t: float,
-    state: np.ndarray,
+    q: float,
+    qdot: float,
     u: float,
     dt: float,
-) -> np.ndarray:
-    """One classical RK4 step of xdot = derivative(t, x, u), u held constant.
+) -> tuple[float, float]:
+    """One classical RK4 step of (q, qdot)' = (qdot, accel(t, q, qdot, u)).
 
-    Raises SimulationDiverged when the new state is non-finite or leaves
-    the |x| <= DIVERGENCE_LIMIT box.
+    u is held constant across the step.  Raises SimulationDiverged when
+    the new state is non-finite or leaves the |x| <= DIVERGENCE_LIMIT box.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    x = np.asarray(state, dtype=float)
-    k1 = derivative(t, x, u)
-    k2 = derivative(t + 0.5 * dt, x + 0.5 * dt * k1, u)
-    k3 = derivative(t + 0.5 * dt, x + 0.5 * dt * k2, u)
-    k4 = derivative(t + dt, x + dt * k3, u)
-    new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(new)) or np.max(np.abs(new)) > DIVERGENCE_LIMIT:
+    half = 0.5 * dt
+    k1 = accel(t, q, qdot, u)
+    q2, qd2 = q + half * qdot, qdot + half * k1
+    k2 = accel(t + half, q2, qd2, u)
+    q3, qd3 = q + half * qd2, qdot + half * k2
+    k3 = accel(t + half, q3, qd3, u)
+    q4, qd4 = q + dt * qd3, qdot + dt * k3
+    k4 = accel(t + dt, q4, qd4, u)
+    sixth = dt / 6.0
+    q = q + sixth * (qdot + 2.0 * qd2 + 2.0 * qd3 + qd4)
+    qdot = qdot + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not (math.isfinite(q) and math.isfinite(qdot)) or max(abs(q), abs(qdot)) > DIVERGENCE_LIMIT:
         raise SimulationDiverged(f"state diverged at t={t + dt:.6f}")
-    return new
+    return q, qdot
 
 
 def skew_check(

@@ -10,13 +10,13 @@ import pytest
 from safeshift.bounds import TubeParams, tracking_envelope
 from safeshift.controller import (
     ControllerGains,
-    composite_vars,
     control_law,
     simulate_closed_loop,
     x0_on_trajectory,
 )
-from safeshift.core import DesiredPoint, State
+from safeshift.core import State, desired_values
 from safeshift.dynamics import (
+    MixedModelParams,
     PendulumParams,
     drone_mixed_model,
     pendulum_mixed_model,
@@ -27,38 +27,68 @@ from safeshift.core import landing_pool, pendulum_pool
 ZERO = lambda q, qdot: 0.0  # noqa: E731
 
 
-def test_composite_vars_definitions():
-    desired = DesiredPoint(0.0, q_g=0.2, qdot_g=0.5, qddot_g=-0.1)
-    q_tilde, qdot_r, qddot_r, s = composite_vars(State(0.3, 0.9), desired, lam=2.0)
-    assert q_tilde == pytest.approx(0.1)
-    assert qdot_r == pytest.approx(0.5 - 2.0 * 0.1)
-    assert qddot_r == pytest.approx(-0.1 - 2.0 * 0.4)
-    assert s == pytest.approx(0.9 - qdot_r)
+def test_control_law_composite_variables():
+    # q_tilde = 0.1, qdot_r = 0.5 - 2 * 0.1 = 0.3, qddot_r = -0.1 - 2 * 0.4
+    # = -0.9, s = 0.9 - qdot_r = 0.6; with M = 2, C = 3, G = 0, B = 1, K = 5
+    # u = 2 qddot_r + 3 qdot_r - 5 s = -1.8 + 0.9 - 3.0
+    model = MixedModelParams(
+        mass_matrix=lambda q: 2.0,
+        coriolis=lambda q, qdot: 3.0,
+        gravity=lambda q: 0.0,
+        actuation=1.0,
+    )
+    u = control_law(model, ControllerGains(5.0, 2.0), 0.3, 0.9, 0.2, 0.5, -0.1, 0.0)
+    assert u == pytest.approx(-3.9)
+
+
+def test_rollout_records_tracking_error_and_composite_variable():
+    # x_tilde = states - desired and s = qdot_tilde + lam * q_tilde on every
+    # recorded row, the touchdown row included
+    (traj,) = landing_pool([(3.0, 0.0)], dt=0.01, horizon=10.0)
+    lam = 2.0
+    roll = simulate_closed_loop(
+        drone_mixed_model(),
+        ControllerGains(3.2, lam),
+        ZERO,
+        lambda t, q, qdot: -0.5,
+        traj,
+        0.001,
+        x0_on_trajectory(traj),
+        ground=0.0,
+    )
+    assert roll.status == "touchdown"
+    q_g, qdot_g, _ = desired_values(traj.task, traj.params, roll.times)
+    np.testing.assert_array_equal(roll.x_tilde[:, 0], roll.states[:, 0] - q_g)
+    np.testing.assert_array_equal(roll.x_tilde[:, 1], roll.states[:, 1] - qdot_g)
+    np.testing.assert_array_equal(
+        roll.s_values, roll.x_tilde[:, 1] + lam * roll.x_tilde[:, 0]
+    )
+    assert roll.times[-1] == roll.touchdown_time  # the last row is the contact state
 
 
 def test_control_law_pendulum_gravity_term():
     # s = 0, qddot_r = 0, d_hat = 0 at q = pi/2 leaves only -G = -9.8
     model = pendulum_mixed_model()
-    desired = DesiredPoint(0.0, q_g=math.pi / 2, qdot_g=0.0, qddot_g=0.0)
-    u = control_law(model, State(math.pi / 2, 0.0), desired, ControllerGains(10.0, 5.0), 0.0)
+    u = control_law(
+        model, ControllerGains(10.0, 5.0), math.pi / 2, 0.0, math.pi / 2, 0.0, 0.0, 0.0
+    )
     assert u == pytest.approx(-9.8)
 
 
 def test_control_law_drone_hover_force():
     model = drone_mixed_model()
-    desired = DesiredPoint(0.0, q_g=1.0, qdot_g=0.0, qddot_g=0.0)
-    force = control_law(model, State(1.0, 0.0), desired, ControllerGains(10.0, 5.0), 0.0)
+    force = control_law(model, ControllerGains(10.0, 5.0), 1.0, 0.0, 1.0, 0.0, 0.0, 0.0)
     assert force == pytest.approx(9.8)
 
 
 def test_control_law_linear_in_d_hat(rng):
     model = pendulum_mixed_model()
     gains = ControllerGains(7.0, 3.0)
-    desired = DesiredPoint(0.0, 0.2, 0.1, -0.3)
+    desired = (0.2, 0.1, -0.3)
     for _ in range(25):
         q, qdot, d0, delta = rng.uniform(-2, 2, 4)
-        u0 = control_law(model, State(q, qdot), desired, gains, d0)
-        u1 = control_law(model, State(q, qdot), desired, gains, d0 + delta)
+        u0 = control_law(model, gains, q, qdot, *desired, d0)
+        u1 = control_law(model, gains, q, qdot, *desired, d0 + delta)
         # u is exactly linear in d_hat with slope -1/B
         assert u1 - u0 == pytest.approx(-delta / model.actuation, rel=1e-12, abs=1e-12)
 

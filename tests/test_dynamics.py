@@ -127,28 +127,27 @@ def test_actuator_invert_examples():
 # -- integrator -----------------------------------------------------------------
 
 
-def _oscillator(t, x, u):
-    return np.array([x[1], -x[0]])
+def _oscillator(t, q, qdot, u):
+    return -q
 
 
 def test_rk4_fixed_point():
-    x = step_rk4(lambda t, x, u: np.zeros(2), 0.0, np.array([0.4, -0.2]), 0.0, 0.01)
-    np.testing.assert_array_equal(x, [0.4, -0.2])
+    assert step_rk4(lambda t, q, qdot, u: 0.0, 0.0, 0.4, 0.0, 0.0, 0.01) == (0.4, 0.0)
 
 
 def test_rk4_harmonic_oscillator_one_step():
     dt = 0.01
-    x = step_rk4(_oscillator, 0.0, np.array([1.0, 0.0]), 0.0, dt)
-    assert x[0] == pytest.approx(math.cos(dt), abs=1e-9)
-    assert x[1] == pytest.approx(-math.sin(dt), abs=1e-9)
+    q, qdot = step_rk4(_oscillator, 0.0, 1.0, 0.0, 0.0, dt)
+    assert q == pytest.approx(math.cos(dt), abs=1e-9)
+    assert qdot == pytest.approx(-math.sin(dt), abs=1e-9)
 
 
 def _oscillator_error(dt: float) -> float:
-    x = np.array([1.0, 0.0])
+    q, qdot = 1.0, 0.0
     n = int(round(1.0 / dt))
     for i in range(n):
-        x = step_rk4(_oscillator, i * dt, x, 0.0, dt)
-    return abs(x[0] - math.cos(1.0))
+        q, qdot = step_rk4(_oscillator, i * dt, q, qdot, 0.0, dt)
+    return abs(q - math.cos(1.0))
 
 
 def test_rk4_is_fourth_order():
@@ -157,11 +156,11 @@ def test_rk4_is_fourth_order():
 
 
 def test_rk4_raises_on_divergence():
-    grow = lambda t, x, u: 10.0 * x  # noqa: E731
-    x = np.array([1e5, 1e5])
+    grow = lambda t, q, qdot, u: 100.0 * q  # noqa: E731
+    q, qdot = 1e5, 1e5
     with pytest.raises(SimulationDiverged):
         for i in range(100):
-            x = step_rk4(grow, 0.0, x, 0.0, 0.5)
+            q, qdot = step_rk4(grow, 0.0, q, qdot, 0.0, 0.5)
 
 
 def test_pendulum_energy_conservation_without_wind():
@@ -169,20 +168,20 @@ def test_pendulum_energy_conservation_without_wind():
     p = PendulumParams(c_d=0.0)
     model = pendulum_mixed_model(p)
 
-    def deriv(t, x, u):
-        return np.array([x[1], forward_dynamics(model, x, 0.0, 0.0)])
+    def accel(t, q, qdot, u):
+        return forward_dynamics(model, (q, qdot), u, 0.0)
 
-    def energy(x):
+    def energy(q, qdot):
         # inverted-sign gravity: V(q) = -m g l (1 - cos q)
-        return 0.5 * p.m * p.l ** 2 * x[1] ** 2 - p.m * p.g * p.l * (1 - math.cos(x[0]))
+        return 0.5 * p.m * p.l ** 2 * qdot ** 2 - p.m * p.g * p.l * (1 - math.cos(q))
 
-    x = np.array([0.4, 0.0])
-    e0 = energy(x)
+    q, qdot = 0.4, 0.0
+    e0 = energy(q, qdot)
     dt = 0.001
     for i in range(10_000):
-        x = step_rk4(deriv, i * dt, x, 0.0, dt)
+        q, qdot = step_rk4(accel, i * dt, q, qdot, 0.0, dt)
     scale = abs(e0) + p.m * p.g * p.l
-    assert abs(energy(x) - e0) / scale < 1e-6
+    assert abs(energy(q, qdot) - e0) / scale < 1e-6
 
 
 # -- structure ------------------------------------------------------------------
