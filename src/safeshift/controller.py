@@ -133,7 +133,7 @@ def simulate_closed_loop(
     model: MixedModelParams,
     gains: ControllerGains,
     d_hat_fn: Callable[[float, float], float],
-    true_residual_fn: Callable[[float, float, float], float],
+    residual_fn: Callable[[float, float, float], float],
     traj: DesiredTrajectory,
     dt: float,
     x0,
@@ -144,7 +144,7 @@ def simulate_closed_loop(
     """Track `traj` in closed loop against the true residual dynamics.
 
     d_hat_fn(q, qdot) is the learned compensation queried at the actual
-    state; true_residual_fn(t, q, qdot) is the plant's residual (time
+    state; residual_fn(t, q, qdot) is the plant's residual (time
     dependence supports injected-disturbance studies).  The control is
     recomputed every integrator step and held across the RK4 substeps;
     d_hat itself is refreshed every d_hat_hold_steps steps and held in
@@ -186,11 +186,11 @@ def simulate_closed_loop(
         b = model.actuation
 
         def deriv(t, q, qdot, u):
-            return accel(q, qdot, b * u, true_residual_fn(t, q, qdot))
+            return accel(q, qdot, b * u, residual_fn(t, q, qdot))
     else:
 
         def deriv(t, q, qdot, u):
-            return forward_dynamics(model, (q, qdot), u, true_residual_fn(t, q, qdot))
+            return forward_dynamics(model, (q, qdot), u, residual_fn(t, q, qdot))
 
     status = "ok"
     touchdown_time = None
@@ -215,7 +215,7 @@ def simulate_closed_loop(
         states[i, 0] = q
         states[i, 1] = qdot
         controls[i] = u_cmd
-        eps[i] = true_residual_fn(t, q, qdot) - d_hat
+        eps[i] = residual_fn(t, q, qdot) - d_hat
         n_rec = i + 1
         if i == n_steps:
             break
@@ -231,7 +231,7 @@ def simulate_closed_loop(
             states[n_rec, 0] = q
             states[n_rec, 1] = qdot
             controls[n_rec] = u_cmd
-            eps[n_rec] = true_residual_fn(t_all[n_rec], q, qdot) - d_hat
+            eps[n_rec] = residual_fn(t_all[n_rec], q, qdot) - d_hat
             status = "touchdown"
             touchdown_time = t_all[n_rec]
             touchdown_speed = qdot

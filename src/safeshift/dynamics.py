@@ -23,8 +23,6 @@ __all__ = [
     "pendulum_mixed_model",
     "drone_mixed_model",
     "drone_actuator_invert",
-    "true_residual_pendulum",
-    "true_residual_drone",
     "pendulum_residual_fn",
     "drone_residual_fn",
     "forward_dynamics",
@@ -148,30 +146,12 @@ def drone_mixed_model(p: DroneParams = DroneParams()) -> MixedModelParams:
     )
 
 
-def true_residual_pendulum(p: PendulumParams, q: float, qdot: float) -> float:
-    """Quadratic drag torque on the bob moving through a horizontal wind.
+def pendulum_residual_fn(p: PendulumParams) -> Callable[[float, float, float], float]:
+    """Quadratic drag torque on the bob in a horizontal wind, as d(t, q, qdot).
 
     The relative air speed is the tip speed l*qdot minus the wind speed;
     drag opposes it with magnitude c_d * speed^2 acting at arm l.
     """
-    rel = p.l * qdot - p.v_w
-    return -p.c_d * p.l * rel * abs(rel)
-
-
-def true_residual_drone(p: DroneParams, q: float, qdot: float) -> float:
-    """Ground effect: altitude-decaying lift boost plus vertical damping.
-
-    The altitude is clamped below at altitude_floor so the exponential
-    stays bounded if the simulator momentarily pushes the drone through
-    the ground plane.
-    """
-    q_c = max(q, p.altitude_floor)
-    e = math.exp(-p.ge_b * q_c)
-    return (p.ge_a - p.ge_c * qdot) * e
-
-
-def pendulum_residual_fn(p: PendulumParams) -> Callable[[float, float, float], float]:
-    """true_residual_pendulum as a (t, q, qdot) closure for the simulator."""
     cdl, l, v_w = p.c_d * p.l, p.l, p.v_w
 
     def fn(t: float, q: float, qdot: float) -> float:
@@ -182,7 +162,12 @@ def pendulum_residual_fn(p: PendulumParams) -> Callable[[float, float, float], f
 
 
 def drone_residual_fn(p: DroneParams) -> Callable[[float, float, float], float]:
-    """true_residual_drone as a (t, q, qdot) closure for the simulator."""
+    """Ground effect as d(t, q, qdot): altitude-decaying lift plus damping.
+
+    The altitude is clamped below at altitude_floor so the exponential
+    stays bounded if the simulator momentarily pushes the drone through
+    the ground plane.
+    """
     ge_a, ge_b, ge_c, floor = p.ge_a, p.ge_b, p.ge_c, p.altitude_floor
 
     def fn(t: float, q: float, qdot: float) -> float:

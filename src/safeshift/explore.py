@@ -188,7 +188,7 @@ class ExperimentConfig:
             return pendulum_mixed_model(self.plant_pendulum)
         return drone_mixed_model(self.plant_drone)
 
-    def true_residual_fn(self):
+    def residual_fn(self):
         if self.task == "pendulum":
             return pendulum_residual_fn(self.plant_pendulum)
         return drone_residual_fn(self.plant_drone)
@@ -526,7 +526,7 @@ def _collect(config: ExperimentConfig, rollout: Rollout, rng) -> Dataset:
     stride = max(1, int(round(1.0 / (config.sample_hz * config.sim_dt))))
     idx = np.arange(0, len(rollout.times), stride)
     states = rollout.states[idx]
-    res = config.true_residual_fn()
+    res = config.residual_fn()
     targets = np.zeros((len(idx), config.output_dim))
     for row, (t_i, (q, qdot)) in enumerate(zip(rollout.times[idx], states)):
         targets[row, 0] = res(float(t_i), float(q), float(qdot))
@@ -609,7 +609,7 @@ def run_episode(
         config.mixed_model(),
         config.gains,
         learner.d_hat_fn(src_kde, trg_kde),
-        config.true_residual_fn(),
+        config.residual_fn(),
         traj,
         config.sim_dt,
         x0_on_trajectory(traj),

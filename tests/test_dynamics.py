@@ -15,12 +15,12 @@ from safeshift.dynamics import (
     SimulationDiverged,
     drone_actuator_invert,
     drone_mixed_model,
+    drone_residual_fn,
     forward_dynamics,
     pendulum_mixed_model,
+    pendulum_residual_fn,
     skew_check,
     step_rk4,
-    true_residual_drone,
-    true_residual_pendulum,
 )
 
 
@@ -29,20 +29,20 @@ from safeshift.dynamics import (
 
 def test_pendulum_residual_zero_at_matched_wind():
     p = PendulumParams()
-    assert true_residual_pendulum(p, 0.3, p.v_w / p.l) == pytest.approx(0.0, abs=1e-15)
+    assert pendulum_residual_fn(p)(0.0, 0.3, p.v_w / p.l) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_pendulum_residual_example_value():
     p = PendulumParams(v_w=1.0)
     # relative tip speed 3 - 1 = 2, drag -0.1 * 2 * |2| = -0.4
-    assert true_residual_pendulum(p, 0.0, 3.0) == pytest.approx(-0.4, rel=1e-12)
+    assert pendulum_residual_fn(p)(0.0, 0.0, 3.0) == pytest.approx(-0.4, rel=1e-12)
 
 
 @given(qdot=st.floats(-5.0, 5.0))
 def test_pendulum_residual_opposes_relative_motion(qdot):
     p = PendulumParams()
     rel = p.l * qdot - p.v_w
-    d = true_residual_pendulum(p, 0.1, qdot)
+    d = pendulum_residual_fn(p)(0.0, 0.1, qdot)
     if rel > 0:
         assert d < 0
     elif rel < 0:
@@ -50,27 +50,29 @@ def test_pendulum_residual_opposes_relative_motion(qdot):
 
 
 def test_drone_residual_example_value():
-    p = DroneParams()
+    d = drone_residual_fn(DroneParams())
     # (2 + 0.5) * exp(-1.5)
-    assert true_residual_drone(p, 0.5, -1.0) == pytest.approx(2.5 * math.exp(-1.5), rel=1e-12)
-    assert true_residual_drone(p, 0.5, -1.0) == pytest.approx(0.55783, rel=1e-4)
+    assert d(0.0, 0.5, -1.0) == pytest.approx(2.5 * math.exp(-1.5), rel=1e-12)
+    assert d(0.0, 0.5, -1.0) == pytest.approx(0.55783, rel=1e-4)
 
 
 def test_drone_residual_vanishes_at_altitude():
-    assert true_residual_drone(DroneParams(), 50.0, 0.0) == pytest.approx(0.0, abs=1e-12)
+    assert drone_residual_fn(DroneParams())(0.0, 50.0, 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_drone_residual_clamps_below_altitude_floor():
     p = DroneParams()
-    at_floor = true_residual_drone(p, p.altitude_floor, 0.0)
-    assert true_residual_drone(p, 0.0, 0.0) == at_floor
-    assert true_residual_drone(p, -0.3, 0.0) == at_floor
+    d = drone_residual_fn(p)
+    at_floor = d(0.0, p.altitude_floor, 0.0)
+    assert d(0.0, 0.0, 0.0) == at_floor
+    assert d(0.0, -0.3, 0.0) == at_floor
 
 
 def test_drone_residual_monotone_decreasing_in_altitude():
     p = DroneParams()
+    res = drone_residual_fn(p)
     q = np.linspace(p.altitude_floor, 2.0, 200)
-    d = np.array([true_residual_drone(p, qi, 0.0) for qi in q])
+    d = np.array([res(0.0, qi, 0.0) for qi in q])
     assert np.all(np.diff(d) < 0)
 
 
