@@ -45,7 +45,6 @@ from .core import (
     safety_contains,
 )
 from .density_ratio import (
-    DENSITY_FLOOR,
     KdeModel,
     RatioConfig,
     clipped_ratio,
@@ -306,25 +305,6 @@ def build_pool_cache(pool: list[DesiredTrajectory], config: ExperimentConfig) ->
     )
 
 
-def _fast_ratio_point(src: KdeModel, trg: KdeModel, cfg: RatioConfig):
-    """Single-point clipped density ratio, tuned for the rollout hot path."""
-    sx, sh = src.samples, src.bandwidth
-    tx, th = trg.samples, trg.bandwidth
-    s_norm = len(sx) * float(np.prod(sh)) * (2.0 * math.pi) ** (src.dim / 2.0)
-    t_norm = len(tx) * float(np.prod(th)) * (2.0 * math.pi) ** (trg.dim / 2.0)
-    r_lo, r_hi = cfg.r_lo, cfg.r_hi
-
-    def ratio(q: float, qdot: float) -> float:
-        zs = (np.array((q, qdot)) - sx) / sh
-        p_s = float(np.exp(-0.5 * (zs * zs).sum(axis=1)).sum()) / s_norm
-        zt = (np.array((q, qdot)) - tx) / th
-        p_t = float(np.exp(-0.5 * (zt * zt).sum(axis=1)).sum()) / t_norm
-        r = p_s / max(p_t, DENSITY_FLOOR)
-        return r_lo if r < r_lo else (r_hi if r > r_hi else r)
-
-    return ratio
-
-
 class RobustLearner:
     """Covariate-shift robust regressor wired into the episode loop."""
 
@@ -351,32 +331,15 @@ class RobustLearner:
         return float(np.sqrt(np.max(var[:, 0])))
 
     def d_hat_fn(self, src_kde, trg_kde):
-        m = self.model
-        hidden = tuple(zip(m.net.weights[:-1], m.net.biases[:-1]))
-        w_out, b_out = m.net.weights[-1], m.net.biases[-1]
-        head = m.theta_phi[0]
-        theta_y0 = float(m.theta_y[0])
-        inv_s0 = 1.0 / m.sigma0_sq
-        base = m.mu0 * inv_s0
-        ratio = (
-            _fast_ratio_point(src_kde, trg_kde, self.cfg.ratio)
-            if (src_kde is not None and trg_kde is not None)
-            else None
-        )
+        """Predicted mean of dimension 0 at one state; r = 1 without KDEs."""
+        model, cfg = self.model, self.cfg.ratio
+        shifted = src_kde is not None and trg_kde is not None
 
         def d_hat(q: float, qdot: float) -> float:
-            r = 1.0 if ratio is None else ratio(q, qdot)
-            # FeatureNet.forward for one point, updating in place to keep
-            # the per-step cost down
-            h = np.array((q, qdot))
-            for w, b in hidden:
-                h = h @ w
-                h += b
-                np.maximum(h, 0.0, out=h)
-            h = h @ w_out
-            h += b_out
-            a = float(h @ head)
-            return (base + r * a) / (inv_s0 + 2.0 * r * theta_y0)
+            x = np.array(((q, qdot),))
+            r = density_ratio(src_kde, trg_kde, x, cfg) if shifted else None
+            mu, _ = rr.predict(model, x, ratios=r)
+            return float(mu[0, 0])
 
         return d_hat
 

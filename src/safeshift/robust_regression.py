@@ -282,6 +282,21 @@ def _ratios_for(model: RobustModel, x: np.ndarray, ratios) -> np.ndarray:
     return np.ones(len(x))
 
 
+def _predictive(model: RobustModel, r: np.ndarray, theta_y: np.ndarray, a=None):
+    """The predictive form at ratios r (n,) and precision tilts theta_y (d_out,).
+
+        sigma_sq = 1 / (1/sigma0_sq + 2 r theta_y)
+        mu       = sigma_sq * (mu0/sigma0_sq + r a)
+
+    a (n, d_out) holds the head activations theta_phi . phi(x).  Returns
+    (mu, sigma_sq), both (n, d_out); mu is None when a is None.
+    """
+    var = 1.0 / (1.0 / model.sigma0_sq + 2.0 * r[:, None] * theta_y[None, :])
+    if a is None:
+        return None, var
+    return var * (model.mu0 / model.sigma0_sq + r[:, None] * a), var
+
+
 def predict(model: RobustModel, x, ratios=None):
     """Per-dimension predictive mean and variance at query inputs.
 
@@ -293,11 +308,8 @@ def predict(model: RobustModel, x, ratios=None):
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
     r = _ratios_for(model, pts, ratios)
-    phi = model.net.forward(pts)
-    a = phi @ model.theta_phi.T  # (n, d_out)
-    p = 1.0 / model.sigma0_sq + 2.0 * r[:, None] * model.theta_y[None, :]
-    var = 1.0 / p
-    mu = var * (model.mu0 / model.sigma0_sq + r[:, None] * a)
+    a = model.net.forward(pts) @ model.theta_phi.T
+    mu, var = _predictive(model, r, model.theta_y, a)
     if single:
         return mu[0], var[0]
     return mu, var
@@ -307,9 +319,7 @@ def _loss_terms(model, x, y, r):
     """Data NLL (no penalty), plus intermediates reused by the backward pass."""
     phi, pre = model.net.forward_cached(x)
     a = phi @ model.theta_phi.T
-    p = 1.0 / model.sigma0_sq + 2.0 * r[:, None] * model.theta_y[None, :]
-    var = 1.0 / p
-    mu = var * (model.mu0 / model.sigma0_sq + r[:, None] * a)
+    mu, var = _predictive(model, r, model.theta_y, a)
     e = y - mu
     nll = float(np.mean(np.sum(0.5 * np.log(2.0 * math.pi * var) + e * e / (2.0 * var), axis=1)))
     return nll, phi, pre, a, var, mu, e
@@ -363,11 +373,7 @@ def _grads(model, x, y, r, freeze_net=False):
 def _moment(model, x, y, r, weights, theta_y=None):
     """weights-averaged (y^2 - mu^2 - sigma^2) per dim; mu, sigma use ratios r."""
     th = model.theta_y if theta_y is None else theta_y
-    phi = model.net.forward(x)
-    a = phi @ model.theta_phi.T
-    p = 1.0 / model.sigma0_sq + 2.0 * r[:, None] * th[None, :]
-    var = 1.0 / p
-    mu = var * (model.mu0 / model.sigma0_sq + r[:, None] * a)
+    mu, var = _predictive(model, r, th, model.net.forward(x) @ model.theta_phi.T)
     return (weights[:, None] * (y * y - mu * mu - var)).mean(axis=0)
 
 
@@ -423,15 +429,16 @@ def _solve_heads(model, x, y, r):
     """
     phi = model.net.forward(x)
     n = len(x)
-    inv_s0 = 1.0 / model.sigma0_sq
+    # the mean at a = 0 is the part of mu the heads do not move
+    base, var = _predictive(model, r, model.theta_y, np.zeros((n, model.dim_out)))
     heads = np.empty_like(model.theta_phi)
     lam = model.lam
     for d in range(model.dim_out):
-        v = 1.0 / (inv_s0 + 2.0 * r * model.theta_y[d])
+        v = var[:, d]
         # stationarity: (G a - b)_j + lam sign(a_j) = 0 with
         # G = (1/n) phi^T diag(v r^2) phi, b = (1/n) phi^T (r t)
         g_mat = (phi * (v * r * r)[:, None]).T @ phi / n
-        t = y[:, d] - v * (model.mu0 * inv_s0)
+        t = y[:, d] - base[:, d]
         b_vec = phi.T @ (r * t) / n
         diag = np.diag(g_mat).copy()
         a = model.theta_phi[d].copy()
@@ -497,22 +504,18 @@ def _polish_theta_y(model, x, y, r, fixed_mu=True):
     """
     theta_y = model.theta_y.copy()
     ones = np.ones_like(r)
-    inv_s0 = 1.0 / model.sigma0_sq
     if fixed_mu:
-        phi = model.net.forward(x)
-        a = phi @ model.theta_phi.T
-        p = inv_s0 + 2.0 * r[:, None] * theta_y[None, :]
-        mu = (model.mu0 * inv_s0 + r[:, None] * a) / p
+        mu, _ = _predictive(model, r, theta_y, model.net.forward(x) @ model.theta_phi.T)
         gap = y * y - mu * mu
     converged = True
     for d in range(len(theta_y)):
         if fixed_mu:
             def g_weighted(th, d=d):
-                var = 1.0 / (inv_s0 + 2.0 * r * th)
+                var = _predictive(model, r, np.array([th]))[1][:, 0]
                 return float(np.mean(r * (gap[:, d] - var)) + model.lam)
 
             def g_unweighted(th, d=d):
-                var = 1.0 / (inv_s0 + 2.0 * r * th)
+                var = _predictive(model, r, np.array([th]))[1][:, 0]
                 return float(np.mean(gap[:, d] - var) + model.lam)
         else:
             def g_weighted(th, d=d):
@@ -657,8 +660,7 @@ def lipschitz_bound(model: RobustModel, ratio_cfg: RatioConfig = RatioConfig()) 
     sup sigma_sq * r_hi * ||theta_phi||_2 * prod(layer spectral norms),
     with sup sigma_sq attained at r = r_lo and the smallest theta_y.
     """
-    theta_min = float(np.min(model.theta_y)) if len(model.theta_y) else 0.0
-    sup_var = 1.0 / (1.0 / model.sigma0_sq + 2.0 * ratio_cfg.r_lo * theta_min)
+    sup_var = float(np.max(_predictive(model, np.array([ratio_cfg.r_lo]), model.theta_y)[1]))
     head = float(np.linalg.norm(model.theta_phi, 2))
     layers = 1.0
     for w in model.net.weights:
