@@ -61,7 +61,7 @@ from .dynamics import (
     pendulum_mixed_model,
     pendulum_residual_fn,
 )
-from .gp_baseline import GpHyper, GpModel, gp_fit, gp_predict
+from .gp_baseline import GpHyper, GpModel, gp_fit, gp_predict, kernel_matrix
 
 __all__ = [
     "ConfigError",
@@ -397,26 +397,16 @@ class GpLearner:
         return float(np.sqrt(np.max(var)))
 
     def d_hat_fn(self, src_kde, trg_kde):
+        """Posterior mean of dimension 0 at one state; 0 before any data."""
         if self.model is None:
             return lambda q, qdot: 0.0
         m = self.model
         h = m.hyper
-        xt_q = np.ascontiguousarray(m.x_train[:, 0])
-        xt_qd = np.ascontiguousarray(m.x_train[:, 1])
         alpha0 = np.ascontiguousarray(m.alpha[:, 0])
-        sf, ell = h.sigma_f_sq, h.ell
 
-        if h.kernel == "rbf":
-
-            def d_hat(q: float, qdot: float) -> float:
-                d2 = (xt_q - q) ** 2 + (xt_qd - qdot) ** 2
-                return float(np.exp(d2 * (-0.5 / (ell * ell))) @ alpha0) * sf
-
-        else:
-
-            def d_hat(q: float, qdot: float) -> float:
-                d = np.sqrt((xt_q - q) ** 2 + (xt_qd - qdot) ** 2) * (math.sqrt(5.0) / ell)
-                return float(((1.0 + d + d * d / 3.0) * np.exp(-d)) @ alpha0) * sf
+        def d_hat(q: float, qdot: float) -> float:
+            k_star = kernel_matrix(h.kernel, m.x_train, ((q, qdot),), h.sigma_f_sq, h.ell)
+            return float(k_star[:, 0] @ alpha0)
 
         return d_hat
 
