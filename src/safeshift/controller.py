@@ -171,11 +171,11 @@ def simulate_closed_loop(
 
     n_steps = int(round(traj.horizon / dt))
     times = np.arange(n_steps + 1) * dt
-    desired = np.column_stack(desired_values(traj.task, traj.params, times))
-    # the loop indexes lists of Python floats, which are much faster
-    # there than numpy scalars
     t_all = times.tolist()
-    qg_all, qdg_all, qddg_all = desired.T.tolist()
+    # the desired trajectory on the step grid, once per rollout, as Python
+    # floats: the loop indexes them, and numpy scalars are slow there
+    desired = [desired_values(traj.task, traj.params, t) for t in t_all]
+    qg_all, qdg_all, qddg_all = zip(*desired)
 
     states = np.empty((n_steps + 1, 2))
     controls = np.empty(n_steps + 1)
@@ -238,7 +238,7 @@ def simulate_closed_loop(
             n_rec += 1
             break
 
-    x_tilde = states[:n_rec] - desired[:n_rec, :2]
+    x_tilde = states[:n_rec] - np.array(desired[:n_rec])[:, :2]
     return Rollout(
         times=times[:n_rec],
         states=states[:n_rec],

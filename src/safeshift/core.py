@@ -68,22 +68,26 @@ class DesiredPoint:
 def desired_values(task: str, params: dict, t):
     """Closed-form desired (q_g, qdot_g, qddot_g) of `task` at time(s) t.
 
-    t is a scalar or an array; the three values have its shape.
+    t is a scalar or an array; the three values have its shape.  A Python
+    scalar is evaluated with `math`, an array with numpy: numpy's vectorised
+    exp differs from math.exp in the last bit on about 5% of the landing
+    step grid, and the landing loop amplifies that into other decisions.
 
     Tasks:
       "pendulum": q_g = C sin t, a swing of amplitude C.
       "landing":  q_g = (1.5 - h_g) exp(-C t)(1 + C t) + h_g, a critically
                   damped descent from altitude 1.5 to hover altitude h_g.
     """
+    lib = math if isinstance(t, (int, float)) else np
     if task == "pendulum":
         c = params["C"]
-        st = np.sin(t)
-        return c * st, c * np.cos(t), -c * st
+        st = lib.sin(t)
+        return c * st, c * lib.cos(t), -c * st
     if task == "landing":
         c = params["C"]
         h_g = params["h_g"]
         a = 1.5 - h_g
-        e = np.exp(-c * t)
+        e = lib.exp(-c * t)
         return (
             a * e * (1.0 + c * t) + h_g,
             -a * c * c * t * e,

@@ -57,7 +57,9 @@ def test_rollout_records_tracking_error_and_composite_variable():
         ground=0.0,
     )
     assert roll.status == "touchdown"
-    q_g, qdot_g, _ = desired_values(traj.task, traj.params, roll.times)
+    q_g, qdot_g, _ = np.array(
+        [desired_values(traj.task, traj.params, t) for t in roll.times.tolist()]
+    ).T
     np.testing.assert_array_equal(roll.x_tilde[:, 0], roll.states[:, 0] - q_g)
     np.testing.assert_array_equal(roll.x_tilde[:, 1], roll.states[:, 1] - qdot_g)
     np.testing.assert_array_equal(
