@@ -9,8 +9,15 @@ Episode 1 runs on the untrained base model, so its tube is driven purely
 by sigma0 and the loop starts conservative by construction.
 
 The learner is pluggable: the robust covariate-shift regressor or a GP
-baseline, both exposing candidate scoring, a d_hat closure for the
-controller, and a retrain hook.
+baseline.  Both expose the same surface, and the densities each call
+needs are passed in, not bound to the model:
+
+  eval_candidate(traj, pts, ratios)  max predictive std on the candidate's
+                                     certification points (ratios None
+                                     means r = 1)
+  d_hat_fn(src_kde, trg_kde)         the controller's compensation d_hat(q, qdot)
+  retrain(dataset, src_kde, trg_kde, rng)
+  moment_residual_max()              the fit's stationarity residual
 
 Scoring does each piece of work once, at the level where its inputs
 change.  The pool is fixed, so each candidate's grid, certification
@@ -325,10 +332,7 @@ class RobustLearner:
 
     def eval_candidate(self, traj, pts, ratios):
         """Max predictive std of dimension 0 on pts; ratios None means r = 1."""
-        if ratios is None:
-            ratios = np.ones(len(pts))
-        _, var = rr.predict(self.model, pts, ratios=ratios)
-        return float(np.sqrt(np.max(var[:, 0])))
+        return rr.sigma_max_on_traj(self.model, pts, ratios)
 
     def d_hat_fn(self, src_kde, trg_kde):
         """Predicted mean of dimension 0 at one state; r = 1 without KDEs."""
@@ -342,18 +346,6 @@ class RobustLearner:
             return float(mu[0, 0])
 
         return d_hat
-
-    def bind(self, src_kde, trg_kde):
-        """Attach the episode's frozen ratio handle to the model."""
-        if src_kde is None or trg_kde is None:
-            fn = None
-        else:
-            cfg = self.cfg.ratio
-
-            def fn(x):
-                return density_ratio(src_kde, trg_kde, x, cfg)
-
-        self.model = replace(self.model, ratio_fn=fn)
 
     def retrain(self, dataset: Dataset, src_kde, trg_kde, rng):
         train = self.cfg.train
@@ -409,9 +401,6 @@ class GpLearner:
             return float(k_star[:, 0] @ alpha0)
 
         return d_hat
-
-    def bind(self, src_kde, trg_kde):
-        pass
 
     def retrain(self, dataset: Dataset, src_kde, trg_kde, rng):
         self.model = None  # release the old n x n factor before fitting
@@ -557,7 +546,6 @@ def run_episode(
     traj, trg_kde, sigma_max, eps_m, cert, w_hat = min(
         certified, key=lambda ev: _selection_key(ev[0])
     )
-    learner.bind(src_kde, trg_kde)
     rollout = simulate_closed_loop(
         config.mixed_model(),
         config.gains,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import brentq
@@ -188,8 +188,7 @@ class RobustModel:
     theta_phi: (d_out, k) linear heads on the features; theta_y: (d_out,)
     nonnegative precision tilts.  The base model has both at zero, which
     reproduces N(mu0, sigma0_sq) everywhere; fitted models keep theta_y at
-    or above theta_y_floor.  ratio_fn maps a query batch (n, 2) to density
-    ratios (n,); None means r = 1 everywhere (no data yet / unbound).
+    or above theta_y_floor.
     """
 
     net: FeatureNet
@@ -199,7 +198,6 @@ class RobustModel:
     sigma0_sq: float
     lam: float
     theta_y_floor: float
-    ratio_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     converged: bool = True
     moment_residuals: Optional[np.ndarray] = None
     trained: bool = False
@@ -271,15 +269,14 @@ def initial_model(
     )
 
 
-def _ratios_for(model: RobustModel, x: np.ndarray, ratios) -> np.ndarray:
-    if ratios is not None:
-        r = np.asarray(ratios, dtype=float)
-        if r.shape != (len(x),):
-            raise ValueError("ratios must be one per query")
-        return r
-    if model.ratio_fn is not None:
-        return np.asarray(model.ratio_fn(x), dtype=float)
-    return np.ones(len(x))
+def _ratios_for(x: np.ndarray, ratios) -> np.ndarray:
+    """ratios as a float array, one per query; None means r = 1."""
+    if ratios is None:
+        return np.ones(len(x))
+    r = np.asarray(ratios, dtype=float)
+    if r.shape != (len(x),):
+        raise ValueError("ratios must be one per query")
+    return r
 
 
 def _predictive(model: RobustModel, r: np.ndarray, theta_y: np.ndarray, a=None):
@@ -301,13 +298,13 @@ def predict(model: RobustModel, x, ratios=None):
     """Per-dimension predictive mean and variance at query inputs.
 
     x: (n, 2) or a single (2,) point; returns (mu, sigma_sq) of shape
-    (n, d_out) (or (d_out,) for a single point).  ratios overrides the
-    model's bound ratio_fn when given.
+    (n, d_out) (or (d_out,) for a single point).  ratios holds one
+    density ratio per query; None means r = 1 everywhere.
     """
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
-    r = _ratios_for(model, pts, ratios)
+    r = _ratios_for(pts, ratios)
     a = model.net.forward(pts) @ model.theta_phi.T
     mu, var = _predictive(model, r, model.theta_y, a)
     if single:
@@ -334,7 +331,7 @@ def nll_loss(model: RobustModel, dataset: Dataset, ratios) -> float:
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    r = _ratios_for(model, dataset.inputs, ratios)
+    r = _ratios_for(dataset.inputs, ratios)
     nll, *_ = _loss_terms(model, dataset.inputs, dataset.targets, r)
     penalty = model.lam * (np.abs(model.theta_phi).sum() + np.abs(model.theta_y).sum())
     loss = nll + float(penalty)
@@ -379,7 +376,7 @@ def _moment(model, x, y, r, weights, theta_y=None):
 
 def moment_residual(model: RobustModel, dataset: Dataset, ratios=None) -> np.ndarray:
     """Unweighted stationarity residual mean(y^2 - mu^2 - sigma^2) per dim."""
-    r = _ratios_for(model, dataset.inputs, ratios)
+    r = _ratios_for(dataset.inputs, ratios)
     mu, var = predict(model, dataset.inputs, ratios=r)
     y = dataset.targets
     return (y * y - mu * mu - var).mean(axis=0)
@@ -557,7 +554,7 @@ def fit(
     information, e.g. the very first fit).  `init` warm-starts from a
     previous model (its net, heads, and base distribution are reused);
     otherwise a fresh net is drawn from `rng` (falling back to
-    config.seed).  The returned model's ratio_fn is left unbound.
+    config.seed).
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
@@ -668,21 +665,23 @@ def lipschitz_bound(model: RobustModel, ratio_cfg: RatioConfig = RatioConfig()) 
     return sup_var * ratio_cfg.r_hi * head * layers
 
 
-def sigma_max_on_traj(model: RobustModel, traj, dim: int = 0) -> float:
-    """Max predictive standard deviation along the trajectory grid.
+def sigma_max_on_traj(model: RobustModel, traj, ratios=None, dim: int = 0) -> float:
+    """Max predictive standard deviation along a trajectory.
 
-    Uses the model's bound ratio_fn (r = 1 when unbound).  For multi
-    dimensional outputs the certification dimension (default 0) is used.
+    `traj` is a DesiredTrajectory (its grid) or an (n, 2) array of points;
+    ratios holds one density ratio per point (None means r = 1).  For
+    multi dimensional outputs the certification dimension (default 0) is
+    used.
     """
     pts = traj.grid_xy() if hasattr(traj, "grid_xy") else np.atleast_2d(np.asarray(traj))
     if len(pts) == 0:
         raise ValueError("empty trajectory")
-    _, var = predict(model, pts)
+    _, var = predict(model, pts, ratios=ratios)
     return float(np.sqrt(np.max(var[:, dim])))
 
 
 def save_checkpoint(model: RobustModel, path: str) -> None:
-    """Flat numeric text checkpoint; ratio_fn is a runtime binding, not saved."""
+    """Flat numeric text checkpoint of every model field."""
     lines = [CHECKPOINT_HEADER]
     lines.append(f"layers {len(model.net.weights)}")
     for w, b, c in zip(model.net.weights, model.net.biases, model.net.caps):

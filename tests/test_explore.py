@@ -46,9 +46,6 @@ class StubLearner:
     def d_hat_fn(self, src_kde, trg_kde):
         return lambda q, qdot: 0.0
 
-    def bind(self, src_kde, trg_kde):
-        pass
-
     def retrain(self, dataset, src_kde, trg_kde, rng):
         self.retrain_calls += 1
 
@@ -345,10 +342,9 @@ def test_robust_d_hat_matches_predicted_mean(hidden):
     )
     src = kde_fit(g.normal(0.0, 0.5, (200, 2)))
     trg = kde_fit(g.normal(0.4, 0.6, (150, 2)))
-    learner.bind(src, trg)
     d_hat = learner.d_hat_fn(src, trg)
     pts = g.normal(0.0, 0.8, (25, 2))
-    mu, _ = rr.predict(learner.model, pts)  # ratios from the bound ratio_fn
+    mu, _ = rr.predict(learner.model, pts, ratios=density_ratio(src, trg, pts, cfg.ratio))
     got = np.array([d_hat(float(q), float(qdot)) for q, qdot in pts])
     np.testing.assert_allclose(got, mu[:, 0], rtol=1e-9, atol=0)
 

@@ -318,16 +318,12 @@ def test_sigma_max_on_traj_constant_and_mixed():
     model = initial_model(0.0, 0.49, net=net)
 
     pts = np.column_stack([np.linspace(-1, 1, 50), np.zeros(50)])
-    # unbound ratio_fn, theta_y = 0: sigma is sigma0 everywhere
+    # no ratios, theta_y = 0: sigma is sigma0 everywhere
     assert sigma_max_on_traj(model, pts) == pytest.approx(0.7, rel=1e-12)
 
-    # with a ratio handle bound, the max is attained at the min-r point
-    model = replace(
-        model,
-        theta_y=np.array([2.0]),
-        ratio_fn=lambda q: 0.1 + np.abs(q[:, 0]),
-    )
-    sigma_m = sigma_max_on_traj(model, pts)
+    # with ratios varying along the points, the max is attained at the min-r point
+    model = replace(model, theta_y=np.array([2.0]))
+    sigma_m = sigma_max_on_traj(model, pts, 0.1 + np.abs(pts[:, 0]))
     r_min = 0.1 + float(np.min(np.abs(pts[:, 0])))
     expect = math.sqrt(1.0 / (1.0 / 0.49 + 2.0 * r_min * 2.0))
     assert sigma_m == pytest.approx(expect, rel=1e-12)
