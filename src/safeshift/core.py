@@ -33,6 +33,7 @@ __all__ = [
     "default_pendulum_amplitudes",
     "default_landing_params",
     "safety_contains",
+    "subsample_rows",
 ]
 
 
@@ -197,13 +198,17 @@ class TouchdownSpeed:
 SafetySet = Union[StateBox, TouchdownSpeed]
 
 
-def safety_contains(safe_set: SafetySet, point: tuple[float, float, float]) -> bool:
-    """Strict membership test for (t, q, qdot) in the safety set."""
+def safety_contains(safe_set: SafetySet, point: tuple):
+    """Strict membership test for (t, q, qdot) in the safety set.
+
+    q and qdot are scalars or equal-shape arrays; arrays are tested
+    elementwise and give a boolean array.
+    """
     _, q, qdot = point
     if isinstance(safe_set, StateBox):
         return abs(q) < safe_set.q_abs_max
     if isinstance(safe_set, TouchdownSpeed):
-        return q > safe_set.ground or qdot > safe_set.qdot_min_at_ground
+        return (q > safe_set.ground) | (qdot > safe_set.qdot_min_at_ground)
     raise TypeError(f"unknown safety set {type(safe_set).__name__}")
 
 
@@ -296,6 +301,13 @@ def default_landing_params() -> list[tuple[float, float]]:
     return [(c, h) for c in rates for h in hovers]
 
 
+def subsample_rows(x: np.ndarray, max_rows: int) -> np.ndarray:
+    """Deterministic even-stride thinning of x to at most max_rows rows."""
+    if len(x) <= max_rows:
+        return x
+    return x[np.linspace(0, len(x) - 1, max_rows).round().astype(int)]
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable buffer of (state, residual) training pairs.
@@ -337,12 +349,12 @@ class Dataset:
         )
 
     def subsample(self, max_points: int) -> "Dataset":
-        """Deterministic even-stride thinning to at most max_points rows."""
-        n = len(self)
-        if n <= max_points:
+        """`subsample_rows` of inputs and targets alike."""
+        if len(self) <= max_points:
             return self
-        idx = np.linspace(0, n - 1, max_points).round().astype(int)
-        return Dataset(self.inputs[idx], self.targets[idx])
+        return Dataset(
+            subsample_rows(self.inputs, max_points), subsample_rows(self.targets, max_points)
+        )
 
 
 @dataclass

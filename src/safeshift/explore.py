@@ -22,9 +22,10 @@ needs are passed in, not bound to the model:
 Scoring does each piece of work once, at the level where its inputs
 change.  The pool is fixed, so each candidate's grid, certification
 stride, target KDE and p_trg on its grid are computed once per experiment
-(`PoolCache`).  The source density changes once per episode: one p_src
-pass over all grids together gives every candidate's clipped ratios and
-its w_hat screen value.
+(`PoolCache`).  The source density changes only when the dataset grows:
+it is fit once for the retrain and reused by the next episode, where one
+p_src pass over all grids together gives every candidate's clipped
+ratios and its w_hat screen value.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .core import (
     landing_pool,
     pendulum_pool,
     safety_contains,
+    subsample_rows,
 )
 from .density_ratio import (
     KdeModel,
@@ -248,13 +250,6 @@ def default_config(task: str, seed: int = 0, model_kind: str = "robust") -> Expe
     raise ConfigError(f"task: unknown task {task!r}")
 
 
-def _subsample_rows(x: np.ndarray, max_rows: int) -> np.ndarray:
-    if len(x) <= max_rows:
-        return x
-    idx = np.linspace(0, len(x) - 1, max_rows).round().astype(int)
-    return x[idx]
-
-
 def _stride_index(n: int, stride: int) -> np.ndarray:
     """Every stride-th grid index, always ending at the last grid point."""
     if stride <= 1 or n <= 2:
@@ -302,7 +297,7 @@ def build_pool_cache(pool: list[DesiredTrajectory], config: ExperimentConfig) ->
     """Fit every candidate's target KDE and evaluate it on its grid, once."""
     grids = [traj.grid_xy() for traj in pool]
     ends = np.cumsum([len(g) for g in grids])
-    trg_kdes = tuple(kde_fit(_subsample_rows(g, config.kde_trg_max)) for g in grids)
+    trg_kdes = tuple(kde_fit(subsample_rows(g, config.kde_trg_max)) for g in grids)
     return PoolCache(
         grids=np.concatenate(grids),
         spans=tuple(slice(end - len(g), end) for g, end in zip(grids, ends)),
@@ -449,10 +444,8 @@ def _selection_key(traj: DesiredTrajectory):
 
 def _audit(rollout: Rollout, safe_set: SafetySet) -> bool:
     """True when any recorded state leaves the safety set."""
-    for t, (q, qdot) in zip(rollout.times, rollout.states):
-        if not safety_contains(safe_set, (float(t), float(q), float(qdot))):
-            return True
-    return False
+    states = rollout.states
+    return not np.all(safety_contains(safe_set, (rollout.times, states[:, 0], states[:, 1])))
 
 
 def _realized_cost(config: ExperimentConfig, rollout: Rollout) -> float:
@@ -480,14 +473,14 @@ def _collect(config: ExperimentConfig, rollout: Rollout, rng) -> Dataset:
 def run_episode(
     pool: list[DesiredTrajectory],
     learner,
-    src_data: Optional[Dataset],
+    src_kde: Optional[KdeModel],
     config: ExperimentConfig,
     rng: Optional[np.random.Generator] = None,
     cache: Optional[PoolCache] = None,
 ) -> EpisodeOutcome:
     """One episode: score, certify, select, track, collect.
 
-    src_data holds all previously collected inputs; empty or None means
+    src_kde is the KDE of all previously collected inputs; None means
     episode 1, where the source density is undefined and r = 1 everywhere.
     cache is the pool's `build_pool_cache`; it is built here when not given.
     A candidate is admissible when its tube certificate passes AND its
@@ -503,10 +496,6 @@ def run_episode(
     elif len(cache.spans) != len(pool):
         raise ValueError("cache was built for a different pool")
     rng = rng if rng is not None else np.random.default_rng(config.seed)
-    if src_data is not None and len(src_data):
-        src_kde = kde_fit(_subsample_rows(src_data.inputs, config.kde_src_max))
-    else:
-        src_kde = None
     gamma_val = gamma(config.tube())
     safe_set = config.safety_set()
 
@@ -622,6 +611,7 @@ def run_experiment(config: ExperimentConfig, learner=None) -> ExperimentResult:
     safe_set = config.safety_set()
 
     dataset = Dataset.empty(config.output_dim)
+    src_kde = None
     records: list[EpisodeRecord] = []
     rollouts: list[Optional[Rollout]] = []
     trajs: list[Optional[DesiredTrajectory]] = []
@@ -629,7 +619,7 @@ def run_experiment(config: ExperimentConfig, learner=None) -> ExperimentResult:
     last_rollout = None
 
     for episode in range(1, config.episodes + 1):
-        out = run_episode(pool, learner, dataset, config, rng=rng, cache=cache)
+        out = run_episode(pool, learner, src_kde, config, rng=rng, cache=cache)
         rec = EpisodeRecord(episode=episode, status=out.status)
         rec.sigma_max = out.sigma_max
         rec.eps_m = out.eps_m
@@ -652,8 +642,9 @@ def run_experiment(config: ExperimentConfig, learner=None) -> ExperimentResult:
         if out.new_data is not None and len(out.new_data):
             dataset = dataset.concat(out.new_data)
             # training ratios: source = everything collected so far,
-            # target = the trajectory just tracked
-            src_kde = kde_fit(_subsample_rows(dataset.inputs, config.kde_src_max))
+            # target = the trajectory just tracked; the next episode
+            # scores against the same source KDE
+            src_kde = kde_fit(subsample_rows(dataset.inputs, config.kde_src_max))
             train_set = dataset.subsample(config.max_train_points)
             learner.retrain(train_set, src_kde, out.trg_kde, rng)
             rec.n_train = len(train_set)

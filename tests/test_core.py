@@ -159,6 +159,18 @@ def test_touchdown_speed_examples():
     assert not safety_contains(ts, (0.0, 0.0, -1.0))  # strict at the boundary
 
 
+@pytest.mark.parametrize(
+    "safe_set", [StateBox(1.5), TouchdownSpeed(qdot_min_at_ground=-1.0, ground=0.0)]
+)
+def test_safety_contains_on_arrays_matches_each_point(safe_set):
+    q = np.array([0.0, 1.49, 1.5, -1.5, 1.51, 0.0, 0.0, 0.5, -0.2, math.nan])
+    qdot = np.array([-0.9, 0.0, 0.0, 0.0, 0.0, -1.0, -1.1, -3.0, -0.5, 0.0])
+    inside = safety_contains(safe_set, (np.zeros(len(q)), q, qdot))
+    expected = [safety_contains(safe_set, (0.0, float(a), float(b))) for a, b in zip(q, qdot)]
+    assert inside.tolist() == expected
+    assert True in expected and False in expected
+
+
 @given(q=st.floats(-2.0, 2.0), shrink=st.floats(0.0, 1.0))
 def test_state_box_monotone_under_shrinking_q(q, shrink):
     box = StateBox(1.5)

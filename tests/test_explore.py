@@ -411,3 +411,27 @@ def test_target_kdes_fit_once_per_experiment(monkeypatch):
     assert all(len(grid) <= cfg.kde_trg_max for grid in grids)  # fit on the full grid
     for grid in grids:
         assert sum(np.array_equal(samples, grid) for samples in fitted) == 1
+
+
+def test_source_kde_fit_once_per_dataset_change(monkeypatch):
+    cfg = replace(default_config("pendulum"), horizon=2.0, episodes=3, sample_hz=5.0)
+    fits, scored = [], []
+    real_fit, real_episode = explore.kde_fit, explore.run_episode
+
+    def fit_spy(samples, *args, **kwargs):
+        fits.append(real_fit(samples, *args, **kwargs))
+        return fits[-1]
+
+    def episode_spy(pool, learner, src_kde, *args, **kwargs):
+        scored.append(src_kde)
+        return real_episode(pool, learner, src_kde, *args, **kwargs)
+
+    monkeypatch.setattr(explore, "kde_fit", fit_spy)
+    monkeypatch.setattr(explore, "run_episode", episode_spy)
+    run_experiment(cfg, learner=StubLearner(default=0.01))
+    # one target KDE per candidate, then one source KDE per retrain, which
+    # the next episode scores against
+    n_pool = len(cfg.pool())
+    assert len(fits) == n_pool + cfg.episodes
+    assert scored[0] is None
+    assert all(a is b for a, b in zip(scored[1:], fits[n_pool:]))
