@@ -54,6 +54,7 @@ from .core import (
     subsample_rows,
 )
 from .density_ratio import (
+    DENSITY_FLOOR,
     KdeModel,
     RatioConfig,
     clipped_ratio,
@@ -307,6 +308,29 @@ def build_pool_cache(pool: list[DesiredTrajectory], config: ExperimentConfig) ->
     )
 
 
+def _fast_ratio_point(src: KdeModel, trg: KdeModel, cfg: RatioConfig):
+    """Single-point clipped density ratio, tuned for the rollout hot path.
+
+    Sums the kernels directly where `kde_density` expands the squared
+    distance for one BLAS product; the two differ in the last bits.
+    """
+    sx, sh = src.samples, src.bandwidth
+    tx, th = trg.samples, trg.bandwidth
+    s_norm = len(sx) * float(np.prod(sh)) * (2.0 * math.pi) ** (src.dim / 2.0)
+    t_norm = len(tx) * float(np.prod(th)) * (2.0 * math.pi) ** (trg.dim / 2.0)
+    r_lo, r_hi = cfg.r_lo, cfg.r_hi
+
+    def ratio(q: float, qdot: float) -> float:
+        zs = (np.array((q, qdot)) - sx) / sh
+        p_s = float(np.exp(-0.5 * (zs * zs).sum(axis=1)).sum()) / s_norm
+        zt = (np.array((q, qdot)) - tx) / th
+        p_t = float(np.exp(-0.5 * (zt * zt).sum(axis=1)).sum()) / t_norm
+        r = p_s / max(p_t, DENSITY_FLOOR)
+        return r_lo if r < r_lo else (r_hi if r > r_hi else r)
+
+    return ratio
+
+
 class RobustLearner:
     """Covariate-shift robust regressor wired into the episode loop."""
 
@@ -330,15 +354,27 @@ class RobustLearner:
         return rr.sigma_max_on_traj(self.model, pts, ratios)
 
     def d_hat_fn(self, src_kde, trg_kde):
-        """Predicted mean of dimension 0 at one state; r = 1 without KDEs."""
-        model, cfg = self.model, self.cfg.ratio
-        shifted = src_kde is not None and trg_kde is not None
+        """Predicted mean of dimension 0 at one state; r = 1 without KDEs.
+
+        The same value as `rr.predict` with `density_ratio`, but rounded
+        differently in the last bit (see `_fast_ratio_point`): routing the
+        closure through them changes landing decisions at seed 0.
+        """
+        m = self.model
+        head = m.theta_phi[0]
+        theta_y0 = float(m.theta_y[0])
+        inv_s0 = 1.0 / m.sigma0_sq
+        base = m.mu0 * inv_s0
+        ratio = (
+            _fast_ratio_point(src_kde, trg_kde, self.cfg.ratio)
+            if (src_kde is not None and trg_kde is not None)
+            else None
+        )
 
         def d_hat(q: float, qdot: float) -> float:
-            x = np.array(((q, qdot),))
-            r = density_ratio(src_kde, trg_kde, x, cfg) if shifted else None
-            mu, _ = rr.predict(model, x, ratios=r)
-            return float(mu[0, 0])
+            r = 1.0 if ratio is None else ratio(q, qdot)
+            a = float(m.net.forward(np.array((q, qdot))) @ head)
+            return (base + r * a) / (inv_s0 + 2.0 * r * theta_y0)
 
         return d_hat
 

@@ -279,6 +279,11 @@ def _ratios_for(x: np.ndarray, ratios) -> np.ndarray:
     return r
 
 
+def _precision(model: RobustModel, r: np.ndarray, theta_y: np.ndarray) -> np.ndarray:
+    """1/sigma_sq = 1/sigma0_sq + 2 r theta_y, (n, d_out) from r (n,), theta_y (d_out,)."""
+    return 1.0 / model.sigma0_sq + 2.0 * r[:, None] * theta_y[None, :]
+
+
 def _predictive(model: RobustModel, r: np.ndarray, theta_y: np.ndarray, a=None):
     """The predictive form at ratios r (n,) and precision tilts theta_y (d_out,).
 
@@ -288,7 +293,7 @@ def _predictive(model: RobustModel, r: np.ndarray, theta_y: np.ndarray, a=None):
     a (n, d_out) holds the head activations theta_phi . phi(x).  Returns
     (mu, sigma_sq), both (n, d_out); mu is None when a is None.
     """
-    var = 1.0 / (1.0 / model.sigma0_sq + 2.0 * r[:, None] * theta_y[None, :])
+    var = 1.0 / _precision(model, r, theta_y)
     if a is None:
         return None, var
     return var * (model.mu0 / model.sigma0_sq + r[:, None] * a), var
@@ -502,7 +507,11 @@ def _polish_theta_y(model, x, y, r, fixed_mu=True):
     theta_y = model.theta_y.copy()
     ones = np.ones_like(r)
     if fixed_mu:
-        mu, _ = _predictive(model, r, theta_y, model.net.forward(x) @ model.theta_phi.T)
+        # mu divided by the precision, not sigma_sq times the numerator as
+        # in _predictive: the two round differently in the last bit, and
+        # the landing fit amplifies that into other decisions
+        a = model.net.forward(x) @ model.theta_phi.T
+        mu = (model.mu0 * (1.0 / model.sigma0_sq) + r[:, None] * a) / _precision(model, r, theta_y)
         gap = y * y - mu * mu
     converged = True
     for d in range(len(theta_y)):
