@@ -3,8 +3,9 @@
 `safeshift run --config cfg.json --seed 3 --out results/run3 --model robust`
 writes episodes.csv, trajectories.csv, summary.json, and manifest.json into
 the output directory.  Exit codes: 0 on success, 1 on a configuration
-problem (the diagnostic names the offending field), 2 on a runtime failure
-such as a diverged rollout.
+problem (a one-line diagnostic names the offending field) or an output
+directory that cannot be created (the diagnostic names the path), 2 on a
+runtime failure such as a diverged rollout.
 
 `safeshift compare results/run1 results/run2 ...` emits a per-episode CSV
 (cost and violation columns aligned across runs) on stdout and per-model
@@ -31,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .controller import ControllerGains
-from .core import default_landing_params, default_pendulum_amplitudes
+from .core import RejectedCandidate, default_landing_params, default_pendulum_amplitudes
 from .density_ratio import RatioConfig
 from .dynamics import DroneParams, PendulumParams, SimulationDiverged
 from .explore import (
@@ -119,6 +120,15 @@ def _build_nested(cls, payload: dict, field_name: str):
         raise ConfigError(f"{field_name}: {exc}") from exc
 
 
+def _numbers(pool: dict, key: str) -> tuple:
+    values = pool[key]
+    if not isinstance(values, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+    ):
+        raise ConfigError(f"pool: {key}: expected a list of numbers")
+    return tuple(values)
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a fully resolved config from a JSON payload.
 
@@ -133,6 +143,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     unknown = set(raw) - set(_SCALAR_KEYS) - set(_NESTED_KEYS)
     if unknown:
         raise ConfigError(f"config: unknown field(s) {sorted(unknown)}")
+    for key in _NESTED_KEYS:
+        if key in raw and not isinstance(raw[key], dict):
+            raise ConfigError(f"{key}: expected a JSON object")
 
     task = raw["task"]
     base = default_config(task)
@@ -157,12 +170,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if task == "pendulum":
             if set(pool) != {"amplitudes"}:
                 raise ConfigError("pool: pendulum pool needs exactly {'amplitudes'}")
-            updates["amplitudes"] = tuple(pool["amplitudes"])
+            updates["amplitudes"] = _numbers(pool, "amplitudes")
         else:
             if set(pool) != {"rates", "hovers"}:
                 raise ConfigError("pool: landing pool needs exactly {'rates', 'hovers'}")
-            updates["rates"] = tuple(pool["rates"])
-            updates["hovers"] = tuple(pool["hovers"])
+            updates["rates"] = _numbers(pool, "rates")
+            updates["hovers"] = _numbers(pool, "hovers")
     if "safety" in raw:
         safety = raw["safety"]
         keys = {"q_abs_max"} if task == "pendulum" else {"qdot_min_at_ground", "ground"}
@@ -336,10 +349,17 @@ def run_cmd(args) -> int:
         return 1
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"output: cannot create {out_dir}: {exc}", file=sys.stderr)
+        return 1
 
     try:
         result = run_experiment(config)
+    except RejectedCandidate as exc:
+        print(f"invalid configuration: pool: {exc}", file=sys.stderr)
+        return 1
     except (SimulationDiverged, TrainingDiverged) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2

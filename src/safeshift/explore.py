@@ -173,6 +173,10 @@ class ExperimentConfig:
             raise ConfigError("label_noise: must be nonnegative")
         if self.w_max <= 0:
             raise ConfigError("w_max: must be positive")
+        try:
+            self.safety_set()
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"safety: {exc}") from exc
 
     def pool(self) -> list[DesiredTrajectory]:
         if self.task == "pendulum":

@@ -145,6 +145,47 @@ def test_missing_task_rejected(tmp_path, capsys):
     assert "task" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["gains", "plant", "ratio", "train", "gp", "pool", "safety"])
+@pytest.mark.parametrize("value", [5, [1]])
+def test_nested_field_must_be_object(key, value, tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", {"task": "pendulum", key: value})
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == f"invalid configuration: {key}: expected a JSON object\n"
+
+
+@pytest.mark.parametrize(
+    "extra, field_name",
+    [
+        ({"pool": {"amplitudes": ["0.5"]}}, "pool: amplitudes"),
+        ({"pool": {"amplitudes": 0.5}}, "pool: amplitudes"),
+        ({"pool": {"amplitudes": [1.5]}}, "pool"),
+        ({"safety": {"q_abs_max": "wide"}}, "safety"),
+        ({"safety": {"q_abs_max": -1.0}}, "safety"),
+    ],
+)
+def test_malformed_field_value_names_field(extra, field_name, tmp_path, capsys):
+    payload = {**SMALL_PENDULUM, **extra}
+    cfg = write_config(tmp_path / "cfg.json", payload)
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"invalid configuration: {field_name}")
+    assert err.count("\n") == 1
+
+
+def test_uncreatable_output_dir_names_path(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", SMALL_PENDULUM)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out"
+    code = main(["run", "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"output: cannot create {out}")
+    assert err.count("\n") == 1
+
+
 def test_runtime_divergence_exit_code(tmp_path, capsys, monkeypatch):
     import safeshift.cli as cli_mod
 
