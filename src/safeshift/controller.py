@@ -181,6 +181,7 @@ def simulate_closed_loop(
     controls = np.empty(n_steps + 1)
     eps = np.empty(n_steps + 1)
 
+    force_input = model.force_input
     accel = model.accel
     if accel is not None:
         b = model.actuation
@@ -203,7 +204,7 @@ def simulate_closed_loop(
         if i % d_hat_hold_steps == 0:
             d_hat = d_hat_fn(q, qdot)
         force = control_law(model, gains, q, qdot, qg_all[i], qdg_all[i], qddg_all[i], d_hat)
-        if model.force_input:
+        if force_input:
             u_cmd, clamped = model.actuator_invert(force)
             # applied thrust is exactly max(force, 0): the inversion and
             # the quadratic thrust map cancel, the clamp does not

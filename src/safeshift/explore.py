@@ -58,7 +58,6 @@ from .density_ratio import (
     KdeModel,
     RatioConfig,
     clipped_ratio,
-    density_ratio,
     kde_density,
     kde_fit,
     max_ratio,
