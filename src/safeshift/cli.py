@@ -109,11 +109,27 @@ _SCALAR_KEYS = (
 )
 
 
+# JSON value types accepted for a field whose default has the key's type
+_KINDS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
+def _check_kind(name: str, value, default) -> None:
+    """Reject a value whose JSON type does not fit the field's default."""
+    kind = type(default)
+    if kind in _KINDS and (
+        isinstance(value, bool) != (kind is bool) or not isinstance(value, _KINDS[kind])
+    ):
+        raise ConfigError(f"{name}: expected {kind.__name__}")
+
+
 def _build_nested(cls, payload: dict, field_name: str):
     allowed = {f.name for f in dataclasses.fields(cls)}
     unknown = set(payload) - allowed
     if unknown:
         raise ConfigError(f"{field_name}: unknown key(s) {sorted(unknown)}")
+    for f in dataclasses.fields(cls):
+        if f.name in payload:
+            _check_kind(f"{field_name}: {f.name}", payload[f.name], f.default)
     try:
         return cls(**payload)
     except (TypeError, ValueError) as exc:
@@ -150,6 +166,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     task = raw["task"]
     base = default_config(task)
     updates: dict = {k: raw[k] for k in _SCALAR_KEYS if k in raw}
+    for key, value in updates.items():
+        _check_kind(key, value, getattr(base, key))
 
     if "gains" in raw:
         updates["gains"] = _build_nested(ControllerGains, raw["gains"], "gains")

@@ -241,8 +241,10 @@ class TrainConfig:
             raise ValueError("lr, epochs, clip_norm must be positive")
         if self.lam < 0 or self.theta_y_floor <= 0:
             raise ValueError("lam must be >= 0 and theta_y_floor > 0")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be None or >= 1")
+        if self.batch_size is not None and (
+            not isinstance(self.batch_size, int) or self.batch_size < 1
+        ):
+            raise ValueError("batch_size must be None or an integer >= 1")
 
 
 def initial_model(

@@ -162,6 +162,13 @@ def test_nested_field_must_be_object(key, value, tmp_path, capsys):
         ({"pool": {"amplitudes": [1.5]}}, "pool"),
         ({"safety": {"q_abs_max": "wide"}}, "safety"),
         ({"safety": {"q_abs_max": -1.0}}, "safety"),
+        ({"episodes": "3"}, "episodes: expected int"),
+        ({"cert_stride": 1.5}, "cert_stride: expected int"),
+        ({"beta": "0.5"}, "beta: expected float"),
+        ({"warm_start": 1}, "warm_start: expected bool"),
+        ({"train": {"epochs": 1.5}}, "train: epochs: expected int"),
+        ({"train": {"batch_size": 5.5}}, "train: batch_size"),
+        ({"gp": {"kernel": 3}}, "gp: kernel: expected str"),
     ],
 )
 def test_malformed_field_value_names_field(extra, field_name, tmp_path, capsys):
