@@ -9,11 +9,11 @@ so the tracking error is driven entirely by the residual prediction error.
 The rollout integrates the true plant with the scalar RK4 step of
 `dynamics` while the controller uses the nominal model plus d_hat.
 
-Each formula has one implementation here: the desired trajectory comes
-from `core.desired_values`, evaluated once per rollout on the step grid;
-every step calls `control_law` and `dynamics.step_rk4`; the recorded
-tracking error x_tilde and composite variable s are computed from the
-recorded states after the loop.
+Each formula has one implementation: every step evaluates
+`core.desired_values` at its time and calls `control_law` and
+`dynamics.step_rk4`; the tracking error x_tilde and the composite
+variable s are computed from the recorded states and desired values
+after the loop.
 """
 
 from __future__ import annotations
@@ -172,12 +172,9 @@ def simulate_closed_loop(
     n_steps = int(round(traj.horizon / dt))
     times = np.arange(n_steps + 1) * dt
     t_all = times.tolist()
-    # the desired trajectory on the step grid, once per rollout, as Python
-    # floats: the loop indexes them, and numpy scalars are slow there
-    desired = [desired_values(traj.task, traj.params, t) for t in t_all]
-    qg_all, qdg_all, qddg_all = zip(*desired)
 
     states = np.empty((n_steps + 1, 2))
+    desired = np.empty((n_steps + 1, 2))
     controls = np.empty(n_steps + 1)
     eps = np.empty(n_steps + 1)
 
@@ -201,9 +198,11 @@ def simulate_closed_loop(
     n_rec = 0
     for i in range(n_steps + 1):
         t = t_all[i]
+        # scalar t: Python floats with math's bits (see desired_values)
+        q_g, qdot_g, qddot_g = desired_values(traj.task, traj.params, t)
         if i % d_hat_hold_steps == 0:
             d_hat = d_hat_fn(q, qdot)
-        force = control_law(model, gains, q, qdot, qg_all[i], qdg_all[i], qddg_all[i], d_hat)
+        force = control_law(model, gains, q, qdot, q_g, qdot_g, qddot_g, d_hat)
         if force_input:
             u_cmd, clamped = model.actuator_invert(force)
             # applied thrust is exactly max(force, 0): the inversion and
@@ -215,6 +214,8 @@ def simulate_closed_loop(
 
         states[i, 0] = q
         states[i, 1] = qdot
+        desired[i, 0] = q_g
+        desired[i, 1] = qdot_g
         controls[i] = u_cmd
         eps[i] = residual_fn(t, q, qdot) - d_hat
         n_rec = i + 1
@@ -231,6 +232,7 @@ def simulate_closed_loop(
             # over the step that reached it
             states[n_rec, 0] = q
             states[n_rec, 1] = qdot
+            desired[n_rec] = desired_values(traj.task, traj.params, t_all[n_rec])[:2]
             controls[n_rec] = u_cmd
             eps[n_rec] = residual_fn(t_all[n_rec], q, qdot) - d_hat
             status = "touchdown"
@@ -239,7 +241,7 @@ def simulate_closed_loop(
             n_rec += 1
             break
 
-    x_tilde = states[:n_rec] - np.array(desired[:n_rec])[:, :2]
+    x_tilde = states[:n_rec] - desired[:n_rec]
     return Rollout(
         times=times[:n_rec],
         states=states[:n_rec],
