@@ -350,8 +350,6 @@ class Dataset:
 
     def subsample(self, max_points: int) -> "Dataset":
         """`subsample_rows` of inputs and targets alike."""
-        if len(self) <= max_points:
-            return self
         return Dataset(
             subsample_rows(self.inputs, max_points), subsample_rows(self.targets, max_points)
         )
