@@ -118,11 +118,6 @@ class Rollout:
         sq = self.x_tilde[:, 0] ** 2 + self.x_tilde[:, 1] ** 2
         return float(np.sqrt(np.mean(sq)))
 
-    def sup_tracking(self) -> float:
-        if len(self.times) == 0:
-            return math.nan
-        return float(np.sqrt(np.max(self.x_tilde[:, 0] ** 2 + self.x_tilde[:, 1] ** 2)))
-
 
 def x0_on_trajectory(traj: DesiredTrajectory) -> State:
     """Initial state exactly on the desired trajectory (s(0) = 0)."""

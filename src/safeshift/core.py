@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Union
 
 import numpy as np
 
@@ -51,9 +51,6 @@ class State:
     def __post_init__(self):
         if not (math.isfinite(self.q) and math.isfinite(self.qdot)):
             raise ValueError("state components must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.q, self.qdot])
 
 
 @dataclass(frozen=True)
@@ -154,10 +151,6 @@ class DesiredTrajectory:
             float(self.qdot_g[i]),
             float(self.qddot_g[i]),
         )
-
-    def __iter__(self) -> Iterator[DesiredPoint]:
-        for i in range(len(self.times)):
-            yield self.point(i)
 
     def grid_xy(self) -> np.ndarray:
         """(n, 2) array of desired (q, qdot) pairs, the model-input grid."""

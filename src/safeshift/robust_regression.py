@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import Dataset
 from .density_ratio import KdeModel, RatioConfig, density_ratio
@@ -92,17 +91,6 @@ class FeatureNet:
                 np.maximum(h, 0.0, out=h)
         return h
 
-    def forward_cached(self, x: np.ndarray):
-        """Forward pass keeping pre-activations for backprop."""
-        pre = []
-        h = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w + b
-            pre.append(z)
-            h = np.maximum(z, 0.0) if i < last else z
-        return h, pre
-
 
 def feature_net_init(
     rng: np.random.Generator,
@@ -163,22 +151,20 @@ def spectral_normalize(net: FeatureNet, cap: Optional[float] = None) -> FeatureN
     return FeatureNet(tuple(new_w), net.biases, tuple(caps))
 
 
-def _normalize_warm(net: FeatureNet, cache: list) -> FeatureNet:
-    """spectral_normalize for the training loop.
+def _normalize_warm(net: FeatureNet, cache: list) -> None:
+    """spectral_normalize for the training loop, in place on net's weights.
 
     Weights drift a little per step, so the previous step's right singular
     vectors (kept in cache, updated in place) make the power iteration
     converge almost immediately.  Same tolerance as the cold start.
     """
-    new_w = []
     for i, (w, c) in enumerate(zip(net.weights, net.caps)):
         v = cache[i]
-        if v is None or v.shape != (w.shape[1],):
+        if v is None:
             v = np.ones(w.shape[1]) / math.sqrt(w.shape[1])
-        s, v = _power_iterate(w, v, POWER_ITERS, POWER_TOL)
-        cache[i] = v
-        new_w.append(w * (c / s) if s > c else w)
-    return FeatureNet(tuple(new_w), net.biases, net.caps)
+        s, cache[i] = _power_iterate(w, v, POWER_ITERS, POWER_TOL)
+        if s > c:
+            w *= c / s
 
 
 @dataclass(frozen=True)
@@ -281,24 +267,35 @@ def _ratios_for(x: np.ndarray, ratios) -> np.ndarray:
     return r
 
 
-def _precision(model: RobustModel, r: np.ndarray, theta_y: np.ndarray) -> np.ndarray:
-    """1/sigma_sq = 1/sigma0_sq + 2 r theta_y, (n, d_out) from r (n,), theta_y (d_out,)."""
-    return 1.0 / model.sigma0_sq + 2.0 * r[:, None] * theta_y[None, :]
+def _precision(model: RobustModel, r: np.ndarray, theta_y: np.ndarray, out=None) -> np.ndarray:
+    """1/sigma_sq = 1/sigma0_sq + 2 r theta_y, (n, d_out) from r (n,), theta_y (d_out,).
+
+    Written into `out`, an (n, d_out) buffer, when one is given.
+    """
+    out = np.multiply(2.0 * r[:, None], theta_y[None, :], out=out)
+    out += 1.0 / model.sigma0_sq
+    return out
 
 
-def _predictive(model: RobustModel, r: np.ndarray, theta_y: np.ndarray, a=None):
+def _predictive(model: RobustModel, r: np.ndarray, theta_y: np.ndarray, a=None, out=None):
     """The predictive form at ratios r (n,) and precision tilts theta_y (d_out,).
 
         sigma_sq = 1 / (1/sigma0_sq + 2 r theta_y)
         mu       = sigma_sq * (mu0/sigma0_sq + r a)
 
     a (n, d_out) holds the head activations theta_phi . phi(x).  Returns
-    (mu, sigma_sq), both (n, d_out); mu is None when a is None.
+    (mu, sigma_sq), both (n, d_out); mu is None when a is None.  `out` is
+    an optional (mu, sigma_sq) pair of (n, d_out) buffers to write into.
     """
-    var = 1.0 / _precision(model, r, theta_y)
+    mu, var = (None, None) if out is None else out
+    var = _precision(model, r, theta_y, out=var)
+    np.divide(1.0, var, out=var)
     if a is None:
         return None, var
-    return var * (model.mu0 / model.sigma0_sq + r[:, None] * a), var
+    mu = np.multiply(r[:, None], a, out=mu)
+    mu += model.mu0 / model.sigma0_sq
+    mu *= var
+    return mu, var
 
 
 def predict(model: RobustModel, x, ratios=None):
@@ -319,14 +316,74 @@ def predict(model: RobustModel, x, ratios=None):
     return mu, var
 
 
-def _loss_terms(model, x, y, r):
-    """Data NLL (no penalty), plus intermediates reused by the backward pass."""
-    phi, pre = model.net.forward_cached(x)
-    a = phi @ model.theta_phi.T
-    mu, var = _predictive(model, r, model.theta_y, a)
-    e = y - mu
-    nll = float(np.mean(np.sum(0.5 * np.log(2.0 * math.pi * var) + e * e / (2.0 * var), axis=1)))
-    return nll, phi, pre, a, var, mu, e
+def _flat_buffer(net: FeatureNet, d_out: int):
+    """A zeroed flat float64 buffer and its views, one per parameter array.
+
+    The layout is the net's weights, its biases, theta_phi (d_out, k) and
+    one (d_out,) slot, which holds log theta_y in the training parameters
+    and its gradient in the training gradient.  Returns (buf, views) with
+    the views in that order.
+    """
+    shapes = [w.shape for w in net.weights] + [b.shape for b in net.biases]
+    shapes += [(d_out, net.feature_dim), (d_out,)]
+    buf = np.zeros(sum(math.prod(shape) for shape in shapes))
+    views, i = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(buf[i : i + size].reshape(shape))
+        i += size
+    return buf, views
+
+
+class _Workspace:
+    """Every buffer a training step writes, allocated once per fit.
+
+    grad is the flat gradient (see _flat_buffer) with views g_w, g_b, g_tp
+    and g_sy (the log-space theta_y slot, filled by fit); g_ty is the
+    theta_y gradient.  The per-row buffers hold `rows` rows; a batch of
+    n <= rows uses the first n.
+    """
+
+    def __init__(self, net: FeatureNet, d_out: int, rows: int):
+        n_layers = len(net.weights)
+        self.grad, views = _flat_buffer(net, d_out)
+        self.g_w, self.g_b = views[:n_layers], views[n_layers : 2 * n_layers]
+        self.g_tp, self.g_sy = views[-2], views[-1]
+        self.g_ty = np.empty(d_out)
+        widths = [w.shape[1] for w in net.weights]
+        # pre-activations (the last is phi), ReLU outputs and masks, and
+        # the backward products on each layer's output
+        self.pre = [np.empty((rows, m)) for m in widths]
+        self.act = [np.empty((rows, m)) for m in widths[:-1]]
+        self.mask = [np.empty((rows, m), dtype=bool) for m in widths[:-1]]
+        self.dh = [np.empty((rows, m)) for m in widths]
+        self.a, self.mu, self.var, self.e, self.da, self.t1, self.t2 = (
+            np.empty((rows, d_out)) for _ in range(7)
+        )
+        self.row = np.empty(rows)
+
+
+def _loss_terms(model, x, y, r, ws: _Workspace) -> float:
+    """Data NLL (no penalty); leaves the forward pass in the workspace."""
+    n = len(x)
+    h = x
+    last = len(model.net.weights) - 1
+    for i, (w, b) in enumerate(zip(model.net.weights, model.net.biases)):
+        z = np.matmul(h, w, out=ws.pre[i][:n])
+        z += b
+        if i < last:
+            h = np.maximum(z, 0.0, out=ws.act[i][:n])
+    a = np.matmul(ws.pre[last][:n], model.theta_phi.T, out=ws.a[:n])
+    mu, var = _predictive(model, r, model.theta_y, a, out=(ws.mu[:n], ws.var[:n]))
+    e = np.subtract(y, mu, out=ws.e[:n])
+    # 0.5 log(2 pi var) + e^2 / (2 var), summed over dims, mean over rows
+    t1 = np.multiply(2.0 * math.pi, var, out=ws.t1[:n])
+    np.log(t1, out=t1)
+    t1 *= 0.5
+    t2 = np.multiply(e, e, out=ws.t2[:n])
+    t2 /= np.multiply(2.0, var, out=ws.da[:n])
+    t1 += t2
+    return float(np.mean(np.sum(t1, axis=1, out=ws.row[:n])))
 
 
 def nll_loss(model: RobustModel, dataset: Dataset, ratios) -> float:
@@ -339,7 +396,8 @@ def nll_loss(model: RobustModel, dataset: Dataset, ratios) -> float:
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     r = _ratios_for(dataset.inputs, ratios)
-    nll, *_ = _loss_terms(model, dataset.inputs, dataset.targets, r)
+    ws = _Workspace(model.net, model.dim_out, len(dataset))
+    nll = _loss_terms(model, dataset.inputs, dataset.targets, r, ws)
     penalty = model.lam * (np.abs(model.theta_phi).sum() + np.abs(model.theta_y).sum())
     loss = nll + float(penalty)
     if not math.isfinite(loss):
@@ -347,31 +405,46 @@ def nll_loss(model: RobustModel, dataset: Dataset, ratios) -> float:
     return loss
 
 
-def _grads(model, x, y, r, freeze_net=False):
-    """Analytic gradients of the penalized NLL w.r.t. every parameter group."""
+def _grads(model, x, y, r, ws: _Workspace, freeze_net=False) -> float:
+    """Analytic gradients of the penalized NLL, written into the workspace.
+
+    Fills ws.g_w, ws.g_b (zeros when freeze_net), ws.g_tp and ws.g_ty and
+    returns the penalized loss.
+    """
     n = len(x)
-    nll, phi, pre, a, var, mu, e = _loss_terms(model, x, y, r)
+    nll = _loss_terms(model, x, y, r, ws)
+    phi, mu, var = ws.pre[-1][:n], ws.mu[:n], ws.var[:n]
     # d loss / d a = -(e * r) / n   (per sample, per output dim)
-    da = -(e * r[:, None]) / n
-    g_theta_phi = da.T @ phi + model.lam * np.sign(model.theta_phi)
+    da = np.multiply(ws.e[:n], r[:, None], out=ws.da[:n])
+    np.negative(da, out=da)
+    da /= n
+    np.matmul(da.T, phi, out=ws.g_tp)
+    ws.g_tp += model.lam * np.sign(model.theta_phi)
     # d loss / d theta_y = mean_i r_i (y^2 - mu^2 - var) + lam
-    moment = r[:, None] * (y * y - mu * mu - var)
-    g_theta_y = moment.mean(axis=0) + model.lam * np.sign(model.theta_y)
-    g_weights = [np.zeros_like(w) for w in model.net.weights]
-    g_biases = [np.zeros_like(b) for b in model.net.biases]
-    if not freeze_net:
-        dh = da @ model.theta_phi  # (n, k) gradient on the feature output
-        ws = model.net.weights
-        last = len(ws) - 1
+    moment = np.multiply(y, y, out=ws.t1[:n])
+    moment -= np.multiply(mu, mu, out=ws.t2[:n])
+    moment -= var
+    moment *= r[:, None]
+    np.mean(moment, axis=0, out=ws.g_ty)
+    ws.g_ty += model.lam * np.sign(model.theta_y)
+    if freeze_net:
+        for g in ws.g_w + ws.g_b:
+            g.fill(0.0)
+    else:
+        weights = model.net.weights
+        last = len(weights) - 1
+        # gradient on the feature output, then on each hidden output
+        dh = np.matmul(da, model.theta_phi, out=ws.dh[last][:n])
         for i in range(last, -1, -1):
-            dz = dh if i == last else dh * (pre[i] > 0)
-            h_in = x if i == 0 else np.maximum(pre[i - 1], 0.0)
-            g_weights[i] = h_in.T @ dz
-            g_biases[i] = dz.sum(axis=0)
+            if i < last:
+                dh *= np.greater(ws.pre[i][:n], 0, out=ws.mask[i][:n])
+            h_in = x if i == 0 else ws.act[i - 1][:n]
+            np.matmul(h_in.T, dh, out=ws.g_w[i])
+            np.sum(dh, axis=0, out=ws.g_b[i])
             if i > 0:
-                dh = dz @ ws[i].T
+                dh = np.matmul(dh, weights[i].T, out=ws.dh[i - 1][:n])
     penalty = model.lam * (np.abs(model.theta_phi).sum() + np.abs(model.theta_y).sum())
-    return nll + float(penalty), g_weights, g_biases, g_theta_phi, g_theta_y
+    return nll + float(penalty)
 
 
 def _moment(model, x, y, r, weights, theta_y=None):
@@ -392,6 +465,69 @@ def moment_residual(model: RobustModel, dataset: Dataset, ratios=None) -> np.nda
 UNWEIGHTED_SLACK = 5e-3  # half the post-fit moment tolerance, used as a guard
 
 
+def _brent_root(f, a, b, xtol=1e-12, rtol=1e-12, maxiter=100):
+    """Root of a scalar f with a sign change on [a, b], by Brent's method.
+
+    Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 4:
+    inverse quadratic interpolation or the secant step when it stays well
+    inside the bracket, bisection otherwise.  The steps and the stopping
+    rule (|bracket| / 2 < (xtol + rtol |x|) / 2) are those of the classic
+    C implementation `brentq`, so the same f and bracket give the same
+    float.  Raises ValueError for a NaN value or no sign change and
+    RuntimeError after maxiter iterations without convergence.
+    """
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"function value at {x} is NaN")
+        return fx
+
+    xpre, xcur = a, b
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    # xblk is the far end of the bracket [xcur, xblk]; spre, scur are the
+    # previous two steps
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"no convergence after {maxiter} iterations, value is {xcur}")
+
+
 def _root_in_dim(g, lo):
     """Root of an increasing scalar g with escalating upper bracket.
 
@@ -407,7 +543,7 @@ def _root_in_dim(g, lo):
         hi *= 10.0
     if g(hi) < 0.0:
         return hi, False
-    return brentq(g, lo, hi, xtol=1e-12, rtol=1e-12), True
+    return _brent_root(g, lo, hi), True
 
 
 # the coordinate descent only has to settle the support (values are
@@ -444,23 +580,27 @@ def _solve_heads(model, x, y, r):
         g_mat = (phi * (v * r * r)[:, None]).T @ phi / n
         t = y[:, d] - base[:, d]
         b_vec = phi.T @ (r * t) / n
-        diag = np.diag(g_mat).copy()
+        # Python floats for the scalar arithmetic (numpy scalars are slow);
+        # a_list mirrors a, which the g_mat row dot reads
+        diag, b_list, rows = np.diag(g_mat).tolist(), b_vec.tolist(), list(g_mat)
         a = model.theta_phi[d].copy()
+        a_list = a.tolist()
         for _ in range(LASSO_SWEEPS):
             biggest = 0.0
-            for j in range(len(a)):
-                if diag[j] <= 0.0:
-                    a[j] = 0.0
+            for j, (d_j, b_j, row) in enumerate(zip(diag, b_list, rows)):
+                if d_j <= 0.0:
+                    a[j] = a_list[j] = 0.0
                     continue
-                rho = b_vec[j] - float(g_mat[j] @ a) + diag[j] * a[j]
+                a_j = a_list[j]
+                rho = b_j - float(row @ a) + d_j * a_j
                 if rho > lam:
-                    new = (rho - lam) / diag[j]
+                    new = (rho - lam) / d_j
                 elif rho < -lam:
-                    new = (rho + lam) / diag[j]
+                    new = (rho + lam) / d_j
                 else:
                     new = 0.0
-                biggest = max(biggest, abs(new - a[j]))
-                a[j] = new
+                biggest = max(biggest, abs(new - a_j))
+                a[j] = a_list[j] = new
             if biggest <= LASSO_TOL * max(1.0, float(np.max(np.abs(a)))):
                 break
         support = np.flatnonzero(np.abs(a) > 1e-12)
@@ -590,9 +730,18 @@ def fit(
         theta_phi = np.zeros((d_out, net.feature_dim))
         theta_y = np.full(d_out, config.theta_y_floor)
 
+    # The parameters live in one flat buffer (weights, biases, theta_phi,
+    # log theta_y) and every step updates it in place; `model` is built
+    # once on views of it, so each step reads the current values.
+    params, views = _flat_buffer(net, d_out)
+    n_layers = len(net.weights)
+    for dst, src in zip(views, net.weights + net.biases + (theta_phi,)):
+        dst[...] = src
+    s_y = views[-1]
+    np.log(np.maximum(theta_y, config.theta_y_floor), out=s_y)
     model = RobustModel(
-        net=net,
-        theta_phi=theta_phi,
+        net=FeatureNet(tuple(views[:n_layers]), tuple(views[n_layers : 2 * n_layers]), net.caps),
+        theta_phi=views[-2],
         theta_y=theta_y,
         mu0=mu0,
         sigma0_sq=sigma0_sq,
@@ -602,38 +751,40 @@ def fit(
 
     log_floor = math.log(config.theta_y_floor)
     log_ceil = math.log(THETA_Y_CEIL)
-    s_y = np.log(np.maximum(model.theta_y, config.theta_y_floor))
     n = len(x)
     bs = n if config.batch_size is None else min(config.batch_size, n)
-    power_cache: list = [None] * len(model.net.weights)
+    ws = _Workspace(net, d_out, bs)
+    squares, sq = _flat_buffer(net, d_out)
+    sq_w, sq_b = sq[:n_layers], sq[n_layers : 2 * n_layers]
+    # a frozen net keeps its weights and biases: update theta_phi, s_y only
+    first = sum(v.size for v in views[: 2 * n_layers]) if config.freeze_net else 0
+    power_cache: list = [None] * n_layers
 
     for epoch in range(config.epochs):
         lr = config.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / config.epochs))
         for lo in range(0, n, bs):
             xb, yb, rb = x[lo : lo + bs], y[lo : lo + bs], r[lo : lo + bs]
-            loss, g_w, g_b, g_tp, g_ty = _grads(model, xb, yb, rb, config.freeze_net)
+            loss = _grads(model, xb, yb, rb, ws, config.freeze_net)
             if not math.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
             # log-space theta_y gradient, then global-norm clipping
-            g_sy = g_ty * model.theta_y * config.theta_y_lr_mult
+            np.multiply(ws.g_ty, theta_y, out=ws.g_sy)
+            ws.g_sy *= config.theta_y_lr_mult
+            np.multiply(ws.grad, ws.grad, out=squares)
             total = math.sqrt(
-                sum(float(np.sum(g * g)) for g in g_w)
-                + sum(float(np.sum(g * g)) for g in g_b)
-                + float(np.sum(g_tp * g_tp))
-                + float(np.sum(g_sy * g_sy))
+                sum(float(np.sum(g)) for g in sq_w)
+                + sum(float(np.sum(g)) for g in sq_b)
+                + float(np.sum(sq[-2]))
+                + float(np.sum(sq[-1]))
             )
             scale = 1.0 if total <= config.clip_norm else config.clip_norm / total
-            step = lr * scale
-
-            theta_phi = model.theta_phi - step * g_tp
-            s_y = np.clip(s_y - step * g_sy, log_floor, log_ceil)
-            if config.freeze_net:
-                new_net = model.net
-            else:
-                new_w = tuple(w - step * g for w, g in zip(model.net.weights, g_w))
-                new_b = tuple(b - step * g for b, g in zip(model.net.biases, g_b))
-                new_net = _normalize_warm(FeatureNet(new_w, new_b, model.net.caps), power_cache)
-            model = replace(model, net=new_net, theta_phi=theta_phi, theta_y=np.exp(s_y))
+            step = ws.grad[first:]
+            step *= lr * scale
+            params[first:] -= step
+            np.clip(s_y, log_floor, log_ceil, out=s_y)
+            np.exp(s_y, out=theta_y)
+            if not config.freeze_net:
+                _normalize_warm(model.net, power_cache)
 
     # Gradient descent alone crawls through the coupled head/theta_y
     # scaling (mu carries a 1/sigma^2 factor, so calibrating theta_y keeps

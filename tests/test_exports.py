@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import importlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -20,3 +22,17 @@ def test_package_exports_resolve():
 def test_module_exports_resolve(module):
     mod = importlib.import_module(f"safeshift.{module}")
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_package_imports_without_scipy():
+    """numpy is the only runtime dependency: no module pulls in scipy."""
+    code = (
+        "import sys, safeshift\n"
+        f"for m in {MODULES!r}:\n"
+        "    __import__('safeshift.' + m)\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.strip() == "False"

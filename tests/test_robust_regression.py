@@ -10,7 +10,7 @@ import pytest
 
 from safeshift import robust_regression as rr
 from safeshift.core import Dataset
-from safeshift.density_ratio import RatioConfig
+from safeshift.density_ratio import RatioConfig, density_ratio, kde_fit
 from safeshift.robust_regression import (
     FeatureNet,
     TrainConfig,
@@ -28,6 +28,7 @@ from safeshift.robust_regression import (
     spectral_normalize,
 )
 
+import reference_fit
 from conftest import make_line_dataset
 
 
@@ -132,9 +133,10 @@ def test_analytic_gradients_match_finite_differences(rng):
         theta_y=rng.uniform(0.5, 1.5, 2),
     )
 
-    _, gw, gb, gtp, gty = rr._grads(model, ds.inputs, ds.targets, ratios)
+    ws = rr._Workspace(model.net, model.dim_out, n)
+    rr._grads(model, ds.inputs, ds.targets, ratios, ws)
     analytic = np.concatenate(
-        [g.ravel() for g in gw] + [g.ravel() for g in gb] + [gtp.ravel(), gty.ravel()]
+        [g.ravel() for g in ws.g_w] + [g.ravel() for g in ws.g_b] + [ws.g_tp.ravel(), ws.g_ty]
     )
 
     theta0 = _flatten(model)
@@ -243,6 +245,110 @@ def test_multidim_fit_equals_per_dim_fits_with_frozen_features():
         mu_s, var_s = predict(single, grid, ratios=np.ones(33))
         np.testing.assert_allclose(mu_b[:, d], mu_s[:, 0], atol=1e-9)
         np.testing.assert_allclose(var_b[:, d], var_s[:, 0], atol=1e-9)
+
+
+def _shift_problem(n=60, seed=31):
+    """Three-output data with a source/target shift, so the ratios vary."""
+    g = np.random.default_rng(seed)
+    x = g.uniform(-1.0, 1.0, (n, 2))
+    y = np.column_stack(
+        [np.sin(2.0 * x[:, 0]) + 0.5 * x[:, 1], x[:, 0] * x[:, 1], np.cos(x[:, 1])]
+    ) + g.normal(0.0, 0.05, (n, 3))
+    trg = kde_fit(g.uniform(-0.5, 1.5, (40, 2)))
+    return Dataset(x, y), kde_fit(x), trg
+
+
+def _assert_models_identical(got, want):
+    for a, b in zip(got.net.weights + got.net.biases, want.net.weights + want.net.biases):
+        assert np.array_equal(a, b)
+    assert np.array_equal(got.theta_phi, want.theta_phi)
+    assert np.array_equal(got.theta_y, want.theta_y)
+    assert np.array_equal(got.moment_residuals, want.moment_residuals)
+    assert got.converged == want.converged
+
+
+@pytest.mark.parametrize("case", ["full_batch", "ragged_batch", "freeze_net", "warm_start"])
+def test_fit_matches_allocating_reference_bit_for_bit(case):
+    """The in-place loop reproduces the allocating loop it replaced exactly."""
+    ds, src, trg = _shift_problem()
+    # clip_norm 1 keeps the global-norm clip active on most steps
+    cfg = TrainConfig(epochs=40, seed=6, clip_norm=1.0)
+    kw = {}
+    if case == "ragged_batch":
+        cfg = replace(cfg, batch_size=7)  # 60 rows: eight batches of 7, one of 4
+    elif case == "freeze_net":
+        cfg = replace(cfg, freeze_net=True)
+    elif case == "warm_start":
+        kw["init"] = reference_fit.fit(ds, src, trg, cfg, sigma0_sq=0.5)
+    got = fit(ds, src, trg, cfg, sigma0_sq=0.5, **kw)
+    want = reference_fit.fit(ds, src, trg, cfg, sigma0_sq=0.5, **kw)
+    _assert_models_identical(got, want)
+
+
+def test_solve_heads_matches_numpy_scalar_reference():
+    ds, src, trg = _shift_problem()
+    model = fit(ds, src, trg, TrainConfig(epochs=40, seed=6), sigma0_sq=0.5)
+    r = density_ratio(src, trg, ds.inputs)
+    noise = np.random.default_rng(8).normal(0.0, 0.3, model.theta_phi.shape)
+    start = replace(model, theta_phi=model.theta_phi + noise)
+    heads = rr._solve_heads(start, ds.inputs, ds.targets, r)
+    assert not np.array_equal(heads, start.theta_phi)
+    assert np.array_equal(heads, reference_fit._solve_heads(start, ds.inputs, ds.targets, r))
+
+
+# -- theta_y root ---------------------------------------------------------------------
+
+_MOMENT_R = np.array([0.3, 1.2, 2.5, 0.8, 4.0, 1.7, 0.6])
+_MOMENT_GAP = np.array([0.12, 0.31, 0.05, 0.22, 0.09, 0.4, 0.18])
+
+
+def _moment_shaped(theta, sigma0_sq=0.8, lam=1e-3):
+    """mean(r (gap - 1/(1/sigma0^2 + 2 r theta))) + lam, increasing in theta."""
+    var = 1.0 / (1.0 / sigma0_sq + 2.0 * _MOMENT_R * theta)
+    return float(np.mean(_MOMENT_R * (_MOMENT_GAP - var)) + lam)
+
+
+# roots recorded from scipy.optimize.brentq(f, a, b, xtol=1e-12, rtol=1e-12)
+BRENT_CASES = {
+    "linear": (lambda x: 3.0 * x - 1.0, 0.0, 1.0, "0x1.5555555555555p-2"),
+    "wallis_cubic": (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, "0x1.0c1a4350819e4p+1"),
+    "exp": (lambda x: math.exp(x) - 10.0, 0.0, 5.0, "0x1.26bb1bbb5556ep+1"),
+    "decreasing": (lambda x: math.cos(x) - x, 0.0, 1.0, "0x1.7a695dd83ce03p-1"),
+    "reversed_bracket": (lambda x: x * x - 2.0, 2.0, 0.0, "0x1.6a09e667f3bcdp+0"),
+    "flat": (lambda x: (x - 0.7) ** 5, 0.0, 1.5, "0x1.666666666719dp-1"),
+    "tiny_slope": (lambda x: 1e-10 * (x - 1.0 / 3.0), -2.0, 5.0, "0x1.5555555555558p-2"),
+    "steep": (lambda x: math.tanh(1e6 * (x - 0.2)), -1.0, 1.0, "0x1.99999999999b1p-3"),
+    "moment": (_moment_shaped, 0.01, 1000.0, "0x1.4758d27a64d51p+0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRENT_CASES))
+def test_brent_root_returns_the_recorded_float(name):
+    f, a, b, root = BRENT_CASES[name]
+    assert rr._brent_root(f, a, b) == float.fromhex(root)
+
+
+def test_brent_root_errors():
+    # (x - 0.7)^7 is too flat to meet the tolerance in 100 iterations
+    with pytest.raises(RuntimeError):
+        rr._brent_root(lambda x: (x - 0.7) ** 7, 0.0, 1.5)
+    with pytest.raises(ValueError):
+        rr._brent_root(lambda x: x + 1.0, 0.0, 1.0)  # no sign change
+    with pytest.raises(ValueError):
+        rr._brent_root(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0)
+
+
+def test_root_in_dim_outcomes():
+    floor = 1e-2
+    # the moment is already nonnegative at the floor: the floor binds
+    assert rr._root_in_dim(lambda th: th + 1.0, floor) == (floor, True)
+    # a sign change in the escalated bracket [floor, 100]
+    g = lambda th: math.log(th / 50.0)  # noqa: E731
+    theta, ok = rr._root_in_dim(g, floor)
+    assert ok and theta == rr._brent_root(g, floor, 100.0)
+    assert theta == pytest.approx(50.0, rel=1e-11)
+    # no sign change below the ceiling
+    assert rr._root_in_dim(lambda th: th - 1e9, floor) == (rr.THETA_Y_CEIL, False)
 
 
 # -- spectral machinery -------------------------------------------------------------
