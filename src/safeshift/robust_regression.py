@@ -383,7 +383,7 @@ def _loss_terms(model, x, y, r, ws: _Workspace) -> float:
     t2 = np.multiply(e, e, out=ws.t2[:n])
     t2 /= np.multiply(2.0, var, out=ws.da[:n])
     t1 += t2
-    return float(np.mean(np.sum(t1, axis=1, out=ws.row[:n])))
+    return float(np.add.reduce(np.add.reduce(t1, axis=1, out=ws.row[:n])) / n)
 
 
 def nll_loss(model: RobustModel, dataset: Dataset, ratios) -> float:
@@ -425,7 +425,8 @@ def _grads(model, x, y, r, ws: _Workspace, freeze_net=False) -> float:
     moment -= np.multiply(mu, mu, out=ws.t2[:n])
     moment -= var
     moment *= r[:, None]
-    np.mean(moment, axis=0, out=ws.g_ty)
+    np.add.reduce(moment, axis=0, out=ws.g_ty)
+    ws.g_ty /= n
     ws.g_ty += model.lam * np.sign(model.theta_y)
     if freeze_net:
         for g in ws.g_w + ws.g_b:
@@ -440,7 +441,7 @@ def _grads(model, x, y, r, ws: _Workspace, freeze_net=False) -> float:
                 dh *= np.greater(ws.pre[i][:n], 0, out=ws.mask[i][:n])
             h_in = x if i == 0 else ws.act[i - 1][:n]
             np.matmul(h_in.T, dh, out=ws.g_w[i])
-            np.sum(dh, axis=0, out=ws.g_b[i])
+            np.add.reduce(dh, axis=0, out=ws.g_b[i])
             if i > 0:
                 dh = np.matmul(dh, weights[i].T, out=ws.dh[i - 1][:n])
     penalty = model.lam * (np.abs(model.theta_phi).sum() + np.abs(model.theta_y).sum())
@@ -581,25 +582,29 @@ def _solve_heads(model, x, y, r):
         t = y[:, d] - base[:, d]
         b_vec = phi.T @ (r * t) / n
         # Python floats for the scalar arithmetic (numpy scalars are slow);
-        # a_list mirrors a, which the g_mat row dot reads
-        diag, b_list, rows = np.diag(g_mat).tolist(), b_vec.tolist(), list(g_mat)
+        # a_list mirrors a, which the row dots read.  row.dot(a) is the
+        # same BLAS ddot as g_mat[j] @ a, with less call overhead.
+        diag, b_list = np.diag(g_mat).tolist(), b_vec.tolist()
+        dots = [row.dot for row in g_mat]
         a = model.theta_phi[d].copy()
         a_list = a.tolist()
         for _ in range(LASSO_SWEEPS):
             biggest = 0.0
-            for j, (d_j, b_j, row) in enumerate(zip(diag, b_list, rows)):
+            for j, (d_j, b_j, dot) in enumerate(zip(diag, b_list, dots)):
                 if d_j <= 0.0:
                     a[j] = a_list[j] = 0.0
                     continue
                 a_j = a_list[j]
-                rho = b_j - float(row @ a) + d_j * a_j
+                rho = b_j - float(dot(a)) + d_j * a_j
                 if rho > lam:
                     new = (rho - lam) / d_j
                 elif rho < -lam:
                     new = (rho + lam) / d_j
                 else:
                     new = 0.0
-                biggest = max(biggest, abs(new - a_j))
+                change = abs(new - a_j)
+                if change > biggest:
+                    biggest = change
                 a[j] = a_list[j] = new
             if biggest <= LASSO_TOL * max(1.0, float(np.max(np.abs(a)))):
                 break
@@ -772,10 +777,10 @@ def fit(
             ws.g_sy *= config.theta_y_lr_mult
             np.multiply(ws.grad, ws.grad, out=squares)
             total = math.sqrt(
-                sum(float(np.sum(g)) for g in sq_w)
-                + sum(float(np.sum(g)) for g in sq_b)
-                + float(np.sum(sq[-2]))
-                + float(np.sum(sq[-1]))
+                sum(float(np.add.reduce(g, axis=None)) for g in sq_w)
+                + sum(float(np.add.reduce(g, axis=None)) for g in sq_b)
+                + float(np.add.reduce(sq[-2], axis=None))
+                + float(np.add.reduce(sq[-1], axis=None))
             )
             scale = 1.0 if total <= config.clip_norm else config.clip_norm / total
             step = ws.grad[first:]
