@@ -466,16 +466,20 @@ def moment_residual(model: RobustModel, dataset: Dataset, ratios=None) -> np.nda
 UNWEIGHTED_SLACK = 5e-3  # half the post-fit moment tolerance, used as a guard
 
 
-def _brent_root(f, a, b, xtol=1e-12, rtol=1e-12, maxiter=100):
+ROOT_XTOL = ROOT_RTOL = 1e-12
+ROOT_MAXITER = 100
+
+
+def _brent_root(f, a, b):
     """Root of a scalar f with a sign change on [a, b], by Brent's method.
 
     Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 4:
     inverse quadratic interpolation or the secant step when it stays well
     inside the bracket, bisection otherwise.  The steps and the stopping
-    rule (|bracket| / 2 < (xtol + rtol |x|) / 2) are those of the classic
-    C implementation `brentq`, so the same f and bracket give the same
-    float.  Raises ValueError for a NaN value or no sign change and
-    RuntimeError after maxiter iterations without convergence.
+    rule (|bracket| / 2 < (ROOT_XTOL + ROOT_RTOL |x|) / 2) are those of
+    the classic C implementation `brentq`, so the same f and bracket give
+    the same float.  Raises ValueError for a NaN value or no sign change
+    and RuntimeError after ROOT_MAXITER iterations without convergence.
     """
     def value(x):
         fx = f(x)
@@ -494,14 +498,14 @@ def _brent_root(f, a, b, xtol=1e-12, rtol=1e-12, maxiter=100):
     # xblk is the far end of the bracket [xcur, xblk]; spre, scur are the
     # previous two steps
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(ROOT_MAXITER):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (ROOT_XTOL + ROOT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -526,7 +530,7 @@ def _brent_root(f, a, b, xtol=1e-12, rtol=1e-12, maxiter=100):
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = value(xcur)
-    raise RuntimeError(f"no convergence after {maxiter} iterations, value is {xcur}")
+    raise RuntimeError(f"no convergence after {ROOT_MAXITER} iterations, value is {xcur}")
 
 
 def _root_in_dim(g, lo):
