@@ -343,7 +343,9 @@ def test_root_in_dim_outcomes():
     # the moment is already nonnegative at the floor: the floor binds
     assert rr._root_in_dim(lambda th: th + 1.0, floor) == (floor, True)
     # a sign change in the escalated bracket [floor, 100]
-    g = lambda th: math.log(th / 50.0)  # noqa: E731
+    def g(th):
+        return math.log(th / 50.0)
+
     theta, ok = rr._root_in_dim(g, floor)
     assert ok and theta == rr._brent_root(g, floor, 100.0)
     assert theta == pytest.approx(50.0, rel=1e-11)
