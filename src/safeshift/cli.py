@@ -9,7 +9,8 @@ runtime failure such as a diverged rollout.
 
 `safeshift compare results/run1 results/run2 ...` emits a per-episode CSV
 (cost and violation columns aligned across runs) on stdout and per-model
-medians on stderr.  All runs must be of the same task.
+medians on stderr.  All runs must be of the same task; a run file that is
+missing or malformed exits 1 with one line naming it.
 
 All emitted numbers go through one formatter (%.17g) and the experiment
 itself is deterministic, so rerunning with the same config and seed
@@ -96,30 +97,37 @@ _SCALAR_KEYS = (
     "w_max",
     "sample_hz",
     "output_dim",
-    "label_noise",
-    "warm_start",
     "max_train_points",
     "kde_src_max",
     "kde_trg_max",
     "cert_stride",
     "d_hat_hold_steps",
-    "track_fallback",
     "first_fit_epochs",
     "model_kind",
 )
 
 
 # JSON value types accepted for a field whose default has the key's type
-_KINDS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+_KINDS = {int: (int,), float: (int, float), str: (str,)}
 
 
 def _check_kind(name: str, value, default) -> None:
     """Reject a value whose JSON type does not fit the field's default."""
     kind = type(default)
-    if kind in _KINDS and (
-        isinstance(value, bool) != (kind is bool) or not isinstance(value, _KINDS[kind])
-    ):
+    if kind in _KINDS and (isinstance(value, bool) or not isinstance(value, _KINDS[kind])):
         raise ConfigError(f"{name}: expected {kind.__name__}")
+
+
+def _check_finite(name: str, value) -> None:
+    """Reject NaN and +-Infinity anywhere in a JSON value; name is its key path."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name}: expected a finite number")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(f"{name}: {key}", item)
+    if isinstance(value, list):
+        for item in value:
+            _check_finite(name, item)
 
 
 def _build_nested(cls, payload: dict, field_name: str):
@@ -162,6 +170,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     for key in _NESTED_KEYS:
         if key in raw and not isinstance(raw[key], dict):
             raise ConfigError(f"{key}: expected a JSON object")
+    for key, value in raw.items():
+        _check_finite(key, value)
 
     task = raw["task"]
     base = default_config(task)
@@ -199,6 +209,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         keys = {"q_abs_max"} if task == "pendulum" else {"qdot_min_at_ground", "ground"}
         if not set(safety) <= keys:
             raise ConfigError(f"safety: allowed keys for {task} are {sorted(keys)}")
+        for key, value in safety.items():
+            _check_kind(f"safety: {key}", value, getattr(base, key))
         updates.update(safety)
 
     try:
@@ -271,8 +283,9 @@ def _write_episodes_csv(path: Path, records) -> None:
             )
 
 
-def _write_trajectories_csv(path: Path, result, hz: float = 50.0) -> None:
-    """Desired vs actual positions plus the certified tube, sampled at hz."""
+def _write_trajectories_csv(path: Path, result) -> None:
+    """Desired vs actual positions plus the certified tube, sampled at 50 Hz."""
+    stride = max(1, int(round(1.0 / (50.0 * result.config.sim_dt))))
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
@@ -282,7 +295,6 @@ def _write_trajectories_csv(path: Path, result, hz: float = 50.0) -> None:
             if rollout is None or traj is None:
                 continue
             rho = rec.tube_radius
-            stride = max(1, int(round(1.0 / (hz * result.config.sim_dt))))
             for i in range(0, len(rollout.times), stride):
                 t = float(rollout.times[i])
                 des = traj.at(t)
@@ -415,11 +427,20 @@ def compare_cmd(args) -> int:
         except json.JSONDecodeError as exc:
             print(f"invalid JSON in {summary_path}: {exc}", file=sys.stderr)
             return 1
+        if not isinstance(summary, dict):
+            print(f"invalid summary in {summary_path}: expected a JSON object", file=sys.stderr)
+            return 1
+        episodes_path = base / "episodes.csv"
         try:
-            with open(base / "episodes.csv", newline="") as fh:
-                episodes = list(csv.DictReader(fh))
+            with open(episodes_path, newline="") as fh:
+                reader = csv.DictReader(fh)
+                episodes = list(reader)
         except OSError as exc:
-            print(f"cannot read {base / 'episodes.csv'}: {exc}", file=sys.stderr)
+            print(f"cannot read {episodes_path}: {exc}", file=sys.stderr)
+            return 1
+        missing = sorted({"cost", "violation"} - set(reader.fieldnames or ()))
+        if missing:
+            print(f"invalid episodes in {episodes_path}: no column(s) {missing}", file=sys.stderr)
             return 1
         runs.append((base, summary, episodes))
 

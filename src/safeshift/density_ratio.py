@@ -70,24 +70,19 @@ class RatioConfig:
             raise ValueError("need 0 < r_lo <= r_hi")
 
 
-def kde_fit(samples, bandwidth_rule="silverman") -> KdeModel:
-    """Fit a Gaussian KDE; bandwidth_rule is "silverman" or a fixed value.
+def kde_fit(samples) -> KdeModel:
+    """Fit a Gaussian KDE with Silverman's bandwidth per dimension.
 
-    Silverman per dimension: h_j = sigma_j * (4 / ((d + 2) n))^(1/(d+4)),
-    with sigma_j floored at SIGMA_FLOOR so degenerate samples still give
-    a usable (if narrow) density.
+    h_j = sigma_j * (4 / ((d + 2) n))^(1/(d+4)), with sigma_j floored at
+    SIGMA_FLOOR so degenerate samples still give a usable (if narrow)
+    density.
     """
     x = np.atleast_2d(np.asarray(samples, dtype=float))
     if x.shape[0] == 0:
         raise ValueError("empty sample set")
     n, d = x.shape
-    if isinstance(bandwidth_rule, str):
-        if bandwidth_rule != "silverman":
-            raise ValueError(f"unknown bandwidth rule {bandwidth_rule!r}")
-        sigma = np.maximum(x.std(axis=0, ddof=1) if n > 1 else np.zeros(d), SIGMA_FLOOR)
-        h = sigma * (4.0 / ((d + 2) * n)) ** (1.0 / (d + 4))
-    else:
-        h = np.broadcast_to(np.asarray(bandwidth_rule, dtype=float), (d,)).copy()
+    sigma = np.maximum(x.std(axis=0, ddof=1) if n > 1 else np.zeros(d), SIGMA_FLOOR)
+    h = sigma * (4.0 / ((d + 2) * n)) ** (1.0 / (d + 4))
     return KdeModel(samples=x, bandwidth=h)
 
 

@@ -61,7 +61,6 @@ class MixedModelParams:
     coriolis: Callable[[float, float], float]
     gravity: Callable[[float], float]
     actuation: float
-    dims: tuple[int, int] = (1, 1)
     actuator_invert: Optional[Callable[[float], tuple[float, bool]]] = None
     # optional fused acceleration (q, qdot, bu, d) -> qddot, equal to
     # forward_dynamics but one call instead of three; the simulator's

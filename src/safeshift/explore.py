@@ -16,7 +16,7 @@ needs are passed in, not bound to the model:
                                      certification points (ratios None
                                      means r = 1)
   d_hat_fn(src_kde, trg_kde)         the controller's compensation d_hat(q, qdot)
-  retrain(dataset, src_kde, trg_kde, rng)
+  retrain(dataset, src_kde, trg_kde)
   moment_residual_max()              the fit's stationarity residual
 
 Scoring does each piece of work once, at the level where its inputs
@@ -107,7 +107,8 @@ class ExperimentConfig:
     revert to exact behavior when set to 1): `cert_stride` scans sigma on
     every k-th grid point; `d_hat_hold_steps` refreshes the learned
     compensation every k integrator steps while the feedback terms update
-    every step.
+    every step.  Every robust fit warm-starts from the learner's current
+    model, and an episode with no admissible candidate flies nothing.
     """
 
     task: str = "pendulum"
@@ -132,15 +133,12 @@ class ExperimentConfig:
     w_max: float = 50.0
     sample_hz: float = 50.0
     output_dim: int = 1
-    label_noise: float = 0.0
     train: rr.TrainConfig = field(default_factory=lambda: rr.TrainConfig(epochs=300))
-    warm_start: bool = True
     max_train_points: int = 600
     kde_src_max: int = 500
     kde_trg_max: int = 250
     cert_stride: int = 4
     d_hat_hold_steps: int = 20
-    track_fallback: bool = False
     first_fit_epochs: int = 1500
     model_kind: str = "robust"
     gp: GpHyper = field(default_factory=GpHyper)
@@ -150,6 +148,8 @@ class ExperimentConfig:
             raise ConfigError(f"task: unknown task {self.task!r}")
         if self.episodes < 1:
             raise ConfigError("episodes: must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed: must be >= 0")
         if self.beta <= 0:
             raise ConfigError("beta: must be positive")
         if self.sigma0_sq <= 0:
@@ -168,8 +168,6 @@ class ExperimentConfig:
             raise ConfigError("cert_stride/d_hat_hold_steps: must be >= 1")
         if self.first_fit_epochs < 1:
             raise ConfigError("first_fit_epochs: must be >= 1")
-        if self.label_noise < 0:
-            raise ConfigError("label_noise: must be nonnegative")
         if self.w_max <= 0:
             raise ConfigError("w_max: must be positive")
         try:
@@ -381,13 +379,12 @@ class RobustLearner:
 
         return d_hat
 
-    def retrain(self, dataset: Dataset, src_kde, trg_kde, rng):
+    def retrain(self, dataset: Dataset, src_kde, trg_kde):
         train = self.cfg.train
         if self.fits == 0 and self.cfg.first_fit_epochs > train.epochs:
             # the first fit starts from random features and needs the
             # longest schedule; later fits only track slow data drift
             train = replace(train, epochs=self.cfg.first_fit_epochs)
-        init = self.model if self.cfg.warm_start else None
         self.model = rr.fit(
             dataset,
             src_kde,
@@ -396,8 +393,7 @@ class RobustLearner:
             mu0=self.cfg.mu0,
             sigma0_sq=self.cfg.sigma0_sq,
             ratio_cfg=self.cfg.ratio,
-            init=init,
-            rng=rng,
+            init=self.model,
         )
         self.fits += 1
 
@@ -436,7 +432,7 @@ class GpLearner:
 
         return d_hat
 
-    def retrain(self, dataset: Dataset, src_kde, trg_kde, rng):
+    def retrain(self, dataset: Dataset, src_kde, trg_kde):
         self.model = None  # release the old n x n factor before fitting
         self.model = gp_fit(dataset.inputs, dataset.targets, self.hyper)
 
@@ -453,7 +449,7 @@ def make_learner(config: ExperimentConfig, rng: np.random.Generator):
 
 @dataclass
 class EpisodeOutcome:
-    """Unpacks as (status, chosen, rollout, new_data); extras are diagnostics."""
+    """What one episode chose and flew, and the data it collected."""
 
     status: str
     chosen: Optional[DesiredTrajectory]
@@ -465,9 +461,6 @@ class EpisodeOutcome:
     n_certified: int
     w_hat: float
     trg_kde: Optional[KdeModel]
-
-    def __iter__(self):
-        return iter((self.status, self.chosen, self.rollout, self.new_data))
 
 
 def _selection_key(traj: DesiredTrajectory):
@@ -496,7 +489,7 @@ def _realized_cost(config: ExperimentConfig, rollout: Rollout) -> float:
     return float(rollout.times[reached[0]])
 
 
-def _collect(config: ExperimentConfig, rollout: Rollout, rng) -> Dataset:
+def _collect(config: ExperimentConfig, rollout: Rollout) -> Dataset:
     stride = max(1, int(round(1.0 / (config.sample_hz * config.sim_dt))))
     idx = np.arange(0, len(rollout.times), stride)
     states = rollout.states[idx]
@@ -504,8 +497,6 @@ def _collect(config: ExperimentConfig, rollout: Rollout, rng) -> Dataset:
     targets = np.zeros((len(idx), config.output_dim))
     for row, (t_i, (q, qdot)) in enumerate(zip(rollout.times[idx], states)):
         targets[row, 0] = res(float(t_i), float(q), float(qdot))
-    if config.label_noise > 0:
-        targets += rng.normal(0.0, config.label_noise, targets.shape)
     return Dataset(states.copy(), targets)
 
 
@@ -514,7 +505,6 @@ def run_episode(
     learner,
     src_kde: Optional[KdeModel],
     config: ExperimentConfig,
-    rng: Optional[np.random.Generator] = None,
     cache: Optional[PoolCache] = None,
 ) -> EpisodeOutcome:
     """One episode: score, certify, select, track, collect.
@@ -534,7 +524,6 @@ def run_episode(
         cache = build_pool_cache(pool, config)
     elif len(cache.spans) != len(pool):
         raise ValueError("cache was built for a different pool")
-    rng = rng if rng is not None else np.random.default_rng(config.seed)
     gamma_val = gamma(config.tube())
     safe_set = config.safety_set()
 
@@ -556,20 +545,18 @@ def run_episode(
     certified = [ev for ev in evals if ev[4].safe and ev[5] <= config.w_max]
     n_certified = len(certified)
     if not certified:
-        if not config.track_fallback:
-            return EpisodeOutcome(
-                status="no_safe_candidate",
-                chosen=None,
-                rollout=None,
-                new_data=None,
-                sigma_max=math.nan,
-                eps_m=math.nan,
-                certification=None,
-                n_certified=0,
-                w_hat=math.nan,
-                trg_kde=None,
-            )
-        certified = [max(evals, key=lambda ev: ev[4].margin)]
+        return EpisodeOutcome(
+            status="no_safe_candidate",
+            chosen=None,
+            rollout=None,
+            new_data=None,
+            sigma_max=math.nan,
+            eps_m=math.nan,
+            certification=None,
+            n_certified=0,
+            w_hat=math.nan,
+            trg_kde=None,
+        )
 
     traj, trg_kde, sigma_max, eps_m, cert, w_hat = min(
         certified, key=lambda ev: _selection_key(ev[0])
@@ -599,7 +586,7 @@ def run_episode(
             trg_kde=trg_kde,
         )
 
-    new_data = _collect(config, rollout, rng)
+    new_data = _collect(config, rollout)
     return EpisodeOutcome(
         status="touchdown" if rollout.status == "touchdown" else "ok",
         chosen=traj,
@@ -619,8 +606,6 @@ class ExperimentResult:
     config: ExperimentConfig
     records: list
     learner: object
-    last_traj: Optional[DesiredTrajectory]
-    last_rollout: Optional[Rollout]
     rollouts: list
     trajs: list
 
@@ -637,14 +622,12 @@ class ExperimentResult:
 def run_experiment(config: ExperimentConfig, learner=None) -> ExperimentResult:
     """Run the full episodic loop; deterministic given config + seed.
 
-    Randomness order is fixed: the learner's feature net is drawn first,
-    then (only if label noise is enabled) per-episode noise in episode
-    order.  Everything else is deterministic, so identical config + seed
-    reproduce the run bit for bit.
+    The seed draws the robust learner's initial feature net and nothing
+    else; everything after it is deterministic, so identical config +
+    seed reproduce the run bit for bit.
     """
-    rng = np.random.default_rng(config.seed)
     if learner is None:
-        learner = make_learner(config, rng)
+        learner = make_learner(config, np.random.default_rng(config.seed))
     pool = config.pool()
     cache = build_pool_cache(pool, config)
     safe_set = config.safety_set()
@@ -654,11 +637,9 @@ def run_experiment(config: ExperimentConfig, learner=None) -> ExperimentResult:
     records: list[EpisodeRecord] = []
     rollouts: list[Optional[Rollout]] = []
     trajs: list[Optional[DesiredTrajectory]] = []
-    last_traj = None
-    last_rollout = None
 
     for episode in range(1, config.episodes + 1):
-        out = run_episode(pool, learner, src_kde, config, rng=rng, cache=cache)
+        out = run_episode(pool, learner, src_kde, config, cache=cache)
         rec = EpisodeRecord(episode=episode, status=out.status)
         rec.sigma_max = out.sigma_max
         rec.eps_m = out.eps_m
@@ -674,7 +655,6 @@ def run_experiment(config: ExperimentConfig, learner=None) -> ExperimentResult:
             rec.violation = _audit(out.rollout, safe_set)
             rec.realized_cost = _realized_cost(config, out.rollout)
             rec.rms_residual_error = float(np.sqrt(np.mean(out.rollout.eps ** 2)))
-            last_traj, last_rollout = out.chosen, out.rollout
         rollouts.append(out.rollout)
         trajs.append(out.chosen)
 
@@ -685,7 +665,7 @@ def run_experiment(config: ExperimentConfig, learner=None) -> ExperimentResult:
             # scores against the same source KDE
             src_kde = kde_fit(subsample_rows(dataset.inputs, config.kde_src_max))
             train_set = dataset.subsample(config.max_train_points)
-            learner.retrain(train_set, src_kde, out.trg_kde, rng)
+            learner.retrain(train_set, src_kde, out.trg_kde)
             rec.n_train = len(train_set)
             rec.moment_residual = learner.moment_residual_max()
         records.append(rec)
@@ -694,8 +674,6 @@ def run_experiment(config: ExperimentConfig, learner=None) -> ExperimentResult:
         config=config,
         records=records,
         learner=learner,
-        last_traj=last_traj,
-        last_rollout=last_rollout,
         rollouts=rollouts,
         trajs=trajs,
     )

@@ -43,15 +43,11 @@ __all__ = [
     "lipschitz_bound",
     "sigma_max_on_traj",
     "moment_residual",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
 
 POWER_ITERS = 30
 POWER_TOL = 1e-6
 THETA_Y_CEIL = 1e8
-
-CHECKPOINT_HEADER = "safeshift-robust-checkpoint v1"
 
 
 class TrainingDiverged(RuntimeError):
@@ -77,10 +73,6 @@ class FeatureNet:
     @property
     def feature_dim(self) -> int:
         return self.weights[-1].shape[1]
-
-    @property
-    def input_dim(self) -> int:
-        return self.weights[0].shape[0]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         h = x
@@ -139,16 +131,15 @@ def spectral_norm(w: np.ndarray, iters: int = POWER_ITERS, tol: float = POWER_TO
     return float(_power_iterate(w, v, iters, tol)[0])
 
 
-def spectral_normalize(net: FeatureNet, cap: Optional[float] = None) -> FeatureNet:
+def spectral_normalize(net: FeatureNet) -> FeatureNet:
     """Rescale every weight matrix whose spectral norm exceeds its cap."""
-    caps = net.caps if cap is None else (cap,) * len(net.weights)
-    if min(caps) <= 0:
+    if min(net.caps) <= 0:
         raise ValueError("spectral cap must be positive")
     new_w = []
-    for w, c in zip(net.weights, caps):
+    for w, c in zip(net.weights, net.caps):
         s = spectral_norm(w)
         new_w.append(w * (c / s) if s > c else w)
-    return FeatureNet(tuple(new_w), net.biases, tuple(caps))
+    return FeatureNet(tuple(new_w), net.biases, net.caps)
 
 
 def _normalize_warm(net: FeatureNet, cache: list) -> None:
@@ -203,34 +194,28 @@ class RobustModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Full-batch gradient descent recipe.
+    """Full-batch gradient descent recipe: one step per epoch on every row.
 
-    batch_size None means full batch (int gives deterministic contiguous
-    mini-batches, still seeded and reproducible).  theta_y steps in log
-    space with its own learning-rate multiplier: the stationary value can
-    sit orders of magnitude above the other parameters, and plain GD would
-    not reach it within the epoch budget.
+    The learning rate follows a cosine schedule over `epochs`; `seed`
+    draws the feature net of a fit that does not warm-start.  theta_y
+    steps in log space with its own learning-rate multiplier: the
+    stationary value can sit orders of magnitude above the other
+    parameters, and plain GD would not reach it within the epoch budget.
     """
 
     lr: float = 1e-2
     epochs: int = 2000
-    batch_size: Optional[int] = None
     clip_norm: float = 10.0
     seed: int = 0
     lam: float = 1e-3
     theta_y_floor: float = 1e-2
     theta_y_lr_mult: float = 10.0
-    freeze_net: bool = False
 
     def __post_init__(self):
         if self.lr <= 0 or self.epochs < 1 or self.clip_norm <= 0:
             raise ValueError("lr, epochs, clip_norm must be positive")
         if self.lam < 0 or self.theta_y_floor <= 0:
             raise ValueError("lam must be >= 0 and theta_y_floor > 0")
-        if self.batch_size is not None and (
-            not isinstance(self.batch_size, int) or self.batch_size < 1
-        ):
-            raise ValueError("batch_size must be None or an integer >= 1")
 
 
 def initial_model(
@@ -241,11 +226,11 @@ def initial_model(
     lam: float = 1e-3,
     theta_y_floor: float = 1e-2,
     net: Optional[FeatureNet] = None,
-    rng: Optional[np.random.Generator] = None,
 ) -> RobustModel:
-    """Base model predicting N(mu0, sigma0_sq) at every input."""
+    """Base model predicting N(mu0, sigma0_sq) at every input; the net
+    defaults to the one seed 0 draws."""
     if net is None:
-        net = feature_net_init(rng if rng is not None else np.random.default_rng(0))
+        net = feature_net_init(np.random.default_rng(0))
     return RobustModel(
         net=net,
         theta_phi=np.zeros((dim_out, net.feature_dim)),
@@ -340,8 +325,7 @@ class _Workspace:
 
     grad is the flat gradient (see _flat_buffer) with views g_w, g_b, g_tp
     and g_sy (the log-space theta_y slot, filled by fit); g_ty is the
-    theta_y gradient.  The per-row buffers hold `rows` rows; a batch of
-    n <= rows uses the first n.
+    theta_y gradient.  The per-row buffers hold one row per training row.
     """
 
     def __init__(self, net: FeatureNet, d_out: int, rows: int):
@@ -365,25 +349,24 @@ class _Workspace:
 
 def _loss_terms(model, x, y, r, ws: _Workspace) -> float:
     """Data NLL (no penalty); leaves the forward pass in the workspace."""
-    n = len(x)
     h = x
     last = len(model.net.weights) - 1
     for i, (w, b) in enumerate(zip(model.net.weights, model.net.biases)):
-        z = np.matmul(h, w, out=ws.pre[i][:n])
+        z = np.matmul(h, w, out=ws.pre[i])
         z += b
         if i < last:
-            h = np.maximum(z, 0.0, out=ws.act[i][:n])
-    a = np.matmul(ws.pre[last][:n], model.theta_phi.T, out=ws.a[:n])
-    mu, var = _predictive(model, r, model.theta_y, a, out=(ws.mu[:n], ws.var[:n]))
-    e = np.subtract(y, mu, out=ws.e[:n])
+            h = np.maximum(z, 0.0, out=ws.act[i])
+    a = np.matmul(ws.pre[last], model.theta_phi.T, out=ws.a)
+    mu, var = _predictive(model, r, model.theta_y, a, out=(ws.mu, ws.var))
+    e = np.subtract(y, mu, out=ws.e)
     # 0.5 log(2 pi var) + e^2 / (2 var), summed over dims, mean over rows
-    t1 = np.multiply(2.0 * math.pi, var, out=ws.t1[:n])
+    t1 = np.multiply(2.0 * math.pi, var, out=ws.t1)
     np.log(t1, out=t1)
     t1 *= 0.5
-    t2 = np.multiply(e, e, out=ws.t2[:n])
-    t2 /= np.multiply(2.0, var, out=ws.da[:n])
+    t2 = np.multiply(e, e, out=ws.t2)
+    t2 /= np.multiply(2.0, var, out=ws.da)
     t1 += t2
-    return float(np.add.reduce(np.add.reduce(t1, axis=1, out=ws.row[:n])) / n)
+    return float(np.add.reduce(np.add.reduce(t1, axis=1, out=ws.row)) / len(x))
 
 
 def nll_loss(model: RobustModel, dataset: Dataset, ratios) -> float:
@@ -405,45 +388,41 @@ def nll_loss(model: RobustModel, dataset: Dataset, ratios) -> float:
     return loss
 
 
-def _grads(model, x, y, r, ws: _Workspace, freeze_net=False) -> float:
+def _grads(model, x, y, r, ws: _Workspace) -> float:
     """Analytic gradients of the penalized NLL, written into the workspace.
 
-    Fills ws.g_w, ws.g_b (zeros when freeze_net), ws.g_tp and ws.g_ty and
-    returns the penalized loss.
+    Fills ws.g_w, ws.g_b, ws.g_tp and ws.g_ty and returns the penalized
+    loss.
     """
     n = len(x)
     nll = _loss_terms(model, x, y, r, ws)
-    phi, mu, var = ws.pre[-1][:n], ws.mu[:n], ws.var[:n]
+    phi, mu, var = ws.pre[-1], ws.mu, ws.var
     # d loss / d a = -(e * r) / n   (per sample, per output dim)
-    da = np.multiply(ws.e[:n], r[:, None], out=ws.da[:n])
+    da = np.multiply(ws.e, r[:, None], out=ws.da)
     np.negative(da, out=da)
     da /= n
     np.matmul(da.T, phi, out=ws.g_tp)
     ws.g_tp += model.lam * np.sign(model.theta_phi)
     # d loss / d theta_y = mean_i r_i (y^2 - mu^2 - var) + lam
-    moment = np.multiply(y, y, out=ws.t1[:n])
-    moment -= np.multiply(mu, mu, out=ws.t2[:n])
+    moment = np.multiply(y, y, out=ws.t1)
+    moment -= np.multiply(mu, mu, out=ws.t2)
     moment -= var
     moment *= r[:, None]
     np.add.reduce(moment, axis=0, out=ws.g_ty)
     ws.g_ty /= n
     ws.g_ty += model.lam * np.sign(model.theta_y)
-    if freeze_net:
-        for g in ws.g_w + ws.g_b:
-            g.fill(0.0)
-    else:
-        weights = model.net.weights
-        last = len(weights) - 1
-        # gradient on the feature output, then on each hidden output
-        dh = np.matmul(da, model.theta_phi, out=ws.dh[last][:n])
-        for i in range(last, -1, -1):
-            if i < last:
-                dh *= np.greater(ws.pre[i][:n], 0, out=ws.mask[i][:n])
-            h_in = x if i == 0 else ws.act[i - 1][:n]
-            np.matmul(h_in.T, dh, out=ws.g_w[i])
-            np.add.reduce(dh, axis=0, out=ws.g_b[i])
-            if i > 0:
-                dh = np.matmul(dh, weights[i].T, out=ws.dh[i - 1][:n])
+    weights = model.net.weights
+    last = len(weights) - 1
+    # gradient on the feature output, then on each hidden output
+    dh = np.matmul(da, model.theta_phi, out=ws.dh[last])
+    for i in range(last, -1, -1):
+        if i < last:
+            dh *= np.greater(ws.pre[i], 0, out=ws.mask[i])
+        h_in = x if i == 0 else ws.act[i - 1]
+        np.matmul(h_in.T, dh, out=ws.g_w[i])
+        np.add.reduce(dh, axis=0, out=ws.g_b[i])
+        if i > 0:
+            dh = np.matmul(dh, weights[i].T, out=ws.dh[i - 1])
     penalty = model.lam * (np.abs(model.theta_phi).sum() + np.abs(model.theta_y).sum())
     return nll + float(penalty)
 
@@ -705,7 +684,6 @@ def fit(
     sigma0_sq: float = 1.0,
     ratio_cfg: RatioConfig = RatioConfig(),
     init: Optional[RobustModel] = None,
-    rng: Optional[np.random.Generator] = None,
 ) -> RobustModel:
     """Train the robust model on `dataset` with ratios frozen per call.
 
@@ -713,8 +691,7 @@ def fit(
     trg_kde, .); passing None for either density means r = 1 (no shift
     information, e.g. the very first fit).  `init` warm-starts from a
     previous model (its net, heads, and base distribution are reused);
-    otherwise a fresh net is drawn from `rng` (falling back to
-    config.seed).
+    otherwise a fresh net is drawn from config.seed.
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
@@ -734,8 +711,7 @@ def fit(
         theta_y = np.maximum(init.theta_y, config.theta_y_floor)
         mu0, sigma0_sq = init.mu0, init.sigma0_sq
     else:
-        gen = rng if rng is not None else np.random.default_rng(config.seed)
-        net = feature_net_init(gen)
+        net = feature_net_init(np.random.default_rng(config.seed))
         theta_phi = np.zeros((d_out, net.feature_dim))
         theta_y = np.full(d_out, config.theta_y_floor)
 
@@ -760,40 +736,32 @@ def fit(
 
     log_floor = math.log(config.theta_y_floor)
     log_ceil = math.log(THETA_Y_CEIL)
-    n = len(x)
-    bs = n if config.batch_size is None else min(config.batch_size, n)
-    ws = _Workspace(net, d_out, bs)
+    ws = _Workspace(net, d_out, len(x))
     squares, sq = _flat_buffer(net, d_out)
     sq_w, sq_b = sq[:n_layers], sq[n_layers : 2 * n_layers]
-    # a frozen net keeps its weights and biases: update theta_phi, s_y only
-    first = sum(v.size for v in views[: 2 * n_layers]) if config.freeze_net else 0
     power_cache: list = [None] * n_layers
 
     for epoch in range(config.epochs):
         lr = config.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / config.epochs))
-        for lo in range(0, n, bs):
-            xb, yb, rb = x[lo : lo + bs], y[lo : lo + bs], r[lo : lo + bs]
-            loss = _grads(model, xb, yb, rb, ws, config.freeze_net)
-            if not math.isfinite(loss):
-                raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
-            # log-space theta_y gradient, then global-norm clipping
-            np.multiply(ws.g_ty, theta_y, out=ws.g_sy)
-            ws.g_sy *= config.theta_y_lr_mult
-            np.multiply(ws.grad, ws.grad, out=squares)
-            total = math.sqrt(
-                sum(float(np.add.reduce(g, axis=None)) for g in sq_w)
-                + sum(float(np.add.reduce(g, axis=None)) for g in sq_b)
-                + float(np.add.reduce(sq[-2], axis=None))
-                + float(np.add.reduce(sq[-1], axis=None))
-            )
-            scale = 1.0 if total <= config.clip_norm else config.clip_norm / total
-            step = ws.grad[first:]
-            step *= lr * scale
-            params[first:] -= step
-            np.clip(s_y, log_floor, log_ceil, out=s_y)
-            np.exp(s_y, out=theta_y)
-            if not config.freeze_net:
-                _normalize_warm(model.net, power_cache)
+        loss = _grads(model, x, y, r, ws)
+        if not math.isfinite(loss):
+            raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
+        # log-space theta_y gradient, then global-norm clipping
+        np.multiply(ws.g_ty, theta_y, out=ws.g_sy)
+        ws.g_sy *= config.theta_y_lr_mult
+        np.multiply(ws.grad, ws.grad, out=squares)
+        total = math.sqrt(
+            sum(float(np.add.reduce(g, axis=None)) for g in sq_w)
+            + sum(float(np.add.reduce(g, axis=None)) for g in sq_b)
+            + float(np.add.reduce(sq[-2], axis=None))
+            + float(np.add.reduce(sq[-1], axis=None))
+        )
+        scale = 1.0 if total <= config.clip_norm else config.clip_norm / total
+        ws.grad *= lr * scale
+        params -= ws.grad
+        np.clip(s_y, log_floor, log_ceil, out=s_y)
+        np.exp(s_y, out=theta_y)
+        _normalize_warm(model.net, power_cache)
 
     # Gradient descent alone crawls through the coupled head/theta_y
     # scaling (mu carries a 1/sigma^2 factor, so calibrating theta_y keeps
@@ -836,85 +804,14 @@ def lipschitz_bound(model: RobustModel, ratio_cfg: RatioConfig = RatioConfig()) 
     return sup_var * ratio_cfg.r_hi * head * layers
 
 
-def sigma_max_on_traj(model: RobustModel, traj, ratios=None, dim: int = 0) -> float:
-    """Max predictive standard deviation along a trajectory.
+def sigma_max_on_traj(model: RobustModel, pts, ratios=None) -> float:
+    """Max predictive standard deviation over a trajectory's (n, 2) points.
 
-    `traj` is a DesiredTrajectory (its grid) or an (n, 2) array of points;
     ratios holds one density ratio per point (None means r = 1).  For
-    multi dimensional outputs the certification dimension (default 0) is
-    used.
+    multi dimensional outputs the certification dimension 0 is used.
     """
-    pts = traj.grid_xy() if hasattr(traj, "grid_xy") else np.atleast_2d(np.asarray(traj))
+    pts = np.atleast_2d(pts)
     if len(pts) == 0:
         raise ValueError("empty trajectory")
     _, var = predict(model, pts, ratios=ratios)
-    return float(np.sqrt(np.max(var[:, dim])))
-
-
-def save_checkpoint(model: RobustModel, path: str) -> None:
-    """Flat numeric text checkpoint of every model field."""
-    lines = [CHECKPOINT_HEADER]
-    lines.append(f"layers {len(model.net.weights)}")
-    for w, b, c in zip(model.net.weights, model.net.biases, model.net.caps):
-        lines.append(f"layer {w.shape[0]} {w.shape[1]} {c:.17g}")
-        lines.append(" ".join(f"{v:.17g}" for v in w.ravel()))
-        lines.append(" ".join(f"{v:.17g}" for v in b))
-    lines.append(f"dim_out {model.dim_out}")
-    lines.append(" ".join(f"{v:.17g}" for v in model.theta_phi.ravel()))
-    lines.append(" ".join(f"{v:.17g}" for v in model.theta_y))
-    lines.append(
-        f"scalars {model.mu0:.17g} {model.sigma0_sq:.17g} {model.lam:.17g} "
-        f"{model.theta_y_floor:.17g} {int(model.converged)} {int(model.trained)}"
-    )
-    if model.moment_residuals is None:
-        lines.append("moments -")
-    else:
-        lines.append("moments " + " ".join(f"{v:.17g}" for v in model.moment_residuals))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _floats(line: str) -> np.ndarray:
-    return np.array([float(v) for v in line.split()], dtype=float)
-
-
-def load_checkpoint(path: str) -> RobustModel:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != CHECKPOINT_HEADER:
-        raise ValueError("unrecognized checkpoint header")
-    i = 1
-    n_layers = int(lines[i].split()[1])
-    i += 1
-    weights, biases, caps = [], [], []
-    for _ in range(n_layers):
-        _, d_in, d_out, cap = lines[i].split()
-        d_in, d_out = int(d_in), int(d_out)
-        caps.append(float(cap))
-        weights.append(_floats(lines[i + 1]).reshape(d_in, d_out))
-        biases.append(_floats(lines[i + 2]))
-        i += 3
-    net = FeatureNet(tuple(weights), tuple(biases), tuple(caps))
-    d_out = int(lines[i].split()[1])
-    i += 1
-    theta_phi = _floats(lines[i]).reshape(d_out, net.feature_dim)
-    theta_y = _floats(lines[i + 1])
-    parts = lines[i + 2].split()[1:]
-    mu0, sigma0_sq, lam, floor = (float(v) for v in parts[:4])
-    converged, trained = bool(int(parts[4])), bool(int(parts[5]))
-    moments_line = lines[i + 3].split(None, 1)
-    moments = None
-    if len(moments_line) > 1 and moments_line[1].strip() != "-":
-        moments = _floats(moments_line[1])
-    return RobustModel(
-        net=net,
-        theta_phi=theta_phi,
-        theta_y=theta_y,
-        mu0=mu0,
-        sigma0_sq=sigma0_sq,
-        lam=lam,
-        theta_y_floor=floor,
-        converged=converged,
-        moment_residuals=moments,
-        trained=trained,
-    )
+    return float(np.sqrt(np.max(var[:, 0])))

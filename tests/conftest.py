@@ -26,14 +26,22 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
 
 
-def make_line_dataset(n: int = 160, slope: float = 2.0, noise_std: float = 0.1,
-                      seed: int = 5) -> Dataset:
+def _make_line_dataset(n: int = 160, slope: float = 2.0, noise_std: float = 0.1,
+                       seed: int = 5) -> Dataset:
     """y = slope * x + N(0, noise_std^2) on x in [-1, 1], second input zero."""
     g = np.random.default_rng(seed)
     x = np.linspace(-1.0, 1.0, n)
     inputs = np.column_stack([x, np.zeros(n)])
     targets = (slope * x + g.normal(0.0, noise_std, n))[:, None]
     return Dataset(inputs, targets)
+
+
+@pytest.fixture(scope="session")
+def make_line_dataset():
+    """The line dataset builder, served as a fixture: test modules cannot
+    import it from this conftest when another conftest.py shares the
+    session (the module name `conftest` then resolves to either one)."""
+    return _make_line_dataset
 
 
 @pytest.fixture(scope="session")
@@ -44,7 +52,7 @@ def line_fit():
     condition, Lipschitz diagnostic, variance bound) inspect the same
     trained model and training is the slow part.
     """
-    ds = make_line_dataset()
+    ds = _make_line_dataset()
     cfg = rr.TrainConfig(epochs=800, seed=3)
     model = rr.fit(ds, None, None, cfg, mu0=0.0, sigma0_sq=1.0)
     true_mean = 2.0 * ds.inputs[:, 0]

@@ -1,9 +1,11 @@
 """The robust fit before the in-place rewrite, kept as a test reference.
 
-A verbatim copy of the allocating gradient-descent loop of
+A copy of the allocating gradient-descent loop of
 `robust_regression.fit` (a new FeatureNet and RobustModel on every step)
 with the `_grads`, `_loss_terms`, `_predictive` and `_normalize_warm` it
 ran, and the numpy-scalar coordinate-descent lasso of `_solve_heads`.
+Its mini-batch and frozen-net branches are gone with the settings that
+selected them; the full-batch arithmetic is unchanged.
 The shipped code must reproduce it bit for bit; see
 test_robust_regression.py.  Everything else (initialisation, the theta_y
 polish, the moment residual) is imported from the package.
@@ -97,7 +99,7 @@ def _loss_terms(model, x, y, r):
     return nll, phi, pre, a, var, mu, e
 
 
-def _grads(model, x, y, r, freeze_net=False):
+def _grads(model, x, y, r):
     """Analytic gradients of the penalized NLL w.r.t. every parameter group."""
     n = len(x)
     nll, phi, pre, a, var, mu, e = _loss_terms(model, x, y, r)
@@ -109,17 +111,16 @@ def _grads(model, x, y, r, freeze_net=False):
     g_theta_y = moment.mean(axis=0) + model.lam * np.sign(model.theta_y)
     g_weights = [np.zeros_like(w) for w in model.net.weights]
     g_biases = [np.zeros_like(b) for b in model.net.biases]
-    if not freeze_net:
-        dh = da @ model.theta_phi  # (n, k) gradient on the feature output
-        ws = model.net.weights
-        last = len(ws) - 1
-        for i in range(last, -1, -1):
-            dz = dh if i == last else dh * (pre[i] > 0)
-            h_in = x if i == 0 else np.maximum(pre[i - 1], 0.0)
-            g_weights[i] = h_in.T @ dz
-            g_biases[i] = dz.sum(axis=0)
-            if i > 0:
-                dh = dz @ ws[i].T
+    dh = da @ model.theta_phi  # (n, k) gradient on the feature output
+    ws = model.net.weights
+    last = len(ws) - 1
+    for i in range(last, -1, -1):
+        dz = dh if i == last else dh * (pre[i] > 0)
+        h_in = x if i == 0 else np.maximum(pre[i - 1], 0.0)
+        g_weights[i] = h_in.T @ dz
+        g_biases[i] = dz.sum(axis=0)
+        if i > 0:
+            dh = dz @ ws[i].T
     penalty = model.lam * (np.abs(model.theta_phi).sum() + np.abs(model.theta_y).sum())
     return nll + float(penalty), g_weights, g_biases, g_theta_phi, g_theta_y
 
@@ -194,7 +195,6 @@ def fit(
     sigma0_sq: float = 1.0,
     ratio_cfg: RatioConfig = RatioConfig(),
     init: Optional[RobustModel] = None,
-    rng: Optional[np.random.Generator] = None,
 ) -> RobustModel:
     """Train the robust model on `dataset` with ratios frozen per call.
 
@@ -202,8 +202,7 @@ def fit(
     trg_kde, .); passing None for either density means r = 1 (no shift
     information, e.g. the very first fit).  `init` warm-starts from a
     previous model (its net, heads, and base distribution are reused);
-    otherwise a fresh net is drawn from `rng` (falling back to
-    config.seed).
+    otherwise a fresh net is drawn from config.seed.
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
@@ -223,8 +222,7 @@ def fit(
         theta_y = np.maximum(init.theta_y, config.theta_y_floor)
         mu0, sigma0_sq = init.mu0, init.sigma0_sq
     else:
-        gen = rng if rng is not None else np.random.default_rng(config.seed)
-        net = feature_net_init(gen)
+        net = feature_net_init(np.random.default_rng(config.seed))
         theta_phi = np.zeros((d_out, net.feature_dim))
         theta_y = np.full(d_out, config.theta_y_floor)
 
@@ -241,37 +239,30 @@ def fit(
     log_floor = math.log(config.theta_y_floor)
     log_ceil = math.log(THETA_Y_CEIL)
     s_y = np.log(np.maximum(model.theta_y, config.theta_y_floor))
-    n = len(x)
-    bs = n if config.batch_size is None else min(config.batch_size, n)
     power_cache: list = [None] * len(model.net.weights)
 
     for epoch in range(config.epochs):
         lr = config.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / config.epochs))
-        for lo in range(0, n, bs):
-            xb, yb, rb = x[lo : lo + bs], y[lo : lo + bs], r[lo : lo + bs]
-            loss, g_w, g_b, g_tp, g_ty = _grads(model, xb, yb, rb, config.freeze_net)
-            if not math.isfinite(loss):
-                raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
-            # log-space theta_y gradient, then global-norm clipping
-            g_sy = g_ty * model.theta_y * config.theta_y_lr_mult
-            total = math.sqrt(
-                sum(float(np.sum(g * g)) for g in g_w)
-                + sum(float(np.sum(g * g)) for g in g_b)
-                + float(np.sum(g_tp * g_tp))
-                + float(np.sum(g_sy * g_sy))
-            )
-            scale = 1.0 if total <= config.clip_norm else config.clip_norm / total
-            step = lr * scale
+        loss, g_w, g_b, g_tp, g_ty = _grads(model, x, y, r)
+        if not math.isfinite(loss):
+            raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
+        # log-space theta_y gradient, then global-norm clipping
+        g_sy = g_ty * model.theta_y * config.theta_y_lr_mult
+        total = math.sqrt(
+            sum(float(np.sum(g * g)) for g in g_w)
+            + sum(float(np.sum(g * g)) for g in g_b)
+            + float(np.sum(g_tp * g_tp))
+            + float(np.sum(g_sy * g_sy))
+        )
+        scale = 1.0 if total <= config.clip_norm else config.clip_norm / total
+        step = lr * scale
 
-            theta_phi = model.theta_phi - step * g_tp
-            s_y = np.clip(s_y - step * g_sy, log_floor, log_ceil)
-            if config.freeze_net:
-                new_net = model.net
-            else:
-                new_w = tuple(w - step * g for w, g in zip(model.net.weights, g_w))
-                new_b = tuple(b - step * g for b, g in zip(model.net.biases, g_b))
-                new_net = _normalize_warm(FeatureNet(new_w, new_b, model.net.caps), power_cache)
-            model = replace(model, net=new_net, theta_phi=theta_phi, theta_y=np.exp(s_y))
+        theta_phi = model.theta_phi - step * g_tp
+        s_y = np.clip(s_y - step * g_sy, log_floor, log_ceil)
+        new_w = tuple(w - step * g for w, g in zip(model.net.weights, g_w))
+        new_b = tuple(b - step * g for b, g in zip(model.net.biases, g_b))
+        new_net = _normalize_warm(FeatureNet(new_w, new_b, model.net.caps), power_cache)
+        model = replace(model, net=new_net, theta_phi=theta_phi, theta_y=np.exp(s_y))
 
     # Gradient descent alone crawls through the coupled head/theta_y
     # scaling (mu carries a 1/sigma^2 factor, so calibrating theta_y keeps

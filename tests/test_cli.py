@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+from safeshift import cli
 from safeshift.cli import EPISODE_COLUMNS, config_from_dict, config_to_dict, main
 from safeshift.dynamics import SimulationDiverged
-from safeshift.explore import default_config
+from safeshift.explore import ExperimentConfig, default_config
 
 SMALL_PENDULUM = {
     "task": "pendulum",
@@ -165,10 +168,18 @@ def test_nested_field_must_be_object(key, value, tmp_path, capsys):
         ({"episodes": "3"}, "episodes: expected int"),
         ({"cert_stride": 1.5}, "cert_stride: expected int"),
         ({"beta": "0.5"}, "beta: expected float"),
-        ({"warm_start": 1}, "warm_start: expected bool"),
+        ({"w_max": True}, "w_max: expected float"),
         ({"train": {"epochs": 1.5}}, "train: epochs: expected int"),
-        ({"train": {"batch_size": 5.5}}, "train: batch_size"),
+        ({"train": {"lr": "fast"}}, "train: lr: expected float"),
         ({"gp": {"kernel": 3}}, "gp: kernel: expected str"),
+        ({"w_max": math.nan}, "w_max: expected a finite number"),
+        ({"beta": math.nan}, "beta: expected a finite number"),
+        ({"horizon": math.inf}, "horizon: expected a finite number"),
+        ({"sigma0_sq": -math.inf}, "sigma0_sq: expected a finite number"),
+        ({"train": {"lr": math.nan}}, "train: lr: expected a finite number"),
+        ({"pool": {"amplitudes": [0.3, math.inf]}}, "pool: amplitudes: expected a finite"),
+        ({"seed": -1}, "seed: must be >= 0"),
+        ({"safety": {"q_abs_max": True}}, "safety: q_abs_max: expected float"),
     ],
 )
 def test_malformed_field_value_names_field(extra, field_name, tmp_path, capsys):
@@ -179,6 +190,14 @@ def test_malformed_field_value_names_field(extra, field_name, tmp_path, capsys):
     assert code == 1
     assert err.startswith(f"invalid configuration: {field_name}")
     assert err.count("\n") == 1
+
+
+def test_negative_seed_flag_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", SMALL_PENDULUM)
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--seed", "-1"])
+    assert code == 1
+    assert capsys.readouterr().err == "invalid configuration: seed: must be >= 0\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_uncreatable_output_dir_names_path(tmp_path, capsys):
@@ -259,6 +278,33 @@ def test_compare_missing_dir(small_runs, tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_compare_summary_not_an_object(small_runs, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "summary.json").write_text("[1, 2]\n")
+    (bad / "episodes.csv").write_bytes((small_runs["run_a"] / "episodes.csv").read_bytes())
+    code = main(["compare", str(small_runs["run_a"]), str(bad)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"invalid summary in {bad / 'summary.json'}: expected a JSON object\n"
+
+
+@pytest.mark.parametrize("column", ["cost", "violation"])
+def test_compare_episodes_missing_column(column, small_runs, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "summary.json").write_bytes((small_runs["run_a"] / "summary.json").read_bytes())
+    with open(small_runs["run_a"] / "episodes.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    keep = [i for i, name in enumerate(rows[0]) if name != column]
+    with open(bad / "episodes.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([[row[i] for i in keep] for row in rows])
+    code = main(["compare", str(small_runs["run_a"]), str(bad)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"invalid episodes in {bad / 'episodes.csv'}: no column(s) ['{column}']\n"
+
+
 def test_compare_mismatched_tasks(small_runs, tmp_path, capsys):
     cfg = write_config(tmp_path / "landing.json", SMALL_LANDING)
     out = tmp_path / "landing_run"
@@ -300,6 +346,27 @@ def test_config_roundtrip_of_customized():
     assert cfg.q_abs_max == 1.2
     assert cfg.train.epochs == 77 and cfg.train.lam == 5e-4
     assert config_from_dict(config_to_dict(cfg)) == cfg
+
+
+# the ExperimentConfig fields each nested JSON section sets
+SECTION_FIELDS = {
+    "gains": {"gains"},
+    "plant": {"plant_pendulum", "plant_drone"},
+    "ratio": {"ratio"},
+    "train": {"train"},
+    "gp": {"gp"},
+    "pool": {"amplitudes", "rates", "hovers"},
+    "safety": {"q_abs_max", "qdot_min_at_ground", "ground"},
+}
+
+
+def test_cli_keys_set_every_config_field():
+    assert set(cli._NESTED_KEYS) == set(SECTION_FIELDS)
+    from_sections = set().union(*SECTION_FIELDS.values())
+    assert not from_sections & set(cli._SCALAR_KEYS)
+    assert len(set(cli._SCALAR_KEYS)) == len(cli._SCALAR_KEYS)
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert set(cli._SCALAR_KEYS) | from_sections == fields
 
 
 def test_pool_key_validation():

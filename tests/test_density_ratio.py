@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from safeshift.density_ratio import (
+    KdeModel,
     RatioConfig,
     SIGMA_FLOOR,
     clipped_ratio,
@@ -22,7 +23,7 @@ from safeshift.density_ratio import (
 
 def test_single_sample_unit_bandwidth_peak():
     # Gaussian kernel at its own center with h = 1: 1/sqrt(2 pi)
-    model = kde_fit(np.array([[0.0]]), bandwidth_rule=1.0)
+    model = KdeModel(samples=np.array([[0.0]]), bandwidth=np.array([1.0]))
     assert kde_density(model, np.array([0.0])) == pytest.approx(
         1.0 / math.sqrt(2 * math.pi), rel=1e-12
     )
