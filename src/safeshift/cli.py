@@ -107,15 +107,14 @@ _SCALAR_KEYS = (
 )
 
 
-# JSON value types accepted for a field whose default has the key's type
-_KINDS = {int: (int,), float: (int, float), str: (str,)}
+# JSON value types accepted for a field of the named type
+_KINDS = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
-def _check_kind(name: str, value, default) -> None:
-    """Reject a value whose JSON type does not fit the field's default."""
-    kind = type(default)
+def _check_kind(name: str, value, kind: str) -> None:
+    """Reject a value whose JSON type does not fit the field's type name."""
     if kind in _KINDS and (isinstance(value, bool) or not isinstance(value, _KINDS[kind])):
-        raise ConfigError(f"{name}: expected {kind.__name__}")
+        raise ConfigError(f"{name}: expected {kind}")
 
 
 def _check_finite(name: str, value) -> None:
@@ -137,7 +136,9 @@ def _build_nested(cls, payload: dict, field_name: str):
         raise ConfigError(f"{field_name}: unknown key(s) {sorted(unknown)}")
     for f in dataclasses.fields(cls):
         if f.name in payload:
-            _check_kind(f"{field_name}: {f.name}", payload[f.name], f.default)
+            # the annotation, not the default: a field may have no default
+            kind = f.type if isinstance(f.type, str) else f.type.__name__
+            _check_kind(f"{field_name}: {f.name}", payload[f.name], kind)
     try:
         return cls(**payload)
     except (TypeError, ValueError) as exc:
@@ -177,7 +178,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     base = default_config(task)
     updates: dict = {k: raw[k] for k in _SCALAR_KEYS if k in raw}
     for key, value in updates.items():
-        _check_kind(key, value, getattr(base, key))
+        _check_kind(key, value, type(getattr(base, key)).__name__)
 
     if "gains" in raw:
         updates["gains"] = _build_nested(ControllerGains, raw["gains"], "gains")
@@ -210,7 +211,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if not set(safety) <= keys:
             raise ConfigError(f"safety: allowed keys for {task} are {sorted(keys)}")
         for key, value in safety.items():
-            _check_kind(f"safety: {key}", value, getattr(base, key))
+            _check_kind(f"safety: {key}", value, type(getattr(base, key)).__name__)
         updates.update(safety)
 
     try:
@@ -429,6 +430,13 @@ def compare_cmd(args) -> int:
             return 1
         if not isinstance(summary, dict):
             print(f"invalid summary in {summary_path}: expected a JSON object", file=sys.stderr)
+            return 1
+        cost = summary.get("final_cost")
+        if cost is not None and (isinstance(cost, bool) or not isinstance(cost, (int, float))):
+            print(
+                f"invalid summary in {summary_path}: final_cost: expected a number",
+                file=sys.stderr,
+            )
             return 1
         episodes_path = base / "episodes.csv"
         try:

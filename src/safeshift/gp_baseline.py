@@ -4,6 +4,12 @@ Drop-in alternative to the robust regressor in the exploration loop: it
 exposes the same (mu, sigma_sq) prediction interface.  Hyperparameters are
 fixed from config (no marginal-likelihood optimization); outputs beyond
 the first are handled by independent GPs sharing one kernel matrix.
+
+A fit is one Cholesky factorization L of the kernel matrix and one
+triangular inverse L^-1, exactly lower-triangular (Rasmussen & Williams,
+*Gaussian Processes for Machine Learning*, 2006, Alg. 2.1, with L^-1 kept
+in place of L).  A prediction's variance multiplies only the lower
+triangle of L^-1.
 """
 
 from __future__ import annotations
@@ -17,13 +23,20 @@ __all__ = [
     "GpHyper",
     "GpModel",
     "HyperparameterError",
-    "kernel_eval",
     "kernel_matrix",
     "gp_fit",
     "gp_predict",
 ]
 
 MAX_JITTER = 1e-6
+
+# Diagonal blocks of at most this size are inverted row by row; larger
+# blocks split in two and join with two matrix products.
+INV_LEAF = 64
+
+# Rows of L^-1 per variance product: block [lo, hi) multiplies only the
+# columns up to hi, where the lower triangle ends.
+VAR_BLOCK = 128
 
 KERNELS = ("rbf", "matern52")
 
@@ -49,22 +62,14 @@ class GpHyper:
 def _dists(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     # coordinate differences, not the |a|^2 + |b|^2 - 2ab expansion, so
     # identical points are exactly at distance 0
-    d2 = np.zeros((len(xa), len(xb)))
-    for j in range(xa.shape[1]):
-        diff = xa[:, j, None] - xb[None, :, j]
-        d2 += diff * diff
-    return np.sqrt(d2)
-
-
-def kernel_eval(kind: str, x, x2, sigma_f_sq: float, ell: float) -> float:
-    """Covariance between two points: the 1x1 case of kernel_matrix."""
-    if ell <= 0:
-        raise ValueError("ell must be positive")
-    a = np.asarray(x, dtype=float).ravel()
-    b = np.asarray(x2, dtype=float).ravel()
-    if a.shape != b.shape:
-        raise ValueError("dimension mismatch")
-    return float(kernel_matrix(kind, a[None, :], b[None, :], sigma_f_sq, ell)[0, 0])
+    d2 = np.subtract.outer(xa[:, 0], xb[:, 0])
+    np.multiply(d2, d2, out=d2)
+    diff = np.empty_like(d2)
+    for j in range(1, xa.shape[1]):
+        np.subtract.outer(xa[:, j], xb[:, j], out=diff)
+        np.multiply(diff, diff, out=diff)
+        d2 += diff
+    return np.sqrt(d2, out=d2)
 
 
 def kernel_matrix(kind: str, xa, xb, sigma_f_sq: float, ell: float) -> np.ndarray:
@@ -72,23 +77,68 @@ def kernel_matrix(kind: str, xa, xb, sigma_f_sq: float, ell: float) -> np.ndarra
 
     rbf:      sigma_f_sq * exp(-d^2 / (2 ell^2))
     matern52: sigma_f_sq * (1 + sqrt(5) d/ell + 5 d^2/(3 ell^2)) * exp(-sqrt(5) d/ell)
+
+    Each step is written in place, in the order of the formulas above, so
+    the values equal those of the plain numpy expressions bit for bit.
     """
     xa = np.atleast_2d(np.asarray(xa, dtype=float))
     xb = np.atleast_2d(np.asarray(xb, dtype=float))
+    if kind not in KERNELS:
+        raise ValueError(f"unknown kernel {kind!r}")
     d = _dists(xa, xb)
     if kind == "rbf":
-        return sigma_f_sq * np.exp(-(d * d) / (2.0 * ell * ell))
-    if kind == "matern52":
-        z = (math.sqrt(5.0) / ell) * d
-        return sigma_f_sq * (1.0 + z + z * z / 3.0) * np.exp(-z)
-    raise ValueError(f"unknown kernel {kind!r}")
+        np.multiply(d, d, out=d)
+        # (-a) / c and a / (-c) round alike: the sign folds into the divisor
+        np.divide(d, -(2.0 * ell * ell), out=d)
+        np.exp(d, out=d)
+        return np.multiply(d, sigma_f_sq, out=d)
+    z = np.multiply(d, math.sqrt(5.0) / ell, out=d)
+    zz = np.multiply(z, z)
+    np.divide(zz, 3.0, out=zz)
+    out = np.add(z, 1.0)
+    np.add(out, zz, out=out)
+    np.multiply(out, sigma_f_sq, out=out)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    return np.multiply(out, z, out=out)
+
+
+def _lower_inverse(chol: np.ndarray) -> np.ndarray:
+    """L^-1 of a lower-triangular L, with exact zeros above the diagonal."""
+    inv = np.zeros_like(chol)
+    _invert_block(chol, inv, 0, len(chol))
+    return inv
+
+
+def _invert_block(chol: np.ndarray, inv: np.ndarray, lo: int, hi: int) -> None:
+    """Write the inverse of chol[lo:hi, lo:hi] into inv[lo:hi, lo:hi].
+
+    Block recursion on inv([[A, 0], [B, C]]) = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]:
+    every entry above the diagonal is left as the zero it starts at.
+    """
+    if hi - lo <= INV_LEAF:
+        # forward substitution, one row of the block at a time
+        for i in range(lo, hi):
+            inv[i, i] = 1.0 / chol[i, i]
+            if i > lo:
+                inv[i, lo:i] = chol[i, lo:i] @ inv[lo:i, lo:i]
+                inv[i, lo:i] *= -inv[i, i]
+        return
+    mid = (lo + hi) // 2
+    _invert_block(chol, inv, lo, mid)
+    _invert_block(chol, inv, mid, hi)
+    off = inv[mid:hi, lo:mid]
+    np.matmul(inv[mid:hi, mid:hi], chol[mid:hi, lo:mid] @ inv[lo:mid, lo:mid], out=off)
+    np.negative(off, out=off)
 
 
 @dataclass(frozen=True)
 class GpModel:
     hyper: GpHyper
     x_train: np.ndarray  # (n, d)
-    chol_inv: np.ndarray  # L^-1, L the lower Cholesky factor of K + sigma_n_sq I (+ jitter)
+    # L^-1, L the lower Cholesky factor of K + sigma_n_sq I (+ jitter);
+    # exactly lower-triangular: every entry above the diagonal is 0.0
+    chol_inv: np.ndarray
     alpha: np.ndarray  # (n, d_out), (K + sigma_n_sq I)^-1 y
 
     @property
@@ -99,8 +149,10 @@ class GpModel:
 def gp_fit(inputs, targets, hyper: GpHyper = GpHyper()) -> GpModel:
     """Factor the kernel matrix once; each output column gets its own alpha.
 
-    The model keeps L^-1 instead of the factor L, so each prediction's
-    variance is one matrix product instead of a triangular solve.
+    One Cholesky factorization L and one triangular inverse L^-1 per fit;
+    alpha = L^-T (L^-1 y).  The model keeps L^-1 instead of the factor L,
+    so each prediction's variance is a product with the lower triangle of
+    L^-1 instead of a triangular solve.
     """
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.asarray(targets, dtype=float)
@@ -123,9 +175,11 @@ def gp_fit(inputs, targets, hyper: GpHyper = GpHyper()) -> GpModel:
                 raise HyperparameterError(
                     f"kernel matrix not factorizable with jitter up to {MAX_JITTER}"
                 )
-    del k  # keep at most three n x n arrays alive while inverting
-    alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, y))
-    return GpModel(hyper=hyper, x_train=x, chol_inv=np.linalg.inv(chol), alpha=alpha)
+    del k  # keep at most two n x n arrays alive while inverting
+    chol_inv = _lower_inverse(chol)
+    del chol
+    alpha = chol_inv.T @ (chol_inv @ y)
+    return GpModel(hyper=hyper, x_train=x, chol_inv=chol_inv, alpha=alpha)
 
 
 def gp_predict(model: GpModel, x):
@@ -142,8 +196,16 @@ def gp_predict(model: GpModel, x):
     h = model.hyper
     k_star = kernel_matrix(h.kernel, model.x_train, pts, h.sigma_f_sq, h.ell)  # (n, m)
     mu = k_star.T @ model.alpha
-    v = model.chol_inv @ k_star  # (n, m)
-    var = np.maximum(h.sigma_f_sq - np.sum(v * v, axis=0), 0.0)
+    n, m = k_star.shape
+    sq = np.zeros(m)  # ||L^-1 k*||^2 per query point
+    v = np.empty((min(VAR_BLOCK, n), m))
+    for lo in range(0, n, VAR_BLOCK):
+        hi = min(lo + VAR_BLOCK, n)
+        rows = v[: hi - lo]
+        np.matmul(model.chol_inv[lo:hi, :hi], k_star[:hi], out=rows)
+        np.multiply(rows, rows, out=rows)
+        sq += rows.sum(axis=0)
+    var = np.maximum(h.sigma_f_sq - sq, 0.0)
     if single:
         return mu[0], float(var[0])
     return mu, var

@@ -180,6 +180,8 @@ def test_nested_field_must_be_object(key, value, tmp_path, capsys):
         ({"pool": {"amplitudes": [0.3, math.inf]}}, "pool: amplitudes: expected a finite"),
         ({"seed": -1}, "seed: must be >= 0"),
         ({"safety": {"q_abs_max": True}}, "safety: q_abs_max: expected float"),
+        ({"gains": {"k": True, "lam": 2.0}}, "gains: k: expected float"),
+        ({"gains": {"k": "1", "lam": 2.0}}, "gains: k: expected float"),
     ],
 )
 def test_malformed_field_value_names_field(extra, field_name, tmp_path, capsys):
@@ -287,6 +289,34 @@ def test_compare_summary_not_an_object(small_runs, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err == f"invalid summary in {bad / 'summary.json'}: expected a JSON object\n"
+
+
+@pytest.mark.parametrize("cost", ["fast", [1.0], True])
+def test_compare_final_cost_not_a_number(cost, small_runs, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    summary = json.loads((small_runs["run_a"] / "summary.json").read_text())
+    (bad / "summary.json").write_text(json.dumps({**summary, "final_cost": cost}))
+    (bad / "episodes.csv").write_bytes((small_runs["run_a"] / "episodes.csv").read_bytes())
+    code = main(["compare", str(small_runs["run_a"]), str(bad)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    expected = f"invalid summary in {bad / 'summary.json'}: final_cost: expected a number\n"
+    assert captured.err == expected
+
+
+def test_compare_null_final_cost_is_inf(small_runs, tmp_path, capsys):
+    unfinished = tmp_path / "unfinished"
+    unfinished.mkdir()
+    summary = json.loads((small_runs["run_a"] / "summary.json").read_text())
+    (unfinished / "summary.json").write_text(json.dumps({**summary, "final_cost": None}))
+    (unfinished / "episodes.csv").write_bytes(
+        (small_runs["run_a"] / "episodes.csv").read_bytes()
+    )
+    code = main(["compare", str(unfinished), str(unfinished)])
+    assert code == 0
+    assert "over 2 run(s): inf\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("column", ["cost", "violation"])

@@ -3,59 +3,76 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
 
 import numpy as np
 import pytest
 
 from safeshift.gp_baseline import (
+    INV_LEAF,
+    VAR_BLOCK,
     GpHyper,
     GpModel,
     HyperparameterError,
+    _lower_inverse,
     gp_fit,
     gp_predict,
-    kernel_eval,
     kernel_matrix,
 )
+
+EPS = np.finfo(float).eps
+
+
+def _k(kind, x, x2, sigma_f_sq, ell) -> float:
+    """Covariance between two points: the 1x1 case of kernel_matrix."""
+    return float(kernel_matrix(kind, [x], [x2], sigma_f_sq, ell)[0, 0])
 
 
 def test_kernel_at_identical_points_is_signal_variance():
     for kind in ("rbf", "matern52"):
-        assert kernel_eval(kind, [0.3, -1.2], [0.3, -1.2], 1.7, 0.5) == pytest.approx(1.7, rel=1e-15)
+        assert _k(kind, [0.3, -1.2], [0.3, -1.2], 1.7, 0.5) == pytest.approx(1.7, rel=1e-15)
 
 
 def test_rbf_unit_distance_value():
     # sigma_f_sq = 1, ell = 1, d = 1: exp(-1/2)
-    val = kernel_eval("rbf", [0.0], [1.0], 1.0, 1.0)
+    val = _k("rbf", [0.0], [1.0], 1.0, 1.0)
     assert val == pytest.approx(0.6065306597126334, rel=1e-12)
 
 
 def test_matern52_unit_distance_value():
-    val = kernel_eval("matern52", [0.0], [1.0], 1.0, 1.0)
+    val = _k("matern52", [0.0], [1.0], 1.0, 1.0)
     z = math.sqrt(5.0)
     assert val == pytest.approx((1.0 + z + z * z / 3.0) * math.exp(-z), rel=1e-12)
     assert 0.5 < val < 0.6
 
 
-def test_kernel_eval_rejects_bad_inputs():
+def test_kernel_matrix_rejects_unknown_kind():
     with pytest.raises(ValueError):
-        kernel_eval("rbf", [0.0], [1.0], 1.0, 0.0)
-    with pytest.raises(ValueError):
-        kernel_eval("rbf", [0.0, 1.0], [1.0], 1.0, 1.0)
-    with pytest.raises(ValueError):
-        kernel_eval("cubic", [0.0], [1.0], 1.0, 1.0)
+        kernel_matrix("cubic", [[0.0]], [[1.0]], 1.0, 1.0)
 
 
-def test_kernel_matrix_matches_pointwise_eval(rng):
-    xa = rng.normal(size=(6, 2))
-    xb = rng.normal(size=(4, 2))
-    for kind in ("rbf", "matern52"):
-        k = kernel_matrix(kind, xa, xb, 1.3, 0.7)
-        for i in range(6):
-            for j in range(4):
-                assert k[i, j] == pytest.approx(
-                    kernel_eval(kind, xa[i], xb[j], 1.3, 0.7), rel=1e-12
-                )
+def _reference_kernel(kind, xa, xb, sigma_f_sq, ell):
+    """The kernel as plain numpy expressions, one temporary per operation."""
+    d2 = np.zeros((len(xa), len(xb)))
+    for j in range(xa.shape[1]):
+        diff = xa[:, j, None] - xb[None, :, j]
+        d2 += diff * diff
+    d = np.sqrt(d2)
+    if kind == "rbf":
+        return sigma_f_sq * np.exp(-(d * d) / (2.0 * ell * ell))
+    z = (math.sqrt(5.0) / ell) * d
+    return sigma_f_sq * (1.0 + z + z * z / 3.0) * np.exp(-z)
+
+
+@pytest.mark.parametrize("kind", ["rbf", "matern52"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_kernel_matrix_bit_equal_to_reference_expressions(kind, dim, rng):
+    xa = rng.normal(size=(37, dim))
+    xb = np.vstack([rng.normal(size=(11, dim)), xa[:3]])  # exact zeros in d too
+    ref = _reference_kernel(kind, xa, xb, 1.3, 0.7)
+    assert np.array_equal(kernel_matrix(kind, xa, xb, 1.3, 0.7), ref)
+    assert np.array_equal(kernel_matrix(kind, xa, xb[:1], 1.3, 0.7), ref[:, :1])
 
 
 def test_hyper_validation():
@@ -97,14 +114,12 @@ def test_two_point_posterior_against_explicit_inverse():
     y = np.array([1.0, -2.0])
     model = gp_fit(x, y, hyper)
 
-    k01 = kernel_eval("rbf", [0.0], [1.0], 2.0, 0.8)
+    k01 = _k("rbf", [0.0], [1.0], 2.0, 0.8)
     a = 2.0 + 0.1
     det = a * a - k01 * k01
     k_inv = np.array([[a, -k01], [-k01, a]]) / det
     xq = np.array([0.3])
-    k_star = np.array(
-        [kernel_eval("rbf", [0.0], xq, 2.0, 0.8), kernel_eval("rbf", [1.0], xq, 2.0, 0.8)]
-    )
+    k_star = np.array([_k("rbf", [0.0], xq, 2.0, 0.8), _k("rbf", [1.0], xq, 2.0, 0.8)])
     mu_ref = k_star @ k_inv @ y
     var_ref = 2.0 - k_star @ k_inv @ k_star
 
@@ -209,3 +224,48 @@ def test_model_holds_one_square_matrix(rng):
         if getattr(getattr(model, f.name), "shape", None) == (n, n)
     ]
     assert square == ["chol_inv"]
+
+
+@pytest.mark.parametrize("n", [1, INV_LEAF - 1, INV_LEAF, INV_LEAF + 1, 2 * INV_LEAF + 1, 600])
+def test_lower_inverse_is_triangular_and_inverts(n, rng):
+    x = rng.uniform(-2.0, 2.0, size=(n, 2))
+    chol = np.linalg.cholesky(kernel_matrix("rbf", x, x, 1.0, 0.5) + 1e-2 * np.eye(n))
+    inv = _lower_inverse(chol)
+    assert np.all(np.triu(inv, 1) == 0.0)
+    # componentwise bound for a triangular inverse: |L X - I| <= n eps |L| |X|
+    residual = np.abs(chol @ inv - np.eye(n))
+    assert np.all(residual <= n * EPS * (np.abs(chol) @ np.abs(inv)))
+
+
+def test_fit_keeps_an_exactly_lower_triangular_inverse(rng):
+    x = rng.normal(size=(3 * INV_LEAF + 5, 2))
+    model = gp_fit(x, rng.normal(size=len(x)))
+    assert np.all(np.triu(model.chol_inv, 1) == 0.0)
+
+
+def test_fit_leaves_no_reference_cycle(rng):
+    # a cycle would keep each fit's n x n arrays alive until the cyclic
+    # collector runs, so memory would grow with every refit
+    x = rng.normal(size=(2 * INV_LEAF + 3, 2))
+    gc.collect()
+    gc.disable()
+    try:
+        model = gp_fit(x, rng.normal(size=len(x)))
+        del model
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("kind", ["rbf", "matern52"])
+def test_blocked_variance_matches_dense_product(kind, rng):
+    n = 2 * VAR_BLOCK + 7
+    x = rng.uniform(-2.0, 2.0, size=(n, 2))
+    hyper = GpHyper(kernel=kind, sigma_f_sq=1.5, ell=0.6, sigma_n_sq=1e-3)
+    model = gp_fit(x, np.sin(x[:, 0]), hyper)
+    xq = rng.uniform(-3.0, 3.0, size=(40, 2))
+    v = model.chol_inv @ kernel_matrix(kind, x, xq, 1.5, 0.6)  # the dense (n, m) product
+    var_ref = np.maximum(1.5 - np.sum(v * v, axis=0), 0.0)
+    _, var = gp_predict(model, xq)
+    # the blocks only reorder the sum of n squares, each at most sigma_f_sq
+    np.testing.assert_allclose(var, var_ref, rtol=0, atol=n * EPS * 1.5)
