@@ -4,8 +4,9 @@
 writes episodes.csv, trajectories.csv, summary.json, and manifest.json into
 the output directory.  Exit codes: 0 on success, 1 on a configuration
 problem (a one-line diagnostic names the offending field) or an output
-directory that cannot be created (the diagnostic names the path), 2 on a
-runtime failure such as a diverged rollout.
+directory or file that cannot be created or written (the diagnostic,
+`output: cannot create <dir>: ...` or `output: cannot write <file>: ...`,
+names the path), 2 on a runtime failure such as a diverged rollout.
 
 `safeshift compare results/run1 results/run2 ...` emits a per-episode CSV
 (cost and violation columns aligned across runs) on stdout and per-model
@@ -33,11 +34,17 @@ from pathlib import Path
 import numpy as np
 
 from .controller import ControllerGains
-from .core import RejectedCandidate, default_landing_params, default_pendulum_amplitudes
+from .core import (
+    RejectedCandidate,
+    default_landing_params,
+    default_pendulum_amplitudes,
+    desired_values,
+)
 from .density_ratio import RatioConfig
 from .dynamics import DroneParams, PendulumParams, SimulationDiverged
 from .explore import (
     MODEL_KINDS,
+    SIM_DT,
     ConfigError,
     ExperimentConfig,
     default_config,
@@ -91,17 +98,9 @@ _SCALAR_KEYS = (
     "beta",
     "mu0",
     "sigma0_sq",
-    "sim_dt",
-    "traj_dt",
     "horizon",
-    "w_max",
-    "sample_hz",
     "output_dim",
-    "max_train_points",
-    "kde_src_max",
-    "kde_trg_max",
     "cert_stride",
-    "d_hat_hold_steps",
     "first_fit_epochs",
     "model_kind",
 )
@@ -258,11 +257,11 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 # -- output writers ----------------------------------------------------------
 
 
-def _write_episodes_csv(path: Path, records) -> None:
+def _write_episodes_csv(path: Path, result) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(EPISODE_COLUMNS)
-        for rec in records:
+        for rec in result.records:
             writer.writerow(
                 [
                     rec.episode,
@@ -286,7 +285,7 @@ def _write_episodes_csv(path: Path, records) -> None:
 
 def _write_trajectories_csv(path: Path, result) -> None:
     """Desired vs actual positions plus the certified tube, sampled at 50 Hz."""
-    stride = max(1, int(round(1.0 / (50.0 * result.config.sim_dt))))
+    stride = max(1, int(round(1.0 / (50.0 * SIM_DT))))
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
@@ -298,17 +297,18 @@ def _write_trajectories_csv(path: Path, result) -> None:
             rho = rec.tube_radius
             for i in range(0, len(rollout.times), stride):
                 t = float(rollout.times[i])
-                des = traj.at(t)
+                # scalar t: the simulator's own bits (see desired_values)
+                q_g, qdot_g, _ = desired_values(traj.task, traj.params, t)
                 writer.writerow(
                     [
                         rec.episode,
                         _fmt(t),
-                        _fmt(des.q_g),
-                        _fmt(des.qdot_g),
+                        _fmt(q_g),
+                        _fmt(qdot_g),
                         _fmt(float(rollout.states[i, 0])),
                         _fmt(float(rollout.states[i, 1])),
-                        _fmt(des.q_g - rho),
-                        _fmt(des.q_g + rho),
+                        _fmt(q_g - rho),
+                        _fmt(q_g + rho),
                     ]
                 )
 
@@ -348,8 +348,8 @@ def _write_summary(path: Path, result) -> None:
     path.write_text(json.dumps(_jsonable(summary), indent=2, sort_keys=True) + "\n")
 
 
-def _write_manifest(path: Path, config: ExperimentConfig) -> None:
-    payload = _jsonable(config_to_dict(config))
+def _write_manifest(path: Path, result) -> None:
+    payload = _jsonable(config_to_dict(result.config))
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -395,10 +395,17 @@ def run_cmd(args) -> int:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
 
-    _write_episodes_csv(out_dir / "episodes.csv", result.records)
-    _write_trajectories_csv(out_dir / "trajectories.csv", result)
-    _write_summary(out_dir / "summary.json", result)
-    _write_manifest(out_dir / "manifest.json", config)
+    for name, write in (
+        ("episodes.csv", _write_episodes_csv),
+        ("trajectories.csv", _write_trajectories_csv),
+        ("summary.json", _write_summary),
+        ("manifest.json", _write_manifest),
+    ):
+        try:
+            write(out_dir / name, result)
+        except OSError as exc:
+            print(f"output: cannot write {out_dir / name}: {exc}", file=sys.stderr)
+            return 1
 
     n_diverged = sum(1 for r in result.records if r.status == "diverged")
     if n_diverged:

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import DesiredTrajectory, State, desired_values
+from .core import DesiredTrajectory, desired_values
 from .dynamics import (
     MixedModelParams,
     SimulationDiverged,
@@ -102,7 +102,6 @@ class Rollout:
 
     times: np.ndarray
     states: np.ndarray
-    controls: np.ndarray
     s_values: np.ndarray
     x_tilde: np.ndarray
     eps: np.ndarray
@@ -119,9 +118,9 @@ class Rollout:
         return float(np.sqrt(np.mean(sq)))
 
 
-def x0_on_trajectory(traj: DesiredTrajectory) -> State:
-    """Initial state exactly on the desired trajectory (s(0) = 0)."""
-    return State(float(traj.q_g[0]), float(traj.qdot_g[0]))
+def x0_on_trajectory(traj: DesiredTrajectory) -> tuple[float, float]:
+    """Initial (q, qdot) exactly on the desired trajectory (s(0) = 0)."""
+    return float(traj.q_g[0]), float(traj.qdot_g[0])
 
 
 def simulate_closed_loop(
@@ -159,8 +158,7 @@ def simulate_closed_loop(
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("dt must divide the trajectory grid step")
 
-    q = float(x0.q) if hasattr(x0, "q") else float(x0[0])
-    qdot = float(x0.qdot) if hasattr(x0, "q") else float(x0[1])
+    q, qdot = float(x0[0]), float(x0[1])
     if not (math.isfinite(q) and math.isfinite(qdot)):
         raise ValueError("x0 must be finite")
 
@@ -170,7 +168,6 @@ def simulate_closed_loop(
 
     states = np.empty((n_steps + 1, 2))
     desired = np.empty((n_steps + 1, 2))
-    controls = np.empty(n_steps + 1)
     eps = np.empty(n_steps + 1)
 
     force_input = model.force_input
@@ -199,19 +196,18 @@ def simulate_closed_loop(
             d_hat = d_hat_fn(q, qdot)
         force = control_law(model, gains, q, qdot, q_g, qdot_g, qddot_g, d_hat)
         if force_input:
-            u_cmd, clamped = model.actuator_invert(force)
+            _, clamped = model.actuator_invert(force)
             # applied thrust is exactly max(force, 0): the inversion and
             # the quadratic thrust map cancel, the clamp does not
             applied = force if force > 0.0 else 0.0
             clamp_count += clamped
         else:
-            u_cmd = applied = force
+            applied = force
 
         states[i, 0] = q
         states[i, 1] = qdot
         desired[i, 0] = q_g
         desired[i, 1] = qdot_g
-        controls[i] = u_cmd
         eps[i] = residual_fn(t, q, qdot) - d_hat
         n_rec = i + 1
         if i == n_steps:
@@ -228,7 +224,6 @@ def simulate_closed_loop(
             states[n_rec, 0] = q
             states[n_rec, 1] = qdot
             desired[n_rec] = desired_values(traj.task, traj.params, t_all[n_rec])[:2]
-            controls[n_rec] = u_cmd
             eps[n_rec] = residual_fn(t_all[n_rec], q, qdot) - d_hat
             status = "touchdown"
             touchdown_time = t_all[n_rec]
@@ -240,7 +235,6 @@ def simulate_closed_loop(
     return Rollout(
         times=times[:n_rec],
         states=states[:n_rec],
-        controls=controls[:n_rec],
         s_values=x_tilde[:, 1] + gains.lam * x_tilde[:, 0],
         x_tilde=x_tilde,
         eps=eps[:n_rec],

@@ -1,11 +1,11 @@
 """Shared data types for episodic safe exploration.
 
-States, desired trajectories, candidate pools, safety sets, and the
-dataset / episode bookkeeping containers used by the exploration loop.
-Desired trajectories live on a uniform time grid but also carry the
-closed-form expressions (task name + parameters); `desired_values` is the
-one implementation of each, used by the pool builders, by
-`DesiredTrajectory.at` and by the simulator on its own step grid.
+Desired trajectories, candidate pools, safety sets, and the dataset /
+episode bookkeeping containers used by the exploration loop.  Desired
+trajectories live on a uniform time grid but also carry the closed-form
+expressions (task name + parameters); `desired_values` is the one
+implementation of each, used by the pool builders, by the simulator on
+its own step grid and by the trajectories writer.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from typing import Union
 import numpy as np
 
 __all__ = [
-    "State",
-    "DesiredPoint",
     "DesiredTrajectory",
     "StateBox",
     "TouchdownSpeed",
@@ -27,7 +25,7 @@ __all__ = [
     "EpisodeRecord",
     "RejectedCandidate",
     "desired_values",
-    "desired_point",
+    "grid_steps",
     "pendulum_pool",
     "landing_pool",
     "default_pendulum_amplitudes",
@@ -39,28 +37,6 @@ __all__ = [
 
 class RejectedCandidate(ValueError):
     """Raised when a candidate trajectory parameter is out of range."""
-
-
-@dataclass(frozen=True)
-class State:
-    """Generalized position and velocity of a one degree of freedom system."""
-
-    q: float
-    qdot: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.q) and math.isfinite(self.qdot)):
-            raise ValueError("state components must be finite")
-
-
-@dataclass(frozen=True)
-class DesiredPoint:
-    """Desired position, velocity and acceleration at time t."""
-
-    t: float
-    q_g: float
-    qdot_g: float
-    qddot_g: float
 
 
 def desired_values(task: str, params: dict, t):
@@ -92,12 +68,6 @@ def desired_values(task: str, params: dict, t):
             -a * c * c * e * (1.0 - c * t),
         )
     raise ValueError(f"unknown task {task!r}")
-
-
-def desired_point(task: str, params: dict, t: float) -> DesiredPoint:
-    """`desired_values` at one time t, as a DesiredPoint."""
-    q, qd, qdd = desired_values(task, params, t)
-    return DesiredPoint(t, float(q), float(qd), float(qdd))
 
 
 @dataclass(frozen=True)
@@ -144,21 +114,9 @@ class DesiredTrajectory:
     def horizon(self) -> float:
         return float(self.times[-1])
 
-    def point(self, i: int) -> DesiredPoint:
-        return DesiredPoint(
-            float(self.times[i]),
-            float(self.q_g[i]),
-            float(self.qdot_g[i]),
-            float(self.qddot_g[i]),
-        )
-
     def grid_xy(self) -> np.ndarray:
         """(n, 2) array of desired (q, qdot) pairs, the model-input grid."""
         return np.column_stack([self.q_g, self.qdot_g])
-
-    def at(self, t: float) -> DesiredPoint:
-        """Closed-form evaluation at an arbitrary time (not grid lookup)."""
-        return desired_point(self.task, self.params, t)
 
 
 @dataclass(frozen=True)
@@ -205,13 +163,18 @@ def safety_contains(safe_set: SafetySet, point: tuple):
     raise TypeError(f"unknown safety set {type(safe_set).__name__}")
 
 
-def _uniform_grid(horizon: float, dt: float) -> np.ndarray:
-    if dt <= 0 or horizon <= 0:
-        raise ValueError("horizon and dt must be positive")
+def grid_steps(horizon: float, dt: float) -> int:
+    """Number of dt steps in horizon; ValueError unless dt divides it."""
+    if not (dt > 0 and 0 < horizon < math.inf):
+        raise ValueError("must be positive and finite")
     n = int(round(horizon / dt))
     if abs(n * dt - horizon) > 1e-9:
-        raise ValueError("dt must divide the horizon")
-    return np.arange(n + 1) * dt
+        raise ValueError(f"must be a multiple of the grid step {dt}")
+    return n
+
+
+def _uniform_grid(horizon: float, dt: float) -> np.ndarray:
+    return np.arange(grid_steps(horizon, dt) + 1) * dt
 
 
 def pendulum_pool(

@@ -27,7 +27,6 @@ __all__ = [
     "drone_residual_fn",
     "forward_dynamics",
     "step_rk4",
-    "skew_check",
     "SimulationDiverged",
     "DIVERGENCE_LIMIT",
 ]
@@ -37,13 +36,6 @@ DIVERGENCE_LIMIT = 1e6
 
 class SimulationDiverged(RuntimeError):
     """State magnitude exceeded the divergence limit during integration."""
-
-
-def _unpack(state) -> tuple[float, float]:
-    if hasattr(state, "q"):
-        return float(state.q), float(state.qdot)
-    q, qdot = state
-    return float(q), float(qdot)
 
 
 @dataclass(frozen=True)
@@ -177,7 +169,7 @@ def drone_residual_fn(p: DroneParams) -> Callable[[float, float, float], float]:
 
 def forward_dynamics(model: MixedModelParams, state, u: float, d: float) -> float:
     """Acceleration qddot = M(q)^-1 (B u - C(q,qdot) qdot - G(q) + d)."""
-    q, qdot = _unpack(state)
+    q, qdot = float(state[0]), float(state[1])
     m = model.mass_matrix(q)
     if m == 0:
         raise ValueError("singular mass matrix")
@@ -214,20 +206,3 @@ def step_rk4(
     if not (math.isfinite(q) and math.isfinite(qdot)) or max(abs(q), abs(qdot)) > DIVERGENCE_LIMIT:
         raise SimulationDiverged(f"state diverged at t={t + dt:.6f}")
     return q, qdot
-
-
-def skew_check(
-    model: MixedModelParams, q: float, qdot: float, tol: float = 1e-6
-) -> bool:
-    """True when Mdot - 2C is skew-symmetric (within tol) along the flow.
-
-    Mdot is obtained by central differencing M in the direction of qdot.
-    The check is that S + S^T has max-abs entry <= tol for S = Mdot - 2C;
-    in the scalar case S + S^T = 2S.
-    """
-    h = 1e-6
-    m_plus = model.mass_matrix(q + qdot * h)
-    m_minus = model.mass_matrix(q - qdot * h)
-    mdot = (m_plus - m_minus) / (2.0 * h)
-    s = mdot - 2.0 * model.coriolis(q, qdot)
-    return abs(2.0 * s) <= tol

@@ -12,7 +12,7 @@ The learner is pluggable: the robust covariate-shift regressor or a GP
 baseline.  Both expose the same surface, and the densities each call
 needs are passed in, not bound to the model:
 
-  eval_candidate(traj, pts, ratios)  max predictive std on the candidate's
+  eval_candidate(pts, ratios)        max predictive std on the candidate's
                                      certification points (ratios None
                                      means r = 1)
   d_hat_fn(src_kde, trg_kde)         the controller's compensation d_hat(q, qdot)
@@ -48,6 +48,7 @@ from .core import (
     TouchdownSpeed,
     default_landing_params,
     default_pendulum_amplitudes,
+    grid_steps,
     landing_pool,
     pendulum_pool,
     safety_contains,
@@ -89,6 +90,25 @@ __all__ = [
 
 MODEL_KINDS = ("robust", "gp_rbf", "gp_matern")
 
+# Fixed settings of the loop (no workload varies them).  The simulator
+# integrates at SIM_DT on desired trajectories gridded at TRAJ_DT, and
+# data is collected from each rollout at SAMPLE_HZ.  The learned
+# compensation d_hat is refreshed every D_HAT_HOLD_STEPS integrator steps
+# and held in between, while the feedback terms update every step: a
+# documented deviation from the idealized loop (1 is exact).  A fit sees
+# at most MAX_TRAIN_POINTS rows, the source KDE at most KDE_SRC_MAX and
+# each target KDE at most KDE_TRG_MAX samples, all thinned by even
+# stride.  A candidate whose worst estimated density ratio exceeds W_MAX
+# is not admitted, whatever its certificate says.
+SIM_DT = 0.001
+TRAJ_DT = 0.01
+SAMPLE_HZ = 50.0
+D_HAT_HOLD_STEPS = 20
+MAX_TRAIN_POINTS = 600
+KDE_SRC_MAX = 500
+KDE_TRG_MAX = 250
+W_MAX = 50.0
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message names the field."""
@@ -103,12 +123,14 @@ class ExperimentConfig:
     appends zero-mean nuisance residual dimensions, exercising the
     multi-output learner; certification always uses dimension 0.
 
-    Runtime knobs (documented deviations from the idealized loop, all
-    revert to exact behavior when set to 1): `cert_stride` scans sigma on
-    every k-th grid point; `d_hat_hold_steps` refreshes the learned
-    compensation every k integrator steps while the feedback terms update
-    every step.  Every robust fit warm-starts from the learner's current
-    model, and an episode with no admissible candidate flies nothing.
+    `cert_stride` scans sigma on every k-th grid point, a documented
+    deviation from the idealized loop (1 is exact); the d_hat hold is the
+    other one, fixed at D_HAT_HOLD_STEPS.  The simulation and collection
+    rates, the data and KDE caps and the W_MAX screen are module
+    constants, since no workload varies them.  `horizon` must be a
+    multiple of TRAJ_DT.  Every robust fit warm-starts from the learner's
+    current model, and an episode with no admissible candidate flies
+    nothing.
     """
 
     task: str = "pendulum"
@@ -118,8 +140,6 @@ class ExperimentConfig:
     mu0: float = 0.0
     sigma0_sq: float = 0.5
     gains: ControllerGains = field(default_factory=lambda: ControllerGains(1.0, 1.0))
-    sim_dt: float = 0.001
-    traj_dt: float = 0.01
     horizon: float = 20.0
     amplitudes: tuple = ()
     rates: tuple = ()
@@ -130,15 +150,9 @@ class ExperimentConfig:
     plant_pendulum: PendulumParams = field(default_factory=PendulumParams)
     plant_drone: DroneParams = field(default_factory=DroneParams)
     ratio: RatioConfig = field(default_factory=RatioConfig)
-    w_max: float = 50.0
-    sample_hz: float = 50.0
     output_dim: int = 1
     train: rr.TrainConfig = field(default_factory=lambda: rr.TrainConfig(epochs=300))
-    max_train_points: int = 600
-    kde_src_max: int = 500
-    kde_trg_max: int = 250
     cert_stride: int = 4
-    d_hat_hold_steps: int = 20
     first_fit_epochs: int = 1500
     model_kind: str = "robust"
     gp: GpHyper = field(default_factory=GpHyper)
@@ -154,22 +168,18 @@ class ExperimentConfig:
             raise ConfigError("beta: must be positive")
         if self.sigma0_sq <= 0:
             raise ConfigError("sigma0_sq: must be positive")
-        if self.sim_dt <= 0 or self.traj_dt <= 0 or self.horizon <= 0:
-            raise ConfigError("sim_dt/traj_dt/horizon: must be positive")
-        if self.sample_hz <= 0:
-            raise ConfigError("sample_hz: must be positive")
+        try:
+            grid_steps(self.horizon, TRAJ_DT)
+        except ValueError as exc:
+            raise ConfigError(f"horizon: {exc}") from exc
         if self.output_dim < 1:
             raise ConfigError("output_dim: must be >= 1")
         if self.model_kind not in MODEL_KINDS:
             raise ConfigError(f"model_kind: must be one of {MODEL_KINDS}")
-        if min(self.max_train_points, self.kde_src_max, self.kde_trg_max) < 1:
-            raise ConfigError("max_train_points/kde_src_max/kde_trg_max: must be >= 1")
-        if self.cert_stride < 1 or self.d_hat_hold_steps < 1:
-            raise ConfigError("cert_stride/d_hat_hold_steps: must be >= 1")
+        if self.cert_stride < 1:
+            raise ConfigError("cert_stride: must be >= 1")
         if self.first_fit_epochs < 1:
             raise ConfigError("first_fit_epochs: must be >= 1")
-        if self.w_max <= 0:
-            raise ConfigError("w_max: must be positive")
         try:
             self.safety_set()
         except (TypeError, ValueError) as exc:
@@ -178,15 +188,13 @@ class ExperimentConfig:
     def pool(self) -> list[DesiredTrajectory]:
         if self.task == "pendulum":
             amps = self.amplitudes or tuple(default_pendulum_amplitudes())
-            return pendulum_pool(amps, dt=self.traj_dt, horizon=self.horizon)
+            return pendulum_pool(amps, dt=TRAJ_DT, horizon=self.horizon)
         params = (
             [(c, h) for c in self.rates for h in self.hovers]
             if self.rates and self.hovers
             else default_landing_params()
         )
-        return landing_pool(
-            params, dt=self.traj_dt, horizon=self.horizon, ground=self.ground
-        )
+        return landing_pool(params, dt=TRAJ_DT, horizon=self.horizon, ground=self.ground)
 
     def safety_set(self) -> SafetySet:
         if self.task == "pendulum":
@@ -299,7 +307,7 @@ def build_pool_cache(pool: list[DesiredTrajectory], config: ExperimentConfig) ->
     """Fit every candidate's target KDE and evaluate it on its grid, once."""
     grids = [traj.grid_xy() for traj in pool]
     ends = np.cumsum([len(g) for g in grids])
-    trg_kdes = tuple(kde_fit(subsample_rows(g, config.kde_trg_max)) for g in grids)
+    trg_kdes = tuple(kde_fit(subsample_rows(g, KDE_TRG_MAX)) for g in grids)
     return PoolCache(
         grids=np.concatenate(grids),
         spans=tuple(slice(end - len(g), end) for g, end in zip(grids, ends)),
@@ -346,11 +354,10 @@ class RobustLearner:
             config.sigma0_sq,
             dim_out=config.output_dim,
             lam=config.train.lam,
-            theta_y_floor=config.train.theta_y_floor,
             net=net,
         )
 
-    def eval_candidate(self, traj, pts, ratios):
+    def eval_candidate(self, pts, ratios):
         """Max predictive std of dimension 0 on pts; ratios None means r = 1."""
         return rr.sigma_max_on_traj(self.model, pts, ratios)
 
@@ -390,10 +397,8 @@ class RobustLearner:
             src_kde,
             trg_kde,
             train,
-            mu0=self.cfg.mu0,
-            sigma0_sq=self.cfg.sigma0_sq,
-            ratio_cfg=self.cfg.ratio,
             init=self.model,
+            ratio_cfg=self.cfg.ratio,
         )
         self.fits += 1
 
@@ -412,7 +417,7 @@ class GpLearner:
         self.model: Optional[GpModel] = None
         self.kind = "gp_" + ("rbf" if hyper.kernel == "rbf" else "matern")
 
-    def eval_candidate(self, traj, pts, ratios):
+    def eval_candidate(self, pts, ratios):
         if self.model is None:
             return math.sqrt(self.hyper.sigma_f_sq)
         _, var = gp_predict(self.model, pts)
@@ -449,18 +454,21 @@ def make_learner(config: ExperimentConfig, rng: np.random.Generator):
 
 @dataclass
 class EpisodeOutcome:
-    """What one episode chose and flew, and the data it collected."""
+    """What one episode chose and flew, and the data it collected.
+
+    An episode that flies nothing sets only `status`.
+    """
 
     status: str
-    chosen: Optional[DesiredTrajectory]
-    rollout: Optional[Rollout]
-    new_data: Optional[Dataset]
-    sigma_max: float
-    eps_m: float
-    certification: Optional[Certification]
-    n_certified: int
-    w_hat: float
-    trg_kde: Optional[KdeModel]
+    chosen: Optional[DesiredTrajectory] = None
+    rollout: Optional[Rollout] = None
+    new_data: Optional[Dataset] = None
+    sigma_max: float = math.nan
+    eps_m: float = math.nan
+    certification: Optional[Certification] = None
+    n_certified: int = 0
+    w_hat: float = math.nan
+    trg_kde: Optional[KdeModel] = None
 
 
 def _selection_key(traj: DesiredTrajectory):
@@ -490,7 +498,7 @@ def _realized_cost(config: ExperimentConfig, rollout: Rollout) -> float:
 
 
 def _collect(config: ExperimentConfig, rollout: Rollout) -> Dataset:
-    stride = max(1, int(round(1.0 / (config.sample_hz * config.sim_dt))))
+    stride = max(1, int(round(1.0 / (SAMPLE_HZ * SIM_DT))))
     idx = np.arange(0, len(rollout.times), stride)
     states = rollout.states[idx]
     res = config.residual_fn()
@@ -513,7 +521,7 @@ def run_episode(
     episode 1, where the source density is undefined and r = 1 everywhere.
     cache is the pool's `build_pool_cache`; it is built here when not given.
     A candidate is admissible when its tube certificate passes AND its
-    worst estimated density ratio against the data stays within w_max;
+    worst estimated density ratio against the data stays within W_MAX;
     the chosen candidate is the cost argmin of that admissible set.
     Returns an outcome with status "ok", "touchdown" (landing reached the
     ground, still a success), "no_safe_candidate", or "diverged".
@@ -530,7 +538,7 @@ def run_episode(
     evals = []
     inputs = cache.episode_inputs(src_kde, config.ratio)
     for traj, trg_kde, (pts, ratios, w_hat_k) in zip(pool, cache.trg_kdes, inputs):
-        sigma_max = learner.eval_candidate(traj, pts, ratios)
+        sigma_max = learner.eval_candidate(pts, ratios)
         eps_m = eps_m_from_sigma(sigma_max, config.beta)
         cert = certify_trajectory(traj, gamma_val, eps_m, safe_set)
         evals.append((traj, trg_kde, sigma_max, eps_m, cert, w_hat_k))
@@ -538,25 +546,13 @@ def run_episode(
     # admission requires both the tracking-tube certificate and a bounded
     # estimated density ratio: the learning guarantee underlying the tube
     # degrades with the worst-case ratio, so a proposal that strays past
-    # w_max is outside the regime where the certificate means anything,
+    # W_MAX is outside the regime where the certificate means anything,
     # however small its predicted variance looks.  This is also what keeps
     # exploration stepping outward gradually instead of leaping to the
     # most aggressive candidate the moment the fit tightens.
-    certified = [ev for ev in evals if ev[4].safe and ev[5] <= config.w_max]
-    n_certified = len(certified)
+    certified = [ev for ev in evals if ev[4].safe and ev[5] <= W_MAX]
     if not certified:
-        return EpisodeOutcome(
-            status="no_safe_candidate",
-            chosen=None,
-            rollout=None,
-            new_data=None,
-            sigma_max=math.nan,
-            eps_m=math.nan,
-            certification=None,
-            n_certified=0,
-            w_hat=math.nan,
-            trg_kde=None,
-        )
+        return EpisodeOutcome(status="no_safe_candidate")
 
     traj, trg_kde, sigma_max, eps_m, cert, w_hat = min(
         certified, key=lambda ev: _selection_key(ev[0])
@@ -567,35 +563,21 @@ def run_episode(
         learner.d_hat_fn(src_kde, trg_kde),
         config.residual_fn(),
         traj,
-        config.sim_dt,
+        SIM_DT,
         x0_on_trajectory(traj),
         ground=config.rollout_ground(),
-        d_hat_hold_steps=config.d_hat_hold_steps,
+        d_hat_hold_steps=D_HAT_HOLD_STEPS,
     )
-    if rollout.status == "diverged":
-        return EpisodeOutcome(
-            status="diverged",
-            chosen=traj,
-            rollout=rollout,
-            new_data=None,
-            sigma_max=sigma_max,
-            eps_m=eps_m,
-            certification=cert,
-            n_certified=n_certified,
-            w_hat=w_hat,
-            trg_kde=trg_kde,
-        )
-
-    new_data = _collect(config, rollout)
+    # a diverged flight collects nothing
     return EpisodeOutcome(
-        status="touchdown" if rollout.status == "touchdown" else "ok",
+        status=rollout.status,
         chosen=traj,
         rollout=rollout,
-        new_data=new_data,
+        new_data=None if rollout.status == "diverged" else _collect(config, rollout),
         sigma_max=sigma_max,
         eps_m=eps_m,
         certification=cert,
-        n_certified=n_certified,
+        n_certified=len(certified),
         w_hat=w_hat,
         trg_kde=trg_kde,
     )
@@ -663,8 +645,8 @@ def run_experiment(config: ExperimentConfig, learner=None) -> ExperimentResult:
             # training ratios: source = everything collected so far,
             # target = the trajectory just tracked; the next episode
             # scores against the same source KDE
-            src_kde = kde_fit(subsample_rows(dataset.inputs, config.kde_src_max))
-            train_set = dataset.subsample(config.max_train_points)
+            src_kde = kde_fit(subsample_rows(dataset.inputs, KDE_SRC_MAX))
+            train_set = dataset.subsample(MAX_TRAIN_POINTS)
             learner.retrain(train_set, src_kde, out.trg_kde)
             rec.n_train = len(train_set)
             rec.moment_residual = learner.moment_residual_max()

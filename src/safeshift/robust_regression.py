@@ -38,16 +38,24 @@ __all__ = [
     "spectral_normalize",
     "initial_model",
     "predict",
-    "nll_loss",
     "fit",
     "lipschitz_bound",
     "sigma_max_on_traj",
-    "moment_residual",
 ]
 
 POWER_ITERS = 30
 POWER_TOL = 1e-6
+# theta_y lives in [THETA_Y_FLOOR, THETA_Y_CEIL]; it steps in log space
+# with its own learning-rate multiplier, because the stationary value can
+# sit orders of magnitude above the other parameters and plain GD would
+# not reach it within the epoch budget
+THETA_Y_FLOOR = 1e-2
 THETA_Y_CEIL = 1e8
+THETA_Y_LR_MULT = 10.0
+# gradient descent: peak of the cosine learning-rate schedule, and the
+# global gradient-norm clip
+LR = 1e-2
+CLIP_NORM = 10.0
 
 
 class TrainingDiverged(RuntimeError):
@@ -165,7 +173,7 @@ class RobustModel:
     theta_phi: (d_out, k) linear heads on the features; theta_y: (d_out,)
     nonnegative precision tilts.  The base model has both at zero, which
     reproduces N(mu0, sigma0_sq) everywhere; fitted models keep theta_y at
-    or above theta_y_floor.
+    or above THETA_Y_FLOOR.
     """
 
     net: FeatureNet
@@ -174,10 +182,8 @@ class RobustModel:
     mu0: float
     sigma0_sq: float
     lam: float
-    theta_y_floor: float
     converged: bool = True
     moment_residuals: Optional[np.ndarray] = None
-    trained: bool = False
 
     def __post_init__(self):
         if self.sigma0_sq <= 0:
@@ -196,26 +202,18 @@ class RobustModel:
 class TrainConfig:
     """Full-batch gradient descent recipe: one step per epoch on every row.
 
-    The learning rate follows a cosine schedule over `epochs`; `seed`
-    draws the feature net of a fit that does not warm-start.  theta_y
-    steps in log space with its own learning-rate multiplier: the
-    stationary value can sit orders of magnitude above the other
-    parameters, and plain GD would not reach it within the epoch budget.
+    The learning rate follows a cosine schedule from LR over `epochs`;
+    `lam` is the L1 penalty on the heads and theta_y.
     """
 
-    lr: float = 1e-2
     epochs: int = 2000
-    clip_norm: float = 10.0
-    seed: int = 0
     lam: float = 1e-3
-    theta_y_floor: float = 1e-2
-    theta_y_lr_mult: float = 10.0
 
     def __post_init__(self):
-        if self.lr <= 0 or self.epochs < 1 or self.clip_norm <= 0:
-            raise ValueError("lr, epochs, clip_norm must be positive")
-        if self.lam < 0 or self.theta_y_floor <= 0:
-            raise ValueError("lam must be >= 0 and theta_y_floor > 0")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.lam < 0:
+            raise ValueError("lam must be >= 0")
 
 
 def initial_model(
@@ -224,7 +222,6 @@ def initial_model(
     *,
     dim_out: int = 1,
     lam: float = 1e-3,
-    theta_y_floor: float = 1e-2,
     net: Optional[FeatureNet] = None,
 ) -> RobustModel:
     """Base model predicting N(mu0, sigma0_sq) at every input; the net
@@ -238,7 +235,6 @@ def initial_model(
         mu0=mu0,
         sigma0_sq=sigma0_sq,
         lam=lam,
-        theta_y_floor=theta_y_floor,
     )
 
 
@@ -369,25 +365,6 @@ def _loss_terms(model, x, y, r, ws: _Workspace) -> float:
     return float(np.add.reduce(np.add.reduce(t1, axis=1, out=ws.row)) / len(x))
 
 
-def nll_loss(model: RobustModel, dataset: Dataset, ratios) -> float:
-    """Penalized Gaussian NLL: mean over samples, summed over output dims.
-
-    (1/n) sum_i [ 0.5 log(2 pi sigma_sq_i) + (y_i - mu_i)^2 / (2 sigma_sq_i) ]
-    + lam * (||theta_phi||_1 + |theta_y|), both penalty terms summed over
-    output dimensions.
-    """
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
-    r = _ratios_for(dataset.inputs, ratios)
-    ws = _Workspace(model.net, model.dim_out, len(dataset))
-    nll = _loss_terms(model, dataset.inputs, dataset.targets, r, ws)
-    penalty = model.lam * (np.abs(model.theta_phi).sum() + np.abs(model.theta_y).sum())
-    loss = nll + float(penalty)
-    if not math.isfinite(loss):
-        raise TrainingDiverged("non-finite loss")
-    return loss
-
-
 def _grads(model, x, y, r, ws: _Workspace) -> float:
     """Analytic gradients of the penalized NLL, written into the workspace.
 
@@ -428,18 +405,14 @@ def _grads(model, x, y, r, ws: _Workspace) -> float:
 
 
 def _moment(model, x, y, r, weights, theta_y=None):
-    """weights-averaged (y^2 - mu^2 - sigma^2) per dim; mu, sigma use ratios r."""
+    """weights-averaged (y^2 - mu^2 - sigma^2) per dim; mu, sigma use ratios r.
+
+    Unit weights give the stationarity residual mean(y^2 - mu^2 - sigma^2)
+    that a fit records.
+    """
     th = model.theta_y if theta_y is None else theta_y
     mu, var = _predictive(model, r, th, model.net.forward(x) @ model.theta_phi.T)
     return (weights[:, None] * (y * y - mu * mu - var)).mean(axis=0)
-
-
-def moment_residual(model: RobustModel, dataset: Dataset, ratios=None) -> np.ndarray:
-    """Unweighted stationarity residual mean(y^2 - mu^2 - sigma^2) per dim."""
-    r = _ratios_for(dataset.inputs, ratios)
-    mu, var = predict(model, dataset.inputs, ratios=r)
-    y = dataset.targets
-    return (y * y - mu * mu - var).mean(axis=0)
 
 
 UNWEIGHTED_SLACK = 5e-3  # half the post-fit moment tolerance, used as a guard
@@ -645,30 +618,22 @@ def _polish_theta_y(model, x, y, r, fixed_mu=True):
         gap = y * y - mu * mu
     converged = True
     for d in range(len(theta_y)):
+        # the first-order condition in theta_y[d], averaged with weights w
         if fixed_mu:
-            def g_weighted(th, d=d):
+            def g(th, w, d=d):
                 var = _predictive(model, r, np.array([th]))[1][:, 0]
-                return float(np.mean(r * (gap[:, d] - var)) + model.lam)
-
-            def g_unweighted(th, d=d):
-                var = _predictive(model, r, np.array([th]))[1][:, 0]
-                return float(np.mean(gap[:, d] - var) + model.lam)
+                return float(np.mean(w * (gap[:, d] - var)) + model.lam)
         else:
-            def g_weighted(th, d=d):
+            def g(th, w, d=d):
                 t = theta_y.copy()
                 t[d] = th
-                return float(_moment(model, x, y, r, r, t)[d] + model.lam)
+                return float(_moment(model, x, y, r, w, t)[d] + model.lam)
 
-            def g_unweighted(th, d=d):
-                t = theta_y.copy()
-                t[d] = th
-                return float(_moment(model, x, y, r, ones, t)[d] + model.lam)
-
-        root, ok = _root_in_dim(g_weighted, model.theta_y_floor)
+        root, ok = _root_in_dim(lambda th, g=g: g(th, r), THETA_Y_FLOOR)
         theta_y[d] = root
-        unweighted = g_unweighted(root) - model.lam
+        unweighted = g(root, ones) - model.lam
         if abs(unweighted) > model.lam + UNWEIGHTED_SLACK:
-            root, ok = _root_in_dim(g_unweighted, model.theta_y_floor)
+            root, ok = _root_in_dim(lambda th, g=g: g(th, ones), THETA_Y_FLOOR)
             theta_y[d] = root
         converged = converged and ok
     return theta_y, converged
@@ -680,18 +645,16 @@ def fit(
     trg_kde: Optional[KdeModel],
     config: TrainConfig,
     *,
-    mu0: float = 0.0,
-    sigma0_sq: float = 1.0,
+    init: RobustModel,
     ratio_cfg: RatioConfig = RatioConfig(),
-    init: Optional[RobustModel] = None,
 ) -> RobustModel:
     """Train the robust model on `dataset` with ratios frozen per call.
 
     Ratios at the training inputs come from density_ratio(src_kde,
     trg_kde, .); passing None for either density means r = 1 (no shift
-    information, e.g. the very first fit).  `init` warm-starts from a
-    previous model (its net, heads, and base distribution are reused);
-    otherwise a fresh net is drawn from config.seed.
+    information, e.g. the very first fit).  The fit starts from `init`:
+    its net, heads, and base distribution are reused (a base model from
+    `initial_model` starts a first fit).
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
@@ -703,17 +666,11 @@ def fit(
     else:
         r = np.ones(len(x))
 
-    if init is not None:
-        if init.dim_out != d_out:
-            raise ValueError("warm-start output dimension mismatch")
-        net = spectral_normalize(init.net)
-        theta_phi = init.theta_phi.copy()
-        theta_y = np.maximum(init.theta_y, config.theta_y_floor)
-        mu0, sigma0_sq = init.mu0, init.sigma0_sq
-    else:
-        net = feature_net_init(np.random.default_rng(config.seed))
-        theta_phi = np.zeros((d_out, net.feature_dim))
-        theta_y = np.full(d_out, config.theta_y_floor)
+    if init.dim_out != d_out:
+        raise ValueError("warm-start output dimension mismatch")
+    net = spectral_normalize(init.net)
+    theta_phi = init.theta_phi.copy()
+    theta_y = np.maximum(init.theta_y, THETA_Y_FLOOR)
 
     # The parameters live in one flat buffer (weights, biases, theta_phi,
     # log theta_y) and every step updates it in place; `model` is built
@@ -723,18 +680,17 @@ def fit(
     for dst, src in zip(views, net.weights + net.biases + (theta_phi,)):
         dst[...] = src
     s_y = views[-1]
-    np.log(np.maximum(theta_y, config.theta_y_floor), out=s_y)
+    np.log(np.maximum(theta_y, THETA_Y_FLOOR), out=s_y)
     model = RobustModel(
         net=FeatureNet(tuple(views[:n_layers]), tuple(views[n_layers : 2 * n_layers]), net.caps),
         theta_phi=views[-2],
         theta_y=theta_y,
-        mu0=mu0,
-        sigma0_sq=sigma0_sq,
+        mu0=init.mu0,
+        sigma0_sq=init.sigma0_sq,
         lam=config.lam,
-        theta_y_floor=config.theta_y_floor,
     )
 
-    log_floor = math.log(config.theta_y_floor)
+    log_floor = math.log(THETA_Y_FLOOR)
     log_ceil = math.log(THETA_Y_CEIL)
     ws = _Workspace(net, d_out, len(x))
     squares, sq = _flat_buffer(net, d_out)
@@ -742,13 +698,13 @@ def fit(
     power_cache: list = [None] * n_layers
 
     for epoch in range(config.epochs):
-        lr = config.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / config.epochs))
+        lr = LR * 0.5 * (1.0 + math.cos(math.pi * epoch / config.epochs))
         loss = _grads(model, x, y, r, ws)
         if not math.isfinite(loss):
             raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
         # log-space theta_y gradient, then global-norm clipping
         np.multiply(ws.g_ty, theta_y, out=ws.g_sy)
-        ws.g_sy *= config.theta_y_lr_mult
+        ws.g_sy *= THETA_Y_LR_MULT
         np.multiply(ws.grad, ws.grad, out=squares)
         total = math.sqrt(
             sum(float(np.add.reduce(g, axis=None)) for g in sq_w)
@@ -756,7 +712,7 @@ def fit(
             + float(np.add.reduce(sq[-2], axis=None))
             + float(np.add.reduce(sq[-1], axis=None))
         )
-        scale = 1.0 if total <= config.clip_norm else config.clip_norm / total
+        scale = 1.0 if total <= CLIP_NORM else CLIP_NORM / total
         ws.grad *= lr * scale
         params -= ws.grad
         np.clip(s_y, log_floor, log_ceil, out=s_y)
@@ -784,9 +740,8 @@ def fit(
             break
         prev = theta_y
     theta_y, converged = _polish_theta_y(model, x, y, r, fixed_mu=False)
-    model = replace(model, theta_y=theta_y, converged=converged, trained=True)
-    resid = moment_residual(model, dataset, ratios=r)
-    return replace(model, moment_residuals=resid)
+    model = replace(model, theta_y=theta_y, converged=converged)
+    return replace(model, moment_residuals=_moment(model, x, y, r, np.ones(len(x))))
 
 
 def lipschitz_bound(model: RobustModel, ratio_cfg: RatioConfig = RatioConfig()) -> float:

@@ -4,11 +4,13 @@ A copy of the allocating gradient-descent loop of
 `robust_regression.fit` (a new FeatureNet and RobustModel on every step)
 with the `_grads`, `_loss_terms`, `_predictive` and `_normalize_warm` it
 ran, and the numpy-scalar coordinate-descent lasso of `_solve_heads`.
-Its mini-batch and frozen-net branches are gone with the settings that
-selected them; the full-batch arithmetic is unchanged.
-The shipped code must reproduce it bit for bit; see
-test_robust_regression.py.  Everything else (initialisation, the theta_y
-polish, the moment residual) is imported from the package.
+Its mini-batch, frozen-net and cold-start branches are gone with the
+settings that selected them; the full-batch arithmetic is unchanged.
+The fixed settings (LR, CLIP_NORM, THETA_Y_FLOOR, THETA_Y_LR_MULT) are
+read from the package module at call time, so a test that patches one
+patches both fits.  The shipped code must reproduce it bit for bit; see
+test_robust_regression.py.  Everything else (the theta_y polish, the
+moment residual) is imported from the package.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from safeshift import robust_regression as rr
 from safeshift.core import Dataset
 from safeshift.density_ratio import KdeModel, RatioConfig, density_ratio
 from safeshift.robust_regression import (
@@ -31,10 +34,9 @@ from safeshift.robust_regression import (
     RobustModel,
     TrainConfig,
     TrainingDiverged,
+    _moment,
     _polish_theta_y,
     _power_iterate,
-    feature_net_init,
-    moment_residual,
     spectral_normalize,
 )
 
@@ -191,18 +193,15 @@ def fit(
     trg_kde: Optional[KdeModel],
     config: TrainConfig,
     *,
-    mu0: float = 0.0,
-    sigma0_sq: float = 1.0,
+    init: RobustModel,
     ratio_cfg: RatioConfig = RatioConfig(),
-    init: Optional[RobustModel] = None,
 ) -> RobustModel:
     """Train the robust model on `dataset` with ratios frozen per call.
 
     Ratios at the training inputs come from density_ratio(src_kde,
     trg_kde, .); passing None for either density means r = 1 (no shift
-    information, e.g. the very first fit).  `init` warm-starts from a
-    previous model (its net, heads, and base distribution are reused);
-    otherwise a fresh net is drawn from config.seed.
+    information, e.g. the very first fit).  The fit starts from `init`
+    (its net, heads, and base distribution are reused).
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
@@ -214,47 +213,40 @@ def fit(
     else:
         r = np.ones(len(x))
 
-    if init is not None:
-        if init.dim_out != d_out:
-            raise ValueError("warm-start output dimension mismatch")
-        net = spectral_normalize(init.net)
-        theta_phi = init.theta_phi.copy()
-        theta_y = np.maximum(init.theta_y, config.theta_y_floor)
-        mu0, sigma0_sq = init.mu0, init.sigma0_sq
-    else:
-        net = feature_net_init(np.random.default_rng(config.seed))
-        theta_phi = np.zeros((d_out, net.feature_dim))
-        theta_y = np.full(d_out, config.theta_y_floor)
+    if init.dim_out != d_out:
+        raise ValueError("warm-start output dimension mismatch")
+    net = spectral_normalize(init.net)
+    theta_phi = init.theta_phi.copy()
+    theta_y = np.maximum(init.theta_y, rr.THETA_Y_FLOOR)
 
     model = RobustModel(
         net=net,
         theta_phi=theta_phi,
         theta_y=theta_y,
-        mu0=mu0,
-        sigma0_sq=sigma0_sq,
+        mu0=init.mu0,
+        sigma0_sq=init.sigma0_sq,
         lam=config.lam,
-        theta_y_floor=config.theta_y_floor,
     )
 
-    log_floor = math.log(config.theta_y_floor)
+    log_floor = math.log(rr.THETA_Y_FLOOR)
     log_ceil = math.log(THETA_Y_CEIL)
-    s_y = np.log(np.maximum(model.theta_y, config.theta_y_floor))
+    s_y = np.log(np.maximum(model.theta_y, rr.THETA_Y_FLOOR))
     power_cache: list = [None] * len(model.net.weights)
 
     for epoch in range(config.epochs):
-        lr = config.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / config.epochs))
+        lr = rr.LR * 0.5 * (1.0 + math.cos(math.pi * epoch / config.epochs))
         loss, g_w, g_b, g_tp, g_ty = _grads(model, x, y, r)
         if not math.isfinite(loss):
             raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
         # log-space theta_y gradient, then global-norm clipping
-        g_sy = g_ty * model.theta_y * config.theta_y_lr_mult
+        g_sy = g_ty * model.theta_y * rr.THETA_Y_LR_MULT
         total = math.sqrt(
             sum(float(np.sum(g * g)) for g in g_w)
             + sum(float(np.sum(g * g)) for g in g_b)
             + float(np.sum(g_tp * g_tp))
             + float(np.sum(g_sy * g_sy))
         )
-        scale = 1.0 if total <= config.clip_norm else config.clip_norm / total
+        scale = 1.0 if total <= rr.CLIP_NORM else rr.CLIP_NORM / total
         step = lr * scale
 
         theta_phi = model.theta_phi - step * g_tp
@@ -285,6 +277,5 @@ def fit(
             break
         prev = theta_y
     theta_y, converged = _polish_theta_y(model, x, y, r, fixed_mu=False)
-    model = replace(model, theta_y=theta_y, converged=converged, trained=True)
-    resid = moment_residual(model, dataset, ratios=r)
-    return replace(model, moment_residuals=resid)
+    model = replace(model, theta_y=theta_y, converged=converged)
+    return replace(model, moment_residuals=_moment(model, x, y, r, np.ones(len(x))))

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -19,18 +20,15 @@ SMALL_PENDULUM = {
     "task": "pendulum",
     "episodes": 2,
     "horizon": 2.0,
-    "sample_hz": 25.0,
     "pool": {"amplitudes": [0.3, 0.5]},
     "train": {"epochs": 40},
     "first_fit_epochs": 60,
-    "max_train_points": 200,
 }
 
 SMALL_LANDING = {
     "task": "landing",
     "episodes": 1,
     "horizon": 2.0,
-    "sample_hz": 25.0,
     "pool": {"rates": [0.5], "hovers": [0.5]},
     "model_kind": "gp_rbf",
 }
@@ -134,6 +132,31 @@ def test_unknown_field_named_in_diagnostic(tmp_path, capsys):
     assert "episods" in capsys.readouterr().err
 
 
+# settings that became module constants: a config that still sets one
+# is rejected like any other unknown key
+REMOVED_KEYS = [
+    "sim_dt", "traj_dt", "sample_hz", "max_train_points", "kde_src_max", "kde_trg_max",
+    "w_max", "d_hat_hold_steps",
+]
+REMOVED_TRAIN_KEYS = ["seed", "lr", "clip_norm", "theta_y_floor", "theta_y_lr_mult"]
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [({key: 1}, f"config: unknown field(s) ['{key}']") for key in REMOVED_KEYS]
+    + [({"train": {key: 1}}, f"train: unknown key(s) ['{key}']") for key in REMOVED_TRAIN_KEYS],
+    ids=REMOVED_KEYS + [f"train.{key}" for key in REMOVED_TRAIN_KEYS],
+)
+def test_removed_key_rejected(extra, message, tmp_path, capsys):
+    with pytest.raises(cli.ConfigError, match=re.escape(message)):
+        config_from_dict({"task": "pendulum", **extra})
+    cfg = write_config(tmp_path / "cfg.json", {"task": "pendulum", **extra})
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == f"invalid configuration: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_invalid_value_names_field(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", {"task": "pendulum", "beta": -1.0})
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -168,20 +191,21 @@ def test_nested_field_must_be_object(key, value, tmp_path, capsys):
         ({"episodes": "3"}, "episodes: expected int"),
         ({"cert_stride": 1.5}, "cert_stride: expected int"),
         ({"beta": "0.5"}, "beta: expected float"),
-        ({"w_max": True}, "w_max: expected float"),
+        ({"horizon": True}, "horizon: expected float"),
         ({"train": {"epochs": 1.5}}, "train: epochs: expected int"),
-        ({"train": {"lr": "fast"}}, "train: lr: expected float"),
+        ({"train": {"lam": "fast"}}, "train: lam: expected float"),
         ({"gp": {"kernel": 3}}, "gp: kernel: expected str"),
-        ({"w_max": math.nan}, "w_max: expected a finite number"),
+        ({"mu0": math.nan}, "mu0: expected a finite number"),
         ({"beta": math.nan}, "beta: expected a finite number"),
         ({"horizon": math.inf}, "horizon: expected a finite number"),
         ({"sigma0_sq": -math.inf}, "sigma0_sq: expected a finite number"),
-        ({"train": {"lr": math.nan}}, "train: lr: expected a finite number"),
+        ({"train": {"lam": math.nan}}, "train: lam: expected a finite number"),
         ({"pool": {"amplitudes": [0.3, math.inf]}}, "pool: amplitudes: expected a finite"),
         ({"seed": -1}, "seed: must be >= 0"),
         ({"safety": {"q_abs_max": True}}, "safety: q_abs_max: expected float"),
         ({"gains": {"k": True, "lam": 2.0}}, "gains: k: expected float"),
         ({"gains": {"k": "1", "lam": 2.0}}, "gains: k: expected float"),
+        ({"horizon": 2.005}, "horizon: must be a multiple of the grid step 0.01"),
     ],
 )
 def test_malformed_field_value_names_field(extra, field_name, tmp_path, capsys):
@@ -211,6 +235,17 @@ def test_uncreatable_output_dir_names_path(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith(f"output: cannot create {out}")
+    assert err.count("\n") == 1
+
+
+def test_unwritable_output_file_names_path(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", SMALL_PENDULUM)
+    out = tmp_path / "out"
+    (out / "episodes.csv").mkdir(parents=True)
+    code = main(["run", "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"output: cannot write {out / 'episodes.csv'}: ")
     assert err.count("\n") == 1
 
 

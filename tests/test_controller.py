@@ -14,7 +14,7 @@ from safeshift.controller import (
     simulate_closed_loop,
     x0_on_trajectory,
 )
-from safeshift.core import State, desired_values
+from safeshift.core import desired_values
 from safeshift.dynamics import (
     MixedModelParams,
     PendulumParams,
@@ -146,7 +146,7 @@ def test_s_norm_decays_monotonically_after_transient():
         lambda t, q, qdot: 0.0,
         traj,
         0.001,
-        State(0.3, 0.0),
+        (0.3, 0.0),
     )
     s = np.abs(roll.s_values)
     assert s[0] > 1e-2
@@ -169,7 +169,7 @@ def test_disturbed_rollout_respects_time_envelope():
         lambda t, q, qdot: eps_m * math.sin(3.0 * t),
         traj,
         0.001,
-        State(0.4, 0.3),
+        (0.4, 0.3),
     )
     tube = TubeParams.scalar(1.0, k, lam)
     s0 = abs(roll.s_values[0])
@@ -223,7 +223,7 @@ def test_thrust_clamp_is_counted():
         lambda t, q, qdot: 0.0,
         traj,
         0.001,
-        State(1.5, 2.0),  # fast upward start, controller wants to brake hard
+        (1.5, 2.0),  # fast upward start, controller wants to brake hard
         ground=0.0,
     )
     assert roll.clamp_count > 0

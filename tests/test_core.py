@@ -16,7 +16,7 @@ from safeshift.core import (
     TouchdownSpeed,
     default_landing_params,
     default_pendulum_amplitudes,
-    desired_point,
+    desired_values,
     landing_pool,
     pendulum_pool,
     safety_contains,
@@ -27,33 +27,32 @@ from safeshift.core import (
 
 
 def test_pendulum_desired_point_at_zero():
-    p = desired_point("pendulum", {"C": 0.5}, 0.0)
-    assert (p.q_g, p.qdot_g, p.qddot_g) == (0.0, 0.5, 0.0)
+    assert desired_values("pendulum", {"C": 0.5}, 0.0) == (0.0, 0.5, 0.0)
 
 
 def test_pendulum_desired_point_at_pi():
-    p = desired_point("pendulum", {"C": 0.3}, math.pi)
-    assert p.q_g == pytest.approx(0.0, abs=1e-12)
-    assert p.qdot_g == pytest.approx(-0.3, abs=1e-12)
-    assert p.qddot_g == pytest.approx(0.0, abs=1e-12)
+    q_g, qdot_g, qddot_g = desired_values("pendulum", {"C": 0.3}, math.pi)
+    assert q_g == pytest.approx(0.0, abs=1e-12)
+    assert qdot_g == pytest.approx(-0.3, abs=1e-12)
+    assert qddot_g == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("c,h_g", [(0.25, 0.0), (1.0, 0.5), (3.0, 1.0)])
 def test_landing_desired_point_starts_at_hover(c, h_g):
-    p = desired_point("landing", {"C": c, "h_g": h_g}, 0.0)
-    assert p.q_g == pytest.approx(1.5)
-    assert p.qdot_g == pytest.approx(0.0)
+    q_g, qdot_g, _ = desired_values("landing", {"C": c, "h_g": h_g}, 0.0)
+    assert q_g == pytest.approx(1.5)
+    assert qdot_g == pytest.approx(0.0)
 
 
 def test_landing_desired_point_closed_form_values():
-    p = desired_point("landing", {"C": 1.0, "h_g": 0.0}, 1.0)
-    assert p.q_g == pytest.approx(3.0 / math.e, rel=1e-12)
-    assert p.qdot_g == pytest.approx(-1.5 / math.e, rel=1e-12)
+    q_g, qdot_g, _ = desired_values("landing", {"C": 1.0, "h_g": 0.0}, 1.0)
+    assert q_g == pytest.approx(3.0 / math.e, rel=1e-12)
+    assert qdot_g == pytest.approx(-1.5 / math.e, rel=1e-12)
 
 
 def test_landing_desired_point_decays_to_hover():
-    p = desired_point("landing", {"C": 2.0, "h_g": 0.0}, 40.0)
-    assert abs(p.q_g) < 1e-12
+    q_g, _, _ = desired_values("landing", {"C": 2.0, "h_g": 0.0}, 40.0)
+    assert abs(q_g) < 1e-12
 
 
 @pytest.mark.parametrize("task,params", [
@@ -67,13 +66,14 @@ def test_pool_derivatives_match_finite_differences(task, params):
     rng = np.random.default_rng(42)
     h = 1e-4
     for t in rng.uniform(2 * h, 8.0, 100):
-        plus = desired_point(task, params, t + h)
-        minus = desired_point(task, params, t - h)
-        mid = desired_point(task, params, t)
-        fd_qdot = (plus.q_g - minus.q_g) / (2 * h)
-        fd_qddot = (plus.qdot_g - minus.qdot_g) / (2 * h)
-        assert mid.qdot_g == pytest.approx(fd_qdot, abs=1e-6)
-        assert mid.qddot_g == pytest.approx(fd_qddot, abs=1e-6)
+        t = float(t)
+        plus = desired_values(task, params, t + h)
+        minus = desired_values(task, params, t - h)
+        _, qdot_g, qddot_g = desired_values(task, params, t)
+        fd_qdot = (plus[0] - minus[0]) / (2 * h)
+        fd_qddot = (plus[1] - minus[1]) / (2 * h)
+        assert qdot_g == pytest.approx(fd_qdot, abs=1e-6)
+        assert qddot_g == pytest.approx(fd_qddot, abs=1e-6)
 
 
 # -- candidate pools -----------------------------------------------------------
@@ -126,8 +126,8 @@ def test_trajectory_grid_is_uniform_and_indexable():
     (traj,) = pendulum_pool([0.5], dt=0.01, horizon=2.0)
     assert traj.dt == pytest.approx(0.01)
     assert traj.horizon == pytest.approx(2.0)
-    p = traj.point(50)
-    assert p.q_g == pytest.approx(0.5 * math.sin(0.5))
+    assert traj.times[50] == pytest.approx(0.5)
+    assert traj.q_g[50] == pytest.approx(0.5 * math.sin(0.5))
     xy = traj.grid_xy()
     assert xy.shape == (len(traj), 2)
     np.testing.assert_allclose(xy[:, 0], traj.q_g)

@@ -19,7 +19,6 @@ from safeshift.dynamics import (
     forward_dynamics,
     pendulum_mixed_model,
     pendulum_residual_fn,
-    skew_check,
     step_rk4,
 )
 
@@ -187,6 +186,17 @@ def test_pendulum_energy_conservation_without_wind():
 
 
 # -- structure ------------------------------------------------------------------
+
+
+def skew_check(model: MixedModelParams, q: float, qdot: float, tol: float = 1e-6) -> bool:
+    """True when Mdot - 2C is skew-symmetric (within tol) along the flow.
+
+    Mdot is obtained by central differencing M in the direction of qdot.
+    In the scalar case S + S^T = 2S for S = Mdot - 2C.
+    """
+    h = 1e-6
+    mdot = (model.mass_matrix(q + qdot * h) - model.mass_matrix(q - qdot * h)) / (2.0 * h)
+    return abs(2.0 * (mdot - 2.0 * model.coriolis(q, qdot))) <= tol
 
 
 def test_skew_check_holds_for_both_plants():

@@ -30,7 +30,11 @@ from safeshift.gp_baseline import gp_predict
 
 
 class StubLearner:
-    """Scripted sigma per candidate; no-op model hooks."""
+    """Scripted sigma per candidate; no-op model hooks.
+
+    sigma_for is keyed by the pendulum amplitude C, read off the first
+    certification point: qdot_g(0) = C cos 0 = C exactly.
+    """
 
     kind = "stub"
 
@@ -39,8 +43,8 @@ class StubLearner:
         self.default = default
         self.retrain_calls = 0
 
-    def eval_candidate(self, traj, pts, ratios):
-        key = round(traj.params.get("C", 0.0), 10)
+    def eval_candidate(self, pts, ratios):
+        key = round(float(pts[0, 1]), 10)
         return float(self.sigma_for.get(key, self.default))
 
     def d_hat_fn(self, src_kde, trg_kde):
@@ -94,12 +98,13 @@ def test_default_config_landing_values():
         (dict(episodes=0), "episodes"),
         (dict(beta=0.0), "beta"),
         (dict(sigma0_sq=-1.0), "sigma0_sq"),
-        (dict(sample_hz=0.0), "sample_hz"),
+        (dict(horizon=0.0), "horizon"),
         (dict(output_dim=0), "output_dim"),
         (dict(model_kind="svm"), "model_kind"),
         (dict(cert_stride=0), "cert_stride"),
         (dict(seed=-1), "seed"),
-        (dict(w_max=0.0), "w_max"),
+        (dict(first_fit_epochs=0), "first_fit_epochs"),
+        (dict(horizon=2.005), "horizon: must be a multiple of the grid step 0.01"),
     ],
 )
 def test_config_error_names_offending_field(kw, field_name):
@@ -230,12 +235,9 @@ def test_episode_one_runs_on_base_model_uncertainty():
 
 
 def test_dataset_growth_and_retrain_cadence():
-    cfg = replace(
-        default_config("pendulum"),
-        episodes=3,
-        sample_hz=5.0,
-        max_train_points=5000,
-    )
+    # 2 s flights sampled at SAMPLE_HZ = 50 give 101 points each, and
+    # three of them stay under MAX_TRAIN_POINTS
+    cfg = replace(default_config("pendulum"), episodes=3, horizon=2.0)
     stub = StubLearner(default=0.01)
     result = run_experiment(cfg, learner=stub)
     assert [r.status for r in result.records] == ["ok", "ok", "ok"]
@@ -269,7 +271,7 @@ def test_make_learner_kinds():
 def test_gp_learner_prior_sigma_and_zero_compensation():
     cfg = default_config("pendulum", model_kind="gp_rbf")
     learner = make_learner(cfg, np.random.default_rng(0))
-    sigma = learner.eval_candidate(cfg.pool()[0], None, None)
+    sigma = learner.eval_candidate(cfg.pool()[0].grid_xy(), None)
     assert sigma == pytest.approx(math.sqrt(cfg.gp.sigma_f_sq))
     assert learner.d_hat_fn(None, None)(0.3, -0.2) == 0.0
 
@@ -361,7 +363,7 @@ def test_cached_scoring_matches_density_ratio_and_max_ratio():
     all_r = np.concatenate(all_r)
     assert np.any(all_r == cfg.ratio.r_lo) and np.any(all_r == cfg.ratio.r_hi)
     assert np.any((all_r > cfg.ratio.r_lo) & (all_r < cfg.ratio.r_hi))
-    assert min(w_hats) < cfg.w_max < max(w_hats)
+    assert min(w_hats) < explore.W_MAX < max(w_hats)
 
 
 def test_episode_one_inputs_have_unit_ratios():
@@ -378,7 +380,7 @@ def test_cache_for_another_pool_rejected():
 
 
 def test_target_kdes_fit_once_per_experiment(monkeypatch):
-    cfg = replace(default_config("pendulum"), horizon=2.0, episodes=3, sample_hz=5.0)
+    cfg = replace(default_config("pendulum"), horizon=2.0, episodes=3)
     fitted = []
     real_fit = explore.kde_fit
 
@@ -391,13 +393,13 @@ def test_target_kdes_fit_once_per_experiment(monkeypatch):
     assert [r.status for r in result.records] == ["ok"] * 3
 
     grids = [traj.grid_xy() for traj in cfg.pool()]
-    assert all(len(grid) <= cfg.kde_trg_max for grid in grids)  # fit on the full grid
+    assert all(len(grid) <= explore.KDE_TRG_MAX for grid in grids)  # fit on the full grid
     for grid in grids:
         assert sum(np.array_equal(samples, grid) for samples in fitted) == 1
 
 
 def test_source_kde_fit_once_per_dataset_change(monkeypatch):
-    cfg = replace(default_config("pendulum"), horizon=2.0, episodes=3, sample_hz=5.0)
+    cfg = replace(default_config("pendulum"), horizon=2.0, episodes=3)
     fits, scored = [], []
     real_fit, real_episode = explore.kde_fit, explore.run_episode
 

@@ -18,8 +18,6 @@ from safeshift.robust_regression import (
     fit,
     initial_model,
     lipschitz_bound,
-    moment_residual,
-    nll_loss,
     predict,
     sigma_max_on_traj,
     spectral_norm,
@@ -75,13 +73,25 @@ def test_variance_bound_is_exact_algebra(rng):
     assert np.all(var <= bound * (1 + 1e-12))
 
 
+def _base(seed, sigma0_sq=1.0, dim_out=1):
+    """The base model on the net `seed` draws: where a first fit starts."""
+    net = feature_net_init(np.random.default_rng(seed))
+    return initial_model(0.0, sigma0_sq, dim_out=dim_out, net=net)
+
+
 # -- loss and gradients ------------------------------------------------------------
+
+
+def _loss(model, ds, ratios):
+    """The penalized NLL, as the training step `_grads` returns it."""
+    ws = rr._Workspace(model.net, model.dim_out, len(ds))
+    return rr._grads(model, ds.inputs, ds.targets, ratios, ws)
 
 
 def test_nll_loss_of_exact_model_is_entropy_plus_penalty():
     model = initial_model(0.4, 0.9)
     ds = Dataset(np.zeros((6, 2)), np.full((6, 1), 0.4))  # targets equal mu exactly
-    loss = nll_loss(model, ds, np.ones(6))
+    loss = _loss(model, ds, np.ones(6))
     assert loss == pytest.approx(0.5 * math.log(2 * math.pi * 0.9), rel=1e-12)
 
 
@@ -89,7 +99,7 @@ def test_nll_loss_reduces_to_base_nll_when_theta_zero(rng):
     model = initial_model(0.0, 1.5)
     y = rng.normal(0.0, 1.0, (40, 1))
     ds = Dataset(rng.uniform(-1, 1, (40, 2)), y)
-    loss = nll_loss(model, ds, rng.uniform(0.1, 10.0, 40))
+    loss = _loss(model, ds, rng.uniform(0.1, 10.0, 40))
     base = float(np.mean(0.5 * np.log(2 * math.pi * 1.5) + y[:, 0] ** 2 / (2 * 1.5)))
     assert loss == pytest.approx(base, rel=1e-12)
 
@@ -132,6 +142,7 @@ def test_analytic_gradients_match_finite_differences(rng):
 
     ws = rr._Workspace(model.net, model.dim_out, n)
     rr._grads(model, ds.inputs, ds.targets, ratios, ws)
+    # the finite differences below run _grads again, on other workspaces
     analytic = np.concatenate(
         [g.ravel() for g in ws.g_w] + [g.ravel() for g in ws.g_b] + [ws.g_tp.ravel(), ws.g_ty]
     )
@@ -144,8 +155,7 @@ def test_analytic_gradients_match_finite_differences(rng):
         up[i] += h
         dn[i] -= h
         fd[i] = (
-            nll_loss(_unflatten(model, up), ds, ratios)
-            - nll_loss(_unflatten(model, dn), ds, ratios)
+            _loss(_unflatten(model, up), ds, ratios) - _loss(_unflatten(model, dn), ds, ratios)
         ) / (2 * h)
 
     err = np.max(np.abs(analytic - fd)) / max(np.max(np.abs(fd)), 1e-8)
@@ -163,8 +173,7 @@ def test_fit_on_base_noise_keeps_mean_near_zero():
     rng = np.random.default_rng(9)
     n, sigma0 = 400, 1.0
     ds = Dataset(rng.uniform(-1, 1, (n, 2)), rng.normal(0.0, sigma0, (n, 1)))
-    model = fit(ds, None, None, TrainConfig(epochs=600, seed=2, lam=0.1),
-                sigma0_sq=sigma0 ** 2)
+    model = fit(ds, None, None, TrainConfig(epochs=600, lam=0.1), init=_base(2, sigma0 ** 2))
     mu, var = predict(model, ds.inputs, ratios=np.ones(n))
     assert np.max(np.abs(mu[:, 0])) < 3 * sigma0 / math.sqrt(n)
     # with no structure to absorb, the predictive variance stays at the
@@ -177,37 +186,38 @@ def test_fit_linear_target_rmse(line_fit):
     mu, var = predict(model, ds.inputs, ratios=np.ones(len(ds)))
     rmse = float(np.sqrt(np.mean((mu[:, 0] - true_mean) ** 2)))
     assert rmse < 0.05
-    assert model.trained
     # the learned theta_y tightens the predictive band toward the noise level
     assert float(np.sqrt(np.mean(var[:, 0]))) < 0.3
 
 
 def test_fit_moment_condition(line_fit):
     model, ds, _ = line_fit
-    resid = moment_residual(model, ds, ratios=np.ones(len(ds)))
+    ones = np.ones(len(ds))
+    resid = rr._moment(model, ds.inputs, ds.targets, ones, ones)
     assert np.max(np.abs(resid)) <= model.lam + 1e-2
 
 
 def test_fit_is_deterministic_given_seed(make_line_dataset):
     ds = make_line_dataset(n=60)
-    cfg = TrainConfig(epochs=120, seed=4)
-    a = fit(ds, None, None, cfg)
-    b = fit(ds, None, None, cfg)
+    cfg = TrainConfig(epochs=120)
+    a = fit(ds, None, None, cfg, init=_base(4))
+    b = fit(ds, None, None, cfg, init=_base(4))
     np.testing.assert_array_equal(a.theta_phi, b.theta_phi)
     np.testing.assert_array_equal(a.theta_y, b.theta_y)
     for wa, wb in zip(a.net.weights, b.net.weights):
         np.testing.assert_array_equal(wa, wb)
 
 
-def test_fit_respects_theta_y_floor(make_line_dataset):
+def test_fit_respects_theta_y_floor(make_line_dataset, monkeypatch):
+    monkeypatch.setattr(rr, "THETA_Y_FLOOR", 0.05)
     ds = make_line_dataset(n=60)
-    model = fit(ds, None, None, TrainConfig(epochs=60, seed=0, theta_y_floor=0.05))
+    model = fit(ds, None, None, TrainConfig(epochs=60), init=_base(0))
     assert np.all(model.theta_y >= 0.05 - 1e-15)
 
 
 def test_fit_rejects_empty_dataset():
     with pytest.raises(ValueError):
-        fit(Dataset.empty(1), None, None, TrainConfig(epochs=10))
+        fit(Dataset.empty(1), None, None, TrainConfig(epochs=10), init=_base(0))
 
 
 def test_multidim_fit_equals_per_dim_fits_with_frozen_features():
@@ -225,7 +235,7 @@ def test_multidim_fit_equals_per_dim_fits_with_frozen_features():
 
     def solve(targets):
         model = initial_model(0.0, 1.0, dim_out=targets.shape[1], net=net)
-        model = replace(model, theta_y=np.full(model.dim_out, model.theta_y_floor))
+        model = replace(model, theta_y=np.full(model.dim_out, rr.THETA_Y_FLOOR))
         model = replace(model, theta_phi=rr._solve_heads(model, x, targets, r))
         for fixed_mu in (True, False):
             theta_y, ok = rr._polish_theta_y(model, x, targets, r, fixed_mu=fixed_mu)
@@ -234,7 +244,7 @@ def test_multidim_fit_equals_per_dim_fits_with_frozen_features():
         return model
 
     both = solve(y)
-    assert np.all(both.theta_y > both.theta_y_floor)  # the roots are interior
+    assert np.all(both.theta_y > rr.THETA_Y_FLOOR)  # the roots are interior
     for d in range(2):
         single = solve(y[:, d : d + 1])
         np.testing.assert_allclose(both.theta_phi[d], single.theta_phi[0], atol=1e-9)
@@ -262,22 +272,24 @@ def _assert_models_identical(got, want):
 
 
 @pytest.mark.parametrize("case", ["full_batch", "warm_start"])
-def test_fit_matches_allocating_reference_bit_for_bit(case):
-    """The in-place loop reproduces the allocating loop it replaced exactly."""
+def test_fit_matches_allocating_reference_bit_for_bit(case, monkeypatch):
+    """The in-place loop reproduces the allocating loop it replaced exactly,
+    from a base model and warm-started from a fitted one."""
     ds, src, trg = _shift_problem()
-    # clip_norm 1 keeps the global-norm clip active on most steps
-    cfg = TrainConfig(epochs=40, seed=6, clip_norm=1.0)
-    kw = {}
+    # a clip norm of 1 keeps the global-norm clip active on most steps
+    monkeypatch.setattr(rr, "CLIP_NORM", 1.0)
+    cfg = TrainConfig(epochs=40)
+    init = _base(6, 0.5, dim_out=3)
     if case == "warm_start":
-        kw["init"] = reference_fit.fit(ds, src, trg, cfg, sigma0_sq=0.5)
-    got = fit(ds, src, trg, cfg, sigma0_sq=0.5, **kw)
-    want = reference_fit.fit(ds, src, trg, cfg, sigma0_sq=0.5, **kw)
+        init = reference_fit.fit(ds, src, trg, cfg, init=init)
+    got = fit(ds, src, trg, cfg, init=init)
+    want = reference_fit.fit(ds, src, trg, cfg, init=init)
     _assert_models_identical(got, want)
 
 
 def test_solve_heads_matches_numpy_scalar_reference():
     ds, src, trg = _shift_problem()
-    model = fit(ds, src, trg, TrainConfig(epochs=40, seed=6), sigma0_sq=0.5)
+    model = fit(ds, src, trg, TrainConfig(epochs=40), init=_base(6, 0.5, dim_out=3))
     r = density_ratio(src, trg, ds.inputs)
     noise = np.random.default_rng(8).normal(0.0, 0.3, model.theta_phi.shape)
     start = replace(model, theta_phi=model.theta_phi + noise)
