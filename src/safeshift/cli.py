@@ -8,6 +8,14 @@ directory or file that cannot be created or written (the diagnostic,
 `output: cannot create <dir>: ...` or `output: cannot write <file>: ...`,
 names the path), 2 on a runtime failure such as a diverged rollout.
 
+A config is a JSON object with one key per `ExperimentConfig` field (the
+`candidates` field's key is `pool`).  `task` is required and picks the
+defaults, `default_config(task)`.  A number or string replaces its field;
+a section (`gains`, `plant`, `pool`, `safety`, `ratio`, `train`, `gp`)
+replaces only the keys it gives in the task's default, so `{"gains":
+{"k": 2.0}}` keeps the default `lam`.  manifest.json holds the resolved
+config in the same form and loads back to the config that ran.
+
 `safeshift compare results/run1 results/run2 ...` emits a per-episode CSV
 (cost and violation columns aligned across runs) on stdout and per-model
 medians on stderr.  All runs must be of the same task; a run file that is
@@ -33,15 +41,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .controller import ControllerGains
-from .core import (
-    RejectedCandidate,
-    default_landing_params,
-    default_pendulum_amplitudes,
-    desired_values,
-)
-from .density_ratio import RatioConfig
-from .dynamics import DroneParams, PendulumParams, SimulationDiverged
+from .core import RejectedCandidate, desired_values
+from .dynamics import SimulationDiverged
 from .explore import (
     MODEL_KINDS,
     SIM_DT,
@@ -50,8 +51,7 @@ from .explore import (
     default_config,
     run_experiment,
 )
-from .gp_baseline import GpHyper
-from .robust_regression import TrainConfig, TrainingDiverged
+from .robust_regression import TrainingDiverged
 
 __all__ = ["main", "config_from_dict", "config_to_dict", "run_cmd", "compare_cmd"]
 
@@ -90,30 +90,30 @@ def _fmt_params(params: dict) -> str:
 
 # -- config (de)serialization ------------------------------------------------
 
-_NESTED_KEYS = ("gains", "plant", "ratio", "train", "gp", "pool", "safety")
-_SCALAR_KEYS = (
-    "task",
-    "episodes",
-    "seed",
-    "beta",
-    "mu0",
-    "sigma0_sq",
-    "horizon",
-    "output_dim",
-    "cert_stride",
-    "first_fit_epochs",
-    "model_kind",
-)
-
+# JSON key of each ExperimentConfig field: its name, except the pool's
+# (`ExperimentConfig.pool()` builds the candidate trajectories)
+_KEYS = {f.name: f.name for f in dataclasses.fields(ExperimentConfig)} | {"candidates": "pool"}
 
 # JSON value types accepted for a field of the named type
 _KINDS = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
-def _check_kind(name: str, value, kind: str) -> None:
-    """Reject a value whose JSON type does not fit the field's type name."""
-    if kind in _KINDS and (isinstance(value, bool) or not isinstance(value, _KINDS[kind])):
+def _fits(value, kind: str) -> bool:
+    return not isinstance(value, bool) and isinstance(value, _KINDS[kind])
+
+
+def _checked(name: str, value, kind: str):
+    """value, if its JSON type fits the field's type name.
+
+    A list (or tuple) of numbers fills a `tuple[float, ...]` field, as floats.
+    """
+    if kind == "tuple[float, ...]":
+        if not (isinstance(value, (list, tuple)) and all(_fits(v, "float") for v in value)):
+            raise ConfigError(f"{name}: expected a list of numbers")
+        return tuple(float(v) for v in value)
+    if kind in _KINDS and not _fits(value, kind):
         raise ConfigError(f"{name}: expected {kind}")
+    return value
 
 
 def _check_finite(name: str, value) -> None:
@@ -128,130 +128,58 @@ def _check_finite(name: str, value) -> None:
             _check_finite(name, item)
 
 
-def _build_nested(cls, payload: dict, field_name: str):
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(payload) - allowed
+def _section(key: str, default, payload):
+    """`default` with the keys of a JSON section replaced, each type-checked."""
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{key}: expected a JSON object")
+    types = {f.name: f.type for f in dataclasses.fields(default)}
+    unknown = set(payload) - set(types)
     if unknown:
-        raise ConfigError(f"{field_name}: unknown key(s) {sorted(unknown)}")
-    for f in dataclasses.fields(cls):
-        if f.name in payload:
-            # the annotation, not the default: a field may have no default
-            kind = f.type if isinstance(f.type, str) else f.type.__name__
-            _check_kind(f"{field_name}: {f.name}", payload[f.name], kind)
+        raise ConfigError(f"{key}: unknown key(s) {sorted(unknown)}")
+    values = {name: _checked(f"{key}: {name}", v, types[name]) for name, v in payload.items()}
     try:
-        return cls(**payload)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{field_name}: {exc}") from exc
-
-
-def _numbers(pool: dict, key: str) -> tuple:
-    values = pool[key]
-    if not isinstance(values, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-    ):
-        raise ConfigError(f"pool: {key}: expected a list of numbers")
-    return tuple(values)
+        return dataclasses.replace(default, **values)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a fully resolved config from a JSON payload.
 
-    The only required key is `task`; everything else falls back to the
-    task's calibrated defaults.  Unknown keys are rejected so typos fail
-    loudly instead of silently running defaults.
+    The only required key is `task`; it picks the defaults, which are
+    `default_config(task)`.  Each other key sets one config field: a
+    number or string is type-checked against the field, and a section
+    (an object such as `gains`, `plant` or `pool`) is the task default
+    with the keys it gives replaced, so a partial section keeps the rest.
+    Unknown keys are rejected so typos fail loudly instead of silently
+    running defaults.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config: expected a JSON object")
     if "task" not in raw:
         raise ConfigError("task: missing required field")
-    unknown = set(raw) - set(_SCALAR_KEYS) - set(_NESTED_KEYS)
+    unknown = set(raw) - set(_KEYS.values())
     if unknown:
         raise ConfigError(f"config: unknown field(s) {sorted(unknown)}")
-    for key in _NESTED_KEYS:
-        if key in raw and not isinstance(raw[key], dict):
-            raise ConfigError(f"{key}: expected a JSON object")
-    for key, value in raw.items():
-        _check_finite(key, value)
 
-    task = raw["task"]
-    base = default_config(task)
-    updates: dict = {k: raw[k] for k in _SCALAR_KEYS if k in raw}
-    for key, value in updates.items():
-        _check_kind(key, value, type(getattr(base, key)).__name__)
-
-    if "gains" in raw:
-        updates["gains"] = _build_nested(ControllerGains, raw["gains"], "gains")
-    if "ratio" in raw:
-        updates["ratio"] = _build_nested(RatioConfig, raw["ratio"], "ratio")
-    if "train" in raw:
-        merged = {**dataclasses.asdict(base.train), **raw["train"]}
-        updates["train"] = _build_nested(TrainConfig, merged, "train")
-    if "gp" in raw:
-        merged = {**dataclasses.asdict(base.gp), **raw["gp"]}
-        updates["gp"] = _build_nested(GpHyper, merged, "gp")
-    if "plant" in raw:
-        cls = PendulumParams if task == "pendulum" else DroneParams
-        updates_key = "plant_pendulum" if task == "pendulum" else "plant_drone"
-        updates[updates_key] = _build_nested(cls, raw["plant"], "plant")
-    if "pool" in raw:
-        pool = raw["pool"]
-        if task == "pendulum":
-            if set(pool) != {"amplitudes"}:
-                raise ConfigError("pool: pendulum pool needs exactly {'amplitudes'}")
-            updates["amplitudes"] = _numbers(pool, "amplitudes")
+    base = default_config(_checked("task", raw["task"], "str"))
+    updates = {}
+    for f in dataclasses.fields(base):
+        key = _KEYS[f.name]
+        if key not in raw:
+            continue
+        _check_finite(key, raw[key])
+        default = getattr(base, f.name)
+        if dataclasses.is_dataclass(default):
+            updates[f.name] = _section(key, default, raw[key])
         else:
-            if set(pool) != {"rates", "hovers"}:
-                raise ConfigError("pool: landing pool needs exactly {'rates', 'hovers'}")
-            updates["rates"] = _numbers(pool, "rates")
-            updates["hovers"] = _numbers(pool, "hovers")
-    if "safety" in raw:
-        safety = raw["safety"]
-        keys = {"q_abs_max"} if task == "pendulum" else {"qdot_min_at_ground", "ground"}
-        if not set(safety) <= keys:
-            raise ConfigError(f"safety: allowed keys for {task} are {sorted(keys)}")
-        for key, value in safety.items():
-            _check_kind(f"safety: {key}", value, type(getattr(base, key)).__name__)
-        updates.update(safety)
-
-    try:
-        return dataclasses.replace(base, **updates)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
-
-
-def _resolved_pool(config: ExperimentConfig) -> dict:
-    if config.task == "pendulum":
-        amps = config.amplitudes or tuple(default_pendulum_amplitudes())
-        return {"amplitudes": [float(a) for a in amps]}
-    if config.rates and config.hovers:
-        rates, hovers = config.rates, config.hovers
-    else:
-        pairs = default_landing_params()
-        rates = sorted({c for c, _ in pairs})
-        hovers = sorted({h for _, h in pairs})
-    return {"rates": [float(c) for c in rates], "hovers": [float(h) for h in hovers]}
+            updates[f.name] = _checked(key, raw[key], f.type)
+    return dataclasses.replace(base, **updates)
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     """Resolved, JSON-ready view of a config (defaults made explicit)."""
-    out = {k: getattr(config, k) for k in _SCALAR_KEYS}
-    out["gains"] = dataclasses.asdict(config.gains)
-    out["ratio"] = dataclasses.asdict(config.ratio)
-    out["train"] = dataclasses.asdict(config.train)
-    out["gp"] = dataclasses.asdict(config.gp)
-    out["pool"] = _resolved_pool(config)
-    if config.task == "pendulum":
-        out["plant"] = dataclasses.asdict(config.plant_pendulum)
-        out["safety"] = {"q_abs_max": config.q_abs_max}
-    else:
-        out["plant"] = dataclasses.asdict(config.plant_drone)
-        out["safety"] = {
-            "qdot_min_at_ground": config.qdot_min_at_ground,
-            "ground": config.ground,
-        }
-    return out
+    return {_KEYS[name]: value for name, value in dataclasses.asdict(config).items()}
 
 
 # -- output writers ----------------------------------------------------------

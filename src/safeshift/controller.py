@@ -11,9 +11,8 @@ The rollout integrates the true plant with the scalar RK4 step of
 
 Each formula has one implementation: every step evaluates
 `core.desired_values` at its time and calls `control_law` and
-`dynamics.step_rk4`; the tracking error x_tilde and the composite
-variable s are computed from the recorded states and desired values
-after the loop.
+`dynamics.step_rk4`; the tracking error x_tilde is computed from the
+recorded states and desired values after the loop.
 """
 
 from __future__ import annotations
@@ -25,19 +24,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import DesiredTrajectory, desired_values
-from .dynamics import (
-    MixedModelParams,
-    SimulationDiverged,
-    drone_actuator_invert,
-    forward_dynamics,
-    step_rk4,
-)
+from .dynamics import MixedModelParams, SimulationDiverged, step_rk4
 
 __all__ = [
     "ControllerGains",
     "Rollout",
     "control_law",
-    "drone_actuator_invert",
     "simulate_closed_loop",
     "x0_on_trajectory",
 ]
@@ -74,8 +66,8 @@ def control_law(
         qddot_r = qddot_g - lam * qdot_tilde
         u       = B^+ (M qddot_r + C qdot_r - K s + G - d_hat)
 
-    For force-input plants the returned value is the commanded force, to
-    be mapped to an actuator command by the plant-specific inversion.
+    For force-input plants the returned value is the commanded force,
+    which the simulator clamps at zero.
     """
     lam = gains.lam
     q_t = q - q_g
@@ -102,7 +94,6 @@ class Rollout:
 
     times: np.ndarray
     states: np.ndarray
-    s_values: np.ndarray
     x_tilde: np.ndarray
     eps: np.ndarray
     status: str = "ok"
@@ -172,15 +163,10 @@ def simulate_closed_loop(
 
     force_input = model.force_input
     accel = model.accel
-    if accel is not None:
-        b = model.actuation
+    b = model.actuation
 
-        def deriv(t, q, qdot, u):
-            return accel(q, qdot, b * u, residual_fn(t, q, qdot))
-    else:
-
-        def deriv(t, q, qdot, u):
-            return forward_dynamics(model, (q, qdot), u, residual_fn(t, q, qdot))
+    def deriv(t, q, qdot, u):
+        return accel(q, qdot, b * u, residual_fn(t, q, qdot))
 
     status = "ok"
     touchdown_time = None
@@ -196,11 +182,9 @@ def simulate_closed_loop(
             d_hat = d_hat_fn(q, qdot)
         force = control_law(model, gains, q, qdot, q_g, qdot_g, qddot_g, d_hat)
         if force_input:
-            _, clamped = model.actuator_invert(force)
-            # applied thrust is exactly max(force, 0): the inversion and
-            # the quadratic thrust map cancel, the clamp does not
+            # thrust cannot pull: a negative demand is clamped to zero
             applied = force if force > 0.0 else 0.0
-            clamp_count += clamped
+            clamp_count += force < 0.0
         else:
             applied = force
 
@@ -235,7 +219,6 @@ def simulate_closed_loop(
     return Rollout(
         times=times[:n_rec],
         states=states[:n_rec],
-        s_values=x_tilde[:, 1] + gains.lam * x_tilde[:, 0],
         x_tilde=x_tilde,
         eps=eps[:n_rec],
         status=status,

@@ -26,10 +26,10 @@ __all__ = [
     "RejectedCandidate",
     "desired_values",
     "grid_steps",
+    "PendulumPool",
+    "LandingPool",
     "pendulum_pool",
     "landing_pool",
-    "default_pendulum_amplitudes",
-    "default_landing_params",
     "safety_contains",
     "subsample_rows",
 ]
@@ -123,7 +123,7 @@ class DesiredTrajectory:
 class StateBox:
     """Safety set { |q| < q_abs_max }.  Membership is strict."""
 
-    q_abs_max: float
+    q_abs_max: float = 1.5
 
     def __post_init__(self):
         if not self.q_abs_max > 0:
@@ -138,7 +138,7 @@ class TouchdownSpeed:
     at or faster than the threshold speed (which is negative: descending).
     """
 
-    qdot_min_at_ground: float
+    qdot_min_at_ground: float = -1.0
     ground: float = 0.0
 
     def __post_init__(self):
@@ -175,6 +175,33 @@ def grid_steps(horizon: float, dt: float) -> int:
 
 def _uniform_grid(horizon: float, dt: float) -> np.ndarray:
     return np.arange(grid_steps(horizon, dt) + 1) * dt
+
+
+@dataclass(frozen=True)
+class PendulumPool:
+    """Swing amplitudes C of the pendulum candidates (see `pendulum_pool`)."""
+
+    amplitudes: tuple[float, ...] = tuple(round(0.1 * k, 10) for k in range(1, 11))
+
+    def __post_init__(self):
+        if not self.amplitudes:
+            raise ValueError("amplitudes must not be empty")
+
+
+@dataclass(frozen=True)
+class LandingPool:
+    """Descent rates C x hover altitudes h_g of the landing candidates.
+
+    Every (C, h_g) pair is one candidate (see `landing_pool`), ordered by
+    rate, then by hover altitude.
+    """
+
+    rates: tuple[float, ...] = tuple(round(0.25 * k, 10) for k in range(1, 13))
+    hovers: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+    def __post_init__(self):
+        if not (self.rates and self.hovers):
+            raise ValueError("rates and hovers must not be empty")
 
 
 def pendulum_pool(
@@ -245,16 +272,6 @@ def landing_pool(
             )
         )
     return pool
-
-
-def default_pendulum_amplitudes() -> list[float]:
-    return [round(0.1 * k, 10) for k in range(1, 11)]
-
-
-def default_landing_params() -> list[tuple[float, float]]:
-    rates = [round(0.25 * k, 10) for k in range(1, 13)]
-    hovers = [0.0, 0.25, 0.5, 0.75, 1.0]
-    return [(c, h) for c in rates for h in hovers]
 
 
 def subsample_rows(x: np.ndarray, max_rows: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 __all__ = [
     "MixedModelParams",
@@ -22,7 +22,6 @@ __all__ = [
     "DroneParams",
     "pendulum_mixed_model",
     "drone_mixed_model",
-    "drone_actuator_invert",
     "pendulum_residual_fn",
     "drone_residual_fn",
     "forward_dynamics",
@@ -43,25 +42,19 @@ class MixedModelParams:
     """Known part of the dynamics: inertia, Coriolis, gravity, actuation.
 
     Scalar (1-DOF) system, so the callables return floats and `actuation`
-    is the scalar B.  `actuator_invert`, when set, maps a commanded force
-    to the physical actuator command (the drone's thrust map) and reports
-    whether an unreachable demand was clamped; the applied force is then
-    clamped to be nonnegative.  None means the command is applied as-is.
+    is the scalar B.  `accel(q, qdot, bu, d)` is the acceleration, equal
+    to `forward_dynamics` but one call instead of three; the simulator
+    integrates it.  `force_input` marks a plant driven by a force that
+    cannot pull (the drone's thrust): the simulator applies
+    max(command, 0) and counts the steps that clamp.
     """
 
     mass_matrix: Callable[[float], float]
     coriolis: Callable[[float, float], float]
     gravity: Callable[[float], float]
     actuation: float
-    actuator_invert: Optional[Callable[[float], tuple[float, bool]]] = None
-    # optional fused acceleration (q, qdot, bu, d) -> qddot, equal to
-    # forward_dynamics but one call instead of three; the simulator's
-    # hot loop uses it when present
-    accel: Optional[Callable[[float, float, float, float], float]] = None
-
-    @property
-    def force_input(self) -> bool:
-        return self.actuator_invert is not None
+    accel: Callable[[float, float, float, float], float]
+    force_input: bool = False
 
 
 @dataclass(frozen=True)
@@ -109,31 +102,17 @@ def pendulum_mixed_model(p: PendulumParams = PendulumParams()) -> MixedModelPara
     )
 
 
-def drone_actuator_invert(force: float, c_t: float) -> tuple[float, bool]:
-    """Motor command for a requested vertical force, thrust = c_t * u^2.
-
-    Negative force demands are physically unreachable and clamp to u = 0;
-    the second return value flags that the clamp engaged.
-    """
-    if c_t <= 0:
-        raise ValueError("c_t must be positive")
-    if force < 0:
-        return 0.0, True
-    return math.sqrt(force / c_t), False
-
-
 def drone_mixed_model(p: DroneParams = DroneParams()) -> MixedModelParams:
-    """Vertical-axis drone, m qddot + m g = F + d with thrust F = c_t u^2."""
+    """Vertical-axis drone, m qddot + m g = F + d with thrust F = c_t u^2 >= 0."""
     mg = p.m * p.g
-    c_t = p.c_t
     mass = p.m
     return MixedModelParams(
         mass_matrix=lambda q: mass,
         coriolis=lambda q, qdot: 0.0,
         gravity=lambda q: mg,
         actuation=1.0,
-        actuator_invert=lambda force: drone_actuator_invert(force, c_t),
         accel=lambda q, qdot, bu, d: (bu + d - mg) / mass,
+        force_input=True,
     )
 
 

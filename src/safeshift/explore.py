@@ -43,11 +43,11 @@ from .core import (
     Dataset,
     DesiredTrajectory,
     EpisodeRecord,
+    LandingPool,
+    PendulumPool,
     SafetySet,
     StateBox,
     TouchdownSpeed,
-    default_landing_params,
-    default_pendulum_amplitudes,
     grid_steps,
     landing_pool,
     pendulum_pool,
@@ -90,6 +90,13 @@ __all__ = [
 
 MODEL_KINDS = ("robust", "gp_rbf", "gp_matern")
 
+# The type of each ExperimentConfig field that the task picks; each
+# type's defaults are the task's calibrated ones.
+TASK_TYPES = {
+    "pendulum": {"plant": PendulumParams, "candidates": PendulumPool, "safety": StateBox},
+    "landing": {"plant": DroneParams, "candidates": LandingPool, "safety": TouchdownSpeed},
+}
+
 # Fixed settings of the loop (no workload varies them).  The simulator
 # integrates at SIM_DT on desired trajectories gridded at TRAJ_DT, and
 # data is collected from each rollout at SAMPLE_HZ.  The learned
@@ -118,10 +125,13 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """Everything a seeded experiment needs.
 
-    Pool parameters: `amplitudes` for the pendulum task; `rates` x
-    `hovers` (cartesian product) for the landing task.  `output_dim` > 1
-    appends zero-mean nuisance residual dimensions, exercising the
-    multi-output learner; certification always uses dimension 0.
+    The task picks the types of `plant`, `candidates` and `safety`
+    (`TASK_TYPES`): a pendulum with a `PendulumPool` of swing amplitudes
+    and a `StateBox`, or a drone with a `LandingPool` of rates x hovers
+    and a `TouchdownSpeed`; `default_config` builds either with its
+    defaults.  `output_dim` > 1 appends zero-mean nuisance residual
+    dimensions, exercising the multi-output learner; certification
+    always uses dimension 0.
 
     `cert_stride` scans sigma on every k-th grid point, a documented
     deviation from the idealized loop (1 is exact); the d_hat hold is the
@@ -141,14 +151,9 @@ class ExperimentConfig:
     sigma0_sq: float = 0.5
     gains: ControllerGains = field(default_factory=lambda: ControllerGains(1.0, 1.0))
     horizon: float = 20.0
-    amplitudes: tuple = ()
-    rates: tuple = ()
-    hovers: tuple = ()
-    q_abs_max: float = 1.5
-    qdot_min_at_ground: float = -1.0
-    ground: float = 0.0
-    plant_pendulum: PendulumParams = field(default_factory=PendulumParams)
-    plant_drone: DroneParams = field(default_factory=DroneParams)
+    plant: PendulumParams | DroneParams = field(default_factory=PendulumParams)
+    candidates: PendulumPool | LandingPool = field(default_factory=PendulumPool)
+    safety: SafetySet = field(default_factory=StateBox)
     ratio: RatioConfig = field(default_factory=RatioConfig)
     output_dim: int = 1
     train: rr.TrainConfig = field(default_factory=lambda: rr.TrainConfig(epochs=300))
@@ -158,8 +163,11 @@ class ExperimentConfig:
     gp: GpHyper = field(default_factory=GpHyper)
 
     def __post_init__(self):
-        if self.task not in ("pendulum", "landing"):
+        if self.task not in TASK_TYPES:
             raise ConfigError(f"task: unknown task {self.task!r}")
+        for name, cls in TASK_TYPES[self.task].items():
+            if not isinstance(getattr(self, name), cls):
+                raise ConfigError(f"{name}: the {self.task} task needs a {cls.__name__}")
         if self.episodes < 1:
             raise ConfigError("episodes: must be >= 1")
         if self.seed < 0:
@@ -180,36 +188,23 @@ class ExperimentConfig:
             raise ConfigError("cert_stride: must be >= 1")
         if self.first_fit_epochs < 1:
             raise ConfigError("first_fit_epochs: must be >= 1")
-        try:
-            self.safety_set()
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"safety: {exc}") from exc
 
     def pool(self) -> list[DesiredTrajectory]:
+        c = self.candidates
         if self.task == "pendulum":
-            amps = self.amplitudes or tuple(default_pendulum_amplitudes())
-            return pendulum_pool(amps, dt=TRAJ_DT, horizon=self.horizon)
-        params = (
-            [(c, h) for c in self.rates for h in self.hovers]
-            if self.rates and self.hovers
-            else default_landing_params()
-        )
-        return landing_pool(params, dt=TRAJ_DT, horizon=self.horizon, ground=self.ground)
-
-    def safety_set(self) -> SafetySet:
-        if self.task == "pendulum":
-            return StateBox(q_abs_max=self.q_abs_max)
-        return TouchdownSpeed(qdot_min_at_ground=self.qdot_min_at_ground, ground=self.ground)
+            return pendulum_pool(c.amplitudes, dt=TRAJ_DT, horizon=self.horizon)
+        pairs = [(rate, hover) for rate in c.rates for hover in c.hovers]
+        return landing_pool(pairs, dt=TRAJ_DT, horizon=self.horizon, ground=self.safety.ground)
 
     def mixed_model(self):
         if self.task == "pendulum":
-            return pendulum_mixed_model(self.plant_pendulum)
-        return drone_mixed_model(self.plant_drone)
+            return pendulum_mixed_model(self.plant)
+        return drone_mixed_model(self.plant)
 
     def residual_fn(self):
         if self.task == "pendulum":
-            return pendulum_residual_fn(self.plant_pendulum)
-        return drone_residual_fn(self.plant_drone)
+            return pendulum_residual_fn(self.plant)
+        return drone_residual_fn(self.plant)
 
     def tube(self) -> TubeParams:
         # both plants have configuration-independent inertia
@@ -217,47 +212,47 @@ class ExperimentConfig:
         return TubeParams.scalar(m, self.gains.k, self.gains.lam)
 
     def rollout_ground(self) -> Optional[float]:
-        return self.ground if self.task == "landing" else None
+        return self.safety.ground if self.task == "landing" else None
 
 
 def default_config(task: str, seed: int = 0, model_kind: str = "robust") -> ExperimentConfig:
     """Calibrated per-task defaults.
 
-    The gains are chosen so the tube gain gamma makes certification a real
-    constraint at the base-model uncertainty (episode 1 must not already
-    certify the most aggressive candidate), while the closed loop stays
-    well damped and the steady tracking offset under the unlearned
-    residual stays small: pendulum gamma ~ 2.06, drone gamma ~ 0.64.
+    The plant, pool and safety set are the defaults of the task's types
+    (`TASK_TYPES`).  The gains are chosen so the tube gain gamma makes
+    certification a real constraint at the base-model uncertainty
+    (episode 1 must not already certify the most aggressive candidate),
+    while the closed loop stays well damped and the steady tracking
+    offset under the unlearned residual stays small: pendulum gamma ~
+    2.06, drone gamma ~ 0.64.
     """
+    if task not in TASK_TYPES:
+        raise ConfigError(f"task: unknown task {task!r}")
+    common = {name: cls() for name, cls in TASK_TYPES[task].items()}
+    common.update(task=task, seed=seed, model_kind=model_kind)
     if task == "pendulum":
         return ExperimentConfig(
-            task="pendulum",
-            seed=seed,
+            **common,
             beta=0.5,
             sigma0_sq=0.5,
             gains=ControllerGains(1.0, 2.0),
             horizon=20.0,
             output_dim=1,
-            model_kind=model_kind,
         )
-    if task == "landing":
-        # Weaker L1 than the pendulum: near the ground the lift term is
-        # steep and the head norms it needs are large, so the default
-        # penalty visibly biases the mean and stalls the landing frontier.
-        return ExperimentConfig(
-            task="landing",
-            seed=seed,
-            beta=1.0,
-            sigma0_sq=1.0,
-            gains=ControllerGains(3.2, 2.0),
-            horizon=10.0,
-            output_dim=3,
-            cert_stride=6,
-            train=rr.TrainConfig(epochs=500, lam=1e-4),
-            first_fit_epochs=2000,
-            model_kind=model_kind,
-        )
-    raise ConfigError(f"task: unknown task {task!r}")
+    # Weaker L1 than the pendulum: near the ground the lift term is
+    # steep and the head norms it needs are large, so the default
+    # penalty visibly biases the mean and stalls the landing frontier.
+    return ExperimentConfig(
+        **common,
+        beta=1.0,
+        sigma0_sq=1.0,
+        gains=ControllerGains(3.2, 2.0),
+        horizon=10.0,
+        output_dim=3,
+        cert_stride=6,
+        train=rr.TrainConfig(epochs=500, lam=1e-4),
+        first_fit_epochs=2000,
+    )
 
 
 def _stride_index(n: int, stride: int) -> np.ndarray:
@@ -343,8 +338,6 @@ def _fast_ratio_point(src: KdeModel, trg: KdeModel, cfg: RatioConfig):
 class RobustLearner:
     """Covariate-shift robust regressor wired into the episode loop."""
 
-    kind = "robust"
-
     def __init__(self, config: ExperimentConfig, rng: np.random.Generator):
         self.cfg = config
         self.fits = 0
@@ -411,15 +404,14 @@ class RobustLearner:
 class GpLearner:
     """Exact-GP drop-in with the same episode-loop surface."""
 
-    def __init__(self, config: ExperimentConfig, hyper: GpHyper):
+    def __init__(self, config: ExperimentConfig, kernel: str):
         self.cfg = config
-        self.hyper = hyper
+        self.kernel = kernel
         self.model: Optional[GpModel] = None
-        self.kind = "gp_" + ("rbf" if hyper.kernel == "rbf" else "matern")
 
     def eval_candidate(self, pts, ratios):
         if self.model is None:
-            return math.sqrt(self.hyper.sigma_f_sq)
+            return math.sqrt(self.cfg.gp.sigma_f_sq)
         _, var = gp_predict(self.model, pts)
         return float(np.sqrt(np.max(var)))
 
@@ -432,14 +424,14 @@ class GpLearner:
         alpha0 = np.ascontiguousarray(m.alpha[:, 0])
 
         def d_hat(q: float, qdot: float) -> float:
-            k_star = kernel_matrix(h.kernel, m.x_train, ((q, qdot),), h.sigma_f_sq, h.ell)
+            k_star = kernel_matrix(m.kernel, m.x_train, ((q, qdot),), h.sigma_f_sq, h.ell)
             return float(k_star[:, 0] @ alpha0)
 
         return d_hat
 
     def retrain(self, dataset: Dataset, src_kde, trg_kde):
         self.model = None  # release the old n x n factor before fitting
-        self.model = gp_fit(dataset.inputs, dataset.targets, self.hyper)
+        self.model = gp_fit(dataset.inputs, dataset.targets, self.cfg.gp, self.kernel)
 
     def moment_residual_max(self) -> float:
         return math.nan
@@ -448,8 +440,7 @@ class GpLearner:
 def make_learner(config: ExperimentConfig, rng: np.random.Generator):
     if config.model_kind == "robust":
         return RobustLearner(config, rng)
-    kernel = "rbf" if config.model_kind == "gp_rbf" else "matern52"
-    return GpLearner(config, replace(config.gp, kernel=kernel))
+    return GpLearner(config, "rbf" if config.model_kind == "gp_rbf" else "matern52")
 
 
 @dataclass
@@ -491,7 +482,7 @@ def _audit(rollout: Rollout, safe_set: SafetySet) -> bool:
 def _realized_cost(config: ExperimentConfig, rollout: Rollout) -> float:
     if config.task == "pendulum":
         return -float(np.max(np.abs(rollout.states[:, 0])))
-    reached = np.nonzero(rollout.states[:, 0] <= config.ground + 0.01)[0]
+    reached = np.nonzero(rollout.states[:, 0] <= config.safety.ground + 0.01)[0]
     if len(reached) == 0:
         return math.inf
     return float(rollout.times[reached[0]])
@@ -533,14 +524,13 @@ def run_episode(
     elif len(cache.spans) != len(pool):
         raise ValueError("cache was built for a different pool")
     gamma_val = gamma(config.tube())
-    safe_set = config.safety_set()
 
     evals = []
     inputs = cache.episode_inputs(src_kde, config.ratio)
     for traj, trg_kde, (pts, ratios, w_hat_k) in zip(pool, cache.trg_kdes, inputs):
         sigma_max = learner.eval_candidate(pts, ratios)
         eps_m = eps_m_from_sigma(sigma_max, config.beta)
-        cert = certify_trajectory(traj, gamma_val, eps_m, safe_set)
+        cert = certify_trajectory(traj, gamma_val, eps_m, config.safety)
         evals.append((traj, trg_kde, sigma_max, eps_m, cert, w_hat_k))
 
     # admission requires both the tracking-tube certificate and a bounded
@@ -587,7 +577,6 @@ def run_episode(
 class ExperimentResult:
     config: ExperimentConfig
     records: list
-    learner: object
     rollouts: list
     trajs: list
 
@@ -612,7 +601,6 @@ def run_experiment(config: ExperimentConfig, learner=None) -> ExperimentResult:
         learner = make_learner(config, np.random.default_rng(config.seed))
     pool = config.pool()
     cache = build_pool_cache(pool, config)
-    safe_set = config.safety_set()
 
     dataset = Dataset.empty(config.output_dim)
     src_kde = None
@@ -634,7 +622,7 @@ def run_experiment(config: ExperimentConfig, learner=None) -> ExperimentResult:
             rec.tube_radius = out.certification.rho if out.certification else math.nan
         if out.rollout is not None:
             rec.rms_tracking = out.rollout.rms_tracking()
-            rec.violation = _audit(out.rollout, safe_set)
+            rec.violation = _audit(out.rollout, config.safety)
             rec.realized_cost = _realized_cost(config, out.rollout)
             rec.rms_residual_error = float(np.sqrt(np.mean(out.rollout.eps ** 2)))
         rollouts.append(out.rollout)
@@ -655,7 +643,6 @@ def run_experiment(config: ExperimentConfig, learner=None) -> ExperimentResult:
     return ExperimentResult(
         config=config,
         records=records,
-        learner=learner,
         rollouts=rollouts,
         trajs=trajs,
     )

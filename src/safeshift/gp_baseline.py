@@ -2,8 +2,9 @@
 
 Drop-in alternative to the robust regressor in the exploration loop: it
 exposes the same (mu, sigma_sq) prediction interface.  Hyperparameters are
-fixed from config (no marginal-likelihood optimization); outputs beyond
-the first are handled by independent GPs sharing one kernel matrix.
+fixed from config (no marginal-likelihood optimization) and the kernel
+from the learner kind; outputs beyond the first are handled by
+independent GPs sharing one kernel matrix.
 
 A fit is one Cholesky factorization L of the kernel matrix and one
 triangular inverse L^-1, exactly lower-triangular (Rasmussen & Williams,
@@ -47,14 +48,11 @@ class HyperparameterError(ValueError):
 
 @dataclass(frozen=True)
 class GpHyper:
-    kernel: str = "rbf"
     sigma_f_sq: float = 1.0
     ell: float = 0.5
     sigma_n_sq: float = 1e-4
 
     def __post_init__(self):
-        if self.kernel not in KERNELS:
-            raise ValueError(f"kernel must be one of {KERNELS}")
         if min(self.sigma_f_sq, self.ell, self.sigma_n_sq) <= 0:
             raise ValueError("sigma_f_sq, ell, sigma_n_sq must be positive")
 
@@ -135,6 +133,7 @@ def _invert_block(chol: np.ndarray, inv: np.ndarray, lo: int, hi: int) -> None:
 @dataclass(frozen=True)
 class GpModel:
     hyper: GpHyper
+    kernel: str  # one of KERNELS
     x_train: np.ndarray  # (n, d)
     # L^-1, L the lower Cholesky factor of K + sigma_n_sq I (+ jitter);
     # exactly lower-triangular: every entry above the diagonal is 0.0
@@ -146,13 +145,14 @@ class GpModel:
         return self.alpha.shape[1]
 
 
-def gp_fit(inputs, targets, hyper: GpHyper = GpHyper()) -> GpModel:
+def gp_fit(inputs, targets, hyper: GpHyper = GpHyper(), kernel: str = "rbf") -> GpModel:
     """Factor the kernel matrix once; each output column gets its own alpha.
 
     One Cholesky factorization L and one triangular inverse L^-1 per fit;
     alpha = L^-T (L^-1 y).  The model keeps L^-1 instead of the factor L,
     so each prediction's variance is a product with the lower triangle of
-    L^-1 instead of a triangular solve.
+    L^-1 instead of a triangular solve.  `kernel` (one of KERNELS) is kept
+    on the model, so `gp_predict` uses the same one.
     """
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.asarray(targets, dtype=float)
@@ -162,7 +162,7 @@ def gp_fit(inputs, targets, hyper: GpHyper = GpHyper()) -> GpModel:
         raise ValueError("need at least one training point")
     if len(y) != len(x):
         raise ValueError("inputs/targets length mismatch")
-    k = kernel_matrix(hyper.kernel, x, x, hyper.sigma_f_sq, hyper.ell)
+    k = kernel_matrix(kernel, x, x, hyper.sigma_f_sq, hyper.ell)
     k[np.diag_indices_from(k)] += hyper.sigma_n_sq
     jitter = 0.0
     while True:
@@ -179,7 +179,7 @@ def gp_fit(inputs, targets, hyper: GpHyper = GpHyper()) -> GpModel:
     chol_inv = _lower_inverse(chol)
     del chol
     alpha = chol_inv.T @ (chol_inv @ y)
-    return GpModel(hyper=hyper, x_train=x, chol_inv=chol_inv, alpha=alpha)
+    return GpModel(hyper=hyper, kernel=kernel, x_train=x, chol_inv=chol_inv, alpha=alpha)
 
 
 def gp_predict(model: GpModel, x):
@@ -194,7 +194,7 @@ def gp_predict(model: GpModel, x):
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
     h = model.hyper
-    k_star = kernel_matrix(h.kernel, model.x_train, pts, h.sigma_f_sq, h.ell)  # (n, m)
+    k_star = kernel_matrix(model.kernel, model.x_train, pts, h.sigma_f_sq, h.ell)  # (n, m)
     mu = k_star.T @ model.alpha
     n, m = k_star.shape
     sq = np.zeros(m)  # ||L^-1 k*||^2 per query point

@@ -8,11 +8,14 @@ import json
 import math
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from safeshift import cli
 from safeshift.cli import EPISODE_COLUMNS, config_from_dict, config_to_dict, main
+from safeshift.controller import ControllerGains
+from safeshift.core import LandingPool
 from safeshift.dynamics import SimulationDiverged
 from safeshift.explore import ExperimentConfig, default_config
 
@@ -132,8 +135,9 @@ def test_unknown_field_named_in_diagnostic(tmp_path, capsys):
     assert "episods" in capsys.readouterr().err
 
 
-# settings that became module constants: a config that still sets one
-# is rejected like any other unknown key
+# settings that became module constants, and the GP kernel, which the
+# learner kind sets: a config that still sets one is rejected like any
+# other unknown key
 REMOVED_KEYS = [
     "sim_dt", "traj_dt", "sample_hz", "max_train_points", "kde_src_max", "kde_trg_max",
     "w_max", "d_hat_hold_steps",
@@ -144,8 +148,9 @@ REMOVED_TRAIN_KEYS = ["seed", "lr", "clip_norm", "theta_y_floor", "theta_y_lr_mu
 @pytest.mark.parametrize(
     "extra, message",
     [({key: 1}, f"config: unknown field(s) ['{key}']") for key in REMOVED_KEYS]
-    + [({"train": {key: 1}}, f"train: unknown key(s) ['{key}']") for key in REMOVED_TRAIN_KEYS],
-    ids=REMOVED_KEYS + [f"train.{key}" for key in REMOVED_TRAIN_KEYS],
+    + [({"train": {key: 1}}, f"train: unknown key(s) ['{key}']") for key in REMOVED_TRAIN_KEYS]
+    + [({"gp": {"kernel": "matern52"}}, "gp: unknown key(s) ['kernel']")],
+    ids=REMOVED_KEYS + [f"train.{key}" for key in REMOVED_TRAIN_KEYS] + ["gp.kernel"],
 )
 def test_removed_key_rejected(extra, message, tmp_path, capsys):
     with pytest.raises(cli.ConfigError, match=re.escape(message)):
@@ -194,7 +199,7 @@ def test_nested_field_must_be_object(key, value, tmp_path, capsys):
         ({"horizon": True}, "horizon: expected float"),
         ({"train": {"epochs": 1.5}}, "train: epochs: expected int"),
         ({"train": {"lam": "fast"}}, "train: lam: expected float"),
-        ({"gp": {"kernel": 3}}, "gp: kernel: expected str"),
+        ({"gp": {"ell": "wide"}}, "gp: ell: expected float"),
         ({"mu0": math.nan}, "mu0: expected a finite number"),
         ({"beta": math.nan}, "beta: expected a finite number"),
         ({"horizon": math.inf}, "horizon: expected a finite number"),
@@ -206,6 +211,7 @@ def test_nested_field_must_be_object(key, value, tmp_path, capsys):
         ({"gains": {"k": True, "lam": 2.0}}, "gains: k: expected float"),
         ({"gains": {"k": "1", "lam": 2.0}}, "gains: k: expected float"),
         ({"horizon": 2.005}, "horizon: must be a multiple of the grid step 0.01"),
+        ({"pool": {"amplitudes": []}}, "pool: amplitudes must not be empty"),
     ],
 )
 def test_malformed_field_value_names_field(extra, field_name, tmp_path, capsys):
@@ -384,14 +390,19 @@ def test_compare_mismatched_tasks(small_runs, tmp_path, capsys):
 
 @pytest.mark.parametrize("task", ["pendulum", "landing"])
 def test_config_roundtrip_of_defaults(task):
-    # defaults keep the pool fields empty (resolved lazily), while the
-    # manifest view spells the pool out, so the roundtrip contract lives
-    # at the dict level: loading a resolved view is a fixed point
     cfg = default_config(task)
-    resolved = config_to_dict(cfg)
-    loaded = config_from_dict(resolved)
-    assert config_to_dict(loaded) == resolved
-    assert config_from_dict(config_to_dict(loaded)) == loaded
+    assert config_from_dict(config_to_dict(cfg)) == cfg
+
+
+@pytest.mark.parametrize(
+    "task, model_kind",
+    [("pendulum", "robust"), ("landing", "robust"), ("landing", "gp_rbf"),
+     ("landing", "gp_matern")],
+)
+def test_manifest_loads_back_to_the_config_that_ran(task, model_kind, tmp_path):
+    cfg = default_config(task, model_kind=model_kind)
+    cli._write_manifest(tmp_path / "manifest.json", SimpleNamespace(config=cfg))
+    assert config_from_dict(json.loads((tmp_path / "manifest.json").read_text())) == cfg
 
 
 def test_config_roundtrip_of_customized():
@@ -407,31 +418,26 @@ def test_config_roundtrip_of_customized():
     cfg = config_from_dict(raw)
     assert cfg.beta == 0.7 and cfg.episodes == 4
     assert (cfg.gains.k, cfg.gains.lam) == (2.5, 1.5)
-    assert cfg.amplitudes == (0.2, 0.4)
-    assert cfg.q_abs_max == 1.2
+    assert cfg.candidates.amplitudes == (0.2, 0.4)
+    assert cfg.safety.q_abs_max == 1.2
     assert cfg.train.epochs == 77 and cfg.train.lam == 5e-4
     assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
-# the ExperimentConfig fields each nested JSON section sets
-SECTION_FIELDS = {
-    "gains": {"gains"},
-    "plant": {"plant_pendulum", "plant_drone"},
-    "ratio": {"ratio"},
-    "train": {"train"},
-    "gp": {"gp"},
-    "pool": {"amplitudes", "rates", "hovers"},
-    "safety": {"q_abs_max", "qdot_min_at_ground", "ground"},
-}
+def test_partial_section_keeps_task_defaults():
+    cfg = config_from_dict({"task": "pendulum", "gains": {"k": 2.0}})
+    assert cfg.gains == ControllerGains(2.0, default_config("pendulum").gains.lam)
+    cfg = config_from_dict({"task": "landing", "pool": {"rates": [0.5]}})
+    assert cfg.candidates == LandingPool(rates=(0.5,), hovers=LandingPool().hovers)
 
 
 def test_cli_keys_set_every_config_field():
-    assert set(cli._NESTED_KEYS) == set(SECTION_FIELDS)
-    from_sections = set().union(*SECTION_FIELDS.values())
-    assert not from_sections & set(cli._SCALAR_KEYS)
-    assert len(set(cli._SCALAR_KEYS)) == len(cli._SCALAR_KEYS)
-    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    assert set(cli._SCALAR_KEYS) | from_sections == fields
+    # one JSON key per ExperimentConfig field, each section included
+    fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert sorted(cli._KEYS) == sorted(fields)
+    assert len(set(cli._KEYS.values())) == len(fields)
+    for task in ("pendulum", "landing"):
+        assert set(config_to_dict(default_config(task))) == set(cli._KEYS.values())
 
 
 def test_pool_key_validation():

@@ -27,6 +27,11 @@ from safeshift.core import landing_pool, pendulum_pool
 ZERO = lambda q, qdot: 0.0  # noqa: E731
 
 
+def composite(roll, lam):
+    """s = qdot_tilde + lam * q_tilde on every recorded row."""
+    return roll.x_tilde[:, 1] + lam * roll.x_tilde[:, 0]
+
+
 def test_control_law_composite_variables():
     # q_tilde = 0.1, qdot_r = 0.5 - 2 * 0.1 = 0.3, qddot_r = -0.1 - 2 * 0.4
     # = -0.9, s = 0.9 - qdot_r = 0.6; with M = 2, C = 3, G = 0, B = 1, K = 5
@@ -36,14 +41,15 @@ def test_control_law_composite_variables():
         coriolis=lambda q, qdot: 3.0,
         gravity=lambda q: 0.0,
         actuation=1.0,
+        accel=lambda q, qdot, bu, d: (bu + d - 3.0 * qdot) / 2.0,
     )
     u = control_law(model, ControllerGains(5.0, 2.0), 0.3, 0.9, 0.2, 0.5, -0.1, 0.0)
     assert u == pytest.approx(-3.9)
 
 
 def test_rollout_records_tracking_error_and_composite_variable():
-    # x_tilde = states - desired and s = qdot_tilde + lam * q_tilde on every
-    # recorded row, the touchdown row included
+    # x_tilde = states - desired on every recorded row, the touchdown row
+    # included
     (traj,) = landing_pool([(3.0, 0.0)], dt=0.01, horizon=10.0)
     lam = 2.0
     roll = simulate_closed_loop(
@@ -62,9 +68,6 @@ def test_rollout_records_tracking_error_and_composite_variable():
     ).T
     np.testing.assert_array_equal(roll.x_tilde[:, 0], roll.states[:, 0] - q_g)
     np.testing.assert_array_equal(roll.x_tilde[:, 1], roll.states[:, 1] - qdot_g)
-    np.testing.assert_array_equal(
-        roll.s_values, roll.x_tilde[:, 1] + lam * roll.x_tilde[:, 0]
-    )
     assert roll.times[-1] == roll.touchdown_time  # the last row is the contact state
 
 
@@ -115,10 +118,10 @@ def test_perfect_model_keeps_s_near_zero():
 
     roll = run(0.001)
     assert roll.status == "ok"
-    assert np.max(np.abs(roll.s_values)) <= 1e-3
+    assert np.max(np.abs(composite(roll, 5.0))) <= 1e-3
     np.testing.assert_allclose(roll.eps, 0.0, atol=1e-12)
     fine = run(0.0005)
-    ratio = np.max(np.abs(roll.s_values)) / np.max(np.abs(fine.s_values))
+    ratio = np.max(np.abs(composite(roll, 5.0))) / np.max(np.abs(composite(fine, 5.0)))
     assert 1.5 < ratio < 2.5
 
 
@@ -148,7 +151,7 @@ def test_s_norm_decays_monotonically_after_transient():
         0.001,
         (0.3, 0.0),
     )
-    s = np.abs(roll.s_values)
+    s = np.abs(composite(roll, 5.0))
     assert s[0] > 1e-2
     # strict decrease holds until |s| reaches the O(dt) held-input ripple
     settled = s < 1e-3
@@ -172,8 +175,9 @@ def test_disturbed_rollout_respects_time_envelope():
         (0.4, 0.3),
     )
     tube = TubeParams.scalar(1.0, k, lam)
-    s0 = abs(roll.s_values[0])
-    for t, s in zip(roll.times, roll.s_values):
+    s_values = composite(roll, lam)
+    s0 = abs(s_values[0])
+    for t, s in zip(roll.times, s_values):
         assert abs(s) <= tracking_envelope(float(t), s0, tube, eps_m) * 1.02 + 1e-12
 
 

@@ -11,11 +11,11 @@ from hypothesis import given, strategies as st
 from safeshift.core import (
     Dataset,
     DesiredTrajectory,
+    LandingPool,
+    PendulumPool,
     RejectedCandidate,
     StateBox,
     TouchdownSpeed,
-    default_landing_params,
-    default_pendulum_amplitudes,
     desired_values,
     landing_pool,
     pendulum_pool,
@@ -80,7 +80,7 @@ def test_pool_derivatives_match_finite_differences(task, params):
 
 
 def test_pendulum_pool_cost_strictly_decreasing_in_amplitude():
-    pool = pendulum_pool(default_pendulum_amplitudes(), dt=0.01, horizon=2.0)
+    pool = pendulum_pool(PendulumPool().amplitudes, dt=0.01, horizon=2.0)
     costs = [traj.cost for traj in pool]
     assert all(a > b for a, b in zip(costs, costs[1:]))
     assert costs[0] == pytest.approx(-0.1)
@@ -118,8 +118,8 @@ def test_landing_pool_rejects_out_of_range_params(c, h_g):
 
 
 def test_default_pool_sizes():
-    assert len(default_pendulum_amplitudes()) == 10
-    assert len(default_landing_params()) == 60
+    assert len(PendulumPool().amplitudes) == 10
+    assert len(LandingPool().rates) * len(LandingPool().hovers) == 60
 
 
 def test_trajectory_grid_is_uniform_and_indexable():

@@ -13,7 +13,6 @@ from safeshift.dynamics import (
     MixedModelParams,
     PendulumParams,
     SimulationDiverged,
-    drone_actuator_invert,
     drone_mixed_model,
     drone_residual_fn,
     forward_dynamics,
@@ -115,16 +114,6 @@ def test_fused_accel_matches_forward_dynamics(rng):
             )
 
 
-def test_actuator_invert_examples():
-    u, clamped = drone_actuator_invert(9.8, 1.0)
-    assert u == pytest.approx(math.sqrt(9.8))
-    assert not clamped
-    assert drone_actuator_invert(0.0, 1.0) == (0.0, False)
-    assert drone_actuator_invert(-5.0, 1.0) == (0.0, True)
-    with pytest.raises(ValueError):
-        drone_actuator_invert(1.0, 0.0)
-
-
 # -- integrator -----------------------------------------------------------------
 
 
@@ -210,5 +199,6 @@ def test_skew_check_fails_for_inconsistent_coriolis():
         coriolis=lambda q, qdot: 1.0,
         gravity=lambda q: 0.0,
         actuation=1.0,
+        accel=lambda q, qdot, bu, d: bu + d - qdot,
     )
     assert not skew_check(bogus, 0.0, 1.0)

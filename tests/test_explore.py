@@ -13,7 +13,7 @@ from safeshift import explore
 from safeshift import robust_regression as rr
 from safeshift.bounds import certify_trajectory, gamma
 from safeshift.controller import ControllerGains
-from safeshift.core import Dataset
+from safeshift.core import Dataset, LandingPool, PendulumPool
 from safeshift.density_ratio import density_ratio, kde_fit, max_ratio_on_traj
 from safeshift.explore import (
     ConfigError,
@@ -35,8 +35,6 @@ class StubLearner:
     sigma_for is keyed by the pendulum amplitude C, read off the first
     certification point: qdot_g(0) = C cos 0 = C exactly.
     """
-
-    kind = "stub"
 
     def __init__(self, sigma_for=None, default=0.0):
         self.sigma_for = dict(sigma_for or {})
@@ -64,7 +62,7 @@ def tube02_config():
         task="pendulum",
         gains=ControllerGains(k, 2.0),
         beta=1.0,
-        amplitudes=(0.2, 0.6, 1.0),
+        candidates=PendulumPool((0.2, 0.6, 1.0)),
         horizon=2.0,
     )
 
@@ -110,6 +108,13 @@ def test_default_config_landing_values():
 def test_config_error_names_offending_field(kw, field_name):
     with pytest.raises(ConfigError, match=field_name):
         ExperimentConfig(**kw)
+
+
+@pytest.mark.parametrize("name", ["plant", "candidates", "safety"])
+def test_config_with_another_tasks_part_names_the_field(name):
+    pendulum_part = getattr(default_config("pendulum"), name)
+    with pytest.raises(ConfigError, match=f"^{name}: the landing task needs a "):
+        replace(default_config("landing"), **{name: pendulum_part})
 
 
 def test_default_config_unknown_task():
@@ -173,7 +178,7 @@ def test_chosen_is_always_cheapest_certified(seed):
     out = run_episode(pool, StubLearner(sigmas), None, cfg)
 
     gv = gamma(cfg.tube())
-    box = cfg.safety_set()
+    box = cfg.safety
     certified = [
         t
         for t in pool
@@ -192,13 +197,13 @@ def test_chosen_is_always_cheapest_certified(seed):
 
 def test_landing_tie_break_prefers_lower_hover():
     # two hover candidates, both cost inf: tie-break goes to the lower h_g
-    cfg = replace(default_config("landing"), rates=(0.5,), hovers=(0.5, 0.3))
+    cfg = replace(default_config("landing"), candidates=LandingPool((0.5,), (0.5, 0.3)))
     out = run_episode(cfg.pool(), StubLearner(default=0.0), None, cfg)
     assert out.chosen.params["h_g"] == pytest.approx(0.3)
 
 
 def test_landing_tie_break_prefers_aggressive_rate():
-    cfg = replace(default_config("landing"), rates=(0.3, 0.8), hovers=(0.2,))
+    cfg = replace(default_config("landing"), candidates=LandingPool((0.3, 0.8), (0.2,)))
     out = run_episode(cfg.pool(), StubLearner(default=0.0), None, cfg)
     assert out.chosen.params["C"] == pytest.approx(0.8)
 
@@ -264,8 +269,8 @@ def test_make_learner_kinds():
     assert isinstance(make_learner(default_config("pendulum"), rng), RobustLearner)
     gp1 = make_learner(default_config("pendulum", model_kind="gp_rbf"), rng)
     gp2 = make_learner(default_config("pendulum", model_kind="gp_matern"), rng)
-    assert isinstance(gp1, GpLearner) and gp1.hyper.kernel == "rbf" and gp1.kind == "gp_rbf"
-    assert isinstance(gp2, GpLearner) and gp2.hyper.kernel == "matern52" and gp2.kind == "gp_matern"
+    assert isinstance(gp1, GpLearner) and gp1.kernel == "rbf"
+    assert isinstance(gp2, GpLearner) and gp2.kernel == "matern52"
 
 
 def test_gp_learner_prior_sigma_and_zero_compensation():

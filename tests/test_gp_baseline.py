@@ -77,7 +77,7 @@ def test_kernel_matrix_bit_equal_to_reference_expressions(kind, dim, rng):
 
 def test_hyper_validation():
     with pytest.raises(ValueError):
-        GpHyper(kernel="linear")
+        gp_fit([[0.0]], [0.0], kernel="linear")
     with pytest.raises(ValueError):
         GpHyper(ell=-0.1)
     with pytest.raises(ValueError):
@@ -92,7 +92,7 @@ def test_fit_rejects_empty_and_mismatched():
 
 
 def test_single_point_alpha_closed_form():
-    hyper = GpHyper(kernel="rbf", sigma_f_sq=2.0, ell=0.5, sigma_n_sq=0.3)
+    hyper = GpHyper(sigma_f_sq=2.0, ell=0.5, sigma_n_sq=0.3)
     model = gp_fit([[0.4]], [1.5], hyper)
     # alpha = y / (sigma_f_sq + sigma_n_sq)
     assert model.alpha[0, 0] == pytest.approx(1.5 / 2.3, rel=1e-12)
@@ -109,7 +109,7 @@ def test_duplicated_point_still_factorizable():
 
 
 def test_two_point_posterior_against_explicit_inverse():
-    hyper = GpHyper(kernel="rbf", sigma_f_sq=2.0, ell=0.8, sigma_n_sq=0.1)
+    hyper = GpHyper(sigma_f_sq=2.0, ell=0.8, sigma_n_sq=0.1)
     x = np.array([[0.0], [1.0]])
     y = np.array([1.0, -2.0])
     model = gp_fit(x, y, hyper)
@@ -134,8 +134,8 @@ def test_posterior_matches_dense_solve(kind, rng):
     n = 50
     x = rng.uniform(-2.0, 2.0, size=(n, 2))
     y = np.column_stack([np.sin(x[:, 0]) + 0.1 * x[:, 1], np.cos(x[:, 1])])
-    hyper = GpHyper(kernel=kind, sigma_f_sq=1.5, ell=0.6, sigma_n_sq=1e-3)
-    model = gp_fit(x, y, hyper)
+    hyper = GpHyper(sigma_f_sq=1.5, ell=0.6, sigma_n_sq=1e-3)
+    model = gp_fit(x, y, hyper, kind)
 
     k = kernel_matrix(kind, x, x, 1.5, 0.6) + 1e-3 * np.eye(n)
     xq = rng.uniform(-2.0, 2.0, size=(20, 2))
@@ -203,8 +203,8 @@ def test_variance_from_inverse_factor_matches_cholesky_solve(kind, rng):
     n = 80
     x = rng.uniform(-2.0, 2.0, size=(n, 2))
     y = np.sin(x[:, 0]) * np.cos(x[:, 1])
-    hyper = GpHyper(kernel=kind, sigma_f_sq=1.5, ell=0.6, sigma_n_sq=1e-3)
-    model = gp_fit(x, y, hyper)
+    hyper = GpHyper(sigma_f_sq=1.5, ell=0.6, sigma_n_sq=1e-3)
+    model = gp_fit(x, y, hyper, kind)
 
     chol = np.linalg.cholesky(kernel_matrix(kind, x, x, 1.5, 0.6) + 1e-3 * np.eye(n))
     xq = rng.uniform(-3.0, 3.0, size=(40, 2))
@@ -261,8 +261,8 @@ def test_fit_leaves_no_reference_cycle(rng):
 def test_blocked_variance_matches_dense_product(kind, rng):
     n = 2 * VAR_BLOCK + 7
     x = rng.uniform(-2.0, 2.0, size=(n, 2))
-    hyper = GpHyper(kernel=kind, sigma_f_sq=1.5, ell=0.6, sigma_n_sq=1e-3)
-    model = gp_fit(x, np.sin(x[:, 0]), hyper)
+    hyper = GpHyper(sigma_f_sq=1.5, ell=0.6, sigma_n_sq=1e-3)
+    model = gp_fit(x, np.sin(x[:, 0]), hyper, kind)
     xq = rng.uniform(-3.0, 3.0, size=(40, 2))
     v = model.chol_inv @ kernel_matrix(kind, x, xq, 1.5, 0.6)  # the dense (n, m) product
     var_ref = np.maximum(1.5 - np.sum(v * v, axis=0), 0.0)
