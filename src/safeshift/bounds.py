@@ -9,8 +9,9 @@ Two ingredient families:
 
 * Dynamical: gamma converts a uniform residual-error bound eps_m into the
   radius of the asymptotic tracking-error ball of the closed loop, and
-  tracking_envelope gives the transient bound.  certify_trajectory checks
-  the worst-case tube against the safety set.
+  tracking_envelope gives the transient bound.  Both plants are 1-DOF, so
+  the inertia m and the gains k, lam are scalars.  certify_trajectory
+  checks the worst-case tube against the safety set.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .core import DesiredTrajectory, SafetySet, StateBox, TouchdownSpeed
 
 __all__ = [
     "BoundInputs",
-    "TubeParams",
     "Certification",
     "generalization_bound",
     "perturbation_bound",
@@ -75,33 +75,6 @@ class BoundInputs:
             raise ValueError("n must be at least 1")
 
 
-@dataclass(frozen=True)
-class TubeParams:
-    """Eigenvalue bounds of the inertia and gain matrices on the operating set.
-
-    Scalars are their own min and max; the (min, max) pairs let the same
-    formulas serve matrix-valued gains.
-    """
-
-    m_min: float
-    m_max: float
-    k_min: float
-    k_max: float
-    lam_min: float
-    lam_max: float
-
-    def __post_init__(self):
-        if min(self.m_min, self.m_max, self.k_min, self.k_max,
-               self.lam_min, self.lam_max) <= 0:
-            raise ValueError("eigenvalue bounds must be strictly positive")
-        if self.m_min > self.m_max or self.k_min > self.k_max or self.lam_min > self.lam_max:
-            raise ValueError("min bound exceeds max bound")
-
-    @classmethod
-    def scalar(cls, m: float, k: float, lam: float) -> "TubeParams":
-        return cls(m, m, k, k, lam, lam)
-
-
 def generalization_bound(inputs: BoundInputs) -> float:
     """Expected target-side regression error bound.
 
@@ -128,34 +101,29 @@ def perturbation_bound(inputs: BoundInputs) -> float:
     ) ** 2
 
 
-def gamma(tube: TubeParams) -> float:
+def gamma(m: float, k: float, lam: float) -> float:
     """Gain from the residual-error bound eps_m to the tracking-error ball.
 
-    gamma = (m_max / (k_min * m_min)) * sqrt((1/lam_min)^2 + (1 + lam_max/lam_min)^2)
+    gamma = (m / (k m)) * sqrt((1/lam)^2 + 4)
 
-    The first factor bounds the asymptotic composite-variable magnitude
-    per unit eps_m; the square root converts it to the (q, qdot) error
-    norm through the error mixing gain.
+    for inertia m and gains k, lam.  The first factor bounds the
+    asymptotic composite-variable magnitude per unit eps_m (m cancels
+    only in exact arithmetic, so it stays in the float expression); the
+    square root converts it to the (q, qdot) error norm through the error
+    mixing gain.
     """
-    s_gain = tube.m_max / (tube.k_min * tube.m_min)
-    mix = math.sqrt((1.0 / tube.lam_min) ** 2 + (1.0 + tube.lam_max / tube.lam_min) ** 2)
-    return s_gain * mix
+    return m / (k * m) * math.sqrt((1.0 / lam) ** 2 + 4.0)
 
 
-def tracking_envelope(t: float, s0_norm: float, tube: TubeParams, eps_m: float) -> float:
-    """Time-domain bound on ||s(t)|| for sup||eps|| <= eps_m.
+def tracking_envelope(t: float, s0_norm: float, m: float, k: float, eps_m: float) -> float:
+    """Time-domain bound on |s(t)| for sup|eps| <= eps_m.
 
-    sqrt(m_max/m_min) e^(-k_min t / m_max) s0 +
-    (m_max/(k_min m_min)) (1 - e^(-k_min t / m_max)) eps_m
-
-    The decay rate uses k_min, the conservative choice for matrix gains.
+    e^(-k t / m) s0 + (m / (k m)) (1 - e^(-k t / m)) eps_m
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    decay = math.exp(-tube.k_min * t / tube.m_max)
-    transient = math.sqrt(tube.m_max / tube.m_min) * decay * s0_norm
-    steady = (tube.m_max / (tube.k_min * tube.m_min)) * (1.0 - decay) * eps_m
-    return transient + steady
+    decay = math.exp(-k * t / m)
+    return decay * s0_norm + m / (k * m) * (1.0 - decay) * eps_m
 
 
 def eps_m_from_sigma(sigma_max: float, beta: float) -> float:

@@ -11,7 +11,7 @@ names the path), 2 on a runtime failure such as a diverged rollout.
 A config is a JSON object with one key per `ExperimentConfig` field (the
 `candidates` field's key is `pool`).  `task` is required and picks the
 defaults, `default_config(task)`.  A number or string replaces its field;
-a section (`gains`, `plant`, `pool`, `safety`, `ratio`, `train`, `gp`)
+a section (`gains`, `plant`, `pool`, `safety`, `train`, `gp`)
 replaces only the keys it gives in the task's default, so `{"gains":
 {"k": 2.0}}` keeps the default `lam`.  manifest.json holds the resolved
 config in the same form and loads back to the config that ran.
@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import RejectedCandidate, desired_values
+from .core import desired_values
 from .dynamics import SimulationDiverged
 from .explore import (
     MODEL_KINDS,
@@ -316,9 +316,6 @@ def run_cmd(args) -> int:
 
     try:
         result = run_experiment(config)
-    except RejectedCandidate as exc:
-        print(f"invalid configuration: pool: {exc}", file=sys.stderr)
-        return 1
     except (SimulationDiverged, TrainingDiverged) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2

@@ -23,7 +23,7 @@ __all__ = [
     "SafetySet",
     "Dataset",
     "EpisodeRecord",
-    "RejectedCandidate",
+    "CONTACT_TOL",
     "desired_values",
     "grid_steps",
     "PendulumPool",
@@ -35,8 +35,8 @@ __all__ = [
 ]
 
 
-class RejectedCandidate(ValueError):
-    """Raised when a candidate trajectory parameter is out of range."""
+# a landing altitude within CONTACT_TOL of the ground has reached it
+CONTACT_TOL = 0.01
 
 
 def desired_values(task: str, params: dict, t):
@@ -74,10 +74,11 @@ def desired_values(task: str, params: dict, t):
 class DesiredTrajectory:
     """A candidate desired trajectory on a uniform time grid.
 
-    `times` has constant spacing and starts at 0; q_g/qdot_g/qddot_g are the
-    desired position, velocity, acceleration sampled on that grid.  `cost`
-    is the scalar exploration objective of the candidate (lower is better),
-    +inf when the candidate does not achieve its goal within the horizon.
+    `times` has constant spacing and starts at 0; q_g/qdot_g are the
+    desired position and velocity sampled on that grid (`desired_values`
+    gives the acceleration at any time).  `cost` is the scalar
+    exploration objective of the candidate (lower is better), +inf when
+    the candidate does not achieve its goal within the horizon.
     """
 
     task: str
@@ -85,14 +86,13 @@ class DesiredTrajectory:
     times: np.ndarray
     q_g: np.ndarray
     qdot_g: np.ndarray
-    qddot_g: np.ndarray
     cost: float
 
     def __post_init__(self):
         n = len(self.times)
         if n == 0:
             raise ValueError("empty trajectory grid")
-        for arr in (self.q_g, self.qdot_g, self.qddot_g):
+        for arr in (self.q_g, self.qdot_g):
             if len(arr) != n:
                 raise ValueError("grid arrays must share a length")
         if n > 1:
@@ -179,13 +179,20 @@ def _uniform_grid(horizon: float, dt: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PendulumPool:
-    """Swing amplitudes C of the pendulum candidates (see `pendulum_pool`)."""
+    """Swing amplitudes C of the pendulum candidates (see `pendulum_pool`).
+
+    Amplitudes outside (0, 1] are rejected: the swing must be a genuine
+    excursion but stay clear of gimbal limits on the rig this models.
+    """
 
     amplitudes: tuple[float, ...] = tuple(round(0.1 * k, 10) for k in range(1, 11))
 
     def __post_init__(self):
         if not self.amplitudes:
             raise ValueError("amplitudes must not be empty")
+        for c in self.amplitudes:
+            if not 0.0 < c <= 1.0:
+                raise ValueError(f"pendulum amplitude {c} outside (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -193,7 +200,8 @@ class LandingPool:
     """Descent rates C x hover altitudes h_g of the landing candidates.
 
     Every (C, h_g) pair is one candidate (see `landing_pool`), ordered by
-    rate, then by hover altitude.
+    rate, then by hover altitude.  Rates must be positive and hover
+    altitudes lie in [0, 1.5), below the start altitude.
     """
 
     rates: tuple[float, ...] = tuple(round(0.25 * k, 10) for k in range(1, 13))
@@ -202,6 +210,12 @@ class LandingPool:
     def __post_init__(self):
         if not (self.rates and self.hovers):
             raise ValueError("rates and hovers must not be empty")
+        for c in self.rates:
+            if not c > 0:
+                raise ValueError(f"descent rate {c} must be positive")
+        for h_g in self.hovers:
+            if not 0.0 <= h_g < 1.5:
+                raise ValueError(f"hover altitude {h_g} outside [0, 1.5)")
 
 
 def pendulum_pool(
@@ -209,17 +223,14 @@ def pendulum_pool(
 ) -> list[DesiredTrajectory]:
     """Sinusoidal swing candidates q_g = C sin t with cost -C.
 
-    Amplitudes outside (0, 1] are rejected: the swing must be a genuine
-    excursion but stay clear of gimbal limits on the rig this models.
+    The amplitudes are those of a `PendulumPool`, which checks their range.
     """
     times = _uniform_grid(horizon, dt)
     pool = []
     for c in amplitudes:
         c = float(c)
-        if not 0.0 < c <= 1.0:
-            raise RejectedCandidate(f"pendulum amplitude {c} outside (0, 1]")
         params = {"C": c}
-        q, qd, qdd = desired_values("pendulum", params, times)
+        q, qd, _ = desired_values("pendulum", params, times)
         pool.append(
             DesiredTrajectory(
                 task="pendulum",
@@ -227,7 +238,6 @@ def pendulum_pool(
                 times=times,
                 q_g=q,
                 qdot_g=qd,
-                qddot_g=qdd,
                 cost=-c,
             )
         )
@@ -239,26 +249,22 @@ def landing_pool(
     dt: float = 0.01,
     horizon: float = 10.0,
     ground: float = 0.0,
-    contact_tol: float = 0.01,
 ) -> list[DesiredTrajectory]:
     """Descent candidates parameterized by rate C and hover altitude h_g.
 
     q_g = (1.5 - h_g) exp(-C t)(1 + C t) + h_g descends monotonically from
-    1.5 toward h_g.  Cost is the first grid time with q_g within contact_tol
+    1.5 toward h_g.  Cost is the first grid time with q_g within CONTACT_TOL
     of the ground (+inf if the candidate never gets that low), so faster
-    descents to lower hover altitudes are preferred.
+    descents to lower hover altitudes are preferred.  The (C, h_g) pairs
+    are those of a `LandingPool`, which checks their range.
     """
     times = _uniform_grid(horizon, dt)
     pool = []
     for c, h_g in param_pairs:
         c, h_g = float(c), float(h_g)
-        if c <= 0:
-            raise RejectedCandidate(f"descent rate {c} must be positive")
-        if not 0.0 <= h_g < 1.5:
-            raise RejectedCandidate(f"hover altitude {h_g} outside [0, 1.5)")
         params = {"C": c, "h_g": h_g}
-        q, qd, qdd = desired_values("landing", params, times)
-        touched = np.nonzero(q <= ground + contact_tol)[0]
+        q, qd, _ = desired_values("landing", params, times)
+        touched = np.nonzero(q <= ground + CONTACT_TOL)[0]
         cost = float(times[touched[0]]) if len(touched) else math.inf
         pool.append(
             DesiredTrajectory(
@@ -267,7 +273,6 @@ def landing_pool(
                 times=times,
                 q_g=q,
                 qdot_g=qd,
-                qddot_g=qdd,
                 cost=cost,
             )
         )

@@ -2,7 +2,7 @@
 
 The learner reweights its exponent by r_hat(x) = p_src(x) / p_trg(x): how
 much source (training) mass covers a query relative to the target
-trajectory's mass there.  Ratios are clipped into [r_lo, r_hi] so they
+trajectory's mass there.  Ratios are clipped into [R_LO, R_HI] so they
 stay bounded away from zero (the variance formula needs a positive floor)
 and from blowing up where the target density vanishes.
 
@@ -22,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "KdeModel",
-    "RatioConfig",
     "kde_fit",
     "kde_density",
     "density_ratio",
@@ -31,9 +30,14 @@ __all__ = [
     "max_ratio",
     "DENSITY_FLOOR",
     "SIGMA_FLOOR",
+    "R_LO",
+    "R_HI",
 ]
 
 DENSITY_FLOOR = 1e-12
+# the clip interval of every density ratio
+R_LO = 0.1
+R_HI = 10.0
 SIGMA_FLOOR = 1e-3
 # elements of the (block, n_samples) kernel temporary in kde_density:
 # 512 KB, small enough to stay in cache
@@ -58,16 +62,6 @@ class KdeModel:
     @property
     def dim(self) -> int:
         return self.samples.shape[1]
-
-
-@dataclass(frozen=True)
-class RatioConfig:
-    r_lo: float = 0.1
-    r_hi: float = 10.0
-
-    def __post_init__(self):
-        if not 0 < self.r_lo <= self.r_hi:
-            raise ValueError("need 0 < r_lo <= r_hi")
 
 
 def kde_fit(samples) -> KdeModel:
@@ -115,10 +109,10 @@ def kde_density(model: KdeModel, x) -> np.ndarray | float:
     return float(dens[0]) if scalar else dens
 
 
-def clipped_ratio(p_src, p_trg, cfg: RatioConfig = RatioConfig()) -> np.ndarray:
-    """p_src / max(p_trg, DENSITY_FLOOR) clipped into [r_lo, r_hi]."""
+def clipped_ratio(p_src, p_trg) -> np.ndarray:
+    """p_src / max(p_trg, DENSITY_FLOOR) clipped into [R_LO, R_HI]."""
     p_t = np.maximum(p_trg, DENSITY_FLOOR)
-    return np.clip(np.asarray(p_src, dtype=float) / p_t, cfg.r_lo, cfg.r_hi)
+    return np.clip(np.asarray(p_src, dtype=float) / p_t, R_LO, R_HI)
 
 
 def max_ratio(p_trg, p_src) -> float:
@@ -126,11 +120,11 @@ def max_ratio(p_trg, p_src) -> float:
     return float(np.max(np.asarray(p_trg, dtype=float) / np.maximum(p_src, DENSITY_FLOOR)))
 
 
-def density_ratio(src: KdeModel, trg: KdeModel, x, cfg: RatioConfig = RatioConfig()):
+def density_ratio(src: KdeModel, trg: KdeModel, x):
     """Clipped ratio p_src(x) / p_trg(x), elementwise over queries."""
     if src.dim != trg.dim:
         raise ValueError("source/target dimension mismatch")
-    r = clipped_ratio(kde_density(src, x), kde_density(trg, x), cfg)
+    r = clipped_ratio(kde_density(src, x), kde_density(trg, x))
     return float(r) if r.ndim == 0 else r
 
 

@@ -74,15 +74,14 @@ class PendulumParams:
 class DroneParams:
     m: float = 1.0
     g: float = 9.8
-    c_t: float = 1.0
     ge_a: float = 2.0
     ge_b: float = 3.0
     ge_c: float = 0.5
     altitude_floor: float = 0.05
 
     def __post_init__(self):
-        if min(self.m, self.g, self.c_t) <= 0 or self.ge_b <= 0:
-            raise ValueError("m, g, c_t, ge_b must be positive")
+        if min(self.m, self.g) <= 0 or self.ge_b <= 0:
+            raise ValueError("m, g, ge_b must be positive")
 
 
 def pendulum_mixed_model(p: PendulumParams = PendulumParams()) -> MixedModelParams:
@@ -103,7 +102,7 @@ def pendulum_mixed_model(p: PendulumParams = PendulumParams()) -> MixedModelPara
 
 
 def drone_mixed_model(p: DroneParams = DroneParams()) -> MixedModelParams:
-    """Vertical-axis drone, m qddot + m g = F + d with thrust F = c_t u^2 >= 0."""
+    """Vertical-axis drone, m qddot + m g = F + d with thrust F >= 0."""
     mg = p.m * p.g
     mass = p.m
     return MixedModelParams(

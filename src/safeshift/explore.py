@@ -37,9 +37,10 @@ from typing import Optional
 import numpy as np
 
 from . import robust_regression as rr
-from .bounds import Certification, TubeParams, certify_trajectory, eps_m_from_sigma, gamma
+from .bounds import Certification, certify_trajectory, eps_m_from_sigma, gamma
 from .controller import ControllerGains, Rollout, simulate_closed_loop, x0_on_trajectory
 from .core import (
+    CONTACT_TOL,
     Dataset,
     DesiredTrajectory,
     EpisodeRecord,
@@ -56,8 +57,9 @@ from .core import (
 )
 from .density_ratio import (
     DENSITY_FLOOR,
+    R_HI,
+    R_LO,
     KdeModel,
-    RatioConfig,
     clipped_ratio,
     kde_density,
     kde_fit,
@@ -137,24 +139,23 @@ class ExperimentConfig:
     deviation from the idealized loop (1 is exact); the d_hat hold is the
     other one, fixed at D_HAT_HOLD_STEPS.  The simulation and collection
     rates, the data and KDE caps and the W_MAX screen are module
-    constants, since no workload varies them.  `horizon` must be a
-    multiple of TRAJ_DT.  Every robust fit warm-starts from the learner's
-    current model, and an episode with no admissible candidate flies
-    nothing.
+    constants, as are the ratio clip `density_ratio.R_LO` / `R_HI`, since
+    no workload varies them; the robust prior is N(0, sigma0_sq), with
+    zero mean like the GP's.  `horizon` must be a multiple of TRAJ_DT.
+    Every robust fit warm-starts from the learner's current model, and an
+    episode with no admissible candidate flies nothing.
     """
 
     task: str = "pendulum"
     episodes: int = 15
     seed: int = 0
     beta: float = 0.5
-    mu0: float = 0.0
     sigma0_sq: float = 0.5
     gains: ControllerGains = field(default_factory=lambda: ControllerGains(1.0, 1.0))
     horizon: float = 20.0
     plant: PendulumParams | DroneParams = field(default_factory=PendulumParams)
     candidates: PendulumPool | LandingPool = field(default_factory=PendulumPool)
     safety: SafetySet = field(default_factory=StateBox)
-    ratio: RatioConfig = field(default_factory=RatioConfig)
     output_dim: int = 1
     train: rr.TrainConfig = field(default_factory=lambda: rr.TrainConfig(epochs=300))
     cert_stride: int = 4
@@ -206,10 +207,11 @@ class ExperimentConfig:
             return pendulum_residual_fn(self.plant)
         return drone_residual_fn(self.plant)
 
-    def tube(self) -> TubeParams:
+    def gamma(self) -> float:
+        """The tube gain `bounds.gamma` of this plant and these gains."""
         # both plants have configuration-independent inertia
         m = self.mixed_model().mass_matrix(0.0)
-        return TubeParams.scalar(m, self.gains.k, self.gains.lam)
+        return gamma(m, self.gains.k, self.gains.lam)
 
     def rollout_ground(self) -> Optional[float]:
         return self.safety.ground if self.task == "landing" else None
@@ -280,7 +282,7 @@ class PoolCache:
     trg_kdes: tuple  # KdeModel per candidate
     p_trg: np.ndarray  # (len(grids),)
 
-    def episode_inputs(self, src_kde: Optional[KdeModel], cfg: RatioConfig):
+    def episode_inputs(self, src_kde: Optional[KdeModel]):
         """(certification points, clipped ratios, w_hat) per candidate.
 
         One p_src pass over all grids.  Without a source density (episode
@@ -294,7 +296,7 @@ class PoolCache:
                 out.append((pts, None, 1.0))
                 continue
             p_s, p_t = p_src[span], self.p_trg[span]
-            out.append((pts, clipped_ratio(p_s[idx], p_t[idx], cfg), max_ratio(p_t, p_s)))
+            out.append((pts, clipped_ratio(p_s[idx], p_t[idx]), max_ratio(p_t, p_s)))
         return out
 
 
@@ -312,7 +314,7 @@ def build_pool_cache(pool: list[DesiredTrajectory], config: ExperimentConfig) ->
     )
 
 
-def _fast_ratio_point(src: KdeModel, trg: KdeModel, cfg: RatioConfig):
+def _fast_ratio_point(src: KdeModel, trg: KdeModel):
     """Single-point clipped density ratio, tuned for the rollout hot path.
 
     Sums the kernels directly where `kde_density` expands the squared
@@ -322,7 +324,6 @@ def _fast_ratio_point(src: KdeModel, trg: KdeModel, cfg: RatioConfig):
     tx, th = trg.samples, trg.bandwidth
     s_norm = len(sx) * float(np.prod(sh)) * (2.0 * math.pi) ** (src.dim / 2.0)
     t_norm = len(tx) * float(np.prod(th)) * (2.0 * math.pi) ** (trg.dim / 2.0)
-    r_lo, r_hi = cfg.r_lo, cfg.r_hi
 
     def ratio(q: float, qdot: float) -> float:
         zs = (np.array((q, qdot)) - sx) / sh
@@ -330,7 +331,7 @@ def _fast_ratio_point(src: KdeModel, trg: KdeModel, cfg: RatioConfig):
         zt = (np.array((q, qdot)) - tx) / th
         p_t = float(np.exp(-0.5 * (zt * zt).sum(axis=1)).sum()) / t_norm
         r = p_s / max(p_t, DENSITY_FLOOR)
-        return r_lo if r < r_lo else (r_hi if r > r_hi else r)
+        return R_LO if r < R_LO else (R_HI if r > R_HI else r)
 
     return ratio
 
@@ -343,7 +344,6 @@ class RobustLearner:
         self.fits = 0
         net = rr.feature_net_init(rng)
         self.model = rr.initial_model(
-            config.mu0,
             config.sigma0_sq,
             dim_out=config.output_dim,
             lam=config.train.lam,
@@ -365,9 +365,8 @@ class RobustLearner:
         head = m.theta_phi[0]
         theta_y0 = float(m.theta_y[0])
         inv_s0 = 1.0 / m.sigma0_sq
-        base = m.mu0 * inv_s0
         ratio = (
-            _fast_ratio_point(src_kde, trg_kde, self.cfg.ratio)
+            _fast_ratio_point(src_kde, trg_kde)
             if (src_kde is not None and trg_kde is not None)
             else None
         )
@@ -375,7 +374,7 @@ class RobustLearner:
         def d_hat(q: float, qdot: float) -> float:
             r = 1.0 if ratio is None else ratio(q, qdot)
             a = float(m.net.forward(np.array((q, qdot))) @ head)
-            return (base + r * a) / (inv_s0 + 2.0 * r * theta_y0)
+            return r * a / (inv_s0 + 2.0 * r * theta_y0)
 
         return d_hat
 
@@ -385,14 +384,7 @@ class RobustLearner:
             # the first fit starts from random features and needs the
             # longest schedule; later fits only track slow data drift
             train = replace(train, epochs=self.cfg.first_fit_epochs)
-        self.model = rr.fit(
-            dataset,
-            src_kde,
-            trg_kde,
-            train,
-            init=self.model,
-            ratio_cfg=self.cfg.ratio,
-        )
+        self.model = rr.fit(dataset, src_kde, trg_kde, train, init=self.model)
         self.fits += 1
 
     def moment_residual_max(self) -> float:
@@ -482,7 +474,7 @@ def _audit(rollout: Rollout, safe_set: SafetySet) -> bool:
 def _realized_cost(config: ExperimentConfig, rollout: Rollout) -> float:
     if config.task == "pendulum":
         return -float(np.max(np.abs(rollout.states[:, 0])))
-    reached = np.nonzero(rollout.states[:, 0] <= config.safety.ground + 0.01)[0]
+    reached = np.nonzero(rollout.states[:, 0] <= config.safety.ground + CONTACT_TOL)[0]
     if len(reached) == 0:
         return math.inf
     return float(rollout.times[reached[0]])
@@ -523,10 +515,10 @@ def run_episode(
         cache = build_pool_cache(pool, config)
     elif len(cache.spans) != len(pool):
         raise ValueError("cache was built for a different pool")
-    gamma_val = gamma(config.tube())
+    gamma_val = config.gamma()
 
     evals = []
-    inputs = cache.episode_inputs(src_kde, config.ratio)
+    inputs = cache.episode_inputs(src_kde)
     for traj, trg_kde, (pts, ratios, w_hat_k) in zip(pool, cache.trg_kdes, inputs):
         sigma_max = learner.eval_candidate(pts, ratios)
         eps_m = eps_m_from_sigma(sigma_max, config.beta)

@@ -1,11 +1,11 @@
 """Robust regression under covariate shift with a Gaussian predictive form.
 
-The predictive density at input x tilts a base Gaussian N(mu0, sigma0_sq)
+The predictive density at input x tilts a base Gaussian N(0, sigma0_sq)
 by an exponential family term whose natural parameters are scaled by the
 source/target density ratio r(x):
 
     sigma_sq(x) = 1 / (1/sigma0_sq + 2 r(x) theta_y)
-    mu(x)       = sigma_sq(x) * (mu0/sigma0_sq + r(x) theta_phi . phi(x))
+    mu(x)       = sigma_sq(x) * r(x) theta_phi . phi(x)
 
 phi(x) is a small spectral-normalized ReLU network's output feature
 vector.  Where the data is dense relative to the proposal (large r) the
@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Dataset
-from .density_ratio import KdeModel, RatioConfig, density_ratio
+from .density_ratio import R_HI, R_LO, KdeModel, density_ratio
 
 __all__ = [
     "FeatureNet",
@@ -172,14 +172,13 @@ class RobustModel:
 
     theta_phi: (d_out, k) linear heads on the features; theta_y: (d_out,)
     nonnegative precision tilts.  The base model has both at zero, which
-    reproduces N(mu0, sigma0_sq) everywhere; fitted models keep theta_y at
+    reproduces N(0, sigma0_sq) everywhere; fitted models keep theta_y at
     or above THETA_Y_FLOOR.
     """
 
     net: FeatureNet
     theta_phi: np.ndarray
     theta_y: np.ndarray
-    mu0: float
     sigma0_sq: float
     lam: float
     converged: bool = True
@@ -217,14 +216,13 @@ class TrainConfig:
 
 
 def initial_model(
-    mu0: float,
     sigma0_sq: float,
     *,
     dim_out: int = 1,
     lam: float = 1e-3,
     net: Optional[FeatureNet] = None,
 ) -> RobustModel:
-    """Base model predicting N(mu0, sigma0_sq) at every input; the net
+    """Base model predicting N(0, sigma0_sq) at every input; the net
     defaults to the one seed 0 draws."""
     if net is None:
         net = feature_net_init(np.random.default_rng(0))
@@ -232,7 +230,6 @@ def initial_model(
         net=net,
         theta_phi=np.zeros((dim_out, net.feature_dim)),
         theta_y=np.zeros(dim_out),
-        mu0=mu0,
         sigma0_sq=sigma0_sq,
         lam=lam,
     )
@@ -262,7 +259,7 @@ def _predictive(model: RobustModel, r: np.ndarray, theta_y: np.ndarray, a=None, 
     """The predictive form at ratios r (n,) and precision tilts theta_y (d_out,).
 
         sigma_sq = 1 / (1/sigma0_sq + 2 r theta_y)
-        mu       = sigma_sq * (mu0/sigma0_sq + r a)
+        mu       = sigma_sq * r a
 
     a (n, d_out) holds the head activations theta_phi . phi(x).  Returns
     (mu, sigma_sq), both (n, d_out); mu is None when a is None.  `out` is
@@ -274,7 +271,6 @@ def _predictive(model: RobustModel, r: np.ndarray, theta_y: np.ndarray, a=None, 
     if a is None:
         return None, var
     mu = np.multiply(r[:, None], a, out=mu)
-    mu += model.mu0 / model.sigma0_sq
     mu *= var
     return mu, var
 
@@ -513,7 +509,7 @@ def _solve_heads(model, x, y, r):
     """Exact per-dim head weights at the current net and theta_y.
 
     Given features and theta_y, the data term is weighted least squares in
-    each head: mu_i = v_i (mu0/sigma0^2 + r_i a^T phi_i), so the penalized
+    each head: mu_i = v_i r_i a^T phi_i, so the penalized
     objective in a is quadratic plus lam * ||a||_1.  Solved as a relaxed
     lasso: cyclic coordinate descent with soft thresholding picks the
     support (deterministic sweep order), then an unpenalized least-squares
@@ -526,17 +522,15 @@ def _solve_heads(model, x, y, r):
     """
     phi = model.net.forward(x)
     n = len(x)
-    # the mean at a = 0 is the part of mu the heads do not move
-    base, var = _predictive(model, r, model.theta_y, np.zeros((n, model.dim_out)))
+    var = _predictive(model, r, model.theta_y)[1]
     heads = np.empty_like(model.theta_phi)
     lam = model.lam
     for d in range(model.dim_out):
         v = var[:, d]
         # stationarity: (G a - b)_j + lam sign(a_j) = 0 with
-        # G = (1/n) phi^T diag(v r^2) phi, b = (1/n) phi^T (r t)
+        # G = (1/n) phi^T diag(v r^2) phi, b = (1/n) phi^T (r y)
         g_mat = (phi * (v * r * r)[:, None]).T @ phi / n
-        t = y[:, d] - base[:, d]
-        b_vec = phi.T @ (r * t) / n
+        b_vec = phi.T @ (r * y[:, d]) / n
         # Python floats for the scalar arithmetic (numpy scalars are slow);
         # a_list mirrors a, which the row dots read.  row.dot(a) is the
         # same BLAS ddot as g_mat[j] @ a, with less call overhead.
@@ -614,7 +608,7 @@ def _polish_theta_y(model, x, y, r, fixed_mu=True):
         # in _predictive: the two round differently in the last bit, and
         # the landing fit amplifies that into other decisions
         a = model.net.forward(x) @ model.theta_phi.T
-        mu = (model.mu0 * (1.0 / model.sigma0_sq) + r[:, None] * a) / _precision(model, r, theta_y)
+        mu = r[:, None] * a / _precision(model, r, theta_y)
         gap = y * y - mu * mu
     converged = True
     for d in range(len(theta_y)):
@@ -646,7 +640,6 @@ def fit(
     config: TrainConfig,
     *,
     init: RobustModel,
-    ratio_cfg: RatioConfig = RatioConfig(),
 ) -> RobustModel:
     """Train the robust model on `dataset` with ratios frozen per call.
 
@@ -662,7 +655,7 @@ def fit(
     d_out = dataset.dim_out
 
     if src_kde is not None and trg_kde is not None:
-        r = np.asarray(density_ratio(src_kde, trg_kde, x, ratio_cfg), dtype=float)
+        r = np.asarray(density_ratio(src_kde, trg_kde, x), dtype=float)
     else:
         r = np.ones(len(x))
 
@@ -685,7 +678,6 @@ def fit(
         net=FeatureNet(tuple(views[:n_layers]), tuple(views[n_layers : 2 * n_layers]), net.caps),
         theta_phi=views[-2],
         theta_y=theta_y,
-        mu0=init.mu0,
         sigma0_sq=init.sigma0_sq,
         lam=config.lam,
     )
@@ -744,19 +736,19 @@ def fit(
     return replace(model, moment_residuals=_moment(model, x, y, r, np.ones(len(x))))
 
 
-def lipschitz_bound(model: RobustModel, ratio_cfg: RatioConfig = RatioConfig()) -> float:
+def lipschitz_bound(model: RobustModel) -> float:
     """Diagnostic Lipschitz upper bound of the predictive mean.
 
-    Treats r as an unknown constant in [r_lo, r_hi]:
-    sup sigma_sq * r_hi * ||theta_phi||_2 * prod(layer spectral norms),
-    with sup sigma_sq attained at r = r_lo and the smallest theta_y.
+    Treats r as an unknown constant in [R_LO, R_HI]:
+    sup sigma_sq * R_HI * ||theta_phi||_2 * prod(layer spectral norms),
+    with sup sigma_sq attained at r = R_LO and the smallest theta_y.
     """
-    sup_var = float(np.max(_predictive(model, np.array([ratio_cfg.r_lo]), model.theta_y)[1]))
+    sup_var = float(np.max(_predictive(model, np.array([R_LO]), model.theta_y)[1]))
     head = float(np.linalg.norm(model.theta_phi, 2))
     layers = 1.0
     for w in model.net.weights:
         layers *= spectral_norm(w)
-    return sup_var * ratio_cfg.r_hi * head * layers
+    return sup_var * R_HI * head * layers
 
 
 def sigma_max_on_traj(model: RobustModel, pts, ratios=None) -> float:

@@ -6,6 +6,10 @@ with the `_grads`, `_loss_terms`, `_predictive` and `_normalize_warm` it
 ran, and the numpy-scalar coordinate-descent lasso of `_solve_heads`.
 Its mini-batch, frozen-net and cold-start branches are gone with the
 settings that selected them; the full-batch arithmetic is unchanged.
+It keeps the prior-mean term mu0/sigma0_sq of the predictive mean, at
+mu0 = 0.0, and the zero-head mean in `_solve_heads`, which the package
+leaves out: matching it bit for bit shows that leaving them out moves no
+float.
 The fixed settings (LR, CLIP_NORM, THETA_Y_FLOOR, THETA_Y_LR_MULT) are
 read from the package module at call time, so a test that patches one
 patches both fits.  The shipped code must reproduce it bit for bit; see
@@ -23,7 +27,7 @@ import numpy as np
 
 from safeshift import robust_regression as rr
 from safeshift.core import Dataset
-from safeshift.density_ratio import KdeModel, RatioConfig, density_ratio
+from safeshift.density_ratio import KdeModel, density_ratio
 from safeshift.robust_regression import (
     LASSO_SWEEPS,
     LASSO_TOL,
@@ -88,7 +92,7 @@ def _predictive(model: RobustModel, r: np.ndarray, theta_y: np.ndarray, a=None):
     var = 1.0 / _precision(model, r, theta_y)
     if a is None:
         return None, var
-    return var * (model.mu0 / model.sigma0_sq + r[:, None] * a), var
+    return var * (0.0 / model.sigma0_sq + r[:, None] * a), var
 
 
 def _loss_terms(model, x, y, r):
@@ -194,7 +198,6 @@ def fit(
     config: TrainConfig,
     *,
     init: RobustModel,
-    ratio_cfg: RatioConfig = RatioConfig(),
 ) -> RobustModel:
     """Train the robust model on `dataset` with ratios frozen per call.
 
@@ -209,7 +212,7 @@ def fit(
     d_out = dataset.dim_out
 
     if src_kde is not None and trg_kde is not None:
-        r = np.asarray(density_ratio(src_kde, trg_kde, x, ratio_cfg), dtype=float)
+        r = np.asarray(density_ratio(src_kde, trg_kde, x), dtype=float)
     else:
         r = np.ones(len(x))
 
@@ -223,7 +226,6 @@ def fit(
         net=net,
         theta_phi=theta_phi,
         theta_y=theta_y,
-        mu0=init.mu0,
         sigma0_sq=init.sigma0_sq,
         lam=config.lam,
     )

@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 
 from safeshift.bounds import (
     BoundInputs,
-    TubeParams,
     beta_for_confidence,
     certify_trajectory,
     eps_m_from_sigma,
@@ -21,6 +20,7 @@ from safeshift.bounds import (
     tracking_envelope,
 )
 from safeshift.core import StateBox, TouchdownSpeed, landing_pool, pendulum_pool
+from safeshift.explore import default_config
 
 
 # -- Theorem 1 evaluators -----------------------------------------------------
@@ -82,39 +82,37 @@ def test_bound_inputs_validation():
 
 
 def test_gamma_unit_scalars():
-    assert gamma(TubeParams.scalar(1.0, 1.0, 1.0)) == pytest.approx(math.sqrt(5.0), rel=1e-15)
+    assert gamma(1.0, 1.0, 1.0) == pytest.approx(math.sqrt(5.0), rel=1e-15)
 
 
 def test_gamma_scales_inversely_with_k():
-    base = gamma(TubeParams.scalar(1.0, 2.0, 3.0))
+    base = gamma(1.0, 2.0, 3.0)
     for c in (0.5, 2.0, 10.0):
-        assert gamma(TubeParams.scalar(1.0, 2.0 * c, 3.0)) == pytest.approx(base / c, rel=1e-12)
+        assert gamma(1.0, 2.0 * c, 3.0) == pytest.approx(base / c, rel=1e-12)
 
 
-def test_gamma_diagonal_matrix_example():
-    tube = TubeParams(m_min=1.0, m_max=2.0, k_min=3.0, k_max=4.0, lam_min=2.0, lam_max=2.0)
-    assert gamma(tube) == pytest.approx((2.0 / 3.0) * math.sqrt(0.25 + 4.0), rel=1e-12)
-    assert gamma(tube) == pytest.approx(1.37437, abs=5e-6)
+def test_gamma_of_the_default_tasks():
+    """The tube gains the default configs certify with, to the last bit."""
+    assert default_config("pendulum").gamma() == 2.0615528128088303
+    assert default_config("landing").gamma() == 0.6442352540027595
 
 
 def test_envelope_at_zero_and_infinity():
-    tube = TubeParams(m_min=1.0, m_max=4.0, k_min=2.0, k_max=2.0, lam_min=1.0, lam_max=1.0)
-    assert tracking_envelope(0.0, 0.7, tube, 0.3) == pytest.approx(2.0 * 0.7)
-    late = tracking_envelope(1e9, 0.7, tube, 0.3)
-    assert late == pytest.approx((4.0 / (2.0 * 1.0)) * 0.3, rel=1e-9)
+    assert tracking_envelope(0.0, 0.7, 4.0, 2.0, 0.3) == pytest.approx(0.7)
+    late = tracking_envelope(1e9, 0.7, 4.0, 2.0, 0.3)
+    assert late == pytest.approx(0.3 / 2.0, rel=1e-9)
 
 
 def test_envelope_pure_decay():
-    tube = TubeParams.scalar(1.0, 1.0, 1.0)
-    assert tracking_envelope(1.0, 1.0, tube, 0.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
+    assert tracking_envelope(1.0, 1.0, 1.0, 1.0, 0.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
 def test_envelope_asymptote_reproduces_gamma():
     """gamma = (t->inf s-envelope per unit eps) * the error mixing factor."""
-    tube = TubeParams(m_min=0.8, m_max=1.9, k_min=2.5, k_max=6.0, lam_min=1.5, lam_max=3.0)
-    s_asymptote = tracking_envelope(1e12, 0.0, tube, 1.0)
-    mix = math.sqrt((1 / tube.lam_min) ** 2 + (1 + tube.lam_max / tube.lam_min) ** 2)
-    assert s_asymptote * mix == pytest.approx(gamma(tube), rel=1e-9)
+    m, k, lam = 1.9, 2.5, 1.5
+    s_asymptote = tracking_envelope(1e12, 0.0, m, k, 1.0)
+    mix = math.sqrt((1 / lam) ** 2 + 4.0)
+    assert s_asymptote * mix == pytest.approx(gamma(m, k, lam), rel=1e-9)
 
 
 @given(
@@ -123,10 +121,9 @@ def test_envelope_asymptote_reproduces_gamma():
     t=st.floats(0.0, 50.0),
 )
 def test_envelope_between_extremes(s0, eps, t):
-    tube = TubeParams.scalar(1.3, 2.0, 1.0)
-    val = tracking_envelope(t, s0, tube, eps)
-    start = tracking_envelope(0.0, s0, tube, eps)
-    asymptote = (tube.m_max / (tube.k_min * tube.m_min)) * eps
+    val = tracking_envelope(t, s0, 1.3, 2.0, eps)
+    start = tracking_envelope(0.0, s0, 1.3, 2.0, eps)
+    asymptote = eps / 2.0
     assert min(start, asymptote) - 1e-12 <= val <= max(start, asymptote) + 1e-12
 
 

@@ -85,7 +85,7 @@ def test_manifest_reflects_seed_override_and_resolved_defaults(small_runs):
     assert manifest["pool"] == {"amplitudes": [0.3, 0.5]}
     assert manifest["train"]["epochs"] == 40
     assert manifest["safety"] == {"q_abs_max": 1.5}
-    assert "gains" in manifest and "ratio" in manifest
+    assert "gains" in manifest and "gp" in manifest
 
 
 def test_trajectories_schema(small_runs):
@@ -135,12 +135,13 @@ def test_unknown_field_named_in_diagnostic(tmp_path, capsys):
     assert "episods" in capsys.readouterr().err
 
 
-# settings that became module constants, and the GP kernel, which the
-# learner kind sets: a config that still sets one is rejected like any
-# other unknown key
+# settings that became module constants (among them the ratio clip and
+# the zero prior mean), the GP kernel, which the learner kind sets, and
+# the drone's thrust coefficient, which changed no output: a config that
+# still sets one is rejected like any other unknown key
 REMOVED_KEYS = [
     "sim_dt", "traj_dt", "sample_hz", "max_train_points", "kde_src_max", "kde_trg_max",
-    "w_max", "d_hat_hold_steps",
+    "w_max", "d_hat_hold_steps", "mu0",
 ]
 REMOVED_TRAIN_KEYS = ["seed", "lr", "clip_norm", "theta_y_floor", "theta_y_lr_mult"]
 
@@ -149,8 +150,12 @@ REMOVED_TRAIN_KEYS = ["seed", "lr", "clip_norm", "theta_y_floor", "theta_y_lr_mu
     "extra, message",
     [({key: 1}, f"config: unknown field(s) ['{key}']") for key in REMOVED_KEYS]
     + [({"train": {key: 1}}, f"train: unknown key(s) ['{key}']") for key in REMOVED_TRAIN_KEYS]
-    + [({"gp": {"kernel": "matern52"}}, "gp: unknown key(s) ['kernel']")],
-    ids=REMOVED_KEYS + [f"train.{key}" for key in REMOVED_TRAIN_KEYS] + ["gp.kernel"],
+    + [({"gp": {"kernel": "matern52"}}, "gp: unknown key(s) ['kernel']")]
+    + [({"ratio": {"r_lo": 0.1}}, "config: unknown field(s) ['ratio']")]
+    + [({"task": "landing", "plant": {"c_t": 1.0}}, "plant: unknown key(s) ['c_t']")],
+    ids=REMOVED_KEYS
+    + [f"train.{key}" for key in REMOVED_TRAIN_KEYS]
+    + ["gp.kernel", "ratio", "plant.c_t"],
 )
 def test_removed_key_rejected(extra, message, tmp_path, capsys):
     with pytest.raises(cli.ConfigError, match=re.escape(message)):
@@ -176,7 +181,7 @@ def test_missing_task_rejected(tmp_path, capsys):
     assert "task" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["gains", "plant", "ratio", "train", "gp", "pool", "safety"])
+@pytest.mark.parametrize("key", ["gains", "plant", "train", "gp", "pool", "safety"])
 @pytest.mark.parametrize("value", [5, [1]])
 def test_nested_field_must_be_object(key, value, tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", {"task": "pendulum", key: value})
@@ -200,7 +205,7 @@ def test_nested_field_must_be_object(key, value, tmp_path, capsys):
         ({"train": {"epochs": 1.5}}, "train: epochs: expected int"),
         ({"train": {"lam": "fast"}}, "train: lam: expected float"),
         ({"gp": {"ell": "wide"}}, "gp: ell: expected float"),
-        ({"mu0": math.nan}, "mu0: expected a finite number"),
+        ({"task": "landing", "pool": {"hovers": [1.5]}}, "pool: hover altitude"),
         ({"beta": math.nan}, "beta: expected a finite number"),
         ({"horizon": math.inf}, "horizon: expected a finite number"),
         ({"sigma0_sq": -math.inf}, "sigma0_sq: expected a finite number"),
@@ -222,6 +227,7 @@ def test_malformed_field_value_names_field(extra, field_name, tmp_path, capsys):
     assert code == 1
     assert err.startswith(f"invalid configuration: {field_name}")
     assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_negative_seed_flag_rejected(tmp_path, capsys):

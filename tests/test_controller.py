@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from safeshift.bounds import TubeParams, tracking_envelope
+from safeshift.bounds import tracking_envelope
 from safeshift.controller import (
     ControllerGains,
     control_law,
@@ -174,11 +174,10 @@ def test_disturbed_rollout_respects_time_envelope():
         0.001,
         (0.4, 0.3),
     )
-    tube = TubeParams.scalar(1.0, k, lam)
     s_values = composite(roll, lam)
     s0 = abs(s_values[0])
     for t, s in zip(roll.times, s_values):
-        assert abs(s) <= tracking_envelope(float(t), s0, tube, eps_m) * 1.02 + 1e-12
+        assert abs(s) <= tracking_envelope(float(t), s0, 1.0, k, eps_m) * 1.02 + 1e-12
 
 
 def test_dt_must_divide_trajectory_grid():

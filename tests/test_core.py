@@ -13,7 +13,6 @@ from safeshift.core import (
     DesiredTrajectory,
     LandingPool,
     PendulumPool,
-    RejectedCandidate,
     StateBox,
     TouchdownSpeed,
     desired_values,
@@ -107,14 +106,16 @@ def test_landing_pool_hover_candidates_have_infinite_cost():
 
 @pytest.mark.parametrize("amp", [0.0, -0.2, 1.2])
 def test_pendulum_pool_rejects_out_of_range_amplitudes(amp):
-    with pytest.raises(RejectedCandidate):
-        pendulum_pool([amp], dt=0.01, horizon=2.0)
+    with pytest.raises(ValueError, match="outside"):
+        PendulumPool(amplitudes=(0.5, amp))
 
 
-@pytest.mark.parametrize("c,h_g", [(0.0, 0.0), (-1.0, 0.0), (1.0, 1.5), (1.0, -0.1)])
+@pytest.mark.parametrize(
+    "c,h_g", [(0.0, 0.0), (-1.0, 0.0), (math.nan, 0.0), (1.0, 1.5), (1.0, -0.1)]
+)
 def test_landing_pool_rejects_out_of_range_params(c, h_g):
-    with pytest.raises(RejectedCandidate):
-        landing_pool([(c, h_g)], dt=0.01, horizon=5.0)
+    with pytest.raises(ValueError, match="descent rate|hover altitude"):
+        LandingPool(rates=(1.0, c), hovers=(0.0, h_g))
 
 
 def test_default_pool_sizes():
@@ -138,7 +139,7 @@ def test_trajectory_rejects_non_uniform_grid():
     z = np.zeros(3)
     with pytest.raises(ValueError):
         DesiredTrajectory(
-            task="pendulum", params={}, times=t, q_g=z, qdot_g=z, qddot_g=z, cost=0.0
+            task="pendulum", params={}, times=t, q_g=z, qdot_g=z, cost=0.0
         )
 
 

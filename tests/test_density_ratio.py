@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from safeshift.density_ratio import (
-    KdeModel,
-    RatioConfig,
+    R_HI,
+    R_LO,
     SIGMA_FLOOR,
+    KdeModel,
     clipped_ratio,
     density_ratio,
     kde_density,
@@ -85,27 +86,25 @@ def test_ratio_of_distribution_with_itself_is_one():
     x = rng.normal(0.0, 1.0, (200, 2))
     src = kde_fit(x)
     trg = kde_fit(x)
-    r = density_ratio(src, trg, x, RatioConfig())
+    r = density_ratio(src, trg, x)
     np.testing.assert_allclose(r, 1.0, atol=1e-12)
 
 
 def test_ratio_clipping_bounds():
     # two point masses far apart: the raw ratio is astronomically large
-    # on one side and tiny on the other; clipping pins it to the config
+    # on one side and tiny on the other; clipping pins it to [0.1, 10]
     src = kde_fit(np.full((30, 1), 0.0))
     trg = kde_fit(np.full((30, 1), 5.0))
-    cfg = RatioConfig(r_lo=0.1, r_hi=10.0)
-    assert density_ratio(src, trg, np.array([[0.0]]), cfg)[0] == pytest.approx(10.0)
-    assert density_ratio(src, trg, np.array([[5.0]]), cfg)[0] == pytest.approx(0.1)
+    assert density_ratio(src, trg, np.array([[0.0]]))[0] == pytest.approx(10.0)
+    assert density_ratio(src, trg, np.array([[5.0]]))[0] == pytest.approx(0.1)
 
 
 def test_ratio_always_inside_clip_interval():
     rng = np.random.default_rng(6)
     src = kde_fit(rng.normal(-1.0, 0.5, (150, 2)))
     trg = kde_fit(rng.normal(1.0, 0.5, (150, 2)))
-    cfg = RatioConfig()
-    r = density_ratio(src, trg, rng.uniform(-6, 6, (400, 2)), cfg)
-    assert np.all(r >= cfg.r_lo) and np.all(r <= cfg.r_hi)
+    r = density_ratio(src, trg, rng.uniform(-6, 6, (400, 2)))
+    assert np.all(r >= R_LO) and np.all(r <= R_HI)
 
 
 def test_gaussian_ratio_oracle_at_midpoint():
@@ -113,7 +112,7 @@ def test_gaussian_ratio_oracle_at_midpoint():
     rng = np.random.default_rng(7)
     src = kde_fit(rng.normal(0.0, 1.0, 2000)[:, None])
     trg = kde_fit(rng.normal(2.0, 1.0, 2000)[:, None])
-    r = density_ratio(src, trg, np.array([[1.0]]), RatioConfig())[0]
+    r = density_ratio(src, trg, np.array([[1.0]]))[0]
     assert 0.7 <= r <= 1.3  # within KDE error at n = 2000
 
 
@@ -144,7 +143,6 @@ def test_kde_density_independent_of_block_size(monkeypatch):
 
 
 def test_ratio_helpers_floor_the_denominator():
-    cfg = RatioConfig(r_lo=0.1, r_hi=10.0)
-    r = clipped_ratio(np.array([1e-13, 2.0, 3.0]), np.array([0.0, 4.0, 0.0]), cfg)
+    r = clipped_ratio(np.array([1e-13, 2.0, 3.0]), np.array([0.0, 4.0, 0.0]))
     np.testing.assert_array_equal(r, [0.1, 0.5, 10.0])
     assert max_ratio(np.array([1e-6, 2.0]), np.array([0.0, 4.0])) == pytest.approx(1e6)

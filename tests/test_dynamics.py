@@ -100,9 +100,9 @@ def test_pendulum_forward_dynamics_identity(rng):
 def test_drone_hover_thrust_balances_gravity():
     p = DroneParams()
     model = drone_mixed_model(p)
-    u_cmd = math.sqrt(p.m * p.g / p.c_t)  # motor command for hover
-    thrust = p.c_t * u_cmd ** 2
-    assert forward_dynamics(model, (1.0, 0.0), thrust, 0.0) == pytest.approx(0.0, abs=1e-12)
+    thrust = p.m * p.g
+    assert forward_dynamics(model, (1.0, 0.0), thrust, 0.0) == 0.0
+    assert model.accel(1.0, 0.0, thrust, 0.0) == 0.0
 
 
 def test_fused_accel_matches_forward_dynamics(rng):

@@ -11,10 +11,10 @@ import pytest
 
 from safeshift import explore
 from safeshift import robust_regression as rr
-from safeshift.bounds import certify_trajectory, gamma
+from safeshift.bounds import certify_trajectory
 from safeshift.controller import ControllerGains
 from safeshift.core import Dataset, LandingPool, PendulumPool
-from safeshift.density_ratio import density_ratio, kde_fit, max_ratio_on_traj
+from safeshift.density_ratio import R_HI, R_LO, density_ratio, kde_fit, max_ratio_on_traj
 from safeshift.explore import (
     ConfigError,
     ExperimentConfig,
@@ -177,7 +177,7 @@ def test_chosen_is_always_cheapest_certified(seed):
     sigmas = {round(t.params["C"], 10): float(s) for t, s in zip(pool, rng.uniform(0, 4, len(pool)))}
     out = run_episode(pool, StubLearner(sigmas), None, cfg)
 
-    gv = gamma(cfg.tube())
+    gv = cfg.gamma()
     box = cfg.safety
     certified = [
         t
@@ -226,7 +226,7 @@ def test_episode_one_runs_on_base_model_uncertainty():
     # untrained model: sigma is the prior everywhere, ratios pinned to 1
     assert out.sigma_max == pytest.approx(math.sqrt(0.5), rel=1e-12)
     assert out.eps_m == pytest.approx(0.5 * math.sqrt(0.5), rel=1e-12)
-    assert out.certification.rho == pytest.approx(gamma(cfg.tube()) * out.eps_m, rel=1e-12)
+    assert out.certification.rho == pytest.approx(cfg.gamma() * out.eps_m, rel=1e-12)
     assert out.w_hat == 1.0
     # rho ~ 0.729 against the 1.5 box: amplitudes 0.1..0.7 certify
     assert out.n_certified == 7
@@ -334,7 +334,7 @@ def test_robust_d_hat_matches_predicted_mean(hidden):
     trg = kde_fit(g.normal(0.4, 0.6, (150, 2)))
     d_hat = learner.d_hat_fn(src, trg)
     pts = g.normal(0.0, 0.8, (25, 2))
-    mu, _ = rr.predict(learner.model, pts, ratios=density_ratio(src, trg, pts, cfg.ratio))
+    mu, _ = rr.predict(learner.model, pts, ratios=density_ratio(src, trg, pts))
     got = np.array([d_hat(float(q), float(qdot)) for q, qdot in pts])
     np.testing.assert_allclose(got, mu[:, 0], rtol=1e-9, atol=0)
 
@@ -351,7 +351,7 @@ def test_cached_scoring_matches_density_ratio_and_max_ratio():
     # clip interval and w_hat varies across the pool
     src_pts = np.concatenate([pool[k].grid_xy()[::7] for k in (0, 25, 50)])
     src = kde_fit(src_pts + g.normal(0.0, 0.05, src_pts.shape))
-    inputs = cache.episode_inputs(src, cfg.ratio)
+    inputs = cache.episode_inputs(src)
     assert len(inputs) == len(pool)
 
     all_r, w_hats = [], []
@@ -361,19 +361,19 @@ def test_cached_scoring_matches_density_ratio_and_max_ratio():
         if idx[-1] != len(grid) - 1:
             idx.append(len(grid) - 1)
         np.testing.assert_array_equal(pts, grid[idx])
-        np.testing.assert_allclose(r, density_ratio(src, trg, pts, cfg.ratio), rtol=1e-12)
+        np.testing.assert_allclose(r, density_ratio(src, trg, pts), rtol=1e-12)
         assert w_hat == pytest.approx(max_ratio_on_traj(trg, src, traj), rel=1e-12)
         all_r.append(r)
         w_hats.append(w_hat)
     all_r = np.concatenate(all_r)
-    assert np.any(all_r == cfg.ratio.r_lo) and np.any(all_r == cfg.ratio.r_hi)
-    assert np.any((all_r > cfg.ratio.r_lo) & (all_r < cfg.ratio.r_hi))
+    assert np.any(all_r == R_LO) and np.any(all_r == R_HI)
+    assert np.any((all_r > R_LO) & (all_r < R_HI))
     assert min(w_hats) < explore.W_MAX < max(w_hats)
 
 
 def test_episode_one_inputs_have_unit_ratios():
     cfg = tube02_config()
-    inputs = build_pool_cache(cfg.pool(), cfg).episode_inputs(None, cfg.ratio)
+    inputs = build_pool_cache(cfg.pool(), cfg).episode_inputs(None)
     assert [(r, w) for _, r, w in inputs] == [(None, 1.0)] * len(cfg.pool())
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from safeshift import robust_regression as rr
 from safeshift.core import Dataset
-from safeshift.density_ratio import RatioConfig, density_ratio, kde_fit
+from safeshift.density_ratio import R_HI, R_LO, density_ratio, kde_fit
 from safeshift.robust_regression import (
     FeatureNet,
     TrainConfig,
@@ -31,10 +31,12 @@ import reference_fit
 
 
 def test_zero_ratio_recovers_base_distribution():
-    model = initial_model(0.7, 2.0)
+    net = feature_net_init(np.random.default_rng(0))
+    model = replace(initial_model(2.0, net=net), theta_phi=np.ones((1, net.feature_dim)))
+    model = replace(model, theta_y=np.array([3.0]))
     x = np.array([[0.3, -0.4], [1.0, 2.0]])
     mu, var = predict(model, x, ratios=np.zeros(2))
-    np.testing.assert_allclose(mu[:, 0], 0.7)
+    np.testing.assert_array_equal(mu[:, 0], 0.0)
     np.testing.assert_allclose(var[:, 0], 2.0)
 
 
@@ -44,7 +46,7 @@ def test_predict_unit_example():
     x = np.array([0.3, -0.2])
     phi = net.forward(x[None, :])[0]
     scale = 3.0 / float(phi @ phi)
-    model = initial_model(0.0, 1.0, net=net)
+    model = initial_model(1.0, net=net)
     model = replace(model, theta_phi=(scale * phi)[None, :], theta_y=np.array([1.0]))
     mu, var = predict(model, x, ratios=np.array([1.0]))
     assert var[0] == pytest.approx(1.0 / 3.0, rel=1e-12)
@@ -53,7 +55,7 @@ def test_predict_unit_example():
 
 def test_variance_strictly_decreasing_in_ratio():
     net = feature_net_init(np.random.default_rng(1))
-    model = replace(initial_model(0.0, 1.0, net=net), theta_y=np.array([0.8]))
+    model = replace(initial_model(1.0, net=net), theta_y=np.array([0.8]))
     x = np.tile([[0.1, 0.1]], (5, 1))
     _, var = predict(model, x, ratios=np.array([0.0, 0.5, 1.0, 2.0, 4.0]))
     assert np.all(np.diff(var[:, 0]) < 0)
@@ -64,7 +66,7 @@ def test_variance_bound_is_exact_algebra(rng):
     """var <= (2 R B + sigma0^-2)^-1 whenever r >= R and theta_y >= B."""
     r_floor, b_floor, sigma0_sq = 0.1, 1e-2, 0.5
     net = feature_net_init(rng)
-    model = initial_model(0.0, sigma0_sq, dim_out=3, net=net)
+    model = initial_model(sigma0_sq, dim_out=3, net=net)
     model = replace(model, theta_y=b_floor + rng.uniform(0, 5, 3))
     bound = 1.0 / (2 * r_floor * b_floor + 1.0 / sigma0_sq)
     x = rng.uniform(-2, 2, (1000, 2))
@@ -76,7 +78,7 @@ def test_variance_bound_is_exact_algebra(rng):
 def _base(seed, sigma0_sq=1.0, dim_out=1):
     """The base model on the net `seed` draws: where a first fit starts."""
     net = feature_net_init(np.random.default_rng(seed))
-    return initial_model(0.0, sigma0_sq, dim_out=dim_out, net=net)
+    return initial_model(sigma0_sq, dim_out=dim_out, net=net)
 
 
 # -- loss and gradients ------------------------------------------------------------
@@ -89,14 +91,14 @@ def _loss(model, ds, ratios):
 
 
 def test_nll_loss_of_exact_model_is_entropy_plus_penalty():
-    model = initial_model(0.4, 0.9)
-    ds = Dataset(np.zeros((6, 2)), np.full((6, 1), 0.4))  # targets equal mu exactly
+    model = initial_model(0.9)
+    ds = Dataset(np.zeros((6, 2)), np.zeros((6, 1)))  # targets equal mu exactly
     loss = _loss(model, ds, np.ones(6))
     assert loss == pytest.approx(0.5 * math.log(2 * math.pi * 0.9), rel=1e-12)
 
 
 def test_nll_loss_reduces_to_base_nll_when_theta_zero(rng):
-    model = initial_model(0.0, 1.5)
+    model = initial_model(1.5)
     y = rng.normal(0.0, 1.0, (40, 1))
     ds = Dataset(rng.uniform(-1, 1, (40, 2)), y)
     loss = _loss(model, ds, rng.uniform(0.1, 10.0, 40))
@@ -132,7 +134,7 @@ def test_analytic_gradients_match_finite_differences(rng):
     ds = Dataset(rng.uniform(-1, 1, (n, 2)), rng.normal(0, 0.5, (n, 2)))
     ratios = rng.uniform(0.2, 5.0, n)
     net = feature_net_init(np.random.default_rng(11), hidden=(8, 8), feature_dim=5)
-    model = initial_model(0.1, 1.0, dim_out=2, net=net)
+    model = initial_model(1.0, dim_out=2, net=net)
     # keep every parameter away from the |.| kink so FD is well defined
     model = replace(
         model,
@@ -234,7 +236,7 @@ def test_multidim_fit_equals_per_dim_fits_with_frozen_features():
     net = feature_net_init(np.random.default_rng(3))
 
     def solve(targets):
-        model = initial_model(0.0, 1.0, dim_out=targets.shape[1], net=net)
+        model = initial_model(1.0, dim_out=targets.shape[1], net=net)
         model = replace(model, theta_y=np.full(model.dim_out, rr.THETA_Y_FLOOR))
         model = replace(model, theta_phi=rr._solve_heads(model, x, targets, r))
         for fixed_mu in (True, False):
@@ -390,19 +392,19 @@ def test_spectral_normalize_enforces_caps(rng):
 
 
 def test_lipschitz_bound_zero_head():
-    model = initial_model(0.0, 1.0)
+    model = initial_model(1.0)
     assert lipschitz_bound(model) == 0.0
 
 
 def test_lipschitz_bound_single_layer_example():
-    # sup var 0.5, r_hi = 1, ||theta_phi|| = 1, one layer of norm 2 -> 1.0
+    # sup var 1/(1 + 2 * 0.1 * 5) = 0.5 at r = R_LO, R_HI = 10,
+    # ||theta_phi|| = 1, one layer of norm 2 -> 10.0
     w = np.zeros((2, 4))
     w[0, 0] = 2.0
     net = FeatureNet((w,), (np.zeros(4),), (4.0,))
-    model = initial_model(0.0, 1.0, net=net)
-    model = replace(model, theta_phi=np.array([[1.0, 0, 0, 0]]), theta_y=np.array([1.0]))
-    cfg = RatioConfig(r_lo=0.5, r_hi=1.0)
-    assert lipschitz_bound(model, cfg) == pytest.approx(1.0, rel=1e-9)
+    model = initial_model(1.0, net=net)
+    model = replace(model, theta_phi=np.array([[1.0, 0, 0, 0]]), theta_y=np.array([5.0]))
+    assert lipschitz_bound(model) == pytest.approx(10.0, rel=1e-9)
 
 
 def test_lipschitz_bound_dominates_empirical_slopes(line_fit):
@@ -412,8 +414,7 @@ def test_lipschitz_bound_dominates_empirical_slopes(line_fit):
     lo, hi = ds.inputs.min(axis=0), ds.inputs.max(axis=0)
     a = rng.uniform(lo, hi, (10_000, 2))
     b = rng.uniform(lo, hi, (10_000, 2))
-    r_cfg = RatioConfig()
-    for r_const in (r_cfg.r_lo, 1.0, r_cfg.r_hi):
+    for r_const in (R_LO, 1.0, R_HI):
         r = np.full(len(a), r_const)
         mu_a, _ = predict(model, a, ratios=r)
         mu_b, _ = predict(model, b, ratios=r)
@@ -425,7 +426,7 @@ def test_lipschitz_bound_dominates_empirical_slopes(line_fit):
 
 def test_sigma_max_on_traj_constant_and_mixed():
     net = feature_net_init(np.random.default_rng(2))
-    model = initial_model(0.0, 0.49, net=net)
+    model = initial_model(0.49, net=net)
 
     pts = np.column_stack([np.linspace(-1, 1, 50), np.zeros(50)])
     # no ratios, theta_y = 0: sigma is sigma0 everywhere
