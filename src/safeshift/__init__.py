@@ -49,11 +49,6 @@ from .dynamics import (
     MixedModelParams,
     PendulumParams,
     SimulationDiverged,
-    drone_mixed_model,
-    drone_residual_fn,
-    forward_dynamics,
-    pendulum_mixed_model,
-    pendulum_residual_fn,
     step_rk4,
 )
 from .explore import (
@@ -115,12 +110,9 @@ __all__ = [
     "control_law",
     "default_config",
     "density_ratio",
-    "drone_mixed_model",
-    "drone_residual_fn",
     "eps_m_from_sigma",
     "feature_net_init",
     "fit",
-    "forward_dynamics",
     "gamma",
     "generalization_bound",
     "gp_fit",
@@ -132,8 +124,6 @@ __all__ = [
     "lipschitz_bound",
     "make_learner",
     "max_ratio_on_traj",
-    "pendulum_mixed_model",
-    "pendulum_residual_fn",
     "pendulum_pool",
     "perturbation_bound",
     "predict",

@@ -286,11 +286,12 @@ def _write_manifest(path: Path, result) -> None:
 
 def run_cmd(args) -> int:
     try:
-        raw = json.loads(Path(args.config).read_text())
+        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except OSError as exc:
         print(f"config: cannot read {args.config}: {exc}", file=sys.stderr)
         return 1
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # not JSON, not UTF-8, or nested deeper than the parser recurses
         print(f"config: invalid JSON in {args.config}: {exc}", file=sys.stderr)
         return 1
 
@@ -340,6 +341,38 @@ def run_cmd(args) -> int:
     return 0
 
 
+def _load_run(base: Path):
+    """(base, summary, episodes) of a run directory; ValueError names a bad file."""
+    summary_path = base / "summary.json"
+    try:
+        summary = json.loads(summary_path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ValueError(f"cannot read {summary_path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"invalid JSON in {summary_path}: {exc}") from exc
+    if not isinstance(summary, dict):
+        raise ValueError(f"invalid summary in {summary_path}: expected a JSON object")
+    cost = summary.get("final_cost")
+    if cost is not None and (isinstance(cost, bool) or not isinstance(cost, (int, float))):
+        raise ValueError(f"invalid summary in {summary_path}: final_cost: expected a number")
+    for key in ("model", "task"):
+        if not isinstance(summary.get(key, ""), str):
+            raise ValueError(f"invalid summary in {summary_path}: {key}: expected a string")
+    episodes_path = base / "episodes.csv"
+    try:
+        with open(episodes_path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            episodes = list(reader)
+    except OSError as exc:
+        raise ValueError(f"cannot read {episodes_path}: {exc}") from exc
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"invalid episodes in {episodes_path}: {exc}") from exc
+    missing = sorted({"cost", "violation"} - set(reader.fieldnames or ()))
+    if missing:
+        raise ValueError(f"invalid episodes in {episodes_path}: no column(s) {missing}")
+    return base, summary, episodes
+
+
 def compare_cmd(args) -> int:
     if len(args.dirs) < 2:
         print(
@@ -348,41 +381,11 @@ def compare_cmd(args) -> int:
         )
         return 2
 
-    runs = []
-    for d in args.dirs:
-        base = Path(d)
-        summary_path = base / "summary.json"
-        try:
-            summary = json.loads(summary_path.read_text())
-        except OSError as exc:
-            print(f"cannot read {summary_path}: {exc}", file=sys.stderr)
-            return 1
-        except json.JSONDecodeError as exc:
-            print(f"invalid JSON in {summary_path}: {exc}", file=sys.stderr)
-            return 1
-        if not isinstance(summary, dict):
-            print(f"invalid summary in {summary_path}: expected a JSON object", file=sys.stderr)
-            return 1
-        cost = summary.get("final_cost")
-        if cost is not None and (isinstance(cost, bool) or not isinstance(cost, (int, float))):
-            print(
-                f"invalid summary in {summary_path}: final_cost: expected a number",
-                file=sys.stderr,
-            )
-            return 1
-        episodes_path = base / "episodes.csv"
-        try:
-            with open(episodes_path, newline="") as fh:
-                reader = csv.DictReader(fh)
-                episodes = list(reader)
-        except OSError as exc:
-            print(f"cannot read {episodes_path}: {exc}", file=sys.stderr)
-            return 1
-        missing = sorted({"cost", "violation"} - set(reader.fieldnames or ()))
-        if missing:
-            print(f"invalid episodes in {episodes_path}: no column(s) {missing}", file=sys.stderr)
-            return 1
-        runs.append((base, summary, episodes))
+    try:
+        runs = [_load_run(Path(d)) for d in args.dirs]
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 1
 
     tasks = {str(s.get("task")) for _, s, _ in runs}
     if len(tasks) != 1:

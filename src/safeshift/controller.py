@@ -1,9 +1,10 @@
 """Composite-variable tracking controller and closed-loop simulation.
 
 The controller drives the composite variable s = (qdot - qdot_g) + lam*(q - q_g)
-to zero; with the learned residual compensation d_hat the closed loop obeys
+to zero; with the learned residual compensation d_hat the closed loop of
+the plant m qddot + G(q) = u + d obeys
 
-    M sdot + (C + K) s = d - d_hat
+    m sdot + K s = d - d_hat
 
 so the tracking error is driven entirely by the residual prediction error.
 The rollout integrates the true plant with the scalar RK4 step of
@@ -62,9 +63,8 @@ def control_law(
     With q_tilde = q - q_g and qdot_tilde = qdot - qdot_g:
 
         s       = qdot_tilde + lam * q_tilde
-        qdot_r  = qdot_g - lam * q_tilde
         qddot_r = qddot_g - lam * qdot_tilde
-        u       = B^+ (M qddot_r + C qdot_r - K s + G - d_hat)
+        u       = m qddot_r - K s + G(q) - d_hat
 
     For force-input plants the returned value is the commanded force,
     which the simulator clamps at zero.
@@ -73,15 +73,8 @@ def control_law(
     q_t = q - q_g
     qd_t = qdot - qdot_g
     s = qd_t + lam * q_t
-    qdot_r = qdot_g - lam * q_t
     qddot_r = qddot_g - lam * qd_t
-    return (
-        model.mass_matrix(q) * qddot_r
-        + model.coriolis(q, qdot) * qdot_r
-        - gains.k * s
-        + model.gravity(q)
-        - d_hat
-    ) / model.actuation
+    return model.inertia * qddot_r - gains.k * s + model.gravity(q) - d_hat
 
 
 @dataclass
@@ -163,10 +156,9 @@ def simulate_closed_loop(
 
     force_input = model.force_input
     accel = model.accel
-    b = model.actuation
 
     def deriv(t, q, qdot, u):
-        return accel(q, qdot, b * u, residual_fn(t, q, qdot))
+        return accel(q, qdot, u, residual_fn(t, q, qdot))
 
     status = "ok"
     touchdown_time = None

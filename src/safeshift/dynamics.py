@@ -1,13 +1,16 @@
 """Rigid body dynamics with an unknown additive residual force.
 
-Both benchmark plants share the manipulator-equation structure
+Both benchmark plants have a one dimensional configuration, a constant
+inertia m and a directly actuated coordinate:
 
-    M(q) qddot + C(q, qdot) qdot + G(q) = B u + d(q, qdot)
+    m qddot + G(q) = u + d(q, qdot)
 
-with a one dimensional configuration.  d is the residual the learner has
+This is the manipulator equation M(q) qddot + C(q, qdot) qdot + G(q) =
+B u + d with M = m, C = 0 and B = 1.  d is the residual the learner has
 to identify: aerodynamic drag under a crosswind for the pendulum, ground
-effect for the drone.  The integrator is a fixed-step classical RK4 with
-the control held constant across the step.
+effect for the drone.  Each plant's parameters build its known part
+(`mixed_model`) and its true residual (`residual_fn`).  The integrator is
+a fixed-step classical RK4 with the control held constant across the step.
 """
 
 from __future__ import annotations
@@ -20,11 +23,6 @@ __all__ = [
     "MixedModelParams",
     "PendulumParams",
     "DroneParams",
-    "pendulum_mixed_model",
-    "drone_mixed_model",
-    "pendulum_residual_fn",
-    "drone_residual_fn",
-    "forward_dynamics",
     "step_rk4",
     "SimulationDiverged",
     "DIVERGENCE_LIMIT",
@@ -39,20 +37,18 @@ class SimulationDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class MixedModelParams:
-    """Known part of the dynamics: inertia, Coriolis, gravity, actuation.
+    """Known part of the dynamics m qddot + G(q) = u + d.
 
-    Scalar (1-DOF) system, so the callables return floats and `actuation`
-    is the scalar B.  `accel(q, qdot, bu, d)` is the acceleration, equal
-    to `forward_dynamics` but one call instead of three; the simulator
-    integrates it.  `force_input` marks a plant driven by a force that
-    cannot pull (the drone's thrust): the simulator applies
-    max(command, 0) and counts the steps that clamp.
+    `inertia` is the constant m and `gravity(q)` the force G(q).
+    `accel(q, qdot, u, d)` is the acceleration (u + d - G(q)) / m with
+    the plant's constants folded in; the simulator integrates it.
+    `force_input` marks a plant driven by a force that cannot pull (the
+    drone's thrust): the simulator applies max(command, 0) and counts
+    the steps that clamp.
     """
 
-    mass_matrix: Callable[[float], float]
-    coriolis: Callable[[float, float], float]
+    inertia: float
     gravity: Callable[[float], float]
-    actuation: float
     accel: Callable[[float, float, float, float], float]
     force_input: bool = False
 
@@ -69,6 +65,34 @@ class PendulumParams:
         if min(self.m, self.l, self.g) <= 0 or self.c_d < 0:
             raise ValueError("m, l, g must be positive and c_d nonnegative")
 
+    def mixed_model(self) -> MixedModelParams:
+        """Torque-driven pendulum, m l^2 qddot - m g l sin q = u + d.
+
+        The gravity convention is the inverted one (G(q) = -m g l sin q),
+        so the unforced upright q = 0 is an equilibrium.
+        """
+        ml2 = self.m * self.l * self.l
+        mgl = self.m * self.g * self.l
+        return MixedModelParams(
+            inertia=ml2,
+            gravity=lambda q: -mgl * math.sin(q),
+            accel=lambda q, qdot, u, d: (u + d + mgl * math.sin(q)) / ml2,
+        )
+
+    def residual_fn(self) -> Callable[[float, float, float], float]:
+        """Quadratic drag torque on the bob in a horizontal wind, as d(t, q, qdot).
+
+        The relative air speed is the tip speed l*qdot minus the wind
+        speed; drag opposes it with magnitude c_d * speed^2 acting at arm l.
+        """
+        cdl, l, v_w = self.c_d * self.l, self.l, self.v_w
+
+        def fn(t: float, q: float, qdot: float) -> float:
+            rel = l * qdot - v_w
+            return -cdl * rel * abs(rel)
+
+        return fn
+
 
 @dataclass(frozen=True)
 class DroneParams:
@@ -83,76 +107,30 @@ class DroneParams:
         if min(self.m, self.g) <= 0 or self.ge_b <= 0:
             raise ValueError("m, g, ge_b must be positive")
 
+    def mixed_model(self) -> MixedModelParams:
+        """Vertical-axis drone, m qddot + m g = F + d with thrust F >= 0."""
+        mg = self.m * self.g
+        mass = self.m
+        return MixedModelParams(
+            inertia=mass,
+            gravity=lambda q: mg,
+            accel=lambda q, qdot, u, d: (u + d - mg) / mass,
+            force_input=True,
+        )
 
-def pendulum_mixed_model(p: PendulumParams = PendulumParams()) -> MixedModelParams:
-    """Torque-driven pendulum, m l^2 qddot - m g l sin q = u + d.
+    def residual_fn(self) -> Callable[[float, float, float], float]:
+        """Ground effect as d(t, q, qdot): altitude-decaying lift plus damping.
 
-    The gravity convention is the inverted one (G(q) = -m g l sin q), so
-    the unforced upright q = 0 is an equilibrium.
-    """
-    ml2 = p.m * p.l * p.l
-    mgl = p.m * p.g * p.l
-    return MixedModelParams(
-        mass_matrix=lambda q: ml2,
-        coriolis=lambda q, qdot: 0.0,
-        gravity=lambda q: -mgl * math.sin(q),
-        actuation=1.0,
-        accel=lambda q, qdot, bu, d: (bu + d + mgl * math.sin(q)) / ml2,
-    )
+        The altitude is clamped below at altitude_floor so the exponential
+        stays bounded if the simulator momentarily pushes the drone
+        through the ground plane.
+        """
+        ge_a, ge_b, ge_c, floor = self.ge_a, self.ge_b, self.ge_c, self.altitude_floor
 
+        def fn(t: float, q: float, qdot: float) -> float:
+            return (ge_a - ge_c * qdot) * math.exp(-ge_b * (q if q > floor else floor))
 
-def drone_mixed_model(p: DroneParams = DroneParams()) -> MixedModelParams:
-    """Vertical-axis drone, m qddot + m g = F + d with thrust F >= 0."""
-    mg = p.m * p.g
-    mass = p.m
-    return MixedModelParams(
-        mass_matrix=lambda q: mass,
-        coriolis=lambda q, qdot: 0.0,
-        gravity=lambda q: mg,
-        actuation=1.0,
-        accel=lambda q, qdot, bu, d: (bu + d - mg) / mass,
-        force_input=True,
-    )
-
-
-def pendulum_residual_fn(p: PendulumParams) -> Callable[[float, float, float], float]:
-    """Quadratic drag torque on the bob in a horizontal wind, as d(t, q, qdot).
-
-    The relative air speed is the tip speed l*qdot minus the wind speed;
-    drag opposes it with magnitude c_d * speed^2 acting at arm l.
-    """
-    cdl, l, v_w = p.c_d * p.l, p.l, p.v_w
-
-    def fn(t: float, q: float, qdot: float) -> float:
-        rel = l * qdot - v_w
-        return -cdl * rel * abs(rel)
-
-    return fn
-
-
-def drone_residual_fn(p: DroneParams) -> Callable[[float, float, float], float]:
-    """Ground effect as d(t, q, qdot): altitude-decaying lift plus damping.
-
-    The altitude is clamped below at altitude_floor so the exponential
-    stays bounded if the simulator momentarily pushes the drone through
-    the ground plane.
-    """
-    ge_a, ge_b, ge_c, floor = p.ge_a, p.ge_b, p.ge_c, p.altitude_floor
-
-    def fn(t: float, q: float, qdot: float) -> float:
-        return (ge_a - ge_c * qdot) * math.exp(-ge_b * (q if q > floor else floor))
-
-    return fn
-
-
-def forward_dynamics(model: MixedModelParams, state, u: float, d: float) -> float:
-    """Acceleration qddot = M(q)^-1 (B u - C(q,qdot) qdot - G(q) + d)."""
-    q, qdot = float(state[0]), float(state[1])
-    m = model.mass_matrix(q)
-    if m == 0:
-        raise ValueError("singular mass matrix")
-    rhs = model.actuation * u - model.coriolis(q, qdot) * qdot - model.gravity(q) + d
-    return rhs / m
+        return fn
 
 
 def step_rk4(

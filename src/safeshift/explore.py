@@ -65,14 +65,7 @@ from .density_ratio import (
     kde_fit,
     max_ratio,
 )
-from .dynamics import (
-    DroneParams,
-    PendulumParams,
-    drone_mixed_model,
-    drone_residual_fn,
-    pendulum_mixed_model,
-    pendulum_residual_fn,
-)
+from .dynamics import DroneParams, PendulumParams
 from .gp_baseline import GpHyper, GpModel, gp_fit, gp_predict, kernel_matrix
 
 __all__ = [
@@ -197,21 +190,9 @@ class ExperimentConfig:
         pairs = [(rate, hover) for rate in c.rates for hover in c.hovers]
         return landing_pool(pairs, dt=TRAJ_DT, horizon=self.horizon, ground=self.safety.ground)
 
-    def mixed_model(self):
-        if self.task == "pendulum":
-            return pendulum_mixed_model(self.plant)
-        return drone_mixed_model(self.plant)
-
-    def residual_fn(self):
-        if self.task == "pendulum":
-            return pendulum_residual_fn(self.plant)
-        return drone_residual_fn(self.plant)
-
     def gamma(self) -> float:
         """The tube gain `bounds.gamma` of this plant and these gains."""
-        # both plants have configuration-independent inertia
-        m = self.mixed_model().mass_matrix(0.0)
-        return gamma(m, self.gains.k, self.gains.lam)
+        return gamma(self.plant.mixed_model().inertia, self.gains.k, self.gains.lam)
 
     def rollout_ground(self) -> Optional[float]:
         return self.safety.ground if self.task == "landing" else None
@@ -484,7 +465,7 @@ def _collect(config: ExperimentConfig, rollout: Rollout) -> Dataset:
     stride = max(1, int(round(1.0 / (SAMPLE_HZ * SIM_DT))))
     idx = np.arange(0, len(rollout.times), stride)
     states = rollout.states[idx]
-    res = config.residual_fn()
+    res = config.plant.residual_fn()
     targets = np.zeros((len(idx), config.output_dim))
     for row, (t_i, (q, qdot)) in enumerate(zip(rollout.times[idx], states)):
         targets[row, 0] = res(float(t_i), float(q), float(qdot))
@@ -540,10 +521,10 @@ def run_episode(
         certified, key=lambda ev: _selection_key(ev[0])
     )
     rollout = simulate_closed_loop(
-        config.mixed_model(),
+        config.plant.mixed_model(),
         config.gains,
         learner.d_hat_fn(src_kde, trg_kde),
-        config.residual_fn(),
+        config.plant.residual_fn(),
         traj,
         SIM_DT,
         x0_on_trajectory(traj),

@@ -121,11 +121,18 @@ def test_missing_config_file(tmp_path, capsys):
 
 
 def test_invalid_json_config(tmp_path, capsys):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text("{not json")
-    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
-    assert code == 1
-    assert "invalid JSON" in capsys.readouterr().err
+    # not JSON, not UTF-8, and nested deeper than the parser recurses: each
+    # is one line naming the file, before the output directory exists
+    deep = b"[" * 100_000 + b"]" * 100_000
+    for text in (b"{not json", b"\xff{", deep):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(text)
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"config: invalid JSON in {cfg}: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
 
 def test_unknown_field_named_in_diagnostic(tmp_path, capsys):
@@ -351,6 +358,45 @@ def test_compare_final_cost_not_a_number(cost, small_runs, tmp_path, capsys):
     assert captured.out == ""
     expected = f"invalid summary in {bad / 'summary.json'}: final_cost: expected a number\n"
     assert captured.err == expected
+
+
+@pytest.mark.parametrize("key", ["model", "task"])
+@pytest.mark.parametrize("value", [["robust"], 3, None])
+def test_compare_model_or_task_not_a_string(key, value, small_runs, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    summary = json.loads((small_runs["run_a"] / "summary.json").read_text())
+    (bad / "summary.json").write_text(json.dumps({**summary, key: value}))
+    (bad / "episodes.csv").write_bytes((small_runs["run_a"] / "episodes.csv").read_bytes())
+    code = main(["compare", str(small_runs["run_a"]), str(bad)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"invalid summary in {bad / 'summary.json'}: {key}: expected a string\n"
+
+
+@pytest.mark.parametrize(
+    "name, text, problem",
+    [
+        ("summary.json", b"\xff{", "invalid JSON"),
+        ("summary.json", b"[" * 100_000 + b"]" * 100_000, "invalid JSON"),
+        ("episodes.csv", b"cost,violation\n\xff,0\n", "invalid episodes"),
+        ("episodes.csv", b"cost,violation\n" + b"9" * 200_000 + b",0\n", "invalid episodes"),
+    ],
+    ids=["summary-not-utf8", "summary-too-deep", "episodes-not-utf8", "episodes-huge-field"],
+)
+def test_compare_undecodable_run_file(name, text, problem, small_runs, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    for other in ("summary.json", "episodes.csv"):
+        (bad / other).write_bytes((small_runs["run_a"] / other).read_bytes())
+    (bad / name).write_bytes(text)
+    code = main(["compare", str(small_runs["run_a"]), str(bad)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"{problem} in {bad / name}: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_compare_null_final_cost_is_inf(small_runs, tmp_path, capsys):

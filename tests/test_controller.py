@@ -15,13 +15,7 @@ from safeshift.controller import (
     x0_on_trajectory,
 )
 from safeshift.core import desired_values
-from safeshift.dynamics import (
-    MixedModelParams,
-    PendulumParams,
-    drone_mixed_model,
-    pendulum_mixed_model,
-    pendulum_residual_fn,
-)
+from safeshift.dynamics import DroneParams, MixedModelParams, PendulumParams
 from safeshift.core import landing_pool, pendulum_pool
 
 ZERO = lambda q, qdot: 0.0  # noqa: E731
@@ -33,18 +27,38 @@ def composite(roll, lam):
 
 
 def test_control_law_composite_variables():
-    # q_tilde = 0.1, qdot_r = 0.5 - 2 * 0.1 = 0.3, qddot_r = -0.1 - 2 * 0.4
-    # = -0.9, s = 0.9 - qdot_r = 0.6; with M = 2, C = 3, G = 0, B = 1, K = 5
-    # u = 2 qddot_r + 3 qdot_r - 5 s = -1.8 + 0.9 - 3.0
+    # q_tilde = 0.1, qdot_tilde = 0.4, s = 0.4 + 2 * 0.1 = 0.6, qddot_r =
+    # -0.1 - 2 * 0.4 = -0.9; with m = 2, G = 0, K = 5
+    # u = 2 qddot_r - 5 s = -1.8 - 3.0
     model = MixedModelParams(
-        mass_matrix=lambda q: 2.0,
-        coriolis=lambda q, qdot: 3.0,
+        inertia=2.0,
         gravity=lambda q: 0.0,
-        actuation=1.0,
-        accel=lambda q, qdot, bu, d: (bu + d - 3.0 * qdot) / 2.0,
+        accel=lambda q, qdot, u, d: (u + d) / 2.0,
     )
     u = control_law(model, ControllerGains(5.0, 2.0), 0.3, 0.9, 0.2, 0.5, -0.1, 0.0)
-    assert u == pytest.approx(-3.9)
+    assert u == pytest.approx(-4.8)
+
+
+def test_control_law_equals_the_manipulator_form(rng):
+    # (M qddot_r + C qdot_r - K s + G - d_hat) / B with M = m, C = 0 and
+    # B = 1 gives the same bits as the control law on both plants
+    gains = ControllerGains(3.2, 2.0)
+    for model in (PendulumParams().mixed_model(), DroneParams().mixed_model()):
+        for _ in range(200):
+            q, qdot, q_g, qdot_g, qddot_g, d_hat = rng.uniform(-3, 3, 6).tolist()
+            q_t, qd_t = q - q_g, qdot - qdot_g
+            s = qd_t + gains.lam * q_t
+            qdot_r = qdot_g - gains.lam * q_t
+            qddot_r = qddot_g - gains.lam * qd_t
+            manipulator = (
+                model.inertia * qddot_r
+                + 0.0 * qdot_r
+                - gains.k * s
+                + model.gravity(q)
+                - d_hat
+            ) / 1.0
+            u = control_law(model, gains, q, qdot, q_g, qdot_g, qddot_g, d_hat)
+            assert u == manipulator
 
 
 def test_rollout_records_tracking_error_and_composite_variable():
@@ -53,7 +67,7 @@ def test_rollout_records_tracking_error_and_composite_variable():
     (traj,) = landing_pool([(3.0, 0.0)], dt=0.01, horizon=10.0)
     lam = 2.0
     roll = simulate_closed_loop(
-        drone_mixed_model(),
+        DroneParams().mixed_model(),
         ControllerGains(3.2, lam),
         ZERO,
         lambda t, q, qdot: -0.5,
@@ -73,7 +87,7 @@ def test_rollout_records_tracking_error_and_composite_variable():
 
 def test_control_law_pendulum_gravity_term():
     # s = 0, qddot_r = 0, d_hat = 0 at q = pi/2 leaves only -G = -9.8
-    model = pendulum_mixed_model()
+    model = PendulumParams().mixed_model()
     u = control_law(
         model, ControllerGains(10.0, 5.0), math.pi / 2, 0.0, math.pi / 2, 0.0, 0.0, 0.0
     )
@@ -81,33 +95,33 @@ def test_control_law_pendulum_gravity_term():
 
 
 def test_control_law_drone_hover_force():
-    model = drone_mixed_model()
+    model = DroneParams().mixed_model()
     force = control_law(model, ControllerGains(10.0, 5.0), 1.0, 0.0, 1.0, 0.0, 0.0, 0.0)
     assert force == pytest.approx(9.8)
 
 
 def test_control_law_linear_in_d_hat(rng):
-    model = pendulum_mixed_model()
+    model = PendulumParams().mixed_model()
     gains = ControllerGains(7.0, 3.0)
     desired = (0.2, 0.1, -0.3)
     for _ in range(25):
         q, qdot, d0, delta = rng.uniform(-2, 2, 4)
         u0 = control_law(model, gains, q, qdot, *desired, d0)
         u1 = control_law(model, gains, q, qdot, *desired, d0 + delta)
-        # u is exactly linear in d_hat with slope -1/B
-        assert u1 - u0 == pytest.approx(-delta / model.actuation, rel=1e-12, abs=1e-12)
+        # u is exactly linear in d_hat with slope -1
+        assert u1 - u0 == pytest.approx(-delta, rel=1e-12, abs=1e-12)
 
 
 def test_perfect_model_keeps_s_near_zero():
     # u is held over each integrator step, so even a perfect d_hat leaves an
     # O(dt) composite error; it must be tiny and shrink linearly with dt.
     p = PendulumParams()
-    res = pendulum_residual_fn(p)
+    res = p.residual_fn()
     (traj,) = pendulum_pool([0.8], dt=0.01, horizon=5.0)
 
     def run(dt):
         return simulate_closed_loop(
-            pendulum_mixed_model(p),
+            p.mixed_model(),
             ControllerGains(10.0, 5.0),
             lambda q, qdot: res(0.0, q, qdot),
             res,
@@ -128,7 +142,7 @@ def test_perfect_model_keeps_s_near_zero():
 def test_nominal_loop_tracks_tightly_without_residual():
     (traj,) = pendulum_pool([0.5], dt=0.01, horizon=8.0)
     roll = simulate_closed_loop(
-        pendulum_mixed_model(PendulumParams(c_d=0.0)),
+        PendulumParams(c_d=0.0).mixed_model(),
         ControllerGains(10.0, 5.0),
         ZERO,
         lambda t, q, qdot: 0.0,
@@ -143,7 +157,7 @@ def test_s_norm_decays_monotonically_after_transient():
     """Lyapunov decrease of ||s|| with no disturbance and an off-trajectory start."""
     (traj,) = pendulum_pool([0.5], dt=0.01, horizon=4.0)
     roll = simulate_closed_loop(
-        pendulum_mixed_model(PendulumParams(c_d=0.0)),
+        PendulumParams(c_d=0.0).mixed_model(),
         ControllerGains(10.0, 5.0),
         ZERO,
         lambda t, q, qdot: 0.0,
@@ -166,7 +180,7 @@ def test_disturbed_rollout_respects_time_envelope():
     k, lam, eps_m = 6.0, 2.0, 0.4
     (traj,) = pendulum_pool([0.5], dt=0.01, horizon=6.0)
     roll = simulate_closed_loop(
-        pendulum_mixed_model(PendulumParams(c_d=0.0)),
+        PendulumParams(c_d=0.0).mixed_model(),
         ControllerGains(k, lam),
         ZERO,
         lambda t, q, qdot: eps_m * math.sin(3.0 * t),
@@ -184,7 +198,7 @@ def test_dt_must_divide_trajectory_grid():
     (traj,) = pendulum_pool([0.5], dt=0.01, horizon=1.0)
     with pytest.raises(ValueError):
         simulate_closed_loop(
-            pendulum_mixed_model(),
+            PendulumParams().mixed_model(),
             ControllerGains(10.0, 5.0),
             ZERO,
             lambda t, q, qdot: 0.0,
@@ -199,7 +213,7 @@ def test_touchdown_truncates_landing_rollout():
     # through the ground while the reference is still (barely) above it
     (traj,) = landing_pool([(3.0, 0.0)], dt=0.01, horizon=10.0)
     roll = simulate_closed_loop(
-        drone_mixed_model(),
+        DroneParams().mixed_model(),
         ControllerGains(3.2, 2.0),
         ZERO,
         lambda t, q, qdot: -0.5,
@@ -220,7 +234,7 @@ def test_thrust_clamp_is_counted():
     # an absurd downward reference forces negative thrust demands
     (traj,) = landing_pool([(3.0, 0.0)], dt=0.01, horizon=10.0)
     roll = simulate_closed_loop(
-        drone_mixed_model(),
+        DroneParams().mixed_model(),
         ControllerGains(60.0, 10.0),
         ZERO,
         lambda t, q, qdot: 0.0,

@@ -6,12 +6,15 @@ import importlib
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import safeshift
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(safeshift.__path__))
+# the directory this session imported safeshift from, for child interpreters
+SRC = str(Path(safeshift.__file__).parents[1])
 
 
 def test_package_exports_resolve():
@@ -27,7 +30,8 @@ def test_module_exports_resolve(module):
 def test_package_imports_without_scipy():
     """numpy is the only runtime dependency: no module pulls in scipy."""
     code = (
-        "import sys, safeshift\n"
+        f"import sys; sys.path.insert(0, {SRC!r})\n"
+        "import safeshift\n"
         f"for m in {MODULES!r}:\n"
         "    __import__('safeshift.' + m)\n"
         "print('scipy' in sys.modules)\n"
