@@ -41,11 +41,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import desired_values
+from .core import EpisodeRecord
 from .dynamics import SimulationDiverged
 from .explore import (
     MODEL_KINDS,
-    SIM_DT,
+    SAMPLE_STRIDE,
     ConfigError,
     ExperimentConfig,
     default_config,
@@ -55,26 +55,10 @@ from .robust_regression import TrainingDiverged
 
 __all__ = ["main", "config_from_dict", "config_to_dict", "run_cmd", "compare_cmd"]
 
-EPISODE_COLUMNS = [
-    "episode",
-    "status",
-    "params",
-    "cost",
-    "realized_cost",
-    "sigma_max",
-    "eps_m",
-    "tube_radius",
-    "n_certified",
-    "n_train",
-    "rms_tracking",
-    "rms_residual_error",
-    "w_hat",
-    "moment_residual",
-    "violation",
-]
-
 
 def _fmt(value) -> str:
+    if isinstance(value, dict):
+        return ";".join(f"{k}={_fmt(v)}" for k, v in sorted(value.items()))
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
@@ -82,10 +66,6 @@ def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")
     return str(value)
-
-
-def _fmt_params(params: dict) -> str:
-    return ";".join(f"{k}={_fmt(v)}" for k, v in sorted(params.items()))
 
 
 # -- config (de)serialization ------------------------------------------------
@@ -186,59 +166,32 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 
 def _write_episodes_csv(path: Path, result) -> None:
+    """One column per `EpisodeRecord` field, in field order."""
+    names = [f.name for f in dataclasses.fields(EpisodeRecord)]
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(EPISODE_COLUMNS)
+        writer.writerow(names)
         for rec in result.records:
-            writer.writerow(
-                [
-                    rec.episode,
-                    rec.status,
-                    _fmt_params(rec.params),
-                    _fmt(rec.cost),
-                    _fmt(rec.realized_cost),
-                    _fmt(rec.sigma_max),
-                    _fmt(rec.eps_m),
-                    _fmt(rec.tube_radius),
-                    rec.n_certified,
-                    rec.n_train,
-                    _fmt(rec.rms_tracking),
-                    _fmt(rec.rms_residual_error),
-                    _fmt(rec.w_hat),
-                    _fmt(rec.moment_residual),
-                    _fmt(rec.violation),
-                ]
-            )
+            writer.writerow([_fmt(getattr(rec, name)) for name in names])
 
 
 def _write_trajectories_csv(path: Path, result) -> None:
-    """Desired vs actual positions plus the certified tube, sampled at 50 Hz."""
-    stride = max(1, int(round(1.0 / (50.0 * SIM_DT))))
+    """Desired vs actual states the loop recorded plus the certified tube,
+    sampled at the collection rate (every `SAMPLE_STRIDE` steps)."""
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["episode", "t", "q_des", "qdot_des", "q_act", "qdot_act", "tube_lo", "tube_hi"]
         )
-        for rec, traj, rollout in zip(result.records, result.trajs, result.rollouts):
-            if rollout is None or traj is None:
+        for rec, rollout in zip(result.records, result.rollouts):
+            if rollout is None:
                 continue
             rho = rec.tube_radius
-            for i in range(0, len(rollout.times), stride):
-                t = float(rollout.times[i])
-                # scalar t: the simulator's own bits (see desired_values)
-                q_g, qdot_g, _ = desired_values(traj.task, traj.params, t)
-                writer.writerow(
-                    [
-                        rec.episode,
-                        _fmt(t),
-                        _fmt(q_g),
-                        _fmt(qdot_g),
-                        _fmt(float(rollout.states[i, 0])),
-                        _fmt(float(rollout.states[i, 1])),
-                        _fmt(q_g - rho),
-                        _fmt(q_g + rho),
-                    ]
-                )
+            for i in range(0, len(rollout.times), SAMPLE_STRIDE):
+                q_g, qdot_g = rollout.desired[i].tolist()
+                q, qdot = rollout.states[i].tolist()
+                values = (rollout.times[i], q_g, qdot_g, q, qdot, q_g - rho, q_g + rho)
+                writer.writerow([rec.episode] + [_fmt(v) for v in values])
 
 
 def _jsonable(value):
@@ -255,8 +208,7 @@ def _jsonable(value):
 
 
 def _write_summary(path: Path, result) -> None:
-    records = result.records
-    tracked = [r for r in records if r.status in ("ok", "touchdown")]
+    records, tracked = result.records, result.tracked
     summary = {
         "task": result.config.task,
         "model": result.config.model_kind,
@@ -267,7 +219,7 @@ def _write_summary(path: Path, result) -> None:
         "diverged": sum(1 for r in records if r.status == "diverged"),
         "violations": result.violations,
         "final_cost": result.final_cost,
-        "final_realized_cost": tracked[-1].realized_cost if tracked else math.nan,
+        "final_realized_cost": result.final_cost,
         "first_rms_tracking": tracked[0].rms_tracking if tracked else math.nan,
         "final_rms_tracking": tracked[-1].rms_tracking if tracked else math.nan,
         "max_w_hat": max((r.w_hat for r in tracked), default=math.nan),
@@ -342,7 +294,10 @@ def run_cmd(args) -> int:
 
 
 def _load_run(base: Path):
-    """(base, summary, episodes) of a run directory; ValueError names a bad file."""
+    """(base, summary, episodes) of a run directory; ValueError names a bad file.
+
+    The summary's final_cost comes back as a float, inf where it is null.
+    """
     summary_path = base / "summary.json"
     try:
         summary = json.loads(summary_path.read_text(encoding="utf-8"))
@@ -355,6 +310,10 @@ def _load_run(base: Path):
     cost = summary.get("final_cost")
     if cost is not None and (isinstance(cost, bool) or not isinstance(cost, (int, float))):
         raise ValueError(f"invalid summary in {summary_path}: final_cost: expected a number")
+    try:
+        summary["final_cost"] = math.inf if cost is None else float(cost)
+    except OverflowError as exc:
+        raise ValueError(f"invalid summary in {summary_path}: final_cost: {exc}") from exc
     for key in ("model", "task"):
         if not isinstance(summary.get(key, ""), str):
             raise ValueError(f"invalid summary in {summary_path}: {key}: expected a string")
@@ -409,9 +368,7 @@ def compare_cmd(args) -> int:
 
     by_model: dict = {}
     for _, s, _ in runs:
-        cost = s.get("final_cost")
-        cost_v = math.inf if cost is None else float(cost)
-        by_model.setdefault(s.get("model", "?"), []).append(cost_v)
+        by_model.setdefault(s.get("model", "?"), []).append(s["final_cost"])
     for model, costs in sorted(by_model.items()):
         med = float(np.median(costs))
         med_s = "inf" if math.isinf(med) else format(med, ".6g")

@@ -12,8 +12,9 @@ The rollout integrates the true plant with the scalar RK4 step of
 
 Each formula has one implementation: every step evaluates
 `core.desired_values` at its time and calls `control_law` and
-`dynamics.step_rk4`; the tracking error x_tilde is computed from the
-recorded states and desired values after the loop.
+`dynamics.step_rk4`.  The rollout records the state and the desired
+(q_g, qdot_g) the controller tracked at every step; the tracking error
+x_tilde = states - desired is derived from those rows, not stored.
 """
 
 from __future__ import annotations
@@ -81,25 +82,41 @@ def control_law(
 class Rollout:
     """Closed-loop simulation record, one row per integrator step.
 
-    eps holds the residual prediction error d - d_hat evaluated at each
-    recorded state (ground truth is evaluated exactly there).
+    states holds the actual (q, qdot) and desired the (q_g, qdot_g) the
+    controller tracked at each step; eps holds the residual prediction
+    error d - d_hat evaluated at each recorded state (ground truth is
+    evaluated exactly there).  The tracking error and the touchdown time
+    and speed are derived from these rows.  A touchdown rollout's last
+    row is the contact state.
     """
 
     times: np.ndarray
     states: np.ndarray
-    x_tilde: np.ndarray
+    desired: np.ndarray
     eps: np.ndarray
     status: str = "ok"
-    touchdown_time: Optional[float] = None
-    touchdown_speed: Optional[float] = None
     clamp_count: int = 0
+
+    @property
+    def x_tilde(self) -> np.ndarray:
+        """Tracking error x - x_d on every recorded row."""
+        return self.states - self.desired
+
+    @property
+    def touchdown_time(self) -> Optional[float]:
+        return float(self.times[-1]) if self.status == "touchdown" else None
+
+    @property
+    def touchdown_speed(self) -> Optional[float]:
+        return float(self.states[-1, 1]) if self.status == "touchdown" else None
 
     def rms_tracking(self) -> float:
         """RMS of the tracking-error norm ||x_tilde|| over the rollout."""
         if len(self.times) == 0:
             return math.nan
-        sq = self.x_tilde[:, 0] ** 2 + self.x_tilde[:, 1] ** 2
-        return float(np.sqrt(np.mean(sq)))
+        sq = self.x_tilde
+        sq *= sq
+        return float(np.sqrt(np.mean(sq[:, 0] + sq[:, 1])))
 
 
 def x0_on_trajectory(traj: DesiredTrajectory) -> tuple[float, float]:
@@ -161,8 +178,6 @@ def simulate_closed_loop(
         return accel(q, qdot, u, residual_fn(t, q, qdot))
 
     status = "ok"
-    touchdown_time = None
-    touchdown_speed = None
     clamp_count = 0
     d_hat = 0.0
     n_rec = 0
@@ -202,19 +217,16 @@ def simulate_closed_loop(
             desired[n_rec] = desired_values(traj.task, traj.params, t_all[n_rec])[:2]
             eps[n_rec] = residual_fn(t_all[n_rec], q, qdot) - d_hat
             status = "touchdown"
-            touchdown_time = t_all[n_rec]
-            touchdown_speed = qdot
             n_rec += 1
             break
 
-    x_tilde = states[:n_rec] - desired[:n_rec]
+    # desired is copied so a flight cut short frees its full-horizon buffer;
+    # copying states and eps as well raises the pendulum's peak memory
     return Rollout(
         times=times[:n_rec],
         states=states[:n_rec],
-        x_tilde=x_tilde,
+        desired=desired[:n_rec].copy(),
         eps=eps[:n_rec],
         status=status,
-        touchdown_time=touchdown_time,
-        touchdown_speed=touchdown_speed,
         clamp_count=clamp_count,
     )

@@ -4,8 +4,8 @@ Desired trajectories, candidate pools, safety sets, and the dataset /
 episode bookkeeping containers used by the exploration loop.  Desired
 trajectories live on a uniform time grid but also carry the closed-form
 expressions (task name + parameters); `desired_values` is the one
-implementation of each, used by the pool builders, by the simulator on
-its own step grid and by the trajectories writer.
+implementation of each, used by the pool builders and by the simulator
+on its own step grid, which records the values it tracked.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ __all__ = [
     "Dataset",
     "EpisodeRecord",
     "CONTACT_TOL",
+    "contact_time",
     "desired_values",
     "grid_steps",
     "PendulumPool",
@@ -37,6 +38,12 @@ __all__ = [
 
 # a landing altitude within CONTACT_TOL of the ground has reached it
 CONTACT_TOL = 0.01
+
+
+def contact_time(times: np.ndarray, q: np.ndarray, ground: float) -> float:
+    """First of `times` at which altitude q has reached the ground; +inf if never."""
+    reached = np.nonzero(q <= ground + CONTACT_TOL)[0]
+    return float(times[reached[0]]) if len(reached) else math.inf
 
 
 def desired_values(task: str, params: dict, t):
@@ -253,9 +260,9 @@ def landing_pool(
     """Descent candidates parameterized by rate C and hover altitude h_g.
 
     q_g = (1.5 - h_g) exp(-C t)(1 + C t) + h_g descends monotonically from
-    1.5 toward h_g.  Cost is the first grid time with q_g within CONTACT_TOL
-    of the ground (+inf if the candidate never gets that low), so faster
-    descents to lower hover altitudes are preferred.  The (C, h_g) pairs
+    1.5 toward h_g.  Cost is the `contact_time` of q_g on the grid (+inf if
+    the candidate never gets that low), so faster descents to lower hover
+    altitudes are preferred.  The (C, h_g) pairs
     are those of a `LandingPool`, which checks their range.
     """
     times = _uniform_grid(horizon, dt)
@@ -264,8 +271,6 @@ def landing_pool(
         c, h_g = float(c), float(h_g)
         params = {"C": c, "h_g": h_g}
         q, qd, _ = desired_values("landing", params, times)
-        touched = np.nonzero(q <= ground + CONTACT_TOL)[0]
-        cost = float(times[touched[0]]) if len(touched) else math.inf
         pool.append(
             DesiredTrajectory(
                 task="landing",
@@ -273,7 +278,7 @@ def landing_pool(
                 times=times,
                 q_g=q,
                 qdot_g=qd,
-                cost=cost,
+                cost=contact_time(times, q, ground),
             )
         )
     return pool

@@ -63,6 +63,12 @@ class KdeModel:
     def dim(self) -> int:
         return self.samples.shape[1]
 
+    @property
+    def norm(self) -> float:
+        """Normaliser n * prod(h) * (2 pi)^(d/2) of the kernel sum."""
+        h = self.bandwidth
+        return len(self.samples) * float(np.prod(h)) * (2.0 * math.pi) ** (self.dim / 2.0)
+
 
 def kde_fit(samples) -> KdeModel:
     """Fit a Gaussian KDE with Silverman's bandwidth per dimension.
@@ -94,7 +100,7 @@ def kde_density(model: KdeModel, x) -> np.ndarray | float:
         raise ValueError("query dimension mismatch")
     h = model.bandwidth
     n = len(model.samples)
-    norm = n * np.prod(h) * (2.0 * math.pi) ** (model.dim / 2.0)
+    norm = model.norm
     s = model.samples / h
     s_sq = np.einsum("ij,ij->i", s, s)
     dens = np.empty(len(pts))

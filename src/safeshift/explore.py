@@ -40,7 +40,6 @@ from . import robust_regression as rr
 from .bounds import Certification, certify_trajectory, eps_m_from_sigma, gamma
 from .controller import ControllerGains, Rollout, simulate_closed_loop, x0_on_trajectory
 from .core import (
-    CONTACT_TOL,
     Dataset,
     DesiredTrajectory,
     EpisodeRecord,
@@ -49,6 +48,7 @@ from .core import (
     SafetySet,
     StateBox,
     TouchdownSpeed,
+    contact_time,
     grid_steps,
     landing_pool,
     pendulum_pool,
@@ -94,7 +94,8 @@ TASK_TYPES = {
 
 # Fixed settings of the loop (no workload varies them).  The simulator
 # integrates at SIM_DT on desired trajectories gridded at TRAJ_DT, and
-# data is collected from each rollout at SAMPLE_HZ.  The learned
+# data is collected from each rollout every SAMPLE_STRIDE integrator
+# steps (50 Hz), the rate trajectories.csv is written at.  The learned
 # compensation d_hat is refreshed every D_HAT_HOLD_STEPS integrator steps
 # and held in between, while the feedback terms update every step: a
 # documented deviation from the idealized loop (1 is exact).  A fit sees
@@ -104,7 +105,7 @@ TASK_TYPES = {
 # is not admitted, whatever its certificate says.
 SIM_DT = 0.001
 TRAJ_DT = 0.01
-SAMPLE_HZ = 50.0
+SAMPLE_STRIDE = 20
 D_HAT_HOLD_STEPS = 20
 MAX_TRAIN_POINTS = 600
 KDE_SRC_MAX = 500
@@ -301,10 +302,8 @@ def _fast_ratio_point(src: KdeModel, trg: KdeModel):
     Sums the kernels directly where `kde_density` expands the squared
     distance for one BLAS product; the two differ in the last bits.
     """
-    sx, sh = src.samples, src.bandwidth
-    tx, th = trg.samples, trg.bandwidth
-    s_norm = len(sx) * float(np.prod(sh)) * (2.0 * math.pi) ** (src.dim / 2.0)
-    t_norm = len(tx) * float(np.prod(th)) * (2.0 * math.pi) ** (trg.dim / 2.0)
+    sx, sh, s_norm = src.samples, src.bandwidth, src.norm
+    tx, th, t_norm = trg.samples, trg.bandwidth, trg.norm
 
     def ratio(q: float, qdot: float) -> float:
         zs = (np.array((q, qdot)) - sx) / sh
@@ -455,15 +454,11 @@ def _audit(rollout: Rollout, safe_set: SafetySet) -> bool:
 def _realized_cost(config: ExperimentConfig, rollout: Rollout) -> float:
     if config.task == "pendulum":
         return -float(np.max(np.abs(rollout.states[:, 0])))
-    reached = np.nonzero(rollout.states[:, 0] <= config.safety.ground + CONTACT_TOL)[0]
-    if len(reached) == 0:
-        return math.inf
-    return float(rollout.times[reached[0]])
+    return contact_time(rollout.times, rollout.states[:, 0], config.safety.ground)
 
 
 def _collect(config: ExperimentConfig, rollout: Rollout) -> Dataset:
-    stride = max(1, int(round(1.0 / (SAMPLE_HZ * SIM_DT))))
-    idx = np.arange(0, len(rollout.times), stride)
+    idx = np.arange(0, len(rollout.times), SAMPLE_STRIDE)
     states = rollout.states[idx]
     res = config.plant.residual_fn()
     targets = np.zeros((len(idx), config.output_dim))
@@ -548,19 +543,25 @@ def run_episode(
 
 @dataclass
 class ExperimentResult:
+    """Each episode's record and flown rollout (None if it flew nothing)."""
+
     config: ExperimentConfig
     records: list
     rollouts: list
-    trajs: list
 
     @property
     def violations(self) -> int:
         return sum(1 for r in self.records if r.violation)
 
     @property
+    def tracked(self) -> list:
+        """The records of the episodes that flew to the end or touched down."""
+        return [r for r in self.records if r.status in ("ok", "touchdown")]
+
+    @property
     def final_cost(self) -> float:
-        tracked = [r.realized_cost for r in self.records if r.status in ("ok", "touchdown")]
-        return tracked[-1] if tracked else math.nan
+        tracked = self.tracked
+        return tracked[-1].realized_cost if tracked else math.nan
 
 
 def run_experiment(config: ExperimentConfig, learner=None) -> ExperimentResult:
@@ -579,7 +580,6 @@ def run_experiment(config: ExperimentConfig, learner=None) -> ExperimentResult:
     src_kde = None
     records: list[EpisodeRecord] = []
     rollouts: list[Optional[Rollout]] = []
-    trajs: list[Optional[DesiredTrajectory]] = []
 
     for episode in range(1, config.episodes + 1):
         out = run_episode(pool, learner, src_kde, config, cache=cache)
@@ -599,7 +599,6 @@ def run_experiment(config: ExperimentConfig, learner=None) -> ExperimentResult:
             rec.realized_cost = _realized_cost(config, out.rollout)
             rec.rms_residual_error = float(np.sqrt(np.mean(out.rollout.eps ** 2)))
         rollouts.append(out.rollout)
-        trajs.append(out.chosen)
 
         if out.new_data is not None and len(out.new_data):
             dataset = dataset.concat(out.new_data)
@@ -613,9 +612,4 @@ def run_experiment(config: ExperimentConfig, learner=None) -> ExperimentResult:
             rec.moment_residual = learner.moment_residual_max()
         records.append(rec)
 
-    return ExperimentResult(
-        config=config,
-        records=records,
-        rollouts=rollouts,
-        trajs=trajs,
-    )
+    return ExperimentResult(config=config, records=records, rollouts=rollouts)

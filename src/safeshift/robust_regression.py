@@ -66,8 +66,8 @@ class TrainingDiverged(RuntimeError):
 class FeatureNet:
     """Fully connected ReLU feature extractor; the last layer is linear.
 
-    weights[i] has shape (in_i, out_i); caps[i] is the spectral-norm cap
-    enforced by spectral_normalize.
+    weights[i] has shape (in_i, out_i); caps[i] is the positive
+    spectral-norm cap enforced by spectral_normalize.
     """
 
     weights: tuple
@@ -77,6 +77,8 @@ class FeatureNet:
     def __post_init__(self):
         if not (len(self.weights) == len(self.biases) == len(self.caps)):
             raise ValueError("weights, biases, caps must align")
+        if not all(c > 0 for c in self.caps):
+            raise ValueError("spectral cap must be positive")
 
     @property
     def feature_dim(self) -> int:
@@ -106,7 +108,8 @@ def feature_net_init(
         weights.append(rng.standard_normal((d_in, d_out)) * math.sqrt(2.0 / d_in))
         biases.append(np.zeros(d_out))
     net = FeatureNet(tuple(weights), tuple(biases), (cap,) * len(weights))
-    return spectral_normalize(net)
+    spectral_normalize(net, [None] * len(weights))
+    return net
 
 
 def _power_iterate(w: np.ndarray, v: np.ndarray, iters: int, tol: float):
@@ -139,23 +142,13 @@ def spectral_norm(w: np.ndarray, iters: int = POWER_ITERS, tol: float = POWER_TO
     return float(_power_iterate(w, v, iters, tol)[0])
 
 
-def spectral_normalize(net: FeatureNet) -> FeatureNet:
-    """Rescale every weight matrix whose spectral norm exceeds its cap."""
-    if min(net.caps) <= 0:
-        raise ValueError("spectral cap must be positive")
-    new_w = []
-    for w, c in zip(net.weights, net.caps):
-        s = spectral_norm(w)
-        new_w.append(w * (c / s) if s > c else w)
-    return FeatureNet(tuple(new_w), net.biases, net.caps)
+def spectral_normalize(net: FeatureNet, cache: list) -> None:
+    """Rescale, in place, every weight matrix whose spectral norm exceeds its cap.
 
-
-def _normalize_warm(net: FeatureNet, cache: list) -> None:
-    """spectral_normalize for the training loop, in place on net's weights.
-
-    Weights drift a little per step, so the previous step's right singular
-    vectors (kept in cache, updated in place) make the power iteration
-    converge almost immediately.  Same tolerance as the cold start.
+    cache[i] is the power iteration's start vector for layer i, replaced by
+    the right singular vector it converged to; None starts from all ones,
+    as `spectral_norm` does.  In training the weights drift a little per
+    step, so the previous step's vectors converge almost immediately.
     """
     for i, (w, c) in enumerate(zip(net.weights, net.caps)):
         v = cache[i]
@@ -661,7 +654,7 @@ def fit(
 
     if init.dim_out != d_out:
         raise ValueError("warm-start output dimension mismatch")
-    net = spectral_normalize(init.net)
+    net = init.net
     theta_phi = init.theta_phi.copy()
     theta_y = np.maximum(init.theta_y, THETA_Y_FLOOR)
 
@@ -681,6 +674,8 @@ def fit(
         sigma0_sq=init.sigma0_sq,
         lam=config.lam,
     )
+    # on the copy, so the caller's init keeps its weights
+    spectral_normalize(model.net, [None] * n_layers)
 
     log_floor = math.log(THETA_Y_FLOOR)
     log_ceil = math.log(THETA_Y_CEIL)
@@ -709,7 +704,7 @@ def fit(
         params -= ws.grad
         np.clip(s_y, log_floor, log_ceil, out=s_y)
         np.exp(s_y, out=theta_y)
-        _normalize_warm(model.net, power_cache)
+        spectral_normalize(model.net, power_cache)
 
     # Gradient descent alone crawls through the coupled head/theta_y
     # scaling (mu carries a 1/sigma^2 factor, so calibrating theta_y keeps

@@ -4,6 +4,8 @@ A copy of the allocating gradient-descent loop of
 `robust_regression.fit` (a new FeatureNet and RobustModel on every step)
 with the `_grads`, `_loss_terms`, `_predictive` and `_normalize_warm` it
 ran, and the numpy-scalar coordinate-descent lasso of `_solve_heads`.
+Its first normalization, at the start of a fit, is `_normalize_warm`
+with an all-None cache.
 Its mini-batch, frozen-net and cold-start branches are gone with the
 settings that selected them; the full-batch arithmetic is unchanged.
 It keeps the prior-mean term mu0/sigma0_sq of the predictive mean, at
@@ -41,7 +43,6 @@ from safeshift.robust_regression import (
     _moment,
     _polish_theta_y,
     _power_iterate,
-    spectral_normalize,
 )
 
 
@@ -218,7 +219,7 @@ def fit(
 
     if init.dim_out != d_out:
         raise ValueError("warm-start output dimension mismatch")
-    net = spectral_normalize(init.net)
+    net = _normalize_warm(init.net, [None] * len(init.net.weights))
     theta_phi = init.theta_phi.copy()
     theta_y = np.maximum(init.theta_y, rr.THETA_Y_FLOOR)
 

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 from safeshift import cli
-from safeshift.cli import EPISODE_COLUMNS, config_from_dict, config_to_dict, main
+from safeshift.cli import config_from_dict, config_to_dict, main
 from safeshift.controller import ControllerGains
 from safeshift.core import LandingPool
 from safeshift.dynamics import SimulationDiverged
@@ -62,7 +62,23 @@ def test_run_writes_all_outputs(small_runs):
         assert (out / fname).exists(), fname
     with open(out / "episodes.csv", newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == EPISODE_COLUMNS
+    assert rows[0] == [
+        "episode",
+        "status",
+        "params",
+        "cost",
+        "realized_cost",
+        "sigma_max",
+        "eps_m",
+        "tube_radius",
+        "n_certified",
+        "n_train",
+        "rms_tracking",
+        "rms_residual_error",
+        "w_hat",
+        "moment_residual",
+        "violation",
+    ]
     assert len(rows) == 1 + 2
     assert [r[0] for r in rows[1:]] == ["1", "2"]
     assert all(r[1] == "ok" for r in rows[1:])
@@ -358,6 +374,22 @@ def test_compare_final_cost_not_a_number(cost, small_runs, tmp_path, capsys):
     assert captured.out == ""
     expected = f"invalid summary in {bad / 'summary.json'}: final_cost: expected a number\n"
     assert captured.err == expected
+
+
+def test_compare_final_cost_too_large_for_a_float(small_runs, tmp_path, capsys):
+    # a JSON integer parses exactly, so 10**400 only fails on conversion
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    summary = json.loads((small_runs["run_a"] / "summary.json").read_text())
+    (bad / "summary.json").write_text(json.dumps({**summary, "final_cost": 10**400}))
+    (bad / "episodes.csv").write_bytes((small_runs["run_a"] / "episodes.csv").read_bytes())
+    code = main(["compare", str(small_runs["run_a"]), str(bad)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"invalid summary in {bad / 'summary.json'}: final_cost: ")
 
 
 @pytest.mark.parametrize("key", ["model", "task"])

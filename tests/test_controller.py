@@ -62,8 +62,8 @@ def test_control_law_equals_the_manipulator_form(rng):
 
 
 def test_rollout_records_tracking_error_and_composite_variable():
-    # x_tilde = states - desired on every recorded row, the touchdown row
-    # included
+    # desired is desired_values at every recorded time, the touchdown row
+    # included, and x_tilde = states - desired
     (traj,) = landing_pool([(3.0, 0.0)], dt=0.01, horizon=10.0)
     lam = 2.0
     roll = simulate_closed_loop(
@@ -77,12 +77,12 @@ def test_rollout_records_tracking_error_and_composite_variable():
         ground=0.0,
     )
     assert roll.status == "touchdown"
-    q_g, qdot_g, _ = np.array(
-        [desired_values(traj.task, traj.params, t) for t in roll.times.tolist()]
-    ).T
-    np.testing.assert_array_equal(roll.x_tilde[:, 0], roll.states[:, 0] - q_g)
-    np.testing.assert_array_equal(roll.x_tilde[:, 1], roll.states[:, 1] - qdot_g)
-    assert roll.times[-1] == roll.touchdown_time  # the last row is the contact state
+    for t, row in zip(roll.times.tolist(), roll.desired.tolist()):
+        assert tuple(row) == desired_values(traj.task, traj.params, t)[:2]
+    np.testing.assert_array_equal(roll.x_tilde, roll.states - roll.desired)
+    # the last row is the contact state
+    assert roll.touchdown_time == roll.times[-1]
+    assert roll.touchdown_speed == roll.states[-1, 1]
 
 
 def test_control_law_pendulum_gravity_term():

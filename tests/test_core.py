@@ -15,6 +15,7 @@ from safeshift.core import (
     PendulumPool,
     StateBox,
     TouchdownSpeed,
+    contact_time,
     desired_values,
     landing_pool,
     pendulum_pool,
@@ -97,6 +98,14 @@ def test_landing_pool_slow_descent_never_touches_down():
     (traj,) = landing_pool([(0.25, 0.0)], dt=0.01, horizon=10.0)
     # q_g(10) = 1.5 e^-2.5 (1 + 2.5) ~ 0.43 m, still far above the 1 cm band
     assert traj.cost == math.inf
+
+
+def test_contact_time_is_the_first_time_within_the_tolerance():
+    times = np.array([0.0, 0.5, 1.0, 1.5])
+    # 0.01 above the ground is contact (CONTACT_TOL), 0.02 is not
+    assert contact_time(times, np.array([1.0, 0.02, 0.01, -0.3]), 0.0) == 1.0
+    assert contact_time(times, np.array([1.0, 0.52, 0.2, 0.0]), 0.5) == 1.0
+    assert contact_time(times, np.array([1.0, 0.5, 0.2, 0.02]), 0.0) == math.inf
 
 
 def test_landing_pool_hover_candidates_have_infinite_cost():

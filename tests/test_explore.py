@@ -240,7 +240,7 @@ def test_episode_one_runs_on_base_model_uncertainty():
 
 
 def test_dataset_growth_and_retrain_cadence():
-    # 2 s flights sampled at SAMPLE_HZ = 50 give 101 points each, and
+    # 2 s flights sampled every SAMPLE_STRIDE = 20 steps give 101 points each, and
     # three of them stay under MAX_TRAIN_POINTS
     cfg = replace(default_config("pendulum"), episodes=3, horizon=2.0)
     stub = StubLearner(default=0.01)

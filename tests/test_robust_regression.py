@@ -368,24 +368,30 @@ def test_spectral_norm_matches_svd(rng):
 
 def test_spectral_normalize_identity_unchanged():
     net = FeatureNet((np.eye(3),), (np.zeros(3),), (1.0,))
-    out = spectral_normalize(net)
-    np.testing.assert_array_equal(out.weights[0], np.eye(3))
+    spectral_normalize(net, [None])
+    np.testing.assert_array_equal(net.weights[0], np.eye(3))
 
 
 def test_spectral_normalize_rescales_uniformly():
     net = FeatureNet((np.diag([3.0, 1.0]),), (np.zeros(2),), (1.0,))
-    out = spectral_normalize(net)
-    np.testing.assert_allclose(out.weights[0], np.diag([1.0, 1.0 / 3.0]), atol=1e-9)
+    spectral_normalize(net, [None])
+    np.testing.assert_allclose(net.weights[0], np.diag([1.0, 1.0 / 3.0]), atol=1e-9)
 
 
 def test_spectral_normalize_enforces_caps(rng):
     net = feature_net_init(rng)
-    blown = FeatureNet(
-        tuple(10.0 * w for w in net.weights), net.biases, net.caps
-    )
-    out = spectral_normalize(blown)
-    for w, cap in zip(out.weights, out.caps):
+    blown = FeatureNet(tuple(10.0 * w for w in net.weights), net.biases, net.caps)
+    cache = [None] * len(blown.weights)
+    spectral_normalize(blown, cache)
+    for w, cap, v in zip(blown.weights, blown.caps, cache):
         assert spectral_norm(w) <= cap * (1 + 1e-5)
+        assert v.shape == (w.shape[1],)  # the converged start vector of the next call
+
+
+@pytest.mark.parametrize("cap", [0.0, -1.0, math.nan])
+def test_feature_net_rejects_a_non_positive_cap(cap):
+    with pytest.raises(ValueError, match="spectral cap must be positive"):
+        FeatureNet((np.eye(2),), (np.zeros(2),), (cap,))
 
 
 # -- diagnostics -----------------------------------------------------------------
