@@ -216,7 +216,7 @@ def _write_summary(path: Path, result) -> None:
         "episodes": len(records),
         "tracked_episodes": len(tracked),
         "no_safe_candidates": sum(1 for r in records if r.status == "no_safe_candidate"),
-        "diverged": sum(1 for r in records if r.status == "diverged"),
+        "diverged": result.diverged,
         "violations": result.violations,
         "final_cost": result.final_cost,
         "final_realized_cost": result.final_cost,
@@ -285,9 +285,8 @@ def run_cmd(args) -> int:
             print(f"output: cannot write {out_dir / name}: {exc}", file=sys.stderr)
             return 1
 
-    n_diverged = sum(1 for r in result.records if r.status == "diverged")
-    if n_diverged:
-        print(f"runtime failure: {n_diverged} episode(s) diverged", file=sys.stderr)
+    if result.diverged:
+        print(f"runtime failure: {result.diverged} episode(s) diverged", file=sys.stderr)
         return 2
     print(f"wrote {out_dir} (final cost {_fmt(result.final_cost)})")
     return 0

@@ -181,19 +181,23 @@ def simulate_closed_loop(
     clamp_count = 0
     d_hat = 0.0
     n_rec = 0
+    contact = False
     for i in range(n_steps + 1):
         t = t_all[i]
         # scalar t: Python floats with math's bits (see desired_values)
         q_g, qdot_g, qddot_g = desired_values(traj.task, traj.params, t)
-        if i % d_hat_hold_steps == 0:
-            d_hat = d_hat_fn(q, qdot)
-        force = control_law(model, gains, q, qdot, q_g, qdot_g, qddot_g, d_hat)
-        if force_input:
-            # thrust cannot pull: a negative demand is clamped to zero
-            applied = force if force > 0.0 else 0.0
-            clamp_count += force < 0.0
-        else:
-            applied = force
+        # the contact row keeps the d_hat held over the step that reached
+        # it, and no control is computed there
+        if not contact:
+            if i % d_hat_hold_steps == 0:
+                d_hat = d_hat_fn(q, qdot)
+            force = control_law(model, gains, q, qdot, q_g, qdot_g, qddot_g, d_hat)
+            if force_input:
+                # thrust cannot pull: a negative demand is clamped to zero
+                applied = force if force > 0.0 else 0.0
+                clamp_count += force < 0.0
+            else:
+                applied = force
 
         states[i, 0] = q
         states[i, 1] = qdot
@@ -201,7 +205,7 @@ def simulate_closed_loop(
         desired[i, 1] = qdot_g
         eps[i] = residual_fn(t, q, qdot) - d_hat
         n_rec = i + 1
-        if i == n_steps:
+        if contact or i == n_steps:
             break
 
         try:
@@ -209,24 +213,11 @@ def simulate_closed_loop(
         except SimulationDiverged:
             status = "diverged"
             break
-        if ground is not None and q <= ground:
-            # record the contact state under the control and d_hat held
-            # over the step that reached it
-            states[n_rec, 0] = q
-            states[n_rec, 1] = qdot
-            desired[n_rec] = desired_values(traj.task, traj.params, t_all[n_rec])[:2]
-            eps[n_rec] = residual_fn(t_all[n_rec], q, qdot) - d_hat
-            status = "touchdown"
-            n_rec += 1
-            break
+        contact = ground is not None and q <= ground
 
-    # desired is copied so a flight cut short frees its full-horizon buffer;
-    # copying states and eps as well raises the pendulum's peak memory
-    return Rollout(
-        times=times[:n_rec],
-        states=states[:n_rec],
-        desired=desired[:n_rec].copy(),
-        eps=eps[:n_rec],
-        status=status,
-        clamp_count=clamp_count,
-    )
+    if contact:
+        status = "touchdown"
+    if n_rec < len(times):
+        # a flight cut short keeps only its rows, not the full-horizon buffers
+        times, states, desired, eps = (a[:n_rec].copy() for a in (times, states, desired, eps))
+    return Rollout(times, states, desired, eps, status=status, clamp_count=clamp_count)

@@ -174,6 +174,8 @@ def grid_steps(horizon: float, dt: float) -> int:
     """Number of dt steps in horizon; ValueError unless dt divides it."""
     if not (dt > 0 and 0 < horizon < math.inf):
         raise ValueError("must be positive and finite")
+    if not horizon / dt < math.inf:
+        raise ValueError(f"too long for the grid step {dt}")
     n = int(round(horizon / dt))
     if abs(n * dt - horizon) > 1e-9:
         raise ValueError(f"must be a multiple of the grid step {dt}")
@@ -225,9 +227,7 @@ class LandingPool:
                 raise ValueError(f"hover altitude {h_g} outside [0, 1.5)")
 
 
-def pendulum_pool(
-    amplitudes, dt: float = 0.01, horizon: float = 20.0
-) -> list[DesiredTrajectory]:
+def pendulum_pool(amplitudes, dt: float, horizon: float) -> list[DesiredTrajectory]:
     """Sinusoidal swing candidates q_g = C sin t with cost -C.
 
     The amplitudes are those of a `PendulumPool`, which checks their range.
@@ -251,12 +251,7 @@ def pendulum_pool(
     return pool
 
 
-def landing_pool(
-    param_pairs,
-    dt: float = 0.01,
-    horizon: float = 10.0,
-    ground: float = 0.0,
-) -> list[DesiredTrajectory]:
+def landing_pool(param_pairs, dt: float, horizon: float, ground: float) -> list[DesiredTrajectory]:
     """Descent candidates parameterized by rate C and hover altitude h_g.
 
     q_g = (1.5 - h_g) exp(-C t)(1 + C t) + h_g descends monotonically from

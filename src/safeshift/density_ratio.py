@@ -86,17 +86,15 @@ def kde_fit(samples) -> KdeModel:
     return KdeModel(samples=x, bandwidth=h)
 
 
-def kde_density(model: KdeModel, x) -> np.ndarray | float:
-    """Evaluate p_hat at one point (d,) or a batch (m, d).
+def kde_density(model: KdeModel, x) -> np.ndarray:
+    """Evaluate p_hat at each of m query points (m, d).
 
     Squared distances in bandwidth units come from the |a|^2 + |b|^2 - 2ab
     expansion so the (m, n) kernel matrix is a single BLAS product; the
     clamp guards the tiny negative residue cancellation can leave.
     """
     pts = np.asarray(x, dtype=float)
-    scalar = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.shape[1] != model.dim:
+    if pts.ndim != 2 or pts.shape[1] != model.dim:
         raise ValueError("query dimension mismatch")
     h = model.bandwidth
     n = len(model.samples)
@@ -112,7 +110,7 @@ def kde_density(model: KdeModel, x) -> np.ndarray | float:
         d2 += s_sq[None, :]
         np.maximum(d2, 0.0, out=d2)
         dens[lo : lo + block] = np.exp(-0.5 * d2, out=d2).sum(axis=1) / norm
-    return float(dens[0]) if scalar else dens
+    return dens
 
 
 def clipped_ratio(p_src, p_trg) -> np.ndarray:
@@ -126,22 +124,20 @@ def max_ratio(p_trg, p_src) -> float:
     return float(np.max(np.asarray(p_trg, dtype=float) / np.maximum(p_src, DENSITY_FLOOR)))
 
 
-def density_ratio(src: KdeModel, trg: KdeModel, x):
-    """Clipped ratio p_src(x) / p_trg(x), elementwise over queries."""
+def density_ratio(src: KdeModel, trg: KdeModel, x) -> np.ndarray:
+    """Clipped ratio p_src(x) / p_trg(x) at each of the (m, d) queries."""
     if src.dim != trg.dim:
         raise ValueError("source/target dimension mismatch")
-    r = clipped_ratio(kde_density(src, x), kde_density(trg, x))
-    return float(r) if r.ndim == 0 else r
+    return clipped_ratio(kde_density(src, x), kde_density(trg, x))
 
 
-def max_ratio_on_traj(trg: KdeModel, src: KdeModel, traj) -> float:
-    """Unclipped max of p_trg / p_src over the trajectory grid.
+def max_ratio_on_traj(trg: KdeModel, src: KdeModel, pts) -> float:
+    """Unclipped max of p_trg / p_src over a trajectory's (n, d) grid points.
 
     Diagnostic for how far the proposed target strays from the data; large
-    values mean the generalization guarantee is weak there.  `traj` is a
-    DesiredTrajectory or a raw (n, 2) array of grid points.
+    values mean the generalization guarantee is weak there.
     """
-    pts = traj.grid_xy() if hasattr(traj, "grid_xy") else np.atleast_2d(np.asarray(traj))
+    pts = np.asarray(pts, dtype=float)
     if len(pts) == 0:
         raise ValueError("empty trajectory")
     return max_ratio(kde_density(trg, pts), kde_density(src, pts))

@@ -144,18 +144,28 @@ def step_rk4(
     """One classical RK4 step of (q, qdot)' = (qdot, accel(t, q, qdot, u)).
 
     u is held constant across the step.  Raises SimulationDiverged when
-    the new state is non-finite or leaves the |x| <= DIVERGENCE_LIMIT box.
+    the new state is non-finite or leaves the |x| <= DIVERGENCE_LIMIT box,
+    or when accel raises at a stage state that is no longer finite (the
+    pendulum's math.sin(inf)); a raise at finite stage states propagates.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     half = 0.5 * dt
-    k1 = accel(t, q, qdot, u)
-    q2, qd2 = q + half * qdot, qdot + half * k1
-    k2 = accel(t + half, q2, qd2, u)
-    q3, qd3 = q + half * qd2, qdot + half * k2
-    k3 = accel(t + half, q3, qd3, u)
-    q4, qd4 = q + dt * qd3, qdot + dt * k3
-    k4 = accel(t + dt, q4, qd4, u)
+    try:
+        k1 = accel(t, q, qdot, u)
+        q2, qd2 = q + half * qdot, qdot + half * k1
+        k2 = accel(t + half, q2, qd2, u)
+        q3, qd3 = q + half * qd2, qdot + half * k2
+        k3 = accel(t + half, q3, qd3, u)
+        q4, qd4 = q + dt * qd3, qdot + dt * k3
+        k4 = accel(t + dt, q4, qd4, u)
+    except (ArithmeticError, ValueError) as exc:
+        # a stage the step did not reach is unbound and counts as finite
+        stage = locals()
+        for name in ("q", "qdot", "q2", "qd2", "q3", "qd3", "q4", "qd4"):
+            if not math.isfinite(stage.get(name, 0.0)):
+                raise SimulationDiverged(f"state diverged within the step at t={t:.6f}") from exc
+        raise
     sixth = dt / 6.0
     q = q + sixth * (qdot + 2.0 * qd2 + 2.0 * qd3 + qd4)
     qdot = qdot + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

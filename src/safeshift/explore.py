@@ -85,11 +85,29 @@ __all__ = [
 
 MODEL_KINDS = ("robust", "gp_rbf", "gp_matern")
 
-# The type of each ExperimentConfig field that the task picks; each
-# type's defaults are the task's calibrated ones.
-TASK_TYPES = {
-    "pendulum": {"plant": PendulumParams, "candidates": PendulumPool, "safety": StateBox},
-    "landing": {"plant": DroneParams, "candidates": LandingPool, "safety": TouchdownSpeed},
+# Each task's calibrated setting, one value per task-calibrated
+# ExperimentConfig field; `default_config` builds a config from it, and
+# the types of its plant, pool and safety set are the ones the task
+# accepts.  The gains are chosen so the tube gain gamma makes
+# certification a real constraint at the base-model uncertainty
+# (episode 1 must not already certify the most aggressive candidate),
+# while the closed loop stays well damped and the steady tracking offset
+# under the unlearned residual stays small: pendulum gamma ~ 2.06, drone
+# gamma ~ 0.64.  Landing has a weaker L1 than the pendulum: near the
+# ground the lift term is steep and the head norms it needs are large,
+# so a stronger penalty visibly biases the mean and stalls the landing
+# frontier.
+TASKS = {
+    "pendulum": dict(
+        plant=PendulumParams(), candidates=PendulumPool(), safety=StateBox(),
+        beta=0.5, sigma0_sq=0.5, gains=ControllerGains(1.0, 2.0), horizon=20.0, output_dim=1,
+        train=rr.TrainConfig(epochs=300, lam=1e-3), cert_stride=4, first_fit_epochs=1500,
+    ),
+    "landing": dict(
+        plant=DroneParams(), candidates=LandingPool(), safety=TouchdownSpeed(),
+        beta=1.0, sigma0_sq=1.0, gains=ControllerGains(3.2, 2.0), horizon=10.0, output_dim=3,
+        train=rr.TrainConfig(epochs=500, lam=1e-4), cert_stride=6, first_fit_epochs=2000,
+    ),
 }
 
 # Fixed settings of the loop (no workload varies them).  The simulator
@@ -117,17 +135,18 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; message names the field."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     """Everything a seeded experiment needs.
 
-    The task picks the types of `plant`, `candidates` and `safety`
-    (`TASK_TYPES`): a pendulum with a `PendulumPool` of swing amplitudes
-    and a `StateBox`, or a drone with a `LandingPool` of rates x hovers
-    and a `TouchdownSpeed`; `default_config` builds either with its
-    defaults.  `output_dim` > 1 appends zero-mean nuisance residual
-    dimensions, exercising the multi-output learner; certification
-    always uses dimension 0.
+    The task-calibrated fields have no class default: `default_config`
+    fills them from the task's row of `TASKS`, which also fixes the types
+    of `plant`, `candidates` and `safety` (a pendulum with a
+    `PendulumPool` of swing amplitudes and a `StateBox`, or a drone with
+    a `LandingPool` of rates x hovers and a `TouchdownSpeed`).
+    `output_dim` > 1 appends zero-mean nuisance residual dimensions,
+    exercising the multi-output learner; certification always uses
+    dimension 0.
 
     `cert_stride` scans sigma on every k-th grid point, a documented
     deviation from the idealized loop (1 is exact); the d_hat hold is the
@@ -140,27 +159,28 @@ class ExperimentConfig:
     episode with no admissible candidate flies nothing.
     """
 
-    task: str = "pendulum"
+    task: str
     episodes: int = 15
     seed: int = 0
-    beta: float = 0.5
-    sigma0_sq: float = 0.5
-    gains: ControllerGains = field(default_factory=lambda: ControllerGains(1.0, 1.0))
-    horizon: float = 20.0
-    plant: PendulumParams | DroneParams = field(default_factory=PendulumParams)
-    candidates: PendulumPool | LandingPool = field(default_factory=PendulumPool)
-    safety: SafetySet = field(default_factory=StateBox)
-    output_dim: int = 1
-    train: rr.TrainConfig = field(default_factory=lambda: rr.TrainConfig(epochs=300))
-    cert_stride: int = 4
-    first_fit_epochs: int = 1500
+    beta: float
+    sigma0_sq: float
+    gains: ControllerGains
+    horizon: float
+    plant: PendulumParams | DroneParams
+    candidates: PendulumPool | LandingPool
+    safety: SafetySet
+    output_dim: int
+    train: rr.TrainConfig
+    cert_stride: int
+    first_fit_epochs: int
     model_kind: str = "robust"
     gp: GpHyper = field(default_factory=GpHyper)
 
     def __post_init__(self):
-        if self.task not in TASK_TYPES:
+        if self.task not in TASKS:
             raise ConfigError(f"task: unknown task {self.task!r}")
-        for name, cls in TASK_TYPES[self.task].items():
+        for name in ("plant", "candidates", "safety"):
+            cls = type(TASKS[self.task][name])
             if not isinstance(getattr(self, name), cls):
                 raise ConfigError(f"{name}: the {self.task} task needs a {cls.__name__}")
         if self.episodes < 1:
@@ -187,9 +207,9 @@ class ExperimentConfig:
     def pool(self) -> list[DesiredTrajectory]:
         c = self.candidates
         if self.task == "pendulum":
-            return pendulum_pool(c.amplitudes, dt=TRAJ_DT, horizon=self.horizon)
+            return pendulum_pool(c.amplitudes, TRAJ_DT, self.horizon)
         pairs = [(rate, hover) for rate in c.rates for hover in c.hovers]
-        return landing_pool(pairs, dt=TRAJ_DT, horizon=self.horizon, ground=self.safety.ground)
+        return landing_pool(pairs, TRAJ_DT, self.horizon, self.safety.ground)
 
     def gamma(self) -> float:
         """The tube gain `bounds.gamma` of this plant and these gains."""
@@ -199,44 +219,11 @@ class ExperimentConfig:
         return self.safety.ground if self.task == "landing" else None
 
 
-def default_config(task: str, seed: int = 0, model_kind: str = "robust") -> ExperimentConfig:
-    """Calibrated per-task defaults.
-
-    The plant, pool and safety set are the defaults of the task's types
-    (`TASK_TYPES`).  The gains are chosen so the tube gain gamma makes
-    certification a real constraint at the base-model uncertainty
-    (episode 1 must not already certify the most aggressive candidate),
-    while the closed loop stays well damped and the steady tracking
-    offset under the unlearned residual stays small: pendulum gamma ~
-    2.06, drone gamma ~ 0.64.
-    """
-    if task not in TASK_TYPES:
+def default_config(task: str) -> ExperimentConfig:
+    """The task's calibrated config: its row of `TASKS`, seed 0, the robust learner."""
+    if task not in TASKS:
         raise ConfigError(f"task: unknown task {task!r}")
-    common = {name: cls() for name, cls in TASK_TYPES[task].items()}
-    common.update(task=task, seed=seed, model_kind=model_kind)
-    if task == "pendulum":
-        return ExperimentConfig(
-            **common,
-            beta=0.5,
-            sigma0_sq=0.5,
-            gains=ControllerGains(1.0, 2.0),
-            horizon=20.0,
-            output_dim=1,
-        )
-    # Weaker L1 than the pendulum: near the ground the lift term is
-    # steep and the head norms it needs are large, so the default
-    # penalty visibly biases the mean and stalls the landing frontier.
-    return ExperimentConfig(
-        **common,
-        beta=1.0,
-        sigma0_sq=1.0,
-        gains=ControllerGains(3.2, 2.0),
-        horizon=10.0,
-        output_dim=3,
-        cert_stride=6,
-        train=rr.TrainConfig(epochs=500, lam=1e-4),
-        first_fit_epochs=2000,
-    )
+    return ExperimentConfig(task=task, **TASKS[task])
 
 
 def _stride_index(n: int, stride: int) -> np.ndarray:
@@ -322,12 +309,11 @@ class RobustLearner:
     def __init__(self, config: ExperimentConfig, rng: np.random.Generator):
         self.cfg = config
         self.fits = 0
-        net = rr.feature_net_init(rng)
         self.model = rr.initial_model(
             config.sigma0_sq,
-            dim_out=config.output_dim,
+            net=rr.feature_net_init(rng),
             lam=config.train.lam,
-            net=net,
+            dim_out=config.output_dim,
         )
 
     def eval_candidate(self, pts, ratios):
@@ -472,13 +458,13 @@ def run_episode(
     learner,
     src_kde: Optional[KdeModel],
     config: ExperimentConfig,
-    cache: Optional[PoolCache] = None,
+    cache: PoolCache,
 ) -> EpisodeOutcome:
     """One episode: score, certify, select, track, collect.
 
     src_kde is the KDE of all previously collected inputs; None means
     episode 1, where the source density is undefined and r = 1 everywhere.
-    cache is the pool's `build_pool_cache`; it is built here when not given.
+    cache is the pool's `build_pool_cache`.
     A candidate is admissible when its tube certificate passes AND its
     worst estimated density ratio against the data stays within W_MAX;
     the chosen candidate is the cost argmin of that admissible set.
@@ -487,9 +473,7 @@ def run_episode(
     """
     if not pool:
         raise ValueError("empty candidate pool")
-    if cache is None:
-        cache = build_pool_cache(pool, config)
-    elif len(cache.spans) != len(pool):
+    if len(cache.spans) != len(pool):
         raise ValueError("cache was built for a different pool")
     gamma_val = config.gamma()
 
@@ -552,6 +536,10 @@ class ExperimentResult:
     @property
     def violations(self) -> int:
         return sum(1 for r in self.records if r.violation)
+
+    @property
+    def diverged(self) -> int:
+        return sum(1 for r in self.records if r.status == "diverged")
 
     @property
     def tracked(self) -> list:

@@ -185,14 +185,12 @@ def gp_fit(inputs, targets, hyper: GpHyper = GpHyper(), kernel: str = "rbf") -> 
 def gp_predict(model: GpModel, x):
     """Posterior mean and variance at query points.
 
-    x: (m, d) or a single (d,) point.  Returns mu of shape (m, d_out) and
+    x: (m, d).  Returns mu of shape (m, d_out) and
     sigma_sq of shape (m,) — the variance is shared across output
     dimensions because they share the kernel: sigma_f_sq - ||L^-1 k*||^2,
     floored at 0.
     """
     pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
     h = model.hyper
     k_star = kernel_matrix(model.kernel, model.x_train, pts, h.sigma_f_sq, h.ell)  # (n, m)
     mu = k_star.T @ model.alpha
@@ -205,7 +203,4 @@ def gp_predict(model: GpModel, x):
         np.matmul(model.chol_inv[lo:hi, :hi], k_star[:hi], out=rows)
         np.multiply(rows, rows, out=rows)
         sq += rows.sum(axis=0)
-    var = np.maximum(h.sigma_f_sq - sq, 0.0)
-    if single:
-        return mu[0], float(var[0])
-    return mu, var
+    return mu, np.maximum(h.sigma_f_sq - sq, 0.0)

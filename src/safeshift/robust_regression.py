@@ -45,6 +45,12 @@ __all__ = [
 
 POWER_ITERS = 30
 POWER_TOL = 1e-6
+# the feature net: (q, qdot) in, two ReLU layers, FEATURE_DIM features
+# out, every layer's spectral norm capped at SPECTRAL_CAP
+INPUT_DIM = 2
+HIDDEN = (32, 32)
+FEATURE_DIM = 16
+SPECTRAL_CAP = 2.0
 # theta_y lives in [THETA_Y_FLOOR, THETA_Y_CEIL]; it steps in log space
 # with its own learning-rate multiplier, because the stationary value can
 # sit orders of magnitude above the other parameters and plain GD would
@@ -94,20 +100,14 @@ class FeatureNet:
         return h
 
 
-def feature_net_init(
-    rng: np.random.Generator,
-    input_dim: int = 2,
-    hidden: tuple = (32, 32),
-    feature_dim: int = 16,
-    cap: float = 2.0,
-) -> FeatureNet:
+def feature_net_init(rng: np.random.Generator) -> FeatureNet:
     """He-initialized net, immediately rescaled to the spectral caps."""
-    dims = (input_dim,) + tuple(hidden) + (feature_dim,)
+    dims = (INPUT_DIM,) + HIDDEN + (FEATURE_DIM,)
     weights, biases = [], []
     for d_in, d_out in zip(dims[:-1], dims[1:]):
         weights.append(rng.standard_normal((d_in, d_out)) * math.sqrt(2.0 / d_in))
         biases.append(np.zeros(d_out))
-    net = FeatureNet(tuple(weights), tuple(biases), (cap,) * len(weights))
+    net = FeatureNet(tuple(weights), tuple(biases), (SPECTRAL_CAP,) * len(weights))
     spectral_normalize(net, [None] * len(weights))
     return net
 
@@ -132,14 +132,14 @@ def _power_iterate(w: np.ndarray, v: np.ndarray, iters: int, tol: float):
     return sigma, v
 
 
-def spectral_norm(w: np.ndarray, iters: int = POWER_ITERS, tol: float = POWER_TOL) -> float:
+def spectral_norm(w: np.ndarray) -> float:
     """Largest singular value by power iteration on w^T w.
 
-    Deterministic start vector (all ones); stops early once the estimate
-    moves less than tol between iterations.
+    Deterministic start vector (all ones); stops after POWER_ITERS
+    iterations or once the estimate moves by less than POWER_TOL.
     """
     v = np.ones(w.shape[1]) / math.sqrt(w.shape[1])
-    return float(_power_iterate(w, v, iters, tol)[0])
+    return float(_power_iterate(w, v, POWER_ITERS, POWER_TOL)[0])
 
 
 def spectral_normalize(net: FeatureNet, cache: list) -> None:
@@ -198,8 +198,8 @@ class TrainConfig:
     `lam` is the L1 penalty on the heads and theta_y.
     """
 
-    epochs: int = 2000
-    lam: float = 1e-3
+    epochs: int
+    lam: float
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -209,16 +209,9 @@ class TrainConfig:
 
 
 def initial_model(
-    sigma0_sq: float,
-    *,
-    dim_out: int = 1,
-    lam: float = 1e-3,
-    net: Optional[FeatureNet] = None,
+    sigma0_sq: float, *, net: FeatureNet, lam: float, dim_out: int = 1
 ) -> RobustModel:
-    """Base model predicting N(0, sigma0_sq) at every input; the net
-    defaults to the one seed 0 draws."""
-    if net is None:
-        net = feature_net_init(np.random.default_rng(0))
+    """Base model predicting N(0, sigma0_sq) at every input."""
     return RobustModel(
         net=net,
         theta_phi=np.zeros((dim_out, net.feature_dim)),
@@ -271,19 +264,13 @@ def _predictive(model: RobustModel, r: np.ndarray, theta_y: np.ndarray, a=None, 
 def predict(model: RobustModel, x, ratios=None):
     """Per-dimension predictive mean and variance at query inputs.
 
-    x: (n, 2) or a single (2,) point; returns (mu, sigma_sq) of shape
-    (n, d_out) (or (d_out,) for a single point).  ratios holds one
+    x: (n, 2); returns (mu, sigma_sq), both (n, d_out).  ratios holds one
     density ratio per query; None means r = 1 everywhere.
     """
     pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
     r = _ratios_for(pts, ratios)
     a = model.net.forward(pts) @ model.theta_phi.T
-    mu, var = _predictive(model, r, model.theta_y, a)
-    if single:
-        return mu[0], var[0]
-    return mu, var
+    return _predictive(model, r, model.theta_y, a)
 
 
 def _flat_buffer(net: FeatureNet, d_out: int):

@@ -148,7 +148,7 @@ def test_beta_for_confidence_values():
 
 
 def test_certify_zero_tube_inside_box():
-    (traj,) = pendulum_pool([0.9], dt=0.01, horizon=2.0)
+    (traj,) = pendulum_pool([0.9], 0.01, 2.0)
     cert = certify_trajectory(traj, 0.2, 0.0, StateBox(1.5))
     assert cert.safe and cert.rho == 0.0
     # grid max of 0.9*sin(t) sits a hair under 0.9 (grid never lands on pi/2)
@@ -156,7 +156,7 @@ def test_certify_zero_tube_inside_box():
 
 
 def test_certify_huge_tube_unsafe():
-    (traj,) = pendulum_pool([0.1], dt=0.01, horizon=2.0)
+    (traj,) = pendulum_pool([0.1], 0.01, 2.0)
     cert = certify_trajectory(traj, 1.0, 2.0, StateBox(1.5))
     assert not cert.safe
     assert cert.margin < 0
@@ -164,7 +164,7 @@ def test_certify_huge_tube_unsafe():
 
 def test_certify_pendulum_worked_example():
     # C = 0.9, gamma = 0.2, eps_m = 0.5: worst excursion 1.0 < 1.5 -> safe
-    (traj,) = pendulum_pool([0.9], dt=0.01, horizon=20.0)
+    (traj,) = pendulum_pool([0.9], 0.01, 20.0)
     cert = certify_trajectory(traj, 0.2, 0.5, StateBox(1.5))
     assert cert.safe
     assert cert.rho == pytest.approx(0.1)
@@ -172,7 +172,7 @@ def test_certify_pendulum_worked_example():
 
 
 def test_certify_monotone_in_eps_m():
-    (traj,) = pendulum_pool([0.8], dt=0.01, horizon=5.0)
+    (traj,) = pendulum_pool([0.8], 0.01, 5.0)
     box = StateBox(1.5)
     safe_flags = [certify_trajectory(traj, 0.3, e, box).safe for e in np.linspace(0, 3, 40)]
     # once unsafe, never safe again as eps grows
@@ -182,14 +182,14 @@ def test_certify_monotone_in_eps_m():
 
 def test_certify_touchdown_no_contact_branch():
     # hover candidate: the tube never reaches the ground -> safe via clearance
-    (traj,) = landing_pool([(1.0, 0.5)], dt=0.01, horizon=10.0)
+    (traj,) = landing_pool([(1.0, 0.5)], 0.01, 10.0, 0.0)
     cert = certify_trajectory(traj, 1.0, 0.1, TouchdownSpeed(-1.0, 0.0))
     assert cert.safe
     assert cert.margin == pytest.approx(float(np.min(traj.q_g)) - 0.1, rel=1e-9)
 
 
 def test_certify_touchdown_contact_branch():
-    (traj,) = landing_pool([(2.0, 0.0)], dt=0.01, horizon=10.0)
+    (traj,) = landing_pool([(2.0, 0.0)], 0.01, 10.0, 0.0)
     ts = TouchdownSpeed(-1.0, 0.0)
     rho = 0.05
     cert = certify_trajectory(traj, 1.0, rho, ts)
@@ -200,7 +200,7 @@ def test_certify_touchdown_contact_branch():
 
 
 def test_certify_touchdown_fast_descent_with_fat_tube_unsafe():
-    (traj,) = landing_pool([(3.0, 0.0)], dt=0.01, horizon=10.0)
+    (traj,) = landing_pool([(3.0, 0.0)], 0.01, 10.0, 0.0)
     # a 0.9 m/s tube makes the worst-case contact speed exceed -1 m/s
     cert = certify_trajectory(traj, 1.0, 0.9, TouchdownSpeed(-1.0, 0.0))
     assert not cert.safe

@@ -240,6 +240,7 @@ def test_nested_field_must_be_object(key, value, tmp_path, capsys):
         ({"gains": {"k": "1", "lam": 2.0}}, "gains: k: expected float"),
         ({"horizon": 2.005}, "horizon: must be a multiple of the grid step 0.01"),
         ({"pool": {"amplitudes": []}}, "pool: amplitudes must not be empty"),
+        ({"horizon": 1e308}, "horizon: too long for the grid step 0.01"),
     ],
 )
 def test_malformed_field_value_names_field(extra, field_name, tmp_path, capsys):
@@ -295,6 +296,22 @@ def test_runtime_divergence_exit_code(tmp_path, capsys, monkeypatch):
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "runtime failure" in capsys.readouterr().err
+
+
+def test_flight_that_blows_up_within_a_step_ends_diverged(tmp_path, capsys):
+    # K = 1e300 sends a stage state of the first RK4 step to infinity, where
+    # the pendulum's accel takes math.sin(inf)
+    payload = {"task": "pendulum", "gains": {"k": 1e300}, "episodes": 1, "horizon": 1.0}
+    cfg = write_config(tmp_path / "cfg.json", payload)
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "runtime failure: 1 episode(s) diverged\n"
+    for name in ("episodes.csv", "trajectories.csv", "summary.json", "manifest.json"):
+        assert (out / name).is_file()
+    with open(out / "episodes.csv", newline="") as fh:
+        assert [row["status"] for row in csv.DictReader(fh)] == ["diverged"]
+    assert json.loads((out / "summary.json").read_text())["diverged"] == 1
 
 
 def test_model_override_flag(tmp_path):
@@ -478,13 +495,31 @@ def test_config_roundtrip_of_defaults(task):
     assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
+# the ExperimentConfig fields each task calibrates
+CALIBRATED = (
+    "plant", "candidates", "safety", "beta", "sigma0_sq", "gains", "horizon", "output_dim",
+    "train", "cert_stride", "first_fit_epochs",
+)
+
+
+@pytest.mark.parametrize("task", ["pendulum", "landing"])
+def test_task_defaults_have_one_source(task):
+    # a config built in Python and one the CLI reads are the same config,
+    # because the calibrated fields have no class default to disagree with
+    assert config_from_dict({"task": task}) == default_config(task)
+    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+    for name in CALIBRATED:
+        assert fields[name].default is dataclasses.MISSING, name
+        assert fields[name].default_factory is dataclasses.MISSING, name
+
+
 @pytest.mark.parametrize(
     "task, model_kind",
     [("pendulum", "robust"), ("landing", "robust"), ("landing", "gp_rbf"),
      ("landing", "gp_matern")],
 )
 def test_manifest_loads_back_to_the_config_that_ran(task, model_kind, tmp_path):
-    cfg = default_config(task, model_kind=model_kind)
+    cfg = dataclasses.replace(default_config(task), model_kind=model_kind)
     cli._write_manifest(tmp_path / "manifest.json", SimpleNamespace(config=cfg))
     assert config_from_dict(json.loads((tmp_path / "manifest.json").read_text())) == cfg
 

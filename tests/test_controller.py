@@ -64,7 +64,7 @@ def test_control_law_equals_the_manipulator_form(rng):
 def test_rollout_records_tracking_error_and_composite_variable():
     # desired is desired_values at every recorded time, the touchdown row
     # included, and x_tilde = states - desired
-    (traj,) = landing_pool([(3.0, 0.0)], dt=0.01, horizon=10.0)
+    (traj,) = landing_pool([(3.0, 0.0)], 0.01, 10.0, 0.0)
     lam = 2.0
     roll = simulate_closed_loop(
         DroneParams().mixed_model(),
@@ -117,7 +117,7 @@ def test_perfect_model_keeps_s_near_zero():
     # O(dt) composite error; it must be tiny and shrink linearly with dt.
     p = PendulumParams()
     res = p.residual_fn()
-    (traj,) = pendulum_pool([0.8], dt=0.01, horizon=5.0)
+    (traj,) = pendulum_pool([0.8], 0.01, 5.0)
 
     def run(dt):
         return simulate_closed_loop(
@@ -140,7 +140,7 @@ def test_perfect_model_keeps_s_near_zero():
 
 
 def test_nominal_loop_tracks_tightly_without_residual():
-    (traj,) = pendulum_pool([0.5], dt=0.01, horizon=8.0)
+    (traj,) = pendulum_pool([0.5], 0.01, 8.0)
     roll = simulate_closed_loop(
         PendulumParams(c_d=0.0).mixed_model(),
         ControllerGains(10.0, 5.0),
@@ -155,7 +155,7 @@ def test_nominal_loop_tracks_tightly_without_residual():
 
 def test_s_norm_decays_monotonically_after_transient():
     """Lyapunov decrease of ||s|| with no disturbance and an off-trajectory start."""
-    (traj,) = pendulum_pool([0.5], dt=0.01, horizon=4.0)
+    (traj,) = pendulum_pool([0.5], 0.01, 4.0)
     roll = simulate_closed_loop(
         PendulumParams(c_d=0.0).mixed_model(),
         ControllerGains(10.0, 5.0),
@@ -178,7 +178,7 @@ def test_s_norm_decays_monotonically_after_transient():
 def test_disturbed_rollout_respects_time_envelope():
     """sup ||s(t)|| stays within the comparison-lemma envelope (2% slack)."""
     k, lam, eps_m = 6.0, 2.0, 0.4
-    (traj,) = pendulum_pool([0.5], dt=0.01, horizon=6.0)
+    (traj,) = pendulum_pool([0.5], 0.01, 6.0)
     roll = simulate_closed_loop(
         PendulumParams(c_d=0.0).mixed_model(),
         ControllerGains(k, lam),
@@ -195,7 +195,7 @@ def test_disturbed_rollout_respects_time_envelope():
 
 
 def test_dt_must_divide_trajectory_grid():
-    (traj,) = pendulum_pool([0.5], dt=0.01, horizon=1.0)
+    (traj,) = pendulum_pool([0.5], 0.01, 1.0)
     with pytest.raises(ValueError):
         simulate_closed_loop(
             PendulumParams().mixed_model(),
@@ -211,7 +211,7 @@ def test_dt_must_divide_trajectory_grid():
 def test_touchdown_truncates_landing_rollout():
     # a constant uncompensated downward force drags the actual altitude
     # through the ground while the reference is still (barely) above it
-    (traj,) = landing_pool([(3.0, 0.0)], dt=0.01, horizon=10.0)
+    (traj,) = landing_pool([(3.0, 0.0)], 0.01, 10.0, 0.0)
     roll = simulate_closed_loop(
         DroneParams().mixed_model(),
         ControllerGains(3.2, 2.0),
@@ -232,7 +232,7 @@ def test_touchdown_truncates_landing_rollout():
 
 def test_thrust_clamp_is_counted():
     # an absurd downward reference forces negative thrust demands
-    (traj,) = landing_pool([(3.0, 0.0)], dt=0.01, horizon=10.0)
+    (traj,) = landing_pool([(3.0, 0.0)], 0.01, 10.0, 0.0)
     roll = simulate_closed_loop(
         DroneParams().mixed_model(),
         ControllerGains(60.0, 10.0),
@@ -244,3 +244,49 @@ def test_thrust_clamp_is_counted():
         ground=0.0,
     )
     assert roll.clamp_count > 0
+
+
+def test_contact_row_keeps_the_held_d_hat_and_computes_no_control():
+    # d_hat is refreshed every step, so every row but the contact row
+    # queries it once; the contact row records the value held over the
+    # step that reached the ground
+    (traj,) = landing_pool([(3.0, 0.0)], 0.01, 10.0, 0.0)
+    queried = []
+
+    def d_hat(q, qdot):
+        queried.append(1e-6 * len(queried))
+        return queried[-1]
+
+    residual = lambda t, q, qdot: -0.5  # noqa: E731
+    roll = simulate_closed_loop(
+        DroneParams().mixed_model(),
+        ControllerGains(3.2, 2.0),
+        d_hat,
+        residual,
+        traj,
+        0.001,
+        x0_on_trajectory(traj),
+        ground=0.0,
+    )
+    assert roll.status == "touchdown"
+    assert len(queried) == len(roll.times) - 1
+    np.testing.assert_array_equal(roll.eps, -0.5 - np.array(queried + queried[-1:]))
+
+
+def test_a_flight_cut_short_keeps_only_its_rows():
+    # the arrays of a touchdown rollout are not views of the full-horizon
+    # buffers the simulator filled
+    (traj,) = landing_pool([(3.0, 0.0)], 0.01, 10.0, 0.0)
+    roll = simulate_closed_loop(
+        DroneParams().mixed_model(),
+        ControllerGains(3.2, 2.0),
+        ZERO,
+        lambda t, q, qdot: -0.5,
+        traj,
+        0.001,
+        x0_on_trajectory(traj),
+        ground=0.0,
+    )
+    assert roll.status == "touchdown" and len(roll.times) < 10001
+    for rows in (roll.times, roll.states, roll.desired, roll.eps):
+        assert rows.base is None and len(rows) == len(roll.times)

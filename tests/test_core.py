@@ -80,7 +80,7 @@ def test_pool_derivatives_match_finite_differences(task, params):
 
 
 def test_pendulum_pool_cost_strictly_decreasing_in_amplitude():
-    pool = pendulum_pool(PendulumPool().amplitudes, dt=0.01, horizon=2.0)
+    pool = pendulum_pool(PendulumPool().amplitudes, 0.01, 2.0)
     costs = [traj.cost for traj in pool]
     assert all(a > b for a, b in zip(costs, costs[1:]))
     assert costs[0] == pytest.approx(-0.1)
@@ -88,14 +88,14 @@ def test_pendulum_pool_cost_strictly_decreasing_in_amplitude():
 
 def test_landing_pool_cost_decreasing_in_rate_at_ground_level():
     rates = [0.75, 1.0, 1.5, 2.0, 3.0]
-    pool = landing_pool([(c, 0.0) for c in rates], dt=0.01, horizon=10.0)
+    pool = landing_pool([(c, 0.0) for c in rates], 0.01, 10.0, 0.0)
     costs = [traj.cost for traj in pool]
     assert all(math.isfinite(c) for c in costs)
     assert all(a > b for a, b in zip(costs, costs[1:]))
 
 
 def test_landing_pool_slow_descent_never_touches_down():
-    (traj,) = landing_pool([(0.25, 0.0)], dt=0.01, horizon=10.0)
+    (traj,) = landing_pool([(0.25, 0.0)], 0.01, 10.0, 0.0)
     # q_g(10) = 1.5 e^-2.5 (1 + 2.5) ~ 0.43 m, still far above the 1 cm band
     assert traj.cost == math.inf
 
@@ -109,7 +109,7 @@ def test_contact_time_is_the_first_time_within_the_tolerance():
 
 
 def test_landing_pool_hover_candidates_have_infinite_cost():
-    (traj,) = landing_pool([(3.0, 0.5)], dt=0.01, horizon=10.0)
+    (traj,) = landing_pool([(3.0, 0.5)], 0.01, 10.0, 0.0)
     assert traj.cost == math.inf
 
 
@@ -133,7 +133,7 @@ def test_default_pool_sizes():
 
 
 def test_trajectory_grid_is_uniform_and_indexable():
-    (traj,) = pendulum_pool([0.5], dt=0.01, horizon=2.0)
+    (traj,) = pendulum_pool([0.5], 0.01, 2.0)
     assert traj.dt == pytest.approx(0.01)
     assert traj.horizon == pytest.approx(2.0)
     assert traj.times[50] == pytest.approx(0.5)

@@ -25,7 +25,7 @@ from safeshift.density_ratio import (
 def test_single_sample_unit_bandwidth_peak():
     # Gaussian kernel at its own center with h = 1: 1/sqrt(2 pi)
     model = KdeModel(samples=np.array([[0.0]]), bandwidth=np.array([1.0]))
-    assert kde_density(model, np.array([0.0])) == pytest.approx(
+    assert kde_density(model, np.array([[0.0]]))[0] == pytest.approx(
         1.0 / math.sqrt(2 * math.pi), rel=1e-12
     )
 
@@ -46,10 +46,8 @@ def test_silverman_bandwidth_1d():
 
 def test_symmetric_samples_give_symmetric_density():
     model = kde_fit(np.array([[-0.7], [0.7]]))
-    for x in (0.1, 0.35, 1.2):
-        assert kde_density(model, np.array([x])) == pytest.approx(
-            kde_density(model, np.array([-x])), rel=1e-12
-        )
+    xs = np.array([[0.1], [0.35], [1.2]])
+    np.testing.assert_allclose(kde_density(model, xs), kde_density(model, -xs), rtol=1e-12)
 
 
 @pytest.mark.parametrize("seed,n", [(1, 50), (2, 300)])
@@ -128,6 +126,13 @@ def test_max_ratio_diagnostic():
     far = x + 12.0
     big = max_ratio_on_traj(kde_fit(far), src, far)
     assert big > 50.0
+
+
+def test_kde_density_rejects_a_query_of_the_wrong_shape():
+    model = kde_fit(np.zeros((5, 2)))
+    for x in (np.zeros(2), np.zeros((3, 1))):
+        with pytest.raises(ValueError, match="query dimension"):
+            kde_density(model, x)
 
 
 def test_kde_density_independent_of_block_size(monkeypatch):

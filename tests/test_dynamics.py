@@ -155,6 +155,24 @@ def test_rk4_raises_on_divergence():
             q, qdot = step_rk4(grow, 0.0, q, qdot, 0.0, 0.5)
 
 
+def test_rk4_step_whose_stage_state_blows_up_diverges():
+    # an overflowed control sends the second stage's velocity to inf, and
+    # the third stage evaluates the pendulum's math.sin at q = inf
+    model = PendulumParams().mixed_model()
+    accel = lambda t, q, qdot, u: model.accel(q, qdot, u, 0.0)  # noqa: E731
+    with pytest.raises(SimulationDiverged) as info:
+        step_rk4(accel, 0.0, 0.0, 0.0, math.inf, 0.001)
+    assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_rk4_raise_at_a_finite_stage_state_propagates():
+    def accel(t, q, qdot, u):
+        raise ValueError("fault in the plant")
+
+    with pytest.raises(ValueError, match="fault in the plant"):
+        step_rk4(accel, 0.0, 0.1, 0.0, 0.0, 0.001)
+
+
 def test_pendulum_energy_conservation_without_wind():
     """Unforced, undamped pendulum holds total energy to 1e-6 relative."""
     p = PendulumParams(c_d=0.0)

@@ -17,7 +17,6 @@ from safeshift.core import Dataset, LandingPool, PendulumPool
 from safeshift.density_ratio import R_HI, R_LO, density_ratio, kde_fit, max_ratio_on_traj
 from safeshift.explore import (
     ConfigError,
-    ExperimentConfig,
     GpLearner,
     RobustLearner,
     build_pool_cache,
@@ -58,8 +57,8 @@ class StubLearner:
 def tube02_config():
     # gains chosen so the tube gain is exactly sqrt(4.25)/k = 0.2
     k = 5.0 * math.sqrt(4.25)
-    return ExperimentConfig(
-        task="pendulum",
+    return replace(
+        default_config("pendulum"),
         gains=ControllerGains(k, 2.0),
         beta=1.0,
         candidates=PendulumPool((0.2, 0.6, 1.0)),
@@ -67,12 +66,18 @@ def tube02_config():
     )
 
 
+def episode_one(cfg, learner, pool=None):
+    """run_episode on cfg's pool (or `pool`) without data, with its cache."""
+    pool = cfg.pool() if pool is None else pool
+    return run_episode(pool, learner, None, cfg, build_pool_cache(pool, cfg))
+
+
 # -- config ---------------------------------------------------------------
 
 
 def test_default_config_pendulum_values():
-    cfg = default_config("pendulum", seed=7)
-    assert cfg.task == "pendulum" and cfg.seed == 7
+    cfg = default_config("pendulum")
+    assert cfg.task == "pendulum" and cfg.seed == 0
     assert cfg.beta == 0.5 and cfg.sigma0_sq == 0.5
     assert (cfg.gains.k, cfg.gains.lam) == (1.0, 2.0)
     assert cfg.horizon == 20.0 and cfg.episodes == 15
@@ -81,8 +86,8 @@ def test_default_config_pendulum_values():
 
 
 def test_default_config_landing_values():
-    cfg = default_config("landing", seed=3, model_kind="gp_rbf")
-    assert cfg.task == "landing" and cfg.model_kind == "gp_rbf"
+    cfg = default_config("landing")
+    assert cfg.task == "landing" and cfg.model_kind == "robust"
     assert cfg.beta == 1.0 and cfg.sigma0_sq == 1.0
     assert (cfg.gains.k, cfg.gains.lam) == (3.2, 2.0)
     assert cfg.horizon == 10.0 and cfg.output_dim == 3
@@ -107,7 +112,7 @@ def test_default_config_landing_values():
 )
 def test_config_error_names_offending_field(kw, field_name):
     with pytest.raises(ConfigError, match=field_name):
-        ExperimentConfig(**kw)
+        replace(default_config("pendulum"), **kw)
 
 
 @pytest.mark.parametrize("name", ["plant", "candidates", "safety"])
@@ -131,7 +136,7 @@ def test_three_candidate_worked_example():
     # cheapest certified survivor is C=0.6.
     cfg = tube02_config()
     stub = StubLearner({0.2: 0.1, 0.6: 0.5, 1.0: 4.0})
-    out = run_episode(cfg.pool(), stub, None, cfg)
+    out = episode_one(cfg, stub)
     assert out.status == "ok"
     assert out.chosen.params["C"] == pytest.approx(0.6)
     assert out.n_certified == 2
@@ -143,14 +148,14 @@ def test_three_candidate_worked_example():
 def test_single_certified_candidate_is_chosen_despite_cheaper_rejects():
     cfg = tube02_config()
     stub = StubLearner({0.2: 99.0, 0.6: 0.5, 1.0: 99.0})
-    out = run_episode(cfg.pool(), stub, None, cfg)
+    out = episode_one(cfg, stub)
     assert out.n_certified == 1
     assert out.chosen.params["C"] == pytest.approx(0.6)
 
 
 def test_all_uncertified_yields_no_safe_candidate():
     cfg = tube02_config()
-    out = run_episode(cfg.pool(), StubLearner(default=50.0), None, cfg)
+    out = episode_one(cfg, StubLearner(default=50.0))
     assert out.status == "no_safe_candidate"
     assert out.chosen is None and out.rollout is None and out.new_data is None
     assert out.n_certified == 0
@@ -159,13 +164,11 @@ def test_all_uncertified_yields_no_safe_candidate():
 
 def test_zero_sigma_certifies_everything_and_picks_cost_argmin():
     cfg = replace(default_config("pendulum"), horizon=2.0)
-    out = run_episode(cfg.pool(), StubLearner(default=0.0), None, cfg)
+    out = episode_one(cfg, StubLearner(default=0.0))
     assert out.n_certified == 10
     assert out.chosen.params["C"] == pytest.approx(1.0)
     # with sigma = 0 the budget is beta-invariant
-    out_b = run_episode(
-        replace(cfg, beta=7.0).pool(), StubLearner(default=0.0), None, replace(cfg, beta=7.0)
-    )
+    out_b = episode_one(replace(cfg, beta=7.0), StubLearner(default=0.0))
     assert out_b.chosen.params["C"] == pytest.approx(1.0)
 
 
@@ -175,7 +178,7 @@ def test_chosen_is_always_cheapest_certified(seed):
     pool = cfg.pool()
     rng = np.random.default_rng(seed)
     sigmas = {round(t.params["C"], 10): float(s) for t, s in zip(pool, rng.uniform(0, 4, len(pool)))}
-    out = run_episode(pool, StubLearner(sigmas), None, cfg)
+    out = episode_one(cfg, StubLearner(sigmas), pool)
 
     gv = cfg.gamma()
     box = cfg.safety
@@ -198,20 +201,20 @@ def test_chosen_is_always_cheapest_certified(seed):
 def test_landing_tie_break_prefers_lower_hover():
     # two hover candidates, both cost inf: tie-break goes to the lower h_g
     cfg = replace(default_config("landing"), candidates=LandingPool((0.5,), (0.5, 0.3)))
-    out = run_episode(cfg.pool(), StubLearner(default=0.0), None, cfg)
+    out = episode_one(cfg, StubLearner(default=0.0))
     assert out.chosen.params["h_g"] == pytest.approx(0.3)
 
 
 def test_landing_tie_break_prefers_aggressive_rate():
     cfg = replace(default_config("landing"), candidates=LandingPool((0.3, 0.8), (0.2,)))
-    out = run_episode(cfg.pool(), StubLearner(default=0.0), None, cfg)
+    out = episode_one(cfg, StubLearner(default=0.0))
     assert out.chosen.params["C"] == pytest.approx(0.8)
 
 
 def test_empty_pool_rejected():
     cfg = tube02_config()
     with pytest.raises(ValueError):
-        run_episode([], StubLearner(), None, cfg)
+        run_episode([], StubLearner(), None, cfg, build_pool_cache(cfg.pool(), cfg))
 
 
 # -- episode 1 with the real learner ---------------------------------------
@@ -220,7 +223,7 @@ def test_empty_pool_rejected():
 def test_episode_one_runs_on_base_model_uncertainty():
     cfg = default_config("pendulum")
     learner = RobustLearner(cfg, np.random.default_rng(0))
-    out = run_episode(cfg.pool(), learner, None, cfg)
+    out = episode_one(cfg, learner)
 
     assert out.status == "ok"
     # untrained model: sigma is the prior everywhere, ratios pinned to 1
@@ -267,14 +270,14 @@ def test_no_safe_candidate_skips_collection_and_retraining():
 def test_make_learner_kinds():
     rng = np.random.default_rng(0)
     assert isinstance(make_learner(default_config("pendulum"), rng), RobustLearner)
-    gp1 = make_learner(default_config("pendulum", model_kind="gp_rbf"), rng)
-    gp2 = make_learner(default_config("pendulum", model_kind="gp_matern"), rng)
+    gp1 = make_learner(replace(default_config("pendulum"), model_kind="gp_rbf"), rng)
+    gp2 = make_learner(replace(default_config("pendulum"), model_kind="gp_matern"), rng)
     assert isinstance(gp1, GpLearner) and gp1.kernel == "rbf"
     assert isinstance(gp2, GpLearner) and gp2.kernel == "matern52"
 
 
 def test_gp_learner_prior_sigma_and_zero_compensation():
-    cfg = default_config("pendulum", model_kind="gp_rbf")
+    cfg = replace(default_config("pendulum"), model_kind="gp_rbf")
     learner = make_learner(cfg, np.random.default_rng(0))
     sigma = learner.eval_candidate(cfg.pool()[0].grid_xy(), None)
     assert sigma == pytest.approx(math.sqrt(cfg.gp.sigma_f_sq))
@@ -283,20 +286,20 @@ def test_gp_learner_prior_sigma_and_zero_compensation():
 
 @pytest.mark.parametrize("model_kind", ["gp_rbf", "gp_matern"])
 def test_gp_learner_d_hat_matches_posterior_mean(model_kind, rng):
-    cfg = default_config("pendulum", model_kind=model_kind)
+    cfg = replace(default_config("pendulum"), model_kind=model_kind)
     learner = make_learner(cfg, rng)
     x = rng.normal(size=(8, 2))
     y = np.sin(x[:, 0:1]) * 0.5
     learner.retrain(Dataset(x, y), None, None)
     fn = learner.d_hat_fn(None, None)
     for q, qdot in [(0.0, 0.0), (0.4, -1.1), (-0.9, 0.3)]:
-        mu, _ = gp_predict(learner.model, np.array([q, qdot]))
-        assert fn(q, qdot) == pytest.approx(float(mu[0]), abs=1e-10)
+        mu, _ = gp_predict(learner.model, np.array([[q, qdot]]))
+        assert fn(q, qdot) == pytest.approx(float(mu[0, 0]), abs=1e-10)
 
 
 @pytest.mark.parametrize("model_kind", ["gp_rbf", "gp_matern"])
 def test_gp_retrain_releases_previous_model_before_fit(model_kind, rng, monkeypatch):
-    cfg = default_config("pendulum", model_kind=model_kind)
+    cfg = replace(default_config("pendulum"), model_kind=model_kind)
     learner = make_learner(cfg, rng)
     x = rng.normal(size=(30, 2))
     data = Dataset(x, np.sin(x[:, 0:1]))
@@ -318,12 +321,13 @@ def test_gp_retrain_releases_previous_model_before_fit(model_kind, rng, monkeypa
 
 
 @pytest.mark.parametrize("hidden", [(32, 32), (32,)])
-def test_robust_d_hat_matches_predicted_mean(hidden):
+def test_robust_d_hat_matches_predicted_mean(hidden, monkeypatch):
     # the rollout closure must agree with predict() for any net depth
     cfg = default_config("pendulum")
     g = np.random.default_rng(11)
     learner = RobustLearner(cfg, g)
-    net = rr.feature_net_init(g, hidden=hidden)
+    monkeypatch.setattr(rr, "HIDDEN", hidden)
+    net = rr.feature_net_init(g)
     learner.model = replace(
         learner.model,
         net=net,
@@ -362,7 +366,7 @@ def test_cached_scoring_matches_density_ratio_and_max_ratio():
             idx.append(len(grid) - 1)
         np.testing.assert_array_equal(pts, grid[idx])
         np.testing.assert_allclose(r, density_ratio(src, trg, pts), rtol=1e-12)
-        assert w_hat == pytest.approx(max_ratio_on_traj(trg, src, traj), rel=1e-12)
+        assert w_hat == pytest.approx(max_ratio_on_traj(trg, src, grid), rel=1e-12)
         all_r.append(r)
         w_hats.append(w_hat)
     all_r = np.concatenate(all_r)

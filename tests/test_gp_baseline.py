@@ -96,16 +96,16 @@ def test_single_point_alpha_closed_form():
     model = gp_fit([[0.4]], [1.5], hyper)
     # alpha = y / (sigma_f_sq + sigma_n_sq)
     assert model.alpha[0, 0] == pytest.approx(1.5 / 2.3, rel=1e-12)
-    mu, var = gp_predict(model, np.array([0.4]))
-    assert mu[0] == pytest.approx(2.0 * 1.5 / 2.3, rel=1e-12)
-    assert var == pytest.approx(2.0 * 0.3 / 2.3, rel=1e-10)
+    mu, var = gp_predict(model, np.array([[0.4]]))
+    assert mu[0, 0] == pytest.approx(2.0 * 1.5 / 2.3, rel=1e-12)
+    assert var[0] == pytest.approx(2.0 * 0.3 / 2.3, rel=1e-10)
 
 
 def test_duplicated_point_still_factorizable():
     model = gp_fit([[1.0], [1.0]], [0.7, 0.7])  # defaults: sigma_n_sq = 1e-4
-    mu, var = gp_predict(model, np.array([1.0]))
-    assert mu[0] == pytest.approx(1.4 / 2.0001, rel=1e-9)
-    assert var >= 0.0
+    mu, var = gp_predict(model, np.array([[1.0]]))
+    assert mu[0, 0] == pytest.approx(1.4 / 2.0001, rel=1e-9)
+    assert var[0] >= 0.0
 
 
 def test_two_point_posterior_against_explicit_inverse():
@@ -159,9 +159,9 @@ def test_near_interpolation_at_small_noise():
 
 def test_prior_recovered_far_from_data():
     model = gp_fit([[0.0], [0.2]], [1.0, -1.0], GpHyper(sigma_f_sq=0.8, ell=0.3))
-    mu, var = gp_predict(model, np.array([50.0]))
-    assert abs(mu[0]) < 1e-6
-    assert var == pytest.approx(0.8, abs=1e-6)
+    mu, var = gp_predict(model, np.array([[50.0]]))
+    assert abs(mu[0, 0]) < 1e-6
+    assert var[0] == pytest.approx(0.8, abs=1e-6)
 
 
 def test_variance_bounded_by_signal_variance(rng):

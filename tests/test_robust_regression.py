@@ -26,13 +26,15 @@ from safeshift.robust_regression import (
 
 import reference_fit
 
+LAM = 1e-3  # the L1 weight of the fits and base models below
+
 
 # -- predictive form -------------------------------------------------------------
 
 
 def test_zero_ratio_recovers_base_distribution():
     net = feature_net_init(np.random.default_rng(0))
-    model = replace(initial_model(2.0, net=net), theta_phi=np.ones((1, net.feature_dim)))
+    model = replace(initial_model(2.0, net=net, lam=LAM), theta_phi=np.ones((1, net.feature_dim)))
     model = replace(model, theta_y=np.array([3.0]))
     x = np.array([[0.3, -0.4], [1.0, 2.0]])
     mu, var = predict(model, x, ratios=np.zeros(2))
@@ -43,19 +45,19 @@ def test_zero_ratio_recovers_base_distribution():
 def test_predict_unit_example():
     """sigma0^2 = 1, r = 1, theta_y = 1, head . phi = 3 -> var 1/3, mu 1."""
     net = feature_net_init(np.random.default_rng(0))
-    x = np.array([0.3, -0.2])
-    phi = net.forward(x[None, :])[0]
+    x = np.array([[0.3, -0.2]])
+    phi = net.forward(x)[0]
     scale = 3.0 / float(phi @ phi)
-    model = initial_model(1.0, net=net)
+    model = initial_model(1.0, net=net, lam=LAM)
     model = replace(model, theta_phi=(scale * phi)[None, :], theta_y=np.array([1.0]))
     mu, var = predict(model, x, ratios=np.array([1.0]))
-    assert var[0] == pytest.approx(1.0 / 3.0, rel=1e-12)
-    assert mu[0] == pytest.approx(1.0, rel=1e-12)
+    assert var[0, 0] == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert mu[0, 0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_variance_strictly_decreasing_in_ratio():
     net = feature_net_init(np.random.default_rng(1))
-    model = replace(initial_model(1.0, net=net), theta_y=np.array([0.8]))
+    model = replace(initial_model(1.0, net=net, lam=LAM), theta_y=np.array([0.8]))
     x = np.tile([[0.1, 0.1]], (5, 1))
     _, var = predict(model, x, ratios=np.array([0.0, 0.5, 1.0, 2.0, 4.0]))
     assert np.all(np.diff(var[:, 0]) < 0)
@@ -66,7 +68,7 @@ def test_variance_bound_is_exact_algebra(rng):
     """var <= (2 R B + sigma0^-2)^-1 whenever r >= R and theta_y >= B."""
     r_floor, b_floor, sigma0_sq = 0.1, 1e-2, 0.5
     net = feature_net_init(rng)
-    model = initial_model(sigma0_sq, dim_out=3, net=net)
+    model = initial_model(sigma0_sq, net=net, lam=LAM, dim_out=3)
     model = replace(model, theta_y=b_floor + rng.uniform(0, 5, 3))
     bound = 1.0 / (2 * r_floor * b_floor + 1.0 / sigma0_sq)
     x = rng.uniform(-2, 2, (1000, 2))
@@ -78,7 +80,7 @@ def test_variance_bound_is_exact_algebra(rng):
 def _base(seed, sigma0_sq=1.0, dim_out=1):
     """The base model on the net `seed` draws: where a first fit starts."""
     net = feature_net_init(np.random.default_rng(seed))
-    return initial_model(sigma0_sq, dim_out=dim_out, net=net)
+    return initial_model(sigma0_sq, net=net, lam=LAM, dim_out=dim_out)
 
 
 # -- loss and gradients ------------------------------------------------------------
@@ -91,14 +93,14 @@ def _loss(model, ds, ratios):
 
 
 def test_nll_loss_of_exact_model_is_entropy_plus_penalty():
-    model = initial_model(0.9)
+    model = _base(0, 0.9)
     ds = Dataset(np.zeros((6, 2)), np.zeros((6, 1)))  # targets equal mu exactly
     loss = _loss(model, ds, np.ones(6))
     assert loss == pytest.approx(0.5 * math.log(2 * math.pi * 0.9), rel=1e-12)
 
 
 def test_nll_loss_reduces_to_base_nll_when_theta_zero(rng):
-    model = initial_model(1.5)
+    model = _base(0, 1.5)
     y = rng.normal(0.0, 1.0, (40, 1))
     ds = Dataset(rng.uniform(-1, 1, (40, 2)), y)
     loss = _loss(model, ds, rng.uniform(0.1, 10.0, 40))
@@ -128,13 +130,15 @@ def _unflatten(model, vec):
     return replace(model, net=net, theta_phi=tp, theta_y=ty)
 
 
-def test_analytic_gradients_match_finite_differences(rng):
+def test_analytic_gradients_match_finite_differences(rng, monkeypatch):
     """Every parameter group of the penalized NLL, central differences."""
     n = 40
     ds = Dataset(rng.uniform(-1, 1, (n, 2)), rng.normal(0, 0.5, (n, 2)))
     ratios = rng.uniform(0.2, 5.0, n)
-    net = feature_net_init(np.random.default_rng(11), hidden=(8, 8), feature_dim=5)
-    model = initial_model(1.0, dim_out=2, net=net)
+    monkeypatch.setattr(rr, "HIDDEN", (8, 8))
+    monkeypatch.setattr(rr, "FEATURE_DIM", 5)
+    net = feature_net_init(np.random.default_rng(11))
+    model = initial_model(1.0, net=net, lam=LAM, dim_out=2)
     # keep every parameter away from the |.| kink so FD is well defined
     model = replace(
         model,
@@ -201,7 +205,7 @@ def test_fit_moment_condition(line_fit):
 
 def test_fit_is_deterministic_given_seed(make_line_dataset):
     ds = make_line_dataset(n=60)
-    cfg = TrainConfig(epochs=120)
+    cfg = TrainConfig(epochs=120, lam=LAM)
     a = fit(ds, None, None, cfg, init=_base(4))
     b = fit(ds, None, None, cfg, init=_base(4))
     np.testing.assert_array_equal(a.theta_phi, b.theta_phi)
@@ -213,13 +217,13 @@ def test_fit_is_deterministic_given_seed(make_line_dataset):
 def test_fit_respects_theta_y_floor(make_line_dataset, monkeypatch):
     monkeypatch.setattr(rr, "THETA_Y_FLOOR", 0.05)
     ds = make_line_dataset(n=60)
-    model = fit(ds, None, None, TrainConfig(epochs=60), init=_base(0))
+    model = fit(ds, None, None, TrainConfig(epochs=60, lam=LAM), init=_base(0))
     assert np.all(model.theta_y >= 0.05 - 1e-15)
 
 
 def test_fit_rejects_empty_dataset():
     with pytest.raises(ValueError):
-        fit(Dataset.empty(1), None, None, TrainConfig(epochs=10), init=_base(0))
+        fit(Dataset.empty(1), None, None, TrainConfig(epochs=10, lam=LAM), init=_base(0))
 
 
 def test_multidim_fit_equals_per_dim_fits_with_frozen_features():
@@ -236,7 +240,7 @@ def test_multidim_fit_equals_per_dim_fits_with_frozen_features():
     net = feature_net_init(np.random.default_rng(3))
 
     def solve(targets):
-        model = initial_model(1.0, dim_out=targets.shape[1], net=net)
+        model = initial_model(1.0, net=net, lam=LAM, dim_out=targets.shape[1])
         model = replace(model, theta_y=np.full(model.dim_out, rr.THETA_Y_FLOOR))
         model = replace(model, theta_phi=rr._solve_heads(model, x, targets, r))
         for fixed_mu in (True, False):
@@ -280,7 +284,7 @@ def test_fit_matches_allocating_reference_bit_for_bit(case, monkeypatch):
     ds, src, trg = _shift_problem()
     # a clip norm of 1 keeps the global-norm clip active on most steps
     monkeypatch.setattr(rr, "CLIP_NORM", 1.0)
-    cfg = TrainConfig(epochs=40)
+    cfg = TrainConfig(epochs=40, lam=LAM)
     init = _base(6, 0.5, dim_out=3)
     if case == "warm_start":
         init = reference_fit.fit(ds, src, trg, cfg, init=init)
@@ -291,7 +295,7 @@ def test_fit_matches_allocating_reference_bit_for_bit(case, monkeypatch):
 
 def test_solve_heads_matches_numpy_scalar_reference():
     ds, src, trg = _shift_problem()
-    model = fit(ds, src, trg, TrainConfig(epochs=40), init=_base(6, 0.5, dim_out=3))
+    model = fit(ds, src, trg, TrainConfig(epochs=40, lam=LAM), init=_base(6, 0.5, dim_out=3))
     r = density_ratio(src, trg, ds.inputs)
     noise = np.random.default_rng(8).normal(0.0, 0.3, model.theta_phi.shape)
     start = replace(model, theta_phi=model.theta_phi + noise)
@@ -398,8 +402,7 @@ def test_feature_net_rejects_a_non_positive_cap(cap):
 
 
 def test_lipschitz_bound_zero_head():
-    model = initial_model(1.0)
-    assert lipschitz_bound(model) == 0.0
+    assert lipschitz_bound(_base(0)) == 0.0
 
 
 def test_lipschitz_bound_single_layer_example():
@@ -408,7 +411,7 @@ def test_lipschitz_bound_single_layer_example():
     w = np.zeros((2, 4))
     w[0, 0] = 2.0
     net = FeatureNet((w,), (np.zeros(4),), (4.0,))
-    model = initial_model(1.0, net=net)
+    model = initial_model(1.0, net=net, lam=LAM)
     model = replace(model, theta_phi=np.array([[1.0, 0, 0, 0]]), theta_y=np.array([5.0]))
     assert lipschitz_bound(model) == pytest.approx(10.0, rel=1e-9)
 
@@ -432,7 +435,7 @@ def test_lipschitz_bound_dominates_empirical_slopes(line_fit):
 
 def test_sigma_max_on_traj_constant_and_mixed():
     net = feature_net_init(np.random.default_rng(2))
-    model = initial_model(0.49, net=net)
+    model = initial_model(0.49, net=net, lam=LAM)
 
     pts = np.column_stack([np.linspace(-1, 1, 50), np.zeros(50)])
     # no ratios, theta_y = 0: sigma is sigma0 everywhere
