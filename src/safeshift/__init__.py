@@ -72,7 +72,6 @@ from .robust_regression import (
     initial_model,
     lipschitz_bound,
     predict,
-    sigma_max_on_traj,
     spectral_normalize,
 )
 
@@ -130,7 +129,6 @@ __all__ = [
     "run_episode",
     "run_experiment",
     "safety_contains",
-    "sigma_max_on_traj",
     "simulate_closed_loop",
     "spectral_normalize",
     "step_rk4",

@@ -203,13 +203,15 @@ def simulate_closed_loop(
         states[i, 1] = qdot
         desired[i, 0] = q_g
         desired[i, 1] = qdot_g
-        eps[i] = residual_fn(t, q, qdot) - d_hat
+        d = residual_fn(t, q, qdot)
+        eps[i] = d - d_hat
         n_rec = i + 1
         if contact or i == n_steps:
             break
 
         try:
-            q, qdot = step_rk4(deriv, t, q, qdot, applied, dt)
+            # the first stage reuses the residual just recorded
+            q, qdot = step_rk4(deriv, t, q, qdot, applied, dt, accel(q, qdot, applied, d))
         except SimulationDiverged:
             status = "diverged"
             break

@@ -10,7 +10,10 @@ Each ratio formula lives in one helper that takes precomputed densities
 (`clipped_ratio`, `max_ratio`).  `density_ratio` and `max_ratio_on_traj`
 evaluate the KDEs and call them; the exploration loop calls them directly
 on cached densities: p_trg once per experiment on every candidate grid,
-p_src once per episode on all grids together.
+p_src once per episode on all grids together.  That one p_src pass gives
+every candidate's r_min (its smallest clipped ratio, which is all the
+robust certificate reads) and its w_hat, each in one segmented reduction
+over the stacked grids.
 """
 
 from __future__ import annotations
@@ -119,9 +122,13 @@ def clipped_ratio(p_src, p_trg) -> np.ndarray:
     return np.clip(np.asarray(p_src, dtype=float) / p_t, R_LO, R_HI)
 
 
-def max_ratio(p_trg, p_src) -> float:
-    """Unclipped max of p_trg / max(p_src, DENSITY_FLOOR)."""
-    return float(np.max(np.asarray(p_trg, dtype=float) / np.maximum(p_src, DENSITY_FLOOR)))
+def max_ratio(p_trg, p_src, starts) -> np.ndarray:
+    """Unclipped max of p_trg / max(p_src, DENSITY_FLOOR) per segment.
+
+    Segment k of the stacked densities runs from starts[k] up to the next start.
+    """
+    ratio = np.maximum(p_src, DENSITY_FLOOR)
+    return np.maximum.reduceat(np.divide(p_trg, ratio, out=ratio), starts)
 
 
 def density_ratio(src: KdeModel, trg: KdeModel, x) -> np.ndarray:
@@ -140,4 +147,4 @@ def max_ratio_on_traj(trg: KdeModel, src: KdeModel, pts) -> float:
     pts = np.asarray(pts, dtype=float)
     if len(pts) == 0:
         raise ValueError("empty trajectory")
-    return max_ratio(kde_density(trg, pts), kde_density(src, pts))
+    return float(max_ratio(kde_density(trg, pts), kde_density(src, pts), [0])[0])

@@ -1,20 +1,22 @@
 """Episodic safe exploration with certified tracking tubes.
 
 Each episode: score every candidate desired trajectory with the current
-model (max predictive deviation along it -> residual-error budget eps_m =
-beta * sigma_max -> tube radius gamma * eps_m), certify the worst-case
-tube against the safety set, track the cheapest certified candidate,
-collect (state, residual) data along the actual rollout, and retrain.
-Episode 1 runs on the untrained base model, so its tube is driven purely
-by sigma0 and the loop starts conservative by construction.
+model (sigma_max -> residual-error budget eps_m = beta * sigma_max ->
+tube radius gamma * eps_m), certify the worst-case tube against the
+safety set, track the cheapest certified candidate, collect (state,
+residual) data along the actual rollout, and retrain.  The robust
+learner's sigma_max is the closed form (1/sigma0_sq + 2 theta_y
+r_min)^(-1/2) at the candidate's smallest clipped density ratio r_min;
+the GP's is the max posterior std on the certification points.  Episode
+1 runs on the untrained base model, so its tube is driven purely by
+sigma0 and the loop starts conservative by construction.
 
 The learner is pluggable: the robust covariate-shift regressor or a GP
 baseline.  Both expose the same surface, and the densities each call
 needs are passed in, not bound to the model:
 
-  eval_candidate(pts, ratios)        max predictive std on the candidate's
-                                     certification points (ratios None
-                                     means r = 1)
+  eval_candidate(pts, r_min)         max predictive std on the candidate's
+                                     certification points pts (ratios >= r_min)
   d_hat_fn(src_kde, trg_kde)         the controller's compensation d_hat(q, qdot)
   retrain(dataset, src_kde, trg_kde)
   moment_residual_max()              the fit's stationarity residual
@@ -24,8 +26,8 @@ change.  The pool is fixed, so each candidate's grid, certification
 stride, target KDE and p_trg on its grid are computed once per experiment
 (`PoolCache`).  The source density changes only when the dataset grows:
 it is fit once for the retrain and reused by the next episode, where one
-p_src pass over all grids together gives every candidate's clipped
-ratios and its w_hat screen value.
+p_src pass over all grids together gives every candidate's r_min and its
+w_hat screen value.
 """
 
 from __future__ import annotations
@@ -226,58 +228,52 @@ def default_config(task: str) -> ExperimentConfig:
     return ExperimentConfig(task=task, **TASKS[task])
 
 
-def _stride_index(n: int, stride: int) -> np.ndarray:
-    """Every stride-th grid index, always ending at the last grid point."""
-    if stride <= 1 or n <= 2:
-        return np.arange(n)
-    idx = list(range(0, n, stride))
-    if idx[-1] != n - 1:
-        idx.append(n - 1)
-    return np.array(idx)
-
-
 @dataclass(frozen=True)
 class PoolCache:
     """Per-experiment scoring state of a fixed candidate pool.
 
-    `grids` stacks every candidate's full (q, qdot) grid; candidate k owns
-    rows `spans[k]`, certifies on the subset `cert_idx[k]` of them, and
-    has target KDE `trg_kdes[k]` with density `p_trg` on its own rows.
+    `grids` stacks every candidate's full (q, qdot) grid, candidate k's
+    from row `starts[k]`, with `p_trg` the density of its target KDE
+    `trg_kdes[k]` on its own rows.  `cert_rows` stacks the rows each
+    candidate certifies on, candidate k's from `cert_starts[k]`.
     """
 
     grids: np.ndarray  # (sum of grid lengths, 2)
-    spans: tuple  # slice into grids per candidate
-    cert_idx: tuple  # strided indices into each candidate's grid
+    starts: np.ndarray  # first row of each candidate in grids
+    cert_rows: np.ndarray  # strided rows of grids, candidate by candidate
+    cert_starts: np.ndarray  # first entry of each candidate in cert_rows
     trg_kdes: tuple  # KdeModel per candidate
     p_trg: np.ndarray  # (len(grids),)
 
     def episode_inputs(self, src_kde: Optional[KdeModel]):
-        """(certification points, clipped ratios, w_hat) per candidate.
+        """(certification points, r_min, w_hat) per candidate, from one p_src pass.
 
-        One p_src pass over all grids.  Without a source density (episode
-        1) the ratios are None, meaning r = 1, and w_hat is 1.
+        r_min is the smallest clipped ratio on the certification points and
+        w_hat the largest unclipped p_trg / p_src on the grid; both are 1
+        without a source density (episode 1).
         """
         p_src = None if src_kde is None else kde_density(src_kde, self.grids)
-        out = []
-        for span, idx in zip(self.spans, self.cert_idx):
-            pts = self.grids[span][idx]
-            if p_src is None:
-                out.append((pts, None, 1.0))
-                continue
-            p_s, p_t = p_src[span], self.p_trg[span]
-            out.append((pts, clipped_ratio(p_s[idx], p_t[idx]), max_ratio(p_t, p_s)))
-        return out
+        pts = np.split(self.grids[self.cert_rows], self.cert_starts[1:])
+        if p_src is None:
+            return [(p, 1.0, 1.0) for p in pts]
+        rows = self.cert_rows
+        r_min = np.minimum.reduceat(clipped_ratio(p_src[rows], self.p_trg[rows]), self.cert_starts)
+        w_hat = max_ratio(self.p_trg, p_src, self.starts)
+        return list(zip(pts, r_min.tolist(), w_hat.tolist()))
 
 
 def build_pool_cache(pool: list[DesiredTrajectory], config: ExperimentConfig) -> PoolCache:
     """Fit every candidate's target KDE and evaluate it on its grid, once."""
     grids = [traj.grid_xy() for traj in pool]
-    ends = np.cumsum([len(g) for g in grids])
+    starts = np.cumsum([0] + [len(g) for g in grids[:-1]])
+    # every cert_stride-th point of each grid, always ending at its last one
+    cert_idx = [np.append(np.arange(0, len(g) - 1, config.cert_stride), len(g) - 1) for g in grids]
     trg_kdes = tuple(kde_fit(subsample_rows(g, KDE_TRG_MAX)) for g in grids)
     return PoolCache(
         grids=np.concatenate(grids),
-        spans=tuple(slice(end - len(g), end) for g, end in zip(grids, ends)),
-        cert_idx=tuple(_stride_index(len(g), config.cert_stride) for g in grids),
+        starts=starts,
+        cert_rows=np.concatenate([start + idx for start, idx in zip(starts, cert_idx)]),
+        cert_starts=np.cumsum([0] + [len(idx) for idx in cert_idx[:-1]]),
         trg_kdes=trg_kdes,
         p_trg=np.concatenate([kde_density(kde, g) for kde, g in zip(trg_kdes, grids)]),
     )
@@ -316,9 +312,13 @@ class RobustLearner:
             dim_out=config.output_dim,
         )
 
-    def eval_candidate(self, pts, ratios):
-        """Max predictive std of dimension 0 on pts; ratios None means r = 1."""
-        return rr.sigma_max_on_traj(self.model, pts, ratios)
+    def eval_candidate(self, pts, r_min):
+        """Max predictive std of dimension 0 on pts: the std at their smallest ratio.
+
+        Exact: sigma_sq and each rounded step of the predictive form fall as r grows.
+        """
+        var = rr._predictive(self.model, np.array([r_min]), self.model.theta_y)[1]
+        return float(np.sqrt(var[0, 0]))
 
     def d_hat_fn(self, src_kde, trg_kde):
         """Predicted mean of dimension 0 at one state; r = 1 without KDEs.
@@ -367,7 +367,7 @@ class GpLearner:
         self.kernel = kernel
         self.model: Optional[GpModel] = None
 
-    def eval_candidate(self, pts, ratios):
+    def eval_candidate(self, pts, r_min):
         if self.model is None:
             return math.sqrt(self.cfg.gp.sigma_f_sq)
         _, var = gp_predict(self.model, pts)
@@ -473,14 +473,14 @@ def run_episode(
     """
     if not pool:
         raise ValueError("empty candidate pool")
-    if len(cache.spans) != len(pool):
+    if len(cache.starts) != len(pool):
         raise ValueError("cache was built for a different pool")
     gamma_val = config.gamma()
 
     evals = []
     inputs = cache.episode_inputs(src_kde)
-    for traj, trg_kde, (pts, ratios, w_hat_k) in zip(pool, cache.trg_kdes, inputs):
-        sigma_max = learner.eval_candidate(pts, ratios)
+    for traj, trg_kde, (pts, r_min, w_hat_k) in zip(pool, cache.trg_kdes, inputs):
+        sigma_max = learner.eval_candidate(pts, r_min)
         eps_m = eps_m_from_sigma(sigma_max, config.beta)
         cert = certify_trajectory(traj, gamma_val, eps_m, config.safety)
         evals.append((traj, trg_kde, sigma_max, eps_m, cert, w_hat_k))

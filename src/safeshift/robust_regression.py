@@ -8,13 +8,17 @@ source/target density ratio r(x):
     mu(x)       = sigma_sq(x) * r(x) theta_phi . phi(x)
 
 phi(x) is a small spectral-normalized ReLU network's output feature
-vector.  Where the data is dense relative to the proposal (large r) the
-variance contracts; where the proposal leaves the data (r clipped at its
-floor) the variance stays inflated.  Training minimizes the penalized
-Gaussian negative log-likelihood on source data with analytic gradients;
-a final one dimensional solve per output tightens theta_y until the
-stationarity condition mean_i r_i (y_i^2 - mu_i^2 - sigma_i^2) = -lambda
-holds to solver precision.
+vector; it enters only the mean.  The variance depends on x only through
+r(x): it contracts where the data is dense relative to the proposal
+(large r) and stays inflated where the proposal leaves the data (r
+clipped at its floor).  So the robust certificate, the largest sigma on
+a candidate, depends on the data only through theta_y and the density
+ratio: it is sigma at the candidate's smallest ratio.  Training
+minimizes the penalized Gaussian negative log-likelihood on source data
+with analytic gradients; a final one dimensional solve per output
+tightens theta_y until the stationarity condition
+mean_i r_i (y_i^2 - mu_i^2 - sigma_i^2) = -lambda holds to solver
+precision.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ __all__ = [
     "predict",
     "fit",
     "lipschitz_bound",
-    "sigma_max_on_traj",
 ]
 
 POWER_ITERS = 30
@@ -221,16 +224,6 @@ def initial_model(
     )
 
 
-def _ratios_for(x: np.ndarray, ratios) -> np.ndarray:
-    """ratios as a float array, one per query; None means r = 1."""
-    if ratios is None:
-        return np.ones(len(x))
-    r = np.asarray(ratios, dtype=float)
-    if r.shape != (len(x),):
-        raise ValueError("ratios must be one per query")
-    return r
-
-
 def _precision(model: RobustModel, r: np.ndarray, theta_y: np.ndarray, out=None) -> np.ndarray:
     """1/sigma_sq = 1/sigma0_sq + 2 r theta_y, (n, d_out) from r (n,), theta_y (d_out,).
 
@@ -268,7 +261,9 @@ def predict(model: RobustModel, x, ratios=None):
     density ratio per query; None means r = 1 everywhere.
     """
     pts = np.asarray(x, dtype=float)
-    r = _ratios_for(pts, ratios)
+    r = np.ones(len(pts)) if ratios is None else np.asarray(ratios, dtype=float)
+    if r.shape != (len(pts),):
+        raise ValueError("ratios must be one per query")
     a = model.net.forward(pts) @ model.theta_phi.T
     return _predictive(model, r, model.theta_y, a)
 
@@ -731,16 +726,3 @@ def lipschitz_bound(model: RobustModel) -> float:
     for w in model.net.weights:
         layers *= spectral_norm(w)
     return sup_var * R_HI * head * layers
-
-
-def sigma_max_on_traj(model: RobustModel, pts, ratios=None) -> float:
-    """Max predictive standard deviation over a trajectory's (n, 2) points.
-
-    ratios holds one density ratio per point (None means r = 1).  For
-    multi dimensional outputs the certification dimension 0 is used.
-    """
-    pts = np.atleast_2d(pts)
-    if len(pts) == 0:
-        raise ValueError("empty trajectory")
-    _, var = predict(model, pts, ratios=ratios)
-    return float(np.sqrt(np.max(var[:, 0])))

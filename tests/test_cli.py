@@ -241,6 +241,7 @@ def test_nested_field_must_be_object(key, value, tmp_path, capsys):
         ({"horizon": 2.005}, "horizon: must be a multiple of the grid step 0.01"),
         ({"pool": {"amplitudes": []}}, "pool: amplitudes must not be empty"),
         ({"horizon": 1e308}, "horizon: too long for the grid step 0.01"),
+        ({"task": "landing", "pool": {"rates": [1e160]}}, "pool: descent rate 1e+160 too large"),
     ],
 )
 def test_malformed_field_value_names_field(extra, field_name, tmp_path, capsys):

@@ -273,6 +273,32 @@ def test_contact_row_keeps_the_held_d_hat_and_computes_no_control():
     np.testing.assert_array_equal(roll.eps, -0.5 - np.array(queried + queried[-1:]))
 
 
+def test_residual_is_evaluated_once_per_row_and_stage():
+    # each row records eps at its state, the first RK4 stage reuses that
+    # value and the other three stages evaluate their own; the contact row
+    # takes no step
+    (traj,) = landing_pool([(3.0, 0.0)], 0.01, 10.0, 0.0)
+    points = []
+
+    def residual(t, q, qdot):
+        points.append((t, q, qdot))
+        return -0.5
+
+    roll = simulate_closed_loop(
+        DroneParams().mixed_model(),
+        ControllerGains(3.2, 2.0),
+        ZERO,
+        residual,
+        traj,
+        0.001,
+        x0_on_trajectory(traj),
+        ground=0.0,
+    )
+    rows = len(roll.times)
+    assert roll.status == "touchdown"
+    assert len(points) == rows + 3 * (rows - 1)
+
+
 def test_a_flight_cut_short_keeps_only_its_rows():
     # the arrays of a touchdown rollout are not views of the full-horizon
     # buffers the simulator filled

@@ -150,4 +150,5 @@ def test_kde_density_independent_of_block_size(monkeypatch):
 def test_ratio_helpers_floor_the_denominator():
     r = clipped_ratio(np.array([1e-13, 2.0, 3.0]), np.array([0.0, 4.0, 0.0]))
     np.testing.assert_array_equal(r, [0.1, 0.5, 10.0])
-    assert max_ratio(np.array([1e-6, 2.0]), np.array([0.0, 4.0])) == pytest.approx(1e6)
+    w = max_ratio(np.array([1e-6, 2.0, 3.0, 1.0]), np.array([0.0, 4.0, 1.0, 2.0]), [0, 2])
+    np.testing.assert_allclose(w, [1e6, 3.0], rtol=1e-15)

@@ -134,6 +134,19 @@ def test_rk4_harmonic_oscillator_one_step():
     assert qdot == pytest.approx(-math.sin(dt), abs=1e-9)
 
 
+def test_rk4_given_k1_skips_the_first_stage():
+    calls = []
+
+    def accel(t, q, qdot, u):
+        calls.append((t, q, qdot))
+        return -q + 0.3 * qdot + u
+
+    plain = step_rk4(accel, 0.2, 1.0, -0.5, 0.1, 0.01)
+    calls.clear()
+    assert step_rk4(accel, 0.2, 1.0, -0.5, 0.1, 0.01, accel(0.2, 1.0, -0.5, 0.1)) == plain
+    assert len(calls) == 4  # the caller's k1 and three stages
+
+
 def _oscillator_error(dt: float) -> float:
     q, qdot = 1.0, 0.0
     n = int(round(1.0 / dt))

@@ -14,7 +14,15 @@ from safeshift import robust_regression as rr
 from safeshift.bounds import certify_trajectory
 from safeshift.controller import ControllerGains
 from safeshift.core import Dataset, LandingPool, PendulumPool
-from safeshift.density_ratio import R_HI, R_LO, density_ratio, kde_fit, max_ratio_on_traj
+from safeshift.density_ratio import (
+    R_HI,
+    R_LO,
+    clipped_ratio,
+    density_ratio,
+    kde_density,
+    kde_fit,
+    max_ratio_on_traj,
+)
 from safeshift.explore import (
     ConfigError,
     GpLearner,
@@ -40,7 +48,7 @@ class StubLearner:
         self.default = default
         self.retrain_calls = 0
 
-    def eval_candidate(self, pts, ratios):
+    def eval_candidate(self, pts, r_min):
         key = round(float(pts[0, 1]), 10)
         return float(self.sigma_for.get(key, self.default))
 
@@ -279,7 +287,7 @@ def test_make_learner_kinds():
 def test_gp_learner_prior_sigma_and_zero_compensation():
     cfg = replace(default_config("pendulum"), model_kind="gp_rbf")
     learner = make_learner(cfg, np.random.default_rng(0))
-    sigma = learner.eval_candidate(cfg.pool()[0].grid_xy(), None)
+    sigma = learner.eval_candidate(cfg.pool()[0].grid_xy(), 1.0)
     assert sigma == pytest.approx(math.sqrt(cfg.gp.sigma_f_sq))
     assert learner.d_hat_fn(None, None)(0.3, -0.2) == 0.0
 
@@ -346,6 +354,14 @@ def test_robust_d_hat_matches_predicted_mean(hidden, monkeypatch):
 # -- cached candidate scoring ---------------------------------------------------
 
 
+def _cert_points(grid, stride):
+    """Every stride-th point of grid, ending at its last point."""
+    idx = list(range(0, len(grid), stride))
+    if idx[-1] != len(grid) - 1:
+        idx.append(len(grid) - 1)
+    return grid[idx]
+
+
 def test_cached_scoring_matches_density_ratio_and_max_ratio():
     cfg = default_config("landing")
     pool = cfg.pool()
@@ -358,27 +374,90 @@ def test_cached_scoring_matches_density_ratio_and_max_ratio():
     inputs = cache.episode_inputs(src)
     assert len(inputs) == len(pool)
 
-    all_r, w_hats = [], []
-    for traj, trg, (pts, r, w_hat) in zip(pool, cache.trg_kdes, inputs):
+    all_r, r_mins, w_hats = [], [], []
+    for traj, trg, (pts, r_min, w_hat) in zip(pool, cache.trg_kdes, inputs):
         grid = traj.grid_xy()
-        idx = list(range(0, len(grid), cfg.cert_stride))
-        if idx[-1] != len(grid) - 1:
-            idx.append(len(grid) - 1)
-        np.testing.assert_array_equal(pts, grid[idx])
-        np.testing.assert_allclose(r, density_ratio(src, trg, pts), rtol=1e-12)
+        np.testing.assert_array_equal(pts, _cert_points(grid, cfg.cert_stride))
+        r = density_ratio(src, trg, pts)
+        assert isinstance(r_min, float) and isinstance(w_hat, float)
+        assert r_min == pytest.approx(float(np.min(r)), rel=1e-12)
         assert w_hat == pytest.approx(max_ratio_on_traj(trg, src, grid), rel=1e-12)
         all_r.append(r)
+        r_mins.append(r_min)
         w_hats.append(w_hat)
     all_r = np.concatenate(all_r)
     assert np.any(all_r == R_LO) and np.any(all_r == R_HI)
     assert np.any((all_r > R_LO) & (all_r < R_HI))
+    assert min(r_mins) == R_LO < max(r_mins)
     assert min(w_hats) < explore.W_MAX < max(w_hats)
 
 
 def test_episode_one_inputs_have_unit_ratios():
     cfg = tube02_config()
     inputs = build_pool_cache(cfg.pool(), cfg).episode_inputs(None)
-    assert [(r, w) for _, r, w in inputs] == [(None, 1.0)] * len(cfg.pool())
+    assert [(r, w) for _, r, w in inputs] == [(1.0, 1.0)] * len(cfg.pool())
+    for traj, (pts, _, _) in zip(cfg.pool(), inputs):
+        np.testing.assert_array_equal(pts, _cert_points(traj.grid_xy(), cfg.cert_stride))
+
+
+def test_robust_eval_candidate_constant_and_mixed():
+    cfg = replace(default_config("pendulum"), sigma0_sq=0.49)
+    learner = RobustLearner(cfg, np.random.default_rng(2))
+    pts = np.column_stack([np.linspace(-1, 1, 50), np.zeros(50)])
+    # r = 1, theta_y = 0: sigma is sigma0 everywhere
+    assert learner.eval_candidate(pts, 1.0) == pytest.approx(0.7, rel=1e-12)
+
+    # with ratios varying along the points, the max is attained at the min-r point
+    learner.model = replace(learner.model, theta_y=np.array([2.0]))
+    r = 0.1 + np.abs(pts[:, 0])
+    r_min = float(np.min(r))
+    sigma_m = learner.eval_candidate(pts, r_min)
+    assert sigma_m == pytest.approx(math.sqrt(1.0 / (1.0 / 0.49 + 2.0 * r_min * 2.0)), rel=1e-12)
+    _, var = rr.predict(learner.model, pts, ratios=r)
+    assert sigma_m == float(np.sqrt(np.max(var[:, 0])))
+
+
+@pytest.mark.parametrize("task", ["pendulum", "landing"])
+def test_robust_score_is_the_max_predicted_std_on_recorded_episodes(task, monkeypatch):
+    # the closed form at r_min equals, bit for bit, the max of predict's
+    # variance on the certification points at their clipped ratios
+    cfg = default_config(task)
+    cfg = replace(cfg, episodes=3, first_fit_epochs=100, train=replace(cfg.train, epochs=50))
+    if task == "pendulum":
+        cfg = replace(cfg, horizon=5.0)
+    scored = []  # (cache, src_kde, model, inputs, sigmas) per episode
+    real_inputs = explore.PoolCache.episode_inputs
+
+    def inputs_spy(cache, src_kde):
+        out = real_inputs(cache, src_kde)
+        scored.append((cache, src_kde, learner.model, out, []))
+        return out
+
+    class Recorder(RobustLearner):
+        def eval_candidate(self, pts, r_min):
+            scored[-1][4].append(super().eval_candidate(pts, r_min))
+            return scored[-1][4][-1]
+
+    learner = Recorder(cfg, np.random.default_rng(cfg.seed))
+    monkeypatch.setattr(explore.PoolCache, "episode_inputs", inputs_spy)
+    run_experiment(cfg, learner=learner)
+    assert len(scored) == cfg.episodes and scored[0][1] is None
+
+    r_mins = []
+    for cache, src, model, inputs, sigmas in scored:
+        assert len(sigmas) == len(inputs)
+        p_src = None if src is None else kde_density(src, cache.grids)
+        for (pts, r_min, _), start, sigma in zip(inputs, cache.cert_starts, sigmas):
+            rows = cache.cert_rows[start : start + len(pts)]
+            r = np.ones(len(pts))
+            if p_src is not None:
+                r = clipped_ratio(p_src[rows], cache.p_trg[rows])
+            _, var = rr.predict(model, pts, ratios=r)
+            assert r_min == float(np.min(r))
+            assert sigma == float(np.sqrt(np.max(var[:, 0])))
+            r_mins.append(r_min)
+    assert scored[-1][2].theta_y[0] > 0
+    assert len(set(r_mins)) > 2
 
 
 def test_cache_for_another_pool_rejected():

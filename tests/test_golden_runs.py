@@ -1,0 +1,92 @@
+"""Byte-for-byte guard for changes that must not move a float.
+
+Three short seed-0 runs, 3 episodes each, of pendulum, landing and landing
+with the RBF GP must reproduce the `episodes.csv` and `summary.json`
+committed under tests/golden/.  Landing's episode 3 is a knife-edge
+violation, so a one-ulp drift upstream shows as a changed value or
+decision.
+
+The files hold only under the conditions they were made in: the same
+numpy and BLAS build, and 1 BLAS thread, which the child interpreters
+pin (the thread count alone moves the low bits).  A change that alters
+decisions on purpose regenerates them with
+
+    python tests/test_golden_runs.py
+
+and gives the reason in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+FILES = ("episodes.csv", "summary.json")
+# run name -> (task, extra CLI arguments)
+RUNS = {
+    "pendulum": ("pendulum", []),
+    "landing": ("landing", []),
+    "landing_gp_rbf": ("landing", ["--model", "gp_rbf"]),
+}
+# two child interpreters run concurrently, each making its runs in turn
+CHILDREN = (("pendulum",), ("landing", "landing_gp_rbf"))
+ONE_BLAS_THREAD = {
+    name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+}
+
+
+def _run_all(out_root: Path) -> None:
+    """Make every run of RUNS into out_root/<name>."""
+    children = []
+    for names in CHILDREN:
+        argvs = []
+        for name in names:
+            task, extra = RUNS[name]
+            cfg = out_root / f"{name}.json"
+            cfg.write_text(json.dumps({"task": task, "episodes": 3, "seed": 0}))
+            argvs.append(["run", "--config", str(cfg), "--out", str(out_root / name), *extra])
+        code = (
+            f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+            "from safeshift.cli import main\n"
+            f"for argv in {argvs!r}:\n"
+            "    if main(argv) != 0:\n"
+            "        sys.exit(1)\n"
+        )
+        children.append(subprocess.Popen(
+            [sys.executable, "-c", code], env={**os.environ, **ONE_BLAS_THREAD},
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        ))
+    try:
+        for child in children:
+            _, err = child.communicate(timeout=300)
+            assert child.returncode == 0, err
+    finally:
+        for child in children:
+            child.kill()
+
+
+def test_seed0_runs_match_the_committed_outputs(tmp_path):
+    _run_all(tmp_path)
+    changed = [
+        f"{name}/{file}"
+        for name in RUNS
+        for file in FILES
+        if (tmp_path / name / file).read_bytes() != (GOLDEN / name / file).read_bytes()
+    ]
+    assert changed == []
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        _run_all(Path(tmp))
+        for name in RUNS:
+            (GOLDEN / name).mkdir(parents=True, exist_ok=True)
+            for file in FILES:
+                shutil.copyfile(Path(tmp) / name / file, GOLDEN / name / file)

@@ -19,7 +19,6 @@ from safeshift.robust_regression import (
     initial_model,
     lipschitz_bound,
     predict,
-    sigma_max_on_traj,
     spectral_norm,
     spectral_normalize,
 )
@@ -431,19 +430,3 @@ def test_lipschitz_bound_dominates_empirical_slopes(line_fit):
         keep = gaps > 1e-9
         slopes = np.abs(mu_a[keep, 0] - mu_b[keep, 0]) / gaps[keep]
         assert float(np.max(slopes)) <= bound + 1e-12
-
-
-def test_sigma_max_on_traj_constant_and_mixed():
-    net = feature_net_init(np.random.default_rng(2))
-    model = initial_model(0.49, net=net, lam=LAM)
-
-    pts = np.column_stack([np.linspace(-1, 1, 50), np.zeros(50)])
-    # no ratios, theta_y = 0: sigma is sigma0 everywhere
-    assert sigma_max_on_traj(model, pts) == pytest.approx(0.7, rel=1e-12)
-
-    # with ratios varying along the points, the max is attained at the min-r point
-    model = replace(model, theta_y=np.array([2.0]))
-    sigma_m = sigma_max_on_traj(model, pts, 0.1 + np.abs(pts[:, 0]))
-    r_min = 0.1 + float(np.min(np.abs(pts[:, 0])))
-    expect = math.sqrt(1.0 / (1.0 / 0.49 + 2.0 * r_min * 2.0))
-    assert sigma_m == pytest.approx(expect, rel=1e-12)
