@@ -183,10 +183,10 @@ def _write_trajectories_csv(path: Path, result) -> None:
         writer.writerow(
             ["episode", "t", "q_des", "qdot_des", "q_act", "qdot_act", "tube_lo", "tube_hi"]
         )
-        for rec, rollout in zip(result.records, result.rollouts):
+        for rec in result.records:
+            rollout, rho = rec.rollout, rec.tube_radius
             if rollout is None:
                 continue
-            rho = rec.tube_radius
             for i in range(0, len(rollout.times), SAMPLE_STRIDE):
                 q_g, qdot_g = rollout.desired[i].tolist()
                 q, qdot = rollout.states[i].tolist()

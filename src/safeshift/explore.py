@@ -3,13 +3,14 @@
 Each episode: score every candidate desired trajectory with the current
 model (sigma_max -> residual-error budget eps_m = beta * sigma_max ->
 tube radius gamma * eps_m), certify the worst-case tube against the
-safety set, track the cheapest certified candidate, collect (state,
-residual) data along the actual rollout, and retrain.  The robust
-learner's sigma_max is the closed form (1/sigma0_sq + 2 theta_y
-r_min)^(-1/2) at the candidate's smallest clipped density ratio r_min;
-the GP's is the max posterior std on the certification points.  Episode
-1 runs on the untrained base model, so its tube is driven purely by
-sigma0 and the loop starts conservative by construction.
+safety set, track the cheapest certified candidate and audit its
+flight, collect (state, residual) data along the actual rollout, and
+retrain.  `run_episode` returns the episode's record, audit included.
+The robust learner's sigma_max is the closed form (1/sigma0_sq + 2
+theta_y r_min)^(-1/2) at the candidate's smallest clipped density ratio
+r_min; the GP's is the max posterior std on the certification points.
+Episode 1 runs on the untrained base model, so its tube is driven purely
+by sigma0 and the loop starts conservative by construction.
 
 The learner is pluggable: the robust covariate-shift regressor or a GP
 baseline.  Both expose the same surface, and the densities each call
@@ -24,10 +25,10 @@ needs are passed in, not bound to the model:
 Scoring does each piece of work once, at the level where its inputs
 change.  The pool is fixed, so each candidate's grid, certification
 stride, target KDE and p_trg on its grid are computed once per experiment
-(`PoolCache`).  The source density changes only when the dataset grows:
-it is fit once for the retrain and reused by the next episode, where one
-p_src pass over all grids together gives every candidate's r_min and its
-w_hat screen value.
+and held with the candidates (`PoolCache`).  The source density changes
+only when the dataset grows: it is fit once for the retrain and reused by
+the next episode, where one p_src pass over all grids together gives
+every candidate's r_min and its w_hat screen value.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from . import robust_regression as rr
-from .bounds import Certification, certify_trajectory, eps_m_from_sigma, gamma
+from .bounds import certify_trajectory, eps_m_from_sigma, gamma
 from .controller import ControllerGains, Rollout, simulate_closed_loop, x0_on_trajectory
 from .core import (
     Dataset,
@@ -156,7 +157,8 @@ class ExperimentConfig:
     rates, the data and KDE caps and the W_MAX screen are module
     constants, as are the ratio clip `density_ratio.R_LO` / `R_HI`, since
     no workload varies them; the robust prior is N(0, sigma0_sq), with
-    zero mean like the GP's.  `horizon` must be a multiple of TRAJ_DT.
+    zero mean like the GP's.  `horizon` must be a multiple of TRAJ_DT,
+    1.5 C^2 horizon finite for each landing rate C, and `gamma()` positive and finite.
     Every robust fit warm-starts from the learner's current model, and an
     episode with no admissible candidate flies nothing.
     """
@@ -197,6 +199,15 @@ class ExperimentConfig:
             grid_steps(self.horizon, TRAJ_DT)
         except ValueError as exc:
             raise ConfigError(f"horizon: {exc}") from exc
+        if self.task == "landing":
+            c = max(self.candidates.rates)
+            if not math.isfinite(1.5 * c * c * self.horizon):
+                raise ConfigError(f"pool: descent rate {c} too large: 1.5 C^2 horizon overflows")
+        try:  # (1/lam)^2 or k m can overflow (gamma raises or is 0), and k m underflow to 0
+            if not 0.0 < self.gamma() < math.inf:
+                raise ArithmeticError
+        except ArithmeticError as exc:
+            raise ConfigError("gains: the tube gain gamma is not positive and finite") from exc
         if self.output_dim < 1:
             raise ConfigError("output_dim: must be >= 1")
         if self.model_kind not in MODEL_KINDS:
@@ -230,20 +241,24 @@ def default_config(task: str) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class PoolCache:
-    """Per-experiment scoring state of a fixed candidate pool.
+    """A fixed candidate pool and its per-experiment scoring state.
 
-    `grids` stacks every candidate's full (q, qdot) grid, candidate k's
-    from row `starts[k]`, with `p_trg` the density of its target KDE
+    `grids` stacks every candidate `trajs[k]`'s full (q, qdot) grid from
+    row `starts[k]`, with `p_trg` the density of its target KDE
     `trg_kdes[k]` on its own rows.  `cert_rows` stacks the rows each
     candidate certifies on, candidate k's from `cert_starts[k]`.
     """
 
+    trajs: tuple  # DesiredTrajectory per candidate
     grids: np.ndarray  # (sum of grid lengths, 2)
     starts: np.ndarray  # first row of each candidate in grids
     cert_rows: np.ndarray  # strided rows of grids, candidate by candidate
     cert_starts: np.ndarray  # first entry of each candidate in cert_rows
     trg_kdes: tuple  # KdeModel per candidate
     p_trg: np.ndarray  # (len(grids),)
+
+    def __len__(self) -> int:
+        return len(self.trajs)
 
     def episode_inputs(self, src_kde: Optional[KdeModel]):
         """(certification points, r_min, w_hat) per candidate, from one p_src pass.
@@ -270,6 +285,7 @@ def build_pool_cache(pool: list[DesiredTrajectory], config: ExperimentConfig) ->
     cert_idx = [np.append(np.arange(0, len(g) - 1, config.cert_stride), len(g) - 1) for g in grids]
     trg_kdes = tuple(kde_fit(subsample_rows(g, KDE_TRG_MAX)) for g in grids)
     return PoolCache(
+        trajs=tuple(pool),
         grids=np.concatenate(grids),
         starts=starts,
         cert_rows=np.concatenate([start + idx for start, idx in zip(starts, cert_idx)]),
@@ -402,21 +418,13 @@ def make_learner(config: ExperimentConfig, rng: np.random.Generator):
 
 
 @dataclass
-class EpisodeOutcome:
-    """What one episode chose and flew, and the data it collected.
+class EpisodeOutcome(EpisodeRecord):
+    """One episode's record, with the rollout it flew and that candidate's target KDE.
 
     An episode that flies nothing sets only `status`.
     """
 
-    status: str
-    chosen: Optional[DesiredTrajectory] = None
     rollout: Optional[Rollout] = None
-    new_data: Optional[Dataset] = None
-    sigma_max: float = math.nan
-    eps_m: float = math.nan
-    certification: Optional[Certification] = None
-    n_certified: int = 0
-    w_hat: float = math.nan
     trg_kde: Optional[KdeModel] = None
 
 
@@ -454,36 +462,24 @@ def _collect(config: ExperimentConfig, rollout: Rollout) -> Dataset:
 
 
 def run_episode(
-    pool: list[DesiredTrajectory],
+    pool: PoolCache,
     learner,
     src_kde: Optional[KdeModel],
     config: ExperimentConfig,
-    cache: PoolCache,
 ) -> EpisodeOutcome:
-    """One episode: score, certify, select, track, collect.
+    """One episode: score, certify, select, track, audit.
 
     src_kde is the KDE of all previously collected inputs; None means
     episode 1, where the source density is undefined and r = 1 everywhere.
-    cache is the pool's `build_pool_cache`.
     A candidate is admissible when its tube certificate passes AND its
     worst estimated density ratio against the data stays within W_MAX;
     the chosen candidate is the cost argmin of that admissible set.
-    Returns an outcome with status "ok", "touchdown" (landing reached the
-    ground, still a success), "no_safe_candidate", or "diverged".
+    Returns the episode's record, flight audit included, with status "ok",
+    "touchdown" (landing reached the ground, still a success),
+    "no_safe_candidate", or "diverged"; `run_experiment` numbers it and
+    fills in the retrain's fields.
     """
-    if not pool:
-        raise ValueError("empty candidate pool")
-    if len(cache.starts) != len(pool):
-        raise ValueError("cache was built for a different pool")
     gamma_val = config.gamma()
-
-    evals = []
-    inputs = cache.episode_inputs(src_kde)
-    for traj, trg_kde, (pts, r_min, w_hat_k) in zip(pool, cache.trg_kdes, inputs):
-        sigma_max = learner.eval_candidate(pts, r_min)
-        eps_m = eps_m_from_sigma(sigma_max, config.beta)
-        cert = certify_trajectory(traj, gamma_val, eps_m, config.safety)
-        evals.append((traj, trg_kde, sigma_max, eps_m, cert, w_hat_k))
 
     # admission requires both the tracking-tube certificate and a bounded
     # estimated density ratio: the learning guarantee underlying the tube
@@ -492,13 +488,20 @@ def run_episode(
     # however small its predicted variance looks.  This is also what keeps
     # exploration stepping outward gradually instead of leaping to the
     # most aggressive candidate the moment the fit tightens.
-    certified = [ev for ev in evals if ev[4].safe and ev[5] <= W_MAX]
-    if not certified:
-        return EpisodeOutcome(status="no_safe_candidate")
+    admitted = []
+    inputs = pool.episode_inputs(src_kde)
+    for k, (traj, (pts, r_min, w_hat)) in enumerate(zip(pool.trajs, inputs)):
+        sigma_max = learner.eval_candidate(pts, r_min)
+        eps_m = eps_m_from_sigma(sigma_max, config.beta)
+        cert = certify_trajectory(traj, gamma_val, eps_m, config.safety)
+        if cert.safe and w_hat <= W_MAX:
+            # the index breaks ties in pool order
+            admitted.append((_selection_key(traj), k, sigma_max, eps_m, cert.rho, w_hat))
+    if not admitted:
+        return EpisodeOutcome(episode=0, status="no_safe_candidate")
 
-    traj, trg_kde, sigma_max, eps_m, cert, w_hat = min(
-        certified, key=lambda ev: _selection_key(ev[0])
-    )
+    _, k, sigma_max, eps_m, rho, w_hat = min(admitted)
+    traj, trg_kde = pool.trajs[k], pool.trg_kdes[k]
     rollout = simulate_closed_loop(
         config.plant.mixed_model(),
         config.gains,
@@ -510,28 +513,35 @@ def run_episode(
         ground=config.rollout_ground(),
         d_hat_hold_steps=D_HAT_HOLD_STEPS,
     )
-    # a diverged flight collects nothing
     return EpisodeOutcome(
+        episode=0,  # numbered by run_experiment
         status=rollout.status,
-        chosen=traj,
-        rollout=rollout,
-        new_data=None if rollout.status == "diverged" else _collect(config, rollout),
+        params=dict(traj.params),
+        cost=traj.cost,
+        realized_cost=_realized_cost(config, rollout),
         sigma_max=sigma_max,
         eps_m=eps_m,
-        certification=cert,
-        n_certified=len(certified),
+        tube_radius=rho,
+        n_certified=len(admitted),
+        rms_tracking=rollout.rms_tracking(),
+        rms_residual_error=float(np.sqrt(np.mean(rollout.eps ** 2))),
         w_hat=w_hat,
+        violation=_audit(rollout, config.safety),
+        rollout=rollout,
         trg_kde=trg_kde,
     )
 
 
 @dataclass
 class ExperimentResult:
-    """Each episode's record and flown rollout (None if it flew nothing)."""
+    """Each episode's record, an `EpisodeOutcome` (its rollout is None if it flew nothing)."""
 
     config: ExperimentConfig
     records: list
-    rollouts: list
+
+    @property
+    def rollouts(self) -> list:
+        return [r.rollout for r in self.records]
 
     @property
     def violations(self) -> int:
@@ -561,43 +571,27 @@ def run_experiment(config: ExperimentConfig, learner=None) -> ExperimentResult:
     """
     if learner is None:
         learner = make_learner(config, np.random.default_rng(config.seed))
-    pool = config.pool()
-    cache = build_pool_cache(pool, config)
+    pool = build_pool_cache(config.pool(), config)
 
     dataset = Dataset.empty(config.output_dim)
     src_kde = None
-    records: list[EpisodeRecord] = []
-    rollouts: list[Optional[Rollout]] = []
+    records: list[EpisodeOutcome] = []
 
     for episode in range(1, config.episodes + 1):
-        out = run_episode(pool, learner, src_kde, config, cache=cache)
-        rec = EpisodeRecord(episode=episode, status=out.status)
-        rec.sigma_max = out.sigma_max
-        rec.eps_m = out.eps_m
-        rec.n_certified = out.n_certified
-        rec.w_hat = out.w_hat
+        rec = run_episode(pool, learner, src_kde, config)
+        rec.episode = episode
         rec.n_train = len(dataset)
-        if out.chosen is not None:
-            rec.params = dict(out.chosen.params)
-            rec.cost = out.chosen.cost
-            rec.tube_radius = out.certification.rho if out.certification else math.nan
-        if out.rollout is not None:
-            rec.rms_tracking = out.rollout.rms_tracking()
-            rec.violation = _audit(out.rollout, config.safety)
-            rec.realized_cost = _realized_cost(config, out.rollout)
-            rec.rms_residual_error = float(np.sqrt(np.mean(out.rollout.eps ** 2)))
-        rollouts.append(out.rollout)
-
-        if out.new_data is not None and len(out.new_data):
-            dataset = dataset.concat(out.new_data)
+        # a diverged flight collects nothing
+        if rec.status in ("ok", "touchdown"):
+            dataset = dataset.concat(_collect(config, rec.rollout))
             # training ratios: source = everything collected so far,
             # target = the trajectory just tracked; the next episode
             # scores against the same source KDE
             src_kde = kde_fit(subsample_rows(dataset.inputs, KDE_SRC_MAX))
             train_set = dataset.subsample(MAX_TRAIN_POINTS)
-            learner.retrain(train_set, src_kde, out.trg_kde)
+            learner.retrain(train_set, src_kde, rec.trg_kde)
             rec.n_train = len(train_set)
             rec.moment_residual = learner.moment_residual_max()
         records.append(rec)
 
-    return ExperimentResult(config=config, records=records, rollouts=rollouts)
+    return ExperimentResult(config=config, records=records)

@@ -242,6 +242,10 @@ def test_nested_field_must_be_object(key, value, tmp_path, capsys):
         ({"pool": {"amplitudes": []}}, "pool: amplitudes must not be empty"),
         ({"horizon": 1e308}, "horizon: too long for the grid step 0.01"),
         ({"task": "landing", "pool": {"rates": [1e160]}}, "pool: descent rate 1e+160 too large"),
+        ({"task": "landing", "pool": {"rates": [1e154]}}, "pool: descent rate 1e+154 too large"),
+        ({"gains": {"lam": 1e-155}}, "gains: the tube gain gamma is not positive"),
+        ({"gains": {"k": 1e-300}, "plant": {"m": 1e-100}}, "gains: the tube gain gamma is not"),
+        ({"gains": {"k": 1e300}, "plant": {"m": 1e10}}, "gains: the tube gain gamma is not"),
     ],
 )
 def test_malformed_field_value_names_field(extra, field_name, tmp_path, capsys):

@@ -75,9 +75,9 @@ def tube02_config():
 
 
 def episode_one(cfg, learner, pool=None):
-    """run_episode on cfg's pool (or `pool`) without data, with its cache."""
+    """run_episode on cfg's pool (or `pool`) without data."""
     pool = cfg.pool() if pool is None else pool
-    return run_episode(pool, learner, None, cfg, build_pool_cache(pool, cfg))
+    return run_episode(build_pool_cache(pool, cfg), learner, None, cfg)
 
 
 # -- config ---------------------------------------------------------------
@@ -146,11 +146,11 @@ def test_three_candidate_worked_example():
     stub = StubLearner({0.2: 0.1, 0.6: 0.5, 1.0: 4.0})
     out = episode_one(cfg, stub)
     assert out.status == "ok"
-    assert out.chosen.params["C"] == pytest.approx(0.6)
+    assert out.params["C"] == pytest.approx(0.6)
     assert out.n_certified == 2
     assert out.sigma_max == pytest.approx(0.5)
     assert out.eps_m == pytest.approx(0.5)
-    assert out.certification.rho == pytest.approx(0.1, rel=1e-12)
+    assert out.tube_radius == pytest.approx(0.1, rel=1e-12)
 
 
 def test_single_certified_candidate_is_chosen_despite_cheaper_rejects():
@@ -158,26 +158,26 @@ def test_single_certified_candidate_is_chosen_despite_cheaper_rejects():
     stub = StubLearner({0.2: 99.0, 0.6: 0.5, 1.0: 99.0})
     out = episode_one(cfg, stub)
     assert out.n_certified == 1
-    assert out.chosen.params["C"] == pytest.approx(0.6)
+    assert out.params["C"] == pytest.approx(0.6)
 
 
 def test_all_uncertified_yields_no_safe_candidate():
     cfg = tube02_config()
     out = episode_one(cfg, StubLearner(default=50.0))
     assert out.status == "no_safe_candidate"
-    assert out.chosen is None and out.rollout is None and out.new_data is None
+    assert out.params == {} and out.rollout is None and out.trg_kde is None
     assert out.n_certified == 0
-    assert math.isnan(out.sigma_max) and math.isnan(out.eps_m)
+    assert math.isnan(out.sigma_max) and math.isnan(out.eps_m) and math.isnan(out.tube_radius)
 
 
 def test_zero_sigma_certifies_everything_and_picks_cost_argmin():
     cfg = replace(default_config("pendulum"), horizon=2.0)
     out = episode_one(cfg, StubLearner(default=0.0))
     assert out.n_certified == 10
-    assert out.chosen.params["C"] == pytest.approx(1.0)
+    assert out.params["C"] == pytest.approx(1.0)
     # with sigma = 0 the budget is beta-invariant
     out_b = episode_one(replace(cfg, beta=7.0), StubLearner(default=0.0))
-    assert out_b.chosen.params["C"] == pytest.approx(1.0)
+    assert out_b.params["C"] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -202,7 +202,7 @@ def test_chosen_is_always_cheapest_certified(seed):
             certified,
             key=lambda t: (t.cost, t.params.get("h_g", 0.0), -t.params.get("C", 0.0)),
         )
-        assert out.chosen.params == expected.params
+        assert out.params == expected.params
         assert out.n_certified == len(certified)
 
 
@@ -210,19 +210,13 @@ def test_landing_tie_break_prefers_lower_hover():
     # two hover candidates, both cost inf: tie-break goes to the lower h_g
     cfg = replace(default_config("landing"), candidates=LandingPool((0.5,), (0.5, 0.3)))
     out = episode_one(cfg, StubLearner(default=0.0))
-    assert out.chosen.params["h_g"] == pytest.approx(0.3)
+    assert out.params["h_g"] == pytest.approx(0.3)
 
 
 def test_landing_tie_break_prefers_aggressive_rate():
     cfg = replace(default_config("landing"), candidates=LandingPool((0.3, 0.8), (0.2,)))
     out = episode_one(cfg, StubLearner(default=0.0))
-    assert out.chosen.params["C"] == pytest.approx(0.8)
-
-
-def test_empty_pool_rejected():
-    cfg = tube02_config()
-    with pytest.raises(ValueError):
-        run_episode([], StubLearner(), None, cfg, build_pool_cache(cfg.pool(), cfg))
+    assert out.params["C"] == pytest.approx(0.8)
 
 
 # -- episode 1 with the real learner ---------------------------------------
@@ -237,14 +231,38 @@ def test_episode_one_runs_on_base_model_uncertainty():
     # untrained model: sigma is the prior everywhere, ratios pinned to 1
     assert out.sigma_max == pytest.approx(math.sqrt(0.5), rel=1e-12)
     assert out.eps_m == pytest.approx(0.5 * math.sqrt(0.5), rel=1e-12)
-    assert out.certification.rho == pytest.approx(cfg.gamma() * out.eps_m, rel=1e-12)
+    assert out.tube_radius == pytest.approx(cfg.gamma() * out.eps_m, rel=1e-12)
     assert out.w_hat == 1.0
     # rho ~ 0.729 against the 1.5 box: amplitudes 0.1..0.7 certify
     assert out.n_certified == 7
-    assert out.chosen.params["C"] == pytest.approx(0.7)
+    assert out.params["C"] == pytest.approx(0.7)
     # 20 s horizon sampled at 50 Hz
-    assert len(out.new_data) == 1001
-    assert out.new_data.targets.shape == (1001, 1)
+    data = explore._collect(cfg, out.rollout)
+    assert len(data) == 1001
+    assert data.targets.shape == (1001, 1)
+
+
+class OverCompensating(StubLearner):
+    """A d_hat that overstates the residual lift, so the drone drops fast."""
+
+    def d_hat_fn(self, src_kde, trg_kde):
+        return lambda q, qdot: 5.0
+
+
+def test_flown_episode_records_its_own_audit():
+    cfg = replace(default_config("landing"), episodes=2, horizon=3.0)
+    out = episode_one(cfg, OverCompensating(default=0.0))
+    rollout = out.rollout
+    assert out.status == "touchdown" and out.violation
+    assert out.violation == explore._audit(rollout, cfg.safety)
+    assert out.realized_cost == explore._realized_cost(cfg, rollout) < math.inf
+    assert out.rms_tracking == rollout.rms_tracking()
+    assert out.rms_residual_error == float(np.sqrt(np.mean(rollout.eps ** 2))) > 0
+
+    result = run_experiment(cfg, learner=OverCompensating(default=0.0))
+    assert [r.episode for r in result.records] == [1, 2]
+    assert all(a is r.rollout for a, r in zip(result.rollouts, result.records))
+    assert result.rollouts[0] is not None
 
 
 # -- run_experiment bookkeeping --------------------------------------------
@@ -458,13 +476,6 @@ def test_robust_score_is_the_max_predicted_std_on_recorded_episodes(task, monkey
             r_mins.append(r_min)
     assert scored[-1][2].theta_y[0] > 0
     assert len(set(r_mins)) > 2
-
-
-def test_cache_for_another_pool_rejected():
-    cfg = tube02_config()
-    cache = build_pool_cache(cfg.pool()[:2], cfg)
-    with pytest.raises(ValueError, match="pool"):
-        run_episode(cfg.pool(), StubLearner(), None, cfg, cache=cache)
 
 
 def test_target_kdes_fit_once_per_experiment(monkeypatch):

@@ -1,10 +1,12 @@
 """Byte-for-byte guard for changes that must not move a float.
 
-Three short seed-0 runs, 3 episodes each, of pendulum, landing and landing
-with the RBF GP must reproduce the `episodes.csv` and `summary.json`
-committed under tests/golden/.  Landing's episode 3 is a knife-edge
-violation, so a one-ulp drift upstream shows as a changed value or
-decision.
+Four short seed-0 runs, 3 episodes each, of pendulum, landing, and landing
+with the RBF and the Matern GP must reproduce every output file committed
+under tests/golden/: `episodes.csv`, `summary.json` and `manifest.json`
+byte for byte, and `trajectories.csv` (about 400 KB for the pendulum) by
+its SHA-256 digest in `trajectories.csv.sha256`.  Landing's episode 3 is
+a knife-edge violation, so a one-ulp drift upstream shows as a changed
+value or decision.
 
 The files hold only under the conditions they were made in: the same
 numpy and BLAS build, and 1 BLAS thread, which the child interpreters
@@ -18,6 +20,7 @@ and gives the reason in CHANGES.md.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -28,15 +31,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
-FILES = ("episodes.csv", "summary.json")
+FILES = ("episodes.csv", "summary.json", "manifest.json")
+# compared by the SHA-256 digest kept in <file>.sha256
+DIGESTED = ("trajectories.csv",)
 # run name -> (task, extra CLI arguments)
 RUNS = {
     "pendulum": ("pendulum", []),
     "landing": ("landing", []),
     "landing_gp_rbf": ("landing", ["--model", "gp_rbf"]),
+    "landing_gp_matern": ("landing", ["--model", "gp_matern"]),
 }
 # two child interpreters run concurrently, each making its runs in turn
-CHILDREN = (("pendulum",), ("landing", "landing_gp_rbf"))
+CHILDREN = (("pendulum", "landing_gp_matern"), ("landing", "landing_gp_rbf"))
 ONE_BLAS_THREAD = {
     name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 }
@@ -72,6 +78,10 @@ def _run_all(out_root: Path) -> None:
             child.kill()
 
 
+def _digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest() + "\n"
+
+
 def test_seed0_runs_match_the_committed_outputs(tmp_path):
     _run_all(tmp_path)
     changed = [
@@ -79,6 +89,11 @@ def test_seed0_runs_match_the_committed_outputs(tmp_path):
         for name in RUNS
         for file in FILES
         if (tmp_path / name / file).read_bytes() != (GOLDEN / name / file).read_bytes()
+    ] + [
+        f"{name}/{file}"
+        for name in RUNS
+        for file in DIGESTED
+        if _digest(tmp_path / name / file) != (GOLDEN / name / f"{file}.sha256").read_text()
     ]
     assert changed == []
 
@@ -90,3 +105,5 @@ if __name__ == "__main__":
             (GOLDEN / name).mkdir(parents=True, exist_ok=True)
             for file in FILES:
                 shutil.copyfile(Path(tmp) / name / file, GOLDEN / name / file)
+            for file in DIGESTED:
+                (GOLDEN / name / f"{file}.sha256").write_text(_digest(Path(tmp) / name / file))
