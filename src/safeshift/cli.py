@@ -51,6 +51,7 @@ from .explore import (
     default_config,
     run_experiment,
 )
+from .gp_baseline import HyperparameterError
 from .robust_regression import TrainingDiverged
 
 __all__ = ["main", "config_from_dict", "config_to_dict", "run_cmd", "compare_cmd"]
@@ -269,7 +270,7 @@ def run_cmd(args) -> int:
 
     try:
         result = run_experiment(config)
-    except (SimulationDiverged, TrainingDiverged) as exc:
+    except (SimulationDiverged, TrainingDiverged, HyperparameterError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
 
@@ -328,6 +329,9 @@ def _load_run(base: Path):
     missing = sorted({"cost", "violation"} - set(reader.fieldnames or ()))
     if missing:
         raise ValueError(f"invalid episodes in {episodes_path}: no column(s) {missing}")
+    # DictReader keys a long row's extra cells by None and fills a short row's with None
+    if any(None in row or None in row.values() for row in episodes):
+        raise ValueError(f"invalid episodes in {episodes_path}: row width differs from header")
     return base, summary, episodes
 
 

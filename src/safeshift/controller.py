@@ -111,9 +111,7 @@ class Rollout:
         return float(self.states[-1, 1]) if self.status == "touchdown" else None
 
     def rms_tracking(self) -> float:
-        """RMS of the tracking-error norm ||x_tilde|| over the rollout."""
-        if len(self.times) == 0:
-            return math.nan
+        """RMS of the tracking-error norm ||x_tilde|| over the rollout (never empty)."""
         sq = self.x_tilde
         sq *= sq
         return float(np.sqrt(np.mean(sq[:, 0] + sq[:, 1])))
@@ -128,7 +126,7 @@ def simulate_closed_loop(
     model: MixedModelParams,
     gains: ControllerGains,
     d_hat_fn: Callable[[float, float], float],
-    residual_fn: Callable[[float, float, float], float],
+    residual_fn: Callable[[float, float], float],
     traj: DesiredTrajectory,
     dt: float,
     x0,
@@ -139,8 +137,7 @@ def simulate_closed_loop(
     """Track `traj` in closed loop against the true residual dynamics.
 
     d_hat_fn(q, qdot) is the learned compensation queried at the actual
-    state; residual_fn(t, q, qdot) is the plant's residual (time
-    dependence supports injected-disturbance studies).  The control is
+    state; residual_fn(q, qdot) is the plant's residual.  The control is
     recomputed every integrator step and held across the RK4 substeps;
     d_hat itself is refreshed every d_hat_hold_steps steps and held in
     between, which leaves the feedback terms untouched.
@@ -175,7 +172,7 @@ def simulate_closed_loop(
     accel = model.accel
 
     def deriv(t, q, qdot, u):
-        return accel(q, qdot, u, residual_fn(t, q, qdot))
+        return accel(q, qdot, u, residual_fn(q, qdot))
 
     status = "ok"
     clamp_count = 0
@@ -203,7 +200,7 @@ def simulate_closed_loop(
         states[i, 1] = qdot
         desired[i, 0] = q_g
         desired[i, 1] = qdot_g
-        d = residual_fn(t, q, qdot)
+        d = residual_fn(q, qdot)
         eps[i] = d - d_hat
         n_rec = i + 1
         if contact or i == n_steps:

@@ -24,6 +24,7 @@ __all__ = [
     "Dataset",
     "EpisodeRecord",
     "CONTACT_TOL",
+    "LANDING_START",
     "contact_time",
     "desired_values",
     "grid_steps",
@@ -38,6 +39,8 @@ __all__ = [
 
 # a landing altitude within CONTACT_TOL of the ground has reached it
 CONTACT_TOL = 0.01
+# the altitude every landing candidate descends from
+LANDING_START = 1.5
 
 
 def contact_time(times: np.ndarray, q: np.ndarray, ground: float) -> float:
@@ -57,7 +60,7 @@ def desired_values(task: str, params: dict, t):
     Tasks:
       "pendulum": q_g = C sin t, a swing of amplitude C.
       "landing":  q_g = (1.5 - h_g) exp(-C t)(1 + C t) + h_g, a critically
-                  damped descent from altitude 1.5 to hover altitude h_g.
+                  damped descent from LANDING_START = 1.5 to hover altitude h_g.
     """
     lib = math if isinstance(t, (int, float)) else np
     if task == "pendulum":
@@ -67,7 +70,7 @@ def desired_values(task: str, params: dict, t):
     if task == "landing":
         c = params["C"]
         h_g = params["h_g"]
-        a = 1.5 - h_g
+        a = LANDING_START - h_g
         e = lib.exp(-c * t)
         return (
             a * e * (1.0 + c * t) + h_g,
@@ -224,8 +227,8 @@ class LandingPool:
             if not c > 0:
                 raise ValueError(f"descent rate {c} must be positive")
         for h_g in self.hovers:
-            if not 0.0 <= h_g < 1.5:
-                raise ValueError(f"hover altitude {h_g} outside [0, 1.5)")
+            if not 0.0 <= h_g < LANDING_START:
+                raise ValueError(f"hover altitude {h_g} outside [0, {LANDING_START})")
 
 
 def pendulum_pool(amplitudes, dt: float, horizon: float) -> list[DesiredTrajectory]:

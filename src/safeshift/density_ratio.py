@@ -13,7 +13,8 @@ on cached densities: p_trg once per experiment on every candidate grid,
 p_src once per episode on all grids together.  That one p_src pass gives
 every candidate's r_min (its smallest clipped ratio, which is all the
 robust certificate reads) and its w_hat, each in one segmented reduction
-over the stacked grids.
+over the stacked grids.  The controller reads one state at a time
+through `point_ratio`, the other kernel sum.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "max_ratio_on_traj",
     "clipped_ratio",
     "max_ratio",
+    "point_ratio",
     "DENSITY_FLOOR",
     "SIGMA_FLOOR",
     "R_LO",
@@ -120,6 +122,26 @@ def clipped_ratio(p_src, p_trg) -> np.ndarray:
     """p_src / max(p_trg, DENSITY_FLOOR) clipped into [R_LO, R_HI]."""
     p_t = np.maximum(p_trg, DENSITY_FLOOR)
     return np.clip(np.asarray(p_src, dtype=float) / p_t, R_LO, R_HI)
+
+
+def point_ratio(src: KdeModel, trg: KdeModel):
+    """Single-point clipped density ratio ratio(q, qdot), tuned for the rollout hot path.
+
+    Sums the kernels directly where `kde_density` expands the squared
+    distance for one BLAS product; the two differ in the last bits.
+    """
+    sx, sh, s_norm = src.samples, src.bandwidth, src.norm
+    tx, th, t_norm = trg.samples, trg.bandwidth, trg.norm
+
+    def ratio(q: float, qdot: float) -> float:
+        zs = (np.array((q, qdot)) - sx) / sh
+        p_s = float(np.exp(-0.5 * (zs * zs).sum(axis=1)).sum()) / s_norm
+        zt = (np.array((q, qdot)) - tx) / th
+        p_t = float(np.exp(-0.5 * (zt * zt).sum(axis=1)).sum()) / t_norm
+        r = p_s / max(p_t, DENSITY_FLOOR)
+        return R_LO if r < R_LO else (R_HI if r > R_HI else r)
+
+    return ratio
 
 
 def max_ratio(p_trg, p_src, starts) -> np.ndarray:

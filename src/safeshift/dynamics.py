@@ -79,15 +79,15 @@ class PendulumParams:
             accel=lambda q, qdot, u, d: (u + d + mgl * math.sin(q)) / ml2,
         )
 
-    def residual_fn(self) -> Callable[[float, float, float], float]:
-        """Quadratic drag torque on the bob in a horizontal wind, as d(t, q, qdot).
+    def residual_fn(self) -> Callable[[float, float], float]:
+        """Quadratic drag torque on the bob in a horizontal wind, as d(q, qdot).
 
         The relative air speed is the tip speed l*qdot minus the wind
         speed; drag opposes it with magnitude c_d * speed^2 acting at arm l.
         """
         cdl, l, v_w = self.c_d * self.l, self.l, self.v_w
 
-        def fn(t: float, q: float, qdot: float) -> float:
+        def fn(q: float, qdot: float) -> float:
             rel = l * qdot - v_w
             return -cdl * rel * abs(rel)
 
@@ -118,8 +118,8 @@ class DroneParams:
             force_input=True,
         )
 
-    def residual_fn(self) -> Callable[[float, float, float], float]:
-        """Ground effect as d(t, q, qdot): altitude-decaying lift plus damping.
+    def residual_fn(self) -> Callable[[float, float], float]:
+        """Ground effect as d(q, qdot): altitude-decaying lift plus damping.
 
         The altitude is clamped below at altitude_floor so the exponential
         stays bounded if the simulator momentarily pushes the drone
@@ -127,7 +127,7 @@ class DroneParams:
         """
         ge_a, ge_b, ge_c, floor = self.ge_a, self.ge_b, self.ge_c, self.altitude_floor
 
-        def fn(t: float, q: float, qdot: float) -> float:
+        def fn(q: float, qdot: float) -> float:
             return (ge_a - ge_c * qdot) * math.exp(-ge_b * (q if q > floor else floor))
 
         return fn

@@ -13,8 +13,10 @@ Episode 1 runs on the untrained base model, so its tube is driven purely
 by sigma0 and the loop starts conservative by construction.
 
 The learner is pluggable: the robust covariate-shift regressor or a GP
-baseline.  Both expose the same surface, and the densities each call
-needs are passed in, not bound to the model:
+baseline.  Each is a thin adapter over the formulas its model's module
+owns (`robust_regression.std_at` and `mean_fn`, `gp_baseline.gp_mean_fn`,
+`density_ratio.point_ratio`).  Both expose the same surface, and the
+densities each call needs are passed in, not bound to the model:
 
   eval_candidate(pts, r_min)         max predictive std on the candidate's
                                      certification points pts (ratios >= r_min)
@@ -43,6 +45,8 @@ from . import robust_regression as rr
 from .bounds import certify_trajectory, eps_m_from_sigma, gamma
 from .controller import ControllerGains, Rollout, simulate_closed_loop, x0_on_trajectory
 from .core import (
+    CONTACT_TOL,
+    LANDING_START,
     Dataset,
     DesiredTrajectory,
     EpisodeRecord,
@@ -58,18 +62,9 @@ from .core import (
     safety_contains,
     subsample_rows,
 )
-from .density_ratio import (
-    DENSITY_FLOOR,
-    R_HI,
-    R_LO,
-    KdeModel,
-    clipped_ratio,
-    kde_density,
-    kde_fit,
-    max_ratio,
-)
+from .density_ratio import KdeModel, clipped_ratio, kde_density, kde_fit, max_ratio, point_ratio
 from .dynamics import DroneParams, PendulumParams
-from .gp_baseline import GpHyper, GpModel, gp_fit, gp_predict, kernel_matrix
+from .gp_baseline import GpHyper, GpModel, gp_fit, gp_mean_fn, gp_predict
 
 __all__ = [
     "ConfigError",
@@ -158,7 +153,8 @@ class ExperimentConfig:
     constants, as are the ratio clip `density_ratio.R_LO` / `R_HI`, since
     no workload varies them; the robust prior is N(0, sigma0_sq), with
     zero mean like the GP's.  `horizon` must be a multiple of TRAJ_DT,
-    1.5 C^2 horizon finite for each landing rate C, and `gamma()` positive and finite.
+    1.5 C^2 horizon finite for each landing rate C, the landing ground below
+    LANDING_START - CONTACT_TOL (the start is not landed), and `gamma()` positive and finite.
     Every robust fit warm-starts from the learner's current model, and an
     episode with no admissible candidate flies nothing.
     """
@@ -200,8 +196,10 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"horizon: {exc}") from exc
         if self.task == "landing":
+            if not self.safety.ground + CONTACT_TOL < LANDING_START:
+                raise ConfigError(f"safety: ground must lie below {LANDING_START - CONTACT_TOL}")
             c = max(self.candidates.rates)
-            if not math.isfinite(1.5 * c * c * self.horizon):
+            if not math.isfinite(LANDING_START * c * c * self.horizon):
                 raise ConfigError(f"pool: descent rate {c} too large: 1.5 C^2 horizon overflows")
         try:  # (1/lam)^2 or k m can overflow (gamma raises or is 0), and k m underflow to 0
             if not 0.0 < self.gamma() < math.inf:
@@ -227,9 +225,6 @@ class ExperimentConfig:
     def gamma(self) -> float:
         """The tube gain `bounds.gamma` of this plant and these gains."""
         return gamma(self.plant.mixed_model().inertia, self.gains.k, self.gains.lam)
-
-    def rollout_ground(self) -> Optional[float]:
-        return self.safety.ground if self.task == "landing" else None
 
 
 def default_config(task: str) -> ExperimentConfig:
@@ -295,28 +290,8 @@ def build_pool_cache(pool: list[DesiredTrajectory], config: ExperimentConfig) ->
     )
 
 
-def _fast_ratio_point(src: KdeModel, trg: KdeModel):
-    """Single-point clipped density ratio, tuned for the rollout hot path.
-
-    Sums the kernels directly where `kde_density` expands the squared
-    distance for one BLAS product; the two differ in the last bits.
-    """
-    sx, sh, s_norm = src.samples, src.bandwidth, src.norm
-    tx, th, t_norm = trg.samples, trg.bandwidth, trg.norm
-
-    def ratio(q: float, qdot: float) -> float:
-        zs = (np.array((q, qdot)) - sx) / sh
-        p_s = float(np.exp(-0.5 * (zs * zs).sum(axis=1)).sum()) / s_norm
-        zt = (np.array((q, qdot)) - tx) / th
-        p_t = float(np.exp(-0.5 * (zt * zt).sum(axis=1)).sum()) / t_norm
-        r = p_s / max(p_t, DENSITY_FLOOR)
-        return R_LO if r < R_LO else (R_HI if r > R_HI else r)
-
-    return ratio
-
-
 class RobustLearner:
-    """Covariate-shift robust regressor wired into the episode loop."""
+    """Covariate-shift robust regressor: an adapter over `rr.std_at`, `rr.mean_fn` and `rr.fit`."""
 
     def __init__(self, config: ExperimentConfig, rng: np.random.Generator):
         self.cfg = config
@@ -329,36 +304,13 @@ class RobustLearner:
         )
 
     def eval_candidate(self, pts, r_min):
-        """Max predictive std of dimension 0 on pts: the std at their smallest ratio.
-
-        Exact: sigma_sq and each rounded step of the predictive form fall as r grows.
-        """
-        var = rr._predictive(self.model, np.array([r_min]), self.model.theta_y)[1]
-        return float(np.sqrt(var[0, 0]))
+        """Max predictive std of dimension 0 on pts: `rr.std_at` their smallest ratio."""
+        return rr.std_at(self.model, r_min)
 
     def d_hat_fn(self, src_kde, trg_kde):
-        """Predicted mean of dimension 0 at one state; r = 1 without KDEs.
-
-        The same value as `rr.predict` with `density_ratio`, but rounded
-        differently in the last bit (see `_fast_ratio_point`): routing the
-        closure through them changes landing decisions at seed 0.
-        """
-        m = self.model
-        head = m.theta_phi[0]
-        theta_y0 = float(m.theta_y[0])
-        inv_s0 = 1.0 / m.sigma0_sq
-        ratio = (
-            _fast_ratio_point(src_kde, trg_kde)
-            if (src_kde is not None and trg_kde is not None)
-            else None
-        )
-
-        def d_hat(q: float, qdot: float) -> float:
-            r = 1.0 if ratio is None else ratio(q, qdot)
-            a = float(m.net.forward(np.array((q, qdot))) @ head)
-            return r * a / (inv_s0 + 2.0 * r * theta_y0)
-
-        return d_hat
+        """`rr.mean_fn` at the `point_ratio` of the KDEs; r = 1 without them."""
+        both = src_kde is not None and trg_kde is not None
+        return rr.mean_fn(self.model, point_ratio(src_kde, trg_kde) if both else None)
 
     def retrain(self, dataset: Dataset, src_kde, trg_kde):
         train = self.cfg.train
@@ -370,13 +322,12 @@ class RobustLearner:
         self.fits += 1
 
     def moment_residual_max(self) -> float:
-        if self.model.moment_residuals is None:
-            return math.nan
+        """Largest |moment residual| of the last fit; called after `retrain`."""
         return float(np.max(np.abs(self.model.moment_residuals)))
 
 
 class GpLearner:
-    """Exact-GP drop-in with the same episode-loop surface."""
+    """Exact-GP drop-in: an adapter over `gp_predict`, `gp_mean_fn` and `gp_fit`."""
 
     def __init__(self, config: ExperimentConfig, kernel: str):
         self.cfg = config
@@ -390,18 +341,8 @@ class GpLearner:
         return float(np.sqrt(np.max(var)))
 
     def d_hat_fn(self, src_kde, trg_kde):
-        """Posterior mean of dimension 0 at one state; 0 before any data."""
-        if self.model is None:
-            return lambda q, qdot: 0.0
-        m = self.model
-        h = m.hyper
-        alpha0 = np.ascontiguousarray(m.alpha[:, 0])
-
-        def d_hat(q: float, qdot: float) -> float:
-            k_star = kernel_matrix(m.kernel, m.x_train, ((q, qdot),), h.sigma_f_sq, h.ell)
-            return float(k_star[:, 0] @ alpha0)
-
-        return d_hat
+        """`gp_mean_fn` of the model; 0 before any data."""
+        return (lambda q, qdot: 0.0) if self.model is None else gp_mean_fn(self.model)
 
     def retrain(self, dataset: Dataset, src_kde, trg_kde):
         self.model = None  # release the old n x n factor before fitting
@@ -452,13 +393,11 @@ def _realized_cost(config: ExperimentConfig, rollout: Rollout) -> float:
 
 
 def _collect(config: ExperimentConfig, rollout: Rollout) -> Dataset:
-    idx = np.arange(0, len(rollout.times), SAMPLE_STRIDE)
-    states = rollout.states[idx]
+    states = rollout.states[::SAMPLE_STRIDE]
     res = config.plant.residual_fn()
-    targets = np.zeros((len(idx), config.output_dim))
-    for row, (t_i, (q, qdot)) in enumerate(zip(rollout.times[idx], states)):
-        targets[row, 0] = res(float(t_i), float(q), float(qdot))
-    return Dataset(states.copy(), targets)
+    targets = np.zeros((len(states), config.output_dim))
+    targets[:, 0] = [res(q, qdot) for q, qdot in states.tolist()]
+    return Dataset(states, targets)
 
 
 def run_episode(
@@ -510,7 +449,7 @@ def run_episode(
         traj,
         SIM_DT,
         x0_on_trajectory(traj),
-        ground=config.rollout_ground(),
+        ground=config.safety.ground if config.task == "landing" else None,
         d_hat_hold_steps=D_HAT_HOLD_STEPS,
     )
     return EpisodeOutcome(

@@ -27,6 +27,7 @@ __all__ = [
     "kernel_matrix",
     "gp_fit",
     "gp_predict",
+    "gp_mean_fn",
 ]
 
 MAX_JITTER = 1e-6
@@ -43,7 +44,7 @@ KERNELS = ("rbf", "matern52")
 
 
 class HyperparameterError(ValueError):
-    """Kernel matrix could not be factored even with maximum jitter."""
+    """Kernel matrix is not finite, or not factorizable even with maximum jitter."""
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,8 @@ def gp_fit(inputs, targets, hyper: GpHyper = GpHyper(), kernel: str = "rbf") -> 
     alpha = L^-T (L^-1 y).  The model keeps L^-1 instead of the factor L,
     so each prediction's variance is a product with the lower triangle of
     L^-1 instead of a triangular solve.  `kernel` (one of KERNELS) is kept
-    on the model, so `gp_predict` uses the same one.
+    on the model, so `gp_predict` uses the same one.  HyperparameterError:
+    the kernel matrix is not finite or not factorizable.
     """
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.asarray(targets, dtype=float)
@@ -162,7 +164,10 @@ def gp_fit(inputs, targets, hyper: GpHyper = GpHyper(), kernel: str = "rbf") -> 
         raise ValueError("need at least one training point")
     if len(y) != len(x):
         raise ValueError("inputs/targets length mismatch")
-    k = kernel_matrix(kernel, x, x, hyper.sigma_f_sq, hyper.ell)
+    with np.errstate(all="ignore"):  # a non-finite entry is reported below
+        k = kernel_matrix(kernel, x, x, hyper.sigma_f_sq, hyper.ell)
+    if not np.isfinite(k).all():
+        raise HyperparameterError(f"{kernel} kernel matrix not finite at ell {hyper.ell}")
     k[np.diag_indices_from(k)] += hyper.sigma_n_sq
     jitter = 0.0
     while True:
@@ -204,3 +209,15 @@ def gp_predict(model: GpModel, x):
         np.multiply(rows, rows, out=rows)
         sq += rows.sum(axis=0)
     return mu, np.maximum(h.sigma_f_sq - sq, 0.0)
+
+
+def gp_mean_fn(model: GpModel):
+    """The posterior mean of dimension 0 as a function of one state (q, qdot)."""
+    h = model.hyper
+    alpha0 = np.ascontiguousarray(model.alpha[:, 0])
+
+    def mean(q: float, qdot: float) -> float:
+        k_star = kernel_matrix(model.kernel, model.x_train, ((q, qdot),), h.sigma_f_sq, h.ell)
+        return float(k_star[:, 0] @ alpha0)
+
+    return mean

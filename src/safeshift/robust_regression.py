@@ -42,6 +42,8 @@ __all__ = [
     "spectral_normalize",
     "initial_model",
     "predict",
+    "mean_fn",
+    "std_at",
     "fit",
     "lipschitz_bound",
 ]
@@ -224,16 +226,6 @@ def initial_model(
     )
 
 
-def _precision(model: RobustModel, r: np.ndarray, theta_y: np.ndarray, out=None) -> np.ndarray:
-    """1/sigma_sq = 1/sigma0_sq + 2 r theta_y, (n, d_out) from r (n,), theta_y (d_out,).
-
-    Written into `out`, an (n, d_out) buffer, when one is given.
-    """
-    out = np.multiply(2.0 * r[:, None], theta_y[None, :], out=out)
-    out += 1.0 / model.sigma0_sq
-    return out
-
-
 def _predictive(model: RobustModel, r: np.ndarray, theta_y: np.ndarray, a=None, out=None):
     """The predictive form at ratios r (n,) and precision tilts theta_y (d_out,).
 
@@ -245,7 +237,8 @@ def _predictive(model: RobustModel, r: np.ndarray, theta_y: np.ndarray, a=None, 
     an optional (mu, sigma_sq) pair of (n, d_out) buffers to write into.
     """
     mu, var = (None, None) if out is None else out
-    var = _precision(model, r, theta_y, out=var)
+    var = np.multiply(2.0 * r[:, None], theta_y[None, :], out=var)
+    var += 1.0 / model.sigma0_sq
     np.divide(1.0, var, out=var)
     if a is None:
         return None, var
@@ -266,6 +259,34 @@ def predict(model: RobustModel, x, ratios=None):
         raise ValueError("ratios must be one per query")
     a = model.net.forward(pts) @ model.theta_phi.T
     return _predictive(model, r, model.theta_y, a)
+
+
+def _mean(r, a, theta_y, sigma0_sq):
+    """The predictive mean r a / (2 r theta_y + 1/sigma0_sq), on floats or broadcast arrays.
+
+    Rounded as mu over the precision, not as `_predictive`'s sigma_sq times
+    r a: the two differ in the last bit, and landing decisions amplify that.
+    """
+    return r * a / (2.0 * r * theta_y + 1.0 / sigma0_sq)
+
+
+def mean_fn(model: RobustModel, ratio):
+    """`_mean` of dimension 0 at one state, mean(q, qdot), at the density ratio
+    ratio(q, qdot) there (`density_ratio.point_ratio`); None means r = 1."""
+    forward, head = model.net.forward, model.theta_phi[0]
+    theta_y0, sigma0_sq = float(model.theta_y[0]), model.sigma0_sq
+
+    def mean(q: float, qdot: float) -> float:
+        r = 1.0 if ratio is None else ratio(q, qdot)
+        return _mean(r, float(forward(np.array((q, qdot))) @ head), theta_y0, sigma0_sq)
+
+    return mean
+
+
+def std_at(model: RobustModel, r: float) -> float:
+    """Predictive std of dimension 0 at ratio r: exactly the largest std on points whose
+    smallest ratio is r, since sigma_sq and each rounded step of `_predictive` fall as r grows."""
+    return float(np.sqrt(_predictive(model, np.array([r]), model.theta_y)[1][0, 0]))
 
 
 def _flat_buffer(net: FeatureNet, d_out: int):
@@ -579,11 +600,7 @@ def _polish_theta_y(model, x, y, r, fixed_mu=True):
     theta_y = model.theta_y.copy()
     ones = np.ones_like(r)
     if fixed_mu:
-        # mu divided by the precision, not sigma_sq times the numerator as
-        # in _predictive: the two round differently in the last bit, and
-        # the landing fit amplifies that into other decisions
-        a = model.net.forward(x) @ model.theta_phi.T
-        mu = r[:, None] * a / _precision(model, r, theta_y)
+        mu = _mean(r[:, None], model.net.forward(x) @ model.theta_phi.T, theta_y, model.sigma0_sq)
         gap = y * y - mu * mu
     converged = True
     for d in range(len(theta_y)):

@@ -7,9 +7,11 @@ import dataclasses
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from safeshift import cli
@@ -246,6 +248,9 @@ def test_nested_field_must_be_object(key, value, tmp_path, capsys):
         ({"gains": {"lam": 1e-155}}, "gains: the tube gain gamma is not positive"),
         ({"gains": {"k": 1e-300}, "plant": {"m": 1e-100}}, "gains: the tube gain gamma is not"),
         ({"gains": {"k": 1e300}, "plant": {"m": 1e10}}, "gains: the tube gain gamma is not"),
+        # the start altitude has already reached such a ground
+        ({"task": "landing", "pool": {"rates": [1.0]}, "safety": {"ground": 5.0}}, "safety: ground"),
+        ({"task": "landing", "pool": {"rates": [1.0]}, "safety": {"ground": 1.495}}, "safety: ground"),
     ],
 )
 def test_malformed_field_value_names_field(extra, field_name, tmp_path, capsys):
@@ -317,6 +322,35 @@ def test_flight_that_blows_up_within_a_step_ends_diverged(tmp_path, capsys):
     with open(out / "episodes.csv", newline="") as fh:
         assert [row["status"] for row in csv.DictReader(fh)] == ["diverged"]
     assert json.loads((out / "summary.json").read_text())["diverged"] == 1
+
+
+def test_landing_ground_just_below_the_start_runs(tmp_path):
+    payload = {"task": "landing", "episodes": 1, "horizon": 2.0, "safety": {"ground": 1.48}}
+    cfg = write_config(tmp_path / "cfg.json", {**payload, "pool": {"rates": [1.0]}})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+def _assert_one_runtime_failure_line(payload, tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would be a second line
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--model", "gp_rbf"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("runtime failure: ") and err.count("\n") == 1
+
+
+def test_non_finite_gp_kernel_is_a_runtime_failure(tmp_path, capsys):
+    # 2 ell^2 underflows to 0, so the kernel matrix is NaN on its diagonal
+    _assert_one_runtime_failure_line({**SMALL_PENDULUM, "gp": {"ell": 1e-170}}, tmp_path, capsys)
+
+
+def test_unfactorizable_gp_kernel_is_a_runtime_failure(tmp_path, capsys, monkeypatch):
+    def never(a):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", never)
+    _assert_one_runtime_failure_line(SMALL_PENDULUM, tmp_path, capsys)
 
 
 def test_model_override_flag(tmp_path):
@@ -436,8 +470,17 @@ def test_compare_model_or_task_not_a_string(key, value, small_runs, tmp_path, ca
         ("summary.json", b"[" * 100_000 + b"]" * 100_000, "invalid JSON"),
         ("episodes.csv", b"cost,violation\n\xff,0\n", "invalid episodes"),
         ("episodes.csv", b"cost,violation\n" + b"9" * 200_000 + b",0\n", "invalid episodes"),
+        ("episodes.csv", b"episode,cost,violation\n1,0.5\n", "invalid episodes"),
+        ("episodes.csv", b"episode,cost,violation\n1,0.5,0,7\n", "invalid episodes"),
     ],
-    ids=["summary-not-utf8", "summary-too-deep", "episodes-not-utf8", "episodes-huge-field"],
+    ids=[
+        "summary-not-utf8",
+        "summary-too-deep",
+        "episodes-not-utf8",
+        "episodes-huge-field",
+        "episodes-short-row",
+        "episodes-long-row",
+    ],
 )
 def test_compare_undecodable_run_file(name, text, problem, small_runs, tmp_path, capsys):
     bad = tmp_path / "bad"

@@ -70,7 +70,7 @@ def test_rollout_records_tracking_error_and_composite_variable():
         DroneParams().mixed_model(),
         ControllerGains(3.2, lam),
         ZERO,
-        lambda t, q, qdot: -0.5,
+        lambda q, qdot: -0.5,
         traj,
         0.001,
         x0_on_trajectory(traj),
@@ -123,7 +123,7 @@ def test_perfect_model_keeps_s_near_zero():
         return simulate_closed_loop(
             p.mixed_model(),
             ControllerGains(10.0, 5.0),
-            lambda q, qdot: res(0.0, q, qdot),
+            res,
             res,
             traj,
             dt,
@@ -145,7 +145,7 @@ def test_nominal_loop_tracks_tightly_without_residual():
         PendulumParams(c_d=0.0).mixed_model(),
         ControllerGains(10.0, 5.0),
         ZERO,
-        lambda t, q, qdot: 0.0,
+        lambda q, qdot: 0.0,
         traj,
         0.001,
         x0_on_trajectory(traj),
@@ -160,7 +160,7 @@ def test_s_norm_decays_monotonically_after_transient():
         PendulumParams(c_d=0.0).mixed_model(),
         ControllerGains(10.0, 5.0),
         ZERO,
-        lambda t, q, qdot: 0.0,
+        lambda q, qdot: 0.0,
         traj,
         0.001,
         (0.3, 0.0),
@@ -183,7 +183,7 @@ def test_disturbed_rollout_respects_time_envelope():
         PendulumParams(c_d=0.0).mixed_model(),
         ControllerGains(k, lam),
         ZERO,
-        lambda t, q, qdot: eps_m * math.sin(3.0 * t),
+        lambda q, qdot: eps_m * math.sin(3.0 * q),
         traj,
         0.001,
         (0.4, 0.3),
@@ -201,7 +201,7 @@ def test_dt_must_divide_trajectory_grid():
             PendulumParams().mixed_model(),
             ControllerGains(10.0, 5.0),
             ZERO,
-            lambda t, q, qdot: 0.0,
+            lambda q, qdot: 0.0,
             traj,
             0.003,
             x0_on_trajectory(traj),
@@ -216,7 +216,7 @@ def test_touchdown_truncates_landing_rollout():
         DroneParams().mixed_model(),
         ControllerGains(3.2, 2.0),
         ZERO,
-        lambda t, q, qdot: -0.5,
+        lambda q, qdot: -0.5,
         traj,
         0.001,
         x0_on_trajectory(traj),
@@ -237,7 +237,7 @@ def test_thrust_clamp_is_counted():
         DroneParams().mixed_model(),
         ControllerGains(60.0, 10.0),
         ZERO,
-        lambda t, q, qdot: 0.0,
+        lambda q, qdot: 0.0,
         traj,
         0.001,
         (1.5, 2.0),  # fast upward start, controller wants to brake hard
@@ -257,7 +257,7 @@ def test_contact_row_keeps_the_held_d_hat_and_computes_no_control():
         queried.append(1e-6 * len(queried))
         return queried[-1]
 
-    residual = lambda t, q, qdot: -0.5  # noqa: E731
+    residual = lambda q, qdot: -0.5  # noqa: E731
     roll = simulate_closed_loop(
         DroneParams().mixed_model(),
         ControllerGains(3.2, 2.0),
@@ -280,8 +280,8 @@ def test_residual_is_evaluated_once_per_row_and_stage():
     (traj,) = landing_pool([(3.0, 0.0)], 0.01, 10.0, 0.0)
     points = []
 
-    def residual(t, q, qdot):
-        points.append((t, q, qdot))
+    def residual(q, qdot):
+        points.append((q, qdot))
         return -0.5
 
     roll = simulate_closed_loop(
@@ -307,7 +307,7 @@ def test_a_flight_cut_short_keeps_only_its_rows():
         DroneParams().mixed_model(),
         ControllerGains(3.2, 2.0),
         ZERO,
-        lambda t, q, qdot: -0.5,
+        lambda q, qdot: -0.5,
         traj,
         0.001,
         x0_on_trajectory(traj),

@@ -19,6 +19,7 @@ from safeshift.density_ratio import (
     kde_fit,
     max_ratio,
     max_ratio_on_traj,
+    point_ratio,
 )
 
 
@@ -112,6 +113,22 @@ def test_gaussian_ratio_oracle_at_midpoint():
     trg = kde_fit(rng.normal(2.0, 1.0, 2000)[:, None])
     r = density_ratio(src, trg, np.array([[1.0]]))[0]
     assert 0.7 <= r <= 1.3  # within KDE error at n = 2000
+
+
+def test_point_ratio_matches_density_ratio():
+    # the controller's one-state sum agrees with the batched one to 1e-9
+    g = np.random.default_rng(3)
+    src = kde_fit(g.normal(0.0, 0.5, (200, 2)))
+    trg = kde_fit(g.normal(0.4, 0.6, (150, 2)))
+    pts = g.normal(0.0, 1.2, (60, 2))
+    batch = density_ratio(src, trg, pts)
+    # the points reach both ends of the clip interval and its inside
+    assert batch.min() == R_LO and batch.max() == R_HI
+    ratio = point_ratio(src, trg)
+    for (q, qdot), want in zip(pts.tolist(), batch):
+        got = ratio(q, qdot)
+        assert R_LO <= got <= R_HI
+        assert got == pytest.approx(want, rel=1e-9, abs=0)
 
 
 def test_max_ratio_diagnostic():

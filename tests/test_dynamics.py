@@ -27,20 +27,20 @@ def forward_dynamics(p, q: float, u: float, d: float) -> float:
 
 def test_pendulum_residual_zero_at_matched_wind():
     p = PendulumParams()
-    assert p.residual_fn()(0.0, 0.3, p.v_w / p.l) == pytest.approx(0.0, abs=1e-15)
+    assert p.residual_fn()(0.3, p.v_w / p.l) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_pendulum_residual_example_value():
     p = PendulumParams(v_w=1.0)
     # relative tip speed 3 - 1 = 2, drag -0.1 * 2 * |2| = -0.4
-    assert p.residual_fn()(0.0, 0.0, 3.0) == pytest.approx(-0.4, rel=1e-12)
+    assert p.residual_fn()(0.0, 3.0) == pytest.approx(-0.4, rel=1e-12)
 
 
 @given(qdot=st.floats(-5.0, 5.0))
 def test_pendulum_residual_opposes_relative_motion(qdot):
     p = PendulumParams()
     rel = p.l * qdot - p.v_w
-    d = p.residual_fn()(0.0, 0.1, qdot)
+    d = p.residual_fn()(0.1, qdot)
     if rel > 0:
         assert d < 0
     elif rel < 0:
@@ -50,27 +50,27 @@ def test_pendulum_residual_opposes_relative_motion(qdot):
 def test_drone_residual_example_value():
     d = DroneParams().residual_fn()
     # (2 + 0.5) * exp(-1.5)
-    assert d(0.0, 0.5, -1.0) == pytest.approx(2.5 * math.exp(-1.5), rel=1e-12)
-    assert d(0.0, 0.5, -1.0) == pytest.approx(0.55783, rel=1e-4)
+    assert d(0.5, -1.0) == pytest.approx(2.5 * math.exp(-1.5), rel=1e-12)
+    assert d(0.5, -1.0) == pytest.approx(0.55783, rel=1e-4)
 
 
 def test_drone_residual_vanishes_at_altitude():
-    assert DroneParams().residual_fn()(0.0, 50.0, 0.0) == pytest.approx(0.0, abs=1e-12)
+    assert DroneParams().residual_fn()(50.0, 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_drone_residual_clamps_below_altitude_floor():
     p = DroneParams()
     d = p.residual_fn()
-    at_floor = d(0.0, p.altitude_floor, 0.0)
-    assert d(0.0, 0.0, 0.0) == at_floor
-    assert d(0.0, -0.3, 0.0) == at_floor
+    at_floor = d(p.altitude_floor, 0.0)
+    assert d(0.0, 0.0) == at_floor
+    assert d(-0.3, 0.0) == at_floor
 
 
 def test_drone_residual_monotone_decreasing_in_altitude():
     p = DroneParams()
     res = p.residual_fn()
     q = np.linspace(p.altitude_floor, 2.0, 200)
-    d = np.array([res(0.0, qi, 0.0) for qi in q])
+    d = np.array([res(qi, 0.0) for qi in q])
     assert np.all(np.diff(d) < 0)
 
 

@@ -198,6 +198,17 @@ def test_unfactorizable_matrix_raises_hyperparameter_error():
         gp_fit(x, y, hyper)
 
 
+@pytest.mark.parametrize(
+    "kind, ell",
+    # 2 ell^2 underflows, so a zero distance gives 0/0; (sqrt(5) d/ell)^2 overflows, giving inf * 0
+    [("rbf", 1e-170), ("matern52", 1e-160)],
+)
+def test_non_finite_kernel_matrix_raises_hyperparameter_error(kind, ell, rng):
+    x = rng.normal(size=(10, 2))
+    with pytest.raises(HyperparameterError, match="not finite"):
+        gp_fit(x, np.sin(x[:, 0]), GpHyper(ell=ell), kind)
+
+
 @pytest.mark.parametrize("kind", ["rbf", "matern52"])
 def test_variance_from_inverse_factor_matches_cholesky_solve(kind, rng):
     n = 80

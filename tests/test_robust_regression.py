@@ -82,6 +82,22 @@ def _base(seed, sigma0_sq=1.0, dim_out=1):
     return initial_model(sigma0_sq, net=net, lam=LAM, dim_out=dim_out)
 
 
+def test_mean_on_floats_equals_mean_on_broadcast_arrays():
+    # one rounding serves the controller (floats) and the fixed-mean root (arrays)
+    g = np.random.default_rng(7)
+    net = feature_net_init(g)
+    x = g.normal(0.0, 1.0, (50, 2))
+    theta_phi, theta_y, sigma0_sq = g.normal(size=(2, net.feature_dim)), np.array([2.5, 317.0]), 0.7
+    r = np.concatenate([[R_LO, R_HI], g.uniform(R_LO, R_HI, 48)])
+    a = net.forward(x) @ theta_phi.T
+    arrays = rr._mean(r[:, None], a, theta_y, sigma0_sq)
+    floats = [
+        [rr._mean(float(r_i), float(a_i[d]), float(theta_y[d]), sigma0_sq) for d in range(2)]
+        for r_i, a_i in zip(r, a)
+    ]
+    assert (np.array(floats) == arrays).all()
+
+
 # -- loss and gradients ------------------------------------------------------------
 
 
