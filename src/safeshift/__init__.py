@@ -1,8 +1,8 @@
 """Safe episodic exploration under covariate shift.
 
 Residual dynamics are learned with a shift-robust penalized regressor,
-converted into tracking-tube radii through concentration and perturbation
-bounds, and used to certify candidate trajectories before they are flown.
+whose predictive std sigma_max gives the tracking-tube radius
+gamma * beta * sigma_max that certifies a candidate before it is flown.
 Two simulated tasks (pendulum swing-up under wind drag, drone landing in
 ground effect) plus an exact-GP baseline and a CLI runner.
 """
@@ -45,9 +45,9 @@ from .density_ratio import (
     max_ratio_on_traj,
 )
 from .dynamics import (
-    DroneParams,
-    MixedModelParams,
-    PendulumParams,
+    DRONE,
+    PENDULUM,
+    Plant,
     SimulationDiverged,
     step_rk4,
 )
@@ -82,9 +82,9 @@ __all__ = [
     "Certification",
     "ConfigError",
     "ControllerGains",
+    "DRONE",
     "Dataset",
     "DesiredTrajectory",
-    "DroneParams",
     "EpisodeRecord",
     "ExperimentConfig",
     "ExperimentResult",
@@ -94,9 +94,9 @@ __all__ = [
     "GpModel",
     "KdeModel",
     "LandingPool",
-    "MixedModelParams",
-    "PendulumParams",
+    "PENDULUM",
     "PendulumPool",
+    "Plant",
     "RobustLearner",
     "RobustModel",
     "Rollout",

@@ -11,10 +11,10 @@ names the path), 2 on a runtime failure such as a diverged rollout.
 A config is a JSON object with one key per `ExperimentConfig` field (the
 `candidates` field's key is `pool`).  `task` is required and picks the
 defaults, `default_config(task)`.  A number or string replaces its field;
-a section (`gains`, `plant`, `pool`, `safety`, `train`, `gp`)
-replaces only the keys it gives in the task's default, so `{"gains":
-{"k": 2.0}}` keeps the default `lam`.  manifest.json holds the resolved
-config in the same form and loads back to the config that ran.
+a section (`gains`, `pool`, `safety`, `train`, `gp`) replaces only
+the keys it gives in the task's default, so `{"gains": {"k": 2.0}}`
+keeps the default `lam`.  manifest.json holds the resolved config in the
+same form and loads back to the config that ran.
 
 `safeshift compare results/run1 results/run2 ...` emits a per-episode CSV
 (cost and violation columns aligned across runs) on stdout and per-model
@@ -86,15 +86,20 @@ def _fits(value, kind: str) -> bool:
 def _checked(name: str, value, kind: str):
     """value, if its JSON type fits the field's type name.
 
-    A list (or tuple) of numbers fills a `tuple[float, ...]` field, as floats.
+    A number fills a `float` field and a list (or tuple) of numbers a
+    `tuple[float, ...]` field, as floats.
     """
     if kind == "tuple[float, ...]":
         if not (isinstance(value, (list, tuple)) and all(_fits(v, "float") for v in value)):
             raise ConfigError(f"{name}: expected a list of numbers")
-        return tuple(float(v) for v in value)
-    if kind in _KINDS and not _fits(value, kind):
+    elif kind in _KINDS and not _fits(value, kind):
         raise ConfigError(f"{name}: expected {kind}")
-    return value
+    try:
+        if kind == "tuple[float, ...]":
+            return tuple(float(v) for v in value)
+        return float(value) if kind == "float" else value
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(f"{name}: expected a finite number") from None
 
 
 def _check_finite(name: str, value) -> None:
@@ -130,7 +135,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     The only required key is `task`; it picks the defaults, which are
     `default_config(task)`.  Each other key sets one config field: a
     number or string is type-checked against the field, and a section
-    (an object such as `gains`, `plant` or `pool`) is the task default
+    (an object such as `gains` or `pool`) is the task default
     with the keys it gives replaced, so a partial section keeps the rest.
     Unknown keys are rejected so typos fail loudly instead of silently
     running defaults.

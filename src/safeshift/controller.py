@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import DesiredTrajectory, desired_values
-from .dynamics import MixedModelParams, SimulationDiverged, step_rk4
+from .dynamics import Plant, SimulationDiverged, step_rk4
 
 __all__ = [
     "ControllerGains",
@@ -50,7 +50,7 @@ class ControllerGains:
 
 
 def control_law(
-    model: MixedModelParams,
+    plant: Plant,
     gains: ControllerGains,
     q: float,
     qdot: float,
@@ -75,7 +75,7 @@ def control_law(
     qd_t = qdot - qdot_g
     s = qd_t + lam * q_t
     qddot_r = qddot_g - lam * qd_t
-    return model.inertia * qddot_r - gains.k * s + model.gravity(q) - d_hat
+    return plant.inertia * qddot_r - gains.k * s + plant.gravity(q) - d_hat
 
 
 @dataclass
@@ -123,10 +123,9 @@ def x0_on_trajectory(traj: DesiredTrajectory) -> tuple[float, float]:
 
 
 def simulate_closed_loop(
-    model: MixedModelParams,
+    plant: Plant,
     gains: ControllerGains,
     d_hat_fn: Callable[[float, float], float],
-    residual_fn: Callable[[float, float], float],
     traj: DesiredTrajectory,
     dt: float,
     x0,
@@ -137,7 +136,7 @@ def simulate_closed_loop(
     """Track `traj` in closed loop against the true residual dynamics.
 
     d_hat_fn(q, qdot) is the learned compensation queried at the actual
-    state; residual_fn(q, qdot) is the plant's residual.  The control is
+    state; `plant.residual` is the true residual.  The control is
     recomputed every integrator step and held across the RK4 substeps;
     d_hat itself is refreshed every d_hat_hold_steps steps and held in
     between, which leaves the feedback terms untouched.
@@ -168,8 +167,9 @@ def simulate_closed_loop(
     desired = np.empty((n_steps + 1, 2))
     eps = np.empty(n_steps + 1)
 
-    force_input = model.force_input
-    accel = model.accel
+    force_input = plant.force_input
+    accel = plant.accel
+    residual_fn = plant.residual
 
     def deriv(t, q, qdot, u):
         return accel(q, qdot, u, residual_fn(q, qdot))
@@ -188,7 +188,7 @@ def simulate_closed_loop(
         if not contact:
             if i % d_hat_hold_steps == 0:
                 d_hat = d_hat_fn(q, qdot)
-            force = control_law(model, gains, q, qdot, q_g, qdot_g, qddot_g, d_hat)
+            force = control_law(plant, gains, q, qdot, q_g, qdot_g, qddot_g, d_hat)
             if force_input:
                 # thrust cannot pull: a negative demand is clamped to zero
                 applied = force if force > 0.0 else 0.0

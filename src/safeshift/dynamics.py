@@ -1,6 +1,6 @@
 """Rigid body dynamics with an unknown additive residual force.
 
-Both benchmark plants have a one dimensional configuration, a constant
+Both task plants have a one dimensional configuration, a constant
 inertia m and a directly actuated coordinate:
 
     m qddot + G(q) = u + d(q, qdot)
@@ -8,9 +8,9 @@ inertia m and a directly actuated coordinate:
 This is the manipulator equation M(q) qddot + C(q, qdot) qdot + G(q) =
 B u + d with M = m, C = 0 and B = 1.  d is the residual the learner has
 to identify: aerodynamic drag under a crosswind for the pendulum, ground
-effect for the drone.  Each plant's parameters build its known part
-(`mixed_model`) and its true residual (`residual_fn`).  The integrator is
-a fixed-step classical RK4 with the control held constant across the step.
+effect for the drone.  Each task's plant is one fixed `Plant`, `PENDULUM`
+or `DRONE`, with its true residual.  The integrator is a fixed-step
+classical RK4 with the control held constant across the step.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 __all__ = [
-    "MixedModelParams",
-    "PendulumParams",
-    "DroneParams",
+    "Plant",
+    "PENDULUM",
+    "DRONE",
     "step_rk4",
     "SimulationDiverged",
     "DIVERGENCE_LIMIT",
@@ -36,101 +36,76 @@ class SimulationDiverged(RuntimeError):
 
 
 @dataclass(frozen=True)
-class MixedModelParams:
-    """Known part of the dynamics m qddot + G(q) = u + d.
+class Plant:
+    """A plant m qddot + G(q) = u + d and its true residual d.
 
     `inertia` is the constant m and `gravity(q)` the force G(q).
     `accel(q, qdot, u, d)` is the acceleration (u + d - G(q)) / m with
     the plant's constants folded in; the simulator integrates it.
-    `force_input` marks a plant driven by a force that cannot pull (the
-    drone's thrust): the simulator applies max(command, 0) and counts
-    the steps that clamp.
+    `residual(q, qdot)` is the true d.  `force_input` marks a plant
+    driven by a force that cannot pull (the drone's thrust): the
+    simulator applies max(command, 0) and counts the steps that clamp.
     """
 
     inertia: float
     gravity: Callable[[float], float]
     accel: Callable[[float, float, float, float], float]
+    residual: Callable[[float, float], float]
     force_input: bool = False
 
 
-@dataclass(frozen=True)
-class PendulumParams:
-    m: float = 1.0
-    l: float = 1.0
-    g: float = 9.8
-    c_d: float = 0.1
-    v_w: float = 2.0
+def _pendulum() -> Plant:
+    """Torque-driven pendulum in a crosswind, m l^2 qddot - m g l sin q = u + d.
 
-    def __post_init__(self):
-        if min(self.m, self.l, self.g) <= 0 or self.c_d < 0:
-            raise ValueError("m, l, g must be positive and c_d nonnegative")
+    m = l = 1 and g = 9.8.  The gravity convention is the inverted one
+    (G(q) = -m g l sin q), so the unforced upright q = 0 is an
+    equilibrium.  d is the quadratic drag torque on the bob in a
+    horizontal wind of speed v_w = 2: the relative air speed is the tip
+    speed l*qdot minus v_w, and drag opposes it with magnitude
+    c_d * speed^2 (c_d = 0.1) acting at arm l.
+    """
+    m, l, g, c_d, v_w = 1.0, 1.0, 9.8, 0.1, 2.0
+    ml2 = m * l * l
+    mgl = m * g * l
+    cdl = c_d * l
 
-    def mixed_model(self) -> MixedModelParams:
-        """Torque-driven pendulum, m l^2 qddot - m g l sin q = u + d.
+    def residual(q: float, qdot: float) -> float:
+        rel = l * qdot - v_w
+        return -cdl * rel * abs(rel)
 
-        The gravity convention is the inverted one (G(q) = -m g l sin q),
-        so the unforced upright q = 0 is an equilibrium.
-        """
-        ml2 = self.m * self.l * self.l
-        mgl = self.m * self.g * self.l
-        return MixedModelParams(
-            inertia=ml2,
-            gravity=lambda q: -mgl * math.sin(q),
-            accel=lambda q, qdot, u, d: (u + d + mgl * math.sin(q)) / ml2,
-        )
-
-    def residual_fn(self) -> Callable[[float, float], float]:
-        """Quadratic drag torque on the bob in a horizontal wind, as d(q, qdot).
-
-        The relative air speed is the tip speed l*qdot minus the wind
-        speed; drag opposes it with magnitude c_d * speed^2 acting at arm l.
-        """
-        cdl, l, v_w = self.c_d * self.l, self.l, self.v_w
-
-        def fn(q: float, qdot: float) -> float:
-            rel = l * qdot - v_w
-            return -cdl * rel * abs(rel)
-
-        return fn
+    return Plant(
+        inertia=ml2,
+        gravity=lambda q: -mgl * math.sin(q),
+        accel=lambda q, qdot, u, d: (u + d + mgl * math.sin(q)) / ml2,
+        residual=residual,
+    )
 
 
-@dataclass(frozen=True)
-class DroneParams:
-    m: float = 1.0
-    g: float = 9.8
-    ge_a: float = 2.0
-    ge_b: float = 3.0
-    ge_c: float = 0.5
-    altitude_floor: float = 0.05
+def _drone() -> Plant:
+    """Vertical-axis drone in ground effect, m qddot + m g = F + d with thrust F >= 0.
 
-    def __post_init__(self):
-        if min(self.m, self.g) <= 0 or self.ge_b <= 0:
-            raise ValueError("m, g, ge_b must be positive")
+    m = 1 and g = 9.8.  d is an altitude-decaying lift plus damping,
+    (a - c qdot) exp(-b q) with a = 2, b = 3 and c = 0.5.  The altitude
+    is clamped below at 0.05 so the exponential stays bounded if the
+    simulator momentarily pushes the drone through the ground plane.
+    """
+    m, g, ge_a, ge_b, ge_c, floor = 1.0, 9.8, 2.0, 3.0, 0.5, 0.05
+    mg = m * g
 
-    def mixed_model(self) -> MixedModelParams:
-        """Vertical-axis drone, m qddot + m g = F + d with thrust F >= 0."""
-        mg = self.m * self.g
-        mass = self.m
-        return MixedModelParams(
-            inertia=mass,
-            gravity=lambda q: mg,
-            accel=lambda q, qdot, u, d: (u + d - mg) / mass,
-            force_input=True,
-        )
+    def residual(q: float, qdot: float) -> float:
+        return (ge_a - ge_c * qdot) * math.exp(-ge_b * (q if q > floor else floor))
 
-    def residual_fn(self) -> Callable[[float, float], float]:
-        """Ground effect as d(q, qdot): altitude-decaying lift plus damping.
+    return Plant(
+        inertia=m,
+        gravity=lambda q: mg,
+        accel=lambda q, qdot, u, d: (u + d - mg) / m,
+        residual=residual,
+        force_input=True,
+    )
 
-        The altitude is clamped below at altitude_floor so the exponential
-        stays bounded if the simulator momentarily pushes the drone
-        through the ground plane.
-        """
-        ge_a, ge_b, ge_c, floor = self.ge_a, self.ge_b, self.ge_c, self.altitude_floor
 
-        def fn(q: float, qdot: float) -> float:
-            return (ge_a - ge_c * qdot) * math.exp(-ge_b * (q if q > floor else floor))
-
-        return fn
+PENDULUM = _pendulum()
+DRONE = _drone()
 
 
 def step_rk4(

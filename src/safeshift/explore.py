@@ -63,7 +63,7 @@ from .core import (
     subsample_rows,
 )
 from .density_ratio import KdeModel, clipped_ratio, kde_density, kde_fit, max_ratio, point_ratio
-from .dynamics import DroneParams, PendulumParams
+from .dynamics import DRONE, PENDULUM, Plant
 from .gp_baseline import GpHyper, GpModel, gp_fit, gp_mean_fn, gp_predict
 
 __all__ = [
@@ -85,28 +85,30 @@ MODEL_KINDS = ("robust", "gp_rbf", "gp_matern")
 
 # Each task's calibrated setting, one value per task-calibrated
 # ExperimentConfig field; `default_config` builds a config from it, and
-# the types of its plant, pool and safety set are the ones the task
-# accepts.  The gains are chosen so the tube gain gamma makes
-# certification a real constraint at the base-model uncertainty
-# (episode 1 must not already certify the most aggressive candidate),
-# while the closed loop stays well damped and the steady tracking offset
-# under the unlearned residual stays small: pendulum gamma ~ 2.06, drone
-# gamma ~ 0.64.  Landing has a weaker L1 than the pendulum: near the
-# ground the lift term is steep and the head norms it needs are large,
-# so a stronger penalty visibly biases the mean and stalls the landing
-# frontier.
+# the types of its pool and safety set are the ones the task accepts.
+# The gains are chosen so the tube gain gamma makes certification a real
+# constraint at the base-model uncertainty (episode 1 must not already
+# certify the most aggressive candidate), while the closed loop stays
+# well damped and the steady tracking offset under the unlearned
+# residual stays small: pendulum gamma ~ 2.06, drone gamma ~ 0.64.
+# Landing has a weaker L1 than the pendulum: near the ground the lift
+# term is steep and the head norms it needs are large, so a stronger
+# penalty visibly biases the mean and stalls the landing frontier.
 TASKS = {
     "pendulum": dict(
-        plant=PendulumParams(), candidates=PendulumPool(), safety=StateBox(),
+        candidates=PendulumPool(), safety=StateBox(),
         beta=0.5, sigma0_sq=0.5, gains=ControllerGains(1.0, 2.0), horizon=20.0, output_dim=1,
         train=rr.TrainConfig(epochs=300, lam=1e-3), cert_stride=4, first_fit_epochs=1500,
     ),
     "landing": dict(
-        plant=DroneParams(), candidates=LandingPool(), safety=TouchdownSpeed(),
+        candidates=LandingPool(), safety=TouchdownSpeed(),
         beta=1.0, sigma0_sq=1.0, gains=ControllerGains(3.2, 2.0), horizon=10.0, output_dim=3,
         train=rr.TrainConfig(epochs=500, lam=1e-4), cert_stride=6, first_fit_epochs=2000,
     ),
 }
+
+# Each task's plant; nothing varies it, so it is not a config field
+PLANTS = {"pendulum": PENDULUM, "landing": DRONE}
 
 # Fixed settings of the loop (no workload varies them).  The simulator
 # integrates at SIM_DT on desired trajectories gridded at TRAJ_DT, and
@@ -139,9 +141,9 @@ class ExperimentConfig:
 
     The task-calibrated fields have no class default: `default_config`
     fills them from the task's row of `TASKS`, which also fixes the types
-    of `plant`, `candidates` and `safety` (a pendulum with a
-    `PendulumPool` of swing amplitudes and a `StateBox`, or a drone with
-    a `LandingPool` of rates x hovers and a `TouchdownSpeed`).
+    of `candidates` and `safety` (a pendulum's `PendulumPool` of swing
+    amplitudes and `StateBox`, or a drone's `LandingPool` of rates x
+    hovers and `TouchdownSpeed`).  The task also fixes the `plant`.
     `output_dim` > 1 appends zero-mean nuisance residual dimensions,
     exercising the multi-output learner; certification always uses
     dimension 0.
@@ -166,7 +168,6 @@ class ExperimentConfig:
     sigma0_sq: float
     gains: ControllerGains
     horizon: float
-    plant: PendulumParams | DroneParams
     candidates: PendulumPool | LandingPool
     safety: SafetySet
     output_dim: int
@@ -179,7 +180,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ConfigError(f"task: unknown task {self.task!r}")
-        for name in ("plant", "candidates", "safety"):
+        for name in ("candidates", "safety"):
             cls = type(TASKS[self.task][name])
             if not isinstance(getattr(self, name), cls):
                 raise ConfigError(f"{name}: the {self.task} task needs a {cls.__name__}")
@@ -192,7 +193,7 @@ class ExperimentConfig:
         if self.sigma0_sq <= 0:
             raise ConfigError("sigma0_sq: must be positive")
         try:
-            grid_steps(self.horizon, TRAJ_DT)
+            n_steps = grid_steps(self.horizon, TRAJ_DT)
         except ValueError as exc:
             raise ConfigError(f"horizon: {exc}") from exc
         if self.task == "landing":
@@ -201,7 +202,7 @@ class ExperimentConfig:
             c = max(self.candidates.rates)
             if not math.isfinite(LANDING_START * c * c * self.horizon):
                 raise ConfigError(f"pool: descent rate {c} too large: 1.5 C^2 horizon overflows")
-        try:  # (1/lam)^2 or k m can overflow (gamma raises or is 0), and k m underflow to 0
+        try:  # at unit inertia (1/lam)^2 can overflow (gamma raises) or 1/k overflow to inf
             if not 0.0 < self.gamma() < math.inf:
                 raise ArithmeticError
         except ArithmeticError as exc:
@@ -212,6 +213,8 @@ class ExperimentConfig:
             raise ConfigError(f"model_kind: must be one of {MODEL_KINDS}")
         if self.cert_stride < 1:
             raise ConfigError("cert_stride: must be >= 1")
+        if self.cert_stride > n_steps:  # any such stride certifies only the grid's two ends
+            raise ConfigError(f"cert_stride: must be at most the grid's {n_steps} steps")
         if self.first_fit_epochs < 1:
             raise ConfigError("first_fit_epochs: must be >= 1")
 
@@ -224,7 +227,12 @@ class ExperimentConfig:
 
     def gamma(self) -> float:
         """The tube gain `bounds.gamma` of this plant and these gains."""
-        return gamma(self.plant.mixed_model().inertia, self.gains.k, self.gains.lam)
+        return gamma(self.plant.inertia, self.gains.k, self.gains.lam)
+
+    @property
+    def plant(self) -> Plant:
+        """The task's plant, from `PLANTS`."""
+        return PLANTS[self.task]
 
 
 def default_config(task: str) -> ExperimentConfig:
@@ -314,9 +322,9 @@ class RobustLearner:
 
     def retrain(self, dataset: Dataset, src_kde, trg_kde):
         train = self.cfg.train
-        if self.fits == 0 and self.cfg.first_fit_epochs > train.epochs:
-            # the first fit starts from random features and needs the
-            # longest schedule; later fits only track slow data drift
+        if self.fits == 0:
+            # the first fit starts from random features and has its own
+            # schedule; later fits only track slow data drift
             train = replace(train, epochs=self.cfg.first_fit_epochs)
         self.model = rr.fit(dataset, src_kde, trg_kde, train, init=self.model)
         self.fits += 1
@@ -394,7 +402,7 @@ def _realized_cost(config: ExperimentConfig, rollout: Rollout) -> float:
 
 def _collect(config: ExperimentConfig, rollout: Rollout) -> Dataset:
     states = rollout.states[::SAMPLE_STRIDE]
-    res = config.plant.residual_fn()
+    res = config.plant.residual
     targets = np.zeros((len(states), config.output_dim))
     targets[:, 0] = [res(q, qdot) for q, qdot in states.tolist()]
     return Dataset(states, targets)
@@ -442,10 +450,9 @@ def run_episode(
     _, k, sigma_max, eps_m, rho, w_hat = min(admitted)
     traj, trg_kde = pool.trajs[k], pool.trg_kdes[k]
     rollout = simulate_closed_loop(
-        config.plant.mixed_model(),
+        config.plant,
         config.gains,
         learner.d_hat_fn(src_kde, trg_kde),
-        config.plant.residual_fn(),
         traj,
         SIM_DT,
         x0_on_trajectory(traj),

@@ -162,8 +162,8 @@ def test_unknown_field_named_in_diagnostic(tmp_path, capsys):
 
 # settings that became module constants (among them the ratio clip and
 # the zero prior mean), the GP kernel, which the learner kind sets, and
-# the drone's thrust coefficient, which changed no output: a config that
-# still sets one is rejected like any other unknown key
+# the plant, which the task fixes: a config that still sets one is
+# rejected like any other unknown key
 REMOVED_KEYS = [
     "sim_dt", "traj_dt", "sample_hz", "max_train_points", "kde_src_max", "kde_trg_max",
     "w_max", "d_hat_hold_steps", "mu0",
@@ -177,10 +177,10 @@ REMOVED_TRAIN_KEYS = ["seed", "lr", "clip_norm", "theta_y_floor", "theta_y_lr_mu
     + [({"train": {key: 1}}, f"train: unknown key(s) ['{key}']") for key in REMOVED_TRAIN_KEYS]
     + [({"gp": {"kernel": "matern52"}}, "gp: unknown key(s) ['kernel']")]
     + [({"ratio": {"r_lo": 0.1}}, "config: unknown field(s) ['ratio']")]
-    + [({"task": "landing", "plant": {"c_t": 1.0}}, "plant: unknown key(s) ['c_t']")],
+    + [({"plant": {"m": 1.0}}, "config: unknown field(s) ['plant']")],
     ids=REMOVED_KEYS
     + [f"train.{key}" for key in REMOVED_TRAIN_KEYS]
-    + ["gp.kernel", "ratio", "plant.c_t"],
+    + ["gp.kernel", "ratio", "plant"],
 )
 def test_removed_key_rejected(extra, message, tmp_path, capsys):
     with pytest.raises(cli.ConfigError, match=re.escape(message)):
@@ -206,7 +206,7 @@ def test_missing_task_rejected(tmp_path, capsys):
     assert "task" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["gains", "plant", "train", "gp", "pool", "safety"])
+@pytest.mark.parametrize("key", ["gains", "train", "gp", "pool", "safety"])
 @pytest.mark.parametrize("value", [5, [1]])
 def test_nested_field_must_be_object(key, value, tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", {"task": "pendulum", key: value})
@@ -246,11 +246,18 @@ def test_nested_field_must_be_object(key, value, tmp_path, capsys):
         ({"task": "landing", "pool": {"rates": [1e160]}}, "pool: descent rate 1e+160 too large"),
         ({"task": "landing", "pool": {"rates": [1e154]}}, "pool: descent rate 1e+154 too large"),
         ({"gains": {"lam": 1e-155}}, "gains: the tube gain gamma is not positive"),
-        ({"gains": {"k": 1e-300}, "plant": {"m": 1e-100}}, "gains: the tube gain gamma is not"),
-        ({"gains": {"k": 1e300}, "plant": {"m": 1e10}}, "gains: the tube gain gamma is not"),
+        ({"gains": {"k": 5e-324}}, "gains: the tube gain gamma is not"),
+        ({"gains": {"k": 1e-308, "lam": 1e-3}}, "gains: the tube gain gamma is not"),
         # the start altitude has already reached such a ground
         ({"task": "landing", "pool": {"rates": [1.0]}, "safety": {"ground": 5.0}}, "safety: ground"),
         ({"task": "landing", "pool": {"rates": [1.0]}, "safety": {"ground": 1.495}}, "safety: ground"),
+        # integers beyond the float range
+        ({"beta": 10**400}, "beta: expected a finite number"),
+        ({"safety": {"q_abs_max": 10**400}}, "safety: q_abs_max: expected a finite number"),
+        ({"pool": {"amplitudes": [10**400]}}, "pool: amplitudes: expected a finite number"),
+        # a stride past the grid's 200 steps certifies no more than its two ends
+        ({"cert_stride": 10**19}, "cert_stride: must be at most the grid's 200 steps"),
+        ({"cert_stride": 201}, "cert_stride: must be at most the grid's 200 steps"),
     ],
 )
 def test_malformed_field_value_names_field(extra, field_name, tmp_path, capsys):
@@ -262,6 +269,13 @@ def test_malformed_field_value_names_field(extra, field_name, tmp_path, capsys):
     assert err.startswith(f"invalid configuration: {field_name}")
     assert err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+def test_cert_stride_of_the_whole_grid_runs(tmp_path):
+    # a stride of the grid's 200 steps certifies each candidate at its two ends
+    cfg = write_config(tmp_path / "cfg.json", {**SMALL_PENDULUM, "cert_stride": 200})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert json.loads((tmp_path / "o" / "manifest.json").read_text())["cert_stride"] == 200
 
 
 def test_negative_seed_flag_rejected(tmp_path, capsys):
@@ -545,8 +559,8 @@ def test_config_roundtrip_of_defaults(task):
 
 # the ExperimentConfig fields each task calibrates
 CALIBRATED = (
-    "plant", "candidates", "safety", "beta", "sigma0_sq", "gains", "horizon", "output_dim",
-    "train", "cert_stride", "first_fit_epochs",
+    "candidates", "safety", "beta", "sigma0_sq", "gains", "horizon", "output_dim", "train",
+    "cert_stride", "first_fit_epochs",
 )
 
 

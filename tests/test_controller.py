@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from safeshift.controller import (
     x0_on_trajectory,
 )
 from safeshift.core import desired_values
-from safeshift.dynamics import DroneParams, MixedModelParams, PendulumParams
+from safeshift.dynamics import DRONE, PENDULUM, Plant
 from safeshift.core import landing_pool, pendulum_pool
 
 ZERO = lambda q, qdot: 0.0  # noqa: E731
@@ -30,12 +31,13 @@ def test_control_law_composite_variables():
     # q_tilde = 0.1, qdot_tilde = 0.4, s = 0.4 + 2 * 0.1 = 0.6, qddot_r =
     # -0.1 - 2 * 0.4 = -0.9; with m = 2, G = 0, K = 5
     # u = 2 qddot_r - 5 s = -1.8 - 3.0
-    model = MixedModelParams(
+    plant = Plant(
         inertia=2.0,
         gravity=lambda q: 0.0,
         accel=lambda q, qdot, u, d: (u + d) / 2.0,
+        residual=ZERO,
     )
-    u = control_law(model, ControllerGains(5.0, 2.0), 0.3, 0.9, 0.2, 0.5, -0.1, 0.0)
+    u = control_law(plant, ControllerGains(5.0, 2.0), 0.3, 0.9, 0.2, 0.5, -0.1, 0.0)
     assert u == pytest.approx(-4.8)
 
 
@@ -43,7 +45,7 @@ def test_control_law_equals_the_manipulator_form(rng):
     # (M qddot_r + C qdot_r - K s + G - d_hat) / B with M = m, C = 0 and
     # B = 1 gives the same bits as the control law on both plants
     gains = ControllerGains(3.2, 2.0)
-    for model in (PendulumParams().mixed_model(), DroneParams().mixed_model()):
+    for plant in (PENDULUM, DRONE):
         for _ in range(200):
             q, qdot, q_g, qdot_g, qddot_g, d_hat = rng.uniform(-3, 3, 6).tolist()
             q_t, qd_t = q - q_g, qdot - qdot_g
@@ -51,13 +53,13 @@ def test_control_law_equals_the_manipulator_form(rng):
             qdot_r = qdot_g - gains.lam * q_t
             qddot_r = qddot_g - gains.lam * qd_t
             manipulator = (
-                model.inertia * qddot_r
+                plant.inertia * qddot_r
                 + 0.0 * qdot_r
                 - gains.k * s
-                + model.gravity(q)
+                + plant.gravity(q)
                 - d_hat
             ) / 1.0
-            u = control_law(model, gains, q, qdot, q_g, qdot_g, qddot_g, d_hat)
+            u = control_law(plant, gains, q, qdot, q_g, qdot_g, qddot_g, d_hat)
             assert u == manipulator
 
 
@@ -67,10 +69,9 @@ def test_rollout_records_tracking_error_and_composite_variable():
     (traj,) = landing_pool([(3.0, 0.0)], 0.01, 10.0, 0.0)
     lam = 2.0
     roll = simulate_closed_loop(
-        DroneParams().mixed_model(),
+        replace(DRONE, residual=lambda q, qdot: -0.5),
         ControllerGains(3.2, lam),
         ZERO,
-        lambda q, qdot: -0.5,
         traj,
         0.001,
         x0_on_trajectory(traj),
@@ -87,27 +88,24 @@ def test_rollout_records_tracking_error_and_composite_variable():
 
 def test_control_law_pendulum_gravity_term():
     # s = 0, qddot_r = 0, d_hat = 0 at q = pi/2 leaves only -G = -9.8
-    model = PendulumParams().mixed_model()
     u = control_law(
-        model, ControllerGains(10.0, 5.0), math.pi / 2, 0.0, math.pi / 2, 0.0, 0.0, 0.0
+        PENDULUM, ControllerGains(10.0, 5.0), math.pi / 2, 0.0, math.pi / 2, 0.0, 0.0, 0.0
     )
     assert u == pytest.approx(-9.8)
 
 
 def test_control_law_drone_hover_force():
-    model = DroneParams().mixed_model()
-    force = control_law(model, ControllerGains(10.0, 5.0), 1.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+    force = control_law(DRONE, ControllerGains(10.0, 5.0), 1.0, 0.0, 1.0, 0.0, 0.0, 0.0)
     assert force == pytest.approx(9.8)
 
 
 def test_control_law_linear_in_d_hat(rng):
-    model = PendulumParams().mixed_model()
     gains = ControllerGains(7.0, 3.0)
     desired = (0.2, 0.1, -0.3)
     for _ in range(25):
         q, qdot, d0, delta = rng.uniform(-2, 2, 4)
-        u0 = control_law(model, gains, q, qdot, *desired, d0)
-        u1 = control_law(model, gains, q, qdot, *desired, d0 + delta)
+        u0 = control_law(PENDULUM, gains, q, qdot, *desired, d0)
+        u1 = control_law(PENDULUM, gains, q, qdot, *desired, d0 + delta)
         # u is exactly linear in d_hat with slope -1
         assert u1 - u0 == pytest.approx(-delta, rel=1e-12, abs=1e-12)
 
@@ -115,16 +113,13 @@ def test_control_law_linear_in_d_hat(rng):
 def test_perfect_model_keeps_s_near_zero():
     # u is held over each integrator step, so even a perfect d_hat leaves an
     # O(dt) composite error; it must be tiny and shrink linearly with dt.
-    p = PendulumParams()
-    res = p.residual_fn()
     (traj,) = pendulum_pool([0.8], 0.01, 5.0)
 
     def run(dt):
         return simulate_closed_loop(
-            p.mixed_model(),
+            PENDULUM,
             ControllerGains(10.0, 5.0),
-            res,
-            res,
+            PENDULUM.residual,
             traj,
             dt,
             x0_on_trajectory(traj),
@@ -142,10 +137,9 @@ def test_perfect_model_keeps_s_near_zero():
 def test_nominal_loop_tracks_tightly_without_residual():
     (traj,) = pendulum_pool([0.5], 0.01, 8.0)
     roll = simulate_closed_loop(
-        PendulumParams(c_d=0.0).mixed_model(),
+        replace(PENDULUM, residual=ZERO),
         ControllerGains(10.0, 5.0),
         ZERO,
-        lambda q, qdot: 0.0,
         traj,
         0.001,
         x0_on_trajectory(traj),
@@ -157,10 +151,9 @@ def test_s_norm_decays_monotonically_after_transient():
     """Lyapunov decrease of ||s|| with no disturbance and an off-trajectory start."""
     (traj,) = pendulum_pool([0.5], 0.01, 4.0)
     roll = simulate_closed_loop(
-        PendulumParams(c_d=0.0).mixed_model(),
+        replace(PENDULUM, residual=ZERO),
         ControllerGains(10.0, 5.0),
         ZERO,
-        lambda q, qdot: 0.0,
         traj,
         0.001,
         (0.3, 0.0),
@@ -180,10 +173,9 @@ def test_disturbed_rollout_respects_time_envelope():
     k, lam, eps_m = 6.0, 2.0, 0.4
     (traj,) = pendulum_pool([0.5], 0.01, 6.0)
     roll = simulate_closed_loop(
-        PendulumParams(c_d=0.0).mixed_model(),
+        replace(PENDULUM, residual=lambda q, qdot: eps_m * math.sin(3.0 * q)),
         ControllerGains(k, lam),
         ZERO,
-        lambda q, qdot: eps_m * math.sin(3.0 * q),
         traj,
         0.001,
         (0.4, 0.3),
@@ -198,10 +190,9 @@ def test_dt_must_divide_trajectory_grid():
     (traj,) = pendulum_pool([0.5], 0.01, 1.0)
     with pytest.raises(ValueError):
         simulate_closed_loop(
-            PendulumParams().mixed_model(),
+            PENDULUM,
             ControllerGains(10.0, 5.0),
             ZERO,
-            lambda q, qdot: 0.0,
             traj,
             0.003,
             x0_on_trajectory(traj),
@@ -213,10 +204,9 @@ def test_touchdown_truncates_landing_rollout():
     # through the ground while the reference is still (barely) above it
     (traj,) = landing_pool([(3.0, 0.0)], 0.01, 10.0, 0.0)
     roll = simulate_closed_loop(
-        DroneParams().mixed_model(),
+        replace(DRONE, residual=lambda q, qdot: -0.5),
         ControllerGains(3.2, 2.0),
         ZERO,
-        lambda q, qdot: -0.5,
         traj,
         0.001,
         x0_on_trajectory(traj),
@@ -234,10 +224,9 @@ def test_thrust_clamp_is_counted():
     # an absurd downward reference forces negative thrust demands
     (traj,) = landing_pool([(3.0, 0.0)], 0.01, 10.0, 0.0)
     roll = simulate_closed_loop(
-        DroneParams().mixed_model(),
+        replace(DRONE, residual=ZERO),
         ControllerGains(60.0, 10.0),
         ZERO,
-        lambda q, qdot: 0.0,
         traj,
         0.001,
         (1.5, 2.0),  # fast upward start, controller wants to brake hard
@@ -259,10 +248,9 @@ def test_contact_row_keeps_the_held_d_hat_and_computes_no_control():
 
     residual = lambda q, qdot: -0.5  # noqa: E731
     roll = simulate_closed_loop(
-        DroneParams().mixed_model(),
+        replace(DRONE, residual=residual),
         ControllerGains(3.2, 2.0),
         d_hat,
-        residual,
         traj,
         0.001,
         x0_on_trajectory(traj),
@@ -285,10 +273,9 @@ def test_residual_is_evaluated_once_per_row_and_stage():
         return -0.5
 
     roll = simulate_closed_loop(
-        DroneParams().mixed_model(),
+        replace(DRONE, residual=residual),
         ControllerGains(3.2, 2.0),
         ZERO,
-        residual,
         traj,
         0.001,
         x0_on_trajectory(traj),
@@ -304,10 +291,9 @@ def test_a_flight_cut_short_keeps_only_its_rows():
     # buffers the simulator filled
     (traj,) = landing_pool([(3.0, 0.0)], 0.01, 10.0, 0.0)
     roll = simulate_closed_loop(
-        DroneParams().mixed_model(),
+        replace(DRONE, residual=lambda q, qdot: -0.5),
         ControllerGains(3.2, 2.0),
         ZERO,
-        lambda q, qdot: -0.5,
         traj,
         0.001,
         x0_on_trajectory(traj),

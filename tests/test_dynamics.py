@@ -8,39 +8,40 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from safeshift.dynamics import DroneParams, PendulumParams, SimulationDiverged, step_rk4
+from safeshift.dynamics import DRONE, PENDULUM, SimulationDiverged, step_rk4
 
 
-def forward_dynamics(p, q: float, u: float, d: float) -> float:
-    """Textbook qddot = (u + d - G(q)) / m of either plant, from its parameters.
+def forward_dynamics(plant, q: float, u: float, d: float) -> float:
+    """Textbook qddot = (u + d - G(q)) / m of either task plant.
 
-    The pendulum has inertia m l^2 and the inverted-sign gravity
-    G(q) = -m g l sin q; the drone has inertia m and G = m g.
+    The pendulum (m = l = 1, g = 9.8) has inertia m l^2 and the
+    inverted-sign gravity G(q) = -m g l sin q; the drone (m = 1, g = 9.8)
+    has inertia m and G = m g.
     """
-    if isinstance(p, PendulumParams):
-        return (u + d + p.m * p.g * p.l * math.sin(q)) / (p.m * p.l ** 2)
-    return (u + d - p.m * p.g) / p.m
+    if plant is PENDULUM:
+        m, l, g = 1.0, 1.0, 9.8
+        return (u + d + m * g * l * math.sin(q)) / (m * l ** 2)
+    m, g = 1.0, 9.8
+    return (u + d - m * g) / m
 
 
 # -- ground-truth residuals -----------------------------------------------------
 
 
 def test_pendulum_residual_zero_at_matched_wind():
-    p = PendulumParams()
-    assert p.residual_fn()(0.3, p.v_w / p.l) == pytest.approx(0.0, abs=1e-15)
+    # tip speed l qdot = 2 matches the wind speed v_w = 2
+    assert PENDULUM.residual(0.3, 2.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_pendulum_residual_example_value():
-    p = PendulumParams(v_w=1.0)
-    # relative tip speed 3 - 1 = 2, drag -0.1 * 2 * |2| = -0.4
-    assert p.residual_fn()(0.0, 3.0) == pytest.approx(-0.4, rel=1e-12)
+    # relative tip speed 4 - 2 = 2, drag -0.1 * 2 * |2| = -0.4
+    assert PENDULUM.residual(0.0, 4.0) == pytest.approx(-0.4, rel=1e-12)
 
 
 @given(qdot=st.floats(-5.0, 5.0))
 def test_pendulum_residual_opposes_relative_motion(qdot):
-    p = PendulumParams()
-    rel = p.l * qdot - p.v_w
-    d = p.residual_fn()(0.1, qdot)
+    rel = qdot - 2.0
+    d = PENDULUM.residual(0.1, qdot)
     if rel > 0:
         assert d < 0
     elif rel < 0:
@@ -48,29 +49,27 @@ def test_pendulum_residual_opposes_relative_motion(qdot):
 
 
 def test_drone_residual_example_value():
-    d = DroneParams().residual_fn()
+    d = DRONE.residual
     # (2 + 0.5) * exp(-1.5)
     assert d(0.5, -1.0) == pytest.approx(2.5 * math.exp(-1.5), rel=1e-12)
     assert d(0.5, -1.0) == pytest.approx(0.55783, rel=1e-4)
 
 
 def test_drone_residual_vanishes_at_altitude():
-    assert DroneParams().residual_fn()(50.0, 0.0) == pytest.approx(0.0, abs=1e-12)
+    assert DRONE.residual(50.0, 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_drone_residual_clamps_below_altitude_floor():
-    p = DroneParams()
-    d = p.residual_fn()
-    at_floor = d(p.altitude_floor, 0.0)
+    d = DRONE.residual
+    at_floor = d(0.05, 0.0)
     assert d(0.0, 0.0) == at_floor
     assert d(-0.3, 0.0) == at_floor
+    assert d(0.06, 0.0) < at_floor
 
 
 def test_drone_residual_monotone_decreasing_in_altitude():
-    p = DroneParams()
-    res = p.residual_fn()
-    q = np.linspace(p.altitude_floor, 2.0, 200)
-    d = np.array([res(qi, 0.0) for qi in q])
+    q = np.linspace(0.05, 2.0, 200)
+    d = np.array([DRONE.residual(qi, 0.0) for qi in q])
     assert np.all(np.diff(d) < 0)
 
 
@@ -78,41 +77,36 @@ def test_drone_residual_monotone_decreasing_in_altitude():
 
 
 def test_pendulum_upright_equilibrium():
-    assert PendulumParams().mixed_model().accel(0.0, 0.0, 0.0, 0.0) == pytest.approx(0.0)
+    assert PENDULUM.accel(0.0, 0.0, 0.0, 0.0) == pytest.approx(0.0)
 
 
 def test_pendulum_horizontal_acceleration_is_g():
-    accel = PendulumParams().mixed_model().accel
-    assert accel(math.pi / 2, 0.0, 0.0, 0.0) == pytest.approx(9.8)
+    assert PENDULUM.accel(math.pi / 2, 0.0, 0.0, 0.0) == pytest.approx(9.8)
 
 
 def test_pendulum_forward_dynamics_identity(rng):
-    # the model's inertia and gravity, which the control law uses, satisfy
+    # the plant's inertia and gravity, which the control law uses, satisfy
     # m qddot + G(q) = u + d at the textbook acceleration
-    p = PendulumParams(m=1.3, l=0.8)
-    model = p.mixed_model()
     for _ in range(50):
         q, qdot, u, d = rng.uniform(-3, 3, 4)
-        qddot = forward_dynamics(p, q, u, d)
-        assert model.inertia * qddot + model.gravity(q) == pytest.approx(u + d, rel=1e-12)
+        qddot = forward_dynamics(PENDULUM, q, u, d)
+        assert PENDULUM.inertia * qddot + PENDULUM.gravity(q) == pytest.approx(u + d, rel=1e-12)
 
 
 def test_drone_hover_thrust_balances_gravity():
-    p = DroneParams()
-    model = p.mixed_model()
-    thrust = p.m * p.g
-    assert forward_dynamics(p, 1.0, thrust, 0.0) == 0.0
-    assert model.accel(1.0, 0.0, thrust, 0.0) == 0.0
-    assert model.gravity(1.0) == thrust
+    thrust = 1.0 * 9.8
+    assert forward_dynamics(DRONE, 1.0, thrust, 0.0) == 0.0
+    assert DRONE.accel(1.0, 0.0, thrust, 0.0) == 0.0
+    assert DRONE.gravity(1.0) == thrust
+    assert DRONE.inertia == 1.0 and DRONE.force_input and not PENDULUM.force_input
 
 
 def test_fused_accel_matches_forward_dynamics(rng):
-    for p in (PendulumParams(), PendulumParams(m=1.3, l=0.8), DroneParams(), DroneParams(m=0.7)):
-        model = p.mixed_model()
+    for plant in (PENDULUM, DRONE):
         for _ in range(50):
             q, qdot, u, d = rng.uniform(-2, 2, 4)
-            assert model.accel(q, qdot, u, d) == pytest.approx(
-                forward_dynamics(p, q, u, d), rel=1e-12, abs=1e-12
+            assert plant.accel(q, qdot, u, d) == pytest.approx(
+                forward_dynamics(plant, q, u, d), rel=1e-12, abs=1e-12
             )
 
 
@@ -171,8 +165,7 @@ def test_rk4_raises_on_divergence():
 def test_rk4_step_whose_stage_state_blows_up_diverges():
     # an overflowed control sends the second stage's velocity to inf, and
     # the third stage evaluates the pendulum's math.sin at q = inf
-    model = PendulumParams().mixed_model()
-    accel = lambda t, q, qdot, u: model.accel(q, qdot, u, 0.0)  # noqa: E731
+    accel = lambda t, q, qdot, u: PENDULUM.accel(q, qdot, u, 0.0)  # noqa: E731
     with pytest.raises(SimulationDiverged) as info:
         step_rk4(accel, 0.0, 0.0, 0.0, math.inf, 0.001)
     assert isinstance(info.value.__cause__, ValueError)
@@ -188,20 +181,19 @@ def test_rk4_raise_at_a_finite_stage_state_propagates():
 
 def test_pendulum_energy_conservation_without_wind():
     """Unforced, undamped pendulum holds total energy to 1e-6 relative."""
-    p = PendulumParams(c_d=0.0)
 
     def accel(t, q, qdot, u):
-        return forward_dynamics(p, q, u, 0.0)
+        return forward_dynamics(PENDULUM, q, u, 0.0)
 
     def energy(q, qdot):
-        # inverted-sign gravity: V(q) = -m g l (1 - cos q)
-        return 0.5 * p.m * p.l ** 2 * qdot ** 2 - p.m * p.g * p.l * (1 - math.cos(q))
+        # m = l = 1, inverted-sign gravity: V(q) = -m g l (1 - cos q)
+        return 0.5 * qdot ** 2 - 9.8 * (1 - math.cos(q))
 
     q, qdot = 0.4, 0.0
     e0 = energy(q, qdot)
     dt = 0.001
     for i in range(10_000):
         q, qdot = step_rk4(accel, i * dt, q, qdot, 0.0, dt)
-    scale = abs(e0) + p.m * p.g * p.l
+    scale = abs(e0) + 9.8
     assert abs(energy(q, qdot) - e0) / scale < 1e-6
 

@@ -23,6 +23,7 @@ from safeshift.density_ratio import (
     kde_fit,
     max_ratio_on_traj,
 )
+from safeshift.dynamics import DRONE, PENDULUM
 from safeshift.explore import (
     ConfigError,
     GpLearner,
@@ -123,11 +124,19 @@ def test_config_error_names_offending_field(kw, field_name):
         replace(default_config("pendulum"), **kw)
 
 
-@pytest.mark.parametrize("name", ["plant", "candidates", "safety"])
+@pytest.mark.parametrize("name", ["candidates", "safety"])
 def test_config_with_another_tasks_part_names_the_field(name):
     pendulum_part = getattr(default_config("pendulum"), name)
     with pytest.raises(ConfigError, match=f"^{name}: the landing task needs a "):
         replace(default_config("landing"), **{name: pendulum_part})
+
+
+@pytest.mark.parametrize("task, plant", [("pendulum", PENDULUM), ("landing", DRONE)])
+def test_the_task_fixes_its_plant(task, plant):
+    cfg = default_config(task)
+    assert cfg.plant is plant
+    with pytest.raises(TypeError, match="plant"):
+        replace(cfg, plant=plant)
 
 
 def test_default_config_unknown_task():
@@ -288,6 +297,22 @@ def test_no_safe_candidate_skips_collection_and_retraining():
     assert [r.n_train for r in result.records] == [0, 0]
     assert stub.retrain_calls == 0
     assert math.isnan(result.final_cost)
+
+
+def test_first_fit_runs_first_fit_epochs_even_below_train_epochs(monkeypatch):
+    cfg = default_config("pendulum")
+    cfg = replace(cfg, first_fit_epochs=10, train=replace(cfg.train, epochs=40))
+    epochs = []
+
+    def fit(dataset, src_kde, trg_kde, train, init):
+        epochs.append(train.epochs)
+        return init
+
+    monkeypatch.setattr(rr, "fit", fit)
+    learner = RobustLearner(cfg, np.random.default_rng(0))
+    for _ in range(2):
+        learner.retrain(Dataset.empty(cfg.output_dim), None, None)
+    assert epochs == [10, 40]
 
 
 # -- learner factory --------------------------------------------------------
