@@ -174,8 +174,6 @@ def certify_trajectory(
       ground (q_g - rho <= ground), the worst-case descent speed must
       still be acceptable: qdot_g - rho > qdot_min_at_ground (strict).
     """
-    if len(traj) == 0:
-        raise ValueError("empty trajectory")
     if gamma_val < 0 or eps_m < 0:
         raise ValueError("gamma and eps_m must be nonnegative")
     rho = gamma_val * eps_m

@@ -6,7 +6,8 @@ the output directory.  Exit codes: 0 on success, 1 on a configuration
 problem (a one-line diagnostic names the offending field) or an output
 directory or file that cannot be created or written (the diagnostic,
 `output: cannot create <dir>: ...` or `output: cannot write <file>: ...`,
-names the path), 2 on a runtime failure such as a diverged rollout.
+names the path), 2 on a runtime failure such as a diverged rollout or an
+array too large to allocate (an absurd `horizon` or `output_dim`).
 
 A config is a JSON object with one key per `ExperimentConfig` field (the
 `candidates` field's key is `pool`).  `task` is required and picks the
@@ -83,35 +84,29 @@ def _fits(value, kind: str) -> bool:
     return not isinstance(value, bool) and isinstance(value, _KINDS[kind])
 
 
+def _finite(name: str, value) -> float:
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{name}: expected a finite number")
+    return value
+
+
 def _checked(name: str, value, kind: str):
     """value, if its JSON type fits the field's type name.
 
     A number fills a `float` field and a list (or tuple) of numbers a
-    `tuple[float, ...]` field, as floats.
+    `tuple[float, ...]` field, as finite floats.
     """
     if kind == "tuple[float, ...]":
         if not (isinstance(value, (list, tuple)) and all(_fits(v, "float") for v in value)):
             raise ConfigError(f"{name}: expected a list of numbers")
-    elif kind in _KINDS and not _fits(value, kind):
+        return tuple(_finite(name, v) for v in value)
+    if kind in _KINDS and not _fits(value, kind):
         raise ConfigError(f"{name}: expected {kind}")
-    try:
-        if kind == "tuple[float, ...]":
-            return tuple(float(v) for v in value)
-        return float(value) if kind == "float" else value
-    except OverflowError:  # an integer beyond the float range
-        raise ConfigError(f"{name}: expected a finite number") from None
-
-
-def _check_finite(name: str, value) -> None:
-    """Reject NaN and +-Infinity anywhere in a JSON value; name is its key path."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{name}: expected a finite number")
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _check_finite(f"{name}: {key}", item)
-    if isinstance(value, list):
-        for item in value:
-            _check_finite(name, item)
+    return _finite(name, value) if kind == "float" else value
 
 
 def _section(key: str, default, payload):
@@ -154,7 +149,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         key = _KEYS[f.name]
         if key not in raw:
             continue
-        _check_finite(key, raw[key])
         default = getattr(base, f.name)
         if dataclasses.is_dataclass(default):
             updates[f.name] = _section(key, default, raw[key])
@@ -275,7 +269,7 @@ def run_cmd(args) -> int:
 
     try:
         result = run_experiment(config)
-    except (SimulationDiverged, TrainingDiverged, HyperparameterError) as exc:
+    except (SimulationDiverged, TrainingDiverged, HyperparameterError, MemoryError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
 

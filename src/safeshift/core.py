@@ -159,13 +159,12 @@ class TouchdownSpeed:
 SafetySet = Union[StateBox, TouchdownSpeed]
 
 
-def safety_contains(safe_set: SafetySet, point: tuple):
-    """Strict membership test for (t, q, qdot) in the safety set.
+def safety_contains(safe_set: SafetySet, q, qdot):
+    """Strict membership test for the state (q, qdot) in the safety set.
 
     q and qdot are scalars or equal-shape arrays; arrays are tested
     elementwise and give a boolean array.
     """
-    _, q, qdot = point
     if isinstance(safe_set, StateBox):
         return abs(q) < safe_set.q_abs_max
     if isinstance(safe_set, TouchdownSpeed):

@@ -391,7 +391,7 @@ def _selection_key(traj: DesiredTrajectory):
 def _audit(rollout: Rollout, safe_set: SafetySet) -> bool:
     """True when any recorded state leaves the safety set."""
     states = rollout.states
-    return not np.all(safety_contains(safe_set, (rollout.times, states[:, 0], states[:, 1])))
+    return not np.all(safety_contains(safe_set, states[:, 0], states[:, 1]))
 
 
 def _realized_cost(config: ExperimentConfig, rollout: Rollout) -> float:

@@ -344,11 +344,11 @@ def test_landing_ground_just_below_the_start_runs(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
-def _assert_one_runtime_failure_line(payload, tmp_path, capsys):
+def _assert_one_runtime_failure_line(payload, model, tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", payload)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy warning would be a second line
-        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--model", "gp_rbf"])
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--model", model])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("runtime failure: ") and err.count("\n") == 1
@@ -356,7 +356,8 @@ def _assert_one_runtime_failure_line(payload, tmp_path, capsys):
 
 def test_non_finite_gp_kernel_is_a_runtime_failure(tmp_path, capsys):
     # 2 ell^2 underflows to 0, so the kernel matrix is NaN on its diagonal
-    _assert_one_runtime_failure_line({**SMALL_PENDULUM, "gp": {"ell": 1e-170}}, tmp_path, capsys)
+    payload = {**SMALL_PENDULUM, "gp": {"ell": 1e-170}}
+    _assert_one_runtime_failure_line(payload, "gp_rbf", tmp_path, capsys)
 
 
 def test_unfactorizable_gp_kernel_is_a_runtime_failure(tmp_path, capsys, monkeypatch):
@@ -364,7 +365,17 @@ def test_unfactorizable_gp_kernel_is_a_runtime_failure(tmp_path, capsys, monkeyp
         raise np.linalg.LinAlgError("not positive definite")
 
     monkeypatch.setattr(np.linalg, "cholesky", never)
-    _assert_one_runtime_failure_line(SMALL_PENDULUM, tmp_path, capsys)
+    _assert_one_runtime_failure_line(SMALL_PENDULUM, "gp_rbf", tmp_path, capsys)
+
+
+# Each size is beyond a 47-bit address space, so numpy refuses it at once
+# without touching memory: a 1e14-point grid (728 TiB) and a (1e13, 16)
+# head array (1.14 PiB).
+@pytest.mark.parametrize(
+    "update", [{"episodes": 1, "horizon": 1e12}, {"episodes": 1, "output_dim": 10**13}]
+)
+def test_unallocatable_size_is_a_runtime_failure(update, tmp_path, capsys):
+    _assert_one_runtime_failure_line({**SMALL_PENDULUM, **update}, "robust", tmp_path, capsys)
 
 
 def test_model_override_flag(tmp_path):

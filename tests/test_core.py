@@ -157,16 +157,16 @@ def test_trajectory_rejects_non_uniform_grid():
 
 def test_state_box_examples():
     box = StateBox(1.5)
-    assert safety_contains(box, (0.0, 1.49, 0.0))
-    assert not safety_contains(box, (0.0, 1.51, 0.0))
-    assert not safety_contains(box, (0.0, 1.5, 0.0))  # strict
+    assert safety_contains(box, 1.49, 0.0)
+    assert not safety_contains(box, 1.51, 0.0)
+    assert not safety_contains(box, 1.5, 0.0)  # strict
 
 
 def test_touchdown_speed_examples():
     ts = TouchdownSpeed(qdot_min_at_ground=-1.0, ground=0.0)
-    assert safety_contains(ts, (0.0, 0.0, -0.9))
-    assert safety_contains(ts, (0.0, 0.5, -3.0))  # above ground, inactive
-    assert not safety_contains(ts, (0.0, 0.0, -1.0))  # strict at the boundary
+    assert safety_contains(ts, 0.0, -0.9)
+    assert safety_contains(ts, 0.5, -3.0)  # above ground, inactive
+    assert not safety_contains(ts, 0.0, -1.0)  # strict at the boundary
 
 
 @pytest.mark.parametrize(
@@ -175,8 +175,8 @@ def test_touchdown_speed_examples():
 def test_safety_contains_on_arrays_matches_each_point(safe_set):
     q = np.array([0.0, 1.49, 1.5, -1.5, 1.51, 0.0, 0.0, 0.5, -0.2, math.nan])
     qdot = np.array([-0.9, 0.0, 0.0, 0.0, 0.0, -1.0, -1.1, -3.0, -0.5, 0.0])
-    inside = safety_contains(safe_set, (np.zeros(len(q)), q, qdot))
-    expected = [safety_contains(safe_set, (0.0, float(a), float(b))) for a, b in zip(q, qdot)]
+    inside = safety_contains(safe_set, q, qdot)
+    expected = [safety_contains(safe_set, float(a), float(b)) for a, b in zip(q, qdot)]
     assert inside.tolist() == expected
     assert True in expected and False in expected
 
@@ -184,15 +184,15 @@ def test_safety_contains_on_arrays_matches_each_point(safe_set):
 @given(q=st.floats(-2.0, 2.0), shrink=st.floats(0.0, 1.0))
 def test_state_box_monotone_under_shrinking_q(q, shrink):
     box = StateBox(1.5)
-    if safety_contains(box, (0.0, q, 0.0)):
-        assert safety_contains(box, (0.0, q * shrink, 0.0))
+    if safety_contains(box, q, 0.0):
+        assert safety_contains(box, q * shrink, 0.0)
 
 
 @given(qdot=st.floats(-3.0, 3.0), lift=st.floats(0.0, 3.0))
 def test_touchdown_monotone_under_raising_qdot(qdot, lift):
     ts = TouchdownSpeed(qdot_min_at_ground=-1.0, ground=0.0)
-    if safety_contains(ts, (0.0, 0.0, qdot)):
-        assert safety_contains(ts, (0.0, 0.0, qdot + lift))
+    if safety_contains(ts, 0.0, qdot):
+        assert safety_contains(ts, 0.0, qdot + lift)
 
 
 # -- datasets -------------------------------------------------------------------
