@@ -106,15 +106,18 @@ def kde_density(model: KdeModel, x) -> np.ndarray:
     norm = model.norm
     s = model.samples / h
     s_sq = np.einsum("ij,ij->i", s, s)
+    s_t = -2.0 * s.T
     dens = np.empty(len(pts))
     block = max(1, KDE_BLOCK_ELEMENTS // n)
+    buf = np.empty((min(block, len(pts)), n))
     for lo in range(0, len(pts), block):
         q = pts[lo : lo + block] / h
-        d2 = q @ (-2.0 * s.T)
+        d2 = np.matmul(q, s_t, out=buf[: len(q)])
         d2 += np.einsum("ij,ij->i", q, q)[:, None]
         d2 += s_sq[None, :]
         np.maximum(d2, 0.0, out=d2)
-        dens[lo : lo + block] = np.exp(-0.5 * d2, out=d2).sum(axis=1) / norm
+        d2 *= -0.5
+        dens[lo : lo + block] = np.exp(d2, out=d2).sum(axis=1) / norm
     return dens
 
 
@@ -128,17 +131,30 @@ def point_ratio(src: KdeModel, trg: KdeModel):
     """Single-point clipped density ratio ratio(q, qdot), tuned for the rollout hot path.
 
     Sums the kernels directly where `kde_density` expands the squared
-    distance for one BLAS product; the two differ in the last bits.
+    distance for one BLAS product; the two differ in the last bits.  Each
+    KDE's two sample columns are held as contiguous 1-D arrays, and the
+    squared distance of a query is the sum of its two per-column terms,
+    the same floats as the row sum of the (n, 2) squared offsets.
     """
-    sx, sh, s_norm = src.samples, src.bandwidth, src.norm
-    tx, th, t_norm = trg.samples, trg.bandwidth, trg.norm
+
+    def columns(kde: KdeModel):
+        x = kde.samples
+        h0, h1 = kde.bandwidth.tolist()
+        return np.ascontiguousarray(x[:, 0]), np.ascontiguousarray(x[:, 1]), h0, h1, kde.norm
+
+    def density(q, qdot, x0, x1, h0, h1, norm):
+        z = (q - x0) / h0
+        z *= z
+        z1 = (qdot - x1) / h1
+        z1 *= z1
+        z += z1
+        z *= -0.5
+        return float(np.exp(z, out=z).sum()) / norm
+
+    src_cols, trg_cols = columns(src), columns(trg)
 
     def ratio(q: float, qdot: float) -> float:
-        zs = (np.array((q, qdot)) - sx) / sh
-        p_s = float(np.exp(-0.5 * (zs * zs).sum(axis=1)).sum()) / s_norm
-        zt = (np.array((q, qdot)) - tx) / th
-        p_t = float(np.exp(-0.5 * (zt * zt).sum(axis=1)).sum()) / t_norm
-        r = p_s / max(p_t, DENSITY_FLOOR)
+        r = density(q, qdot, *src_cols) / max(density(q, qdot, *trg_cols), DENSITY_FLOOR)
         return R_LO if r < R_LO else (R_HI if r > R_HI else r)
 
     return ratio

@@ -1,11 +1,13 @@
 """Episodic safe exploration with certified tracking tubes.
 
-Each episode: score every candidate desired trajectory with the current
-model (sigma_max -> residual-error budget eps_m = beta * sigma_max ->
-tube radius gamma * eps_m), certify the worst-case tube against the
-safety set, track the cheapest certified candidate and audit its
-flight, collect (state, residual) data along the actual rollout, and
-retrain.  `run_episode` returns the episode's record, audit included.
+Each episode: screen every candidate desired trajectory by its worst
+estimated density ratio w_hat (at most W_MAX), score each one the screen
+lets through with the current model (sigma_max -> residual-error budget
+eps_m = beta * sigma_max -> tube radius gamma * eps_m), certify its
+worst-case tube against the safety set, track the cheapest certified
+candidate and audit its flight, collect (state, residual) data along the
+actual rollout, and retrain.  `run_episode` returns the episode's record,
+audit included.
 The robust learner's sigma_max is the closed form (1/sigma0_sq + 2
 theta_y r_min)^(-1/2) at the candidate's smallest clipped density ratio
 r_min; the GP's is the max posterior std on the certification points.
@@ -120,7 +122,7 @@ PLANTS = {"pendulum": PENDULUM, "landing": DRONE}
 # at most MAX_TRAIN_POINTS rows, the source KDE at most KDE_SRC_MAX and
 # each target KDE at most KDE_TRG_MAX samples, all thinned by even
 # stride.  A candidate whose worst estimated density ratio exceeds W_MAX
-# is not admitted, whatever its certificate says.
+# is not admitted, and so is neither scored nor certified.
 SIM_DT = 0.001
 TRAJ_DT = 0.01
 SAMPLE_STRIDE = 20
@@ -414,13 +416,16 @@ def run_episode(
     src_kde: Optional[KdeModel],
     config: ExperimentConfig,
 ) -> EpisodeOutcome:
-    """One episode: score, certify, select, track, audit.
+    """One episode: screen, score, certify, select, track, audit.
 
     src_kde is the KDE of all previously collected inputs; None means
     episode 1, where the source density is undefined and r = 1 everywhere.
-    A candidate is admissible when its tube certificate passes AND its
-    worst estimated density ratio against the data stays within W_MAX;
-    the chosen candidate is the cost argmin of that admissible set.
+    A candidate is admissible when its worst estimated density ratio
+    against the data stays within W_MAX AND its tube certificate passes.
+    They are checked in that order, with sigma_max in between: a
+    candidate the W_MAX screen rejects gets no `eval_candidate` and no
+    `certify_trajectory` call.  The chosen candidate is the cost argmin
+    of the admissible set, and `n_certified` counts that set.
     Returns the episode's record, flight audit included, with status "ok",
     "touchdown" (landing reached the ground, still a success),
     "no_safe_candidate", or "diverged"; `run_experiment` numbers it and
@@ -438,10 +443,12 @@ def run_episode(
     admitted = []
     inputs = pool.episode_inputs(src_kde)
     for k, (traj, (pts, r_min, w_hat)) in enumerate(zip(pool.trajs, inputs)):
+        if not w_hat <= W_MAX:  # a NaN w_hat is screened out too
+            continue
         sigma_max = learner.eval_candidate(pts, r_min)
         eps_m = eps_m_from_sigma(sigma_max, config.beta)
         cert = certify_trajectory(traj, gamma_val, eps_m, config.safety)
-        if cert.safe and w_hat <= W_MAX:
+        if cert.safe:
             # the index breaks ties in pool order
             admitted.append((_selection_key(traj), k, sigma_max, eps_m, cert.rho, w_hat))
     if not admitted:

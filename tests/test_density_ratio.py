@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from safeshift.density_ratio import (
+    DENSITY_FLOOR,
+    KDE_BLOCK_ELEMENTS,
     R_HI,
     R_LO,
     SIGMA_FLOOR,
@@ -169,3 +171,43 @@ def test_ratio_helpers_floor_the_denominator():
     np.testing.assert_array_equal(r, [0.1, 0.5, 10.0])
     w = max_ratio(np.array([1e-6, 2.0, 3.0, 1.0]), np.array([0.0, 4.0, 1.0, 2.0]), [0, 2])
     np.testing.assert_allclose(w, [1e6, 3.0], rtol=1e-15)
+
+
+def _row_sum_density(kde, x):
+    z = (x - kde.samples) / kde.bandwidth
+    return float(np.exp(-0.5 * (z * z).sum(axis=1)).sum()) / kde.norm
+
+
+def test_point_ratio_bit_equal_to_the_row_sum_it_replaces():
+    rng = np.random.default_rng(12)
+    kdes = [
+        kde_fit(rng.normal(size=2) + rng.normal(size=(n, 2)) * rng.uniform(0.05, 3.0, 2))
+        for n in (1, 2, 40, 250, 500)
+    ]
+    assert np.all(kdes[0].bandwidth == SIGMA_FLOOR)  # Silverman's factor is 1 at n = 1, d = 2
+    for src in kdes:
+        for trg in kdes:
+            ratio = point_ratio(src, trg)
+            for q, qdot in rng.normal(scale=2.0, size=(50, 2)).tolist():
+                x = np.array((q, qdot))
+                want = _row_sum_density(src, x) / max(_row_sum_density(trg, x), DENSITY_FLOOR)
+                assert ratio(q, qdot) == min(max(want, R_LO), R_HI)
+
+
+@pytest.mark.parametrize("n, m", [(1, 5), (300, 1000), (500, 60_060)])
+def test_kde_density_bit_equal_to_per_block_products(n, m):
+    # the blocks write into one reused buffer; each block's floats are the
+    # ones its own freshly allocated product gives
+    rng = np.random.default_rng(n)
+    model = kde_fit(rng.normal(size=(n, 2)))
+    pts = rng.uniform(-4.0, 4.0, (m, 2))
+    h = model.bandwidth
+    s = model.samples / h
+    s_sq = np.einsum("ij,ij->i", s, s)
+    block = max(1, KDE_BLOCK_ELEMENTS // n)
+    want = []
+    for lo in range(0, m, block):
+        q = pts[lo : lo + block] / h
+        d2 = q @ (-2.0 * s.T) + np.einsum("ij,ij->i", q, q)[:, None] + s_sq[None, :]
+        want.append(np.exp(-0.5 * np.maximum(d2, 0.0)).sum(axis=1) / model.norm)
+    np.testing.assert_array_equal(kde_density(model, pts), np.concatenate(want))

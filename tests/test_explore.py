@@ -11,7 +11,7 @@ import pytest
 
 from safeshift import explore
 from safeshift import robust_regression as rr
-from safeshift.bounds import certify_trajectory
+from safeshift.bounds import certify_trajectory, eps_m_from_sigma
 from safeshift.controller import ControllerGains
 from safeshift.core import Dataset, LandingPool, PendulumPool
 from safeshift.density_ratio import (
@@ -462,24 +462,28 @@ def test_robust_eval_candidate_constant_and_mixed():
 
 @pytest.mark.parametrize("task", ["pendulum", "landing"])
 def test_robust_score_is_the_max_predicted_std_on_recorded_episodes(task, monkeypatch):
+    # exactly the candidates the W_MAX screen lets through are scored, and
     # the closed form at r_min equals, bit for bit, the max of predict's
     # variance on the certification points at their clipped ratios
     cfg = default_config(task)
     cfg = replace(cfg, episodes=3, first_fit_epochs=100, train=replace(cfg.train, epochs=50))
     if task == "pendulum":
         cfg = replace(cfg, horizon=5.0)
-    scored = []  # (cache, src_kde, model, inputs, sigmas) per episode
+    scored = []  # (cache, src_kde, model, inputs, {candidate index: sigma}) per episode
     real_inputs = explore.PoolCache.episode_inputs
 
     def inputs_spy(cache, src_kde):
         out = real_inputs(cache, src_kde)
-        scored.append((cache, src_kde, learner.model, out, []))
+        scored.append((cache, src_kde, learner.model, out, {}))
         return out
 
     class Recorder(RobustLearner):
         def eval_candidate(self, pts, r_min):
-            scored[-1][4].append(super().eval_candidate(pts, r_min))
-            return scored[-1][4][-1]
+            _, _, _, inputs, sigmas = scored[-1]
+            k = next(i for i, (p, _, _) in enumerate(inputs) if p is pts)
+            assert k not in sigmas
+            sigmas[k] = super().eval_candidate(pts, r_min)
+            return sigmas[k]
 
     learner = Recorder(cfg, np.random.default_rng(cfg.seed))
     monkeypatch.setattr(explore.PoolCache, "episode_inputs", inputs_spy)
@@ -488,9 +492,11 @@ def test_robust_score_is_the_max_predicted_std_on_recorded_episodes(task, monkey
 
     r_mins = []
     for cache, src, model, inputs, sigmas in scored:
-        assert len(sigmas) == len(inputs)
+        assert set(sigmas) == {k for k, (_, _, w_hat) in enumerate(inputs) if w_hat <= explore.W_MAX}
         p_src = None if src is None else kde_density(src, cache.grids)
-        for (pts, r_min, _), start, sigma in zip(inputs, cache.cert_starts, sigmas):
+        for k, sigma in sigmas.items():
+            pts, r_min, _ = inputs[k]
+            start = cache.cert_starts[k]
             rows = cache.cert_rows[start : start + len(pts)]
             r = np.ones(len(pts))
             if p_src is not None:
@@ -501,6 +507,49 @@ def test_robust_score_is_the_max_predicted_std_on_recorded_episodes(task, monkey
             r_mins.append(r_min)
     assert scored[-1][2].theta_y[0] > 0
     assert len(set(r_mins)) > 2
+    assert len(scored[1][4]) < len(scored[1][3])  # the screen rejects some candidates
+
+
+
+def test_gp_scores_only_screened_candidates_and_certifies_the_same_set(monkeypatch):
+    # gp_predict runs once per candidate the W_MAX screen lets through
+    # (never in episode 1, which scores on the prior), and n_certified is
+    # what scoring and certifying every candidate would admit
+    cfg = replace(default_config("landing"), model_kind="gp_rbf", episodes=3)
+    learner = make_learner(cfg, np.random.default_rng(cfg.seed))
+    scored = []  # (model, inputs, gp_predict calls) per episode
+    real_inputs = explore.PoolCache.episode_inputs
+
+    def inputs_spy(cache, src_kde):
+        out = real_inputs(cache, src_kde)
+        scored.append((learner.model, out, []))
+        return out
+
+    def predict_spy(model, pts):
+        scored[-1][2].append(pts)
+        return gp_predict(model, pts)
+
+    monkeypatch.setattr(explore.PoolCache, "episode_inputs", inputs_spy)
+    monkeypatch.setattr(explore, "gp_predict", predict_spy)
+    result = run_experiment(cfg, learner=learner)
+    assert len(scored) == cfg.episodes and scored[0][0] is None
+
+    pool, gamma_val = cfg.pool(), cfg.gamma()
+    for (model, inputs, calls), rec in zip(scored, result.records):
+        screened = [k for k, (_, _, w_hat) in enumerate(inputs) if w_hat <= explore.W_MAX]
+        if model is None:
+            assert calls == []
+        else:
+            assert len(screened) < len(inputs)
+            assert [id(p) for p in calls] == [id(inputs[k][0]) for k in screened]
+        certified = 0
+        for traj, (pts, _, w_hat) in zip(pool, inputs):
+            sigma = math.sqrt(cfg.gp.sigma_f_sq)
+            if model is not None:
+                sigma = float(np.sqrt(np.max(gp_predict(model, pts)[1])))
+            cert = certify_trajectory(traj, gamma_val, eps_m_from_sigma(sigma, cfg.beta), cfg.safety)
+            certified += cert.safe and w_hat <= explore.W_MAX
+        assert rec.n_certified == certified > 0
 
 
 def test_target_kdes_fit_once_per_experiment(monkeypatch):
