@@ -3,15 +3,13 @@
 Two ingredient families:
 
 * Statistical: a generalization bound for the robust regressor on the
-  target trajectory, and a perturbation bound for how the guarantee decays
-  on a ball around it.  Both are diagnostics; the exploration loop itself
-  budgets the residual error as eps_m = beta * max sigma(x).
+  target trajectory, a diagnostic; the exploration loop itself budgets
+  the residual error as eps_m = beta * max sigma(x).
 
 * Dynamical: gamma converts a uniform residual-error bound eps_m into the
-  radius of the asymptotic tracking-error ball of the closed loop, and
-  tracking_envelope gives the transient bound.  Both plants are 1-DOF, so
-  the inertia m and the gains k, lam are scalars.  certify_trajectory
-  checks the worst-case tube against the safety set.
+  radius of the asymptotic tracking-error ball of the closed loop.  Both
+  plants are 1-DOF, so the inertia m and the gains k, lam are scalars.
+  certify_trajectory checks the worst-case tube against the safety set.
 """
 
 from __future__ import annotations
@@ -27,9 +25,7 @@ __all__ = [
     "BoundInputs",
     "Certification",
     "generalization_bound",
-    "perturbation_bound",
     "gamma",
-    "tracking_envelope",
     "eps_m_from_sigma",
     "beta_for_confidence",
     "certify_trajectory",
@@ -38,15 +34,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BoundInputs:
-    """Inputs to the generalization/perturbation bounds.
+    """Inputs to the generalization bound.
 
     w: sup of the target/source density ratio; r: lower bound of the
     clipped ratio on the data support; b: lower bound on theta_y;
     lambda_bar: max slack across statistic dimensions; f_diam: diameter
     of the estimator function class; rademacher: empirical complexity of
     the class on the sample (caller-supplied, default 0 = diagnostic
-    only); l_true/l_hat: Lipschitz constants of the true and estimated
-    mean; eps_ball: radius of the perturbation ball.
+    only).
     """
 
     w: float
@@ -58,13 +53,10 @@ class BoundInputs:
     rademacher: float = 0.0
     delta: float = 0.05
     n: int = 1
-    l_true: float = 0.0
-    l_hat: float = 0.0
-    eps_ball: float = 0.0
 
     def __post_init__(self):
         vals = (self.w, self.r, self.b, self.sigma0_sq, self.lambda_bar,
-                self.f_diam, self.rademacher, self.l_true, self.l_hat, self.eps_ball)
+                self.f_diam, self.rademacher)
         if any(v < 0 for v in vals):
             raise ValueError("bound inputs must be nonnegative")
         if self.sigma0_sq == 0:
@@ -90,17 +82,6 @@ def generalization_bound(inputs: BoundInputs) -> float:
     )
 
 
-def perturbation_bound(inputs: BoundInputs) -> float:
-    """Error bound on a ball of radius eps_ball around the target support.
-
-    ((2 r b + sigma0^-2)^(-1/2) + sqrt(lambda_bar) + (l_true + l_hat) * eps_ball)^2
-    """
-    root_var = (2.0 * inputs.r * inputs.b + 1.0 / inputs.sigma0_sq) ** -0.5
-    return (
-        root_var + math.sqrt(inputs.lambda_bar) + (inputs.l_true + inputs.l_hat) * inputs.eps_ball
-    ) ** 2
-
-
 def gamma(m: float, k: float, lam: float) -> float:
     """Gain from the residual-error bound eps_m to the tracking-error ball.
 
@@ -113,17 +94,6 @@ def gamma(m: float, k: float, lam: float) -> float:
     mixing gain.
     """
     return m / (k * m) * math.sqrt((1.0 / lam) ** 2 + 4.0)
-
-
-def tracking_envelope(t: float, s0_norm: float, m: float, k: float, eps_m: float) -> float:
-    """Time-domain bound on |s(t)| for sup|eps| <= eps_m.
-
-    e^(-k t / m) s0 + (m / (k m)) (1 - e^(-k t / m)) eps_m
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    decay = math.exp(-k * t / m)
-    return decay * s0_norm + m / (k * m) * (1.0 - decay) * eps_m
 
 
 def eps_m_from_sigma(sigma_max: float, beta: float) -> float:

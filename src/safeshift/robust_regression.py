@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Dataset
-from .density_ratio import R_HI, R_LO, KdeModel, density_ratio
+from .density_ratio import KdeModel, density_ratio
 
 __all__ = [
     "FeatureNet",
@@ -38,14 +38,12 @@ __all__ = [
     "TrainConfig",
     "TrainingDiverged",
     "feature_net_init",
-    "spectral_norm",
     "spectral_normalize",
     "initial_model",
     "predict",
     "mean_fn",
     "std_at",
     "fit",
-    "lipschitz_bound",
 ]
 
 POWER_ITERS = 30
@@ -77,19 +75,16 @@ class TrainingDiverged(RuntimeError):
 class FeatureNet:
     """Fully connected ReLU feature extractor; the last layer is linear.
 
-    weights[i] has shape (in_i, out_i); caps[i] is the positive
-    spectral-norm cap enforced by spectral_normalize.
+    weights[i] has shape (in_i, out_i); spectral_normalize caps every
+    layer's spectral norm at SPECTRAL_CAP.
     """
 
     weights: tuple
     biases: tuple
-    caps: tuple
 
     def __post_init__(self):
-        if not (len(self.weights) == len(self.biases) == len(self.caps)):
-            raise ValueError("weights, biases, caps must align")
-        if not all(c > 0 for c in self.caps):
-            raise ValueError("spectral cap must be positive")
+        if len(self.weights) != len(self.biases):
+            raise ValueError("weights and biases must align")
 
     @property
     def feature_dim(self) -> int:
@@ -106,13 +101,13 @@ class FeatureNet:
 
 
 def feature_net_init(rng: np.random.Generator) -> FeatureNet:
-    """He-initialized net, immediately rescaled to the spectral caps."""
+    """He-initialized net, immediately rescaled to the spectral cap."""
     dims = (INPUT_DIM,) + HIDDEN + (FEATURE_DIM,)
     weights, biases = [], []
     for d_in, d_out in zip(dims[:-1], dims[1:]):
         weights.append(rng.standard_normal((d_in, d_out)) * math.sqrt(2.0 / d_in))
         biases.append(np.zeros(d_out))
-    net = FeatureNet(tuple(weights), tuple(biases), (SPECTRAL_CAP,) * len(weights))
+    net = FeatureNet(tuple(weights), tuple(biases))
     spectral_normalize(net, [None] * len(weights))
     return net
 
@@ -137,31 +132,21 @@ def _power_iterate(w: np.ndarray, v: np.ndarray, iters: int, tol: float):
     return sigma, v
 
 
-def spectral_norm(w: np.ndarray) -> float:
-    """Largest singular value by power iteration on w^T w.
-
-    Deterministic start vector (all ones); stops after POWER_ITERS
-    iterations or once the estimate moves by less than POWER_TOL.
-    """
-    v = np.ones(w.shape[1]) / math.sqrt(w.shape[1])
-    return float(_power_iterate(w, v, POWER_ITERS, POWER_TOL)[0])
-
-
 def spectral_normalize(net: FeatureNet, cache: list) -> None:
-    """Rescale, in place, every weight matrix whose spectral norm exceeds its cap.
+    """Rescale, in place, every weight matrix whose spectral norm exceeds SPECTRAL_CAP.
 
     cache[i] is the power iteration's start vector for layer i, replaced by
-    the right singular vector it converged to; None starts from all ones,
-    as `spectral_norm` does.  In training the weights drift a little per
+    the right singular vector it converged to; None starts from the
+    normalized all-ones vector.  In training the weights drift a little per
     step, so the previous step's vectors converge almost immediately.
     """
-    for i, (w, c) in enumerate(zip(net.weights, net.caps)):
+    for i, w in enumerate(net.weights):
         v = cache[i]
         if v is None:
             v = np.ones(w.shape[1]) / math.sqrt(w.shape[1])
         s, cache[i] = _power_iterate(w, v, POWER_ITERS, POWER_TOL)
-        if s > c:
-            w *= c / s
+        if s > SPECTRAL_CAP:
+            w *= SPECTRAL_CAP / s
 
 
 @dataclass(frozen=True)
@@ -667,7 +652,7 @@ def fit(
     s_y = views[-1]
     np.log(np.maximum(theta_y, THETA_Y_FLOOR), out=s_y)
     model = RobustModel(
-        net=FeatureNet(tuple(views[:n_layers]), tuple(views[n_layers : 2 * n_layers]), net.caps),
+        net=FeatureNet(tuple(views[:n_layers]), tuple(views[n_layers : 2 * n_layers])),
         theta_phi=views[-2],
         theta_y=theta_y,
         sigma0_sq=init.sigma0_sq,
@@ -728,18 +713,3 @@ def fit(
     theta_y, converged = _polish_theta_y(model, x, y, r, fixed_mu=False)
     model = replace(model, theta_y=theta_y, converged=converged)
     return replace(model, moment_residuals=_moment(model, x, y, r, np.ones(len(x))))
-
-
-def lipschitz_bound(model: RobustModel) -> float:
-    """Diagnostic Lipschitz upper bound of the predictive mean.
-
-    Treats r as an unknown constant in [R_LO, R_HI]:
-    sup sigma_sq * R_HI * ||theta_phi||_2 * prod(layer spectral norms),
-    with sup sigma_sq attained at r = R_LO and the smallest theta_y.
-    """
-    sup_var = float(np.max(_predictive(model, np.array([R_LO]), model.theta_y)[1]))
-    head = float(np.linalg.norm(model.theta_phi, 2))
-    layers = 1.0
-    for w in model.net.weights:
-        layers *= spectral_norm(w)
-    return sup_var * R_HI * head * layers

@@ -48,9 +48,8 @@ def make_line_dataset():
 def line_fit():
     """(model, dataset, true_mean) for the linear benchmark fit.
 
-    Session-scoped because several tests (mean recovery, moment
-    condition, Lipschitz diagnostic, variance bound) inspect the same
-    trained model and training is the slow part.
+    Session-scoped because the mean-recovery and moment-condition tests
+    inspect the same trained model and training is the slow part.
     """
     ds = _make_line_dataset()
     base = rr.initial_model(1.0, net=rr.feature_net_init(np.random.default_rng(3)), lam=1e-3)

@@ -12,9 +12,9 @@ It keeps the prior-mean term mu0/sigma0_sq of the predictive mean, at
 mu0 = 0.0, and the zero-head mean in `_solve_heads`, which the package
 leaves out: matching it bit for bit shows that leaving them out moves no
 float.
-The fixed settings (LR, CLIP_NORM, THETA_Y_FLOOR, THETA_Y_LR_MULT) are
-read from the package module at call time, so a test that patches one
-patches both fits.  The shipped code must reproduce it bit for bit; see
+The fixed settings (LR, CLIP_NORM, THETA_Y_FLOOR, THETA_Y_LR_MULT,
+SPECTRAL_CAP) are read from the package module at call time, so a test
+that patches one patches both fits.  The shipped code must reproduce it bit for bit; see
 test_robust_regression.py.  Everything else (the theta_y polish, the
 moment residual) is imported from the package.
 """
@@ -66,14 +66,15 @@ def _normalize_warm(net: FeatureNet, cache: list) -> FeatureNet:
     converge almost immediately.  Same tolerance as the cold start.
     """
     new_w = []
-    for i, (w, c) in enumerate(zip(net.weights, net.caps)):
+    c = rr.SPECTRAL_CAP
+    for i, w in enumerate(net.weights):
         v = cache[i]
         if v is None or v.shape != (w.shape[1],):
             v = np.ones(w.shape[1]) / math.sqrt(w.shape[1])
         s, v = _power_iterate(w, v, POWER_ITERS, POWER_TOL)
         cache[i] = v
         new_w.append(w * (c / s) if s > c else w)
-    return FeatureNet(tuple(new_w), net.biases, net.caps)
+    return FeatureNet(tuple(new_w), net.biases)
 
 
 def _precision(model: RobustModel, r: np.ndarray, theta_y: np.ndarray) -> np.ndarray:
@@ -256,7 +257,7 @@ def fit(
         s_y = np.clip(s_y - step * g_sy, log_floor, log_ceil)
         new_w = tuple(w - step * g for w, g in zip(model.net.weights, g_w))
         new_b = tuple(b - step * g for b, g in zip(model.net.biases, g_b))
-        new_net = _normalize_warm(FeatureNet(new_w, new_b, model.net.caps), power_cache)
+        new_net = _normalize_warm(FeatureNet(new_w, new_b), power_cache)
         model = replace(model, net=new_net, theta_phi=theta_phi, theta_y=np.exp(s_y))
 
     # Gradient descent alone crawls through the coupled head/theta_y

@@ -1,4 +1,4 @@
-"""Closed-form error bounds, the tracking tube, and certification."""
+"""Closed-form error bounds, the tracking-tube gain, and certification."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from safeshift.bounds import (
     BoundInputs,
@@ -16,8 +15,6 @@ from safeshift.bounds import (
     eps_m_from_sigma,
     gamma,
     generalization_bound,
-    perturbation_bound,
-    tracking_envelope,
 )
 from safeshift.core import StateBox, TouchdownSpeed, landing_pool, pendulum_pool
 from safeshift.explore import default_config
@@ -45,30 +42,6 @@ def test_generalization_bound_linear_in_w():
     assert two == pytest.approx(2 * one, rel=1e-12)
 
 
-def test_perturbation_bound_collapses_to_variance():
-    val = perturbation_bound(BoundInputs(w=1.0, r=1.0, b=0.5, sigma0_sq=1.0))
-    assert val == pytest.approx(0.5, rel=1e-15)
-
-
-def test_perturbation_bound_worked_example():
-    # (sqrt(0.5) + sqrt(0.04) + 2 * 0.1)^2
-    val = perturbation_bound(
-        BoundInputs(w=1.0, r=1.0, b=0.5, sigma0_sq=1.0,
-                    lambda_bar=0.04, l_true=1.0, l_hat=1.0, eps_ball=0.1)
-    )
-    assert val == pytest.approx((math.sqrt(0.5) + 0.2 + 0.2) ** 2, rel=1e-12)
-
-
-def test_perturbation_bound_monotone_in_eps_ball():
-    vals = [
-        perturbation_bound(
-            BoundInputs(w=1.0, r=1.0, b=0.5, sigma0_sq=1.0, l_true=1.0, l_hat=0.5, eps_ball=e)
-        )
-        for e in np.linspace(0.0, 2.0, 20)
-    ]
-    assert all(a <= b for a, b in zip(vals, vals[1:]))
-
-
 def test_bound_inputs_validation():
     with pytest.raises(ValueError):
         BoundInputs(w=-1.0, r=1.0, b=1.0, sigma0_sq=1.0)
@@ -78,7 +51,7 @@ def test_bound_inputs_validation():
         BoundInputs(w=1.0, r=1.0, b=1.0, sigma0_sq=0.0)
 
 
-# -- Theorem 2 gain and envelope ------------------------------------------------
+# -- Theorem 2 gain ------------------------------------------------------------
 
 
 def test_gamma_unit_scalars():
@@ -91,40 +64,15 @@ def test_gamma_scales_inversely_with_k():
         assert gamma(1.0, 2.0 * c, 3.0) == pytest.approx(base / c, rel=1e-12)
 
 
+def test_gamma_with_a_non_unit_inertia():
+    """m cancels: the gain is sqrt(1/lam^2 + 4) / k for any inertia."""
+    assert gamma(1.9, 2.5, 1.5) == pytest.approx(math.sqrt(1 / 1.5**2 + 4.0) / 2.5, rel=1e-12)
+
+
 def test_gamma_of_the_default_tasks():
     """The tube gains the default configs certify with, to the last bit."""
     assert default_config("pendulum").gamma() == 2.0615528128088303
     assert default_config("landing").gamma() == 0.6442352540027595
-
-
-def test_envelope_at_zero_and_infinity():
-    assert tracking_envelope(0.0, 0.7, 4.0, 2.0, 0.3) == pytest.approx(0.7)
-    late = tracking_envelope(1e9, 0.7, 4.0, 2.0, 0.3)
-    assert late == pytest.approx(0.3 / 2.0, rel=1e-9)
-
-
-def test_envelope_pure_decay():
-    assert tracking_envelope(1.0, 1.0, 1.0, 1.0, 0.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
-
-
-def test_envelope_asymptote_reproduces_gamma():
-    """gamma = (t->inf s-envelope per unit eps) * the error mixing factor."""
-    m, k, lam = 1.9, 2.5, 1.5
-    s_asymptote = tracking_envelope(1e12, 0.0, m, k, 1.0)
-    mix = math.sqrt((1 / lam) ** 2 + 4.0)
-    assert s_asymptote * mix == pytest.approx(gamma(m, k, lam), rel=1e-9)
-
-
-@given(
-    s0=st.floats(0.0, 5.0),
-    eps=st.floats(0.0, 2.0),
-    t=st.floats(0.0, 50.0),
-)
-def test_envelope_between_extremes(s0, eps, t):
-    val = tracking_envelope(t, s0, 1.3, 2.0, eps)
-    start = tracking_envelope(0.0, s0, 1.3, 2.0, eps)
-    asymptote = eps / 2.0
-    assert min(start, asymptote) - 1e-12 <= val <= max(start, asymptote) + 1e-12
 
 
 def test_eps_m_from_sigma_values():

@@ -17,9 +17,7 @@ from safeshift.robust_regression import (
     feature_net_init,
     fit,
     initial_model,
-    lipschitz_bound,
     predict,
-    spectral_norm,
     spectral_normalize,
 )
 
@@ -141,7 +139,7 @@ def _unflatten(model, vec):
     tp = vec[i : i + model.theta_phi.size].reshape(model.theta_phi.shape)
     i += model.theta_phi.size
     ty = vec[i:].copy()
-    net = FeatureNet(tuple(ws), tuple(bs), model.net.caps)
+    net = FeatureNet(tuple(ws), tuple(bs))
     return replace(model, net=net, theta_phi=tp, theta_y=ty)
 
 
@@ -379,70 +377,35 @@ def test_root_in_dim_outcomes():
 # -- spectral machinery -------------------------------------------------------------
 
 
-def test_spectral_norm_matches_svd(rng):
-    for _ in range(10):
-        w = rng.normal(0, 1, (5, 5))
-        assert spectral_norm(w) == pytest.approx(np.linalg.svd(w, compute_uv=False)[0], abs=1e-5)
-
-
 def test_spectral_normalize_identity_unchanged():
-    net = FeatureNet((np.eye(3),), (np.zeros(3),), (1.0,))
+    w = 0.5 * rr.SPECTRAL_CAP * np.eye(3)
+    net = FeatureNet((w.copy(),), (np.zeros(3),))
     spectral_normalize(net, [None])
-    np.testing.assert_array_equal(net.weights[0], np.eye(3))
+    np.testing.assert_array_equal(net.weights[0], w)
 
 
 def test_spectral_normalize_rescales_uniformly():
-    net = FeatureNet((np.diag([3.0, 1.0]),), (np.zeros(2),), (1.0,))
+    # diag(3 cap, cap) has spectral norm 3 cap, so both axes shrink by 1/3:
+    # with the cap at 2, diag(6, 2) becomes diag(2, 2/3)
+    cap = rr.SPECTRAL_CAP
+    net = FeatureNet((np.diag([3.0 * cap, cap]),), (np.zeros(2),))
     spectral_normalize(net, [None])
-    np.testing.assert_allclose(net.weights[0], np.diag([1.0, 1.0 / 3.0]), atol=1e-9)
+    np.testing.assert_allclose(net.weights[0], np.diag([cap, cap / 3.0]), atol=1e-9)
 
 
 def test_spectral_normalize_enforces_caps(rng):
+    """Every blown-up layer comes back to the cap, up to the power iteration's shortfall.
+
+    The power estimate never exceeds the largest singular value, so a
+    rescaled layer lands at or above the cap.  It lands above it by what the
+    POWER_ITERS iterations leave unconverged: up to ~4 % on 32-wide layers
+    whose top two singular values are close.
+    """
     net = feature_net_init(rng)
-    blown = FeatureNet(tuple(10.0 * w for w in net.weights), net.biases, net.caps)
+    blown = FeatureNet(tuple(10.0 * w for w in net.weights), net.biases)
     cache = [None] * len(blown.weights)
     spectral_normalize(blown, cache)
-    for w, cap, v in zip(blown.weights, blown.caps, cache):
-        assert spectral_norm(w) <= cap * (1 + 1e-5)
+    for w, v in zip(blown.weights, cache):
+        top = np.linalg.svd(w, compute_uv=False)[0]
+        assert rr.SPECTRAL_CAP * (1 - 1e-12) <= top <= rr.SPECTRAL_CAP * 1.05
         assert v.shape == (w.shape[1],)  # the converged start vector of the next call
-
-
-@pytest.mark.parametrize("cap", [0.0, -1.0, math.nan])
-def test_feature_net_rejects_a_non_positive_cap(cap):
-    with pytest.raises(ValueError, match="spectral cap must be positive"):
-        FeatureNet((np.eye(2),), (np.zeros(2),), (cap,))
-
-
-# -- diagnostics -----------------------------------------------------------------
-
-
-def test_lipschitz_bound_zero_head():
-    assert lipschitz_bound(_base(0)) == 0.0
-
-
-def test_lipschitz_bound_single_layer_example():
-    # sup var 1/(1 + 2 * 0.1 * 5) = 0.5 at r = R_LO, R_HI = 10,
-    # ||theta_phi|| = 1, one layer of norm 2 -> 10.0
-    w = np.zeros((2, 4))
-    w[0, 0] = 2.0
-    net = FeatureNet((w,), (np.zeros(4),), (4.0,))
-    model = initial_model(1.0, net=net, lam=LAM)
-    model = replace(model, theta_phi=np.array([[1.0, 0, 0, 0]]), theta_y=np.array([5.0]))
-    assert lipschitz_bound(model) == pytest.approx(10.0, rel=1e-9)
-
-
-def test_lipschitz_bound_dominates_empirical_slopes(line_fit):
-    model, ds, _ = line_fit
-    bound = lipschitz_bound(model)
-    rng = np.random.default_rng(17)
-    lo, hi = ds.inputs.min(axis=0), ds.inputs.max(axis=0)
-    a = rng.uniform(lo, hi, (10_000, 2))
-    b = rng.uniform(lo, hi, (10_000, 2))
-    for r_const in (R_LO, 1.0, R_HI):
-        r = np.full(len(a), r_const)
-        mu_a, _ = predict(model, a, ratios=r)
-        mu_b, _ = predict(model, b, ratios=r)
-        gaps = np.linalg.norm(a - b, axis=1)
-        keep = gaps > 1e-9
-        slopes = np.abs(mu_a[keep, 0] - mu_b[keep, 0]) / gaps[keep]
-        assert float(np.max(slopes)) <= bound + 1e-12
