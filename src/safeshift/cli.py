@@ -7,7 +7,7 @@ problem (a one-line diagnostic names the offending field) or an output
 directory or file that cannot be created or written (the diagnostic,
 `output: cannot create <dir>: ...` or `output: cannot write <file>: ...`,
 names the path), 2 on a runtime failure such as a diverged rollout or an
-array too large to allocate (an absurd `horizon` or `output_dim`).
+array too large to allocate (an absurd `horizon`).
 
 A config is a JSON object with one key per `ExperimentConfig` field (the
 `candidates` field's key is `pool`).  `task` is required and picks the

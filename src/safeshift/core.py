@@ -293,7 +293,7 @@ def subsample_rows(x: np.ndarray, max_rows: int) -> np.ndarray:
 class Dataset:
     """Immutable buffer of (state, residual) training pairs.
 
-    inputs: (n, 2) actual states (q, qdot); targets: (n, d_out) measured
+    inputs: (n, 2) actual states (q, qdot); targets: (n,) measured
     residual force values.  Episodes grow the buffer via `concat`.
     """
 
@@ -303,8 +303,8 @@ class Dataset:
     def __post_init__(self):
         if self.inputs.ndim != 2 or self.inputs.shape[1] != 2:
             raise ValueError("inputs must be (n, 2)")
-        if self.targets.ndim != 2 or self.targets.shape[0] != self.inputs.shape[0]:
-            raise ValueError("targets must be (n, d_out)")
+        if self.targets.shape != (self.inputs.shape[0],):
+            raise ValueError("targets must be (n,)")
         if len(self.inputs) and not (
             np.all(np.isfinite(self.inputs)) and np.all(np.isfinite(self.targets))
         ):
@@ -313,17 +313,11 @@ class Dataset:
     def __len__(self) -> int:
         return self.inputs.shape[0]
 
-    @property
-    def dim_out(self) -> int:
-        return self.targets.shape[1]
-
     @classmethod
-    def empty(cls, dim_out: int = 1) -> "Dataset":
-        return cls(np.zeros((0, 2)), np.zeros((0, dim_out)))
+    def empty(cls) -> "Dataset":
+        return cls(np.zeros((0, 2)), np.zeros(0))
 
     def concat(self, other: "Dataset") -> "Dataset":
-        if other.dim_out != self.dim_out:
-            raise ValueError("output dimension mismatch")
         return Dataset(
             np.concatenate([self.inputs, other.inputs]),
             np.concatenate([self.targets, other.targets]),

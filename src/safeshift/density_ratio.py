@@ -2,9 +2,9 @@
 
 The learner reweights its exponent by r_hat(x) = p_src(x) / p_trg(x): how
 much source (training) mass covers a query relative to the target
-trajectory's mass there.  Ratios are clipped into [R_LO, R_HI] so they
-stay bounded away from zero (the variance formula needs a positive floor)
-and from blowing up where the target density vanishes.
+trajectory's mass there.  Ratios are clipped from above at R_HI, so
+they do not blow up where the target density vanishes; off the data they
+fall to 0, where the robust predictive form goes back to its prior.
 
 Each ratio formula lives in one helper that takes precomputed densities
 (`clipped_ratio`, `max_ratio`).  `density_ratio` and `max_ratio_on_traj`
@@ -35,13 +35,11 @@ __all__ = [
     "point_ratio",
     "DENSITY_FLOOR",
     "SIGMA_FLOOR",
-    "R_LO",
     "R_HI",
 ]
 
 DENSITY_FLOOR = 1e-12
-# the clip interval of every density ratio
-R_LO = 0.1
+# the upper clip of every density ratio
 R_HI = 10.0
 SIGMA_FLOOR = 1e-3
 # elements of the (block, n_samples) kernel temporary in kde_density:
@@ -122,9 +120,9 @@ def kde_density(model: KdeModel, x) -> np.ndarray:
 
 
 def clipped_ratio(p_src, p_trg) -> np.ndarray:
-    """p_src / max(p_trg, DENSITY_FLOOR) clipped into [R_LO, R_HI]."""
+    """p_src / max(p_trg, DENSITY_FLOOR) clipped from above at R_HI."""
     p_t = np.maximum(p_trg, DENSITY_FLOOR)
-    return np.clip(np.asarray(p_src, dtype=float) / p_t, R_LO, R_HI)
+    return np.minimum(np.asarray(p_src, dtype=float) / p_t, R_HI)
 
 
 def point_ratio(src: KdeModel, trg: KdeModel):
@@ -155,7 +153,7 @@ def point_ratio(src: KdeModel, trg: KdeModel):
 
     def ratio(q: float, qdot: float) -> float:
         r = density(q, qdot, *src_cols) / max(density(q, qdot, *trg_cols), DENSITY_FLOOR)
-        return R_LO if r < R_LO else (R_HI if r > R_HI else r)
+        return R_HI if r > R_HI else r
 
     return ratio
 

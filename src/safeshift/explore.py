@@ -24,7 +24,7 @@ densities each call needs are passed in, not bound to the model:
                                      certification points pts (ratios >= r_min)
   d_hat_fn(src_kde, trg_kde)         the controller's compensation d_hat(q, qdot)
   retrain(dataset, src_kde, trg_kde)
-  moment_residual_max()              the fit's stationarity residual
+  moment_residual()                  |the fit's stationarity residual|
 
 Scoring does each piece of work once, at the level where its inputs
 change.  The pool is fixed, so each candidate's grid, certification
@@ -99,12 +99,12 @@ MODEL_KINDS = ("robust", "gp_rbf", "gp_matern")
 TASKS = {
     "pendulum": dict(
         candidates=PendulumPool(), safety=StateBox(),
-        beta=0.5, sigma0_sq=0.5, gains=ControllerGains(1.0, 2.0), horizon=20.0, output_dim=1,
+        beta=0.5, sigma0_sq=0.5, gains=ControllerGains(1.0, 2.0), horizon=20.0,
         train=rr.TrainConfig(epochs=300, lam=1e-3), cert_stride=4, first_fit_epochs=1500,
     ),
     "landing": dict(
         candidates=LandingPool(), safety=TouchdownSpeed(),
-        beta=1.0, sigma0_sq=1.0, gains=ControllerGains(3.2, 2.0), horizon=10.0, output_dim=3,
+        beta=1.0, sigma0_sq=1.0, gains=ControllerGains(3.2, 2.0), horizon=10.0,
         train=rr.TrainConfig(epochs=500, lam=1e-4), cert_stride=6, first_fit_epochs=2000,
     ),
 }
@@ -146,15 +146,12 @@ class ExperimentConfig:
     of `candidates` and `safety` (a pendulum's `PendulumPool` of swing
     amplitudes and `StateBox`, or a drone's `LandingPool` of rates x
     hovers and `TouchdownSpeed`).  The task also fixes the `plant`.
-    `output_dim` > 1 appends zero-mean nuisance residual dimensions,
-    exercising the multi-output learner; certification always uses
-    dimension 0.
 
     `cert_stride` scans sigma on every k-th grid point, a documented
     deviation from the idealized loop (1 is exact); the d_hat hold is the
     other one, fixed at D_HAT_HOLD_STEPS.  The simulation and collection
     rates, the data and KDE caps and the W_MAX screen are module
-    constants, as are the ratio clip `density_ratio.R_LO` / `R_HI`, since
+    constants, as is the ratio's upper clip `density_ratio.R_HI`, since
     no workload varies them; the robust prior is N(0, sigma0_sq), with
     zero mean like the GP's.  `horizon` must be a multiple of TRAJ_DT,
     1.5 C^2 horizon finite for each landing rate C, the landing ground below
@@ -172,7 +169,6 @@ class ExperimentConfig:
     horizon: float
     candidates: PendulumPool | LandingPool
     safety: SafetySet
-    output_dim: int
     train: rr.TrainConfig
     cert_stride: int
     first_fit_epochs: int
@@ -209,8 +205,6 @@ class ExperimentConfig:
                 raise ArithmeticError
         except ArithmeticError as exc:
             raise ConfigError("gains: the tube gain gamma is not positive and finite") from exc
-        if self.output_dim < 1:
-            raise ConfigError("output_dim: must be >= 1")
         if self.model_kind not in MODEL_KINDS:
             raise ConfigError(f"model_kind: must be one of {MODEL_KINDS}")
         if self.cert_stride < 1:
@@ -310,11 +304,10 @@ class RobustLearner:
             config.sigma0_sq,
             net=rr.feature_net_init(rng),
             lam=config.train.lam,
-            dim_out=config.output_dim,
         )
 
     def eval_candidate(self, pts, r_min):
-        """Max predictive std of dimension 0 on pts: `rr.std_at` their smallest ratio."""
+        """Max predictive std on pts: `rr.std_at` their smallest ratio."""
         return rr.std_at(self.model, r_min)
 
     def d_hat_fn(self, src_kde, trg_kde):
@@ -331,9 +324,9 @@ class RobustLearner:
         self.model = rr.fit(dataset, src_kde, trg_kde, train, init=self.model)
         self.fits += 1
 
-    def moment_residual_max(self) -> float:
-        """Largest |moment residual| of the last fit; called after `retrain`."""
-        return float(np.max(np.abs(self.model.moment_residuals)))
+    def moment_residual(self) -> float:
+        """|moment residual| of the last fit; called after `retrain`."""
+        return abs(self.model.moment_residual)
 
 
 class GpLearner:
@@ -358,7 +351,7 @@ class GpLearner:
         self.model = None  # release the old n x n factor before fitting
         self.model = gp_fit(dataset.inputs, dataset.targets, self.cfg.gp, self.kernel)
 
-    def moment_residual_max(self) -> float:
+    def moment_residual(self) -> float:
         return math.nan
 
 
@@ -405,9 +398,7 @@ def _realized_cost(config: ExperimentConfig, rollout: Rollout) -> float:
 def _collect(config: ExperimentConfig, rollout: Rollout) -> Dataset:
     states = rollout.states[::SAMPLE_STRIDE]
     res = config.plant.residual
-    targets = np.zeros((len(states), config.output_dim))
-    targets[:, 0] = [res(q, qdot) for q, qdot in states.tolist()]
-    return Dataset(states, targets)
+    return Dataset(states, np.array([res(q, qdot) for q, qdot in states.tolist()]))
 
 
 def run_episode(
@@ -526,7 +517,7 @@ def run_experiment(config: ExperimentConfig, learner=None) -> ExperimentResult:
         learner = make_learner(config, np.random.default_rng(config.seed))
     pool = build_pool_cache(config.pool(), config)
 
-    dataset = Dataset.empty(config.output_dim)
+    dataset = Dataset.empty()
     src_kde = None
     records: list[EpisodeOutcome] = []
 
@@ -544,7 +535,7 @@ def run_experiment(config: ExperimentConfig, learner=None) -> ExperimentResult:
             train_set = dataset.subsample(MAX_TRAIN_POINTS)
             learner.retrain(train_set, src_kde, rec.trg_kde)
             rec.n_train = len(train_set)
-            rec.moment_residual = learner.moment_residual_max()
+            rec.moment_residual = learner.moment_residual()
         records.append(rec)
 
     return ExperimentResult(config=config, records=records)

@@ -3,8 +3,7 @@
 Drop-in alternative to the robust regressor in the exploration loop: it
 exposes the same (mu, sigma_sq) prediction interface.  Hyperparameters are
 fixed from config (no marginal-likelihood optimization) and the kernel
-from the learner kind; outputs beyond the first are handled by
-independent GPs sharing one kernel matrix.
+from the learner kind.
 
 A fit is one Cholesky factorization L of the kernel matrix and one
 triangular inverse L^-1, exactly lower-triangular (Rasmussen & Williams,
@@ -58,9 +57,9 @@ class GpHyper:
             raise ValueError("sigma_f_sq, ell, sigma_n_sq must be positive")
 
 
-def _dists(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    # coordinate differences, not the |a|^2 + |b|^2 - 2ab expansion, so
-    # identical points are exactly at distance 0
+def _sq_dists(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    # squared coordinate differences, not the |a|^2 + |b|^2 - 2ab
+    # expansion, so identical points are exactly at distance 0
     d2 = np.subtract.outer(xa[:, 0], xb[:, 0])
     np.multiply(d2, d2, out=d2)
     diff = np.empty_like(d2)
@@ -68,7 +67,7 @@ def _dists(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
         np.subtract.outer(xa[:, j], xb[:, j], out=diff)
         np.multiply(diff, diff, out=diff)
         d2 += diff
-    return np.sqrt(d2, out=d2)
+    return d2
 
 
 def kernel_matrix(kind: str, xa, xb, sigma_f_sq: float, ell: float) -> np.ndarray:
@@ -79,18 +78,20 @@ def kernel_matrix(kind: str, xa, xb, sigma_f_sq: float, ell: float) -> np.ndarra
 
     Each step is written in place, in the order of the formulas above, so
     the values equal those of the plain numpy expressions bit for bit.
+    The rbf reads the squared distance d^2 as summed; only the Matern
+    takes its square root.
     """
     xa = np.atleast_2d(np.asarray(xa, dtype=float))
     xb = np.atleast_2d(np.asarray(xb, dtype=float))
     if kind not in KERNELS:
         raise ValueError(f"unknown kernel {kind!r}")
-    d = _dists(xa, xb)
+    d2 = _sq_dists(xa, xb)
     if kind == "rbf":
-        np.multiply(d, d, out=d)
         # (-a) / c and a / (-c) round alike: the sign folds into the divisor
-        np.divide(d, -(2.0 * ell * ell), out=d)
-        np.exp(d, out=d)
-        return np.multiply(d, sigma_f_sq, out=d)
+        np.divide(d2, -(2.0 * ell * ell), out=d2)
+        np.exp(d2, out=d2)
+        return np.multiply(d2, sigma_f_sq, out=d2)
+    d = np.sqrt(d2, out=d2)
     z = np.multiply(d, math.sqrt(5.0) / ell, out=d)
     zz = np.multiply(z, z)
     np.divide(zz, 3.0, out=zz)
@@ -139,15 +140,11 @@ class GpModel:
     # L^-1, L the lower Cholesky factor of K + sigma_n_sq I (+ jitter);
     # exactly lower-triangular: every entry above the diagonal is 0.0
     chol_inv: np.ndarray
-    alpha: np.ndarray  # (n, d_out), (K + sigma_n_sq I)^-1 y
-
-    @property
-    def dim_out(self) -> int:
-        return self.alpha.shape[1]
+    alpha: np.ndarray  # (n,), (K + sigma_n_sq I)^-1 y
 
 
 def gp_fit(inputs, targets, hyper: GpHyper = GpHyper(), kernel: str = "rbf") -> GpModel:
-    """Factor the kernel matrix once; each output column gets its own alpha.
+    """Factor the kernel matrix once and solve for alpha.
 
     One Cholesky factorization L and one triangular inverse L^-1 per fit;
     alpha = L^-T (L^-1 y).  The model keeps L^-1 instead of the factor L,
@@ -158,12 +155,10 @@ def gp_fit(inputs, targets, hyper: GpHyper = GpHyper(), kernel: str = "rbf") -> 
     """
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.asarray(targets, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
     if len(x) == 0:
         raise ValueError("need at least one training point")
-    if len(y) != len(x):
-        raise ValueError("inputs/targets length mismatch")
+    if y.shape != (len(x),):
+        raise ValueError("targets must be one value per input")
     with np.errstate(all="ignore"):  # a non-finite entry is reported below
         k = kernel_matrix(kernel, x, x, hyper.sigma_f_sq, hyper.ell)
     if not np.isfinite(k).all():
@@ -190,10 +185,8 @@ def gp_fit(inputs, targets, hyper: GpHyper = GpHyper(), kernel: str = "rbf") -> 
 def gp_predict(model: GpModel, x):
     """Posterior mean and variance at query points.
 
-    x: (m, d).  Returns mu of shape (m, d_out) and
-    sigma_sq of shape (m,) — the variance is shared across output
-    dimensions because they share the kernel: sigma_f_sq - ||L^-1 k*||^2,
-    floored at 0.
+    x: (m, d).  Returns mu and sigma_sq, both (m,); the variance is
+    sigma_f_sq - ||L^-1 k*||^2, floored at 0.
     """
     pts = np.asarray(x, dtype=float)
     h = model.hyper
@@ -212,12 +205,11 @@ def gp_predict(model: GpModel, x):
 
 
 def gp_mean_fn(model: GpModel):
-    """The posterior mean of dimension 0 as a function of one state (q, qdot)."""
+    """The posterior mean as a function of one state (q, qdot)."""
     h = model.hyper
-    alpha0 = np.ascontiguousarray(model.alpha[:, 0])
 
     def mean(q: float, qdot: float) -> float:
         k_star = kernel_matrix(model.kernel, model.x_train, ((q, qdot),), h.sigma_f_sq, h.ell)
-        return float(k_star[:, 0] @ alpha0)
+        return float(k_star[:, 0] @ model.alpha)
 
     return mean

@@ -10,15 +10,16 @@ source/target density ratio r(x):
 phi(x) is a small spectral-normalized ReLU network's output feature
 vector; it enters only the mean.  The variance depends on x only through
 r(x): it contracts where the data is dense relative to the proposal
-(large r) and stays inflated where the proposal leaves the data (r
-clipped at its floor).  So the robust certificate, the largest sigma on
-a candidate, depends on the data only through theta_y and the density
-ratio: it is sigma at the candidate's smallest ratio.  Training
-minimizes the penalized Gaussian negative log-likelihood on source data
-with analytic gradients; a final one dimensional solve per output
-tightens theta_y until the stationarity condition
-mean_i r_i (y_i^2 - mu_i^2 - sigma_i^2) = -lambda holds to solver
-precision.
+(large r) and goes back to the prior sigma0_sq, with the mean back to 0,
+where the proposal leaves the data (r -> 0).  So the robust certificate,
+the largest sigma on a candidate, depends on the data only through
+theta_y and the density ratio: it is sigma at the candidate's smallest
+ratio.  The model has one output, the residual force: theta_phi is one
+head on the features and theta_y one scalar.  Training minimizes the
+penalized Gaussian negative log-likelihood on source data with analytic
+gradients; a final one dimensional solve tightens theta_y until the
+stationarity condition mean_i r_i (y_i^2 - mu_i^2 - sigma_i^2) = -lambda
+holds to solver precision.
 """
 
 from __future__ import annotations
@@ -104,9 +105,9 @@ def feature_net_init(rng: np.random.Generator) -> FeatureNet:
     """He-initialized net, immediately rescaled to the spectral cap."""
     dims = (INPUT_DIM,) + HIDDEN + (FEATURE_DIM,)
     weights, biases = [], []
-    for d_in, d_out in zip(dims[:-1], dims[1:]):
-        weights.append(rng.standard_normal((d_in, d_out)) * math.sqrt(2.0 / d_in))
-        biases.append(np.zeros(d_out))
+    for n_in, n_out in zip(dims[:-1], dims[1:]):
+        weights.append(rng.standard_normal((n_in, n_out)) * math.sqrt(2.0 / n_in))
+        biases.append(np.zeros(n_out))
     net = FeatureNet(tuple(weights), tuple(biases))
     spectral_normalize(net, [None] * len(weights))
     return net
@@ -153,31 +154,28 @@ def spectral_normalize(net: FeatureNet, cache: list) -> None:
 class RobustModel:
     """Trained (or base) predictive model.
 
-    theta_phi: (d_out, k) linear heads on the features; theta_y: (d_out,)
-    nonnegative precision tilts.  The base model has both at zero, which
-    reproduces N(0, sigma0_sq) everywhere; fitted models keep theta_y at
-    or above THETA_Y_FLOOR.
+    theta_phi: (k,) linear head on the features; theta_y: the nonnegative
+    precision tilt, a numpy float64.  The base model has both at zero,
+    which reproduces N(0, sigma0_sq) everywhere; fitted models keep
+    theta_y at or above THETA_Y_FLOOR.  moment_residual is a fit's
+    stationarity residual mean(y^2 - mu^2 - sigma^2).
     """
 
     net: FeatureNet
     theta_phi: np.ndarray
-    theta_y: np.ndarray
+    theta_y: float
     sigma0_sq: float
     lam: float
     converged: bool = True
-    moment_residuals: Optional[np.ndarray] = None
+    moment_residual: float = math.nan
 
     def __post_init__(self):
         if self.sigma0_sq <= 0:
             raise ValueError("sigma0_sq must be positive")
-        if self.theta_phi.shape != (len(self.theta_y), self.net.feature_dim):
-            raise ValueError("theta_phi must be (d_out, feature_dim)")
-        if np.any(self.theta_y < 0):
+        if self.theta_phi.shape != (self.net.feature_dim,) or np.ndim(self.theta_y) != 0:
+            raise ValueError("theta_phi must be (feature_dim,) and theta_y a scalar")
+        if self.theta_y < 0:
             raise ValueError("theta_y must be nonnegative")
-
-    @property
-    def dim_out(self) -> int:
-        return len(self.theta_y)
 
 
 @dataclass(frozen=True)
@@ -185,7 +183,7 @@ class TrainConfig:
     """Full-batch gradient descent recipe: one step per epoch on every row.
 
     The learning rate follows a cosine schedule from LR over `epochs`;
-    `lam` is the L1 penalty on the heads and theta_y.
+    `lam` is the L1 penalty on the head and theta_y.
     """
 
     epochs: int
@@ -198,51 +196,49 @@ class TrainConfig:
             raise ValueError("lam must be >= 0")
 
 
-def initial_model(
-    sigma0_sq: float, *, net: FeatureNet, lam: float, dim_out: int = 1
-) -> RobustModel:
+def initial_model(sigma0_sq: float, *, net: FeatureNet, lam: float) -> RobustModel:
     """Base model predicting N(0, sigma0_sq) at every input."""
     return RobustModel(
         net=net,
-        theta_phi=np.zeros((dim_out, net.feature_dim)),
-        theta_y=np.zeros(dim_out),
+        theta_phi=np.zeros(net.feature_dim),
+        theta_y=np.float64(0.0),
         sigma0_sq=sigma0_sq,
         lam=lam,
     )
 
 
-def _predictive(model: RobustModel, r: np.ndarray, theta_y: np.ndarray, a=None, out=None):
-    """The predictive form at ratios r (n,) and precision tilts theta_y (d_out,).
+def _predictive(model: RobustModel, r: np.ndarray, theta_y, a=None, out=None):
+    """The predictive form at ratios r (n,) and precision tilt theta_y.
 
         sigma_sq = 1 / (1/sigma0_sq + 2 r theta_y)
         mu       = sigma_sq * r a
 
-    a (n, d_out) holds the head activations theta_phi . phi(x).  Returns
-    (mu, sigma_sq), both (n, d_out); mu is None when a is None.  `out` is
-    an optional (mu, sigma_sq) pair of (n, d_out) buffers to write into.
+    a (n,) holds the head activations theta_phi . phi(x).  Returns
+    (mu, sigma_sq), both (n,); mu is None when a is None.  `out` is an
+    optional (mu, sigma_sq) pair of (n,) buffers to write into.
     """
     mu, var = (None, None) if out is None else out
-    var = np.multiply(2.0 * r[:, None], theta_y[None, :], out=var)
+    var = np.multiply(2.0 * r, theta_y, out=var)
     var += 1.0 / model.sigma0_sq
     np.divide(1.0, var, out=var)
     if a is None:
         return None, var
-    mu = np.multiply(r[:, None], a, out=mu)
+    mu = np.multiply(r, a, out=mu)
     mu *= var
     return mu, var
 
 
 def predict(model: RobustModel, x, ratios=None):
-    """Per-dimension predictive mean and variance at query inputs.
+    """Predictive mean and variance at query inputs.
 
-    x: (n, 2); returns (mu, sigma_sq), both (n, d_out).  ratios holds one
+    x: (n, 2); returns (mu, sigma_sq), both (n,).  ratios holds one
     density ratio per query; None means r = 1 everywhere.
     """
     pts = np.asarray(x, dtype=float)
     r = np.ones(len(pts)) if ratios is None else np.asarray(ratios, dtype=float)
     if r.shape != (len(pts),):
         raise ValueError("ratios must be one per query")
-    a = model.net.forward(pts) @ model.theta_phi.T
+    a = model.net.forward(pts) @ model.theta_phi
     return _predictive(model, r, model.theta_y, a)
 
 
@@ -256,34 +252,34 @@ def _mean(r, a, theta_y, sigma0_sq):
 
 
 def mean_fn(model: RobustModel, ratio):
-    """`_mean` of dimension 0 at one state, mean(q, qdot), at the density ratio
-    ratio(q, qdot) there (`density_ratio.point_ratio`); None means r = 1."""
-    forward, head = model.net.forward, model.theta_phi[0]
-    theta_y0, sigma0_sq = float(model.theta_y[0]), model.sigma0_sq
+    """`_mean` at one state, mean(q, qdot), at the density ratio ratio(q, qdot)
+    there (`density_ratio.point_ratio`); None means r = 1."""
+    forward, head = model.net.forward, model.theta_phi
+    theta_y, sigma0_sq = float(model.theta_y), model.sigma0_sq
 
     def mean(q: float, qdot: float) -> float:
         r = 1.0 if ratio is None else ratio(q, qdot)
-        return _mean(r, float(forward(np.array((q, qdot))) @ head), theta_y0, sigma0_sq)
+        return _mean(r, float(forward(np.array((q, qdot))) @ head), theta_y, sigma0_sq)
 
     return mean
 
 
 def std_at(model: RobustModel, r: float) -> float:
-    """Predictive std of dimension 0 at ratio r: exactly the largest std on points whose
-    smallest ratio is r, since sigma_sq and each rounded step of `_predictive` fall as r grows."""
-    return float(np.sqrt(_predictive(model, np.array([r]), model.theta_y)[1][0, 0]))
+    """Predictive std at ratio r: exactly the largest std on points whose smallest
+    ratio is r, since sigma_sq and each rounded step of `_predictive` fall as r grows."""
+    return float(np.sqrt(_predictive(model, np.array([r]), model.theta_y)[1][0]))
 
 
-def _flat_buffer(net: FeatureNet, d_out: int):
+def _flat_buffer(net: FeatureNet):
     """A zeroed flat float64 buffer and its views, one per parameter array.
 
-    The layout is the net's weights, its biases, theta_phi (d_out, k) and
-    one (d_out,) slot, which holds log theta_y in the training parameters
-    and its gradient in the training gradient.  Returns (buf, views) with
-    the views in that order.
+    The layout is the net's weights, its biases, theta_phi (k,) and one
+    0-d slot, which holds log theta_y in the training parameters and its
+    gradient in the training gradient.  Returns (buf, views) with the
+    views in that order.
     """
     shapes = [w.shape for w in net.weights] + [b.shape for b in net.biases]
-    shapes += [(d_out, net.feature_dim), (d_out,)]
+    shapes += [(net.feature_dim,), ()]
     buf = np.zeros(sum(math.prod(shape) for shape in shapes))
     views, i = [], 0
     for shape in shapes:
@@ -301,12 +297,12 @@ class _Workspace:
     theta_y gradient.  The per-row buffers hold one row per training row.
     """
 
-    def __init__(self, net: FeatureNet, d_out: int, rows: int):
+    def __init__(self, net: FeatureNet, rows: int):
         n_layers = len(net.weights)
-        self.grad, views = _flat_buffer(net, d_out)
+        self.grad, views = _flat_buffer(net)
         self.g_w, self.g_b = views[:n_layers], views[n_layers : 2 * n_layers]
         self.g_tp, self.g_sy = views[-2], views[-1]
-        self.g_ty = np.empty(d_out)
+        self.g_ty = np.empty(())
         widths = [w.shape[1] for w in net.weights]
         # pre-activations (the last is phi), ReLU outputs and masks, and
         # the backward products on each layer's output
@@ -315,9 +311,8 @@ class _Workspace:
         self.mask = [np.empty((rows, m), dtype=bool) for m in widths[:-1]]
         self.dh = [np.empty((rows, m)) for m in widths]
         self.a, self.mu, self.var, self.e, self.da, self.t1, self.t2 = (
-            np.empty((rows, d_out)) for _ in range(7)
+            np.empty(rows) for _ in range(7)
         )
-        self.row = np.empty(rows)
 
 
 def _loss_terms(model, x, y, r, ws: _Workspace) -> float:
@@ -329,17 +324,17 @@ def _loss_terms(model, x, y, r, ws: _Workspace) -> float:
         z += b
         if i < last:
             h = np.maximum(z, 0.0, out=ws.act[i])
-    a = np.matmul(ws.pre[last], model.theta_phi.T, out=ws.a)
+    a = np.matmul(ws.pre[last], model.theta_phi, out=ws.a)
     mu, var = _predictive(model, r, model.theta_y, a, out=(ws.mu, ws.var))
     e = np.subtract(y, mu, out=ws.e)
-    # 0.5 log(2 pi var) + e^2 / (2 var), summed over dims, mean over rows
+    # 0.5 log(2 pi var) + e^2 / (2 var), mean over rows
     t1 = np.multiply(2.0 * math.pi, var, out=ws.t1)
     np.log(t1, out=t1)
     t1 *= 0.5
     t2 = np.multiply(e, e, out=ws.t2)
     t2 /= np.multiply(2.0, var, out=ws.da)
     t1 += t2
-    return float(np.add.reduce(np.add.reduce(t1, axis=1, out=ws.row)) / len(x))
+    return float(np.add.reduce(t1) / len(x))
 
 
 def _grads(model, x, y, r, ws: _Workspace) -> float:
@@ -351,24 +346,24 @@ def _grads(model, x, y, r, ws: _Workspace) -> float:
     n = len(x)
     nll = _loss_terms(model, x, y, r, ws)
     phi, mu, var = ws.pre[-1], ws.mu, ws.var
-    # d loss / d a = -(e * r) / n   (per sample, per output dim)
-    da = np.multiply(ws.e, r[:, None], out=ws.da)
+    # d loss / d a = -(e * r) / n   (per sample)
+    da = np.multiply(ws.e, r, out=ws.da)
     np.negative(da, out=da)
     da /= n
-    np.matmul(da.T, phi, out=ws.g_tp)
+    np.matmul(da, phi, out=ws.g_tp)
     ws.g_tp += model.lam * np.sign(model.theta_phi)
     # d loss / d theta_y = mean_i r_i (y^2 - mu^2 - var) + lam
     moment = np.multiply(y, y, out=ws.t1)
     moment -= np.multiply(mu, mu, out=ws.t2)
     moment -= var
-    moment *= r[:, None]
-    np.add.reduce(moment, axis=0, out=ws.g_ty)
+    moment *= r
+    np.add.reduce(moment, out=ws.g_ty)
     ws.g_ty /= n
     ws.g_ty += model.lam * np.sign(model.theta_y)
     weights = model.net.weights
     last = len(weights) - 1
     # gradient on the feature output, then on each hidden output
-    dh = np.matmul(da, model.theta_phi, out=ws.dh[last])
+    dh = np.multiply(da[:, None], model.theta_phi, out=ws.dh[last])
     for i in range(last, -1, -1):
         if i < last:
             dh *= np.greater(ws.pre[i], 0, out=ws.mask[i])
@@ -377,19 +372,19 @@ def _grads(model, x, y, r, ws: _Workspace) -> float:
         np.add.reduce(dh, axis=0, out=ws.g_b[i])
         if i > 0:
             dh = np.matmul(dh, weights[i].T, out=ws.dh[i - 1])
-    penalty = model.lam * (np.abs(model.theta_phi).sum() + np.abs(model.theta_y).sum())
+    penalty = model.lam * (np.abs(model.theta_phi).sum() + abs(model.theta_y))
     return nll + float(penalty)
 
 
-def _moment(model, x, y, r, weights, theta_y=None):
-    """weights-averaged (y^2 - mu^2 - sigma^2) per dim; mu, sigma use ratios r.
+def _moment(model, x, y, r, weights, theta_y=None) -> float:
+    """weights-averaged (y^2 - mu^2 - sigma^2); mu, sigma use ratios r.
 
     Unit weights give the stationarity residual mean(y^2 - mu^2 - sigma^2)
     that a fit records.
     """
     th = model.theta_y if theta_y is None else theta_y
-    mu, var = _predictive(model, r, th, model.net.forward(x) @ model.theta_phi.T)
-    return (weights[:, None] * (y * y - mu * mu - var)).mean(axis=0)
+    mu, var = _predictive(model, r, th, model.net.forward(x) @ model.theta_phi)
+    return float(np.mean(weights * (y * y - mu * mu - var)))
 
 
 UNWEIGHTED_SLACK = 5e-3  # half the post-fit moment tolerance, used as a guard
@@ -487,76 +482,70 @@ LASSO_TOL = 1e-8
 
 
 def _solve_heads(model, x, y, r):
-    """Exact per-dim head weights at the current net and theta_y.
+    """Exact head weights at the current net and theta_y.
 
     Given features and theta_y, the data term is weighted least squares in
-    each head: mu_i = v_i r_i a^T phi_i, so the penalized
-    objective in a is quadratic plus lam * ||a||_1.  Solved as a relaxed
-    lasso: cyclic coordinate descent with soft thresholding picks the
-    support (deterministic sweep order), then an unpenalized least-squares
-    refit on that support removes the soft-threshold shrinkage, which is
-    not small here -- the fitted variance scales the Gram matrix down, so
-    a fixed lam would otherwise bias the means by several percent.  A
-    ridge proxy is NOT used either: the random ReLU features are
-    near-collinear and an L2 term strong enough to tame them visibly
-    over-shrinks realizable structure.
+    the head: mu_i = v_i r_i a^T phi_i, so the penalized objective in a is
+    quadratic plus lam * ||a||_1.  Solved as a relaxed lasso: cyclic
+    coordinate descent with soft thresholding picks the support
+    (deterministic sweep order), then an unpenalized least-squares refit
+    on that support removes the soft-threshold shrinkage, which is not
+    small here -- the fitted variance scales the Gram matrix down, so a
+    fixed lam would otherwise bias the means by several percent.  A ridge
+    proxy is NOT used either: the random ReLU features are near-collinear
+    and an L2 term strong enough to tame them visibly over-shrinks
+    realizable structure.
     """
     phi = model.net.forward(x)
     n = len(x)
-    var = _predictive(model, r, model.theta_y)[1]
-    heads = np.empty_like(model.theta_phi)
+    v = _predictive(model, r, model.theta_y)[1]
     lam = model.lam
-    for d in range(model.dim_out):
-        v = var[:, d]
-        # stationarity: (G a - b)_j + lam sign(a_j) = 0 with
-        # G = (1/n) phi^T diag(v r^2) phi, b = (1/n) phi^T (r y)
-        g_mat = (phi * (v * r * r)[:, None]).T @ phi / n
-        b_vec = phi.T @ (r * y[:, d]) / n
-        # Python floats for the scalar arithmetic (numpy scalars are slow);
-        # a_list mirrors a, which the row dots read.  row.dot(a) is the
-        # same BLAS ddot as g_mat[j] @ a, with less call overhead.
-        diag, b_list = np.diag(g_mat).tolist(), b_vec.tolist()
-        dots = [row.dot for row in g_mat]
-        a = model.theta_phi[d].copy()
-        a_list = a.tolist()
-        for _ in range(LASSO_SWEEPS):
-            biggest = 0.0
-            for j, (d_j, b_j, dot) in enumerate(zip(diag, b_list, dots)):
-                if d_j <= 0.0:
-                    a[j] = a_list[j] = 0.0
-                    continue
-                a_j = a_list[j]
-                rho = b_j - float(dot(a)) + d_j * a_j
-                if rho > lam:
-                    new = (rho - lam) / d_j
-                elif rho < -lam:
-                    new = (rho + lam) / d_j
-                else:
-                    new = 0.0
-                change = abs(new - a_j)
-                if change > biggest:
-                    biggest = change
-                a[j] = a_list[j] = new
-            if biggest <= LASSO_TOL * max(1.0, float(np.max(np.abs(a)))):
-                break
-        support = np.flatnonzero(np.abs(a) > 1e-12)
-        if support.size:
-            # debias: min-norm least squares on the selected columns (the
-            # restricted Gram can be rank deficient, lstsq handles it)
-            sub, _, _, _ = np.linalg.lstsq(
-                g_mat[np.ix_(support, support)], b_vec[support], rcond=None
-            )
-            a = np.zeros_like(a)
-            a[support] = sub
-        heads[d] = a
-    return heads
+    # stationarity: (G a - b)_j + lam sign(a_j) = 0 with
+    # G = (1/n) phi^T diag(v r^2) phi, b = (1/n) phi^T (r y)
+    g_mat = (phi * (v * r * r)[:, None]).T @ phi / n
+    b_vec = phi.T @ (r * y) / n
+    # Python floats for the scalar arithmetic (numpy scalars are slow);
+    # a_list mirrors a, which the row dots read.  row.dot(a) is the same
+    # BLAS ddot as g_mat[j] @ a, with less call overhead.
+    diag, b_list = np.diag(g_mat).tolist(), b_vec.tolist()
+    dots = [row.dot for row in g_mat]
+    a = model.theta_phi.copy()
+    a_list = a.tolist()
+    for _ in range(LASSO_SWEEPS):
+        biggest = 0.0
+        for j, (d_j, b_j, dot) in enumerate(zip(diag, b_list, dots)):
+            if d_j <= 0.0:
+                a[j] = a_list[j] = 0.0
+                continue
+            a_j = a_list[j]
+            rho = b_j - float(dot(a)) + d_j * a_j
+            if rho > lam:
+                new = (rho - lam) / d_j
+            elif rho < -lam:
+                new = (rho + lam) / d_j
+            else:
+                new = 0.0
+            change = abs(new - a_j)
+            if change > biggest:
+                biggest = change
+            a[j] = a_list[j] = new
+        if biggest <= LASSO_TOL * max(1.0, float(np.max(np.abs(a)))):
+            break
+    support = np.flatnonzero(np.abs(a) > 1e-12)
+    if support.size:
+        # debias: min-norm least squares on the selected columns (the
+        # restricted Gram can be rank deficient, lstsq handles it)
+        sub, _, _, _ = np.linalg.lstsq(g_mat[np.ix_(support, support)], b_vec[support], rcond=None)
+        a = np.zeros_like(a)
+        a[support] = sub
+    return a
 
 
 def _polish_theta_y(model, x, y, r, fixed_mu=True):
-    """Finish theta_y with a bracketed scalar solve, per dim.
+    """Finish theta_y with a bracketed scalar solve; returns (theta_y, converged).
 
-    The training first-order condition in theta_y[d] is
-    mean_i r_i (y^2 - mu^2 - sigma^2)_d + lam = 0.  Gradient descent
+    The training first-order condition in theta_y is
+    mean_i r_i (y^2 - mu^2 - sigma^2) + lam = 0.  Gradient descent
     approaches the root slowly (the stationary theta_y can be orders of
     magnitude above the other parameters), so we solve it directly; the
     moment is increasing in theta_y with limit mean(r y^2) + lam > 0, so
@@ -577,37 +566,27 @@ def _polish_theta_y(model, x, y, r, fixed_mu=True):
     The post-fit contract is on the UNWEIGHTED moment mean(y^2-mu^2-sigma^2)
     (the first-order condition as usually stated, exact when r = 1).  When
     the ratios spread enough that the weighted root leaves the unweighted
-    residual outside lam + UNWEIGHTED_SLACK, we retarget that dim's solve at
-    the unweighted moment: a deliberate, documented projection that trades
-    a lam-scale bias in the stationarity for the calibration actually
+    residual outside lam + UNWEIGHTED_SLACK, we retarget the solve at the
+    unweighted moment: a deliberate, documented projection that trades a
+    lam-scale bias in the stationarity for the calibration actually
     asserted downstream.  The two roots coincide as the fit tightens.
     """
-    theta_y = model.theta_y.copy()
     ones = np.ones_like(r)
+    # the first-order condition in theta_y, averaged with weights w
     if fixed_mu:
-        mu = _mean(r[:, None], model.net.forward(x) @ model.theta_phi.T, theta_y, model.sigma0_sq)
+        mu = _mean(r, model.net.forward(x) @ model.theta_phi, model.theta_y, model.sigma0_sq)
         gap = y * y - mu * mu
-    converged = True
-    for d in range(len(theta_y)):
-        # the first-order condition in theta_y[d], averaged with weights w
-        if fixed_mu:
-            def g(th, w, d=d):
-                var = _predictive(model, r, np.array([th]))[1][:, 0]
-                return float(np.mean(w * (gap[:, d] - var)) + model.lam)
-        else:
-            def g(th, w, d=d):
-                t = theta_y.copy()
-                t[d] = th
-                return float(_moment(model, x, y, r, w, t)[d] + model.lam)
 
-        root, ok = _root_in_dim(lambda th, g=g: g(th, r), THETA_Y_FLOOR)
-        theta_y[d] = root
-        unweighted = g(root, ones) - model.lam
-        if abs(unweighted) > model.lam + UNWEIGHTED_SLACK:
-            root, ok = _root_in_dim(lambda th, g=g: g(th, ones), THETA_Y_FLOOR)
-            theta_y[d] = root
-        converged = converged and ok
-    return theta_y, converged
+        def g(th, w):
+            return float(np.mean(w * (gap - _predictive(model, r, th)[1])) + model.lam)
+    else:
+        def g(th, w):
+            return _moment(model, x, y, r, w, th) + model.lam
+
+    root, ok = _root_in_dim(lambda th: g(th, r), THETA_Y_FLOOR)
+    if abs(g(root, ones) - model.lam) > model.lam + UNWEIGHTED_SLACK:
+        root, ok = _root_in_dim(lambda th: g(th, ones), THETA_Y_FLOOR)
+    return np.float64(root), ok
 
 
 def fit(
@@ -623,34 +602,30 @@ def fit(
     Ratios at the training inputs come from density_ratio(src_kde,
     trg_kde, .); passing None for either density means r = 1 (no shift
     information, e.g. the very first fit).  The fit starts from `init`:
-    its net, heads, and base distribution are reused (a base model from
+    its net, head, and base distribution are reused (a base model from
     `initial_model` starts a first fit).
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     x, y = dataset.inputs, dataset.targets
-    d_out = dataset.dim_out
 
     if src_kde is not None and trg_kde is not None:
         r = np.asarray(density_ratio(src_kde, trg_kde, x), dtype=float)
     else:
         r = np.ones(len(x))
 
-    if init.dim_out != d_out:
-        raise ValueError("warm-start output dimension mismatch")
-    net = init.net
-    theta_phi = init.theta_phi.copy()
-    theta_y = np.maximum(init.theta_y, THETA_Y_FLOOR)
-
     # The parameters live in one flat buffer (weights, biases, theta_phi,
     # log theta_y) and every step updates it in place; `model` is built
     # once on views of it, so each step reads the current values.
-    params, views = _flat_buffer(net, d_out)
+    net = init.net
+    params, views = _flat_buffer(net)
     n_layers = len(net.weights)
-    for dst, src in zip(views, net.weights + net.biases + (theta_phi,)):
+    for dst, src in zip(views, net.weights + net.biases + (init.theta_phi,)):
         dst[...] = src
     s_y = views[-1]
-    np.log(np.maximum(theta_y, THETA_Y_FLOOR), out=s_y)
+    # a 0-d array, which each step overwrites with exp(log theta_y)
+    theta_y = np.array(max(float(init.theta_y), THETA_Y_FLOOR))
+    np.log(theta_y, out=s_y)
     model = RobustModel(
         net=FeatureNet(tuple(views[:n_layers]), tuple(views[n_layers : 2 * n_layers])),
         theta_phi=views[-2],
@@ -663,9 +638,8 @@ def fit(
 
     log_floor = math.log(THETA_Y_FLOOR)
     log_ceil = math.log(THETA_Y_CEIL)
-    ws = _Workspace(net, d_out, len(x))
-    squares, sq = _flat_buffer(net, d_out)
-    sq_w, sq_b = sq[:n_layers], sq[n_layers : 2 * n_layers]
+    ws = _Workspace(net, len(x))
+    squares, sq = _flat_buffer(net)
     power_cache: list = [None] * n_layers
 
     for epoch in range(config.epochs):
@@ -677,12 +651,7 @@ def fit(
         np.multiply(ws.g_ty, theta_y, out=ws.g_sy)
         ws.g_sy *= THETA_Y_LR_MULT
         np.multiply(ws.grad, ws.grad, out=squares)
-        total = math.sqrt(
-            sum(float(np.add.reduce(g, axis=None)) for g in sq_w)
-            + sum(float(np.add.reduce(g, axis=None)) for g in sq_b)
-            + float(np.add.reduce(sq[-2], axis=None))
-            + float(np.add.reduce(sq[-1], axis=None))
-        )
+        total = math.sqrt(sum(float(np.add.reduce(g, axis=None)) for g in sq))
         scale = 1.0 if total <= CLIP_NORM else CLIP_NORM / total
         ws.grad *= lr * scale
         params -= ws.grad
@@ -692,14 +661,14 @@ def fit(
 
     # Gradient descent alone crawls through the coupled head/theta_y
     # scaling (mu carries a 1/sigma^2 factor, so calibrating theta_y keeps
-    # moving the target the heads chase).  Finish with alternating exact
-    # block solves: the lasso for the linear heads, then the bracketed
+    # moving the target the head chases).  Finish with alternating exact
+    # block solves: the lasso for the linear head, then the bracketed
     # moment root for theta_y with the fitted means frozen.  Iterate until
     # theta_y stabilizes (the frozen-mean root makes this a near one-step
-    # contraction), then close with one root at the final heads where mu
+    # contraction), then close with one root at the final head where mu
     # tracks theta_y, so the recorded stationarity holds at the exact
     # parametrization the model ships with.
-    prev = model.theta_y
+    prev = float(theta_y)
     for _ in range(40):
         model = replace(model, theta_phi=_solve_heads(model, x, y, r))
         theta_y, converged = _polish_theta_y(model, x, y, r)
@@ -707,9 +676,9 @@ def fit(
         # support flips under the debias can leave a tiny persistent
         # 2-cycle, so the break tolerance is deliberately modest; the
         # closing root below restores the moment condition exactly
-        if np.all(np.abs(theta_y - prev) <= 1e-4 * np.maximum(np.abs(theta_y), 1.0)):
+        if abs(theta_y - prev) <= 1e-4 * max(abs(theta_y), 1.0):
             break
         prev = theta_y
     theta_y, converged = _polish_theta_y(model, x, y, r, fixed_mu=False)
     model = replace(model, theta_y=theta_y, converged=converged)
-    return replace(model, moment_residuals=_moment(model, x, y, r, np.ones(len(x))))
+    return replace(model, moment_residual=_moment(model, x, y, r, np.ones(len(x))))

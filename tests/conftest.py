@@ -9,8 +9,9 @@ from safeshift import robust_regression as rr
 from safeshift.core import Dataset
 
 # One verdict line per acceptance criterion, collected by
-# tests/test_acceptance.py and printed after the run (outside pytest's
-# per-test capture, so the lines always show up in the terminal).
+# tests/test_acceptance.py through the `acceptance_lines` fixture and
+# printed after the run (outside pytest's per-test capture, so the lines
+# always show up in the terminal).
 ACCEPTANCE_LINES: list[str] = []
 
 
@@ -19,6 +20,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="session")
+def acceptance_lines() -> list[str]:
+    """ACCEPTANCE_LINES, served as a fixture for the reason `make_line_dataset` gives."""
+    return ACCEPTANCE_LINES
 
 
 @pytest.fixture
@@ -32,7 +39,7 @@ def _make_line_dataset(n: int = 160, slope: float = 2.0, noise_std: float = 0.1,
     g = np.random.default_rng(seed)
     x = np.linspace(-1.0, 1.0, n)
     inputs = np.column_stack([x, np.zeros(n)])
-    targets = (slope * x + g.normal(0.0, noise_std, n))[:, None]
+    targets = slope * x + g.normal(0.0, noise_std, n)
     return Dataset(inputs, targets)
 
 

@@ -7,7 +7,8 @@ ran, and the numpy-scalar coordinate-descent lasso of `_solve_heads`.
 Its first normalization, at the start of a fit, is `_normalize_warm`
 with an all-None cache.
 Its mini-batch, frozen-net and cold-start branches are gone with the
-settings that selected them; the full-batch arithmetic is unchanged.
+settings that selected them, and it has the package's one output: theta_phi
+a (k,) head and theta_y a scalar.
 It keeps the prior-mean term mu0/sigma0_sq of the predictive mean, at
 mu0 = 0.0, and the zero-head mean in `_solve_heads`, which the package
 leaves out: matching it bit for bit shows that leaving them out moves no
@@ -77,33 +78,33 @@ def _normalize_warm(net: FeatureNet, cache: list) -> FeatureNet:
     return FeatureNet(tuple(new_w), net.biases)
 
 
-def _precision(model: RobustModel, r: np.ndarray, theta_y: np.ndarray) -> np.ndarray:
-    """1/sigma_sq = 1/sigma0_sq + 2 r theta_y, (n, d_out) from r (n,), theta_y (d_out,)."""
-    return 1.0 / model.sigma0_sq + 2.0 * r[:, None] * theta_y[None, :]
+def _precision(model: RobustModel, r: np.ndarray, theta_y) -> np.ndarray:
+    """1/sigma_sq = 1/sigma0_sq + 2 r theta_y, (n,) from r (n,) and scalar theta_y."""
+    return 1.0 / model.sigma0_sq + 2.0 * r * theta_y
 
 
-def _predictive(model: RobustModel, r: np.ndarray, theta_y: np.ndarray, a=None):
-    """The predictive form at ratios r (n,) and precision tilts theta_y (d_out,).
+def _predictive(model: RobustModel, r: np.ndarray, theta_y, a=None):
+    """The predictive form at ratios r (n,) and precision tilt theta_y.
 
         sigma_sq = 1 / (1/sigma0_sq + 2 r theta_y)
         mu       = sigma_sq * (mu0/sigma0_sq + r a)
 
-    a (n, d_out) holds the head activations theta_phi . phi(x).  Returns
-    (mu, sigma_sq), both (n, d_out); mu is None when a is None.
+    a (n,) holds the head activations theta_phi . phi(x).  Returns
+    (mu, sigma_sq), both (n,); mu is None when a is None.
     """
     var = 1.0 / _precision(model, r, theta_y)
     if a is None:
         return None, var
-    return var * (0.0 / model.sigma0_sq + r[:, None] * a), var
+    return var * (0.0 / model.sigma0_sq + r * a), var
 
 
 def _loss_terms(model, x, y, r):
     """Data NLL (no penalty), plus intermediates reused by the backward pass."""
     phi, pre = _forward_cached(model.net, x)
-    a = phi @ model.theta_phi.T
+    a = phi @ model.theta_phi
     mu, var = _predictive(model, r, model.theta_y, a)
     e = y - mu
-    nll = float(np.mean(np.sum(0.5 * np.log(2.0 * math.pi * var) + e * e / (2.0 * var), axis=1)))
+    nll = float(np.mean(0.5 * np.log(2.0 * math.pi * var) + e * e / (2.0 * var)))
     return nll, phi, pre, a, var, mu, e
 
 
@@ -111,15 +112,15 @@ def _grads(model, x, y, r):
     """Analytic gradients of the penalized NLL w.r.t. every parameter group."""
     n = len(x)
     nll, phi, pre, a, var, mu, e = _loss_terms(model, x, y, r)
-    # d loss / d a = -(e * r) / n   (per sample, per output dim)
-    da = -(e * r[:, None]) / n
-    g_theta_phi = da.T @ phi + model.lam * np.sign(model.theta_phi)
+    # d loss / d a = -(e * r) / n   (per sample)
+    da = -(e * r) / n
+    g_theta_phi = da @ phi + model.lam * np.sign(model.theta_phi)
     # d loss / d theta_y = mean_i r_i (y^2 - mu^2 - var) + lam
-    moment = r[:, None] * (y * y - mu * mu - var)
-    g_theta_y = moment.mean(axis=0) + model.lam * np.sign(model.theta_y)
+    moment = r * (y * y - mu * mu - var)
+    g_theta_y = moment.mean() + model.lam * np.sign(model.theta_y)
     g_weights = [np.zeros_like(w) for w in model.net.weights]
     g_biases = [np.zeros_like(b) for b in model.net.biases]
-    dh = da @ model.theta_phi  # (n, k) gradient on the feature output
+    dh = np.outer(da, model.theta_phi)  # (n, k) gradient on the feature output
     ws = model.net.weights
     last = len(ws) - 1
     for i in range(last, -1, -1):
@@ -129,15 +130,15 @@ def _grads(model, x, y, r):
         g_biases[i] = dz.sum(axis=0)
         if i > 0:
             dh = dz @ ws[i].T
-    penalty = model.lam * (np.abs(model.theta_phi).sum() + np.abs(model.theta_y).sum())
+    penalty = model.lam * (np.abs(model.theta_phi).sum() + abs(model.theta_y))
     return nll + float(penalty), g_weights, g_biases, g_theta_phi, g_theta_y
 
 
 def _solve_heads(model, x, y, r):
-    """Exact per-dim head weights at the current net and theta_y.
+    """Exact head weights at the current net and theta_y.
 
     Given features and theta_y, the data term is weighted least squares in
-    each head: mu_i = v_i (mu0/sigma0^2 + r_i a^T phi_i), so the penalized
+    the head: mu_i = v_i (mu0/sigma0^2 + r_i a^T phi_i), so the penalized
     objective in a is quadratic plus lam * ||a||_1.  Solved as a relaxed
     lasso: cyclic coordinate descent with soft thresholding picks the
     support (deterministic sweep order), then an unpenalized least-squares
@@ -151,46 +152,40 @@ def _solve_heads(model, x, y, r):
     phi = model.net.forward(x)
     n = len(x)
     # the mean at a = 0 is the part of mu the heads do not move
-    base, var = _predictive(model, r, model.theta_y, np.zeros((n, model.dim_out)))
-    heads = np.empty_like(model.theta_phi)
+    base, v = _predictive(model, r, model.theta_y, np.zeros(n))
     lam = model.lam
-    for d in range(model.dim_out):
-        v = var[:, d]
-        # stationarity: (G a - b)_j + lam sign(a_j) = 0 with
-        # G = (1/n) phi^T diag(v r^2) phi, b = (1/n) phi^T (r t)
-        g_mat = (phi * (v * r * r)[:, None]).T @ phi / n
-        t = y[:, d] - base[:, d]
-        b_vec = phi.T @ (r * t) / n
-        diag = np.diag(g_mat).copy()
-        a = model.theta_phi[d].copy()
-        for _ in range(LASSO_SWEEPS):
-            biggest = 0.0
-            for j in range(len(a)):
-                if diag[j] <= 0.0:
-                    a[j] = 0.0
-                    continue
-                rho = b_vec[j] - float(g_mat[j] @ a) + diag[j] * a[j]
-                if rho > lam:
-                    new = (rho - lam) / diag[j]
-                elif rho < -lam:
-                    new = (rho + lam) / diag[j]
-                else:
-                    new = 0.0
-                biggest = max(biggest, abs(new - a[j]))
-                a[j] = new
-            if biggest <= LASSO_TOL * max(1.0, float(np.max(np.abs(a)))):
-                break
-        support = np.flatnonzero(np.abs(a) > 1e-12)
-        if support.size:
-            # debias: min-norm least squares on the selected columns (the
-            # restricted Gram can be rank deficient, lstsq handles it)
-            sub, _, _, _ = np.linalg.lstsq(
-                g_mat[np.ix_(support, support)], b_vec[support], rcond=None
-            )
-            a = np.zeros_like(a)
-            a[support] = sub
-        heads[d] = a
-    return heads
+    # stationarity: (G a - b)_j + lam sign(a_j) = 0 with
+    # G = (1/n) phi^T diag(v r^2) phi, b = (1/n) phi^T (r t)
+    g_mat = (phi * (v * r * r)[:, None]).T @ phi / n
+    t = y - base
+    b_vec = phi.T @ (r * t) / n
+    diag = np.diag(g_mat).copy()
+    a = model.theta_phi.copy()
+    for _ in range(LASSO_SWEEPS):
+        biggest = 0.0
+        for j in range(len(a)):
+            if diag[j] <= 0.0:
+                a[j] = 0.0
+                continue
+            rho = b_vec[j] - float(g_mat[j] @ a) + diag[j] * a[j]
+            if rho > lam:
+                new = (rho - lam) / diag[j]
+            elif rho < -lam:
+                new = (rho + lam) / diag[j]
+            else:
+                new = 0.0
+            biggest = max(biggest, abs(new - a[j]))
+            a[j] = new
+        if biggest <= LASSO_TOL * max(1.0, float(np.max(np.abs(a)))):
+            break
+    support = np.flatnonzero(np.abs(a) > 1e-12)
+    if support.size:
+        # debias: min-norm least squares on the selected columns (the
+        # restricted Gram can be rank deficient, lstsq handles it)
+        sub, _, _, _ = np.linalg.lstsq(g_mat[np.ix_(support, support)], b_vec[support], rcond=None)
+        a = np.zeros_like(a)
+        a[support] = sub
+    return a
 
 
 def fit(
@@ -211,15 +206,12 @@ def fit(
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     x, y = dataset.inputs, dataset.targets
-    d_out = dataset.dim_out
 
     if src_kde is not None and trg_kde is not None:
         r = np.asarray(density_ratio(src_kde, trg_kde, x), dtype=float)
     else:
         r = np.ones(len(x))
 
-    if init.dim_out != d_out:
-        raise ValueError("warm-start output dimension mismatch")
     net = _normalize_warm(init.net, [None] * len(init.net.weights))
     theta_phi = init.theta_phi.copy()
     theta_y = np.maximum(init.theta_y, rr.THETA_Y_FLOOR)
@@ -234,7 +226,7 @@ def fit(
 
     log_floor = math.log(rr.THETA_Y_FLOOR)
     log_ceil = math.log(THETA_Y_CEIL)
-    s_y = np.log(np.maximum(model.theta_y, rr.THETA_Y_FLOOR))
+    s_y = np.log(model.theta_y)
     power_cache: list = [None] * len(model.net.weights)
 
     for epoch in range(config.epochs):
@@ -244,12 +236,7 @@ def fit(
             raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
         # log-space theta_y gradient, then global-norm clipping
         g_sy = g_ty * model.theta_y * rr.THETA_Y_LR_MULT
-        total = math.sqrt(
-            sum(float(np.sum(g * g)) for g in g_w)
-            + sum(float(np.sum(g * g)) for g in g_b)
-            + float(np.sum(g_tp * g_tp))
-            + float(np.sum(g_sy * g_sy))
-        )
+        total = math.sqrt(sum(float(np.sum(g * g)) for g in (*g_w, *g_b, g_tp, g_sy)))
         scale = 1.0 if total <= rr.CLIP_NORM else rr.CLIP_NORM / total
         step = lr * scale
 
@@ -269,7 +256,7 @@ def fit(
     # contraction), then close with one root at the final heads where mu
     # tracks theta_y, so the recorded stationarity holds at the exact
     # parametrization the model ships with.
-    prev = model.theta_y
+    prev = float(model.theta_y)
     for _ in range(40):
         model = replace(model, theta_phi=_solve_heads(model, x, y, r))
         theta_y, converged = _polish_theta_y(model, x, y, r)
@@ -277,9 +264,9 @@ def fit(
         # support flips under the debias can leave a tiny persistent
         # 2-cycle, so the break tolerance is deliberately modest; the
         # closing root below restores the moment condition exactly
-        if np.all(np.abs(theta_y - prev) <= 1e-4 * np.maximum(np.abs(theta_y), 1.0)):
+        if abs(theta_y - prev) <= 1e-4 * max(abs(theta_y), 1.0):
             break
         prev = theta_y
     theta_y, converged = _polish_theta_y(model, x, y, r, fixed_mu=False)
     model = replace(model, theta_y=theta_y, converged=converged)
-    return replace(model, moment_residuals=_moment(model, x, y, r, np.ones(len(x))))
+    return replace(model, moment_residual=_moment(model, x, y, r, np.ones(len(x))))

@@ -161,12 +161,13 @@ def test_unknown_field_named_in_diagnostic(tmp_path, capsys):
 
 
 # settings that became module constants (among them the ratio clip and
-# the zero prior mean), the GP kernel, which the learner kind sets, and
-# the plant, which the task fixes: a config that still sets one is
-# rejected like any other unknown key
+# the zero prior mean), the GP kernel, which the learner kind sets, the
+# plant, which the task fixes, and the output count (the residual is one
+# output): a config that still sets one is rejected like any other
+# unknown key
 REMOVED_KEYS = [
     "sim_dt", "traj_dt", "sample_hz", "max_train_points", "kde_src_max", "kde_trg_max",
-    "w_max", "d_hat_hold_steps", "mu0",
+    "w_max", "d_hat_hold_steps", "mu0", "output_dim",
 ]
 REMOVED_TRAIN_KEYS = ["seed", "lr", "clip_norm", "theta_y_floor", "theta_y_lr_mult"]
 
@@ -368,12 +369,9 @@ def test_unfactorizable_gp_kernel_is_a_runtime_failure(tmp_path, capsys, monkeyp
     _assert_one_runtime_failure_line(SMALL_PENDULUM, "gp_rbf", tmp_path, capsys)
 
 
-# Each size is beyond a 47-bit address space, so numpy refuses it at once
-# without touching memory: a 1e14-point grid (728 TiB) and a (1e13, 16)
-# head array (1.14 PiB).
-@pytest.mark.parametrize(
-    "update", [{"episodes": 1, "horizon": 1e12}, {"episodes": 1, "output_dim": 10**13}]
-)
+# The size is beyond a 47-bit address space, so numpy refuses it at once
+# without touching memory: a 1e14-point grid (728 TiB).
+@pytest.mark.parametrize("update", [{"episodes": 1, "horizon": 1e12}])
 def test_unallocatable_size_is_a_runtime_failure(update, tmp_path, capsys):
     _assert_one_runtime_failure_line({**SMALL_PENDULUM, **update}, "robust", tmp_path, capsys)
 
@@ -570,7 +568,7 @@ def test_config_roundtrip_of_defaults(task):
 
 # the ExperimentConfig fields each task calibrates
 CALIBRATED = (
-    "candidates", "safety", "beta", "sigma0_sq", "gains", "horizon", "output_dim", "train",
+    "candidates", "safety", "beta", "sigma0_sq", "gains", "horizon", "train",
     "cert_stride", "first_fit_epochs",
 )
 

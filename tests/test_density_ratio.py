@@ -12,7 +12,6 @@ from safeshift.density_ratio import (
     DENSITY_FLOOR,
     KDE_BLOCK_ELEMENTS,
     R_HI,
-    R_LO,
     SIGMA_FLOOR,
     KdeModel,
     clipped_ratio,
@@ -93,11 +92,12 @@ def test_ratio_of_distribution_with_itself_is_one():
 
 def test_ratio_clipping_bounds():
     # two point masses far apart: the raw ratio is astronomically large
-    # on one side and tiny on the other; clipping pins it to [0.1, 10]
+    # on one side and underflows to 0 on the other; only the large side
+    # is clipped, to R_HI = 10
     src = kde_fit(np.full((30, 1), 0.0))
     trg = kde_fit(np.full((30, 1), 5.0))
-    assert density_ratio(src, trg, np.array([[0.0]]))[0] == pytest.approx(10.0)
-    assert density_ratio(src, trg, np.array([[5.0]]))[0] == pytest.approx(0.1)
+    assert density_ratio(src, trg, np.array([[0.0]]))[0] == R_HI == 10.0
+    assert density_ratio(src, trg, np.array([[5.0]]))[0] == 0.0
 
 
 def test_ratio_always_inside_clip_interval():
@@ -105,7 +105,9 @@ def test_ratio_always_inside_clip_interval():
     src = kde_fit(rng.normal(-1.0, 0.5, (150, 2)))
     trg = kde_fit(rng.normal(1.0, 0.5, (150, 2)))
     r = density_ratio(src, trg, rng.uniform(-6, 6, (400, 2)))
-    assert np.all(r >= R_LO) and np.all(r <= R_HI)
+    assert np.all(r >= 0.0) and np.all(r <= R_HI)
+    # away from the source samples the ratio falls far below 1, unclipped
+    assert r.min() < 1e-6
 
 
 def test_gaussian_ratio_oracle_at_midpoint():
@@ -124,12 +126,12 @@ def test_point_ratio_matches_density_ratio():
     trg = kde_fit(g.normal(0.4, 0.6, (150, 2)))
     pts = g.normal(0.0, 1.2, (60, 2))
     batch = density_ratio(src, trg, pts)
-    # the points reach both ends of the clip interval and its inside
-    assert batch.min() == R_LO and batch.max() == R_HI
+    # the points reach the clip and both sides of 1 below it
+    assert batch.min() < 0.1 and batch.max() == R_HI
     ratio = point_ratio(src, trg)
     for (q, qdot), want in zip(pts.tolist(), batch):
         got = ratio(q, qdot)
-        assert R_LO <= got <= R_HI
+        assert 0.0 <= got <= R_HI
         assert got == pytest.approx(want, rel=1e-9, abs=0)
 
 
@@ -191,7 +193,7 @@ def test_point_ratio_bit_equal_to_the_row_sum_it_replaces():
             for q, qdot in rng.normal(scale=2.0, size=(50, 2)).tolist():
                 x = np.array((q, qdot))
                 want = _row_sum_density(src, x) / max(_row_sum_density(trg, x), DENSITY_FLOOR)
-                assert ratio(q, qdot) == min(max(want, R_LO), R_HI)
+                assert ratio(q, qdot) == min(want, R_HI)
 
 
 @pytest.mark.parametrize("n, m", [(1, 5), (300, 1000), (500, 60_060)])

@@ -16,7 +16,6 @@ from safeshift.controller import ControllerGains
 from safeshift.core import Dataset, LandingPool, PendulumPool
 from safeshift.density_ratio import (
     R_HI,
-    R_LO,
     clipped_ratio,
     density_ratio,
     kde_density,
@@ -59,7 +58,7 @@ class StubLearner:
     def retrain(self, dataset, src_kde, trg_kde):
         self.retrain_calls += 1
 
-    def moment_residual_max(self):
+    def moment_residual(self):
         return math.nan
 
 
@@ -99,7 +98,7 @@ def test_default_config_landing_values():
     assert cfg.task == "landing" and cfg.model_kind == "robust"
     assert cfg.beta == 1.0 and cfg.sigma0_sq == 1.0
     assert (cfg.gains.k, cfg.gains.lam) == (3.2, 2.0)
-    assert cfg.horizon == 10.0 and cfg.output_dim == 3
+    assert cfg.horizon == 10.0
     assert len(cfg.pool()) == 60
 
 
@@ -111,7 +110,7 @@ def test_default_config_landing_values():
         (dict(beta=0.0), "beta"),
         (dict(sigma0_sq=-1.0), "sigma0_sq"),
         (dict(horizon=0.0), "horizon"),
-        (dict(output_dim=0), "output_dim"),
+        (dict(cert_stride=2001), "cert_stride: must be at most the grid's 2000 steps"),
         (dict(model_kind="svm"), "model_kind"),
         (dict(cert_stride=0), "cert_stride"),
         (dict(seed=-1), "seed"),
@@ -248,7 +247,7 @@ def test_episode_one_runs_on_base_model_uncertainty():
     # 20 s horizon sampled at 50 Hz
     data = explore._collect(cfg, out.rollout)
     assert len(data) == 1001
-    assert data.targets.shape == (1001, 1)
+    assert data.targets.shape == (1001,)
 
 
 class OverCompensating(StubLearner):
@@ -311,7 +310,7 @@ def test_first_fit_runs_first_fit_epochs_even_below_train_epochs(monkeypatch):
     monkeypatch.setattr(rr, "fit", fit)
     learner = RobustLearner(cfg, np.random.default_rng(0))
     for _ in range(2):
-        learner.retrain(Dataset.empty(cfg.output_dim), None, None)
+        learner.retrain(Dataset.empty(), None, None)
     assert epochs == [10, 40]
 
 
@@ -340,12 +339,12 @@ def test_gp_learner_d_hat_matches_posterior_mean(model_kind, rng):
     cfg = replace(default_config("pendulum"), model_kind=model_kind)
     learner = make_learner(cfg, rng)
     x = rng.normal(size=(8, 2))
-    y = np.sin(x[:, 0:1]) * 0.5
+    y = np.sin(x[:, 0]) * 0.5
     learner.retrain(Dataset(x, y), None, None)
     fn = learner.d_hat_fn(None, None)
     for q, qdot in [(0.0, 0.0), (0.4, -1.1), (-0.9, 0.3)]:
         mu, _ = gp_predict(learner.model, np.array([[q, qdot]]))
-        assert fn(q, qdot) == pytest.approx(float(mu[0, 0]), abs=1e-10)
+        assert fn(q, qdot) == pytest.approx(float(mu[0]), abs=1e-10)
 
 
 @pytest.mark.parametrize("model_kind", ["gp_rbf", "gp_matern"])
@@ -353,7 +352,7 @@ def test_gp_retrain_releases_previous_model_before_fit(model_kind, rng, monkeypa
     cfg = replace(default_config("pendulum"), model_kind=model_kind)
     learner = make_learner(cfg, rng)
     x = rng.normal(size=(30, 2))
-    data = Dataset(x, np.sin(x[:, 0:1]))
+    data = Dataset(x, np.sin(x[:, 0]))
     learner.retrain(data, None, None)
     old = weakref.ref(learner.model)
     alive_during_fit = []
@@ -382,8 +381,8 @@ def test_robust_d_hat_matches_predicted_mean(hidden, monkeypatch):
     learner.model = replace(
         learner.model,
         net=net,
-        theta_phi=g.normal(size=(1, net.feature_dim)),
-        theta_y=np.array([2.5]),
+        theta_phi=g.normal(size=net.feature_dim),
+        theta_y=np.float64(2.5),
     )
     src = kde_fit(g.normal(0.0, 0.5, (200, 2)))
     trg = kde_fit(g.normal(0.4, 0.6, (150, 2)))
@@ -391,7 +390,7 @@ def test_robust_d_hat_matches_predicted_mean(hidden, monkeypatch):
     pts = g.normal(0.0, 0.8, (25, 2))
     mu, _ = rr.predict(learner.model, pts, ratios=density_ratio(src, trg, pts))
     got = np.array([d_hat(float(q), float(qdot)) for q, qdot in pts])
-    np.testing.assert_allclose(got, mu[:, 0], rtol=1e-9, atol=0)
+    np.testing.assert_allclose(got, mu, rtol=1e-9, atol=0)
 
 
 # -- cached candidate scoring ---------------------------------------------------
@@ -429,9 +428,10 @@ def test_cached_scoring_matches_density_ratio_and_max_ratio():
         r_mins.append(r_min)
         w_hats.append(w_hat)
     all_r = np.concatenate(all_r)
-    assert np.any(all_r == R_LO) and np.any(all_r == R_HI)
-    assert np.any((all_r > R_LO) & (all_r < R_HI))
-    assert min(r_mins) == R_LO < max(r_mins)
+    assert np.all(all_r >= 0.0) and np.any(all_r == R_HI)
+    assert np.any((all_r > 0.0) & (all_r < R_HI))
+    # off the source data r_min falls toward 0: nothing clips it from below
+    assert min(r_mins) < 0.01 < max(r_mins)
     assert min(w_hats) < explore.W_MAX < max(w_hats)
 
 
@@ -451,13 +451,13 @@ def test_robust_eval_candidate_constant_and_mixed():
     assert learner.eval_candidate(pts, 1.0) == pytest.approx(0.7, rel=1e-12)
 
     # with ratios varying along the points, the max is attained at the min-r point
-    learner.model = replace(learner.model, theta_y=np.array([2.0]))
+    learner.model = replace(learner.model, theta_y=np.float64(2.0))
     r = 0.1 + np.abs(pts[:, 0])
     r_min = float(np.min(r))
     sigma_m = learner.eval_candidate(pts, r_min)
     assert sigma_m == pytest.approx(math.sqrt(1.0 / (1.0 / 0.49 + 2.0 * r_min * 2.0)), rel=1e-12)
     _, var = rr.predict(learner.model, pts, ratios=r)
-    assert sigma_m == float(np.sqrt(np.max(var[:, 0])))
+    assert sigma_m == float(np.sqrt(np.max(var)))
 
 
 @pytest.mark.parametrize("task", ["pendulum", "landing"])
@@ -503,9 +503,9 @@ def test_robust_score_is_the_max_predicted_std_on_recorded_episodes(task, monkey
                 r = clipped_ratio(p_src[rows], cache.p_trg[rows])
             _, var = rr.predict(model, pts, ratios=r)
             assert r_min == float(np.min(r))
-            assert sigma == float(np.sqrt(np.max(var[:, 0])))
+            assert sigma == float(np.sqrt(np.max(var)))
             r_mins.append(r_min)
-    assert scored[-1][2].theta_y[0] > 0
+    assert scored[-1][2].theta_y > 0
     assert len(set(r_mins)) > 2
     assert len(scored[1][4]) < len(scored[1][3])  # the screen rejects some candidates
 

@@ -4,9 +4,9 @@ Four short seed-0 runs, 3 episodes each, of pendulum, landing, and landing
 with the RBF and the Matern GP must reproduce every output file committed
 under tests/golden/: `episodes.csv`, `summary.json` and `manifest.json`
 byte for byte, and `trajectories.csv` (about 400 KB for the pendulum) by
-its SHA-256 digest in `trajectories.csv.sha256`.  Landing's episode 3 is
-a knife-edge violation, so a one-ulp drift upstream shows as a changed
-value or decision.
+its SHA-256 digest in `trajectories.csv.sha256`.  Every value is
+written at 17 significant digits, so a one-ulp drift upstream shows as a
+changed value even where it changes no decision.
 
 The files hold only under the conditions they were made in: the same
 numpy and BLAS build, and 1 BLAS thread, which the child interpreters

@@ -10,7 +10,7 @@ import pytest
 
 from safeshift import robust_regression as rr
 from safeshift.core import Dataset
-from safeshift.density_ratio import R_HI, R_LO, density_ratio, kde_fit
+from safeshift.density_ratio import R_HI, density_ratio, kde_fit
 from safeshift.robust_regression import (
     FeatureNet,
     TrainConfig,
@@ -31,12 +31,27 @@ LAM = 1e-3  # the L1 weight of the fits and base models below
 
 def test_zero_ratio_recovers_base_distribution():
     net = feature_net_init(np.random.default_rng(0))
-    model = replace(initial_model(2.0, net=net, lam=LAM), theta_phi=np.ones((1, net.feature_dim)))
-    model = replace(model, theta_y=np.array([3.0]))
+    model = replace(initial_model(2.0, net=net, lam=LAM), theta_phi=np.ones(net.feature_dim))
+    model = replace(model, theta_y=np.float64(3.0))
     x = np.array([[0.3, -0.4], [1.0, 2.0]])
     mu, var = predict(model, x, ratios=np.zeros(2))
-    np.testing.assert_array_equal(mu[:, 0], 0.0)
-    np.testing.assert_allclose(var[:, 0], 2.0)
+    np.testing.assert_array_equal(mu, 0.0)
+    np.testing.assert_allclose(var, 2.0)
+
+
+@pytest.mark.parametrize("sigma0_sq", [0.5, 1.0])
+def test_off_the_data_the_std_and_mean_go_back_to_the_prior(sigma0_sq):
+    # at ratio 0 the fitted tilt and head drop out: sigma is sigma0 and the mean 0
+    g = np.random.default_rng(4)
+    net = feature_net_init(g)
+    model = replace(
+        initial_model(sigma0_sq, net=net, lam=LAM),
+        theta_phi=g.normal(size=net.feature_dim),
+        theta_y=np.float64(317.0),
+    )
+    assert rr.std_at(model, 0.0) == math.sqrt(sigma0_sq)
+    mean = rr.mean_fn(model, lambda q, qdot: 0.0)
+    assert all(mean(q, qdot) == 0.0 for q, qdot in g.normal(size=(20, 2)))
 
 
 def test_predict_unit_example():
@@ -46,38 +61,38 @@ def test_predict_unit_example():
     phi = net.forward(x)[0]
     scale = 3.0 / float(phi @ phi)
     model = initial_model(1.0, net=net, lam=LAM)
-    model = replace(model, theta_phi=(scale * phi)[None, :], theta_y=np.array([1.0]))
+    model = replace(model, theta_phi=scale * phi, theta_y=np.float64(1.0))
     mu, var = predict(model, x, ratios=np.array([1.0]))
-    assert var[0, 0] == pytest.approx(1.0 / 3.0, rel=1e-12)
-    assert mu[0, 0] == pytest.approx(1.0, rel=1e-12)
+    assert var[0] == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert mu[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_variance_strictly_decreasing_in_ratio():
     net = feature_net_init(np.random.default_rng(1))
-    model = replace(initial_model(1.0, net=net, lam=LAM), theta_y=np.array([0.8]))
+    model = replace(initial_model(1.0, net=net, lam=LAM), theta_y=np.float64(0.8))
     x = np.tile([[0.1, 0.1]], (5, 1))
     _, var = predict(model, x, ratios=np.array([0.0, 0.5, 1.0, 2.0, 4.0]))
-    assert np.all(np.diff(var[:, 0]) < 0)
-    assert np.all(var[:, 0] <= 1.0)
+    assert np.all(np.diff(var) < 0)
+    assert np.all(var <= 1.0)
 
 
 def test_variance_bound_is_exact_algebra(rng):
     """var <= (2 R B + sigma0^-2)^-1 whenever r >= R and theta_y >= B."""
     r_floor, b_floor, sigma0_sq = 0.1, 1e-2, 0.5
     net = feature_net_init(rng)
-    model = initial_model(sigma0_sq, net=net, lam=LAM, dim_out=3)
-    model = replace(model, theta_y=b_floor + rng.uniform(0, 5, 3))
     bound = 1.0 / (2 * r_floor * b_floor + 1.0 / sigma0_sq)
     x = rng.uniform(-2, 2, (1000, 2))
     ratios = rng.uniform(r_floor, 10.0, 1000)
-    _, var = predict(model, x, ratios=ratios)
-    assert np.all(var <= bound * (1 + 1e-12))
+    for theta_y in b_floor + rng.uniform(0, 5, 3):
+        model = replace(initial_model(sigma0_sq, net=net, lam=LAM), theta_y=theta_y)
+        _, var = predict(model, x, ratios=ratios)
+        assert np.all(var <= bound * (1 + 1e-12))
 
 
-def _base(seed, sigma0_sq=1.0, dim_out=1):
+def _base(seed, sigma0_sq=1.0):
     """The base model on the net `seed` draws: where a first fit starts."""
     net = feature_net_init(np.random.default_rng(seed))
-    return initial_model(sigma0_sq, net=net, lam=LAM, dim_out=dim_out)
+    return initial_model(sigma0_sq, net=net, lam=LAM)
 
 
 def test_mean_on_floats_equals_mean_on_broadcast_arrays():
@@ -85,15 +100,13 @@ def test_mean_on_floats_equals_mean_on_broadcast_arrays():
     g = np.random.default_rng(7)
     net = feature_net_init(g)
     x = g.normal(0.0, 1.0, (50, 2))
-    theta_phi, theta_y, sigma0_sq = g.normal(size=(2, net.feature_dim)), np.array([2.5, 317.0]), 0.7
-    r = np.concatenate([[R_LO, R_HI], g.uniform(R_LO, R_HI, 48)])
-    a = net.forward(x) @ theta_phi.T
-    arrays = rr._mean(r[:, None], a, theta_y, sigma0_sq)
-    floats = [
-        [rr._mean(float(r_i), float(a_i[d]), float(theta_y[d]), sigma0_sq) for d in range(2)]
-        for r_i, a_i in zip(r, a)
-    ]
-    assert (np.array(floats) == arrays).all()
+    theta_phi, sigma0_sq = g.normal(size=net.feature_dim), 0.7
+    r = np.concatenate([[0.0, R_HI], g.uniform(0.0, R_HI, 48)])
+    a = net.forward(x) @ theta_phi
+    for theta_y in (2.5, 317.0):
+        arrays = rr._mean(r, a, np.float64(theta_y), sigma0_sq)
+        floats = [rr._mean(float(r_i), float(a_i), theta_y, sigma0_sq) for r_i, a_i in zip(r, a)]
+        assert (np.array(floats) == arrays).all()
 
 
 # -- loss and gradients ------------------------------------------------------------
@@ -101,30 +114,30 @@ def test_mean_on_floats_equals_mean_on_broadcast_arrays():
 
 def _loss(model, ds, ratios):
     """The penalized NLL, as the training step `_grads` returns it."""
-    ws = rr._Workspace(model.net, model.dim_out, len(ds))
+    ws = rr._Workspace(model.net, len(ds))
     return rr._grads(model, ds.inputs, ds.targets, ratios, ws)
 
 
 def test_nll_loss_of_exact_model_is_entropy_plus_penalty():
     model = _base(0, 0.9)
-    ds = Dataset(np.zeros((6, 2)), np.zeros((6, 1)))  # targets equal mu exactly
+    ds = Dataset(np.zeros((6, 2)), np.zeros(6))  # targets equal mu exactly
     loss = _loss(model, ds, np.ones(6))
     assert loss == pytest.approx(0.5 * math.log(2 * math.pi * 0.9), rel=1e-12)
 
 
 def test_nll_loss_reduces_to_base_nll_when_theta_zero(rng):
     model = _base(0, 1.5)
-    y = rng.normal(0.0, 1.0, (40, 1))
+    y = rng.normal(0.0, 1.0, 40)
     ds = Dataset(rng.uniform(-1, 1, (40, 2)), y)
     loss = _loss(model, ds, rng.uniform(0.1, 10.0, 40))
-    base = float(np.mean(0.5 * np.log(2 * math.pi * 1.5) + y[:, 0] ** 2 / (2 * 1.5)))
+    base = float(np.mean(0.5 * np.log(2 * math.pi * 1.5) + y ** 2 / (2 * 1.5)))
     assert loss == pytest.approx(base, rel=1e-12)
 
 
 def _flatten(model):
     parts = [w.ravel() for w in model.net.weights]
     parts += [b.ravel() for b in model.net.biases]
-    parts += [model.theta_phi.ravel(), model.theta_y.ravel()]
+    parts += [model.theta_phi, [model.theta_y]]
     return np.concatenate(parts)
 
 
@@ -138,7 +151,7 @@ def _unflatten(model, vec):
         i += b.size
     tp = vec[i : i + model.theta_phi.size].reshape(model.theta_phi.shape)
     i += model.theta_phi.size
-    ty = vec[i:].copy()
+    ty = vec[i]
     net = FeatureNet(tuple(ws), tuple(bs))
     return replace(model, net=net, theta_phi=tp, theta_y=ty)
 
@@ -146,24 +159,24 @@ def _unflatten(model, vec):
 def test_analytic_gradients_match_finite_differences(rng, monkeypatch):
     """Every parameter group of the penalized NLL, central differences."""
     n = 40
-    ds = Dataset(rng.uniform(-1, 1, (n, 2)), rng.normal(0, 0.5, (n, 2)))
+    ds = Dataset(rng.uniform(-1, 1, (n, 2)), rng.normal(0, 0.5, n))
     ratios = rng.uniform(0.2, 5.0, n)
     monkeypatch.setattr(rr, "HIDDEN", (8, 8))
     monkeypatch.setattr(rr, "FEATURE_DIM", 5)
     net = feature_net_init(np.random.default_rng(11))
-    model = initial_model(1.0, net=net, lam=LAM, dim_out=2)
+    model = initial_model(1.0, net=net, lam=LAM)
     # keep every parameter away from the |.| kink so FD is well defined
     model = replace(
         model,
         theta_phi=rng.uniform(0.1, 0.4, model.theta_phi.shape),
-        theta_y=rng.uniform(0.5, 1.5, 2),
+        theta_y=rng.uniform(0.5, 1.5),
     )
 
-    ws = rr._Workspace(model.net, model.dim_out, n)
+    ws = rr._Workspace(model.net, n)
     rr._grads(model, ds.inputs, ds.targets, ratios, ws)
     # the finite differences below run _grads again, on other workspaces
     analytic = np.concatenate(
-        [g.ravel() for g in ws.g_w] + [g.ravel() for g in ws.g_b] + [ws.g_tp.ravel(), ws.g_ty]
+        [g.ravel() for g in ws.g_w] + [g.ravel() for g in ws.g_b] + [ws.g_tp, [ws.g_ty]]
     )
 
     theta0 = _flatten(model)
@@ -191,10 +204,10 @@ def test_fit_on_base_noise_keeps_mean_near_zero():
     # in-sample behavior but not the calibration this case is about
     rng = np.random.default_rng(9)
     n, sigma0 = 400, 1.0
-    ds = Dataset(rng.uniform(-1, 1, (n, 2)), rng.normal(0.0, sigma0, (n, 1)))
+    ds = Dataset(rng.uniform(-1, 1, (n, 2)), rng.normal(0.0, sigma0, n))
     model = fit(ds, None, None, TrainConfig(epochs=600, lam=0.1), init=_base(2, sigma0 ** 2))
     mu, var = predict(model, ds.inputs, ratios=np.ones(n))
-    assert np.max(np.abs(mu[:, 0])) < 3 * sigma0 / math.sqrt(n)
+    assert np.max(np.abs(mu)) < 3 * sigma0 / math.sqrt(n)
     # with no structure to absorb, the predictive variance stays at the
     # base level (sigma0^2 up to the theta_y floor)
     assert float(var.max()) == pytest.approx(sigma0 ** 2, rel=0.05)
@@ -203,17 +216,17 @@ def test_fit_on_base_noise_keeps_mean_near_zero():
 def test_fit_linear_target_rmse(line_fit):
     model, ds, true_mean = line_fit
     mu, var = predict(model, ds.inputs, ratios=np.ones(len(ds)))
-    rmse = float(np.sqrt(np.mean((mu[:, 0] - true_mean) ** 2)))
+    rmse = float(np.sqrt(np.mean((mu - true_mean) ** 2)))
     assert rmse < 0.05
     # the learned theta_y tightens the predictive band toward the noise level
-    assert float(np.sqrt(np.mean(var[:, 0]))) < 0.3
+    assert float(np.sqrt(np.mean(var))) < 0.3
 
 
 def test_fit_moment_condition(line_fit):
     model, ds, _ = line_fit
     ones = np.ones(len(ds))
     resid = rr._moment(model, ds.inputs, ds.targets, ones, ones)
-    assert np.max(np.abs(resid)) <= model.lam + 1e-2
+    assert abs(resid) <= model.lam + 1e-2
 
 
 def test_fit_is_deterministic_given_seed(make_line_dataset):
@@ -222,7 +235,7 @@ def test_fit_is_deterministic_given_seed(make_line_dataset):
     a = fit(ds, None, None, cfg, init=_base(4))
     b = fit(ds, None, None, cfg, init=_base(4))
     np.testing.assert_array_equal(a.theta_phi, b.theta_phi)
-    np.testing.assert_array_equal(a.theta_y, b.theta_y)
+    assert a.theta_y == b.theta_y
     for wa, wb in zip(a.net.weights, b.net.weights):
         np.testing.assert_array_equal(wa, wb)
 
@@ -231,52 +244,19 @@ def test_fit_respects_theta_y_floor(make_line_dataset, monkeypatch):
     monkeypatch.setattr(rr, "THETA_Y_FLOOR", 0.05)
     ds = make_line_dataset(n=60)
     model = fit(ds, None, None, TrainConfig(epochs=60, lam=LAM), init=_base(0))
-    assert np.all(model.theta_y >= 0.05 - 1e-15)
+    assert model.theta_y >= 0.05 - 1e-15
 
 
 def test_fit_rejects_empty_dataset():
     with pytest.raises(ValueError):
-        fit(Dataset.empty(1), None, None, TrainConfig(epochs=10, lam=LAM), init=_base(0))
-
-
-def test_multidim_fit_equals_per_dim_fits_with_frozen_features():
-    """The block solves that close a fit (lasso heads, then the theta_y
-    root) hold the shared features fixed, so output dims decouple there:
-    a two-output solve gives each output what a one-output solve gives."""
-    rng = np.random.default_rng(21)
-    n = 80
-    x = np.column_stack([np.linspace(-1, 1, n), np.zeros(n)])
-    y = np.column_stack(
-        [2.0 * x[:, 0] + rng.normal(0, 0.05, n), np.sin(2.0 * x[:, 0]) + rng.normal(0, 0.05, n)]
-    )
-    r = rng.uniform(0.2, 5.0, n)
-    net = feature_net_init(np.random.default_rng(3))
-
-    def solve(targets):
-        model = initial_model(1.0, net=net, lam=LAM, dim_out=targets.shape[1])
-        model = replace(model, theta_y=np.full(model.dim_out, rr.THETA_Y_FLOOR))
-        model = replace(model, theta_phi=rr._solve_heads(model, x, targets, r))
-        for fixed_mu in (True, False):
-            theta_y, ok = rr._polish_theta_y(model, x, targets, r, fixed_mu=fixed_mu)
-            assert ok
-            model = replace(model, theta_y=theta_y)
-        return model
-
-    both = solve(y)
-    assert np.all(both.theta_y > rr.THETA_Y_FLOOR)  # the roots are interior
-    for d in range(2):
-        single = solve(y[:, d : d + 1])
-        np.testing.assert_allclose(both.theta_phi[d], single.theta_phi[0], atol=1e-9)
-        np.testing.assert_allclose(both.theta_y[d], single.theta_y[0], rtol=1e-9)
+        fit(Dataset.empty(), None, None, TrainConfig(epochs=10, lam=LAM), init=_base(0))
 
 
 def _shift_problem(n=60, seed=31):
-    """Three-output data with a source/target shift, so the ratios vary."""
+    """Data with a source/target shift, so the ratios vary."""
     g = np.random.default_rng(seed)
     x = g.uniform(-1.0, 1.0, (n, 2))
-    y = np.column_stack(
-        [np.sin(2.0 * x[:, 0]) + 0.5 * x[:, 1], x[:, 0] * x[:, 1], np.cos(x[:, 1])]
-    ) + g.normal(0.0, 0.05, (n, 3))
+    y = np.sin(2.0 * x[:, 0]) + 0.5 * x[:, 1] + g.normal(0.0, 0.05, n)
     trg = kde_fit(g.uniform(-0.5, 1.5, (40, 2)))
     return Dataset(x, y), kde_fit(x), trg
 
@@ -285,8 +265,8 @@ def _assert_models_identical(got, want):
     for a, b in zip(got.net.weights + got.net.biases, want.net.weights + want.net.biases):
         assert np.array_equal(a, b)
     assert np.array_equal(got.theta_phi, want.theta_phi)
-    assert np.array_equal(got.theta_y, want.theta_y)
-    assert np.array_equal(got.moment_residuals, want.moment_residuals)
+    assert got.theta_y == want.theta_y
+    assert got.moment_residual == want.moment_residual
     assert got.converged == want.converged
 
 
@@ -298,7 +278,7 @@ def test_fit_matches_allocating_reference_bit_for_bit(case, monkeypatch):
     # a clip norm of 1 keeps the global-norm clip active on most steps
     monkeypatch.setattr(rr, "CLIP_NORM", 1.0)
     cfg = TrainConfig(epochs=40, lam=LAM)
-    init = _base(6, 0.5, dim_out=3)
+    init = _base(6, 0.5)
     if case == "warm_start":
         init = reference_fit.fit(ds, src, trg, cfg, init=init)
     got = fit(ds, src, trg, cfg, init=init)
@@ -308,7 +288,7 @@ def test_fit_matches_allocating_reference_bit_for_bit(case, monkeypatch):
 
 def test_solve_heads_matches_numpy_scalar_reference():
     ds, src, trg = _shift_problem()
-    model = fit(ds, src, trg, TrainConfig(epochs=40, lam=LAM), init=_base(6, 0.5, dim_out=3))
+    model = fit(ds, src, trg, TrainConfig(epochs=40, lam=LAM), init=_base(6, 0.5))
     r = density_ratio(src, trg, ds.inputs)
     noise = np.random.default_rng(8).normal(0.0, 0.3, model.theta_phi.shape)
     start = replace(model, theta_phi=model.theta_phi + noise)
