@@ -10,11 +10,14 @@ Each ratio formula lives in one helper that takes precomputed densities
 (`clipped_ratio`, `max_ratio`).  `density_ratio` and `max_ratio_on_traj`
 evaluate the KDEs and call them; the exploration loop calls them directly
 on cached densities: p_trg once per experiment on every candidate grid,
-p_src once per episode on all grids together.  That one p_src pass gives
-every candidate's r_min (its smallest clipped ratio, which is all the
-robust certificate reads) and its w_hat, each in one segmented reduction
-over the stacked grids.  The controller reads one state at a time
-through `point_ratio`, the other kernel sum.
+p_src once per episode in two passes, each reduced segment by segment
+over stacked rows.  The pass over the certification rows gives every
+candidate's r_min (its smallest clipped ratio, which is all the robust
+certificate reads) and a lower bound on its w_hat; the pass over the
+other rows runs only for the candidates whose bound is still within the
+loop's W_MAX screen.  So w_hat is exact for the candidates within W_MAX
+and, for the rest, a lower bound already above it.  The controller reads
+one state at a time through `point_ratio`, the other kernel sum.
 """
 
 from __future__ import annotations
@@ -95,6 +98,13 @@ def kde_density(model: KdeModel, x) -> np.ndarray:
     Squared distances in bandwidth units come from the |a|^2 + |b|^2 - 2ab
     expansion so the (m, n) kernel matrix is a single BLAS product; the
     clamp guards the tiny negative residue cancellation can leave.
+
+    A density depends on its own query row, up to how BLAS rounds the
+    product: OpenBLAS computes the rows past its kernel's row unroll with
+    another kernel, so a row can come out a bit or two apart depending on
+    its place in a block.  numpy hands a one-row product to gemv, which
+    rounds further apart still, so a block of one row is evaluated twice
+    over.
     """
     pts = np.asarray(x, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != model.dim:
@@ -105,17 +115,21 @@ def kde_density(model: KdeModel, x) -> np.ndarray:
     s = model.samples / h
     s_sq = np.einsum("ij,ij->i", s, s)
     s_t = -2.0 * s.T
-    dens = np.empty(len(pts))
+    m = len(pts)
+    dens = np.empty(m)
     block = max(1, KDE_BLOCK_ELEMENTS // n)
-    buf = np.empty((min(block, len(pts)), n))
-    for lo in range(0, len(pts), block):
+    buf = np.empty((max(2, min(block, m)), n))
+    for lo in range(0, m, block):
         q = pts[lo : lo + block] / h
+        rows = len(q)
+        if rows == 1:
+            q = np.repeat(q, 2, axis=0)
         d2 = np.matmul(q, s_t, out=buf[: len(q)])
         d2 += np.einsum("ij,ij->i", q, q)[:, None]
         d2 += s_sq[None, :]
         np.maximum(d2, 0.0, out=d2)
         d2 *= -0.5
-        dens[lo : lo + block] = np.exp(d2, out=d2).sum(axis=1) / norm
+        dens[lo : lo + rows] = np.exp(d2, out=d2).sum(axis=1)[:rows] / norm
     return dens
 
 

@@ -27,12 +27,15 @@ densities each call needs are passed in, not bound to the model:
   moment_residual()                  |the fit's stationarity residual|
 
 Scoring does each piece of work once, at the level where its inputs
-change.  The pool is fixed, so each candidate's grid, certification
-stride, target KDE and p_trg on its grid are computed once per experiment
+change.  The pool is fixed, so each candidate's grid, its certification
+points, target KDE and p_trg on its grid are computed once per experiment
 and held with the candidates (`PoolCache`).  The source density changes
 only when the dataset grows: it is fit once for the retrain and reused by
-the next episode, where one p_src pass over all grids together gives
-every candidate's r_min and its w_hat screen value.
+the next episode.  There p_src is evaluated in two passes: on every
+candidate's certification rows, which give its r_min and a lower bound
+on its w_hat, then on the other rows of only the candidates that bound
+has not already screened out.  So w_hat is exact for every candidate
+within W_MAX and, for the rest, a lower bound already above W_MAX.
 """
 
 from __future__ import annotations
@@ -242,55 +245,79 @@ def default_config(task: str) -> ExperimentConfig:
 class PoolCache:
     """A fixed candidate pool and its per-experiment scoring state.
 
-    `grids` stacks every candidate `trajs[k]`'s full (q, qdot) grid from
-    row `starts[k]`, with `p_trg` the density of its target KDE
-    `trg_kdes[k]` on its own rows.  `cert_rows` stacks the rows each
-    candidate certifies on, candidate k's from `cert_starts[k]`.
+    Each candidate `trajs[k]`'s (q, qdot) grid is split in two, and each
+    part is stacked over the candidates, with `p_trg`, the density of the
+    candidate's target KDE `trg_kdes[k]`, beside it.  `cert_xy` holds the
+    points each candidate certifies on, candidate k's from `cert_starts[k]`
+    (`cert_pts[k]` is a view of them); `rest_xy` holds the other grid
+    points, candidate k's from `rest_starts[k]`, which only w_hat reads.
     """
 
     trajs: tuple  # DesiredTrajectory per candidate
-    grids: np.ndarray  # (sum of grid lengths, 2)
-    starts: np.ndarray  # first row of each candidate in grids
-    cert_rows: np.ndarray  # strided rows of grids, candidate by candidate
-    cert_starts: np.ndarray  # first entry of each candidate in cert_rows
+    cert_xy: np.ndarray  # (sum of certification point counts, 2)
+    cert_p_trg: np.ndarray  # (len(cert_xy),)
+    cert_starts: np.ndarray  # first row of each candidate in cert_xy
+    cert_pts: tuple  # each candidate's rows of cert_xy
+    rest_xy: np.ndarray  # (sum of the other grid point counts, 2)
+    rest_p_trg: np.ndarray  # (len(rest_xy),)
+    rest_starts: np.ndarray  # first row of each candidate in rest_xy
     trg_kdes: tuple  # KdeModel per candidate
-    p_trg: np.ndarray  # (len(grids),)
 
     def __len__(self) -> int:
         return len(self.trajs)
 
     def episode_inputs(self, src_kde: Optional[KdeModel]):
-        """(certification points, r_min, w_hat) per candidate, from one p_src pass.
+        """(certification points, r_min, w_hat) per candidate, from two p_src passes.
 
-        r_min is the smallest clipped ratio on the certification points and
-        w_hat the largest unclipped p_trg / p_src on the grid; both are 1
-        without a source density (episode 1).
+        r_min is the smallest clipped ratio on the certification points.
+        w_hat is the largest unclipped p_trg / p_src on the grid for each
+        candidate within W_MAX; for the rest it is a lower bound already
+        above W_MAX (or NaN), so the screen rejects the same set.  Both
+        are 1 without a source density (episode 1).
         """
-        p_src = None if src_kde is None else kde_density(src_kde, self.grids)
-        pts = np.split(self.grids[self.cert_rows], self.cert_starts[1:])
-        if p_src is None:
-            return [(p, 1.0, 1.0) for p in pts]
-        rows = self.cert_rows
-        r_min = np.minimum.reduceat(clipped_ratio(p_src[rows], self.p_trg[rows]), self.cert_starts)
-        w_hat = max_ratio(self.p_trg, p_src, self.starts)
-        return list(zip(pts, r_min.tolist(), w_hat.tolist()))
+        if src_kde is None:
+            return [(p, 1.0, 1.0) for p in self.cert_pts]
+        # pass 1, the certification points: every r_min, and w_hat on them
+        p_src = kde_density(src_kde, self.cert_xy)
+        r_min = np.minimum.reduceat(clipped_ratio(p_src, self.cert_p_trg), self.cert_starts)
+        w_hat = max_ratio(self.cert_p_trg, p_src, self.cert_starts)
+        # pass 2, the other points of the candidates pass 1 has not screened out
+        sizes = np.diff(self.rest_starts, append=len(self.rest_xy))
+        todo = (w_hat <= W_MAX) & (sizes > 0)
+        if todo.any():
+            take = np.repeat(todo, sizes)
+            p_src = kde_density(src_kde, self.rest_xy[take])
+            starts = np.cumsum(sizes[todo]) - sizes[todo]
+            w_hat[todo] = np.maximum(w_hat[todo], max_ratio(self.rest_p_trg[take], p_src, starts))
+        return list(zip(self.cert_pts, r_min.tolist(), w_hat.tolist()))
 
 
 def build_pool_cache(pool: list[DesiredTrajectory], config: ExperimentConfig) -> PoolCache:
     """Fit every candidate's target KDE and evaluate it on its grid, once."""
     grids = [traj.grid_xy() for traj in pool]
-    starts = np.cumsum([0] + [len(g) for g in grids[:-1]])
-    # every cert_stride-th point of each grid, always ending at its last one
-    cert_idx = [np.append(np.arange(0, len(g) - 1, config.cert_stride), len(g) - 1) for g in grids]
     trg_kdes = tuple(kde_fit(subsample_rows(g, KDE_TRG_MAX)) for g in grids)
+    p_trg = [kde_density(kde, g) for kde, g in zip(trg_kdes, grids)]
+    # every cert_stride-th point of each grid, always ending at its last one
+    cert = [np.arange(len(g)) % config.cert_stride == 0 for g in grids]
+    for c in cert:
+        c[-1] = True
+
+    def stack(parts):
+        """The parts stacked, and the first row of each."""
+        return np.concatenate(parts), np.cumsum([0] + [len(x) for x in parts[:-1]])
+
+    cert_xy, cert_starts = stack([g[c] for g, c in zip(grids, cert)])
+    rest_xy, rest_starts = stack([g[~c] for g, c in zip(grids, cert)])
     return PoolCache(
         trajs=tuple(pool),
-        grids=np.concatenate(grids),
-        starts=starts,
-        cert_rows=np.concatenate([start + idx for start, idx in zip(starts, cert_idx)]),
-        cert_starts=np.cumsum([0] + [len(idx) for idx in cert_idx[:-1]]),
+        cert_xy=cert_xy,
+        cert_p_trg=np.concatenate([p[c] for p, c in zip(p_trg, cert)]),
+        cert_starts=cert_starts,
+        cert_pts=tuple(np.split(cert_xy, cert_starts[1:])),
+        rest_xy=rest_xy,
+        rest_p_trg=np.concatenate([p[~c] for p, c in zip(p_trg, cert)]),
+        rest_starts=rest_starts,
         trg_kdes=trg_kdes,
-        p_trg=np.concatenate([kde_density(kde, g) for kde, g in zip(trg_kdes, grids)]),
     )
 
 
@@ -415,7 +442,9 @@ def run_episode(
     against the data stays within W_MAX AND its tube certificate passes.
     They are checked in that order, with sigma_max in between: a
     candidate the W_MAX screen rejects gets no `eval_candidate` and no
-    `certify_trajectory` call.  The chosen candidate is the cost argmin
+    `certify_trajectory` call.  w_hat is exact for the candidates within
+    W_MAX and, for the rest, a lower bound already above it, so every
+    recorded w_hat is exact.  The chosen candidate is the cost argmin
     of the admissible set, and `n_certified` counts that set.
     Returns the episode's record, flight audit included, with status "ok",
     "touchdown" (landing reached the ground, still a success),

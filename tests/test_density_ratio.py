@@ -22,6 +22,7 @@ from safeshift.density_ratio import (
     max_ratio_on_traj,
     point_ratio,
 )
+from safeshift.explore import default_config
 
 
 def test_single_sample_unit_bandwidth_peak():
@@ -166,6 +167,30 @@ def test_kde_density_independent_of_block_size(monkeypatch):
     monkeypatch.setattr(module, "KDE_BLOCK_ELEMENTS", 10**9)  # a single block
     single = kde_density(model, pts)
     np.testing.assert_allclose(tiny, single, rtol=1e-12, atol=0)
+
+
+def test_kde_density_of_scattered_rows_matches_the_full_pass():
+    # the exploration loop evaluates subsets of the pool's rows on their
+    # own.  OpenBLAS rounds the rows past its kernel's row unroll with
+    # another kernel, so a few densities move by a bit or two with their
+    # place in a block; a block of one row (sizes 1 and 1 mod the block),
+    # which numpy would hand to gemv, must move no further
+    pool = default_config("landing").pool()
+    grids = np.concatenate([traj.grid_xy() for traj in pool])
+    rng = np.random.default_rng(24)
+    near = grids[rng.choice(len(grids), 500, replace=False)]
+    src = kde_fit(near + rng.normal(0.0, 0.05, near.shape))
+    full = kde_density(src, grids)
+    block = KDE_BLOCK_ELEMENTS // len(src.samples)
+    for size, draws in ((1, 200), (2, 20), (3, 20), (block - 1, 5), (block + 1, 5), (2 * block + 1, 5), (10_007, 2)):
+        assert size % block
+        same = 0
+        for _ in range(draws):
+            idx = np.sort(rng.choice(len(grids), size, replace=False))
+            got = kde_density(src, grids[idx])
+            np.testing.assert_allclose(got, full[idx], rtol=4 * np.finfo(float).eps, atol=0)
+            same += np.sum(got == full[idx])
+        assert same >= 0.99 * size * draws
 
 
 def test_ratio_helpers_floor_the_denominator():

@@ -20,6 +20,7 @@ from safeshift.density_ratio import (
     density_ratio,
     kde_density,
     kde_fit,
+    max_ratio,
     max_ratio_on_traj,
 )
 from safeshift.dynamics import DRONE, PENDULUM
@@ -396,23 +397,54 @@ def test_robust_d_hat_matches_predicted_mean(hidden, monkeypatch):
 # -- cached candidate scoring ---------------------------------------------------
 
 
+def _cert_index(n, stride):
+    """Every stride-th of n grid points, ending at the last point."""
+    idx = list(range(0, n, stride))
+    if idx[-1] != n - 1:
+        idx.append(n - 1)
+    return idx
+
+
 def _cert_points(grid, stride):
-    """Every stride-th point of grid, ending at its last point."""
-    idx = list(range(0, len(grid), stride))
-    if idx[-1] != len(grid) - 1:
-        idx.append(len(grid) - 1)
-    return grid[idx]
+    return grid[_cert_index(len(grid), stride)]
+
+
+def _landing_cache_and_source(around=(0, 25, 50), cert_stride=None):
+    """The landing pool's cache and a source KDE around the grids of candidates `around`.
+
+    The ratios span the clip interval and w_hat varies across the pool.
+    """
+    cfg = default_config("landing")
+    if cert_stride is not None:
+        cfg = replace(cfg, cert_stride=cert_stride)
+    pool = cfg.pool()
+    g = np.random.default_rng(2)
+    src_pts = np.concatenate([pool[k].grid_xy()[::7] for k in around])
+    src = kde_fit(src_pts + g.normal(0.0, 0.05, src_pts.shape))
+    return cfg, build_pool_cache(pool, cfg), src
+
+
+def _one_pass_inputs(cache, src, stride):
+    """(r_min, w_hat) per candidate from one p_src pass over every grid, in pool order."""
+    grids = [traj.grid_xy() for traj in cache.trajs]
+    p_trg = np.concatenate([kde_density(trg, g) for trg, g in zip(cache.trg_kdes, grids)])
+    p_src = kde_density(src, np.concatenate(grids))
+    starts = np.cumsum([0] + [len(g) for g in grids[:-1]])
+    rows = np.concatenate([start + _cert_index(len(g), stride) for start, g in zip(starts, grids)])
+    r_min = np.minimum.reduceat(clipped_ratio(p_src[rows], p_trg[rows]), cache.cert_starts)
+    return r_min, max_ratio(p_trg, p_src, starts)
+
+
+def _count_passes(monkeypatch):
+    """The row count of each `kde_density` call `explore` makes, as a list that fills in."""
+    passes = []
+    monkeypatch.setattr(explore, "kde_density", lambda kde, x: passes.append(len(x)) or kde_density(kde, x))
+    return passes
 
 
 def test_cached_scoring_matches_density_ratio_and_max_ratio():
-    cfg = default_config("landing")
-    pool = cfg.pool()
-    cache = build_pool_cache(pool, cfg)
-    g = np.random.default_rng(2)
-    # source data around a few candidate grids, so the ratios span the
-    # clip interval and w_hat varies across the pool
-    src_pts = np.concatenate([pool[k].grid_xy()[::7] for k in (0, 25, 50)])
-    src = kde_fit(src_pts + g.normal(0.0, 0.05, src_pts.shape))
+    cfg, cache, src = _landing_cache_and_source()
+    pool = cache.trajs
     inputs = cache.episode_inputs(src)
     assert len(inputs) == len(pool)
 
@@ -423,7 +455,13 @@ def test_cached_scoring_matches_density_ratio_and_max_ratio():
         r = density_ratio(src, trg, pts)
         assert isinstance(r_min, float) and isinstance(w_hat, float)
         assert r_min == pytest.approx(float(np.min(r)), rel=1e-12)
-        assert w_hat == pytest.approx(max_ratio_on_traj(trg, src, grid), rel=1e-12)
+        # w_hat is the max over the grid within the screen, and past it a
+        # lower bound that already exceeds W_MAX
+        w_grid = max_ratio_on_traj(trg, src, grid)
+        if w_hat <= explore.W_MAX:
+            assert w_hat == pytest.approx(w_grid, rel=1e-12)
+        else:
+            assert explore.W_MAX < w_hat <= w_grid * (1 + 1e-12)
         all_r.append(r)
         r_mins.append(r_min)
         w_hats.append(w_hat)
@@ -435,12 +473,68 @@ def test_cached_scoring_matches_density_ratio_and_max_ratio():
     assert min(w_hats) < explore.W_MAX < max(w_hats)
 
 
+def test_two_pass_scoring_bit_equal_to_one_pass_within_the_screen(monkeypatch):
+    # r_min is exact for every candidate, w_hat for every candidate within
+    # W_MAX, and the screen rejects the same set; one candidate is rejected
+    # only once the second pass has read its other rows.  Exact as far as
+    # BLAS rounds a row alike wherever it sits in a block (see kde_density)
+    cfg, cache, src = _landing_cache_and_source(around=(0, 30))
+    passes = _count_passes(monkeypatch)
+    inputs = cache.episode_inputs(src)
+    r_min = np.array([r for _, r, _ in inputs])
+    w_hat = np.array([w for _, _, w in inputs])
+    r_ref, w_ref = _one_pass_inputs(cache, src, cfg.cert_stride)
+    np.testing.assert_array_equal(r_min, r_ref)
+    kept = w_hat <= explore.W_MAX
+    np.testing.assert_array_equal(kept, w_ref <= explore.W_MAX)
+    np.testing.assert_array_equal(w_hat[kept], w_ref[kept])
+    assert np.all(w_hat[~kept] > explore.W_MAX)
+    # the second pass reads the other rows of the candidates the first kept
+    rest = len(cache.rest_xy) // len(cache)
+    assert passes[0] == len(cache.cert_xy)
+    assert len(passes) == 2 and passes[1] % rest == 0
+    assert 0 < np.sum(kept) < passes[1] // rest < len(cache)
+
+
+def test_two_pass_scoring_at_cert_stride_one_has_no_second_pass(monkeypatch):
+    # every row is a certification row, so nothing is left for pass 2
+    cfg, cache, src = _landing_cache_and_source(cert_stride=1)
+    assert len(cache.rest_xy) == 0
+    passes = _count_passes(monkeypatch)
+    inputs = cache.episode_inputs(src)
+    assert passes == [len(cache.cert_xy)] == [sum(len(traj.grid_xy()) for traj in cache.trajs)]
+    r_ref, w_ref = _one_pass_inputs(cache, src, cfg.cert_stride)
+    np.testing.assert_array_equal([r for _, r, _ in inputs], r_ref)
+    np.testing.assert_array_equal([w for _, _, w in inputs], w_ref)
+    assert min(w_ref) < explore.W_MAX < max(w_ref)
+
+
+def test_two_pass_scoring_skips_the_second_pass_when_the_first_screens_out_all(monkeypatch):
+    # a source far from every grid: the certification rows alone put every
+    # candidate past W_MAX, so no other row is evaluated
+    cfg, cache, _ = _landing_cache_and_source()
+    src = kde_fit(np.random.default_rng(3).normal((5.0, 5.0), 0.1, (200, 2)))
+    passes = _count_passes(monkeypatch)
+    inputs = cache.episode_inputs(src)
+    assert passes == [len(cache.cert_xy)]
+    r_ref, w_ref = _one_pass_inputs(cache, src, cfg.cert_stride)
+    np.testing.assert_array_equal([r for _, r, _ in inputs], r_ref)
+    w_hat = np.array([w for _, _, w in inputs])
+    assert np.all(w_hat > explore.W_MAX) and np.all(w_ref >= w_hat)
+
+
 def test_episode_one_inputs_have_unit_ratios():
     cfg = tube02_config()
     inputs = build_pool_cache(cfg.pool(), cfg).episode_inputs(None)
     assert [(r, w) for _, r, w in inputs] == [(1.0, 1.0)] * len(cfg.pool())
     for traj, (pts, _, _) in zip(cfg.pool(), inputs):
         np.testing.assert_array_equal(pts, _cert_points(traj.grid_xy(), cfg.cert_stride))
+
+
+def test_certification_points_are_built_once_per_experiment():
+    _, cache, src = _landing_cache_and_source()
+    for inputs in (cache.episode_inputs(None), cache.episode_inputs(src), cache.episode_inputs(src)):
+        assert all(p is q for (p, _, _), q in zip(inputs, cache.cert_pts))
 
 
 def test_robust_eval_candidate_constant_and_mixed():
@@ -493,14 +587,13 @@ def test_robust_score_is_the_max_predicted_std_on_recorded_episodes(task, monkey
     r_mins = []
     for cache, src, model, inputs, sigmas in scored:
         assert set(sigmas) == {k for k, (_, _, w_hat) in enumerate(inputs) if w_hat <= explore.W_MAX}
-        p_src = None if src is None else kde_density(src, cache.grids)
+        p_src = None if src is None else kde_density(src, cache.cert_xy)
         for k, sigma in sigmas.items():
             pts, r_min, _ = inputs[k]
-            start = cache.cert_starts[k]
-            rows = cache.cert_rows[start : start + len(pts)]
+            rows = slice(cache.cert_starts[k], cache.cert_starts[k] + len(pts))
             r = np.ones(len(pts))
             if p_src is not None:
-                r = clipped_ratio(p_src[rows], cache.p_trg[rows])
+                r = clipped_ratio(p_src[rows], cache.cert_p_trg[rows])
             _, var = rr.predict(model, pts, ratios=r)
             assert r_min == float(np.min(r))
             assert sigma == float(np.sqrt(np.max(var)))
