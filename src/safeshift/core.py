@@ -342,7 +342,7 @@ class EpisodeRecord:
     sigma_max: float = math.nan
     eps_m: float = math.nan
     tube_radius: float = math.nan
-    n_certified: int = 0
+    n_certified: int = 0  # 1 when the episode flies a certified candidate, else 0
     n_train: int = 0
     rms_tracking: float = math.nan
     rms_residual_error: float = math.nan

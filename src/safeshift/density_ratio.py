@@ -10,14 +10,11 @@ Each ratio formula lives in one helper that takes precomputed densities
 (`clipped_ratio`, `max_ratio`).  `density_ratio` and `max_ratio_on_traj`
 evaluate the KDEs and call them; the exploration loop calls them directly
 on cached densities: p_trg once per experiment on every candidate grid,
-p_src once per episode in two passes, each reduced segment by segment
-over stacked rows.  The pass over the certification rows gives every
-candidate's r_min (its smallest clipped ratio, which is all the robust
-certificate reads) and a lower bound on its w_hat; the pass over the
-other rows runs only for the candidates whose bound is still within the
-loop's W_MAX screen.  So w_hat is exact for the candidates within W_MAX
-and, for the rest, a lower bound already above it.  The controller reads
-one state at a time through `point_ratio`, the other kernel sum.
+and p_src on one candidate's grid at a time, as the loop reaches it.
+That gives the candidate's w_hat and its r_min (its smallest clipped
+ratio on the certification points, which is all the robust certificate
+reads).  The controller reads one state at a time through
+`point_ratio`, the other kernel sum.
 """
 
 from __future__ import annotations
@@ -172,13 +169,10 @@ def point_ratio(src: KdeModel, trg: KdeModel):
     return ratio
 
 
-def max_ratio(p_trg, p_src, starts) -> np.ndarray:
-    """Unclipped max of p_trg / max(p_src, DENSITY_FLOOR) per segment.
-
-    Segment k of the stacked densities runs from starts[k] up to the next start.
-    """
+def max_ratio(p_trg, p_src) -> float:
+    """Unclipped max of p_trg / max(p_src, DENSITY_FLOOR)."""
     ratio = np.maximum(p_src, DENSITY_FLOOR)
-    return np.maximum.reduceat(np.divide(p_trg, ratio, out=ratio), starts)
+    return float(np.max(np.divide(p_trg, ratio, out=ratio)))
 
 
 def density_ratio(src: KdeModel, trg: KdeModel, x) -> np.ndarray:
@@ -197,4 +191,4 @@ def max_ratio_on_traj(trg: KdeModel, src: KdeModel, pts) -> float:
     pts = np.asarray(pts, dtype=float)
     if len(pts) == 0:
         raise ValueError("empty trajectory")
-    return float(max_ratio(kde_density(trg, pts), kde_density(src, pts), [0])[0])
+    return max_ratio(kde_density(trg, pts), kde_density(src, pts))

@@ -1,13 +1,13 @@
 """Episodic safe exploration with certified tracking tubes.
 
-Each episode: screen every candidate desired trajectory by its worst
-estimated density ratio w_hat (at most W_MAX), score each one the screen
-lets through with the current model (sigma_max -> residual-error budget
-eps_m = beta * sigma_max -> tube radius gamma * eps_m), certify its
-worst-case tube against the safety set, track the cheapest certified
-candidate and audit its flight, collect (state, residual) data along the
-actual rollout, and retrain.  `run_episode` returns the episode's record,
-audit included.
+Each episode walks the candidate desired trajectories from the cheapest
+up: it screens each one by its worst estimated density ratio w_hat (at
+most W_MAX), scores one the screen lets through with the current model
+(sigma_max -> residual-error budget eps_m = beta * sigma_max -> tube
+radius gamma * eps_m) and certifies its worst-case tube against the
+safety set.  It tracks the first candidate certified, audits its flight,
+collects (state, residual) data along the actual rollout, and retrains.
+`run_episode` returns the episode's record, audit included.
 The robust learner's sigma_max is the closed form (1/sigma0_sq + 2
 theta_y r_min)^(-1/2) at the candidate's smallest clipped density ratio
 r_min; the GP's is the max posterior std on the certification points.
@@ -27,15 +27,13 @@ densities each call needs are passed in, not bound to the model:
   moment_residual()                  |the fit's stationarity residual|
 
 Scoring does each piece of work once, at the level where its inputs
-change.  The pool is fixed, so each candidate's grid, its certification
-points, target KDE and p_trg on its grid are computed once per experiment
-and held with the candidates (`PoolCache`).  The source density changes
-only when the dataset grows: it is fit once for the retrain and reused by
-the next episode.  There p_src is evaluated in two passes: on every
-candidate's certification rows, which give its r_min and a lower bound
-on its w_hat, then on the other rows of only the candidates that bound
-has not already screened out.  So w_hat is exact for every candidate
-within W_MAX and, for the rest, a lower bound already above W_MAX.
+change.  The pool is fixed, so its selection order and each candidate's
+grid, certification points, target KDE and p_trg on its grid are
+computed once per experiment and held with the candidates (`PoolCache`).
+The source density changes only when the dataset grows: it is fit once
+for the retrain and reused by the next episode, which evaluates p_src on
+the grid of each candidate it checks, and of no other.  So a candidate's
+r_min and w_hat depend only on its own grid and the source KDE.
 """
 
 from __future__ import annotations
@@ -241,82 +239,56 @@ def default_config(task: str) -> ExperimentConfig:
     return ExperimentConfig(task=task, **TASKS[task])
 
 
+def _selection_key(traj: DesiredTrajectory):
+    """Cost argmin with a deterministic tie-break.
+
+    Ties (common early on the landing task, where no certified candidate
+    reaches the ground within the horizon) prefer the lowest hover
+    altitude, then the most aggressive rate: the most informative safe
+    candidate.
+    """
+    return (traj.cost, traj.params.get("h_g", 0.0), -traj.params.get("C", 0.0))
+
+
 @dataclass(frozen=True)
 class PoolCache:
-    """A fixed candidate pool and its per-experiment scoring state.
+    """A fixed candidate pool in selection order, and its per-experiment scoring state.
 
-    Each candidate `trajs[k]`'s (q, qdot) grid is split in two, and each
-    part is stacked over the candidates, with `p_trg`, the density of the
-    candidate's target KDE `trg_kdes[k]`, beside it.  `cert_xy` holds the
-    points each candidate certifies on, candidate k's from `cert_starts[k]`
-    (`cert_pts[k]` is a view of them); `rest_xy` holds the other grid
-    points, candidate k's from `rest_starts[k]`, which only w_hat reads.
+    Candidate k is `trajs[k]`, with its (q, qdot) grid `grids[k]`, the
+    density `p_trg[k]` of its target KDE `trg_kdes[k]` on that grid, and
+    the grid rows it certifies on (mask `cert_rows[k]`, points
+    `cert_pts[k]`).
     """
 
-    trajs: tuple  # DesiredTrajectory per candidate
-    cert_xy: np.ndarray  # (sum of certification point counts, 2)
-    cert_p_trg: np.ndarray  # (len(cert_xy),)
-    cert_starts: np.ndarray  # first row of each candidate in cert_xy
-    cert_pts: tuple  # each candidate's rows of cert_xy
-    rest_xy: np.ndarray  # (sum of the other grid point counts, 2)
-    rest_p_trg: np.ndarray  # (len(rest_xy),)
-    rest_starts: np.ndarray  # first row of each candidate in rest_xy
+    trajs: tuple  # DesiredTrajectory per candidate, sorted by _selection_key
+    grids: tuple  # (n_k, 2) grid per candidate
+    p_trg: tuple  # (n_k,) target density on each grid
+    cert_rows: tuple  # (n_k,) boolean mask of the certification rows
+    cert_pts: tuple  # each grid's certification rows
     trg_kdes: tuple  # KdeModel per candidate
 
     def __len__(self) -> int:
         return len(self.trajs)
 
-    def episode_inputs(self, src_kde: Optional[KdeModel]):
-        """(certification points, r_min, w_hat) per candidate, from two p_src passes.
-
-        r_min is the smallest clipped ratio on the certification points.
-        w_hat is the largest unclipped p_trg / p_src on the grid for each
-        candidate within W_MAX; for the rest it is a lower bound already
-        above W_MAX (or NaN), so the screen rejects the same set.  Both
-        are 1 without a source density (episode 1).
-        """
-        if src_kde is None:
-            return [(p, 1.0, 1.0) for p in self.cert_pts]
-        # pass 1, the certification points: every r_min, and w_hat on them
-        p_src = kde_density(src_kde, self.cert_xy)
-        r_min = np.minimum.reduceat(clipped_ratio(p_src, self.cert_p_trg), self.cert_starts)
-        w_hat = max_ratio(self.cert_p_trg, p_src, self.cert_starts)
-        # pass 2, the other points of the candidates pass 1 has not screened out
-        sizes = np.diff(self.rest_starts, append=len(self.rest_xy))
-        todo = (w_hat <= W_MAX) & (sizes > 0)
-        if todo.any():
-            take = np.repeat(todo, sizes)
-            p_src = kde_density(src_kde, self.rest_xy[take])
-            starts = np.cumsum(sizes[todo]) - sizes[todo]
-            w_hat[todo] = np.maximum(w_hat[todo], max_ratio(self.rest_p_trg[take], p_src, starts))
-        return list(zip(self.cert_pts, r_min.tolist(), w_hat.tolist()))
-
 
 def build_pool_cache(pool: list[DesiredTrajectory], config: ExperimentConfig) -> PoolCache:
-    """Fit every candidate's target KDE and evaluate it on its grid, once."""
-    grids = [traj.grid_xy() for traj in pool]
+    """Sort the pool by `_selection_key`, fit each target KDE and evaluate it on its grid, once.
+
+    The sort is stable, so candidates with equal keys keep pool order.
+    """
+    trajs = tuple(sorted(pool, key=_selection_key))
+    grids = tuple(traj.grid_xy() for traj in trajs)
     trg_kdes = tuple(kde_fit(subsample_rows(g, KDE_TRG_MAX)) for g in grids)
-    p_trg = [kde_density(kde, g) for kde, g in zip(trg_kdes, grids)]
     # every cert_stride-th point of each grid, always ending at its last one
-    cert = [np.arange(len(g)) % config.cert_stride == 0 for g in grids]
-    for c in cert:
+    cert_rows = tuple(np.arange(len(g)) % config.cert_stride == 0 for g in grids)
+    for c in cert_rows:
         c[-1] = True
-
-    def stack(parts):
-        """The parts stacked, and the first row of each."""
-        return np.concatenate(parts), np.cumsum([0] + [len(x) for x in parts[:-1]])
-
-    cert_xy, cert_starts = stack([g[c] for g, c in zip(grids, cert)])
-    rest_xy, rest_starts = stack([g[~c] for g, c in zip(grids, cert)])
     return PoolCache(
-        trajs=tuple(pool),
-        cert_xy=cert_xy,
-        cert_p_trg=np.concatenate([p[c] for p, c in zip(p_trg, cert)]),
-        cert_starts=cert_starts,
-        cert_pts=tuple(np.split(cert_xy, cert_starts[1:])),
-        rest_xy=rest_xy,
-        rest_p_trg=np.concatenate([p[~c] for p, c in zip(p_trg, cert)]),
-        rest_starts=rest_starts,
+        trajs=trajs,
+        grids=grids,
+        p_trg=tuple(kde_density(kde, g) for kde, g in zip(trg_kdes, grids)),
+        cert_rows=cert_rows,
+        cert_pts=tuple(g[c] for g, c in zip(grids, cert_rows)),
         trg_kdes=trg_kdes,
     )
 
@@ -399,17 +371,6 @@ class EpisodeOutcome(EpisodeRecord):
     trg_kde: Optional[KdeModel] = None
 
 
-def _selection_key(traj: DesiredTrajectory):
-    """Cost argmin with a deterministic tie-break.
-
-    Ties (common early on the landing task, where no certified candidate
-    reaches the ground within the horizon) prefer the lowest hover
-    altitude, then the most aggressive rate: the most informative safe
-    candidate.
-    """
-    return (traj.cost, traj.params.get("h_g", 0.0), -traj.params.get("C", 0.0))
-
-
 def _audit(rollout: Rollout, safe_set: SafetySet) -> bool:
     """True when any recorded state leaves the safety set."""
     states = rollout.states
@@ -434,18 +395,21 @@ def run_episode(
     src_kde: Optional[KdeModel],
     config: ExperimentConfig,
 ) -> EpisodeOutcome:
-    """One episode: screen, score, certify, select, track, audit.
+    """One episode: walk the pool in selection order, fly the first admissible candidate, audit.
 
     src_kde is the KDE of all previously collected inputs; None means
     episode 1, where the source density is undefined and r = 1 everywhere.
     A candidate is admissible when its worst estimated density ratio
     against the data stays within W_MAX AND its tube certificate passes.
-    They are checked in that order, with sigma_max in between: a
-    candidate the W_MAX screen rejects gets no `eval_candidate` and no
-    `certify_trajectory` call.  w_hat is exact for the candidates within
-    W_MAX and, for the rest, a lower bound already above it, so every
-    recorded w_hat is exact.  The chosen candidate is the cost argmin
-    of the admissible set, and `n_certified` counts that set.
+    The pool is sorted by `_selection_key`, so the first admissible
+    candidate is the cost argmin of the admissible set, ties going to
+    pool order, and no candidate after it is checked.  Each candidate the
+    walk reaches gets one p_src evaluation on its grid, which gives w_hat
+    (the largest p_trg / p_src there) and r_min (the smallest clipped
+    ratio on its certification points); both depend only on that grid and
+    the source KDE.  The W_MAX screen comes first: a candidate it rejects
+    gets no `eval_candidate` and no `certify_trajectory` call.
+    `n_certified` is 1 when the episode flies and 0 when it does not.
     Returns the episode's record, flight audit included, with status "ok",
     "touchdown" (landing reached the ground, still a success),
     "no_safe_candidate", or "diverged"; `run_experiment` numbers it and
@@ -460,22 +424,24 @@ def run_episode(
     # however small its predicted variance looks.  This is also what keeps
     # exploration stepping outward gradually instead of leaping to the
     # most aggressive candidate the moment the fit tightens.
-    admitted = []
-    inputs = pool.episode_inputs(src_kde)
-    for k, (traj, (pts, r_min, w_hat)) in enumerate(zip(pool.trajs, inputs)):
-        if not w_hat <= W_MAX:  # a NaN w_hat is screened out too
-            continue
-        sigma_max = learner.eval_candidate(pts, r_min)
+    for k, traj in enumerate(pool.trajs):
+        r_min = w_hat = 1.0
+        if src_kde is not None:
+            p_src, p_trg = kde_density(src_kde, pool.grids[k]), pool.p_trg[k]
+            w_hat = max_ratio(p_trg, p_src)
+            if not w_hat <= W_MAX:  # a NaN w_hat is screened out too
+                continue
+            rows = pool.cert_rows[k]
+            r_min = float(np.min(clipped_ratio(p_src[rows], p_trg[rows])))
+        sigma_max = learner.eval_candidate(pool.cert_pts[k], r_min)
         eps_m = eps_m_from_sigma(sigma_max, config.beta)
         cert = certify_trajectory(traj, gamma_val, eps_m, config.safety)
         if cert.safe:
-            # the index breaks ties in pool order
-            admitted.append((_selection_key(traj), k, sigma_max, eps_m, cert.rho, w_hat))
-    if not admitted:
+            break
+    else:
         return EpisodeOutcome(episode=0, status="no_safe_candidate")
 
-    _, k, sigma_max, eps_m, rho, w_hat = min(admitted)
-    traj, trg_kde = pool.trajs[k], pool.trg_kdes[k]
+    trg_kde = pool.trg_kdes[k]
     rollout = simulate_closed_loop(
         config.plant,
         config.gains,
@@ -494,8 +460,8 @@ def run_episode(
         realized_cost=_realized_cost(config, rollout),
         sigma_max=sigma_max,
         eps_m=eps_m,
-        tube_radius=rho,
-        n_certified=len(admitted),
+        tube_radius=cert.rho,
+        n_certified=1,
         rms_tracking=rollout.rms_tracking(),
         rms_residual_error=float(np.sqrt(np.mean(rollout.eps ** 2))),
         w_hat=w_hat,

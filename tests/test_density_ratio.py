@@ -196,8 +196,9 @@ def test_kde_density_of_scattered_rows_matches_the_full_pass():
 def test_ratio_helpers_floor_the_denominator():
     r = clipped_ratio(np.array([1e-13, 2.0, 3.0]), np.array([0.0, 4.0, 0.0]))
     np.testing.assert_array_equal(r, [0.1, 0.5, 10.0])
-    w = max_ratio(np.array([1e-6, 2.0, 3.0, 1.0]), np.array([0.0, 4.0, 1.0, 2.0]), [0, 2])
-    np.testing.assert_allclose(w, [1e6, 3.0], rtol=1e-15)
+    w = max_ratio(np.array([1e-6, 2.0]), np.array([0.0, 4.0]))
+    assert isinstance(w, float) and w == pytest.approx(1e6, rel=1e-15)
+    assert max_ratio(np.array([3.0, 1.0]), np.array([1.0, 2.0])) == 3.0
 
 
 def _row_sum_density(kde, x):

@@ -13,15 +13,14 @@ from safeshift import explore
 from safeshift import robust_regression as rr
 from safeshift.bounds import certify_trajectory, eps_m_from_sigma
 from safeshift.controller import ControllerGains
-from safeshift.core import Dataset, LandingPool, PendulumPool
+from safeshift.core import Dataset, LandingPool, PendulumPool, subsample_rows
 from safeshift.density_ratio import (
+    DENSITY_FLOOR,
     R_HI,
     clipped_ratio,
     density_ratio,
     kde_density,
     kde_fit,
-    max_ratio,
-    max_ratio_on_traj,
 )
 from safeshift.dynamics import DRONE, PENDULUM
 from safeshift.explore import (
@@ -156,7 +155,6 @@ def test_three_candidate_worked_example():
     out = episode_one(cfg, stub)
     assert out.status == "ok"
     assert out.params["C"] == pytest.approx(0.6)
-    assert out.n_certified == 2
     assert out.sigma_max == pytest.approx(0.5)
     assert out.eps_m == pytest.approx(0.5)
     assert out.tube_radius == pytest.approx(0.1, rel=1e-12)
@@ -182,7 +180,6 @@ def test_all_uncertified_yields_no_safe_candidate():
 def test_zero_sigma_certifies_everything_and_picks_cost_argmin():
     cfg = replace(default_config("pendulum"), horizon=2.0)
     out = episode_one(cfg, StubLearner(default=0.0))
-    assert out.n_certified == 10
     assert out.params["C"] == pytest.approx(1.0)
     # with sigma = 0 the budget is beta-invariant
     out_b = episode_one(replace(cfg, beta=7.0), StubLearner(default=0.0))
@@ -212,7 +209,6 @@ def test_chosen_is_always_cheapest_certified(seed):
             key=lambda t: (t.cost, t.params.get("h_g", 0.0), -t.params.get("C", 0.0)),
         )
         assert out.params == expected.params
-        assert out.n_certified == len(certified)
 
 
 def test_landing_tie_break_prefers_lower_hover():
@@ -243,7 +239,6 @@ def test_episode_one_runs_on_base_model_uncertainty():
     assert out.tube_radius == pytest.approx(cfg.gamma() * out.eps_m, rel=1e-12)
     assert out.w_hat == 1.0
     # rho ~ 0.729 against the 1.5 box: amplitudes 0.1..0.7 certify
-    assert out.n_certified == 7
     assert out.params["C"] == pytest.approx(0.7)
     # 20 s horizon sampled at 50 Hz
     data = explore._collect(cfg, out.rollout)
@@ -394,7 +389,7 @@ def test_robust_d_hat_matches_predicted_mean(hidden, monkeypatch):
     np.testing.assert_allclose(got, mu, rtol=1e-9, atol=0)
 
 
-# -- cached candidate scoring ---------------------------------------------------
+# -- the walk in selection order -----------------------------------------------
 
 
 def _cert_index(n, stride):
@@ -409,132 +404,180 @@ def _cert_points(grid, stride):
     return grid[_cert_index(len(grid), stride)]
 
 
-def _landing_cache_and_source(around=(0, 25, 50), cert_stride=None):
-    """The landing pool's cache and a source KDE around the grids of candidates `around`.
+def _rank(seq, obj):
+    """The position of obj itself (not an equal object) in seq."""
+    return next(k for k, x in enumerate(seq) if x is obj)
 
-    The ratios span the clip interval and w_hat varies across the pool.
-    """
+
+def _landing_cache_and_source():
+    """The landing pool's cache and a source KDE around the grids of three candidates."""
     cfg = default_config("landing")
-    if cert_stride is not None:
-        cfg = replace(cfg, cert_stride=cert_stride)
     pool = cfg.pool()
     g = np.random.default_rng(2)
-    src_pts = np.concatenate([pool[k].grid_xy()[::7] for k in around])
+    src_pts = np.concatenate([pool[k].grid_xy()[::7] for k in (0, 25, 50)])
     src = kde_fit(src_pts + g.normal(0.0, 0.05, src_pts.shape))
     return cfg, build_pool_cache(pool, cfg), src
 
 
-def _one_pass_inputs(cache, src, stride):
-    """(r_min, w_hat) per candidate from one p_src pass over every grid, in pool order."""
-    grids = [traj.grid_xy() for traj in cache.trajs]
-    p_trg = np.concatenate([kde_density(trg, g) for trg, g in zip(cache.trg_kdes, grids)])
-    p_src = kde_density(src, np.concatenate(grids))
-    starts = np.cumsum([0] + [len(g) for g in grids[:-1]])
-    rows = np.concatenate([start + _cert_index(len(g), stride) for start, g in zip(starts, grids)])
-    r_min = np.minimum.reduceat(clipped_ratio(p_src[rows], p_trg[rows]), cache.cert_starts)
-    return r_min, max_ratio(p_trg, p_src, starts)
+def _walk_episodes(cfg, learner, monkeypatch, before):
+    """Run cfg's experiment; return (pool cache, before(pool, src_kde), record) per episode.
+
+    `before` runs ahead of each episode, on the learner's model of that episode.
+    """
+    real_episode = explore.run_episode
+    episodes = []
+
+    def episode_spy(pool, learner, src_kde, config):
+        ahead = before(pool, src_kde)
+        rec = real_episode(pool, learner, src_kde, config)
+        episodes.append((pool, ahead, rec))
+        return rec
+
+    monkeypatch.setattr(explore, "run_episode", episode_spy)
+    run_experiment(cfg, learner=learner)
+    assert len(episodes) == cfg.episodes
+    return episodes
 
 
-def _count_passes(monkeypatch):
-    """The row count of each `kde_density` call `explore` makes, as a list that fills in."""
-    passes = []
-    monkeypatch.setattr(explore, "kde_density", lambda kde, x: passes.append(len(x)) or kde_density(kde, x))
-    return passes
+def _full_scoring(cfg, learner, src_kde):
+    """What scoring every candidate selects: (the admitted set's min, its size).
 
-
-def test_cached_scoring_matches_density_ratio_and_max_ratio():
-    cfg, cache, src = _landing_cache_and_source()
-    pool = cache.trajs
-    inputs = cache.episode_inputs(src)
-    assert len(inputs) == len(pool)
-
-    all_r, r_mins, w_hats = [], [], []
-    for traj, trg, (pts, r_min, w_hat) in zip(pool, cache.trg_kdes, inputs):
+    Each candidate of cfg's pool is scored, in pool order, on its own grid
+    with `kde_density`, as the walk does, so the bits match; the min is
+    over (selection key, pool index, sigma_max, eps_m, rho, w_hat), None
+    when nothing is admitted.
+    """
+    admitted = []
+    for k, traj in enumerate(cfg.pool()):
         grid = traj.grid_xy()
-        np.testing.assert_array_equal(pts, _cert_points(grid, cfg.cert_stride))
-        r = density_ratio(src, trg, pts)
-        assert isinstance(r_min, float) and isinstance(w_hat, float)
-        assert r_min == pytest.approx(float(np.min(r)), rel=1e-12)
-        # w_hat is the max over the grid within the screen, and past it a
-        # lower bound that already exceeds W_MAX
-        w_grid = max_ratio_on_traj(trg, src, grid)
-        if w_hat <= explore.W_MAX:
-            assert w_hat == pytest.approx(w_grid, rel=1e-12)
-        else:
-            assert explore.W_MAX < w_hat <= w_grid * (1 + 1e-12)
-        all_r.append(r)
-        r_mins.append(r_min)
-        w_hats.append(w_hat)
-    all_r = np.concatenate(all_r)
-    assert np.all(all_r >= 0.0) and np.any(all_r == R_HI)
-    assert np.any((all_r > 0.0) & (all_r < R_HI))
-    # off the source data r_min falls toward 0: nothing clips it from below
-    assert min(r_mins) < 0.01 < max(r_mins)
-    assert min(w_hats) < explore.W_MAX < max(w_hats)
+        rows = _cert_index(len(grid), cfg.cert_stride)
+        r_min = w_hat = 1.0
+        if src_kde is not None:
+            p_trg = kde_density(kde_fit(subsample_rows(grid, explore.KDE_TRG_MAX)), grid)
+            p_src = kde_density(src_kde, grid)
+            r_min = float(np.min(clipped_ratio(p_src[rows], p_trg[rows])))
+            w_hat = float(np.max(p_trg / np.maximum(p_src, DENSITY_FLOOR)))
+        sigma = type(learner).eval_candidate(learner, grid[rows], r_min)
+        eps_m = eps_m_from_sigma(sigma, cfg.beta)
+        cert = certify_trajectory(traj, cfg.gamma(), eps_m, cfg.safety)
+        if cert.safe and w_hat <= explore.W_MAX:
+            admitted.append((explore._selection_key(traj), k, sigma, eps_m, cert.rho, w_hat))
+    return min(admitted, default=None), len(admitted)
 
 
-def test_two_pass_scoring_bit_equal_to_one_pass_within_the_screen(monkeypatch):
-    # r_min is exact for every candidate, w_hat for every candidate within
-    # W_MAX, and the screen rejects the same set; one candidate is rejected
-    # only once the second pass has read its other rows.  Exact as far as
-    # BLAS rounds a row alike wherever it sits in a block (see kde_density)
-    cfg, cache, src = _landing_cache_and_source(around=(0, 30))
-    passes = _count_passes(monkeypatch)
-    inputs = cache.episode_inputs(src)
-    r_min = np.array([r for _, r, _ in inputs])
-    w_hat = np.array([w for _, _, w in inputs])
-    r_ref, w_ref = _one_pass_inputs(cache, src, cfg.cert_stride)
-    np.testing.assert_array_equal(r_min, r_ref)
-    kept = w_hat <= explore.W_MAX
-    np.testing.assert_array_equal(kept, w_ref <= explore.W_MAX)
-    np.testing.assert_array_equal(w_hat[kept], w_ref[kept])
-    assert np.all(w_hat[~kept] > explore.W_MAX)
-    # the second pass reads the other rows of the candidates the first kept
-    rest = len(cache.rest_xy) // len(cache)
-    assert passes[0] == len(cache.cert_xy)
-    assert len(passes) == 2 and passes[1] % rest == 0
-    assert 0 < np.sum(kept) < passes[1] // rest < len(cache)
+@pytest.mark.parametrize("task", ["pendulum", "landing"])
+@pytest.mark.parametrize("model_kind", ["robust", "gp_rbf"])
+def test_walk_flies_what_scoring_every_candidate_selects(task, model_kind, monkeypatch):
+    # the walk stops at the first admitted candidate in selection order;
+    # that is the cost argmin of the admitted set, ties to pool order
+    cfg = replace(default_config(task), model_kind=model_kind, episodes=3)
+    learner = make_learner(cfg, np.random.default_rng(cfg.seed))
+    episodes = _walk_episodes(cfg, learner, monkeypatch, lambda pool, src: _full_scoring(cfg, learner, src))
+    pool = cfg.pool()
+    sizes = []
+    for _, (best, n_admitted), rec in episodes:
+        sizes.append(n_admitted)
+        if best is None:
+            assert rec.status == "no_safe_candidate" and rec.n_certified == 0
+            continue
+        _, k, sigma_max, eps_m, rho, w_hat = best
+        assert rec.params == pool[k].params and rec.n_certified == 1
+        assert (rec.sigma_max, rec.eps_m, rec.tube_radius, rec.w_hat) == (sigma_max, eps_m, rho, w_hat)
+    assert max(sizes) > 1
 
 
-def test_two_pass_scoring_at_cert_stride_one_has_no_second_pass(monkeypatch):
-    # every row is a certification row, so nothing is left for pass 2
-    cfg, cache, src = _landing_cache_and_source(cert_stride=1)
-    assert len(cache.rest_xy) == 0
-    passes = _count_passes(monkeypatch)
-    inputs = cache.episode_inputs(src)
-    assert passes == [len(cache.cert_xy)] == [sum(len(traj.grid_xy()) for traj in cache.trajs)]
-    r_ref, w_ref = _one_pass_inputs(cache, src, cfg.cert_stride)
-    np.testing.assert_array_equal([r for _, r, _ in inputs], r_ref)
-    np.testing.assert_array_equal([w for _, _, w in inputs], w_ref)
-    assert min(w_ref) < explore.W_MAX < max(w_ref)
+@pytest.mark.parametrize("task", ["pendulum", "landing"])
+def test_walk_stops_at_the_first_admitted_candidate(task, monkeypatch):
+    # p_src, sigma and the certificate are evaluated only for candidates
+    # ranked at or before the flown one, each at most once and in order;
+    # episode 1 evaluates no p_src
+    cfg = replace(default_config(task), model_kind="gp_rbf", episodes=3)
+    learner = make_learner(cfg, np.random.default_rng(cfg.seed))
+    checks = []  # per episode, the (step, object) of each check in call order
+    real_kde, real_cert, real_sigma = explore.kde_density, explore.certify_trajectory, learner.eval_candidate
+
+    def kde_spy(kde, x):
+        if checks:  # not the target densities build_pool_cache evaluates
+            checks[-1].append(("p_src", x))
+        return real_kde(kde, x)
+
+    def cert_spy(traj, *args):
+        checks[-1].append(("cert", traj))
+        return real_cert(traj, *args)
+
+    def sigma_spy(pts, r_min):
+        checks[-1].append(("sigma", pts))
+        return real_sigma(pts, r_min)
+
+    monkeypatch.setattr(explore, "kde_density", kde_spy)
+    monkeypatch.setattr(explore, "certify_trajectory", cert_spy)
+    learner.eval_candidate = sigma_spy
+    episodes = _walk_episodes(cfg, learner, monkeypatch, lambda pool, src: checks.append([]) or src)
+    flown = []
+    for (pool, src, rec), calls in zip(episodes, checks):
+        assert rec.status in ("ok", "touchdown") and rec.n_certified == 1
+        f = next(k for k, traj in enumerate(pool.trajs) if traj.params == rec.params)
+        seen = {"p_src": pool.grids, "sigma": pool.cert_pts, "cert": pool.trajs}
+        ranks = {step: [_rank(seen[step], obj) for s, obj in calls if s == step] for step in seen}
+        assert ranks["p_src"] == ([] if src is None else list(range(f + 1)))
+        assert ranks["cert"] == ranks["sigma"] == sorted(set(ranks["sigma"]))
+        assert ranks["sigma"][-1] == f
+        flown.append((f, len(ranks["sigma"])))
+    # some episode flies past a candidate the screen rejects
+    assert any(0 < f and n < f + 1 for f, n in flown[1:])
 
 
-def test_two_pass_scoring_skips_the_second_pass_when_the_first_screens_out_all(monkeypatch):
-    # a source far from every grid: the certification rows alone put every
-    # candidate past W_MAX, so no other row is evaluated
-    cfg, cache, _ = _landing_cache_and_source()
-    src = kde_fit(np.random.default_rng(3).normal((5.0, 5.0), 0.1, (200, 2)))
-    passes = _count_passes(monkeypatch)
-    inputs = cache.episode_inputs(src)
-    assert passes == [len(cache.cert_xy)]
-    r_ref, w_ref = _one_pass_inputs(cache, src, cfg.cert_stride)
-    np.testing.assert_array_equal([r for _, r, _ in inputs], r_ref)
-    w_hat = np.array([w for _, _, w in inputs])
-    assert np.all(w_hat > explore.W_MAX) and np.all(w_ref >= w_hat)
+def test_walk_without_an_admissible_candidate_checks_each_candidate_once(monkeypatch):
+    cfg = tube02_config()
+    cache = build_pool_cache(cfg.pool(), cfg)
+    src = kde_fit(np.concatenate(cache.grids))  # every candidate within W_MAX
+    calls = []
+    monkeypatch.setattr(explore, "kde_density", lambda kde, x: calls.append(x) or kde_density(kde, x))
+    monkeypatch.setattr(
+        explore, "certify_trajectory", lambda traj, *a: calls.append(traj) or certify_trajectory(traj, *a)
+    )
+    learner = StubLearner(default=50.0)
+    real_sigma = learner.eval_candidate
+    learner.eval_candidate = lambda pts, r_min: calls.append(pts) or real_sigma(pts, r_min)
+    out = run_episode(cache, learner, src, cfg)
+    assert out.status == "no_safe_candidate" and out.n_certified == 0
+    want = [part[k] for k in range(len(cache)) for part in (cache.grids, cache.cert_pts, cache.trajs)]
+    assert len(calls) == len(want) and all(a is b for a, b in zip(calls, want))
+
+
+def test_pool_cache_is_in_selection_order_with_ties_in_pool_order():
+    # the pendulum's cost is -C, so the largest amplitude comes first; of
+    # a candidate listed twice, the first listing stays first
+    cfg = tube02_config()
+    first, second = cfg.pool(), cfg.pool()
+    cache = build_pool_cache(first + second, cfg)
+    assert [id(t) for t in cache.trajs] == [id(t) for k in (2, 1, 0) for t in (first[k], second[k])]
 
 
 def test_episode_one_inputs_have_unit_ratios():
+    # nothing certifies, so every candidate is scored at r = 1 on its
+    # certification points, in selection order (the largest amplitude first)
     cfg = tube02_config()
-    inputs = build_pool_cache(cfg.pool(), cfg).episode_inputs(None)
-    assert [(r, w) for _, r, w in inputs] == [(1.0, 1.0)] * len(cfg.pool())
-    for traj, (pts, _, _) in zip(cfg.pool(), inputs):
+    scored = []
+    learner = StubLearner(default=50.0)
+    real_sigma = learner.eval_candidate
+    learner.eval_candidate = lambda pts, r_min: scored.append((pts, r_min)) or real_sigma(pts, r_min)
+    episode_one(cfg, learner)
+    assert [r for _, r in scored] == [1.0] * 3
+    for traj, (pts, _) in zip(reversed(cfg.pool()), scored):
         np.testing.assert_array_equal(pts, _cert_points(traj.grid_xy(), cfg.cert_stride))
 
 
 def test_certification_points_are_built_once_per_experiment():
-    _, cache, src = _landing_cache_and_source()
-    for inputs in (cache.episode_inputs(None), cache.episode_inputs(src), cache.episode_inputs(src)):
-        assert all(p is q for (p, _, _), q in zip(inputs, cache.cert_pts))
+    cfg, cache, src = _landing_cache_and_source()
+    scored = []
+    learner = StubLearner(default=50.0)
+    real_sigma = learner.eval_candidate
+    learner.eval_candidate = lambda pts, r_min: scored.append(pts) or real_sigma(pts, r_min)
+    for src_kde in (None, src, src):
+        run_episode(cache, learner, src_kde, cfg)
+    assert len(scored) > len(cache)
+    assert all(any(p is q for q in cache.cert_pts) for p in scored)
 
 
 def test_robust_eval_candidate_constant_and_mixed():
@@ -556,93 +599,42 @@ def test_robust_eval_candidate_constant_and_mixed():
 
 @pytest.mark.parametrize("task", ["pendulum", "landing"])
 def test_robust_score_is_the_max_predicted_std_on_recorded_episodes(task, monkeypatch):
-    # exactly the candidates the W_MAX screen lets through are scored, and
     # the closed form at r_min equals, bit for bit, the max of predict's
-    # variance on the certification points at their clipped ratios
+    # variance on the certification points at their clipped ratios, and
+    # r_min is the smallest of those ratios, up to R_HI
     cfg = default_config(task)
     cfg = replace(cfg, episodes=3, first_fit_epochs=100, train=replace(cfg.train, epochs=50))
     if task == "pendulum":
         cfg = replace(cfg, horizon=5.0)
-    scored = []  # (cache, src_kde, model, inputs, {candidate index: sigma}) per episode
-    real_inputs = explore.PoolCache.episode_inputs
-
-    def inputs_spy(cache, src_kde):
-        out = real_inputs(cache, src_kde)
-        scored.append((cache, src_kde, learner.model, out, {}))
-        return out
+    scored = []  # (pool cache, src_kde, model, pts, r_min, sigma) per candidate scored
 
     class Recorder(RobustLearner):
         def eval_candidate(self, pts, r_min):
-            _, _, _, inputs, sigmas = scored[-1]
-            k = next(i for i, (p, _, _) in enumerate(inputs) if p is pts)
-            assert k not in sigmas
-            sigmas[k] = super().eval_candidate(pts, r_min)
-            return sigmas[k]
+            sigma = super().eval_candidate(pts, r_min)
+            scored.append((*ahead[-1], self.model, pts, r_min, sigma))
+            return sigma
 
     learner = Recorder(cfg, np.random.default_rng(cfg.seed))
-    monkeypatch.setattr(explore.PoolCache, "episode_inputs", inputs_spy)
-    run_experiment(cfg, learner=learner)
-    assert len(scored) == cfg.episodes and scored[0][1] is None
+    ahead = []
+    _walk_episodes(cfg, learner, monkeypatch, lambda pool, src: ahead.append((pool, src)))
+    assert ahead[0][1] is None
 
-    r_mins = []
-    for cache, src, model, inputs, sigmas in scored:
-        assert set(sigmas) == {k for k, (_, _, w_hat) in enumerate(inputs) if w_hat <= explore.W_MAX}
-        p_src = None if src is None else kde_density(src, cache.cert_xy)
-        for k, sigma in sigmas.items():
-            pts, r_min, _ = inputs[k]
-            rows = slice(cache.cert_starts[k], cache.cert_starts[k] + len(pts))
-            r = np.ones(len(pts))
-            if p_src is not None:
-                r = clipped_ratio(p_src[rows], cache.cert_p_trg[rows])
-            _, var = rr.predict(model, pts, ratios=r)
-            assert r_min == float(np.min(r))
-            assert sigma == float(np.sqrt(np.max(var)))
-            r_mins.append(r_min)
+    all_r = []
+    for cache, src, model, pts, r_min, sigma in scored:
+        k = _rank(cache.cert_pts, pts)
+        rows = cache.cert_rows[k]
+        r = np.ones(len(pts))
+        if src is not None:
+            r = clipped_ratio(kde_density(src, cache.grids[k])[rows], cache.p_trg[k][rows])
+            np.testing.assert_allclose(r, density_ratio(src, cache.trg_kdes[k], pts), rtol=1e-12)
+        _, var = rr.predict(model, pts, ratios=r)
+        assert r_min == float(np.min(r))
+        assert sigma == float(np.sqrt(np.max(var)))
+        all_r.append(r)
     assert scored[-1][2].theta_y > 0
-    assert len(set(r_mins)) > 2
-    assert len(scored[1][4]) < len(scored[1][3])  # the screen rejects some candidates
-
-
-
-def test_gp_scores_only_screened_candidates_and_certifies_the_same_set(monkeypatch):
-    # gp_predict runs once per candidate the W_MAX screen lets through
-    # (never in episode 1, which scores on the prior), and n_certified is
-    # what scoring and certifying every candidate would admit
-    cfg = replace(default_config("landing"), model_kind="gp_rbf", episodes=3)
-    learner = make_learner(cfg, np.random.default_rng(cfg.seed))
-    scored = []  # (model, inputs, gp_predict calls) per episode
-    real_inputs = explore.PoolCache.episode_inputs
-
-    def inputs_spy(cache, src_kde):
-        out = real_inputs(cache, src_kde)
-        scored.append((learner.model, out, []))
-        return out
-
-    def predict_spy(model, pts):
-        scored[-1][2].append(pts)
-        return gp_predict(model, pts)
-
-    monkeypatch.setattr(explore.PoolCache, "episode_inputs", inputs_spy)
-    monkeypatch.setattr(explore, "gp_predict", predict_spy)
-    result = run_experiment(cfg, learner=learner)
-    assert len(scored) == cfg.episodes and scored[0][0] is None
-
-    pool, gamma_val = cfg.pool(), cfg.gamma()
-    for (model, inputs, calls), rec in zip(scored, result.records):
-        screened = [k for k, (_, _, w_hat) in enumerate(inputs) if w_hat <= explore.W_MAX]
-        if model is None:
-            assert calls == []
-        else:
-            assert len(screened) < len(inputs)
-            assert [id(p) for p in calls] == [id(inputs[k][0]) for k in screened]
-        certified = 0
-        for traj, (pts, _, w_hat) in zip(pool, inputs):
-            sigma = math.sqrt(cfg.gp.sigma_f_sq)
-            if model is not None:
-                sigma = float(np.sqrt(np.max(gp_predict(model, pts)[1])))
-            cert = certify_trajectory(traj, gamma_val, eps_m_from_sigma(sigma, cfg.beta), cfg.safety)
-            certified += cert.safe and w_hat <= explore.W_MAX
-        assert rec.n_certified == certified > 0
+    assert len({r_min for *_, r_min, _ in scored}) > 2
+    all_r = np.concatenate(all_r)
+    assert np.all(all_r >= 0.0) and np.any(all_r < R_HI)
 
 
 def test_target_kdes_fit_once_per_experiment(monkeypatch):
