@@ -9,8 +9,9 @@ fall to 0, where the robust predictive form goes back to its prior.
 Each ratio formula lives in one helper that takes precomputed densities
 (`clipped_ratio`, `max_ratio`).  `density_ratio` and `max_ratio_on_traj`
 evaluate the KDEs and call them; the exploration loop calls them directly
-on cached densities: p_trg once per experiment on every candidate grid,
-and p_src on one candidate's grid at a time, as the loop reaches it.
+on cached densities: p_trg at most once per experiment on a candidate's
+grid, the first time the loop reaches it with a source KDE, and p_src on
+one candidate's grid at a time, each time the loop reaches it.
 That gives the candidate's w_hat and its r_min (its smallest clipped
 ratio on the certification points, which is all the robust certificate
 reads).  The controller reads one state at a time through

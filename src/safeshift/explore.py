@@ -27,9 +27,10 @@ densities each call needs are passed in, not bound to the model:
   moment_residual()                  |the fit's stationarity residual|
 
 Scoring does each piece of work once, at the level where its inputs
-change.  The pool is fixed, so its selection order and each candidate's
-grid, certification points, target KDE and p_trg on its grid are
-computed once per experiment and held with the candidates (`PoolCache`).
+change.  The pool is fixed, so its selection order is computed once per
+experiment, and each candidate's grid, certification points, target KDE
+and p_trg on its grid at most once, when the walk first reads them
+(`Candidate`); a candidate no walk reaches gets none of them.
 The source density changes only when the dataset grows: it is fit once
 for the retrain and reused by the next episode, which evaluates p_src on
 the grid of each candidate it checks, and of no other.  So a candidate's
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -76,7 +78,7 @@ __all__ = [
     "EpisodeOutcome",
     "RobustLearner",
     "GpLearner",
-    "PoolCache",
+    "Candidate",
     "build_pool_cache",
     "make_learner",
     "default_config",
@@ -250,47 +252,53 @@ def _selection_key(traj: DesiredTrajectory):
     return (traj.cost, traj.params.get("h_g", 0.0), -traj.params.get("C", 0.0))
 
 
-@dataclass(frozen=True)
-class PoolCache:
-    """A fixed candidate pool in selection order, and its per-experiment scoring state.
+@dataclass(frozen=True, eq=False)
+class Candidate:
+    """One pool candidate and its scoring state, each part computed when first read.
 
-    Candidate k is `trajs[k]`, with its (q, qdot) grid `grids[k]`, the
-    density `p_trg[k]` of its target KDE `trg_kdes[k]` on that grid, and
-    the grid rows it certifies on (mask `cert_rows[k]`, points
-    `cert_pts[k]`).
+    The grid, its certification rows (every `cert_stride`-th row, always
+    ending at the last) and points, the target KDE and its density p_trg
+    on the grid are each built on first read and kept for the
+    experiment.  `run_episode` reads them only for the candidates its
+    walk reaches, and p_trg only once a source KDE exists, so a
+    candidate no walk reaches costs nothing.
     """
 
-    trajs: tuple  # DesiredTrajectory per candidate, sorted by _selection_key
-    grids: tuple  # (n_k, 2) grid per candidate
-    p_trg: tuple  # (n_k,) target density on each grid
-    cert_rows: tuple  # (n_k,) boolean mask of the certification rows
-    cert_pts: tuple  # each grid's certification rows
-    trg_kdes: tuple  # KdeModel per candidate
+    traj: DesiredTrajectory
+    cert_stride: int
 
-    def __len__(self) -> int:
-        return len(self.trajs)
+    @cached_property
+    def grid(self) -> np.ndarray:
+        """(n, 2) desired (q, qdot) grid."""
+        return self.traj.grid_xy()
+
+    @cached_property
+    def cert_rows(self) -> np.ndarray:
+        """(n,) boolean mask of the grid rows certified."""
+        rows = np.arange(len(self.grid)) % self.cert_stride == 0
+        rows[-1] = True
+        return rows
+
+    @cached_property
+    def cert_pts(self) -> np.ndarray:
+        return self.grid[self.cert_rows]
+
+    @cached_property
+    def trg_kde(self) -> KdeModel:
+        return kde_fit(subsample_rows(self.grid, KDE_TRG_MAX))
+
+    @cached_property
+    def p_trg(self) -> np.ndarray:
+        """(n,) target density on the grid."""
+        return kde_density(self.trg_kde, self.grid)
 
 
-def build_pool_cache(pool: list[DesiredTrajectory], config: ExperimentConfig) -> PoolCache:
-    """Sort the pool by `_selection_key`, fit each target KDE and evaluate it on its grid, once.
+def build_pool_cache(pool: list[DesiredTrajectory], config: ExperimentConfig) -> tuple[Candidate, ...]:
+    """The pool sorted by `_selection_key`, one `Candidate` each, nothing computed yet.
 
     The sort is stable, so candidates with equal keys keep pool order.
     """
-    trajs = tuple(sorted(pool, key=_selection_key))
-    grids = tuple(traj.grid_xy() for traj in trajs)
-    trg_kdes = tuple(kde_fit(subsample_rows(g, KDE_TRG_MAX)) for g in grids)
-    # every cert_stride-th point of each grid, always ending at its last one
-    cert_rows = tuple(np.arange(len(g)) % config.cert_stride == 0 for g in grids)
-    for c in cert_rows:
-        c[-1] = True
-    return PoolCache(
-        trajs=trajs,
-        grids=grids,
-        p_trg=tuple(kde_density(kde, g) for kde, g in zip(trg_kdes, grids)),
-        cert_rows=cert_rows,
-        cert_pts=tuple(g[c] for g, c in zip(grids, cert_rows)),
-        trg_kdes=trg_kdes,
-    )
+    return tuple(Candidate(traj, config.cert_stride) for traj in sorted(pool, key=_selection_key))
 
 
 class RobustLearner:
@@ -390,7 +398,7 @@ def _collect(config: ExperimentConfig, rollout: Rollout) -> Dataset:
 
 
 def run_episode(
-    pool: PoolCache,
+    pool: tuple[Candidate, ...],
     learner,
     src_kde: Optional[KdeModel],
     config: ExperimentConfig,
@@ -424,24 +432,24 @@ def run_episode(
     # however small its predicted variance looks.  This is also what keeps
     # exploration stepping outward gradually instead of leaping to the
     # most aggressive candidate the moment the fit tightens.
-    for k, traj in enumerate(pool.trajs):
+    for cand in pool:
         r_min = w_hat = 1.0
         if src_kde is not None:
-            p_src, p_trg = kde_density(src_kde, pool.grids[k]), pool.p_trg[k]
+            p_src, p_trg = kde_density(src_kde, cand.grid), cand.p_trg
             w_hat = max_ratio(p_trg, p_src)
             if not w_hat <= W_MAX:  # a NaN w_hat is screened out too
                 continue
-            rows = pool.cert_rows[k]
+            rows = cand.cert_rows
             r_min = float(np.min(clipped_ratio(p_src[rows], p_trg[rows])))
-        sigma_max = learner.eval_candidate(pool.cert_pts[k], r_min)
+        sigma_max = learner.eval_candidate(cand.cert_pts, r_min)
         eps_m = eps_m_from_sigma(sigma_max, config.beta)
-        cert = certify_trajectory(traj, gamma_val, eps_m, config.safety)
+        cert = certify_trajectory(cand.traj, gamma_val, eps_m, config.safety)
         if cert.safe:
             break
     else:
         return EpisodeOutcome(episode=0, status="no_safe_candidate")
 
-    trg_kde = pool.trg_kdes[k]
+    traj, trg_kde = cand.traj, cand.trg_kde
     rollout = simulate_closed_loop(
         config.plant,
         config.gains,

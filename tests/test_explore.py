@@ -494,11 +494,12 @@ def test_walk_stops_at_the_first_admitted_candidate(task, monkeypatch):
     cfg = replace(default_config(task), model_kind="gp_rbf", episodes=3)
     learner = make_learner(cfg, np.random.default_rng(cfg.seed))
     checks = []  # per episode, the (step, object) of each check in call order
+    sources = []  # per episode, its source KDE
     real_kde, real_cert, real_sigma = explore.kde_density, explore.certify_trajectory, learner.eval_candidate
 
     def kde_spy(kde, x):
-        if checks:  # not the target densities build_pool_cache evaluates
-            checks[-1].append(("p_src", x))
+        # a call on the episode's source KDE is p_src; any other, a target density
+        checks[-1].append(("p_src" if kde is sources[-1] else "p_trg", x))
         return real_kde(kde, x)
 
     def cert_spy(traj, *args):
@@ -512,12 +513,22 @@ def test_walk_stops_at_the_first_admitted_candidate(task, monkeypatch):
     monkeypatch.setattr(explore, "kde_density", kde_spy)
     monkeypatch.setattr(explore, "certify_trajectory", cert_spy)
     learner.eval_candidate = sigma_spy
-    episodes = _walk_episodes(cfg, learner, monkeypatch, lambda pool, src: checks.append([]) or src)
+
+    def before(pool, src):
+        checks.append([])
+        sources.append(src)
+        return src
+
+    episodes = _walk_episodes(cfg, learner, monkeypatch, before)
     flown = []
     for (pool, src, rec), calls in zip(episodes, checks):
         assert rec.status in ("ok", "touchdown") and rec.n_certified == 1
-        f = next(k for k, traj in enumerate(pool.trajs) if traj.params == rec.params)
-        seen = {"p_src": pool.grids, "sigma": pool.cert_pts, "cert": pool.trajs}
+        f = next(k for k, cand in enumerate(pool) if cand.traj.params == rec.params)
+        seen = {
+            "p_src": [cand.grid for cand in pool],
+            "sigma": [cand.cert_pts for cand in pool],
+            "cert": [cand.traj for cand in pool],
+        }
         ranks = {step: [_rank(seen[step], obj) for s, obj in calls if s == step] for step in seen}
         assert ranks["p_src"] == ([] if src is None else list(range(f + 1)))
         assert ranks["cert"] == ranks["sigma"] == sorted(set(ranks["sigma"]))
@@ -528,11 +539,13 @@ def test_walk_stops_at_the_first_admitted_candidate(task, monkeypatch):
 
 
 def test_walk_without_an_admissible_candidate_checks_each_candidate_once(monkeypatch):
+    # each candidate in selection order: p_src, its target density (a
+    # fresh cache, so built here), sigma, the certificate
     cfg = tube02_config()
     cache = build_pool_cache(cfg.pool(), cfg)
-    src = kde_fit(np.concatenate(cache.grids))  # every candidate within W_MAX
+    src = kde_fit(np.concatenate([cand.grid for cand in cache]))  # every candidate within W_MAX
     calls = []
-    monkeypatch.setattr(explore, "kde_density", lambda kde, x: calls.append(x) or kde_density(kde, x))
+    monkeypatch.setattr(explore, "kde_density", lambda kde, x: calls.extend((kde, x)) or kde_density(kde, x))
     monkeypatch.setattr(
         explore, "certify_trajectory", lambda traj, *a: calls.append(traj) or certify_trajectory(traj, *a)
     )
@@ -541,7 +554,7 @@ def test_walk_without_an_admissible_candidate_checks_each_candidate_once(monkeyp
     learner.eval_candidate = lambda pts, r_min: calls.append(pts) or real_sigma(pts, r_min)
     out = run_episode(cache, learner, src, cfg)
     assert out.status == "no_safe_candidate" and out.n_certified == 0
-    want = [part[k] for k in range(len(cache)) for part in (cache.grids, cache.cert_pts, cache.trajs)]
+    want = [obj for c in cache for obj in (src, c.grid, c.trg_kde, c.grid, c.cert_pts, c.traj)]
     assert len(calls) == len(want) and all(a is b for a, b in zip(calls, want))
 
 
@@ -551,7 +564,7 @@ def test_pool_cache_is_in_selection_order_with_ties_in_pool_order():
     cfg = tube02_config()
     first, second = cfg.pool(), cfg.pool()
     cache = build_pool_cache(first + second, cfg)
-    assert [id(t) for t in cache.trajs] == [id(t) for k in (2, 1, 0) for t in (first[k], second[k])]
+    assert [id(cand.traj) for cand in cache] == [id(t) for k in (2, 1, 0) for t in (first[k], second[k])]
 
 
 def test_episode_one_inputs_have_unit_ratios():
@@ -577,7 +590,7 @@ def test_certification_points_are_built_once_per_experiment():
     for src_kde in (None, src, src):
         run_episode(cache, learner, src_kde, cfg)
     assert len(scored) > len(cache)
-    assert all(any(p is q for q in cache.cert_pts) for p in scored)
+    assert all(any(p is cand.cert_pts for cand in cache) for p in scored)
 
 
 def test_robust_eval_candidate_constant_and_mixed():
@@ -621,12 +634,12 @@ def test_robust_score_is_the_max_predicted_std_on_recorded_episodes(task, monkey
 
     all_r = []
     for cache, src, model, pts, r_min, sigma in scored:
-        k = _rank(cache.cert_pts, pts)
-        rows = cache.cert_rows[k]
+        cand = cache[_rank([c.cert_pts for c in cache], pts)]
+        rows = cand.cert_rows
         r = np.ones(len(pts))
         if src is not None:
-            r = clipped_ratio(kde_density(src, cache.grids[k])[rows], cache.p_trg[k][rows])
-            np.testing.assert_allclose(r, density_ratio(src, cache.trg_kdes[k], pts), rtol=1e-12)
+            r = clipped_ratio(kde_density(src, cand.grid)[rows], cand.p_trg[rows])
+            np.testing.assert_allclose(r, density_ratio(src, cand.trg_kde, pts), rtol=1e-12)
         _, var = rr.predict(model, pts, ratios=r)
         assert r_min == float(np.min(r))
         assert sigma == float(np.sqrt(np.max(var)))
@@ -638,6 +651,8 @@ def test_robust_score_is_the_max_predicted_std_on_recorded_episodes(task, monkey
 
 
 def test_target_kdes_fit_once_per_experiment(monkeypatch):
+    # the two top amplitudes never certify, so every episode walks ranks
+    # 0-2 and flies C = 0.8; only those three grids get a target KDE
     cfg = replace(default_config("pendulum"), horizon=2.0, episodes=3)
     fitted = []
     real_fit = explore.kde_fit
@@ -647,34 +662,114 @@ def test_target_kdes_fit_once_per_experiment(monkeypatch):
         return real_fit(samples, *args, **kwargs)
 
     monkeypatch.setattr(explore, "kde_fit", spy)
-    result = run_experiment(cfg, learner=StubLearner(default=0.01))
-    assert [r.status for r in result.records] == ["ok"] * 3
+    result = run_experiment(cfg, learner=StubLearner({1.0: 50.0, 0.9: 50.0}, default=0.01))
+    assert [(r.status, r.params["C"]) for r in result.records] == [("ok", 0.8)] * 3
 
-    grids = [traj.grid_xy() for traj in cfg.pool()]
+    grids = [traj.grid_xy() for traj in sorted(cfg.pool(), key=explore._selection_key)]
     assert all(len(grid) <= explore.KDE_TRG_MAX for grid in grids)  # fit on the full grid
-    for grid in grids:
-        assert sum(np.array_equal(samples, grid) for samples in fitted) == 1
+    fits = [sum(np.array_equal(samples, grid) for samples in fitted) for grid in grids]
+    assert fits == [1, 1, 1] + [0] * (len(grids) - 3)
 
 
 def test_source_kde_fit_once_per_dataset_change(monkeypatch):
     cfg = replace(default_config("pendulum"), horizon=2.0, episodes=3)
-    fits, scored = [], []
+    source_fits, scored = [], []
+    in_episode = []
     real_fit, real_episode = explore.kde_fit, explore.run_episode
 
     def fit_spy(samples, *args, **kwargs):
-        fits.append(real_fit(samples, *args, **kwargs))
-        return fits[-1]
+        kde = real_fit(samples, *args, **kwargs)
+        if not in_episode:  # target KDEs are fit inside the walk
+            source_fits.append(kde)
+        return kde
 
     def episode_spy(pool, learner, src_kde, *args, **kwargs):
         scored.append(src_kde)
-        return real_episode(pool, learner, src_kde, *args, **kwargs)
+        in_episode.append(True)
+        try:
+            return real_episode(pool, learner, src_kde, *args, **kwargs)
+        finally:
+            in_episode.pop()
 
     monkeypatch.setattr(explore, "kde_fit", fit_spy)
     monkeypatch.setattr(explore, "run_episode", episode_spy)
     run_experiment(cfg, learner=StubLearner(default=0.01))
-    # one target KDE per candidate, then one source KDE per retrain, which
-    # the next episode scores against
-    n_pool = len(cfg.pool())
-    assert len(fits) == n_pool + cfg.episodes
+    # one source KDE per retrain, which the next episode scores against
+    assert len(source_fits) == cfg.episodes
     assert scored[0] is None
-    assert all(a is b for a, b in zip(scored[1:], fits[n_pool:]))
+    assert all(a is b for a, b in zip(scored[1:], source_fits))
+
+
+def test_target_state_is_built_only_for_candidates_the_walk_reaches(monkeypatch):
+    # a candidate's target KDE and target density are built at most once,
+    # when the walk first needs them: the KDE for p_trg or the retrain,
+    # p_trg only once a source KDE exists, so never in episode 1
+    cfg = replace(default_config("landing"), model_kind="gp_rbf", episodes=4)
+    learner = make_learner(cfg, np.random.default_rng(cfg.seed))
+    episodes, current = [], []  # current: the running episode's number and source KDE
+    target_fits, target_densities, retrained = [], [], []
+    real_fit, real_density, real_episode = explore.kde_fit, explore.kde_density, explore.run_episode
+    real_retrain = learner.retrain
+
+    def fit_spy(samples):
+        kde = real_fit(samples)
+        if current:
+            target_fits.append((kde, np.array(samples, copy=True)))
+        return kde
+
+    def density_spy(kde, x):
+        assert current, "a density evaluated outside the walk"
+        if kde is not current[1]:
+            target_densities.append((current[0], kde, x))
+        return real_density(kde, x)
+
+    def episode_spy(pool, learner, src_kde, config):
+        current[:] = [len(episodes) + 1, src_kde]
+        try:
+            rec = real_episode(pool, learner, src_kde, config)
+        finally:
+            current.clear()
+        episodes.append((pool, rec))
+        return rec
+
+    def retrain_spy(dataset, src_kde, trg_kde):
+        retrained.append(trg_kde)
+        real_retrain(dataset, src_kde, trg_kde)
+
+    monkeypatch.setattr(explore, "kde_fit", fit_spy)
+    monkeypatch.setattr(explore, "kde_density", density_spy)
+    monkeypatch.setattr(explore, "run_episode", episode_spy)
+    learner.retrain = retrain_spy
+    run_experiment(cfg, learner=learner)
+
+    assert all(pool is episodes[0][0] for pool, _ in episodes)  # the state lives on the experiment's pool
+    trajs = sorted(cfg.pool(), key=explore._selection_key)
+    grids = [traj.grid_xy() for traj in trajs]
+    flown = []
+    for _, rec in episodes:
+        assert rec.status in ("ok", "touchdown")
+        flown.append(next(k for k, traj in enumerate(trajs) if traj.params == rec.params))
+    # episode 1 needs only the flown candidate's KDE; later episodes, every reached one's
+    with_source = set().union(*(range(f + 1) for f in flown[1:]))
+    reached = with_source | {flown[0]}
+    assert len(reached) < len(trajs)
+
+    kde_rank = {}  # the target KDEs are held in target_fits, so their ids stay unique
+    for kde, samples in target_fits:
+        ranks = [k for k, g in enumerate(grids)
+                 if np.array_equal(samples, subsample_rows(g, explore.KDE_TRG_MAX))]
+        assert len(ranks) == 1
+        kde_rank[id(kde)] = ranks[0]
+    assert sorted(kde_rank.values()) == sorted(reached)  # each reached candidate's once, no other's
+
+    density_ranks = []
+    for episode, kde, x in target_densities:
+        k = kde_rank[id(kde)]
+        assert episode > 1 and k <= flown[episode - 1]
+        np.testing.assert_array_equal(x, grids[k])
+        density_ranks.append(k)
+    assert sorted(density_ranks) == sorted(with_source)  # each once
+
+    assert len(retrained) == cfg.episodes
+    for f, trg_kde in zip(flown, retrained):
+        assert kde_rank[id(trg_kde)] == f
