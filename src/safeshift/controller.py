@@ -7,8 +7,9 @@ the plant m qddot + G(q) = u + d obeys
     m sdot + K s = d - d_hat
 
 so the tracking error is driven entirely by the residual prediction error.
-The rollout integrates the true plant with the scalar RK4 step of
-`dynamics` while the controller uses the nominal model plus d_hat.
+The rollout integrates the true plant, qddot = (u + d - G(q)) / m from the
+plant's `inertia`, `gravity` and true `residual`, with the scalar RK4 step
+of `dynamics`, while the controller uses the same m and G(q) plus d_hat.
 
 Each formula has one implementation: every step evaluates
 `core.desired_values` at its time and calls `control_law` and
@@ -168,11 +169,10 @@ def simulate_closed_loop(
     eps = np.empty(n_steps + 1)
 
     force_input = plant.force_input
-    accel = plant.accel
-    residual_fn = plant.residual
+    inertia, gravity, residual_fn = plant.inertia, plant.gravity, plant.residual
 
     def deriv(t, q, qdot, u):
-        return accel(q, qdot, u, residual_fn(q, qdot))
+        return (u + residual_fn(q, qdot) - gravity(q)) / inertia
 
     status = "ok"
     clamp_count = 0
@@ -208,7 +208,8 @@ def simulate_closed_loop(
 
         try:
             # the first stage reuses the residual just recorded
-            q, qdot = step_rk4(deriv, t, q, qdot, applied, dt, accel(q, qdot, applied, d))
+            k1 = (applied + d - gravity(q)) / inertia
+            q, qdot = step_rk4(deriv, t, q, qdot, applied, dt, k1)
         except SimulationDiverged:
             status = "diverged"
             break

@@ -39,9 +39,8 @@ class SimulationDiverged(RuntimeError):
 class Plant:
     """A plant m qddot + G(q) = u + d and its true residual d.
 
-    `inertia` is the constant m and `gravity(q)` the force G(q).
-    `accel(q, qdot, u, d)` is the acceleration (u + d - G(q)) / m with
-    the plant's constants folded in; the simulator integrates it.
+    `inertia` is the constant m and `gravity(q)` the force G(q); the
+    simulator integrates the acceleration (u + d - G(q)) / m from them.
     `residual(q, qdot)` is the true d.  `force_input` marks a plant
     driven by a force that cannot pull (the drone's thrust): the
     simulator applies max(command, 0) and counts the steps that clamp.
@@ -49,7 +48,6 @@ class Plant:
 
     inertia: float
     gravity: Callable[[float], float]
-    accel: Callable[[float, float, float, float], float]
     residual: Callable[[float, float], float]
     force_input: bool = False
 
@@ -76,7 +74,6 @@ def _pendulum() -> Plant:
     return Plant(
         inertia=ml2,
         gravity=lambda q: -mgl * math.sin(q),
-        accel=lambda q, qdot, u, d: (u + d + mgl * math.sin(q)) / ml2,
         residual=residual,
     )
 
@@ -98,7 +95,6 @@ def _drone() -> Plant:
     return Plant(
         inertia=m,
         gravity=lambda q: mg,
-        accel=lambda q, qdot, u, d: (u + d - mg) / m,
         residual=residual,
         force_input=True,
     )

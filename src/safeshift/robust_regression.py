@@ -376,103 +376,45 @@ def _grads(model, x, y, r, ws: _Workspace) -> float:
     return nll + float(penalty)
 
 
-def _moment(model, x, y, r, weights, theta_y=None) -> float:
-    """weights-averaged (y^2 - mu^2 - sigma^2); mu, sigma use ratios r.
-
-    Unit weights give the stationarity residual mean(y^2 - mu^2 - sigma^2)
-    that a fit records.
-    """
-    th = model.theta_y if theta_y is None else theta_y
-    mu, var = _predictive(model, r, th, model.net.forward(x) @ model.theta_phi)
-    return float(np.mean(weights * (y * y - mu * mu - var)))
+def _moment(model, x, y, r) -> float:
+    """The stationarity residual mean(y^2 - mu^2 - sigma^2) that a fit records;
+    mu and sigma use ratios r."""
+    mu, var = _predictive(model, r, model.theta_y, model.net.forward(x) @ model.theta_phi)
+    return float(np.mean(y * y - mu * mu - var))
 
 
 UNWEIGHTED_SLACK = 5e-3  # half the post-fit moment tolerance, used as a guard
+NEWTON_RTOL = 1e-12
+NEWTON_MAXITER = 100
 
 
-ROOT_XTOL = ROOT_RTOL = 1e-12
-ROOT_MAXITER = 100
+def _newton_root(g, theta):
+    """Root of an increasing concave g(th) in [THETA_Y_FLOOR, THETA_Y_CEIL] by Newton's method.
 
-
-def _brent_root(f, a, b):
-    """Root of a scalar f with a sign change on [a, b], by Brent's method.
-
-    Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 4:
-    inverse quadratic interpolation or the secant step when it stays well
-    inside the bracket, bisection otherwise.  The steps and the stopping
-    rule (|bracket| / 2 < (ROOT_XTOL + ROOT_RTOL |x|) / 2) are those of
-    the classic C implementation `brentq`, so the same f and bracket give
-    the same float.  Raises ValueError for a NaN value or no sign change
-    and RuntimeError after ROOT_MAXITER iterations without convergence.
+    g returns (value, slope).  Returns (theta, converged).  From the left of
+    the root each tangent step stays left of it and rises monotonically;
+    from the right one step lands at or left of it, and an iterate below
+    the floor is clamped to it.  When g >= 0 at the floor the floor binds:
+    the projected optimum IS the floor (the constrained stationary point),
+    so that counts as converged.  An iterate past the ceiling or a slope
+    that is not positive means no root below the ceiling: (THETA_Y_CEIL,
+    False).  Stops once a step is within NEWTON_RTOL of the new iterate.
     """
-    def value(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"function value at {x} is NaN")
-        return fx
-
-    xpre, xcur = a, b
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    # xblk is the far end of the bracket [xcur, xblk]; spre, scur are the
-    # previous two steps
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(ROOT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (ROOT_XTOL + ROOT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise RuntimeError(f"no convergence after {ROOT_MAXITER} iterations, value is {xcur}")
-
-
-def _root_in_dim(g, lo):
-    """Root of an increasing scalar g with escalating upper bracket.
-
-    Returns (theta, ok).  When g(lo) >= 0 the floor binds and the
-    projected optimum IS the floor (the constrained stationary point), so
-    that counts as converged; ok is False only when no root exists below
-    the ceiling.
-    """
-    if g(lo) >= 0.0:
-        return lo, True
-    hi = max(10.0 * lo, 1.0)
-    while g(hi) < 0.0 and hi < THETA_Y_CEIL:
-        hi *= 10.0
-    if g(hi) < 0.0:
-        return hi, False
-    return _brent_root(g, lo, hi), True
+    floor = THETA_Y_FLOOR
+    theta = max(float(theta), floor)
+    for _ in range(NEWTON_MAXITER):
+        value, slope = g(theta)
+        if theta == floor and value >= 0.0:
+            return floor, True
+        if not slope > 0.0:
+            return THETA_Y_CEIL, False
+        new = max(theta - value / slope, floor)
+        if new > THETA_Y_CEIL:
+            return THETA_Y_CEIL, False
+        if abs(new - theta) <= NEWTON_RTOL * new:
+            return new, True
+        theta = new
+    return theta, False
 
 
 # the coordinate descent only has to settle the support (values are
@@ -542,14 +484,17 @@ def _solve_heads(model, x, y, r):
 
 
 def _polish_theta_y(model, x, y, r, fixed_mu=True):
-    """Finish theta_y with a bracketed scalar solve; returns (theta_y, converged).
+    """Finish theta_y with a scalar Newton solve; returns (theta_y, converged).
 
     The training first-order condition in theta_y is
     mean_i r_i (y^2 - mu^2 - sigma^2) + lam = 0.  Gradient descent
     approaches the root slowly (the stationary theta_y can be orders of
-    magnitude above the other parameters), so we solve it directly; the
-    moment is increasing in theta_y with limit mean(r y^2) + lam > 0, so
-    a sign change exists iff it is negative at the floor.
+    magnitude above the other parameters), so we solve it directly.  With
+    v = sigma^2 = 1/(1/sigma0_sq + 2 r th), -v has slope 2 r v^2 and -mu^2
+    (mu = r a v) has slope 4 r mu^2 v, and both slopes fall as th grows, so
+    the moment is increasing and concave in th in either form below, and
+    `_newton_root` needs no bracket.  The head activations a are computed
+    once per call.
 
     With fixed_mu=True the predictive means are frozen at the model's
     current theta_y while only sigma^2(th) moves.  The means are the slow
@@ -572,20 +517,28 @@ def _polish_theta_y(model, x, y, r, fixed_mu=True):
     asserted downstream.  The two roots coincide as the fit tightens.
     """
     ones = np.ones_like(r)
-    # the first-order condition in theta_y, averaged with weights w
+    a = model.net.forward(x) @ model.theta_phi
+    two_r = 2.0 * r
+    # the first-order condition in theta_y, averaged with weights w, and its slope
     if fixed_mu:
-        mu = _mean(r, model.net.forward(x) @ model.theta_phi, model.theta_y, model.sigma0_sq)
+        mu = _mean(r, a, model.theta_y, model.sigma0_sq)
         gap = y * y - mu * mu
 
         def g(th, w):
-            return float(np.mean(w * (gap - _predictive(model, r, th)[1])) + model.lam)
+            var = _predictive(model, r, th)[1]
+            value = float(np.mean(w * (gap - var)) + model.lam)
+            return value, float(np.mean(w * two_r * var * var))
     else:
-        def g(th, w):
-            return _moment(model, x, y, r, w, th) + model.lam
+        yy = y * y
 
-    root, ok = _root_in_dim(lambda th: g(th, r), THETA_Y_FLOOR)
-    if abs(g(root, ones) - model.lam) > model.lam + UNWEIGHTED_SLACK:
-        root, ok = _root_in_dim(lambda th: g(th, ones), THETA_Y_FLOOR)
+        def g(th, w):
+            mu, var = _predictive(model, r, th, a)
+            value = float(np.mean(w * (yy - mu * mu - var))) + model.lam
+            return value, float(np.mean(w * two_r * var * (2.0 * mu * mu + var)))
+
+    root, ok = _newton_root(lambda th: g(th, r), model.theta_y)
+    if abs(g(root, ones)[0] - model.lam) > model.lam + UNWEIGHTED_SLACK:
+        root, ok = _newton_root(lambda th: g(th, ones), model.theta_y)
     return np.float64(root), ok
 
 
@@ -662,8 +615,8 @@ def fit(
     # Gradient descent alone crawls through the coupled head/theta_y
     # scaling (mu carries a 1/sigma^2 factor, so calibrating theta_y keeps
     # moving the target the head chases).  Finish with alternating exact
-    # block solves: the lasso for the linear head, then the bracketed
-    # moment root for theta_y with the fitted means frozen.  Iterate until
+    # block solves: the lasso for the linear head, then the Newton moment
+    # root for theta_y with the fitted means frozen.  Iterate until
     # theta_y stabilizes (the frozen-mean root makes this a near one-step
     # contraction), then close with one root at the final head where mu
     # tracks theta_y, so the recorded stationarity holds at the exact
@@ -681,4 +634,4 @@ def fit(
         prev = theta_y
     theta_y, converged = _polish_theta_y(model, x, y, r, fixed_mu=False)
     model = replace(model, theta_y=theta_y, converged=converged)
-    return replace(model, moment_residual=_moment(model, x, y, r, np.ones(len(x))))
+    return replace(model, moment_residual=_moment(model, x, y, r))

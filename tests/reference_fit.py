@@ -250,7 +250,7 @@ def fit(
     # Gradient descent alone crawls through the coupled head/theta_y
     # scaling (mu carries a 1/sigma^2 factor, so calibrating theta_y keeps
     # moving the target the heads chase).  Finish with alternating exact
-    # block solves: the lasso for the linear heads, then the bracketed
+    # block solves: the lasso for the linear heads, then the Newton
     # moment root for theta_y with the fitted means frozen.  Iterate until
     # theta_y stabilizes (the frozen-mean root makes this a near one-step
     # contraction), then close with one root at the final heads where mu
@@ -269,4 +269,4 @@ def fit(
         prev = theta_y
     theta_y, converged = _polish_theta_y(model, x, y, r, fixed_mu=False)
     model = replace(model, theta_y=theta_y, converged=converged)
-    return replace(model, moment_residual=_moment(model, x, y, r, np.ones(len(x))))
+    return replace(model, moment_residual=_moment(model, x, y, r))

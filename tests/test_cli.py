@@ -325,7 +325,7 @@ def test_runtime_divergence_exit_code(tmp_path, capsys, monkeypatch):
 
 def test_flight_that_blows_up_within_a_step_ends_diverged(tmp_path, capsys):
     # K = 1e300 sends a stage state of the first RK4 step to infinity, where
-    # the pendulum's accel takes math.sin(inf)
+    # the pendulum's gravity takes math.sin(inf)
     payload = {"task": "pendulum", "gains": {"k": 1e300}, "episodes": 1, "horizon": 1.0}
     cfg = write_config(tmp_path / "cfg.json", payload)
     out = tmp_path / "o"

@@ -30,12 +30,7 @@ def test_control_law_composite_variables():
     # q_tilde = 0.1, qdot_tilde = 0.4, s = 0.4 + 2 * 0.1 = 0.6, qddot_r =
     # -0.1 - 2 * 0.4 = -0.9; with m = 2, G = 0, K = 5
     # u = 2 qddot_r - 5 s = -1.8 - 3.0
-    plant = Plant(
-        inertia=2.0,
-        gravity=lambda q: 0.0,
-        accel=lambda q, qdot, u, d: (u + d) / 2.0,
-        residual=ZERO,
-    )
+    plant = Plant(inertia=2.0, gravity=lambda q: 0.0, residual=ZERO)
     u = control_law(plant, ControllerGains(5.0, 2.0), 0.3, 0.9, 0.2, 0.5, -0.1, 0.0)
     assert u == pytest.approx(-4.8)
 

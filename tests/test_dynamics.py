@@ -77,11 +77,11 @@ def test_drone_residual_monotone_decreasing_in_altitude():
 
 
 def test_pendulum_upright_equilibrium():
-    assert PENDULUM.accel(0.0, 0.0, 0.0, 0.0) == pytest.approx(0.0)
+    assert -PENDULUM.gravity(0.0) / PENDULUM.inertia == pytest.approx(0.0)
 
 
 def test_pendulum_horizontal_acceleration_is_g():
-    assert PENDULUM.accel(math.pi / 2, 0.0, 0.0, 0.0) == pytest.approx(9.8)
+    assert -PENDULUM.gravity(math.pi / 2) / PENDULUM.inertia == pytest.approx(9.8)
 
 
 def test_pendulum_forward_dynamics_identity(rng):
@@ -96,18 +96,9 @@ def test_pendulum_forward_dynamics_identity(rng):
 def test_drone_hover_thrust_balances_gravity():
     thrust = 1.0 * 9.8
     assert forward_dynamics(DRONE, 1.0, thrust, 0.0) == 0.0
-    assert DRONE.accel(1.0, 0.0, thrust, 0.0) == 0.0
+    assert (thrust - DRONE.gravity(1.0)) / DRONE.inertia == 0.0
     assert DRONE.gravity(1.0) == thrust
     assert DRONE.inertia == 1.0 and DRONE.force_input and not PENDULUM.force_input
-
-
-def test_fused_accel_matches_forward_dynamics(rng):
-    for plant in (PENDULUM, DRONE):
-        for _ in range(50):
-            q, qdot, u, d = rng.uniform(-2, 2, 4)
-            assert plant.accel(q, qdot, u, d) == pytest.approx(
-                forward_dynamics(plant, q, u, d), rel=1e-12, abs=1e-12
-            )
 
 
 # -- integrator -----------------------------------------------------------------
@@ -165,7 +156,7 @@ def test_rk4_raises_on_divergence():
 def test_rk4_step_whose_stage_state_blows_up_diverges():
     # an overflowed control sends the second stage's velocity to inf, and
     # the third stage evaluates the pendulum's math.sin at q = inf
-    accel = lambda t, q, qdot, u: PENDULUM.accel(q, qdot, u, 0.0)  # noqa: E731
+    accel = lambda t, q, qdot, u: (u - PENDULUM.gravity(q)) / PENDULUM.inertia  # noqa: E731
     with pytest.raises(SimulationDiverged) as info:
         step_rk4(accel, 0.0, 0.0, 0.0, math.inf, 0.001)
     assert isinstance(info.value.__cause__, ValueError)

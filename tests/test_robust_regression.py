@@ -224,8 +224,7 @@ def test_fit_linear_target_rmse(line_fit):
 
 def test_fit_moment_condition(line_fit):
     model, ds, _ = line_fit
-    ones = np.ones(len(ds))
-    resid = rr._moment(model, ds.inputs, ds.targets, ones, ones)
+    resid = rr._moment(model, ds.inputs, ds.targets, np.ones(len(ds)))
     assert abs(resid) <= model.lam + 1e-2
 
 
@@ -304,54 +303,40 @@ _MOMENT_GAP = np.array([0.12, 0.31, 0.05, 0.22, 0.09, 0.4, 0.18])
 
 
 def _moment_shaped(theta, sigma0_sq=0.8, lam=1e-3):
-    """mean(r (gap - 1/(1/sigma0^2 + 2 r theta))) + lam, increasing in theta."""
+    """mean(r (gap - v)) + lam with v = 1/(1/sigma0^2 + 2 r theta), increasing
+    and concave in theta, and its slope mean(2 r^2 v^2)."""
     var = 1.0 / (1.0 / sigma0_sq + 2.0 * _MOMENT_R * theta)
-    return float(np.mean(_MOMENT_R * (_MOMENT_GAP - var)) + lam)
+    value = float(np.mean(_MOMENT_R * (_MOMENT_GAP - var)) + lam)
+    return value, float(np.mean(2.0 * _MOMENT_R * _MOMENT_R * var * var))
 
 
-# roots recorded from scipy.optimize.brentq(f, a, b, xtol=1e-12, rtol=1e-12)
-BRENT_CASES = {
-    "linear": (lambda x: 3.0 * x - 1.0, 0.0, 1.0, "0x1.5555555555555p-2"),
-    "wallis_cubic": (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, "0x1.0c1a4350819e4p+1"),
-    "exp": (lambda x: math.exp(x) - 10.0, 0.0, 5.0, "0x1.26bb1bbb5556ep+1"),
-    "decreasing": (lambda x: math.cos(x) - x, 0.0, 1.0, "0x1.7a695dd83ce03p-1"),
-    "reversed_bracket": (lambda x: x * x - 2.0, 2.0, 0.0, "0x1.6a09e667f3bcdp+0"),
-    "flat": (lambda x: (x - 0.7) ** 5, 0.0, 1.5, "0x1.666666666719dp-1"),
-    "tiny_slope": (lambda x: 1e-10 * (x - 1.0 / 3.0), -2.0, 5.0, "0x1.5555555555558p-2"),
-    "steep": (lambda x: math.tanh(1e6 * (x - 0.2)), -1.0, 1.0, "0x1.99999999999b1p-3"),
-    "moment": (_moment_shaped, 0.01, 1000.0, "0x1.4758d27a64d51p+0"),
-}
+# recorded from scipy.optimize.brentq(value, 0.01, 1000, xtol=1e-12, rtol=1e-12)
+MOMENT_ROOT = "0x1.4758d27a64d51p+0"
 
 
-@pytest.mark.parametrize("name", sorted(BRENT_CASES))
-def test_brent_root_returns_the_recorded_float(name):
-    f, a, b, root = BRENT_CASES[name]
-    assert rr._brent_root(f, a, b) == float.fromhex(root)
+@pytest.mark.parametrize("start", [0.0, 0.5, 1.0, 5.0, 1e3, 1e7])
+def test_newton_root_returns_the_recorded_float_from_either_side(start):
+    # starts below the floor, left of the root and right of it
+    assert rr._newton_root(_moment_shaped, start) == (float.fromhex(MOMENT_ROOT), True)
 
 
-def test_brent_root_errors():
-    # (x - 0.7)^7 is too flat to meet the tolerance in 100 iterations
-    with pytest.raises(RuntimeError):
-        rr._brent_root(lambda x: (x - 0.7) ** 7, 0.0, 1.5)
-    with pytest.raises(ValueError):
-        rr._brent_root(lambda x: x + 1.0, 0.0, 1.0)  # no sign change
-    with pytest.raises(ValueError):
-        rr._brent_root(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0)
+def test_newton_root_floor_binds():
+    # the moment is already nonnegative at the floor
+    assert rr._newton_root(lambda th: (th + 1.0, 1.0), 5.0) == (rr.THETA_Y_FLOOR, True)
 
 
-def test_root_in_dim_outcomes():
-    floor = 1e-2
-    # the moment is already nonnegative at the floor: the floor binds
-    assert rr._root_in_dim(lambda th: th + 1.0, floor) == (floor, True)
-    # a sign change in the escalated bracket [floor, 100]
-    def g(th):
-        return math.log(th / 50.0)
+def test_newton_root_without_a_root_below_the_ceiling():
+    g = lambda th: (-1.0 / (1.0 + th), 1.0 / (1.0 + th) ** 2)  # noqa: E731
+    assert rr._newton_root(g, 0.0) == (rr.THETA_Y_CEIL, False)
 
-    theta, ok = rr._root_in_dim(g, floor)
-    assert ok and theta == rr._brent_root(g, floor, 100.0)
-    assert theta == pytest.approx(50.0, rel=1e-11)
-    # no sign change below the ceiling
-    assert rr._root_in_dim(lambda th: th - 1e9, floor) == (rr.THETA_Y_CEIL, False)
+
+def test_fit_without_a_theta_y_root_ends_unconverged_at_the_ceiling():
+    # zero targets and no penalty: the moment -mean(mu^2 + sigma^2) < 0 at every theta_y
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, (40, 2))
+    ds = Dataset(x, np.zeros(40))
+    model = fit(ds, None, None, TrainConfig(epochs=50, lam=0.0), init=_base(1))
+    assert not model.converged
+    assert model.theta_y == rr.THETA_Y_CEIL
 
 
 # -- spectral machinery -------------------------------------------------------------
