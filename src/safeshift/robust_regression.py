@@ -17,7 +17,9 @@ theta_y and the density ratio: it is sigma at the candidate's smallest
 ratio.  The model has one output, the residual force: theta_phi is one
 head on the features and theta_y one scalar.  Training minimizes the
 penalized Gaussian negative log-likelihood on source data with analytic
-gradients; a final one dimensional solve tightens theta_y until the
+gradients.  On the features it learned, the head and theta_y are then
+solved exactly: a lasso picks the head's support, the unpenalized head on
+it is profiled out, and a scalar Newton root sets theta_y so that the
 stationarity condition mean_i r_i (y_i^2 - mu_i^2 - sigma_i^2) = -lambda
 holds to solver precision.
 """
@@ -242,24 +244,18 @@ def predict(model: RobustModel, x, ratios=None):
     return _predictive(model, r, model.theta_y, a)
 
 
-def _mean(r, a, theta_y, sigma0_sq):
-    """The predictive mean r a / (2 r theta_y + 1/sigma0_sq), on floats or broadcast arrays.
-
-    Rounded as mu over the precision, not as `_predictive`'s sigma_sq times
-    r a: the two differ in the last bit, and landing decisions amplify that.
-    """
-    return r * a / (2.0 * r * theta_y + 1.0 / sigma0_sq)
-
-
 def mean_fn(model: RobustModel, ratio):
-    """`_mean` at one state, mean(q, qdot), at the density ratio ratio(q, qdot)
-    there (`density_ratio.point_ratio`); None means r = 1."""
+    """The predictive mean at one state, mean(q, qdot), at the density ratio
+    ratio(q, qdot) there (`density_ratio.point_ratio`); None means r = 1.
+    On floats, in `_predictive`'s rounding: r a times the reciprocal of the
+    precision."""
     forward, head = model.net.forward, model.theta_phi
-    theta_y, sigma0_sq = float(model.theta_y), model.sigma0_sq
+    theta_y, precision0 = float(model.theta_y), 1.0 / model.sigma0_sq
 
     def mean(q: float, qdot: float) -> float:
         r = 1.0 if ratio is None else ratio(q, qdot)
-        return _mean(r, float(forward(np.array((q, qdot))) @ head), theta_y, sigma0_sq)
+        a = float(forward(np.array((q, qdot))) @ head)
+        return r * a * (1.0 / (2.0 * r * theta_y + precision0))
 
     return mean
 
@@ -383,29 +379,37 @@ def _moment(model, x, y, r) -> float:
     return float(np.mean(y * y - mu * mu - var))
 
 
-UNWEIGHTED_SLACK = 5e-3  # half the post-fit moment tolerance, used as a guard
 NEWTON_RTOL = 1e-12
 NEWTON_MAXITER = 100
 
 
 def _newton_root(g, theta):
-    """Root of an increasing concave g(th) in [THETA_Y_FLOOR, THETA_Y_CEIL] by Newton's method.
+    """Root of an increasing g(th) in [THETA_Y_FLOOR, THETA_Y_CEIL] by Newton's method.
 
-    g returns (value, slope).  Returns (theta, converged).  From the left of
-    the root each tangent step stays left of it and rises monotonically;
-    from the right one step lands at or left of it, and an iterate below
-    the floor is clamped to it.  When g >= 0 at the floor the floor binds:
-    the projected optimum IS the floor (the constrained stationary point),
-    so that counts as converged.  An iterate past the ceiling or a slope
-    that is not positive means no root below the ceiling: (THETA_Y_CEIL,
-    False).  Stops once a step is within NEWTON_RTOL of the new iterate.
+    g returns (value, slope).  Returns (theta, converged).  The closing
+    solve's g is the theta_y derivative of the NLL with the head profiled
+    out; a profile of a jointly convex function is convex, so g rises.
+    Where g is also concave, each tangent step from the left of the root
+    stays left of it and rises, and from the right one step lands at or
+    left of it.  An iterate below the floor is clamped to it.  When g >= 0
+    at the floor the floor binds: the projected optimum IS the floor (the
+    constrained stationary point), so that counts as converged.  An
+    iterate past the ceiling or a slope that is not positive means no root
+    below the ceiling: (THETA_Y_CEIL, False).  Stops once a step is within
+    NEWTON_RTOL of the new iterate, or, left of the root, once g fails to
+    rise as theta rises: g then sits at its rounding floor (about 1e-10
+    for a profile computed through a least-squares solve), where the
+    relative step would never settle.
     """
     floor = THETA_Y_FLOOR
     theta = max(float(theta), floor)
+    last = math.inf
     for _ in range(NEWTON_MAXITER):
         value, slope = g(theta)
         if theta == floor and value >= 0.0:
             return floor, True
+        if value <= last < 0.0:
+            return theta, True
         if not slope > 0.0:
             return THETA_Y_CEIL, False
         new = max(theta - value / slope, floor)
@@ -413,30 +417,32 @@ def _newton_root(g, theta):
             return THETA_Y_CEIL, False
         if abs(new - theta) <= NEWTON_RTOL * new:
             return new, True
-        theta = new
+        theta, last = new, value
     return theta, False
 
 
-# the coordinate descent only has to settle the support (values are
-# debiased afterwards), so it can stop well short of full precision
+# the coordinate descent only has to settle the support (the closing
+# solve profiles the values out), so it can stop well short of full
+# precision
 LASSO_SWEEPS = 300
 LASSO_TOL = 1e-8
 
 
 def _solve_heads(model, x, y, r):
-    """Exact head weights at the current net and theta_y.
+    """Lasso head weights at the current net and theta_y; their support is
+    the set of features the closing solve keeps.
 
     Given features and theta_y, the data term is weighted least squares in
     the head: mu_i = v_i r_i a^T phi_i, so the penalized objective in a is
-    quadratic plus lam * ||a||_1.  Solved as a relaxed lasso: cyclic
-    coordinate descent with soft thresholding picks the support
-    (deterministic sweep order), then an unpenalized least-squares refit
-    on that support removes the soft-threshold shrinkage, which is not
-    small here -- the fitted variance scales the Gram matrix down, so a
-    fixed lam would otherwise bias the means by several percent.  A ridge
-    proxy is NOT used either: the random ReLU features are near-collinear
-    and an L2 term strong enough to tame them visibly over-shrinks
-    realizable structure.
+    quadratic plus lam * ||a||_1.  Cyclic coordinate descent with soft
+    thresholding (deterministic sweep order) solves it.  Only the support
+    is used: `_closing_solve` refits the head without the penalty on it
+    (a relaxed lasso), because the soft-threshold shrinkage is not small
+    here -- the fitted variance scales the Gram matrix down, so a fixed lam
+    would otherwise bias the means by several percent.  A ridge proxy is
+    NOT used either: the random ReLU features are near-collinear and an L2
+    term strong enough to tame them visibly over-shrinks realizable
+    structure.
     """
     phi = model.net.forward(x)
     n = len(x)
@@ -473,73 +479,48 @@ def _solve_heads(model, x, y, r):
             a[j] = a_list[j] = new
         if biggest <= LASSO_TOL * max(1.0, float(np.max(np.abs(a)))):
             break
-    support = np.flatnonzero(np.abs(a) > 1e-12)
-    if support.size:
-        # debias: min-norm least squares on the selected columns (the
-        # restricted Gram can be rank deficient, lstsq handles it)
-        sub, _, _, _ = np.linalg.lstsq(g_mat[np.ix_(support, support)], b_vec[support], rcond=None)
-        a = np.zeros_like(a)
-        a[support] = sub
     return a
 
 
-def _polish_theta_y(model, x, y, r, fixed_mu=True):
-    """Finish theta_y with a scalar Newton solve; returns (theta_y, converged).
+def _closing_solve(model, x, y, r) -> RobustModel:
+    """The head and theta_y on fixed features: the model a fit returns.
 
-    The training first-order condition in theta_y is
-    mean_i r_i (y^2 - mu^2 - sigma^2) + lam = 0.  Gradient descent
-    approaches the root slowly (the stationary theta_y can be orders of
-    magnitude above the other parameters), so we solve it directly.  With
-    v = sigma^2 = 1/(1/sigma0_sq + 2 r th), -v has slope 2 r v^2 and -mu^2
-    (mu = r a v) has slope 4 r mu^2 v, and both slopes fall as th grows, so
-    the moment is increasing and concave in th in either form below, and
-    `_newton_root` needs no bracket.  The head activations a are computed
-    once per call.
-
-    With fixed_mu=True the predictive means are frozen at the model's
-    current theta_y while only sigma^2(th) moves.  The means are the slow
-    invariant of the head/variance alternation (a head re-solve restores
-    them after theta_y changes; with r constant the restoration is exact),
-    so this root jumps straight to the level the next head solve will
-    ratify, where the naive alternation -- root with the head COEFFICIENTS
-    frozen, so raising theta_y also deflates mu -- inches along a shallow
-    geometric crawl.  fixed_mu=False solves that naive stationarity, which
-    agrees with the frozen-mean root at the joint fixed point; fit() uses
-    it once at the end so the reported residual is honest at the final
-    parametrization.
-
-    The post-fit contract is on the UNWEIGHTED moment mean(y^2-mu^2-sigma^2)
-    (the first-order condition as usually stated, exact when r = 1).  When
-    the ratios spread enough that the weighted root leaves the unweighted
-    residual outside lam + UNWEIGHTED_SLACK, we retarget the solve at the
-    unweighted moment: a deliberate, documented projection that trades a
-    lam-scale bias in the stationarity for the calibration actually
-    asserted downstream.  The two roots coincide as the fit tightens.
+    The lasso at the current theta_y picks the support S.  On S the head
+    is profiled out: c(th) = lstsq(G(th), b) with G = phi_S^T diag(v r^2)
+    phi_S / n and b = phi_S^T (r y) / n, the unpenalized (debiased) refit,
+    min-norm where G is rank deficient.  theta_y is then the root of the
+    profiled first-order condition h(th) = mean(r (y^2 - mu^2 - v)) + lam.
+    For fixed features the Gaussian NLL is jointly convex in the natural
+    parameters (c, th), so h rises, and its slope is the Schur complement
+    F_thth - F_cth^T G^+ F_cth with F_thth = mean(2 r^2 v (2 mu^2 + v)) and
+    F_cth = -(2/n) phi_S^T (r^2 v mu).  converged is the root's verdict,
+    and the head is c at the root.
     """
-    ones = np.ones_like(r)
-    a = model.net.forward(x) @ model.theta_phi
-    two_r = 2.0 * r
-    # the first-order condition in theta_y, averaged with weights w, and its slope
-    if fixed_mu:
-        mu = _mean(r, a, model.theta_y, model.sigma0_sq)
-        gap = y * y - mu * mu
+    support = np.flatnonzero(np.abs(_solve_heads(model, x, y, r)) > 1e-12)
+    phi = model.net.forward(x)[:, support]
+    n = len(x)
+    r_sq, yy = r * r, y * y
+    b_vec = phi.T @ (r * y) / n
 
-        def g(th, w):
-            var = _predictive(model, r, th)[1]
-            value = float(np.mean(w * (gap - var)) + model.lam)
-            return value, float(np.mean(w * two_r * var * var))
-    else:
-        yy = y * y
+    def profile(th):
+        """(c, G, mu, v) with the head profiled out at theta_y = th."""
+        var = _predictive(model, r, th)[1]
+        g_mat = (phi * (var * r_sq)[:, None]).T @ phi / n
+        c = np.linalg.lstsq(g_mat, b_vec, rcond=None)[0]
+        return c, g_mat, _predictive(model, r, th, phi @ c)[0], var
 
-        def g(th, w):
-            mu, var = _predictive(model, r, th, a)
-            value = float(np.mean(w * (yy - mu * mu - var))) + model.lam
-            return value, float(np.mean(w * two_r * var * (2.0 * mu * mu + var)))
+    def h(th):
+        _, g_mat, mu, var = profile(th)
+        f_c = phi.T @ (r_sq * var * mu) * (-2.0 / n)
+        f_thth = float(np.mean(2.0 * r_sq * var * (2.0 * mu * mu + var)))
+        slope = f_thth - float(f_c @ np.linalg.lstsq(g_mat, f_c, rcond=None)[0])
+        return float(np.mean(r * (yy - mu * mu - var))) + model.lam, slope
 
-    root, ok = _newton_root(lambda th: g(th, r), model.theta_y)
-    if abs(g(root, ones)[0] - model.lam) > model.lam + UNWEIGHTED_SLACK:
-        root, ok = _newton_root(lambda th: g(th, ones), model.theta_y)
-    return np.float64(root), ok
+    theta_y, converged = _newton_root(h, model.theta_y)
+    theta_phi = np.zeros(model.net.feature_dim)
+    theta_phi[support] = profile(theta_y)[0]
+    model = replace(model, theta_phi=theta_phi, theta_y=np.float64(theta_y), converged=converged)
+    return replace(model, moment_residual=_moment(model, x, y, r))
 
 
 def fit(
@@ -614,24 +595,6 @@ def fit(
 
     # Gradient descent alone crawls through the coupled head/theta_y
     # scaling (mu carries a 1/sigma^2 factor, so calibrating theta_y keeps
-    # moving the target the head chases).  Finish with alternating exact
-    # block solves: the lasso for the linear head, then the Newton moment
-    # root for theta_y with the fitted means frozen.  Iterate until
-    # theta_y stabilizes (the frozen-mean root makes this a near one-step
-    # contraction), then close with one root at the final head where mu
-    # tracks theta_y, so the recorded stationarity holds at the exact
-    # parametrization the model ships with.
-    prev = float(theta_y)
-    for _ in range(40):
-        model = replace(model, theta_phi=_solve_heads(model, x, y, r))
-        theta_y, converged = _polish_theta_y(model, x, y, r)
-        model = replace(model, theta_y=theta_y)
-        # support flips under the debias can leave a tiny persistent
-        # 2-cycle, so the break tolerance is deliberately modest; the
-        # closing root below restores the moment condition exactly
-        if abs(theta_y - prev) <= 1e-4 * max(abs(theta_y), 1.0):
-            break
-        prev = theta_y
-    theta_y, converged = _polish_theta_y(model, x, y, r, fixed_mu=False)
-    model = replace(model, theta_y=theta_y, converged=converged)
-    return replace(model, moment_residual=_moment(model, x, y, r))
+    # moving the target the head chases).  Finish with the exact solve of
+    # that convex block on the features gradient descent learned.
+    return _closing_solve(model, x, y, r)

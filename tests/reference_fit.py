@@ -3,7 +3,8 @@
 A copy of the allocating gradient-descent loop of
 `robust_regression.fit` (a new FeatureNet and RobustModel on every step)
 with the `_grads`, `_loss_terms`, `_predictive` and `_normalize_warm` it
-ran, and the numpy-scalar coordinate-descent lasso of `_solve_heads`.
+ran, and the numpy-scalar coordinate-descent lasso of `_solve_heads`,
+which only the lasso test runs.
 Its first normalization, at the start of a fit, is `_normalize_warm`
 with an all-None cache.
 Its mini-batch, frozen-net and cold-start branches are gone with the
@@ -16,8 +17,8 @@ float.
 The fixed settings (LR, CLIP_NORM, THETA_Y_FLOOR, THETA_Y_LR_MULT,
 SPECTRAL_CAP) are read from the package module at call time, so a test
 that patches one patches both fits.  The shipped code must reproduce it bit for bit; see
-test_robust_regression.py.  Everything else (the theta_y polish, the
-moment residual) is imported from the package.
+test_robust_regression.py.  The closing solve of the head and theta_y is
+imported from the package.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ from safeshift.robust_regression import (
     RobustModel,
     TrainConfig,
     TrainingDiverged,
-    _moment,
-    _polish_theta_y,
+    _closing_solve,
     _power_iterate,
 )
 
@@ -135,19 +135,12 @@ def _grads(model, x, y, r):
 
 
 def _solve_heads(model, x, y, r):
-    """Exact head weights at the current net and theta_y.
+    """Lasso head weights at the current net and theta_y.
 
     Given features and theta_y, the data term is weighted least squares in
     the head: mu_i = v_i (mu0/sigma0^2 + r_i a^T phi_i), so the penalized
-    objective in a is quadratic plus lam * ||a||_1.  Solved as a relaxed
-    lasso: cyclic coordinate descent with soft thresholding picks the
-    support (deterministic sweep order), then an unpenalized least-squares
-    refit on that support removes the soft-threshold shrinkage, which is
-    not small here -- the fitted variance scales the Gram matrix down, so
-    a fixed lam would otherwise bias the means by several percent.  A
-    ridge proxy is NOT used either: the random ReLU features are
-    near-collinear and an L2 term strong enough to tame them visibly
-    over-shrinks realizable structure.
+    objective in a is quadratic plus lam * ||a||_1, solved by cyclic
+    coordinate descent with soft thresholding (deterministic sweep order).
     """
     phi = model.net.forward(x)
     n = len(x)
@@ -178,13 +171,6 @@ def _solve_heads(model, x, y, r):
             a[j] = new
         if biggest <= LASSO_TOL * max(1.0, float(np.max(np.abs(a)))):
             break
-    support = np.flatnonzero(np.abs(a) > 1e-12)
-    if support.size:
-        # debias: min-norm least squares on the selected columns (the
-        # restricted Gram can be rank deficient, lstsq handles it)
-        sub, _, _, _ = np.linalg.lstsq(g_mat[np.ix_(support, support)], b_vec[support], rcond=None)
-        a = np.zeros_like(a)
-        a[support] = sub
     return a
 
 
@@ -247,26 +233,4 @@ def fit(
         new_net = _normalize_warm(FeatureNet(new_w, new_b), power_cache)
         model = replace(model, net=new_net, theta_phi=theta_phi, theta_y=np.exp(s_y))
 
-    # Gradient descent alone crawls through the coupled head/theta_y
-    # scaling (mu carries a 1/sigma^2 factor, so calibrating theta_y keeps
-    # moving the target the heads chase).  Finish with alternating exact
-    # block solves: the lasso for the linear heads, then the Newton
-    # moment root for theta_y with the fitted means frozen.  Iterate until
-    # theta_y stabilizes (the frozen-mean root makes this a near one-step
-    # contraction), then close with one root at the final heads where mu
-    # tracks theta_y, so the recorded stationarity holds at the exact
-    # parametrization the model ships with.
-    prev = float(model.theta_y)
-    for _ in range(40):
-        model = replace(model, theta_phi=_solve_heads(model, x, y, r))
-        theta_y, converged = _polish_theta_y(model, x, y, r)
-        model = replace(model, theta_y=theta_y)
-        # support flips under the debias can leave a tiny persistent
-        # 2-cycle, so the break tolerance is deliberately modest; the
-        # closing root below restores the moment condition exactly
-        if abs(theta_y - prev) <= 1e-4 * max(abs(theta_y), 1.0):
-            break
-        prev = theta_y
-    theta_y, converged = _polish_theta_y(model, x, y, r, fixed_mu=False)
-    model = replace(model, theta_y=theta_y, converged=converged)
-    return replace(model, moment_residual=_moment(model, x, y, r))
+    return _closing_solve(model, x, y, r)

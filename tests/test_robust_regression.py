@@ -95,18 +95,25 @@ def _base(seed, sigma0_sq=1.0):
     return initial_model(sigma0_sq, net=net, lam=LAM)
 
 
-def test_mean_on_floats_equals_mean_on_broadcast_arrays():
-    # one rounding serves the controller (floats) and the fixed-mean root (arrays)
+def test_mean_fn_equals_predict_bit_for_bit():
+    # one rounding of the predictive mean serves the controller (floats) and
+    # every array caller; a batch forward pass rounds apart from a one-row
+    # one (BLAS), so each state is predicted as its own row
     g = np.random.default_rng(7)
     net = feature_net_init(g)
     x = g.normal(0.0, 1.0, (50, 2))
-    theta_phi, sigma0_sq = g.normal(size=net.feature_dim), 0.7
     r = np.concatenate([[0.0, R_HI], g.uniform(0.0, R_HI, 48)])
-    a = net.forward(x) @ theta_phi
+    ratio_at = dict(zip(map(tuple, x.tolist()), r.tolist()))
     for theta_y in (2.5, 317.0):
-        arrays = rr._mean(r, a, np.float64(theta_y), sigma0_sq)
-        floats = [rr._mean(float(r_i), float(a_i), theta_y, sigma0_sq) for r_i, a_i in zip(r, a)]
-        assert (np.array(floats) == arrays).all()
+        model = replace(
+            initial_model(0.7, net=net, lam=LAM),
+            theta_phi=g.normal(size=net.feature_dim),
+            theta_y=np.float64(theta_y),
+        )
+        mean = rr.mean_fn(model, lambda q, qdot: ratio_at[q, qdot])
+        got = [mean(q, qdot) for q, qdot in x.tolist()]
+        want = [predict(model, x[i : i + 1], r[i : i + 1])[0][0] for i in range(len(x))]
+        assert got == want
 
 
 # -- loss and gradients ------------------------------------------------------------
@@ -296,6 +303,26 @@ def test_solve_heads_matches_numpy_scalar_reference():
     assert np.array_equal(heads, reference_fit._solve_heads(start, ds.inputs, ds.targets, r))
 
 
+def test_closing_solve_meets_both_first_order_conditions():
+    ds, src, trg = _shift_problem()
+    x, y, r = ds.inputs, ds.targets, density_ratio(src, trg, ds.inputs)
+    model = fit(ds, src, trg, TrainConfig(epochs=40, lam=LAM), init=_base(6, 0.5))
+    assert model.converged and model.theta_y > rr.THETA_Y_FLOOR
+    support = np.flatnonzero(model.theta_phi)
+    assert support.size
+    phi = model.net.forward(x)[:, support]
+    mu, var = predict(model, x, ratios=r)
+    n = len(x)
+    # the unpenalized head on its support: G c = b
+    g_mat = (phi * (var * r * r)[:, None]).T @ phi / n
+    b_vec = phi.T @ (r * y) / n
+    residual = g_mat @ model.theta_phi[support] - b_vec
+    assert np.linalg.norm(residual) <= 1e-9 * np.linalg.norm(b_vec)
+    # theta_y: the weighted moment plus lam is 0, relative to the size of its terms
+    moment = float(np.mean(r * (y * y - mu * mu - var)))
+    assert abs(moment + LAM) <= 1e-9 * float(np.mean(r * (y * y + mu * mu + var)))
+
+
 # -- theta_y root ---------------------------------------------------------------------
 
 _MOMENT_R = np.array([0.3, 1.2, 2.5, 0.8, 4.0, 1.7, 0.6])
@@ -318,6 +345,23 @@ MOMENT_ROOT = "0x1.4758d27a64d51p+0"
 def test_newton_root_returns_the_recorded_float_from_either_side(start):
     # starts below the floor, left of the root and right of it
     assert rr._newton_root(_moment_shaped, start) == (float.fromhex(MOMENT_ROOT), True)
+
+
+def test_newton_root_stops_at_the_rounding_floor_of_g():
+    # a +-1e-10 wiggle, like that of a moment computed through a least-squares
+    # solve: the relative step never settles, but left of the root g stops rising
+    evaluations = []
+
+    def g(theta):
+        evaluations.append(theta)
+        value, slope = _moment_shaped(theta)
+        return value + 1e-10 * math.sin(1e13 * theta), slope
+
+    for start in (0.0, 0.5, 1e7):
+        evaluations.clear()
+        theta, converged = rr._newton_root(g, start)
+        assert converged and len(evaluations) < rr.NEWTON_MAXITER
+        assert theta == pytest.approx(float.fromhex(MOMENT_ROOT), rel=1e-8)
 
 
 def test_newton_root_floor_binds():
