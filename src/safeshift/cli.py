@@ -26,8 +26,9 @@ All emitted numbers go through one formatter (%.17g) and the experiment
 itself is deterministic, so rerunning with the same config and seed
 reproduces the output files byte for byte, provided the BLAS library runs
 with the same thread count (e.g. OPENBLAS_NUM_THREADS=1 for both runs):
-a different thread count changes the low bits of the linear algebra, which
-can move printed values and, through the fit, later decisions.
+a different thread count changes the low bits of the linear algebra in the
+fit and the GP, which can move printed values and, through the fit, later
+decisions.  The densities and ratios use no BLAS call.
 """
 
 from __future__ import annotations

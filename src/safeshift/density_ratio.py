@@ -14,14 +14,17 @@ grid, the first time the loop reaches it with a source KDE, and p_src on
 one candidate's grid at a time, each time the loop reaches it.
 That gives the candidate's w_hat and its r_min (its smallest clipped
 ratio on the certification points, which is all the robust certificate
-reads).  The controller reads one state at a time through
-`point_ratio`, the other kernel sum.
+reads).  The controller reads one state at a time through `point_ratio`.
+It and `kde_density` compute every density with one kernel sum, so a
+state's density is the same float alone or in any batch (Silverman,
+Density Estimation for Statistics and Data Analysis, 1986, ch. 4).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,9 +46,9 @@ DENSITY_FLOOR = 1e-12
 # the upper clip of every density ratio
 R_HI = 10.0
 SIGMA_FLOOR = 1e-3
-# elements of the (block, n_samples) kernel temporary in kde_density:
-# 512 KB, small enough to stay in cache
-KDE_BLOCK_ELEMENTS = 64_000
+# elements of each of kde_density's two (block, n_samples) temporaries:
+# 2 x 256 KB together, small enough to stay in cache
+KDE_BLOCK_ELEMENTS = 32_000
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,11 @@ class KdeModel:
     @property
     def dim(self) -> int:
         return self.samples.shape[1]
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """Samples in bandwidth units, one contiguous row per dimension: (d, n)."""
+        return np.ascontiguousarray((self.samples / self.bandwidth).T)
 
     @property
     def norm(self) -> float:
@@ -90,44 +98,43 @@ def kde_fit(samples) -> KdeModel:
     return KdeModel(samples=x, bandwidth=h)
 
 
+def _kernel_sum(columns: np.ndarray, q, z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Sum over the samples of exp(-|q - s|^2 / 2), in bandwidth units.
+
+    `q` holds d query coordinates, scalars or (m, 1) columns, matched to
+    `columns` (`KdeModel.columns`).  z and t are buffers of the broadcast
+    shape: z sums the squared distance column by column, t holds each term.
+    """
+    np.subtract(q[0], columns[0], out=z)
+    z *= z
+    for q_j, s_j in zip(q[1:], columns[1:]):
+        np.subtract(q_j, s_j, out=t)
+        t *= t
+        z += t
+    z *= -0.5
+    return np.exp(z, out=z).sum(axis=-1)
+
+
 def kde_density(model: KdeModel, x) -> np.ndarray:
     """Evaluate p_hat at each of m query points (m, d).
 
-    Squared distances in bandwidth units come from the |a|^2 + |b|^2 - 2ab
-    expansion so the (m, n) kernel matrix is a single BLAS product; the
-    clamp guards the tiny negative residue cancellation can leave.
-
-    A density depends on its own query row, up to how BLAS rounds the
-    product: OpenBLAS computes the rows past its kernel's row unroll with
-    another kernel, so a row can come out a bit or two apart depending on
-    its place in a block.  numpy hands a one-row product to gemv, which
-    rounds further apart still, so a block of one row is evaluated twice
-    over.
+    The kernels are summed directly by `_kernel_sum`, a block of query rows
+    at a time.  Every operation is elementwise or a sum along one row, so
+    a row's density depends only on that row and the model, whatever its
+    block, the block size or its place in either: any subset of rows gives
+    the full pass's floats, and `point_ratio` gives them at one state.
     """
     pts = np.asarray(x, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != model.dim:
         raise ValueError("query dimension mismatch")
-    h = model.bandwidth
-    n = len(model.samples)
-    norm = model.norm
-    s = model.samples / h
-    s_sq = np.einsum("ij,ij->i", s, s)
-    s_t = -2.0 * s.T
-    m = len(pts)
-    dens = np.empty(m)
+    columns, norm, n = model.columns, model.norm, len(model.samples)
+    dens = np.empty(len(pts))
     block = max(1, KDE_BLOCK_ELEMENTS // n)
-    buf = np.empty((max(2, min(block, m)), n))
-    for lo in range(0, m, block):
-        q = pts[lo : lo + block] / h
-        rows = len(q)
-        if rows == 1:
-            q = np.repeat(q, 2, axis=0)
-        d2 = np.matmul(q, s_t, out=buf[: len(q)])
-        d2 += np.einsum("ij,ij->i", q, q)[:, None]
-        d2 += s_sq[None, :]
-        np.maximum(d2, 0.0, out=d2)
-        d2 *= -0.5
-        dens[lo : lo + rows] = np.exp(d2, out=d2).sum(axis=1)[:rows] / norm
+    z, t = np.empty((2, min(block, len(pts)), n))
+    for lo in range(0, len(pts), block):
+        q = (pts[lo : lo + block] / model.bandwidth).T[:, :, None]
+        rows = q.shape[1]
+        dens[lo : lo + rows] = _kernel_sum(columns, q, z[:rows], t[:rows]) / norm
     return dens
 
 
@@ -138,34 +145,22 @@ def clipped_ratio(p_src, p_trg) -> np.ndarray:
 
 
 def point_ratio(src: KdeModel, trg: KdeModel):
-    """Single-point clipped density ratio ratio(q, qdot), tuned for the rollout hot path.
+    """Single-point clipped density ratio ratio(q, qdot), for the rollout hot path.
 
-    Sums the kernels directly where `kde_density` expands the squared
-    distance for one BLAS product; the two differ in the last bits.  Each
-    KDE's two sample columns are held as contiguous 1-D arrays, and the
-    squared distance of a query is the sum of its two per-column terms,
-    the same floats as the row sum of the (n, 2) squared offsets.
+    Each density is `_kernel_sum` at one state into (n,) buffers of its
+    own, and the ratio is `clipped_ratio`'s: the floats `density_ratio`
+    gives for the same state.
     """
 
-    def columns(kde: KdeModel):
-        x = kde.samples
-        h0, h1 = kde.bandwidth.tolist()
-        return np.ascontiguousarray(x[:, 0]), np.ascontiguousarray(x[:, 1]), h0, h1, kde.norm
+    def density(kde: KdeModel):
+        columns, norm, (h0, h1) = kde.columns, kde.norm, kde.bandwidth.tolist()
+        z, t = np.empty((2, len(kde.samples)))
+        return lambda q, qdot: _kernel_sum(columns, (q / h0, qdot / h1), z, t) / norm
 
-    def density(q, qdot, x0, x1, h0, h1, norm):
-        z = (q - x0) / h0
-        z *= z
-        z1 = (qdot - x1) / h1
-        z1 *= z1
-        z += z1
-        z *= -0.5
-        return float(np.exp(z, out=z).sum()) / norm
-
-    src_cols, trg_cols = columns(src), columns(trg)
+    p_src, p_trg = density(src), density(trg)
 
     def ratio(q: float, qdot: float) -> float:
-        r = density(q, qdot, *src_cols) / max(density(q, qdot, *trg_cols), DENSITY_FLOOR)
-        return R_HI if r > R_HI else r
+        return float(clipped_ratio(p_src(q, qdot), p_trg(q, qdot)))
 
     return ratio
 
