@@ -23,12 +23,15 @@ medians on stderr.  All runs must be of the same task; a run file that is
 missing or malformed exits 1 with one line naming it.
 
 All emitted numbers go through one formatter (%.17g) and the experiment
-itself is deterministic, so rerunning with the same config and seed
-reproduces the output files byte for byte, provided the BLAS library runs
-with the same thread count (e.g. OPENBLAS_NUM_THREADS=1 for both runs):
-a different thread count changes the low bits of the linear algebra in the
-fit and the GP, which can move printed values and, through the fit, later
-decisions.  The densities and ratios use no BLAS call.
+itself is deterministic, so rerunning with the same config and seed on
+the same numpy and BLAS build reproduces the output files byte for byte.
+For the GP models the BLAS thread count must match too: landing runs with
+gp_rbf at seeds 0 and 1000, at 1 and 2 OpenBLAS threads (OpenBLAS 0.3.31,
+2-CPU x86-64), flew the same candidates, but episodes.csv, trajectories.csv
+and summary.json differ in low bits.  Robust runs of both tasks at the same
+seeds wrote byte-identical files at 1 and 2 threads, and
+tests/test_golden_runs.py checks the seed-0 ones at 2 threads.  The
+densities and ratios use no BLAS call.
 """
 
 from __future__ import annotations

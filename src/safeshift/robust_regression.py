@@ -17,11 +17,15 @@ theta_y and the density ratio: it is sigma at the candidate's smallest
 ratio.  The model has one output, the residual force: theta_phi is one
 head on the features and theta_y one scalar.  Training minimizes the
 penalized Gaussian negative log-likelihood on source data with analytic
-gradients.  On the features it learned, the head and theta_y are then
-solved exactly: a lasso picks the head's support, the unpenalized head on
-it is profiled out, and a scalar Newton root sets theta_y so that the
-stationarity condition mean_i r_i (y_i^2 - mu_i^2 - sigma_i^2) = -lambda
-holds to solver precision.
+gradients.  The net's last layer is linear, so a training step folds the
+head into it, theta_phi . phi(x) = h(x) . (W theta_phi) + b . theta_phi
+on the last hidden output h(x), and never forms phi: the last layer's
+gradients are rank one.  On the features it learned, the head and
+theta_y are then solved exactly: a lasso picks the head's support, the
+unpenalized head on it is profiled out, and a scalar Newton root sets
+theta_y so that the stationarity condition
+mean_i r_i (y_i^2 - mu_i^2 - sigma_i^2) = -lambda holds to solver
+precision.
 """
 
 from __future__ import annotations
@@ -272,7 +276,8 @@ def _flat_buffer(net: FeatureNet):
     The layout is the net's weights, its biases, theta_phi (k,) and one
     0-d slot, which holds log theta_y in the training parameters and its
     gradient in the training gradient.  Returns (buf, views) with the
-    views in that order.
+    views in that order; one dot of the gradient buffer with itself is the
+    squared norm that the step clips.
     """
     shapes = [w.shape for w in net.weights] + [b.shape for b in net.biases]
     shapes += [(net.feature_dim,), ()]
@@ -290,7 +295,13 @@ class _Workspace:
 
     grad is the flat gradient (see _flat_buffer) with views g_w, g_b, g_tp
     and g_sy (the log-space theta_y slot, filled by fit); g_ty is the
-    theta_y gradient.  The per-row buffers hold one row per training row.
+    theta_y gradient, a float.  The per-row buffers hold one row per
+    training row, and only the hidden layers have them: the step never
+    forms the features phi, because the head folds into the linear last
+    layer (see _grads).  ones (rows,) makes the sum over rows of da and of
+    each hidden layer's backward product one BLAS call, and w_t[i] (i >= 1)
+    is a contiguous copy of hidden layer i's weights transposed, which the
+    backward pass multiplies by.
     """
 
     def __init__(self, net: FeatureNet, rows: int):
@@ -298,77 +309,83 @@ class _Workspace:
         self.grad, views = _flat_buffer(net)
         self.g_w, self.g_b = views[:n_layers], views[n_layers : 2 * n_layers]
         self.g_tp, self.g_sy = views[-2], views[-1]
-        self.g_ty = np.empty(())
-        widths = [w.shape[1] for w in net.weights]
-        # pre-activations (the last is phi), ReLU outputs and masks, and
-        # the backward products on each layer's output
+        self.g_ty = 0.0
+        widths = [w.shape[1] for w in net.weights[:-1]]
+        # pre-activations, ReLU outputs and masks, and the backward products
+        # on each hidden layer's output
         self.pre = [np.empty((rows, m)) for m in widths]
-        self.act = [np.empty((rows, m)) for m in widths[:-1]]
-        self.mask = [np.empty((rows, m), dtype=bool) for m in widths[:-1]]
+        self.act = [np.empty((rows, m)) for m in widths]
+        self.mask = [np.empty((rows, m), dtype=bool) for m in widths]
         self.dh = [np.empty((rows, m)) for m in widths]
+        self.w_t = [None] + [np.empty(w.shape[::-1]) for w in net.weights[1:-1]]
+        self.ones = np.ones(rows)
         self.a, self.mu, self.var, self.e, self.da, self.t1, self.t2 = (
             np.empty(rows) for _ in range(7)
         )
-
-
-def _loss_terms(model, x, y, r, ws: _Workspace) -> float:
-    """Data NLL (no penalty); leaves the forward pass in the workspace."""
-    h = x
-    last = len(model.net.weights) - 1
-    for i, (w, b) in enumerate(zip(model.net.weights, model.net.biases)):
-        z = np.matmul(h, w, out=ws.pre[i])
-        z += b
-        if i < last:
-            h = np.maximum(z, 0.0, out=ws.act[i])
-    a = np.matmul(ws.pre[last], model.theta_phi, out=ws.a)
-    mu, var = _predictive(model, r, model.theta_y, a, out=(ws.mu, ws.var))
-    e = np.subtract(y, mu, out=ws.e)
-    # 0.5 log(2 pi var) + e^2 / (2 var), mean over rows
-    t1 = np.multiply(2.0 * math.pi, var, out=ws.t1)
-    np.log(t1, out=t1)
-    t1 *= 0.5
-    t2 = np.multiply(e, e, out=ws.t2)
-    t2 /= np.multiply(2.0, var, out=ws.da)
-    t1 += t2
-    return float(np.add.reduce(t1) / len(x))
 
 
 def _grads(model, x, y, r, ws: _Workspace) -> float:
     """Analytic gradients of the penalized NLL, written into the workspace.
 
     Fills ws.g_w, ws.g_b, ws.g_tp and ws.g_ty and returns the penalized
-    loss.
+    loss.  The last layer is linear and the head is one vector, so the
+    head activation a = phi theta_phi = h (W theta_phi) + b . theta_phi on
+    the last hidden output h, and with da = d loss / d a the last layer's
+    gradients are rank one: g_W = (h^T da) theta_phi^T, g_b = (sum da)
+    theta_phi, g_theta_phi = W^T (h^T da) + (sum da) b, and d loss / d h =
+    da (W theta_phi)^T.
     """
     n = len(x)
-    nll = _loss_terms(model, x, y, r, ws)
-    phi, mu, var = ws.pre[-1], ws.mu, ws.var
-    # d loss / d a = -(e * r) / n   (per sample)
-    da = np.multiply(ws.e, r, out=ws.da)
-    np.negative(da, out=da)
-    da /= n
-    np.matmul(da, phi, out=ws.g_tp)
-    ws.g_tp += model.lam * np.sign(model.theta_phi)
-    # d loss / d theta_y = mean_i r_i (y^2 - mu^2 - var) + lam
+    weights, biases = model.net.weights, model.net.biases
+    last = len(weights) - 1
+    head = model.theta_phi
+    h = x
+    for i in range(last):
+        z = np.matmul(h, weights[i], out=ws.pre[i])
+        z += biases[i]
+        h = np.maximum(z, 0.0, out=ws.act[i])
+    w_head = weights[last] @ head
+    a = np.matmul(h, w_head, out=ws.a)
+    a += float(biases[last] @ head)
+    mu, var = _predictive(model, r, model.theta_y, a, out=(ws.mu, ws.var))
+    e = np.subtract(y, mu, out=ws.e)
+    # data NLL: 0.5 log(2 pi var) + e^2 / (2 var), mean over rows
+    t1 = np.multiply(2.0 * math.pi, var, out=ws.t1)
+    np.log(t1, out=t1)
+    t1 *= 0.5
+    t2 = np.multiply(e, e, out=ws.t2)
+    t2 /= np.multiply(2.0, var, out=ws.da)
+    t1 += t2
+    nll = float(np.add.reduce(t1)) / n
+    # d loss / d theta_y = mean_i r_i (y^2 - mu^2 - var) + lam; like the
+    # NLL, a sum of one vector, where a dot with ones saves no time
     moment = np.multiply(y, y, out=ws.t1)
     moment -= np.multiply(mu, mu, out=ws.t2)
     moment -= var
     moment *= r
-    np.add.reduce(moment, out=ws.g_ty)
-    ws.g_ty /= n
-    ws.g_ty += model.lam * np.sign(model.theta_y)
-    weights = model.net.weights
-    last = len(weights) - 1
-    # gradient on the feature output, then on each hidden output
-    dh = np.multiply(da[:, None], model.theta_phi, out=ws.dh[last])
-    for i in range(last, -1, -1):
-        if i < last:
-            dh *= np.greater(ws.pre[i], 0, out=ws.mask[i])
+    ws.g_ty = float(np.add.reduce(moment)) / n + model.lam * float(np.sign(model.theta_y))
+    # d loss / d a = -(e * r) / n   (per sample)
+    da = np.multiply(e, r, out=ws.da)
+    np.negative(da, out=da)
+    da /= n
+    # the last layer, rank one
+    h_da, da_sum = da @ h, float(ws.ones @ da)
+    np.multiply.outer(h_da, head, out=ws.g_w[last])
+    np.multiply(da_sum, head, out=ws.g_b[last])
+    np.matmul(h_da, weights[last], out=ws.g_tp)
+    ws.g_tp += da_sum * biases[last]
+    ws.g_tp += model.lam * np.sign(head)
+    # gradient on each hidden output
+    dh = np.multiply.outer(da, w_head, out=ws.dh[last - 1])
+    for i in range(last - 1, -1, -1):
+        dh *= np.greater(ws.pre[i], 0, out=ws.mask[i])
         h_in = x if i == 0 else ws.act[i - 1]
         np.matmul(h_in.T, dh, out=ws.g_w[i])
-        np.add.reduce(dh, axis=0, out=ws.g_b[i])
+        np.matmul(ws.ones, dh, out=ws.g_b[i])
         if i > 0:
-            dh = np.matmul(dh, weights[i].T, out=ws.dh[i - 1])
-    penalty = model.lam * (np.abs(model.theta_phi).sum() + abs(model.theta_y))
+            np.copyto(ws.w_t[i], weights[i].T)
+            dh = np.matmul(dh, ws.w_t[i], out=ws.dh[i - 1])
+    penalty = model.lam * (np.abs(head).sum() + abs(model.theta_y))
     return nll + float(penalty)
 
 
@@ -573,7 +590,6 @@ def fit(
     log_floor = math.log(THETA_Y_FLOOR)
     log_ceil = math.log(THETA_Y_CEIL)
     ws = _Workspace(net, len(x))
-    squares, sq = _flat_buffer(net)
     power_cache: list = [None] * n_layers
 
     for epoch in range(config.epochs):
@@ -581,15 +597,15 @@ def fit(
         loss = _grads(model, x, y, r, ws)
         if not math.isfinite(loss):
             raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
-        # log-space theta_y gradient, then global-norm clipping
-        np.multiply(ws.g_ty, theta_y, out=ws.g_sy)
-        ws.g_sy *= THETA_Y_LR_MULT
-        np.multiply(ws.grad, ws.grad, out=squares)
-        total = math.sqrt(sum(float(np.add.reduce(g, axis=None)) for g in sq))
+        # log-space theta_y gradient, then global-norm clipping: the
+        # squared norm is one dot of the flat gradient with itself
+        ws.g_sy[...] = ws.g_ty * float(theta_y) * THETA_Y_LR_MULT
+        total = math.sqrt(float(ws.grad @ ws.grad))
         scale = 1.0 if total <= CLIP_NORM else CLIP_NORM / total
         ws.grad *= lr * scale
         params -= ws.grad
-        np.clip(s_y, log_floor, log_ceil, out=s_y)
+        # log theta_y is clipped as a float
+        s_y[...] = min(max(float(s_y), log_floor), log_ceil)
         np.exp(s_y, out=theta_y)
         spectral_normalize(model.net, power_cache)
 

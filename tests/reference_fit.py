@@ -2,9 +2,17 @@
 
 A copy of the allocating gradient-descent loop of
 `robust_regression.fit` (a new FeatureNet and RobustModel on every step)
-with the `_grads`, `_loss_terms`, `_predictive` and `_normalize_warm` it
-ran, and the numpy-scalar coordinate-descent lasso of `_solve_heads`,
-which only the lasso test runs.
+with the `_grads`, `_predictive` and `_normalize_warm` it runs, and the
+numpy-scalar coordinate-descent lasso of `_solve_heads`, which only the
+lasso test runs.
+Its `_grads` has the shipped step's formulas: the head folded into the
+linear last layer, whose gradients are rank one, so it never forms the
+features phi; the bias gradients and the sum of da as dots with a vector
+of ones; the clip norm as one dot of the concatenated gradient with
+itself; and log theta_y clipped as a float.  `_grads_feature_form` keeps
+the gradient backpropagated through phi, as if the head were a general
+output layer, with the `_loss_terms` it reads; the gradient tests compare
+the two forms.
 Its first normalization, at the start of a fit, is `_normalize_warm`
 with an all-None cache.
 Its mini-batch, frozen-net and cold-start branches are gone with the
@@ -108,8 +116,9 @@ def _loss_terms(model, x, y, r):
     return nll, phi, pre, a, var, mu, e
 
 
-def _grads(model, x, y, r):
-    """Analytic gradients of the penalized NLL w.r.t. every parameter group."""
+def _grads_feature_form(model, x, y, r):
+    """Analytic gradients of the penalized NLL, backpropagated through the
+    features phi as if the head were a general output layer."""
     n = len(x)
     nll, phi, pre, a, var, mu, e = _loss_terms(model, x, y, r)
     # d loss / d a = -(e * r) / n   (per sample)
@@ -128,6 +137,49 @@ def _grads(model, x, y, r):
         h_in = x if i == 0 else np.maximum(pre[i - 1], 0.0)
         g_weights[i] = h_in.T @ dz
         g_biases[i] = dz.sum(axis=0)
+        if i > 0:
+            dh = dz @ ws[i].T
+    penalty = model.lam * (np.abs(model.theta_phi).sum() + abs(model.theta_y))
+    return nll + float(penalty), g_weights, g_biases, g_theta_phi, g_theta_y
+
+
+def _grads(model, x, y, r):
+    """The same gradients with the head folded into the linear last layer.
+
+    a = h (W theta_phi) + b . theta_phi on the last hidden output h, so the
+    last layer's gradients are rank one and phi is never formed; each sum
+    over rows is a dot with a vector of ones.
+    """
+    n = len(x)
+    ones = np.ones(n)
+    ws, bs = model.net.weights, model.net.biases
+    last = len(ws) - 1
+    pre, h = [], x
+    for i in range(last):
+        pre.append(h @ ws[i] + bs[i])
+        h = np.maximum(pre[i], 0.0)
+    w_head = ws[last] @ model.theta_phi
+    a = h @ w_head + float(bs[last] @ model.theta_phi)
+    mu, var = _predictive(model, r, model.theta_y, a)
+    e = y - mu
+    nll = float(np.mean(0.5 * np.log(2.0 * math.pi * var) + e * e / (2.0 * var)))
+    # d loss / d theta_y = mean_i r_i (y^2 - mu^2 - var) + lam
+    moment = r * (y * y - mu * mu - var)
+    g_theta_y = float(moment.mean()) + model.lam * float(np.sign(model.theta_y))
+    # d loss / d a = -(e * r) / n   (per sample)
+    da = -(e * r) / n
+    h_da, da_sum = da @ h, float(ones @ da)
+    g_weights = [None] * len(ws)
+    g_biases = [None] * len(ws)
+    g_weights[last] = np.outer(h_da, model.theta_phi)
+    g_biases[last] = da_sum * model.theta_phi
+    g_theta_phi = h_da @ ws[last] + da_sum * bs[last] + model.lam * np.sign(model.theta_phi)
+    dh = np.outer(da, w_head)  # (n, width) gradient on the last hidden output
+    for i in range(last - 1, -1, -1):
+        dz = dh * (pre[i] > 0)
+        h_in = x if i == 0 else np.maximum(pre[i - 1], 0.0)
+        g_weights[i] = h_in.T @ dz
+        g_biases[i] = ones @ dz
         if i > 0:
             dh = dz @ ws[i].T
     penalty = model.lam * (np.abs(model.theta_phi).sum() + abs(model.theta_y))
@@ -212,7 +264,7 @@ def fit(
 
     log_floor = math.log(rr.THETA_Y_FLOOR)
     log_ceil = math.log(THETA_Y_CEIL)
-    s_y = np.log(model.theta_y)
+    s_y = float(np.log(model.theta_y))
     power_cache: list = [None] * len(model.net.weights)
 
     for epoch in range(config.epochs):
@@ -221,13 +273,14 @@ def fit(
         if not math.isfinite(loss):
             raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
         # log-space theta_y gradient, then global-norm clipping
-        g_sy = g_ty * model.theta_y * rr.THETA_Y_LR_MULT
-        total = math.sqrt(sum(float(np.sum(g * g)) for g in (*g_w, *g_b, g_tp, g_sy)))
+        g_sy = g_ty * float(model.theta_y) * rr.THETA_Y_LR_MULT
+        flat = np.concatenate([g.ravel() for g in (*g_w, *g_b, g_tp)] + [[g_sy]])
+        total = math.sqrt(float(flat @ flat))
         scale = 1.0 if total <= rr.CLIP_NORM else rr.CLIP_NORM / total
         step = lr * scale
 
         theta_phi = model.theta_phi - step * g_tp
-        s_y = np.clip(s_y - step * g_sy, log_floor, log_ceil)
+        s_y = min(max(s_y - step * g_sy, log_floor), log_ceil)
         new_w = tuple(w - step * g for w, g in zip(model.net.weights, g_w))
         new_b = tuple(b - step * g for b, g in zip(model.net.biases, g_b))
         new_net = _normalize_warm(FeatureNet(new_w, new_b), power_cache)

@@ -10,8 +10,10 @@ changed value even where it changes no decision.
 
 The files hold only under the conditions they were made in: the same
 numpy and BLAS build, and 1 BLAS thread, which the child interpreters
-pin (the thread count alone moves the low bits).  A change that alters
-decisions on purpose regenerates them with
+pin: the thread count alone moves the low bits of the GP runs.  The
+robust runs are made a second time at 2 BLAS threads and must reproduce
+the same files.  A change that alters decisions on purpose regenerates
+them with
 
     python tests/test_golden_runs.py
 
@@ -43,17 +45,18 @@ RUNS = {
 }
 # two child interpreters run concurrently, each making its runs in turn
 CHILDREN = (("pendulum", "landing_gp_matern"), ("landing", "landing_gp_rbf"))
-ONE_BLAS_THREAD = {
-    name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-}
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# the runs whose files do not depend on the BLAS thread count
+ROBUST_RUNS = ("pendulum", "landing")
 
 
-def _run_all(out_root: Path) -> None:
-    """Make every run of RUNS into out_root/<name>."""
+def _run_all(out_root: Path, names=tuple(RUNS), threads: int = 1) -> None:
+    """Make the named runs of RUNS into out_root/<name> at `threads` BLAS threads."""
+    blas = {var: str(threads) for var in BLAS_THREAD_VARS}
     children = []
-    for names in CHILDREN:
+    for group in CHILDREN:
         argvs = []
-        for name in names:
+        for name in (name for name in group if name in names):
             task, extra = RUNS[name]
             cfg = out_root / f"{name}.json"
             cfg.write_text(json.dumps({"task": task, "episodes": 3, "seed": 0}))
@@ -66,7 +69,7 @@ def _run_all(out_root: Path) -> None:
             "        sys.exit(1)\n"
         )
         children.append(subprocess.Popen(
-            [sys.executable, "-c", code], env={**os.environ, **ONE_BLAS_THREAD},
+            [sys.executable, "-c", code], env={**os.environ, **blas},
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
         ))
     try:
@@ -82,20 +85,29 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest() + "\n"
 
 
-def test_seed0_runs_match_the_committed_outputs(tmp_path):
-    _run_all(tmp_path)
-    changed = [
+def _changed(out_root: Path, names) -> list[str]:
+    """The files of the named runs in out_root that differ from tests/golden/."""
+    return [
         f"{name}/{file}"
-        for name in RUNS
+        for name in names
         for file in FILES
-        if (tmp_path / name / file).read_bytes() != (GOLDEN / name / file).read_bytes()
+        if (out_root / name / file).read_bytes() != (GOLDEN / name / file).read_bytes()
     ] + [
         f"{name}/{file}"
-        for name in RUNS
+        for name in names
         for file in DIGESTED
-        if _digest(tmp_path / name / file) != (GOLDEN / name / f"{file}.sha256").read_text()
+        if _digest(out_root / name / file) != (GOLDEN / name / f"{file}.sha256").read_text()
     ]
-    assert changed == []
+
+
+def test_seed0_runs_match_the_committed_outputs(tmp_path):
+    _run_all(tmp_path)
+    assert _changed(tmp_path, RUNS) == []
+
+
+def test_robust_runs_at_two_blas_threads_match_the_committed_outputs(tmp_path):
+    _run_all(tmp_path, ROBUST_RUNS, threads=2)
+    assert _changed(tmp_path, ROBUST_RUNS) == []
 
 
 if __name__ == "__main__":

@@ -292,6 +292,33 @@ def test_fit_matches_allocating_reference_bit_for_bit(case, monkeypatch):
     _assert_models_identical(got, want)
 
 
+@pytest.mark.parametrize("case", ["base", "warm"])
+def test_rank_one_gradient_matches_the_feature_form(case):
+    """The step's gradient, with the head folded into the last layer, equals
+    the gradient backpropagated through the features phi, group by group.
+
+    The warm model is fitted on the first 40 rows, so on all 60 it sits
+    where a warm-started retrain takes its first step: off the theta_y
+    root the closing solve put it on.
+    """
+    ds, src, trg = _shift_problem()
+    x, y, r = ds.inputs, ds.targets, density_ratio(src, trg, ds.inputs)
+    model = _base(6, 0.5)
+    if case == "warm":
+        first = Dataset(x[:40], y[:40])
+        model = fit(first, kde_fit(first.inputs), trg, TrainConfig(epochs=40, lam=LAM), init=model)
+        assert np.count_nonzero(model.theta_phi) and model.theta_y > 0
+    ws = rr._Workspace(model.net, len(x))
+    loss = rr._grads(model, x, y, r, ws)
+    want_loss, g_w, g_b, g_tp, g_ty = reference_fit._grads_feature_form(model, x, y, r)
+    got = [*ws.g_w, *ws.g_b, ws.g_tp, ws.g_ty]
+    want = [*g_w, *g_b, g_tp, g_ty]
+    assert len(got) == len(want) == 2 * len(model.net.weights) + 2
+    for g, w in zip(got, want):
+        assert np.linalg.norm(np.subtract(g, w)) <= 1e-10 * np.linalg.norm(w)
+    assert loss == pytest.approx(want_loss, rel=1e-12)
+
+
 def test_solve_heads_matches_numpy_scalar_reference():
     ds, src, trg = _shift_problem()
     model = fit(ds, src, trg, TrainConfig(epochs=40, lam=LAM), init=_base(6, 0.5))
