@@ -13,11 +13,11 @@ on cached densities: p_trg at most once per experiment on a candidate's
 grid, the first time the loop reaches it with a source KDE, and p_src on
 one candidate's grid at a time, each time the loop reaches it.
 That gives the candidate's w_hat and its r_min (its smallest clipped
-ratio on the certification points, which is all the robust certificate
-reads).  The controller reads one state at a time through `point_ratio`.
-It and `kde_density` compute every density with one kernel sum, so a
-state's density is the same float alone or in any batch (Silverman,
-Density Estimation for Statistics and Data Analysis, 1986, ch. 4).
+ratio on the grid, which is all the robust certificate reads).  The
+controller reads one state at a time through `point_ratio`.  It and
+`kde_density` compute every density with one kernel sum, so a state's
+density is the same float alone or in any batch (Silverman, Density
+Estimation for Statistics and Data Analysis, 1986, ch. 4).
 """
 
 from __future__ import annotations

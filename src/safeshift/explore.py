@@ -10,7 +10,8 @@ collects (state, residual) data along the actual rollout, and retrains.
 `run_episode` returns the episode's record, audit included.
 The robust learner's sigma_max is the closed form (1/sigma0_sq + 2
 theta_y r_min)^(-1/2) at the candidate's smallest clipped density ratio
-r_min; the GP's is the max posterior std on the certification points.
+r_min over every grid row; the GP's is the max posterior std on the
+candidate's target sample, the rows its target KDE is fit on.
 Episode 1 runs on the untrained base model, so its tube is driven purely
 by sigma0 and the loop starts conservative by construction.
 
@@ -20,17 +21,17 @@ owns (`robust_regression.std_at` and `mean_fn`, `gp_baseline.gp_mean_fn`,
 `density_ratio.point_ratio`).  Both expose the same surface, and the
 densities each call needs are passed in, not bound to the model:
 
-  eval_candidate(pts, r_min)         max predictive std on the candidate's
-                                     certification points pts (ratios >= r_min)
+  eval_candidate(cand, r_min)        max predictive std on the `Candidate`
+                                     cand, whose grid ratios are >= r_min
   d_hat_fn(src_kde, trg_kde)         the controller's compensation d_hat(q, qdot)
   retrain(dataset, src_kde, trg_kde)
   moment_residual()                  |the fit's stationarity residual|
 
 Scoring does each piece of work once, at the level where its inputs
 change.  The pool is fixed, so its selection order is computed once per
-experiment, and each candidate's grid, certification points, target KDE
-and p_trg on its grid at most once, when the walk first reads them
-(`Candidate`); a candidate no walk reaches gets none of them.
+experiment, and each candidate's grid, target KDE and p_trg on its
+grid at most once, when the walk first reads them (`Candidate`); a
+candidate no walk reaches gets none of them.
 The source density changes only when the dataset grows: it is fit once
 for the retrain and reused by the next episode, which evaluates p_src on
 the grid of each candidate it checks, and of no other.  So a candidate's
@@ -103,12 +104,12 @@ TASKS = {
     "pendulum": dict(
         candidates=PendulumPool(), safety=StateBox(),
         beta=0.5, sigma0_sq=0.5, gains=ControllerGains(1.0, 2.0), horizon=20.0,
-        train=rr.TrainConfig(epochs=300, lam=1e-3), cert_stride=4, first_fit_epochs=1500,
+        train=rr.TrainConfig(epochs=300, lam=1e-3), first_fit_epochs=1500,
     ),
     "landing": dict(
         candidates=LandingPool(), safety=TouchdownSpeed(),
         beta=1.0, sigma0_sq=1.0, gains=ControllerGains(3.2, 2.0), horizon=10.0,
-        train=rr.TrainConfig(epochs=500, lam=1e-4), cert_stride=6, first_fit_epochs=2000,
+        train=rr.TrainConfig(epochs=500, lam=1e-4), first_fit_epochs=2000,
     ),
 }
 
@@ -124,8 +125,10 @@ PLANTS = {"pendulum": PENDULUM, "landing": DRONE}
 # documented deviation from the idealized loop (1 is exact).  A fit sees
 # at most MAX_TRAIN_POINTS rows, the source KDE at most KDE_SRC_MAX and
 # each target KDE at most KDE_TRG_MAX samples, all thinned by even
-# stride.  A candidate whose worst estimated density ratio exceeds W_MAX
-# is not admitted, and so is neither scored nor certified.
+# stride.  A candidate's target sample is also the GP's certificate
+# sample: predicting on every grid row would cost the GP a measurable
+# share of its run.  A candidate whose worst estimated density ratio
+# exceeds W_MAX is not admitted, and so is neither scored nor certified.
 SIM_DT = 0.001
 TRAJ_DT = 0.01
 SAMPLE_STRIDE = 20
@@ -150,12 +153,12 @@ class ExperimentConfig:
     amplitudes and `StateBox`, or a drone's `LandingPool` of rates x
     hovers and `TouchdownSpeed`).  The task also fixes the `plant`.
 
-    `cert_stride` scans sigma on every k-th grid point, a documented
-    deviation from the idealized loop (1 is exact); the d_hat hold is the
-    other one, fixed at D_HAT_HOLD_STEPS.  The simulation and collection
-    rates, the data and KDE caps and the W_MAX screen are module
-    constants, as is the ratio's upper clip `density_ratio.R_HI`, since
-    no workload varies them; the robust prior is N(0, sigma0_sq), with
+    The robust certificate reads every grid row, the GP's its target
+    sample; the d_hat hold, fixed at D_HAT_HOLD_STEPS, is the robust
+    loop's one documented deviation from the idealized loop.  The
+    simulation and collection rates, the data and KDE caps and the W_MAX
+    screen are module constants, as is the ratio's upper clip
+    `density_ratio.R_HI`, since no workload varies them; the robust prior is N(0, sigma0_sq), with
     zero mean like the GP's.  `horizon` must be a multiple of TRAJ_DT,
     1.5 C^2 horizon finite for each landing rate C, the landing ground below
     LANDING_START - CONTACT_TOL (the start is not landed), and `gamma()` positive and finite.
@@ -173,7 +176,6 @@ class ExperimentConfig:
     candidates: PendulumPool | LandingPool
     safety: SafetySet
     train: rr.TrainConfig
-    cert_stride: int
     first_fit_epochs: int
     model_kind: str = "robust"
     gp: GpHyper = field(default_factory=GpHyper)
@@ -194,7 +196,7 @@ class ExperimentConfig:
         if self.sigma0_sq <= 0:
             raise ConfigError("sigma0_sq: must be positive")
         try:
-            n_steps = grid_steps(self.horizon, TRAJ_DT)
+            grid_steps(self.horizon, TRAJ_DT)
         except ValueError as exc:
             raise ConfigError(f"horizon: {exc}") from exc
         if self.task == "landing":
@@ -210,10 +212,6 @@ class ExperimentConfig:
             raise ConfigError("gains: the tube gain gamma is not positive and finite") from exc
         if self.model_kind not in MODEL_KINDS:
             raise ConfigError(f"model_kind: must be one of {MODEL_KINDS}")
-        if self.cert_stride < 1:
-            raise ConfigError("cert_stride: must be >= 1")
-        if self.cert_stride > n_steps:  # any such stride certifies only the grid's two ends
-            raise ConfigError(f"cert_stride: must be at most the grid's {n_steps} steps")
         if self.first_fit_epochs < 1:
             raise ConfigError("first_fit_epochs: must be >= 1")
 
@@ -256,32 +254,21 @@ def _selection_key(traj: DesiredTrajectory):
 class Candidate:
     """One pool candidate and its scoring state, each part computed when first read.
 
-    The grid, its certification rows (every `cert_stride`-th row, always
-    ending at the last) and points, the target KDE and its density p_trg
-    on the grid are each built on first read and kept for the
-    experiment.  `run_episode` reads them only for the candidates its
-    walk reaches, and p_trg only once a source KDE exists, so a
-    candidate no walk reaches costs nothing.
+    The grid, the target KDE (fit on at most KDE_TRG_MAX evenly spaced
+    grid rows, both ends included) and its density p_trg on the grid are
+    each built on first read and kept for the experiment.  `run_episode`
+    reads them only for the candidates its walk reaches, and p_trg only
+    once a source KDE exists, so a candidate no walk reaches costs
+    nothing.  The GP learner scores on the target KDE's samples once it
+    has a model, by which time the walk has built them.
     """
 
     traj: DesiredTrajectory
-    cert_stride: int
 
     @cached_property
     def grid(self) -> np.ndarray:
         """(n, 2) desired (q, qdot) grid."""
         return self.traj.grid_xy()
-
-    @cached_property
-    def cert_rows(self) -> np.ndarray:
-        """(n,) boolean mask of the grid rows certified."""
-        rows = np.arange(len(self.grid)) % self.cert_stride == 0
-        rows[-1] = True
-        return rows
-
-    @cached_property
-    def cert_pts(self) -> np.ndarray:
-        return self.grid[self.cert_rows]
 
     @cached_property
     def trg_kde(self) -> KdeModel:
@@ -293,12 +280,12 @@ class Candidate:
         return kde_density(self.trg_kde, self.grid)
 
 
-def build_pool_cache(pool: list[DesiredTrajectory], config: ExperimentConfig) -> tuple[Candidate, ...]:
+def build_pool_cache(pool: list[DesiredTrajectory]) -> tuple[Candidate, ...]:
     """The pool sorted by `_selection_key`, one `Candidate` each, nothing computed yet.
 
     The sort is stable, so candidates with equal keys keep pool order.
     """
-    return tuple(Candidate(traj, config.cert_stride) for traj in sorted(pool, key=_selection_key))
+    return tuple(Candidate(traj) for traj in sorted(pool, key=_selection_key))
 
 
 class RobustLearner:
@@ -313,8 +300,8 @@ class RobustLearner:
             lam=config.train.lam,
         )
 
-    def eval_candidate(self, pts, r_min):
-        """Max predictive std on pts: `rr.std_at` their smallest ratio."""
+    def eval_candidate(self, cand, r_min):
+        """Max predictive std on cand's grid: `rr.std_at` its smallest ratio."""
         return rr.std_at(self.model, r_min)
 
     def d_hat_fn(self, src_kde, trg_kde):
@@ -344,10 +331,11 @@ class GpLearner:
         self.kernel = kernel
         self.model: Optional[GpModel] = None
 
-    def eval_candidate(self, pts, r_min):
+    def eval_candidate(self, cand, r_min):
+        """Max posterior std on cand's target sample; the prior std before any data."""
         if self.model is None:
             return math.sqrt(self.cfg.gp.sigma_f_sq)
-        _, var = gp_predict(self.model, pts)
+        _, var = gp_predict(self.model, cand.trg_kde.samples)
         return float(np.sqrt(np.max(var)))
 
     def d_hat_fn(self, src_kde, trg_kde):
@@ -414,9 +402,9 @@ def run_episode(
     pool order, and no candidate after it is checked.  Each candidate the
     walk reaches gets one p_src evaluation on its grid, which gives w_hat
     (the largest p_trg / p_src there) and r_min (the smallest clipped
-    ratio on its certification points); both depend only on that grid and
-    the source KDE.  The W_MAX screen comes first: a candidate it rejects
-    gets no `eval_candidate` and no `certify_trajectory` call.
+    ratio there); both depend only on that grid and the source KDE.  The
+    W_MAX screen comes first: a candidate it rejects gets no
+    `eval_candidate` and no `certify_trajectory` call.
     `n_certified` is 1 when the episode flies and 0 when it does not.
     Returns the episode's record, flight audit included, with status "ok",
     "touchdown" (landing reached the ground, still a success),
@@ -439,9 +427,8 @@ def run_episode(
             w_hat = max_ratio(p_trg, p_src)
             if not w_hat <= W_MAX:  # a NaN w_hat is screened out too
                 continue
-            rows = cand.cert_rows
-            r_min = float(np.min(clipped_ratio(p_src[rows], p_trg[rows])))
-        sigma_max = learner.eval_candidate(cand.cert_pts, r_min)
+            r_min = float(np.min(clipped_ratio(p_src, p_trg)))
+        sigma_max = learner.eval_candidate(cand, r_min)
         eps_m = eps_m_from_sigma(sigma_max, config.beta)
         cert = certify_trajectory(cand.traj, gamma_val, eps_m, config.safety)
         if cert.safe:
@@ -518,7 +505,7 @@ def run_experiment(config: ExperimentConfig, learner=None) -> ExperimentResult:
     """
     if learner is None:
         learner = make_learner(config, np.random.default_rng(config.seed))
-    pool = build_pool_cache(config.pool(), config)
+    pool = build_pool_cache(config.pool())
 
     dataset = Dataset.empty()
     src_kde = None

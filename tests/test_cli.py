@@ -225,7 +225,7 @@ def test_nested_field_must_be_object(key, value, tmp_path, capsys):
         ({"safety": {"q_abs_max": "wide"}}, "safety"),
         ({"safety": {"q_abs_max": -1.0}}, "safety"),
         ({"episodes": "3"}, "episodes: expected int"),
-        ({"cert_stride": 1.5}, "cert_stride: expected int"),
+        ({"first_fit_epochs": 1.5}, "first_fit_epochs: expected int"),
         ({"beta": "0.5"}, "beta: expected float"),
         ({"horizon": True}, "horizon: expected float"),
         ({"train": {"epochs": 1.5}}, "train: epochs: expected int"),
@@ -256,9 +256,6 @@ def test_nested_field_must_be_object(key, value, tmp_path, capsys):
         ({"beta": 10**400}, "beta: expected a finite number"),
         ({"safety": {"q_abs_max": 10**400}}, "safety: q_abs_max: expected a finite number"),
         ({"pool": {"amplitudes": [10**400]}}, "pool: amplitudes: expected a finite number"),
-        # a stride past the grid's 200 steps certifies no more than its two ends
-        ({"cert_stride": 10**19}, "cert_stride: must be at most the grid's 200 steps"),
-        ({"cert_stride": 201}, "cert_stride: must be at most the grid's 200 steps"),
     ],
 )
 def test_malformed_field_value_names_field(extra, field_name, tmp_path, capsys):
@@ -272,11 +269,19 @@ def test_malformed_field_value_names_field(extra, field_name, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_cert_stride_of_the_whole_grid_runs(tmp_path):
-    # a stride of the grid's 200 steps certifies each candidate at its two ends
-    cfg = write_config(tmp_path / "cfg.json", {**SMALL_PENDULUM, "cert_stride": 200})
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-    assert json.loads((tmp_path / "o" / "manifest.json").read_text())["cert_stride"] == 200
+def test_config_and_old_manifest_setting_cert_stride_fail_loudly(tmp_path, capsys):
+    # the certificate reads every grid row, so the row stride it once took
+    # is no setting: a config, or a manifest written while it was one,
+    # that still sets it is rejected like any other unknown key
+    manifest = tmp_path / "manifest.json"
+    cli._write_manifest(manifest, SimpleNamespace(config=default_config("landing")))
+    old_manifest = {**json.loads(manifest.read_text()), "cert_stride": 6}
+    for name, payload in [("cfg.json", {**SMALL_PENDULUM, "cert_stride": 4}), ("manifest.json", old_manifest)]:
+        path = write_config(tmp_path / name, payload)
+        out = tmp_path / f"out_{name}"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "invalid configuration: config: unknown field(s) ['cert_stride']\n"
+        assert not out.exists()
 
 
 def test_negative_seed_flag_rejected(tmp_path, capsys):
@@ -569,7 +574,7 @@ def test_config_roundtrip_of_defaults(task):
 # the ExperimentConfig fields each task calibrates
 CALIBRATED = (
     "candidates", "safety", "beta", "sigma0_sq", "gains", "horizon", "train",
-    "cert_stride", "first_fit_epochs",
+    "first_fit_epochs",
 )
 
 

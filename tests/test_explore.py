@@ -24,6 +24,7 @@ from safeshift.density_ratio import (
 )
 from safeshift.dynamics import DRONE, PENDULUM
 from safeshift.explore import (
+    Candidate,
     ConfigError,
     GpLearner,
     RobustLearner,
@@ -39,8 +40,8 @@ from safeshift.gp_baseline import gp_predict
 class StubLearner:
     """Scripted sigma per candidate; no-op model hooks.
 
-    sigma_for is keyed by the pendulum amplitude C, read off the first
-    certification point: qdot_g(0) = C cos 0 = C exactly.
+    sigma_for is keyed by the candidate's parameter C, rounded to 10
+    digits (the pendulum's amplitude, the drone's descent rate).
     """
 
     def __init__(self, sigma_for=None, default=0.0):
@@ -48,8 +49,8 @@ class StubLearner:
         self.default = default
         self.retrain_calls = 0
 
-    def eval_candidate(self, pts, r_min):
-        key = round(float(pts[0, 1]), 10)
+    def eval_candidate(self, cand, r_min):
+        key = round(cand.traj.params["C"], 10)
         return float(self.sigma_for.get(key, self.default))
 
     def d_hat_fn(self, src_kde, trg_kde):
@@ -77,7 +78,7 @@ def tube02_config():
 def episode_one(cfg, learner, pool=None):
     """run_episode on cfg's pool (or `pool`) without data."""
     pool = cfg.pool() if pool is None else pool
-    return run_episode(build_pool_cache(pool, cfg), learner, None, cfg)
+    return run_episode(build_pool_cache(pool), learner, None, cfg)
 
 
 # -- config ---------------------------------------------------------------
@@ -110,9 +111,9 @@ def test_default_config_landing_values():
         (dict(beta=0.0), "beta"),
         (dict(sigma0_sq=-1.0), "sigma0_sq"),
         (dict(horizon=0.0), "horizon"),
-        (dict(cert_stride=2001), "cert_stride: must be at most the grid's 2000 steps"),
+        (dict(gains=ControllerGains(1.0, 1e-155)), "gains: the tube gain gamma is not positive"),
         (dict(model_kind="svm"), "model_kind"),
-        (dict(cert_stride=0), "cert_stride"),
+        (dict(horizon=1e308), "horizon: too long for the grid step 0.01"),
         (dict(seed=-1), "seed"),
         (dict(first_fit_epochs=0), "first_fit_epochs"),
         (dict(horizon=2.005), "horizon: must be a multiple of the grid step 0.01"),
@@ -325,8 +326,10 @@ def test_make_learner_kinds():
 def test_gp_learner_prior_sigma_and_zero_compensation():
     cfg = replace(default_config("pendulum"), model_kind="gp_rbf")
     learner = make_learner(cfg, np.random.default_rng(0))
-    sigma = learner.eval_candidate(cfg.pool()[0].grid_xy(), 1.0)
+    cand = Candidate(cfg.pool()[0])
+    sigma = learner.eval_candidate(cand, 1.0)
     assert sigma == pytest.approx(math.sqrt(cfg.gp.sigma_f_sq))
+    assert "trg_kde" not in vars(cand)  # no model, so no target sample is built
     assert learner.d_hat_fn(None, None)(0.3, -0.2) == 0.0
 
 
@@ -392,18 +395,6 @@ def test_robust_d_hat_matches_predicted_mean(hidden, monkeypatch):
 # -- the walk in selection order -----------------------------------------------
 
 
-def _cert_index(n, stride):
-    """Every stride-th of n grid points, ending at the last point."""
-    idx = list(range(0, n, stride))
-    if idx[-1] != n - 1:
-        idx.append(n - 1)
-    return idx
-
-
-def _cert_points(grid, stride):
-    return grid[_cert_index(len(grid), stride)]
-
-
 def _rank(seq, obj):
     """The position of obj itself (not an equal object) in seq."""
     return next(k for k, x in enumerate(seq) if x is obj)
@@ -416,7 +407,7 @@ def _landing_cache_and_source():
     g = np.random.default_rng(2)
     src_pts = np.concatenate([pool[k].grid_xy()[::7] for k in (0, 25, 50)])
     src = kde_fit(src_pts + g.normal(0.0, 0.05, src_pts.shape))
-    return cfg, build_pool_cache(pool, cfg), src
+    return cfg, build_pool_cache(pool), src
 
 
 def _walk_episodes(cfg, learner, monkeypatch, before):
@@ -445,19 +436,26 @@ def _full_scoring(cfg, learner, src_kde):
     Each candidate of cfg's pool is scored, in pool order, on its own grid
     with `kde_density`, as the walk does, so the bits match; the min is
     over (selection key, pool index, sigma_max, eps_m, rho, w_hat), None
-    when nothing is admitted.
+    when nothing is admitted.  The robust sigma is the closed form at the
+    grid's smallest clipped ratio, the GP's the largest posterior std on
+    the target sample the candidate's KDE is fit on.
     """
     admitted = []
     for k, traj in enumerate(cfg.pool()):
         grid = traj.grid_xy()
-        rows = _cert_index(len(grid), cfg.cert_stride)
+        target = subsample_rows(grid, explore.KDE_TRG_MAX)
         r_min = w_hat = 1.0
         if src_kde is not None:
-            p_trg = kde_density(kde_fit(subsample_rows(grid, explore.KDE_TRG_MAX)), grid)
+            p_trg = kde_density(kde_fit(target), grid)
             p_src = kde_density(src_kde, grid)
-            r_min = float(np.min(clipped_ratio(p_src[rows], p_trg[rows])))
+            r_min = float(np.min(clipped_ratio(p_src, p_trg)))
             w_hat = float(np.max(p_trg / np.maximum(p_src, DENSITY_FLOOR)))
-        sigma = type(learner).eval_candidate(learner, grid[rows], r_min)
+        if isinstance(learner, RobustLearner):
+            sigma = rr.std_at(learner.model, r_min)
+        elif learner.model is None:
+            sigma = math.sqrt(cfg.gp.sigma_f_sq)
+        else:
+            sigma = float(np.sqrt(np.max(gp_predict(learner.model, target)[1])))
         eps_m = eps_m_from_sigma(sigma, cfg.beta)
         cert = certify_trajectory(traj, cfg.gamma(), eps_m, cfg.safety)
         if cert.safe and w_hat <= explore.W_MAX:
@@ -506,9 +504,9 @@ def test_walk_stops_at_the_first_admitted_candidate(task, monkeypatch):
         checks[-1].append(("cert", traj))
         return real_cert(traj, *args)
 
-    def sigma_spy(pts, r_min):
-        checks[-1].append(("sigma", pts))
-        return real_sigma(pts, r_min)
+    def sigma_spy(cand, r_min):
+        checks[-1].append(("sigma", cand))
+        return real_sigma(cand, r_min)
 
     monkeypatch.setattr(explore, "kde_density", kde_spy)
     monkeypatch.setattr(explore, "certify_trajectory", cert_spy)
@@ -526,7 +524,7 @@ def test_walk_stops_at_the_first_admitted_candidate(task, monkeypatch):
         f = next(k for k, cand in enumerate(pool) if cand.traj.params == rec.params)
         seen = {
             "p_src": [cand.grid for cand in pool],
-            "sigma": [cand.cert_pts for cand in pool],
+            "sigma": list(pool),
             "cert": [cand.traj for cand in pool],
         }
         ranks = {step: [_rank(seen[step], obj) for s, obj in calls if s == step] for step in seen}
@@ -542,7 +540,7 @@ def test_walk_without_an_admissible_candidate_checks_each_candidate_once(monkeyp
     # each candidate in selection order: p_src, its target density (a
     # fresh cache, so built here), sigma, the certificate
     cfg = tube02_config()
-    cache = build_pool_cache(cfg.pool(), cfg)
+    cache = build_pool_cache(cfg.pool())
     src = kde_fit(np.concatenate([cand.grid for cand in cache]))  # every candidate within W_MAX
     calls = []
     monkeypatch.setattr(explore, "kde_density", lambda kde, x: calls.extend((kde, x)) or kde_density(kde, x))
@@ -551,10 +549,10 @@ def test_walk_without_an_admissible_candidate_checks_each_candidate_once(monkeyp
     )
     learner = StubLearner(default=50.0)
     real_sigma = learner.eval_candidate
-    learner.eval_candidate = lambda pts, r_min: calls.append(pts) or real_sigma(pts, r_min)
+    learner.eval_candidate = lambda cand, r_min: calls.append(cand) or real_sigma(cand, r_min)
     out = run_episode(cache, learner, src, cfg)
     assert out.status == "no_safe_candidate" and out.n_certified == 0
-    want = [obj for c in cache for obj in (src, c.grid, c.trg_kde, c.grid, c.cert_pts, c.traj)]
+    want = [obj for c in cache for obj in (src, c.grid, c.trg_kde, c.grid, c, c.traj)]
     assert len(calls) == len(want) and all(a is b for a, b in zip(calls, want))
 
 
@@ -563,48 +561,57 @@ def test_pool_cache_is_in_selection_order_with_ties_in_pool_order():
     # a candidate listed twice, the first listing stays first
     cfg = tube02_config()
     first, second = cfg.pool(), cfg.pool()
-    cache = build_pool_cache(first + second, cfg)
+    cache = build_pool_cache(first + second)
     assert [id(cand.traj) for cand in cache] == [id(t) for k in (2, 1, 0) for t in (first[k], second[k])]
 
 
 def test_episode_one_inputs_have_unit_ratios():
-    # nothing certifies, so every candidate is scored at r = 1 on its
-    # certification points, in selection order (the largest amplitude first)
+    # nothing certifies, so every candidate is scored at r = 1, in
+    # selection order (the largest amplitude first)
     cfg = tube02_config()
     scored = []
     learner = StubLearner(default=50.0)
     real_sigma = learner.eval_candidate
-    learner.eval_candidate = lambda pts, r_min: scored.append((pts, r_min)) or real_sigma(pts, r_min)
+    learner.eval_candidate = lambda cand, r_min: scored.append((cand, r_min)) or real_sigma(cand, r_min)
     episode_one(cfg, learner)
     assert [r for _, r in scored] == [1.0] * 3
-    for traj, (pts, _) in zip(reversed(cfg.pool()), scored):
-        np.testing.assert_array_equal(pts, _cert_points(traj.grid_xy(), cfg.cert_stride))
+    assert [cand.traj.params for cand, _ in scored] == [traj.params for traj in reversed(cfg.pool())]
 
 
-def test_certification_points_are_built_once_per_experiment():
+def test_certification_points_are_built_once_per_experiment(monkeypatch):
+    # a GP with a model predicts on each candidate's target sample: the
+    # samples of its cached target KDE, the same array in every episode
     cfg, cache, src = _landing_cache_and_source()
-    scored = []
-    learner = StubLearner(default=50.0)
-    real_sigma = learner.eval_candidate
-    learner.eval_candidate = lambda pts, r_min: scored.append(pts) or real_sigma(pts, r_min)
-    for src_kde in (None, src, src):
-        run_episode(cache, learner, src_kde, cfg)
-    assert len(scored) > len(cache)
-    assert all(any(p is cand.cert_pts for cand in cache) for p in scored)
+    cfg = replace(cfg, model_kind="gp_rbf")
+    learner = make_learner(cfg, np.random.default_rng(0))
+    x = np.concatenate([cache[k].grid[::50] for k in (0, 30)])
+    learner.retrain(Dataset(x, np.sin(x[:, 0])), None, None)
+    predicted = []
+    monkeypatch.setattr(explore, "gp_predict", lambda model, pts: predicted.append(pts) or gp_predict(model, pts))
+    for _ in range(3):
+        run_episode(cache, learner, src, cfg)
+    n = len(predicted) // 3
+    assert n > 1 and len(predicted) == 3 * n
+    assert all(a is b for a, b in zip(predicted, predicted[n:]))
+    targets = [cand.trg_kde.samples for cand in cache]
+    for pts in predicted[:n]:
+        grid = cache[_rank(targets, pts)].grid
+        np.testing.assert_array_equal(pts, subsample_rows(grid, explore.KDE_TRG_MAX))
 
 
 def test_robust_eval_candidate_constant_and_mixed():
-    cfg = replace(default_config("pendulum"), sigma0_sq=0.49)
+    cfg = replace(default_config("pendulum"), sigma0_sq=0.49, horizon=2.0)
     learner = RobustLearner(cfg, np.random.default_rng(2))
-    pts = np.column_stack([np.linspace(-1, 1, 50), np.zeros(50)])
+    cand = Candidate(cfg.pool()[-1])
+    pts = cand.grid
     # r = 1, theta_y = 0: sigma is sigma0 everywhere
-    assert learner.eval_candidate(pts, 1.0) == pytest.approx(0.7, rel=1e-12)
+    assert learner.eval_candidate(cand, 1.0) == pytest.approx(0.7, rel=1e-12)
 
-    # with ratios varying along the points, the max is attained at the min-r point
+    # with ratios varying along the grid, the max is attained at the min-r row
     learner.model = replace(learner.model, theta_y=np.float64(2.0))
     r = 0.1 + np.abs(pts[:, 0])
     r_min = float(np.min(r))
-    sigma_m = learner.eval_candidate(pts, r_min)
+    sigma_m = learner.eval_candidate(cand, r_min)
     assert sigma_m == pytest.approx(math.sqrt(1.0 / (1.0 / 0.49 + 2.0 * r_min * 2.0)), rel=1e-12)
     _, var = rr.predict(learner.model, pts, ratios=r)
     assert sigma_m == float(np.sqrt(np.max(var)))
@@ -613,41 +620,44 @@ def test_robust_eval_candidate_constant_and_mixed():
 @pytest.mark.parametrize("task", ["pendulum", "landing"])
 def test_robust_score_is_the_max_predicted_std_on_recorded_episodes(task, monkeypatch):
     # the closed form at r_min equals, bit for bit, the max of predict's
-    # variance on the certification points at their clipped ratios, and
-    # r_min is the smallest of those ratios, up to R_HI
+    # variance on every grid row at its clipped ratio, and r_min is the
+    # smallest of those ratios, up to R_HI
     cfg = default_config(task)
     cfg = replace(cfg, episodes=3, first_fit_epochs=100, train=replace(cfg.train, epochs=50))
     if task == "pendulum":
         cfg = replace(cfg, horizon=5.0)
-    scored = []  # (pool cache, src_kde, model, pts, r_min, sigma) per candidate scored
+    scored = []  # (src_kde, model, candidate, r_min, sigma) per candidate scored
 
     class Recorder(RobustLearner):
-        def eval_candidate(self, pts, r_min):
-            sigma = super().eval_candidate(pts, r_min)
-            scored.append((*ahead[-1], self.model, pts, r_min, sigma))
+        def eval_candidate(self, cand, r_min):
+            sigma = super().eval_candidate(cand, r_min)
+            scored.append((ahead[-1], self.model, cand, r_min, sigma))
             return sigma
 
     learner = Recorder(cfg, np.random.default_rng(cfg.seed))
     ahead = []
-    _walk_episodes(cfg, learner, monkeypatch, lambda pool, src: ahead.append((pool, src)))
-    assert ahead[0][1] is None
+    _walk_episodes(cfg, learner, monkeypatch, lambda pool, src: ahead.append(src))
+    assert ahead[0] is None
 
-    all_r = []
-    for cache, src, model, pts, r_min, sigma in scored:
-        cand = cache[_rank([c.cert_pts for c in cache], pts)]
-        rows = cand.cert_rows
-        r = np.ones(len(pts))
+    all_r, argmins = [], []
+    for src, model, cand, r_min, sigma in scored:
+        grid = cand.grid
+        r = np.ones(len(grid))
         if src is not None:
-            r = clipped_ratio(kde_density(src, cand.grid)[rows], cand.p_trg[rows])
-            np.testing.assert_array_equal(r, density_ratio(src, cand.trg_kde, pts))
-        _, var = rr.predict(model, pts, ratios=r)
+            r = clipped_ratio(kde_density(src, grid), cand.p_trg)
+            np.testing.assert_array_equal(r, density_ratio(src, cand.trg_kde, grid))
+            argmins.append((int(np.argmin(r)), len(grid)))
+        _, var = rr.predict(model, grid, ratios=r)
         assert r_min == float(np.min(r))
         assert sigma == float(np.sqrt(np.max(var)))
         all_r.append(r)
-    assert scored[-1][2].theta_y > 0
+    assert scored[-1][1].theta_y > 0
     assert len({r_min for *_, r_min, _ in scored}) > 2
     all_r = np.concatenate(all_r)
     assert np.all(all_r >= 0.0) and np.any(all_r < R_HI)
+    # some smallest ratio lies on a row that reading every 6th row (and
+    # the last) would have missed
+    assert any(k % 6 and k != n - 1 for k, n in argmins)
 
 
 def test_target_kdes_fit_once_per_experiment(monkeypatch):

@@ -171,6 +171,9 @@ def test_analytic_gradients_match_finite_differences(rng, monkeypatch):
     monkeypatch.setattr(rr, "HIDDEN", (8, 8))
     monkeypatch.setattr(rr, "FEATURE_DIM", 5)
     net = feature_net_init(np.random.default_rng(11))
+    # nonzero biases, so every term a bias multiplies (b3 in g_theta_phi
+    # among them) reaches the loss; feature_net_init's biases are zero
+    net = FeatureNet(net.weights, tuple(rng.normal(0.0, 0.3, b.shape) for b in net.biases))
     model = initial_model(1.0, net=net, lam=LAM)
     # keep every parameter away from the |.| kink so FD is well defined
     model = replace(
