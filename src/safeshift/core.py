@@ -332,20 +332,22 @@ class Dataset:
 
 @dataclass
 class EpisodeRecord:
-    """Per-episode log row emitted by the exploration loop."""
+    """One `episodes.csv` row; an episode that flies nothing keeps the defaults."""
 
-    episode: int
+    episode: int  # 1-based episode number
     status: str  # "ok", "touchdown", "no_safe_candidate", "diverged"
-    params: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)  # the flown candidate's parameters
     cost: float = math.nan  # candidate cost at selection time
     realized_cost: float = math.nan  # cost realized by the tracked rollout
-    sigma_max: float = math.nan
-    eps_m: float = math.nan
-    tube_radius: float = math.nan
+    sigma_max: float = math.nan  # the learner's largest predictive std on the candidate
+    eps_m: float = math.nan  # residual-error budget beta * sigma_max
+    tube_radius: float = math.nan  # certified tube radius rho = gamma * eps_m
     n_certified: int = 0  # 1 when the episode flies a certified candidate, else 0
-    n_train: int = 0
-    rms_tracking: float = math.nan
-    rms_residual_error: float = math.nan
-    w_hat: float = math.nan
+    n_train: int = 0  # rows the episode's retrain fit on (rows held, if no retrain)
+    rms_tracking: float = math.nan  # RMS of the tracking error ||x_tilde|| over the flight
+    rms_residual_error: float = math.nan  # RMS of d - d_hat over the flight
+    w_hat: float = math.nan  # largest estimated p_trg / p_src on the candidate's grid
+    # the retrain's theta_y first-order residual mean(r (y^2 - mu^2 - sigma^2)) + lam:
+    # ~0 at a root, >= 0 when theta_y's floor binds, < 0 at its ceiling; NaN for a GP
     moment_residual: float = math.nan
-    violation: bool = False
+    violation: bool = False  # the flight left the safety set

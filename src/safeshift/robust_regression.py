@@ -21,11 +21,12 @@ gradients.  The net's last layer is linear, so a training step folds the
 head into it, theta_phi . phi(x) = h(x) . (W theta_phi) + b . theta_phi
 on the last hidden output h(x), and never forms phi: the last layer's
 gradients are rank one.  On the features it learned, the head and
-theta_y are then solved exactly: a lasso picks the head's support, the
-unpenalized head on it is profiled out, and a scalar Newton root sets
-theta_y so that the stationarity condition
-mean_i r_i (y_i^2 - mu_i^2 - sigma_i^2) = -lambda holds to solver
-precision.
+theta_y are then solved exactly, on one forward pass: a lasso picks the
+head's support, the unpenalized head on it is profiled out, and a scalar
+Newton root sets theta_y so that the stationarity condition
+mean_i r_i (y_i^2 - mu_i^2 - sigma_i^2) + lambda = 0 holds to solver
+precision.  The fit records that condition's value at the theta_y it
+returns as the model's moment_residual.
 """
 
 from __future__ import annotations
@@ -82,8 +83,9 @@ class TrainingDiverged(RuntimeError):
 class FeatureNet:
     """Fully connected ReLU feature extractor; the last layer is linear.
 
-    weights[i] has shape (in_i, out_i); spectral_normalize caps every
-    layer's spectral norm at SPECTRAL_CAP.
+    weights[i] has shape (in_i, out_i); spectral_normalize caps every layer's
+    power-iteration estimate of its spectral norm at SPECTRAL_CAP, which can
+    leave a layer a few percent over the cap (see there).
     """
 
     weights: tuple
@@ -140,12 +142,14 @@ def _power_iterate(w: np.ndarray, v: np.ndarray, iters: int, tol: float):
 
 
 def spectral_normalize(net: FeatureNet, cache: list) -> None:
-    """Rescale, in place, every weight matrix whose spectral norm exceeds SPECTRAL_CAP.
+    """Rescale, in place, every weight matrix whose spectral-norm estimate exceeds SPECTRAL_CAP.
 
-    cache[i] is the power iteration's start vector for layer i, replaced by
-    the right singular vector it converged to; None starts from the
-    normalized all-ones vector.  In training the weights drift a little per
-    step, so the previous step's vectors converge almost immediately.
+    The estimate, POWER_ITERS power iterations, can fall short of the norm, leaving a
+    rescaled matrix over the cap (72 of 600 feature_net_init layers, seeds 0-199, end
+    over 0.1 % above it, the worst 4.2 %).  cache[i] is the power iteration's start
+    vector for layer i, replaced by the right singular vector it converged to; None
+    starts from the normalized all-ones vector.  In training the weights drift a
+    little per step, so the previous step's vectors converge almost immediately.
     """
     for i, w in enumerate(net.weights):
         v = cache[i]
@@ -163,15 +167,17 @@ class RobustModel:
     theta_phi: (k,) linear head on the features; theta_y: the nonnegative
     precision tilt, a numpy float64.  The base model has both at zero,
     which reproduces N(0, sigma0_sq) everywhere; fitted models keep
-    theta_y at or above THETA_Y_FLOOR.  moment_residual is a fit's
-    stationarity residual mean(y^2 - mu^2 - sigma^2).
+    theta_y at or above THETA_Y_FLOOR.  moment_residual is the first-order
+    condition the fit's theta_y root solves, mean(r (y^2 - mu^2 - sigma^2))
+    + lam on the training rows and ratios, at the returned head and theta_y:
+    about 0 at an interior root, >= 0 where the floor binds, < 0 where the
+    root stops at the ceiling (not converged).  NaN on a base model.
     """
 
     net: FeatureNet
     theta_phi: np.ndarray
     theta_y: float
     sigma0_sq: float
-    lam: float
     converged: bool = True
     moment_residual: float = math.nan
 
@@ -202,15 +208,9 @@ class TrainConfig:
             raise ValueError("lam must be >= 0")
 
 
-def initial_model(sigma0_sq: float, *, net: FeatureNet, lam: float) -> RobustModel:
+def initial_model(sigma0_sq: float, *, net: FeatureNet) -> RobustModel:
     """Base model predicting N(0, sigma0_sq) at every input."""
-    return RobustModel(
-        net=net,
-        theta_phi=np.zeros(net.feature_dim),
-        theta_y=np.float64(0.0),
-        sigma0_sq=sigma0_sq,
-        lam=lam,
-    )
+    return RobustModel(net, np.zeros(net.feature_dim), np.float64(0.0), sigma0_sq)
 
 
 def _predictive(model: RobustModel, r: np.ndarray, theta_y, a=None, out=None):
@@ -324,8 +324,8 @@ class _Workspace:
         )
 
 
-def _grads(model, x, y, r, ws: _Workspace) -> float:
-    """Analytic gradients of the penalized NLL, written into the workspace.
+def _grads(model, x, y, r, ws: _Workspace, lam: float) -> float:
+    """Analytic gradients of the NLL with L1 weight lam, written into the workspace.
 
     Fills ws.g_w, ws.g_b, ws.g_tp and ws.g_ty and returns the penalized
     loss.  The last layer is linear and the head is one vector, so the
@@ -363,7 +363,7 @@ def _grads(model, x, y, r, ws: _Workspace) -> float:
     moment -= np.multiply(mu, mu, out=ws.t2)
     moment -= var
     moment *= r
-    ws.g_ty = float(np.add.reduce(moment)) / n + model.lam * float(np.sign(model.theta_y))
+    ws.g_ty = float(np.add.reduce(moment)) / n + lam * float(np.sign(model.theta_y))
     # d loss / d a = -(e * r) / n   (per sample)
     da = np.multiply(e, r, out=ws.da)
     np.negative(da, out=da)
@@ -374,7 +374,7 @@ def _grads(model, x, y, r, ws: _Workspace) -> float:
     np.multiply(da_sum, head, out=ws.g_b[last])
     np.matmul(h_da, weights[last], out=ws.g_tp)
     ws.g_tp += da_sum * biases[last]
-    ws.g_tp += model.lam * np.sign(head)
+    ws.g_tp += lam * np.sign(head)
     # gradient on each hidden output
     dh = np.multiply.outer(da, w_head, out=ws.dh[last - 1])
     for i in range(last - 1, -1, -1):
@@ -385,15 +385,8 @@ def _grads(model, x, y, r, ws: _Workspace) -> float:
         if i > 0:
             np.copyto(ws.w_t[i], weights[i].T)
             dh = np.matmul(dh, ws.w_t[i], out=ws.dh[i - 1])
-    penalty = model.lam * (np.abs(head).sum() + abs(model.theta_y))
+    penalty = lam * (np.abs(head).sum() + abs(model.theta_y))
     return nll + float(penalty)
-
-
-def _moment(model, x, y, r) -> float:
-    """The stationarity residual mean(y^2 - mu^2 - sigma^2) that a fit records;
-    mu and sigma use ratios r."""
-    mu, var = _predictive(model, r, model.theta_y, model.net.forward(x) @ model.theta_phi)
-    return float(np.mean(y * y - mu * mu - var))
 
 
 NEWTON_RTOL = 1e-12
@@ -445,36 +438,36 @@ LASSO_SWEEPS = 300
 LASSO_TOL = 1e-8
 
 
-def _solve_heads(model, x, y, r):
-    """Lasso head weights at the current net and theta_y; their support is
-    the set of features the closing solve keeps.
+def _normal_equations(phi, var, r, y):
+    """(G, b) on features phi (n, k): with mu = var r phi a the data term is stationary
+    in the head a at G a = b, G = phi^T diag(var r^2) phi / n and b = phi^T (r y) / n."""
+    n = len(phi)
+    return (phi * (var * (r * r))[:, None]).T @ phi / n, phi.T @ (r * y) / n
 
-    Given features and theta_y, the data term is weighted least squares in
-    the head: mu_i = v_i r_i a^T phi_i, so the penalized objective in a is
-    quadratic plus lam * ||a||_1.  Cyclic coordinate descent with soft
-    thresholding (deterministic sweep order) solves it.  Only the support
-    is used: `_closing_solve` refits the head without the penalty on it
-    (a relaxed lasso), because the soft-threshold shrinkage is not small
-    here -- the fitted variance scales the Gram matrix down, so a fixed lam
-    would otherwise bias the means by several percent.  A ridge proxy is
-    NOT used either: the random ReLU features are near-collinear and an L2
+
+def _solve_heads(g_mat, b_vec, start, lam):
+    """Lasso head weights on the normal equations (G, b) of `_normal_equations`,
+    from the head `start`; their support is the set of features the closing
+    solve keeps.
+
+    The penalized objective in the head a is a^T G a / 2 - b^T a +
+    lam * ||a||_1.  Cyclic coordinate descent with soft thresholding
+    (deterministic sweep order) solves it.  Only the support is used:
+    `_closing_solve` refits the head without the penalty on it (a relaxed
+    lasso), because the soft-threshold shrinkage is not small here -- the
+    fitted variance scales the Gram matrix down, so a fixed lam would
+    otherwise bias the means by several percent.  A ridge proxy is NOT
+    used either: the random ReLU features are near-collinear and an L2
     term strong enough to tame them visibly over-shrinks realizable
     structure.
     """
-    phi = model.net.forward(x)
-    n = len(x)
-    v = _predictive(model, r, model.theta_y)[1]
-    lam = model.lam
-    # stationarity: (G a - b)_j + lam sign(a_j) = 0 with
-    # G = (1/n) phi^T diag(v r^2) phi, b = (1/n) phi^T (r y)
-    g_mat = (phi * (v * r * r)[:, None]).T @ phi / n
-    b_vec = phi.T @ (r * y) / n
-    # Python floats for the scalar arithmetic (numpy scalars are slow);
-    # a_list mirrors a, which the row dots read.  row.dot(a) is the same
-    # BLAS ddot as g_mat[j] @ a, with less call overhead.
+    # stationarity: (G a - b)_j + lam sign(a_j) = 0.  Python floats for the
+    # scalar arithmetic (numpy scalars are slow); a_list mirrors a, which
+    # the row dots read.  row.dot(a) is the same BLAS ddot as g_mat[j] @ a,
+    # with less call overhead.
     diag, b_list = np.diag(g_mat).tolist(), b_vec.tolist()
     dots = [row.dot for row in g_mat]
-    a = model.theta_phi.copy()
+    a = start.copy()
     a_list = a.tolist()
     for _ in range(LASSO_SWEEPS):
         biggest = 0.0
@@ -499,45 +492,49 @@ def _solve_heads(model, x, y, r):
     return a
 
 
-def _closing_solve(model, x, y, r) -> RobustModel:
+def _closing_solve(model, x, y, r, lam) -> RobustModel:
     """The head and theta_y on fixed features: the model a fit returns.
 
-    The lasso at the current theta_y picks the support S.  On S the head
-    is profiled out: c(th) = lstsq(G(th), b) with G = phi_S^T diag(v r^2)
-    phi_S / n and b = phi_S^T (r y) / n, the unpenalized (debiased) refit,
-    min-norm where G is rank deficient.  theta_y is then the root of the
-    profiled first-order condition h(th) = mean(r (y^2 - mu^2 - v)) + lam.
-    For fixed features the Gaussian NLL is jointly convex in the natural
-    parameters (c, th), so h rises, and its slope is the Schur complement
-    F_thth - F_cth^T G^+ F_cth with F_thth = mean(2 r^2 v (2 mu^2 + v)) and
-    F_cth = -(2/n) phi_S^T (r^2 v mu).  converged is the root's verdict,
-    and the head is c at the root.
+    One forward pass gives the features phi.  The lasso at the current
+    theta_y picks the support S.  On S the head is profiled out: c(th) =
+    lstsq(G(th), b), the unpenalized (debiased) refit on the normal
+    equations of phi_S, min-norm where G is rank deficient.  theta_y is
+    then the root of the profiled first-order condition h(th) = mean(r (y^2
+    - mu^2 - v)) + lam.  For fixed features the Gaussian NLL is jointly
+    convex in the natural parameters (c, th), so h rises, and its slope is
+    the Schur complement F_thth - F_cth^T G^+ F_cth with F_thth = mean(2 r^2
+    v (2 mu^2 + v)) and F_cth = -(2/n) phi_S^T (r^2 v mu).  converged is
+    the root's verdict, the head is c at the root, and moment_residual is h
+    there.
     """
-    support = np.flatnonzero(np.abs(_solve_heads(model, x, y, r)) > 1e-12)
-    phi = model.net.forward(x)[:, support]
+    phi = model.net.forward(x)
+    normal = _normal_equations(phi, _predictive(model, r, model.theta_y)[1], r, y)
+    support = np.flatnonzero(np.abs(_solve_heads(*normal, model.theta_phi, lam)) > 1e-12)
+    phi = phi[:, support]
     n = len(x)
     r_sq, yy = r * r, y * y
-    b_vec = phi.T @ (r * y) / n
 
     def profile(th):
-        """(c, G, mu, v) with the head profiled out at theta_y = th."""
+        """(c, G, mu, v, h(th)) with the head profiled out at theta_y = th."""
         var = _predictive(model, r, th)[1]
-        g_mat = (phi * (var * r_sq)[:, None]).T @ phi / n
+        g_mat, b_vec = _normal_equations(phi, var, r, y)
         c = np.linalg.lstsq(g_mat, b_vec, rcond=None)[0]
-        return c, g_mat, _predictive(model, r, th, phi @ c)[0], var
+        mu = _predictive(model, r, th, phi @ c)[0]
+        return c, g_mat, mu, var, float(np.mean(r * (yy - mu * mu - var))) + lam
 
     def h(th):
-        _, g_mat, mu, var = profile(th)
+        _, g_mat, mu, var, value = profile(th)
         f_c = phi.T @ (r_sq * var * mu) * (-2.0 / n)
         f_thth = float(np.mean(2.0 * r_sq * var * (2.0 * mu * mu + var)))
         slope = f_thth - float(f_c @ np.linalg.lstsq(g_mat, f_c, rcond=None)[0])
-        return float(np.mean(r * (yy - mu * mu - var))) + model.lam, slope
+        return value, slope
 
     theta_y, converged = _newton_root(h, model.theta_y)
+    c, *_, residual = profile(theta_y)
     theta_phi = np.zeros(model.net.feature_dim)
-    theta_phi[support] = profile(theta_y)[0]
-    model = replace(model, theta_phi=theta_phi, theta_y=np.float64(theta_y), converged=converged)
-    return replace(model, moment_residual=_moment(model, x, y, r))
+    theta_phi[support] = c
+    return replace(model, theta_phi=theta_phi, theta_y=np.float64(theta_y),
+                   converged=converged, moment_residual=residual)
 
 
 def fit(
@@ -582,7 +579,6 @@ def fit(
         theta_phi=views[-2],
         theta_y=theta_y,
         sigma0_sq=init.sigma0_sq,
-        lam=config.lam,
     )
     # on the copy, so the caller's init keeps its weights
     spectral_normalize(model.net, [None] * n_layers)
@@ -594,7 +590,7 @@ def fit(
 
     for epoch in range(config.epochs):
         lr = LR * 0.5 * (1.0 + math.cos(math.pi * epoch / config.epochs))
-        loss = _grads(model, x, y, r, ws)
+        loss = _grads(model, x, y, r, ws, config.lam)
         if not math.isfinite(loss):
             raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
         # log-space theta_y gradient, then global-norm clipping: the
@@ -613,4 +609,4 @@ def fit(
     # scaling (mu carries a 1/sigma^2 factor, so calibrating theta_y keeps
     # moving the target the head chases).  Finish with the exact solve of
     # that convex block on the features gradient descent learned.
-    return _closing_solve(model, x, y, r)
+    return _closing_solve(model, x, y, r, config.lam)

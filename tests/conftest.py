@@ -59,7 +59,7 @@ def line_fit():
     inspect the same trained model and training is the slow part.
     """
     ds = _make_line_dataset()
-    base = rr.initial_model(1.0, net=rr.feature_net_init(np.random.default_rng(3)), lam=1e-3)
+    base = rr.initial_model(1.0, net=rr.feature_net_init(np.random.default_rng(3)))
     model = rr.fit(ds, None, None, rr.TrainConfig(epochs=800, lam=1e-3), init=base)
     true_mean = 2.0 * ds.inputs[:, 0]
     return model, ds, true_mean

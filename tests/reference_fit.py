@@ -19,9 +19,9 @@ Its mini-batch, frozen-net and cold-start branches are gone with the
 settings that selected them, and it has the package's one output: theta_phi
 a (k,) head and theta_y a scalar.
 It keeps the prior-mean term mu0/sigma0_sq of the predictive mean, at
-mu0 = 0.0, and the zero-head mean in `_solve_heads`, which the package
-leaves out: matching it bit for bit shows that leaving them out moves no
-float.
+mu0 = 0.0, which the package leaves out: matching it bit for bit shows
+that leaving it out moves no float.  The L1 weight lam is passed to each
+function, as the package passes it.
 The fixed settings (LR, CLIP_NORM, THETA_Y_FLOOR, THETA_Y_LR_MULT,
 SPECTRAL_CAP) are read from the package module at call time, so a test
 that patches one patches both fits.  The shipped code must reproduce it bit for bit; see
@@ -116,17 +116,17 @@ def _loss_terms(model, x, y, r):
     return nll, phi, pre, a, var, mu, e
 
 
-def _grads_feature_form(model, x, y, r):
+def _grads_feature_form(model, x, y, r, lam):
     """Analytic gradients of the penalized NLL, backpropagated through the
     features phi as if the head were a general output layer."""
     n = len(x)
     nll, phi, pre, a, var, mu, e = _loss_terms(model, x, y, r)
     # d loss / d a = -(e * r) / n   (per sample)
     da = -(e * r) / n
-    g_theta_phi = da @ phi + model.lam * np.sign(model.theta_phi)
+    g_theta_phi = da @ phi + lam * np.sign(model.theta_phi)
     # d loss / d theta_y = mean_i r_i (y^2 - mu^2 - var) + lam
     moment = r * (y * y - mu * mu - var)
-    g_theta_y = moment.mean() + model.lam * np.sign(model.theta_y)
+    g_theta_y = moment.mean() + lam * np.sign(model.theta_y)
     g_weights = [np.zeros_like(w) for w in model.net.weights]
     g_biases = [np.zeros_like(b) for b in model.net.biases]
     dh = np.outer(da, model.theta_phi)  # (n, k) gradient on the feature output
@@ -139,11 +139,11 @@ def _grads_feature_form(model, x, y, r):
         g_biases[i] = dz.sum(axis=0)
         if i > 0:
             dh = dz @ ws[i].T
-    penalty = model.lam * (np.abs(model.theta_phi).sum() + abs(model.theta_y))
+    penalty = lam * (np.abs(model.theta_phi).sum() + abs(model.theta_y))
     return nll + float(penalty), g_weights, g_biases, g_theta_phi, g_theta_y
 
 
-def _grads(model, x, y, r):
+def _grads(model, x, y, r, lam):
     """The same gradients with the head folded into the linear last layer.
 
     a = h (W theta_phi) + b . theta_phi on the last hidden output h, so the
@@ -165,7 +165,7 @@ def _grads(model, x, y, r):
     nll = float(np.mean(0.5 * np.log(2.0 * math.pi * var) + e * e / (2.0 * var)))
     # d loss / d theta_y = mean_i r_i (y^2 - mu^2 - var) + lam
     moment = r * (y * y - mu * mu - var)
-    g_theta_y = float(moment.mean()) + model.lam * float(np.sign(model.theta_y))
+    g_theta_y = float(moment.mean()) + lam * float(np.sign(model.theta_y))
     # d loss / d a = -(e * r) / n   (per sample)
     da = -(e * r) / n
     h_da, da_sum = da @ h, float(ones @ da)
@@ -173,7 +173,7 @@ def _grads(model, x, y, r):
     g_biases = [None] * len(ws)
     g_weights[last] = np.outer(h_da, model.theta_phi)
     g_biases[last] = da_sum * model.theta_phi
-    g_theta_phi = h_da @ ws[last] + da_sum * bs[last] + model.lam * np.sign(model.theta_phi)
+    g_theta_phi = h_da @ ws[last] + da_sum * bs[last] + lam * np.sign(model.theta_phi)
     dh = np.outer(da, w_head)  # (n, width) gradient on the last hidden output
     for i in range(last - 1, -1, -1):
         dz = dh * (pre[i] > 0)
@@ -182,30 +182,19 @@ def _grads(model, x, y, r):
         g_biases[i] = ones @ dz
         if i > 0:
             dh = dz @ ws[i].T
-    penalty = model.lam * (np.abs(model.theta_phi).sum() + abs(model.theta_y))
+    penalty = lam * (np.abs(model.theta_phi).sum() + abs(model.theta_y))
     return nll + float(penalty), g_weights, g_biases, g_theta_phi, g_theta_y
 
 
-def _solve_heads(model, x, y, r):
-    """Lasso head weights at the current net and theta_y.
+def _solve_heads(g_mat, b_vec, start, lam):
+    """Lasso head weights on the normal equations G a = b, from the head `start`.
 
-    Given features and theta_y, the data term is weighted least squares in
-    the head: mu_i = v_i (mu0/sigma0^2 + r_i a^T phi_i), so the penalized
-    objective in a is quadratic plus lam * ||a||_1, solved by cyclic
-    coordinate descent with soft thresholding (deterministic sweep order).
+    The penalized objective in a is a^T G a / 2 - b^T a + lam * ||a||_1,
+    solved by cyclic coordinate descent with soft thresholding
+    (deterministic sweep order), in numpy scalars.
     """
-    phi = model.net.forward(x)
-    n = len(x)
-    # the mean at a = 0 is the part of mu the heads do not move
-    base, v = _predictive(model, r, model.theta_y, np.zeros(n))
-    lam = model.lam
-    # stationarity: (G a - b)_j + lam sign(a_j) = 0 with
-    # G = (1/n) phi^T diag(v r^2) phi, b = (1/n) phi^T (r t)
-    g_mat = (phi * (v * r * r)[:, None]).T @ phi / n
-    t = y - base
-    b_vec = phi.T @ (r * t) / n
     diag = np.diag(g_mat).copy()
-    a = model.theta_phi.copy()
+    a = start.copy()
     for _ in range(LASSO_SWEEPS):
         biggest = 0.0
         for j in range(len(a)):
@@ -259,7 +248,6 @@ def fit(
         theta_phi=theta_phi,
         theta_y=theta_y,
         sigma0_sq=init.sigma0_sq,
-        lam=config.lam,
     )
 
     log_floor = math.log(rr.THETA_Y_FLOOR)
@@ -269,7 +257,7 @@ def fit(
 
     for epoch in range(config.epochs):
         lr = rr.LR * 0.5 * (1.0 + math.cos(math.pi * epoch / config.epochs))
-        loss, g_w, g_b, g_tp, g_ty = _grads(model, x, y, r)
+        loss, g_w, g_b, g_tp, g_ty = _grads(model, x, y, r, config.lam)
         if not math.isfinite(loss):
             raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
         # log-space theta_y gradient, then global-norm clipping
@@ -286,4 +274,4 @@ def fit(
         new_net = _normalize_warm(FeatureNet(new_w, new_b), power_cache)
         model = replace(model, net=new_net, theta_phi=theta_phi, theta_y=np.exp(s_y))
 
-    return _closing_solve(model, x, y, r)
+    return _closing_solve(model, x, y, r, config.lam)

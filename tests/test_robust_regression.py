@@ -31,7 +31,7 @@ LAM = 1e-3  # the L1 weight of the fits and base models below
 
 def test_zero_ratio_recovers_base_distribution():
     net = feature_net_init(np.random.default_rng(0))
-    model = replace(initial_model(2.0, net=net, lam=LAM), theta_phi=np.ones(net.feature_dim))
+    model = replace(initial_model(2.0, net=net), theta_phi=np.ones(net.feature_dim))
     model = replace(model, theta_y=np.float64(3.0))
     x = np.array([[0.3, -0.4], [1.0, 2.0]])
     mu, var = predict(model, x, ratios=np.zeros(2))
@@ -45,7 +45,7 @@ def test_off_the_data_the_std_and_mean_go_back_to_the_prior(sigma0_sq):
     g = np.random.default_rng(4)
     net = feature_net_init(g)
     model = replace(
-        initial_model(sigma0_sq, net=net, lam=LAM),
+        initial_model(sigma0_sq, net=net),
         theta_phi=g.normal(size=net.feature_dim),
         theta_y=np.float64(317.0),
     )
@@ -60,7 +60,7 @@ def test_predict_unit_example():
     x = np.array([[0.3, -0.2]])
     phi = net.forward(x)[0]
     scale = 3.0 / float(phi @ phi)
-    model = initial_model(1.0, net=net, lam=LAM)
+    model = initial_model(1.0, net=net)
     model = replace(model, theta_phi=scale * phi, theta_y=np.float64(1.0))
     mu, var = predict(model, x, ratios=np.array([1.0]))
     assert var[0] == pytest.approx(1.0 / 3.0, rel=1e-12)
@@ -69,7 +69,7 @@ def test_predict_unit_example():
 
 def test_variance_strictly_decreasing_in_ratio():
     net = feature_net_init(np.random.default_rng(1))
-    model = replace(initial_model(1.0, net=net, lam=LAM), theta_y=np.float64(0.8))
+    model = replace(initial_model(1.0, net=net), theta_y=np.float64(0.8))
     x = np.tile([[0.1, 0.1]], (5, 1))
     _, var = predict(model, x, ratios=np.array([0.0, 0.5, 1.0, 2.0, 4.0]))
     assert np.all(np.diff(var) < 0)
@@ -84,7 +84,7 @@ def test_variance_bound_is_exact_algebra(rng):
     x = rng.uniform(-2, 2, (1000, 2))
     ratios = rng.uniform(r_floor, 10.0, 1000)
     for theta_y in b_floor + rng.uniform(0, 5, 3):
-        model = replace(initial_model(sigma0_sq, net=net, lam=LAM), theta_y=theta_y)
+        model = replace(initial_model(sigma0_sq, net=net), theta_y=theta_y)
         _, var = predict(model, x, ratios=ratios)
         assert np.all(var <= bound * (1 + 1e-12))
 
@@ -92,7 +92,7 @@ def test_variance_bound_is_exact_algebra(rng):
 def _base(seed, sigma0_sq=1.0):
     """The base model on the net `seed` draws: where a first fit starts."""
     net = feature_net_init(np.random.default_rng(seed))
-    return initial_model(sigma0_sq, net=net, lam=LAM)
+    return initial_model(sigma0_sq, net=net)
 
 
 def test_mean_fn_equals_predict_bit_for_bit():
@@ -106,7 +106,7 @@ def test_mean_fn_equals_predict_bit_for_bit():
     ratio_at = dict(zip(map(tuple, x.tolist()), r.tolist()))
     for theta_y in (2.5, 317.0):
         model = replace(
-            initial_model(0.7, net=net, lam=LAM),
+            initial_model(0.7, net=net),
             theta_phi=g.normal(size=net.feature_dim),
             theta_y=np.float64(theta_y),
         )
@@ -122,7 +122,7 @@ def test_mean_fn_equals_predict_bit_for_bit():
 def _loss(model, ds, ratios):
     """The penalized NLL, as the training step `_grads` returns it."""
     ws = rr._Workspace(model.net, len(ds))
-    return rr._grads(model, ds.inputs, ds.targets, ratios, ws)
+    return rr._grads(model, ds.inputs, ds.targets, ratios, ws, LAM)
 
 
 def test_nll_loss_of_exact_model_is_entropy_plus_penalty():
@@ -174,7 +174,7 @@ def test_analytic_gradients_match_finite_differences(rng, monkeypatch):
     # nonzero biases, so every term a bias multiplies (b3 in g_theta_phi
     # among them) reaches the loss; feature_net_init's biases are zero
     net = FeatureNet(net.weights, tuple(rng.normal(0.0, 0.3, b.shape) for b in net.biases))
-    model = initial_model(1.0, net=net, lam=LAM)
+    model = initial_model(1.0, net=net)
     # keep every parameter away from the |.| kink so FD is well defined
     model = replace(
         model,
@@ -183,7 +183,7 @@ def test_analytic_gradients_match_finite_differences(rng, monkeypatch):
     )
 
     ws = rr._Workspace(model.net, n)
-    rr._grads(model, ds.inputs, ds.targets, ratios, ws)
+    rr._grads(model, ds.inputs, ds.targets, ratios, ws, LAM)
     # the finite differences below run _grads again, on other workspaces
     analytic = np.concatenate(
         [g.ravel() for g in ws.g_w] + [g.ravel() for g in ws.g_b] + [ws.g_tp, [ws.g_ty]]
@@ -233,9 +233,15 @@ def test_fit_linear_target_rmse(line_fit):
 
 
 def test_fit_moment_condition(line_fit):
+    # the recorded residual is the theta_y condition mean(y^2 - mu^2 - sigma^2)
+    # + lam at r = 1, which the fit's root drives to 0
     model, ds, _ = line_fit
-    resid = rr._moment(model, ds.inputs, ds.targets, np.ones(len(ds)))
-    assert abs(resid) <= model.lam + 1e-2
+    y = ds.targets
+    mu, var = predict(model, ds.inputs)
+    want = float(np.mean(y * y - mu * mu - var)) + 1e-3  # line_fit's lam
+    scale = float(np.mean(y * y + mu * mu + var))
+    assert abs(model.moment_residual - want) <= 1e-9 * scale
+    assert model.converged and abs(model.moment_residual) <= 1e-9 * scale
 
 
 def test_fit_is_deterministic_given_seed(make_line_dataset):
@@ -312,8 +318,8 @@ def test_rank_one_gradient_matches_the_feature_form(case):
         model = fit(first, kde_fit(first.inputs), trg, TrainConfig(epochs=40, lam=LAM), init=model)
         assert np.count_nonzero(model.theta_phi) and model.theta_y > 0
     ws = rr._Workspace(model.net, len(x))
-    loss = rr._grads(model, x, y, r, ws)
-    want_loss, g_w, g_b, g_tp, g_ty = reference_fit._grads_feature_form(model, x, y, r)
+    loss = rr._grads(model, x, y, r, ws, LAM)
+    want_loss, g_w, g_b, g_tp, g_ty = reference_fit._grads_feature_form(model, x, y, r, LAM)
     got = [*ws.g_w, *ws.g_b, ws.g_tp, ws.g_ty]
     want = [*g_w, *g_b, g_tp, g_ty]
     assert len(got) == len(want) == 2 * len(model.net.weights) + 2
@@ -327,10 +333,12 @@ def test_solve_heads_matches_numpy_scalar_reference():
     model = fit(ds, src, trg, TrainConfig(epochs=40, lam=LAM), init=_base(6, 0.5))
     r = density_ratio(src, trg, ds.inputs)
     noise = np.random.default_rng(8).normal(0.0, 0.3, model.theta_phi.shape)
-    start = replace(model, theta_phi=model.theta_phi + noise)
-    heads = rr._solve_heads(start, ds.inputs, ds.targets, r)
-    assert not np.array_equal(heads, start.theta_phi)
-    assert np.array_equal(heads, reference_fit._solve_heads(start, ds.inputs, ds.targets, r))
+    start = model.theta_phi + noise
+    var = predict(model, ds.inputs, ratios=r)[1]
+    g_mat, b_vec = rr._normal_equations(model.net.forward(ds.inputs), var, r, ds.targets)
+    heads = rr._solve_heads(g_mat, b_vec, start, LAM)
+    assert not np.array_equal(heads, start)
+    assert np.array_equal(heads, reference_fit._solve_heads(g_mat, b_vec, start, LAM))
 
 
 def test_closing_solve_meets_both_first_order_conditions():
@@ -348,9 +356,23 @@ def test_closing_solve_meets_both_first_order_conditions():
     b_vec = phi.T @ (r * y) / n
     residual = g_mat @ model.theta_phi[support] - b_vec
     assert np.linalg.norm(residual) <= 1e-9 * np.linalg.norm(b_vec)
-    # theta_y: the weighted moment plus lam is 0, relative to the size of its terms
+    # theta_y: the weighted moment plus lam is 0, relative to the size of its
+    # terms, and the fit records it as its moment residual
     moment = float(np.mean(r * (y * y - mu * mu - var)))
-    assert abs(moment + LAM) <= 1e-9 * float(np.mean(r * (y * y + mu * mu + var)))
+    scale = float(np.mean(r * (y * y + mu * mu + var)))
+    assert abs(moment + LAM) <= 1e-9 * scale
+    assert abs(model.moment_residual - (moment + LAM)) <= 1e-9 * scale
+
+
+def test_fit_runs_the_feature_net_forward_once(monkeypatch):
+    # training folds the head into the last layer and never forms phi; the
+    # closing solve's lasso, head profile and moment share one forward pass
+    ds, src, trg = _shift_problem()
+    rows, forward = [], FeatureNet.forward
+    monkeypatch.setattr(FeatureNet, "forward", lambda net, x: rows.append(len(x)) or forward(net, x))
+    model = fit(ds, src, trg, TrainConfig(epochs=5, lam=LAM), init=_base(6, 0.5))
+    assert rows == [len(ds)]
+    assert np.isfinite(model.moment_residual)
 
 
 # -- theta_y root ---------------------------------------------------------------------
@@ -411,6 +433,7 @@ def test_fit_without_a_theta_y_root_ends_unconverged_at_the_ceiling():
     model = fit(ds, None, None, TrainConfig(epochs=50, lam=0.0), init=_base(1))
     assert not model.converged
     assert model.theta_y == rr.THETA_Y_CEIL
+    assert model.moment_residual < 0
 
 
 # -- spectral machinery -------------------------------------------------------------
