@@ -223,7 +223,6 @@ def _write_summary(path: Path, result) -> None:
         "diverged": result.diverged,
         "violations": result.violations,
         "final_cost": result.final_cost,
-        "final_realized_cost": result.final_cost,
         "first_rms_tracking": tracked[0].rms_tracking if tracked else math.nan,
         "final_rms_tracking": tracked[-1].rms_tracking if tracked else math.nan,
         "max_w_hat": max((r.w_hat for r in tracked), default=math.nan),

@@ -2,14 +2,14 @@
 
 The controller drives the composite variable s = (qdot - qdot_g) + lam*(q - q_g)
 to zero; with the learned residual compensation d_hat the closed loop of
-the plant m qddot + G(q) = u + d obeys
+the unit-inertia plant qddot + G(q) = u + d obeys
 
-    m sdot + K s = d - d_hat
+    sdot + K s = d - d_hat
 
 so the tracking error is driven entirely by the residual prediction error.
-The rollout integrates the true plant, qddot = (u + d - G(q)) / m from the
-plant's `inertia`, `gravity` and true `residual`, with the scalar RK4 step
-of `dynamics`, while the controller uses the same m and G(q) plus d_hat.
+The rollout integrates the true plant, qddot = u + d - G(q) from the
+plant's `gravity` and true `residual`, with the scalar RK4 step of
+`dynamics`, while the controller uses the same G(q) plus d_hat.
 
 Each formula has one implementation: every step evaluates
 `core.desired_values` at its time and calls `control_law` and
@@ -66,7 +66,7 @@ def control_law(
 
         s       = qdot_tilde + lam * q_tilde
         qddot_r = qddot_g - lam * qdot_tilde
-        u       = m qddot_r - K s + G(q) - d_hat
+        u       = qddot_r - K s + G(q) - d_hat
 
     For force-input plants the returned value is the commanded force,
     which the simulator clamps at zero.
@@ -76,7 +76,7 @@ def control_law(
     qd_t = qdot - qdot_g
     s = qd_t + lam * q_t
     qddot_r = qddot_g - lam * qd_t
-    return plant.inertia * qddot_r - gains.k * s + plant.gravity(q) - d_hat
+    return qddot_r - gains.k * s + plant.gravity(q) - d_hat
 
 
 @dataclass
@@ -169,10 +169,10 @@ def simulate_closed_loop(
     eps = np.empty(n_steps + 1)
 
     force_input = plant.force_input
-    inertia, gravity, residual_fn = plant.inertia, plant.gravity, plant.residual
+    gravity, residual_fn = plant.gravity, plant.residual
 
     def deriv(t, q, qdot, u):
-        return (u + residual_fn(q, qdot) - gravity(q)) / inertia
+        return u + residual_fn(q, qdot) - gravity(q)
 
     status = "ok"
     clamp_count = 0
@@ -208,7 +208,7 @@ def simulate_closed_loop(
 
         try:
             # the first stage reuses the residual just recorded
-            k1 = (applied + d - gravity(q)) / inertia
+            k1 = applied + d - gravity(q)
             q, qdot = step_rk4(deriv, t, q, qdot, applied, dt, k1)
         except SimulationDiverged:
             status = "diverged"

@@ -1,12 +1,13 @@
 """Rigid body dynamics with an unknown additive residual force.
 
-Both task plants have a one dimensional configuration, a constant
-inertia m and a directly actuated coordinate:
+Both task plants have a one dimensional configuration and a directly
+actuated coordinate, at unit inertia: the pendulum's m l^2 and the
+drone's m are both 1.  Per unit inertia the model is
 
-    m qddot + G(q) = u + d(q, qdot)
+    qddot + G(q) = u + d(q, qdot)
 
-This is the manipulator equation M(q) qddot + C(q, qdot) qdot + G(q) =
-B u + d with M = m, C = 0 and B = 1.  d is the residual the learner has
+the manipulator equation M(q) qddot + C(q, qdot) qdot + G(q) = B u + d
+with M = 1, C = 0 and B = 1.  d is the residual the learner has
 to identify: aerodynamic drag under a crosswind for the pendulum, ground
 effect for the drone.  Each task's plant is one fixed `Plant`, `PENDULUM`
 or `DRONE`, with its true residual.  The integrator is a fixed-step
@@ -37,16 +38,15 @@ class SimulationDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class Plant:
-    """A plant m qddot + G(q) = u + d and its true residual d.
+    """A unit-inertia plant qddot + G(q) = u + d and its true residual d.
 
-    `inertia` is the constant m and `gravity(q)` the force G(q); the
-    simulator integrates the acceleration (u + d - G(q)) / m from them.
-    `residual(q, qdot)` is the true d.  `force_input` marks a plant
-    driven by a force that cannot pull (the drone's thrust): the
-    simulator applies max(command, 0) and counts the steps that clamp.
+    `gravity(q)` is the force G(q) and `residual(q, qdot)` the true d;
+    the simulator integrates the acceleration u + d - G(q) from them.
+    `force_input` marks a plant driven by a force that cannot pull (the
+    drone's thrust): the simulator applies max(command, 0) and counts the
+    steps that clamp.
     """
 
-    inertia: float
     gravity: Callable[[float], float]
     residual: Callable[[float, float], float]
     force_input: bool = False
@@ -55,15 +55,14 @@ class Plant:
 def _pendulum() -> Plant:
     """Torque-driven pendulum in a crosswind, m l^2 qddot - m g l sin q = u + d.
 
-    m = l = 1 and g = 9.8.  The gravity convention is the inverted one
-    (G(q) = -m g l sin q), so the unforced upright q = 0 is an
-    equilibrium.  d is the quadratic drag torque on the bob in a
-    horizontal wind of speed v_w = 2: the relative air speed is the tip
-    speed l*qdot minus v_w, and drag opposes it with magnitude
+    m = l = 1, so the inertia m l^2 is 1, and g = 9.8.  The gravity
+    convention is the inverted one (G(q) = -m g l sin q), so the unforced
+    upright q = 0 is an equilibrium.  d is the quadratic drag torque on
+    the bob in a horizontal wind of speed v_w = 2: the relative air speed
+    is the tip speed l*qdot minus v_w, and drag opposes it with magnitude
     c_d * speed^2 (c_d = 0.1) acting at arm l.
     """
     m, l, g, c_d, v_w = 1.0, 1.0, 9.8, 0.1, 2.0
-    ml2 = m * l * l
     mgl = m * g * l
     cdl = c_d * l
 
@@ -71,20 +70,16 @@ def _pendulum() -> Plant:
         rel = l * qdot - v_w
         return -cdl * rel * abs(rel)
 
-    return Plant(
-        inertia=ml2,
-        gravity=lambda q: -mgl * math.sin(q),
-        residual=residual,
-    )
+    return Plant(gravity=lambda q: -mgl * math.sin(q), residual=residual)
 
 
 def _drone() -> Plant:
     """Vertical-axis drone in ground effect, m qddot + m g = F + d with thrust F >= 0.
 
-    m = 1 and g = 9.8.  d is an altitude-decaying lift plus damping,
-    (a - c qdot) exp(-b q) with a = 2, b = 3 and c = 0.5.  The altitude
-    is clamped below at 0.05 so the exponential stays bounded if the
-    simulator momentarily pushes the drone through the ground plane.
+    m = 1, the unit inertia, and g = 9.8.  d is an altitude-decaying lift
+    plus damping, (a - c qdot) exp(-b q) with a = 2, b = 3 and c = 0.5.
+    The altitude is clamped below at 0.05 so the exponential stays bounded
+    if the simulator momentarily pushes the drone through the ground plane.
     """
     m, g, ge_a, ge_b, ge_c, floor = 1.0, 9.8, 2.0, 3.0, 0.5, 0.05
     mg = m * g
@@ -92,12 +87,7 @@ def _drone() -> Plant:
     def residual(q: float, qdot: float) -> float:
         return (ge_a - ge_c * qdot) * math.exp(-ge_b * (q if q > floor else floor))
 
-    return Plant(
-        inertia=m,
-        gravity=lambda q: mg,
-        residual=residual,
-        force_input=True,
-    )
+    return Plant(gravity=lambda q: mg, residual=residual, force_input=True)
 
 
 PENDULUM = _pendulum()

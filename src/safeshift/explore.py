@@ -27,8 +27,8 @@ densities each call needs are passed in, not bound to the model:
   eval_candidate(cand, r_min)        max predictive std on the `Candidate`
                                      cand, whose grid ratios are >= r_min
   d_hat_fn(src_kde, trg_kde)         the controller's compensation d_hat(q, qdot)
-  retrain(dataset, src_kde, trg_kde)
-  moment_residual()                  the last fit's signed theta_y root residual
+  retrain(dataset, src_kde, trg_kde) refits, and returns the fit's signed
+                                     theta_y root residual (NaN for the GP)
 
 Scoring does each piece of work once, at the level where its inputs
 change.  The pool is fixed, so its selection order is computed once per
@@ -51,7 +51,7 @@ from typing import Optional
 import numpy as np
 
 from . import robust_regression as rr
-from .bounds import certify_trajectory, eps_m_from_sigma, gamma
+from .bounds import certify_trajectory, gamma
 from .controller import ControllerGains, Rollout, simulate_closed_loop, x0_on_trajectory
 from .core import (
     CONTACT_TOL,
@@ -208,7 +208,7 @@ class ExperimentConfig:
             c = max(self.candidates.rates)
             if not math.isfinite(LANDING_START * c * c * self.horizon):
                 raise ConfigError(f"pool: descent rate {c} too large: 1.5 C^2 horizon overflows")
-        try:  # at unit inertia (1/lam)^2 can overflow (gamma raises) or 1/k overflow to inf
+        try:  # (1/lam)^2 can overflow (gamma raises) or 1/k overflow to inf
             if not 0.0 < self.gamma() < math.inf:
                 raise ArithmeticError
         except ArithmeticError as exc:
@@ -226,8 +226,8 @@ class ExperimentConfig:
         return landing_pool(pairs, TRAJ_DT, self.horizon, self.safety.ground)
 
     def gamma(self) -> float:
-        """The tube gain `bounds.gamma` of this plant and these gains."""
-        return gamma(self.plant.inertia, self.gains.k, self.gains.lam)
+        """The tube gain `bounds.gamma` of these gains."""
+        return gamma(self.gains.k, self.gains.lam)
 
     @property
     def plant(self) -> Plant:
@@ -308,7 +308,7 @@ class RobustLearner:
         both = src_kde is not None and trg_kde is not None
         return rr.mean_fn(self.model, point_ratio(src_kde, trg_kde) if both else None)
 
-    def retrain(self, dataset: Dataset, src_kde, trg_kde):
+    def retrain(self, dataset: Dataset, src_kde, trg_kde) -> float:
         train = self.cfg.train
         if self.fits == 0:
             # the first fit starts from random features and has its own
@@ -316,9 +316,6 @@ class RobustLearner:
             train = replace(train, epochs=self.cfg.first_fit_epochs)
         self.model = rr.fit(dataset, src_kde, trg_kde, train, init=self.model)
         self.fits += 1
-
-    def moment_residual(self) -> float:
-        """The last fit's `RobustModel.moment_residual`, signed; called after `retrain`."""
         return self.model.moment_residual
 
 
@@ -342,11 +339,9 @@ class GpLearner:
         """`gp_mean_fn` of the model; 0 before any data."""
         return (lambda q, qdot: 0.0) if self.model is None else gp_mean_fn(self.model)
 
-    def retrain(self, dataset: Dataset, src_kde, trg_kde):
+    def retrain(self, dataset: Dataset, src_kde, trg_kde) -> float:
         self.model = None  # release the old n x n factor before fitting
         self.model = gp_fit(dataset.inputs, dataset.targets, self.cfg.gp, self.kernel)
-
-    def moment_residual(self) -> float:
         return math.nan
 
 
@@ -429,9 +424,9 @@ def run_episode(
                 continue
             r_min = float(np.min(clipped_ratio(p_src, p_trg)))
         sigma_max = learner.eval_candidate(cand, r_min)
-        eps_m = eps_m_from_sigma(sigma_max, config.beta)
-        cert = certify_trajectory(cand.traj, gamma_val, eps_m, config.safety)
-        if cert.safe:
+        eps_m = config.beta * sigma_max
+        rho = gamma_val * eps_m
+        if certify_trajectory(cand.traj, rho, config.safety).safe:
             break
     else:
         return EpisodeOutcome(episode=0, status="no_safe_candidate")
@@ -455,7 +450,7 @@ def run_episode(
         realized_cost=_realized_cost(config, rollout),
         sigma_max=sigma_max,
         eps_m=eps_m,
-        tube_radius=cert.rho,
+        tube_radius=rho,
         n_certified=1,
         rms_tracking=rollout.rms_tracking(),
         rms_residual_error=float(np.sqrt(np.mean(rollout.eps ** 2))),
@@ -523,9 +518,8 @@ def run_experiment(config: ExperimentConfig, learner=None) -> ExperimentResult:
             # scores against the same source KDE
             src_kde = kde_fit(subsample_rows(dataset.inputs, KDE_SRC_MAX))
             train_set = dataset.subsample(MAX_TRAIN_POINTS)
-            learner.retrain(train_set, src_kde, rec.trg_kde)
+            rec.moment_residual = learner.retrain(train_set, src_kde, rec.trg_kde)
             rec.n_train = len(train_set)
-            rec.moment_residual = learner.moment_residual()
         records.append(rec)
 
     return ExperimentResult(config=config, records=records)

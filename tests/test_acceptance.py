@@ -43,8 +43,9 @@ class CountingLearner(RobustLearner):
         self.unconverged = 0
 
     def retrain(self, dataset, src_kde, trg_kde):
-        super().retrain(dataset, src_kde, trg_kde)
+        residual = super().retrain(dataset, src_kde, trg_kde)
         self.unconverged += not self.model.converged
+        return residual
 
 
 def measure(task: str, seed: int) -> dict:

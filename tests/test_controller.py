@@ -28,15 +28,15 @@ def composite(roll, lam):
 
 def test_control_law_composite_variables():
     # q_tilde = 0.1, qdot_tilde = 0.4, s = 0.4 + 2 * 0.1 = 0.6, qddot_r =
-    # -0.1 - 2 * 0.4 = -0.9; with m = 2, G = 0, K = 5
-    # u = 2 qddot_r - 5 s = -1.8 - 3.0
-    plant = Plant(inertia=2.0, gravity=lambda q: 0.0, residual=ZERO)
+    # -0.1 - 2 * 0.4 = -0.9; at unit inertia with G = 0, K = 5
+    # u = qddot_r - 5 s = -0.9 - 3.0
+    plant = Plant(gravity=lambda q: 0.0, residual=ZERO)
     u = control_law(plant, ControllerGains(5.0, 2.0), 0.3, 0.9, 0.2, 0.5, -0.1, 0.0)
-    assert u == pytest.approx(-4.8)
+    assert u == pytest.approx(-3.9)
 
 
 def test_control_law_equals_the_manipulator_form(rng):
-    # (M qddot_r + C qdot_r - K s + G - d_hat) / B with M = m, C = 0 and
+    # (M qddot_r + C qdot_r - K s + G - d_hat) / B with M = 1, C = 0 and
     # B = 1 gives the same bits as the control law on both plants
     gains = ControllerGains(3.2, 2.0)
     for plant in (PENDULUM, DRONE):
@@ -47,7 +47,7 @@ def test_control_law_equals_the_manipulator_form(rng):
             qdot_r = qdot_g - gains.lam * q_t
             qddot_r = qddot_g - gains.lam * qd_t
             manipulator = (
-                plant.inertia * qddot_r
+                1.0 * qddot_r
                 + 0.0 * qdot_r
                 - gains.k * s
                 + plant.gravity(q)
@@ -165,7 +165,8 @@ def test_s_norm_decays_monotonically_after_transient():
 def test_disturbed_rollout_respects_time_envelope():
     """|s(t)| stays within the comparison-lemma envelope (2% slack).
 
-    For sup|eps| <= eps_m, |s(t)| <= e^(-k t / m) s0 + (1 - e^(-k t / m)) eps_m / k.
+    For sup|eps| <= eps_m, |s(t)| <= e^(-k t) s0 + (1 - e^(-k t)) eps_m / k
+    at unit inertia.
     """
     k, lam, eps_m = 6.0, 2.0, 0.4
     (traj,) = pendulum_pool([0.5], 0.01, 6.0)
@@ -179,7 +180,7 @@ def test_disturbed_rollout_respects_time_envelope():
     )
     s_values = composite(roll, lam)
     s0 = abs(s_values[0])
-    decay = np.exp(-k * roll.times / PENDULUM.inertia)
+    decay = np.exp(-k * roll.times)
     envelope = decay * s0 + (1.0 - decay) * eps_m / k
     assert np.all(np.abs(s_values) <= envelope * 1.02 + 1e-12)
 

@@ -16,7 +16,7 @@ def forward_dynamics(plant, q: float, u: float, d: float) -> float:
 
     The pendulum (m = l = 1, g = 9.8) has inertia m l^2 and the
     inverted-sign gravity G(q) = -m g l sin q; the drone (m = 1, g = 9.8)
-    has inertia m and G = m g.
+    has inertia m and G = m g.  Both inertias are 1.
     """
     if plant is PENDULUM:
         m, l, g = 1.0, 1.0, 9.8
@@ -77,28 +77,28 @@ def test_drone_residual_monotone_decreasing_in_altitude():
 
 
 def test_pendulum_upright_equilibrium():
-    assert -PENDULUM.gravity(0.0) / PENDULUM.inertia == pytest.approx(0.0)
+    assert -PENDULUM.gravity(0.0) == pytest.approx(0.0)
 
 
 def test_pendulum_horizontal_acceleration_is_g():
-    assert -PENDULUM.gravity(math.pi / 2) / PENDULUM.inertia == pytest.approx(9.8)
+    assert -PENDULUM.gravity(math.pi / 2) == pytest.approx(9.8)
 
 
 def test_pendulum_forward_dynamics_identity(rng):
-    # the plant's inertia and gravity, which the control law uses, satisfy
-    # m qddot + G(q) = u + d at the textbook acceleration
+    # the plant's gravity, which the control law uses, satisfies the
+    # unit-inertia qddot + G(q) = u + d at the textbook acceleration
     for _ in range(50):
         q, qdot, u, d = rng.uniform(-3, 3, 4)
         qddot = forward_dynamics(PENDULUM, q, u, d)
-        assert PENDULUM.inertia * qddot + PENDULUM.gravity(q) == pytest.approx(u + d, rel=1e-12)
+        assert qddot + PENDULUM.gravity(q) == pytest.approx(u + d, rel=1e-12)
 
 
 def test_drone_hover_thrust_balances_gravity():
     thrust = 1.0 * 9.8
     assert forward_dynamics(DRONE, 1.0, thrust, 0.0) == 0.0
-    assert (thrust - DRONE.gravity(1.0)) / DRONE.inertia == 0.0
+    assert thrust - DRONE.gravity(1.0) == 0.0
     assert DRONE.gravity(1.0) == thrust
-    assert DRONE.inertia == 1.0 and DRONE.force_input and not PENDULUM.force_input
+    assert DRONE.force_input and not PENDULUM.force_input
 
 
 # -- integrator -----------------------------------------------------------------
@@ -156,7 +156,7 @@ def test_rk4_raises_on_divergence():
 def test_rk4_step_whose_stage_state_blows_up_diverges():
     # an overflowed control sends the second stage's velocity to inf, and
     # the third stage evaluates the pendulum's math.sin at q = inf
-    accel = lambda t, q, qdot, u: (u - PENDULUM.gravity(q)) / PENDULUM.inertia  # noqa: E731
+    accel = lambda t, q, qdot, u: u - PENDULUM.gravity(q)  # noqa: E731
     with pytest.raises(SimulationDiverged) as info:
         step_rk4(accel, 0.0, 0.0, 0.0, math.inf, 0.001)
     assert isinstance(info.value.__cause__, ValueError)

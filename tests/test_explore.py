@@ -11,7 +11,7 @@ import pytest
 
 from safeshift import explore
 from safeshift import robust_regression as rr
-from safeshift.bounds import certify_trajectory, eps_m_from_sigma
+from safeshift.bounds import certify_trajectory
 from safeshift.controller import ControllerGains
 from safeshift.core import Dataset, LandingPool, PendulumPool, subsample_rows
 from safeshift.density_ratio import (
@@ -58,8 +58,6 @@ class StubLearner:
 
     def retrain(self, dataset, src_kde, trg_kde):
         self.retrain_calls += 1
-
-    def moment_residual(self):
         return math.nan
 
 
@@ -200,7 +198,7 @@ def test_chosen_is_always_cheapest_certified(seed):
     certified = [
         t
         for t in pool
-        if certify_trajectory(t, gv, cfg.beta * sigmas[round(t.params["C"], 10)], box).safe
+        if certify_trajectory(t, gv * (cfg.beta * sigmas[round(t.params["C"], 10)]), box).safe
     ]
     if not certified:
         assert out.status == "no_safe_candidate"
@@ -237,7 +235,7 @@ def test_episode_one_runs_on_base_model_uncertainty():
     # untrained model: sigma is the prior everywhere, ratios pinned to 1
     assert out.sigma_max == pytest.approx(math.sqrt(0.5), rel=1e-12)
     assert out.eps_m == pytest.approx(0.5 * math.sqrt(0.5), rel=1e-12)
-    assert out.tube_radius == pytest.approx(cfg.gamma() * out.eps_m, rel=1e-12)
+    assert out.tube_radius == cfg.gamma() * out.eps_m
     assert out.w_hat == 1.0
     # rho ~ 0.729 against the 1.5 box: amplitudes 0.1..0.7 certify
     assert out.params["C"] == pytest.approx(0.7)
@@ -456,10 +454,10 @@ def _full_scoring(cfg, learner, src_kde):
             sigma = math.sqrt(cfg.gp.sigma_f_sq)
         else:
             sigma = float(np.sqrt(np.max(gp_predict(learner.model, target)[1])))
-        eps_m = eps_m_from_sigma(sigma, cfg.beta)
-        cert = certify_trajectory(traj, cfg.gamma(), eps_m, cfg.safety)
-        if cert.safe and w_hat <= explore.W_MAX:
-            admitted.append((explore._selection_key(traj), k, sigma, eps_m, cert.rho, w_hat))
+        eps_m = cfg.beta * sigma
+        rho = cfg.gamma() * eps_m
+        if certify_trajectory(traj, rho, cfg.safety).safe and w_hat <= explore.W_MAX:
+            admitted.append((explore._selection_key(traj), k, sigma, eps_m, rho, w_hat))
     return min(admitted, default=None), len(admitted)
 
 
@@ -744,7 +742,7 @@ def test_target_state_is_built_only_for_candidates_the_walk_reaches(monkeypatch)
 
     def retrain_spy(dataset, src_kde, trg_kde):
         retrained.append(trg_kde)
-        real_retrain(dataset, src_kde, trg_kde)
+        return real_retrain(dataset, src_kde, trg_kde)
 
     monkeypatch.setattr(explore, "kde_fit", fit_spy)
     monkeypatch.setattr(explore, "kde_density", density_spy)

@@ -44,9 +44,6 @@ def test_package_imports_without_scipy():
     assert out.stdout.strip() == "False"
 
 
-# Exported names the loop does not call yet: ROADMAP item 8 deletes them
-# after items 10 and 14, unless those items call them.
-NOT_YET_USED = {"generalization_bound", "beta_for_confidence"}
 PACKAGE_DIR = Path(safeshift.__file__).parent
 PERFBENCH_DIR = Path(__file__).parents[1] / "perfbench"
 
@@ -86,5 +83,5 @@ def _unused_exports() -> set[str]:
 
 
 def test_every_export_is_used_outside_its_definition():
-    """A name that only tests reach is dead code: delete it, or allow-list it here."""
-    assert _unused_exports() == NOT_YET_USED
+    """A name that only tests reach is dead code: delete it."""
+    assert _unused_exports() == set()
