@@ -86,9 +86,9 @@ class Rollout:
     states holds the actual (q, qdot) and desired the (q_g, qdot_g) the
     controller tracked at each step; eps holds the residual prediction
     error d - d_hat evaluated at each recorded state (ground truth is
-    evaluated exactly there).  The tracking error and the touchdown time
-    and speed are derived from these rows.  A touchdown rollout's last
-    row is the contact state.
+    evaluated exactly there).  The tracking error is derived from these
+    rows.  A touchdown rollout's last row is the contact state, so its
+    time and speed are times[-1] and states[-1, 1].
     """
 
     times: np.ndarray
@@ -102,14 +102,6 @@ class Rollout:
     def x_tilde(self) -> np.ndarray:
         """Tracking error x - x_d on every recorded row."""
         return self.states - self.desired
-
-    @property
-    def touchdown_time(self) -> Optional[float]:
-        return float(self.times[-1]) if self.status == "touchdown" else None
-
-    @property
-    def touchdown_speed(self) -> Optional[float]:
-        return float(self.states[-1, 1]) if self.status == "touchdown" else None
 
     def rms_tracking(self) -> float:
         """RMS of the tracking-error norm ||x_tilde|| over the rollout (never empty)."""

@@ -1,13 +1,13 @@
 """Episodic safe exploration with certified tracking tubes.
 
 Each episode walks the candidate desired trajectories from the cheapest
-up: it screens each one by its worst estimated density ratio w_hat (at
-most W_MAX), scores one the screen lets through with the current model
-(sigma_max -> residual-error budget eps_m = beta * sigma_max -> tube
-radius gamma * eps_m) and certifies its worst-case tube against the
-safety set.  It tracks the first candidate certified, audits its flight,
-collects (state, residual) data along the actual rollout, and retrains.
-`run_episode` returns the episode's record, audit included.
+up and `check`s each one, which gives one `CandidateCheck`: it screens
+it by its worst estimated density ratio w_hat (at most W_MAX), scores
+one the screen lets through with the current model (sigma_max ->
+residual-error budget eps_m = beta * sigma_max -> tube radius gamma *
+eps_m) and certifies its worst-case tube against the safety set.  The
+episode flies the first candidate admitted, audits its flight, collects
+(state, residual) data along the actual rollout, and retrains.
 The robust learner's sigma_max is the closed form (1/sigma0_sq + 2
 theta_y r_min)^(-1/2) at the candidate's smallest clipped density ratio
 r_min over every grid row, exactly.  The GP's is the max posterior std on
@@ -80,10 +80,12 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "EpisodeOutcome",
+    "CandidateCheck",
     "RobustLearner",
     "GpLearner",
     "Candidate",
     "build_pool_cache",
+    "check",
     "make_learner",
     "default_config",
     "run_episode",
@@ -130,8 +132,7 @@ PLANTS = {"pendulum": PENDULUM, "landing": DRONE}
 # each target KDE at most KDE_TRG_MAX samples, all thinned by even
 # stride.  A candidate's target sample is also the GP's certificate
 # sample: predicting on every grid row would cost the GP a measurable
-# share of its run.  A candidate whose worst estimated density ratio
-# exceeds W_MAX is not admitted, and so is neither scored nor certified.
+# share of its run.  W_MAX bounds the density ratio `check` admits.
 SIM_DT = 0.001
 TRAJ_DT = 0.01
 SAMPLE_STRIDE = 20
@@ -351,15 +352,31 @@ def make_learner(config: ExperimentConfig, rng: np.random.Generator):
     return GpLearner(config, "rbf" if config.model_kind == "gp_rbf" else "matern52")
 
 
+@dataclass(frozen=True)
+class CandidateCheck:
+    """One candidate's admission check by `check`: outcome "admitted", "rejected"
+    (the certificate failed) or "screened" (w_hat above W_MAX, or NaN), which
+    is neither scored nor certified, so every field after w_hat is NaN."""
+
+    outcome: str
+    w_hat: float  # largest estimated p_trg / p_src on the grid (1 without data)
+    r_min: float = math.nan  # smallest clipped ratio p_src / p_trg on the grid
+    sigma_max: float = math.nan  # `eval_candidate` at r_min
+    eps_m: float = math.nan  # beta * sigma_max
+    tube_radius: float = math.nan  # rho = gamma * eps_m
+    margin: float = math.nan  # the certificate's `Certification.margin`
+
+
 @dataclass
 class EpisodeOutcome(EpisodeRecord):
     """One episode's record, with the rollout it flew and that candidate's target KDE.
 
-    An episode that flies nothing sets only `status`.
+    An episode that flies nothing sets only `status` and `checks`.
     """
 
     rollout: Optional[Rollout] = None
     trg_kde: Optional[KdeModel] = None
+    checks: tuple[CandidateCheck, ...] = ()  # one per candidate walked, in walk order
 
 
 def _audit(rollout: Rollout, safe_set: SafetySet) -> bool:
@@ -380,57 +397,66 @@ def _collect(config: ExperimentConfig, rollout: Rollout) -> Dataset:
     return Dataset(states, np.array([res(q, qdot) for q, qdot in states.tolist()]))
 
 
+def check(cand: Candidate, learner, src_kde, config: ExperimentConfig) -> CandidateCheck:
+    """Admit cand when its worst estimated density ratio against the data
+    stays within W_MAX AND its tube certificate passes.
+
+    The learning guarantee underlying the tube degrades with the
+    worst-case ratio, so a proposal that strays past W_MAX is outside the
+    regime where the certificate means anything, however small its
+    predicted variance looks.  This is also what keeps exploration
+    stepping outward gradually instead of leaping to the most aggressive
+    candidate the moment the fit tightens.
+
+    src_kde is the KDE of all previously collected inputs; None means
+    episode 1, where the source density is undefined and r = 1 everywhere.
+    Otherwise one p_src evaluation on cand's grid gives w_hat (the largest
+    p_trg / p_src there) and r_min (the smallest clipped ratio there);
+    both depend only on that grid and the source KDE.  The W_MAX screen
+    comes first: a candidate it screens gets no `eval_candidate` and no
+    `certify_trajectory` call.
+    """
+    r_min = w_hat = 1.0
+    if src_kde is not None:
+        p_src, p_trg = kde_density(src_kde, cand.grid), cand.p_trg
+        w_hat = max_ratio(p_trg, p_src)
+        if not w_hat <= W_MAX:  # a NaN w_hat is screened out too
+            return CandidateCheck("screened", w_hat)
+        r_min = float(np.min(clipped_ratio(p_src, p_trg)))
+    sigma_max = learner.eval_candidate(cand, r_min)
+    eps_m = config.beta * sigma_max
+    rho = config.gamma() * eps_m
+    cert = certify_trajectory(cand.traj, rho, config.safety)
+    outcome = "admitted" if cert.safe else "rejected"
+    return CandidateCheck(outcome, w_hat, r_min, sigma_max, eps_m, rho, cert.margin)
+
+
 def run_episode(
     pool: tuple[Candidate, ...],
     learner,
     src_kde: Optional[KdeModel],
     config: ExperimentConfig,
 ) -> EpisodeOutcome:
-    """One episode: walk the pool in selection order, fly the first admissible candidate, audit.
+    """One episode: `check` the pool in selection order, fly the first admitted candidate, audit.
 
-    src_kde is the KDE of all previously collected inputs; None means
-    episode 1, where the source density is undefined and r = 1 everywhere.
-    A candidate is admissible when its worst estimated density ratio
-    against the data stays within W_MAX AND its tube certificate passes.
-    The pool is sorted by `_selection_key`, so the first admissible
+    The pool is sorted by `_selection_key`, so the first admitted
     candidate is the cost argmin of the admissible set, ties going to
-    pool order, and no candidate after it is checked.  Each candidate the
-    walk reaches gets one p_src evaluation on its grid, which gives w_hat
-    (the largest p_trg / p_src there) and r_min (the smallest clipped
-    ratio there); both depend only on that grid and the source KDE.  The
-    W_MAX screen comes first: a candidate it rejects gets no
-    `eval_candidate` and no `certify_trajectory` call.
+    pool order, and no candidate after it is checked.
     `n_certified` is 1 when the episode flies and 0 when it does not.
-    Returns the episode's record, flight audit included, with status "ok",
-    "touchdown" (landing reached the ground, still a success),
-    "no_safe_candidate", or "diverged"; `run_experiment` numbers it and
-    fills in the retrain's fields.
+    Returns the episode's record, flight audit and checks included, with
+    status "ok", "touchdown" (landing reached the ground, still a
+    success), "no_safe_candidate", or "diverged"; `run_experiment`
+    numbers it and fills in the retrain's fields.
     """
-    gamma_val = config.gamma()
-
-    # admission requires both the tracking-tube certificate and a bounded
-    # estimated density ratio: the learning guarantee underlying the tube
-    # degrades with the worst-case ratio, so a proposal that strays past
-    # W_MAX is outside the regime where the certificate means anything,
-    # however small its predicted variance looks.  This is also what keeps
-    # exploration stepping outward gradually instead of leaping to the
-    # most aggressive candidate the moment the fit tightens.
+    checks = []
     for cand in pool:
-        r_min = w_hat = 1.0
-        if src_kde is not None:
-            p_src, p_trg = kde_density(src_kde, cand.grid), cand.p_trg
-            w_hat = max_ratio(p_trg, p_src)
-            if not w_hat <= W_MAX:  # a NaN w_hat is screened out too
-                continue
-            r_min = float(np.min(clipped_ratio(p_src, p_trg)))
-        sigma_max = learner.eval_candidate(cand, r_min)
-        eps_m = config.beta * sigma_max
-        rho = gamma_val * eps_m
-        if certify_trajectory(cand.traj, rho, config.safety).safe:
+        checks.append(check(cand, learner, src_kde, config))
+        if checks[-1].outcome == "admitted":
             break
     else:
-        return EpisodeOutcome(episode=0, status="no_safe_candidate")
+        return EpisodeOutcome(episode=0, status="no_safe_candidate", checks=tuple(checks))
 
+    admitted = checks[-1]
     traj, trg_kde = cand.traj, cand.trg_kde
     rollout = simulate_closed_loop(
         config.plant,
@@ -448,16 +474,17 @@ def run_episode(
         params=dict(traj.params),
         cost=traj.cost,
         realized_cost=_realized_cost(config, rollout),
-        sigma_max=sigma_max,
-        eps_m=eps_m,
-        tube_radius=rho,
+        sigma_max=admitted.sigma_max,
+        eps_m=admitted.eps_m,
+        tube_radius=admitted.tube_radius,
         n_certified=1,
         rms_tracking=rollout.rms_tracking(),
         rms_residual_error=float(np.sqrt(np.mean(rollout.eps ** 2))),
-        w_hat=w_hat,
+        w_hat=admitted.w_hat,
         violation=_audit(rollout, config.safety),
         rollout=rollout,
         trg_kde=trg_kde,
+        checks=tuple(checks),
     )
 
 

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from safeshift.bounds import certify_trajectory, gamma
+from safeshift.controller import simulate_closed_loop, x0_on_trajectory
 from safeshift.core import StateBox, TouchdownSpeed, landing_pool, pendulum_pool
-from safeshift.explore import default_config
+from safeshift.explore import SIM_DT, default_config
 
 
 # -- Theorem 2 gain ------------------------------------------------------------
@@ -29,6 +30,30 @@ def test_gamma_of_the_default_tasks():
     """The tube gains the default configs certify with, to the last bit."""
     assert default_config("pendulum").gamma() == 2.0615528128088303
     assert default_config("landing").gamma() == 0.6442352540027595
+
+
+@pytest.mark.parametrize("task", ["pendulum", "landing"])
+def test_gamma_bounds_every_pool_flight_whose_thrust_never_clamps(task):
+    # the control half of the certificate: with a constant residual error
+    # 0.99 eps_m (d_hat refreshed every step, x_tilde(0) = 0), the peak
+    # ||x_tilde|| stays within gamma * eps_m while the control is applied
+    # as computed.  Exactly the candidates whose nominal thrust goes
+    # negative clamp, and for them the bound does not hold.
+    cfg = default_config(task)
+    plant, eps_m = cfg.plant, 0.1
+    d_hat = lambda q, qdot: plant.residual(q, qdot) - 0.99 * eps_m  # noqa: E731
+    ground = cfg.safety.ground if task == "landing" else None
+    clamped = set()
+    for traj in cfg.pool():
+        roll = simulate_closed_loop(
+            plant, cfg.gains, d_hat, traj, SIM_DT, x0_on_trajectory(traj),
+            ground=ground, d_hat_hold_steps=1,
+        )
+        if roll.clamp_count:
+            clamped.add((traj.params["C"], traj.params["h_g"]))
+        else:
+            assert float(np.max(np.hypot(*roll.x_tilde.T))) <= cfg.gamma() * eps_m
+    assert clamped == ({(2.75, 0.0), (3.0, 0.0), (3.0, 0.25)} if task == "landing" else set())
 
 
 # -- certification ----------------------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -25,6 +25,7 @@ from safeshift.density_ratio import (
 from safeshift.dynamics import DRONE, PENDULUM
 from safeshift.explore import (
     Candidate,
+    CandidateCheck,
     ConfigError,
     GpLearner,
     RobustLearner,
@@ -173,6 +174,7 @@ def test_all_uncertified_yields_no_safe_candidate():
     assert out.status == "no_safe_candidate"
     assert out.params == {} and out.rollout is None and out.trg_kde is None
     assert out.n_certified == 0
+    assert [c.outcome for c in out.checks] == ["rejected"] * 3  # one per pool candidate
     assert math.isnan(out.sigma_max) and math.isnan(out.eps_m) and math.isnan(out.tube_radius)
 
 
@@ -429,16 +431,18 @@ def _walk_episodes(cfg, learner, monkeypatch, before):
 
 
 def _full_scoring(cfg, learner, src_kde):
-    """What scoring every candidate selects: (the admitted set's min, its size).
+    """What scoring every candidate selects: (the admitted set's min, its
+    size, each candidate's `CandidateCheck` in pool order).
 
     Each candidate of cfg's pool is scored, in pool order, on its own grid
     with `kde_density`, as the walk does, so the bits match; the min is
     over (selection key, pool index, sigma_max, eps_m, rho, w_hat), None
     when nothing is admitted.  The robust sigma is the closed form at the
     grid's smallest clipped ratio, the GP's the largest posterior std on
-    the target sample the candidate's KDE is fit on.
+    the target sample the candidate's KDE is fit on.  A candidate above
+    W_MAX is scored too; its check is the screened one.
     """
-    admitted = []
+    admitted, checks = [], []
     for k, traj in enumerate(cfg.pool()):
         grid = traj.grid_xy()
         target = subsample_rows(grid, explore.KDE_TRG_MAX)
@@ -456,9 +460,15 @@ def _full_scoring(cfg, learner, src_kde):
             sigma = float(np.sqrt(np.max(gp_predict(learner.model, target)[1])))
         eps_m = cfg.beta * sigma
         rho = cfg.gamma() * eps_m
-        if certify_trajectory(traj, rho, cfg.safety).safe and w_hat <= explore.W_MAX:
+        cert = certify_trajectory(traj, rho, cfg.safety)
+        if not w_hat <= explore.W_MAX:
+            checks.append(CandidateCheck("screened", w_hat))
+            continue
+        outcome = "admitted" if cert.safe else "rejected"
+        checks.append(CandidateCheck(outcome, w_hat, r_min, sigma, eps_m, rho, cert.margin))
+        if cert.safe:
             admitted.append((explore._selection_key(traj), k, sigma, eps_m, rho, w_hat))
-    return min(admitted, default=None), len(admitted)
+    return min(admitted, default=None), len(admitted), checks
 
 
 @pytest.mark.parametrize("task", ["pendulum", "landing"])
@@ -470,9 +480,17 @@ def test_walk_flies_what_scoring_every_candidate_selects(task, model_kind, monke
     learner = make_learner(cfg, np.random.default_rng(cfg.seed))
     episodes = _walk_episodes(cfg, learner, monkeypatch, lambda pool, src: _full_scoring(cfg, learner, src))
     pool = cfg.pool()
+    order = sorted(range(len(pool)), key=lambda k: explore._selection_key(pool[k]))
     sizes = []
-    for _, (best, n_admitted), rec in episodes:
+    for _, (best, n_admitted, reference), rec in episodes:
         sizes.append(n_admitted)
+        # each record the walk made equals, field by field, the reference
+        # check of the candidate at its rank
+        for got, k in zip(rec.checks, order):
+            want = reference[k]
+            assert got.outcome == want.outcome and got.w_hat == want.w_hat
+            if got.outcome != "screened":
+                assert astuple(got) == astuple(want)
         if best is None:
             assert rec.status == "no_safe_candidate" and rec.n_certified == 0
             continue
@@ -552,6 +570,43 @@ def test_walk_without_an_admissible_candidate_checks_each_candidate_once(monkeyp
     assert out.status == "no_safe_candidate" and out.n_certified == 0
     want = [obj for c in cache for obj in (src, c.grid, c.trg_kde, c.grid, c, c.traj)]
     assert len(calls) == len(want) and all(a is b for a, b in zip(calls, want))
+
+
+def test_flown_episode_reads_its_admitted_check():
+    # the episodes.csv fields of a flown episode are its last check's, the
+    # checks before it were not admitted, and the walk checked exactly the
+    # candidates up to the flown one's rank
+    cfg = replace(default_config("landing"), model_kind="gp_rbf", episodes=3)
+    rank = {tuple(cand.traj.params.items()): k for k, cand in enumerate(build_pool_cache(cfg.pool()))}
+    result = run_experiment(cfg, learner=make_learner(cfg, np.random.default_rng(cfg.seed)))
+    outcomes = []
+    for rec in result.records:
+        assert rec.status in ("ok", "touchdown")
+        last = rec.checks[-1]
+        assert last.outcome == "admitted" and last.margin > 0
+        assert (rec.sigma_max, rec.eps_m, rec.tube_radius, rec.w_hat) == (
+            last.sigma_max, cfg.beta * last.sigma_max, cfg.gamma() * last.eps_m, last.w_hat)
+        assert len(rec.checks) == rank[tuple(rec.params.items())] + 1
+        outcomes += [c.outcome for c in rec.checks[:-1]]
+    assert set(outcomes) == {"rejected", "screened"}
+
+
+@pytest.mark.parametrize("w_hat", ["far", "nan"])
+def test_screened_check_is_nan_after_w_hat(w_hat, monkeypatch):
+    # a source far from every grid puts each candidate's w_hat above W_MAX,
+    # and a NaN w_hat is screened too: neither is scored nor certified
+    cfg = tube02_config()
+    cache = build_pool_cache(cfg.pool())
+    if w_hat == "far":
+        src = kde_fit(np.random.default_rng(0).normal(10.0, 0.1, (50, 2)))
+    else:
+        src = kde_fit(np.concatenate([cand.grid for cand in cache]))  # every candidate within W_MAX
+        monkeypatch.setattr(explore, "max_ratio", lambda p_trg, p_src: math.nan)
+    out = run_episode(cache, StubLearner(default=0.0), src, cfg)
+    assert out.status == "no_safe_candidate" and len(out.checks) == len(cache)
+    for c in out.checks:
+        assert c.outcome == "screened" and not c.w_hat <= explore.W_MAX
+        assert all(math.isnan(v) for v in astuple(c)[2:])
 
 
 def test_pool_cache_is_in_selection_order_with_ties_in_pool_order():
