@@ -57,7 +57,7 @@ def certify_trajectory(traj: DesiredTrajectory, rho: float, safe_set: SafetySet)
 
     rho bounds the (q, qdot) error norm; the component projection
     |q - q_g| <= rho, |qdot - qdot_g| <= rho is checked against the
-    safety set at every grid point:
+    safety set at every row (q_g, qdot_g) of `traj.grid`:
 
     * StateBox: safe iff max|q_g| + rho < q_abs_max (strict).
     * TouchdownSpeed: at every grid point where the tube can touch the
@@ -66,18 +66,19 @@ def certify_trajectory(traj: DesiredTrajectory, rho: float, safe_set: SafetySet)
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
+    q_g, qdot_g = traj.grid[:, 0], traj.grid[:, 1]
 
     if isinstance(safe_set, StateBox):
-        worst = float(np.max(np.abs(traj.q_g))) + rho
+        worst = float(np.max(np.abs(q_g))) + rho
         margin = safe_set.q_abs_max - worst
         return Certification(safe=margin > 0, margin=margin)
 
     if isinstance(safe_set, TouchdownSpeed):
-        contact = traj.q_g - rho <= safe_set.ground
+        contact = q_g - rho <= safe_set.ground
         if not np.any(contact):
-            clearance = float(np.min(traj.q_g - rho)) - safe_set.ground
+            clearance = float(np.min(q_g - rho)) - safe_set.ground
             return Certification(safe=True, margin=clearance)
-        worst_speed = float(np.min(traj.qdot_g[contact])) - rho
+        worst_speed = float(np.min(qdot_g[contact])) - rho
         margin = worst_speed - safe_set.qdot_min_at_ground
         return Certification(safe=margin > 0, margin=margin)
 

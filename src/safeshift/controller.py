@@ -34,7 +34,6 @@ __all__ = [
     "Rollout",
     "control_law",
     "simulate_closed_loop",
-    "x0_on_trajectory",
 ]
 
 
@@ -110,11 +109,6 @@ class Rollout:
         return float(np.sqrt(np.mean(sq[:, 0] + sq[:, 1])))
 
 
-def x0_on_trajectory(traj: DesiredTrajectory) -> tuple[float, float]:
-    """Initial (q, qdot) exactly on the desired trajectory (s(0) = 0)."""
-    return float(traj.q_g[0]), float(traj.qdot_g[0])
-
-
 def simulate_closed_loop(
     plant: Plant,
     gains: ControllerGains,
@@ -134,19 +128,16 @@ def simulate_closed_loop(
     d_hat itself is refreshed every d_hat_hold_steps steps and held in
     between, which leaves the feedback terms untouched.
 
-    Truncates with status "touchdown" when `ground` is given and the
-    altitude reaches it; status "diverged" when the state leaves the
-    +-DIVERGENCE_LIMIT box.  Otherwise runs to the trajectory horizon.
+    The desired values are `desired_values` at each of the simulator's
+    own steps; of `traj`'s grid only its horizon is read.  Truncates with
+    status "touchdown" when `ground` is given and the altitude reaches
+    it; status "diverged" when the state leaves the +-DIVERGENCE_LIMIT
+    box.  Otherwise runs to the trajectory horizon.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if d_hat_hold_steps < 1:
         raise ValueError("d_hat_hold_steps must be >= 1")
-    grid_dt = traj.dt
-    if grid_dt > 0:
-        ratio = grid_dt / dt
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError("dt must divide the trajectory grid step")
 
     q, qdot = float(x0[0]), float(x0[1])
     if not (math.isfinite(q) and math.isfinite(qdot)):

@@ -1,11 +1,12 @@
 """Shared data types for episodic safe exploration.
 
 Desired trajectories, candidate pools, safety sets, and the dataset /
-episode bookkeeping containers used by the exploration loop.  Desired
-trajectories live on a uniform time grid but also carry the closed-form
-expressions (task name + parameters); `desired_values` is the one
-implementation of each, used by the pool builders and by the simulator
-on its own step grid, which records the values it tracked.
+episode bookkeeping containers used by the exploration loop.  A desired
+trajectory is its (q_g, qdot_g) rows on a uniform time grid, and it also
+carries its closed-form expression (task name + parameters);
+`desired_values` is the one implementation of each, used by the pool
+builders and by the simulator on its own step grid, which records the
+values it tracked.
 """
 
 from __future__ import annotations
@@ -82,51 +83,22 @@ def desired_values(task: str, params: dict, t):
 
 @dataclass(frozen=True)
 class DesiredTrajectory:
-    """A candidate desired trajectory on a uniform time grid.
+    """A candidate desired trajectory on the uniform time grid 0, dt, ..., horizon.
 
-    `times` has constant spacing and starts at 0; q_g/qdot_g are the
-    desired position and velocity sampled on that grid (`desired_values`
-    gives the acceleration at any time).  `cost` is the scalar
-    exploration objective of the candidate (lower is better), +inf when
-    the candidate does not achieve its goal within the horizon.
+    `grid` is the (n, 2) array of desired (q_g, qdot_g) rows on that
+    grid: column 0 the position, column 1 the velocity (`desired_values`
+    gives the acceleration at any time).  The certificate checks it row
+    by row, and the learner reads the same rows as its target sample.
+    `cost` is the scalar exploration objective of the candidate (lower
+    is better), +inf when the candidate does not achieve its goal within
+    the horizon.
     """
 
     task: str
     params: dict
-    times: np.ndarray
-    q_g: np.ndarray
-    qdot_g: np.ndarray
+    grid: np.ndarray
+    horizon: float
     cost: float
-
-    def __post_init__(self):
-        n = len(self.times)
-        if n == 0:
-            raise ValueError("empty trajectory grid")
-        for arr in (self.q_g, self.qdot_g):
-            if len(arr) != n:
-                raise ValueError("grid arrays must share a length")
-        if n > 1:
-            steps = np.diff(self.times)
-            if np.any(steps <= 0):
-                raise ValueError("time grid must be strictly increasing")
-            # uniform grid: all steps equal to the first one up to roundoff
-            if np.max(np.abs(steps - steps[0])) > 1e-9 * max(1.0, steps[0]):
-                raise ValueError("time grid must be uniform")
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
-
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
-    def grid_xy(self) -> np.ndarray:
-        """(n, 2) array of desired (q, qdot) pairs, the model-input grid."""
-        return np.column_stack([self.q_g, self.qdot_g])
 
 
 @dataclass(frozen=True)
@@ -176,7 +148,8 @@ def grid_steps(horizon: float, dt: float) -> int:
     """Number of dt steps in horizon; ValueError unless dt divides it."""
     if not (dt > 0 and 0 < horizon < math.inf):
         raise ValueError("must be positive and finite")
-    if not horizon / dt < math.inf:
+    # np.arange cannot hold more steps than an intp counts
+    if not horizon / dt < np.iinfo(np.intp).max:
         raise ValueError(f"too long for the grid step {dt}")
     n = int(round(horizon / dt))
     if abs(n * dt - horizon) > 1e-9:
@@ -245,9 +218,8 @@ def pendulum_pool(amplitudes, dt: float, horizon: float) -> list[DesiredTrajecto
             DesiredTrajectory(
                 task="pendulum",
                 params=params,
-                times=times,
-                q_g=q,
-                qdot_g=qd,
+                grid=np.column_stack([q, qd]),
+                horizon=float(times[-1]),
                 cost=-c,
             )
         )
@@ -273,9 +245,8 @@ def landing_pool(param_pairs, dt: float, horizon: float, ground: float) -> list[
             DesiredTrajectory(
                 task="landing",
                 params=params,
-                times=times,
-                q_g=q,
-                qdot_g=qd,
+                grid=np.column_stack([q, qd]),
+                horizon=float(times[-1]),
                 cost=contact_time(times, q, ground),
             )
         )

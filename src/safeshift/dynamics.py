@@ -101,12 +101,13 @@ def step_rk4(
     qdot: float,
     u: float,
     dt: float,
-    k1: float | None = None,
+    k1: float,
 ) -> tuple[float, float]:
     """One classical RK4 step of (q, qdot)' = (qdot, accel(t, q, qdot, u)).
 
-    u is held constant across the step; k1, when given, is the caller's
-    accel(t, q, qdot, u), which the first stage then reuses.  Raises
+    u is held constant across the step; k1 is the first stage
+    accel(t, q, qdot, u), which the caller evaluates, so the step calls
+    accel for the other three.  Raises
     SimulationDiverged when the new state is non-finite or leaves the
     |x| <= DIVERGENCE_LIMIT box, or when accel raises at a stage state
     that is no longer finite (the pendulum's math.sin(inf)); a raise at
@@ -116,8 +117,6 @@ def step_rk4(
         raise ValueError("dt must be positive")
     half = 0.5 * dt
     try:
-        if k1 is None:
-            k1 = accel(t, q, qdot, u)
         q2, qd2 = q + half * qdot, qdot + half * k1
         k2 = accel(t + half, q2, qd2, u)
         q3, qd3 = q + half * qd2, qdot + half * k2

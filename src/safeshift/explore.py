@@ -32,9 +32,9 @@ densities each call needs are passed in, not bound to the model:
 
 Scoring does each piece of work once, at the level where its inputs
 change.  The pool is fixed, so its selection order is computed once per
-experiment, and each candidate's grid, target KDE and p_trg on its
-grid at most once, when the walk first reads them (`Candidate`); a
-candidate no walk reaches gets none of them.
+experiment.  The pool holds each grid; the target KDE and p_trg are
+built when the walk first reads them (`Candidate`), at most once, and a
+candidate no walk reaches gets neither.
 The source density changes only when the dataset grows: it is fit once
 for the retrain and reused by the next episode, which evaluates p_src on
 the grid of each candidate it checks, and of no other.  So a candidate's
@@ -52,7 +52,7 @@ import numpy as np
 
 from . import robust_regression as rr
 from .bounds import certify_trajectory, gamma
-from .controller import ControllerGains, Rollout, simulate_closed_loop, x0_on_trajectory
+from .controller import ControllerGains, Rollout, simulate_closed_loop
 from .core import (
     CONTACT_TOL,
     LANDING_START,
@@ -163,8 +163,9 @@ class ExperimentConfig:
     simulation and collection rates, the data and KDE caps and the W_MAX
     screen are module constants, as is the ratio's upper clip
     `density_ratio.R_HI`, since no workload varies them; the robust prior is N(0, sigma0_sq), with
-    zero mean like the GP's.  `horizon` must be a multiple of TRAJ_DT,
-    1.5 C^2 horizon finite for each landing rate C, the landing ground below
+    zero mean like the GP's.  `horizon` must be a multiple of TRAJ_DT
+    whose step count an array index can hold (each candidate's grid has a
+    row per TRAJ_DT step), 1.5 C^2 horizon finite for each landing rate C, the landing ground below
     LANDING_START - CONTACT_TOL (the start is not landed), and `gamma()` positive and finite.
     Every robust fit warm-starts from the learner's current model, and an
     episode with no admissible candidate flies nothing.
@@ -258,30 +259,26 @@ def _selection_key(traj: DesiredTrajectory):
 class Candidate:
     """One pool candidate and its scoring state, each part computed when first read.
 
-    The grid, the target KDE (fit on at most KDE_TRG_MAX evenly spaced
-    grid rows, both ends included) and its density p_trg on the grid are
-    each built on first read and kept for the experiment.  `run_episode`
-    reads them only for the candidates its walk reaches, and p_trg only
-    once a source KDE exists, so a candidate no walk reaches costs
-    nothing.  The GP learner scores on the target KDE's samples once it
-    has a model, by which time the walk has built them.
+    The target KDE (fit on at most KDE_TRG_MAX evenly spaced rows of
+    `traj.grid`, both ends included) and its density p_trg on the grid
+    are each built on first read and kept for the experiment.
+    `run_episode` reads them only for the candidates its walk reaches,
+    and p_trg only once a source KDE exists, so a candidate no walk
+    reaches costs nothing beyond its grid.  The GP learner scores on the
+    target KDE's samples once it has a model, by which time the walk has
+    built them.
     """
 
     traj: DesiredTrajectory
 
     @cached_property
-    def grid(self) -> np.ndarray:
-        """(n, 2) desired (q, qdot) grid."""
-        return self.traj.grid_xy()
-
-    @cached_property
     def trg_kde(self) -> KdeModel:
-        return kde_fit(subsample_rows(self.grid, KDE_TRG_MAX))
+        return kde_fit(subsample_rows(self.traj.grid, KDE_TRG_MAX))
 
     @cached_property
     def p_trg(self) -> np.ndarray:
         """(n,) target density on the grid."""
-        return kde_density(self.trg_kde, self.grid)
+        return kde_density(self.trg_kde, self.traj.grid)
 
 
 def build_pool_cache(pool: list[DesiredTrajectory]) -> tuple[Candidate, ...]:
@@ -418,7 +415,7 @@ def check(cand: Candidate, learner, src_kde, config: ExperimentConfig) -> Candid
     """
     r_min = w_hat = 1.0
     if src_kde is not None:
-        p_src, p_trg = kde_density(src_kde, cand.grid), cand.p_trg
+        p_src, p_trg = kde_density(src_kde, cand.traj.grid), cand.p_trg
         w_hat = max_ratio(p_trg, p_src)
         if not w_hat <= W_MAX:  # a NaN w_hat is screened out too
             return CandidateCheck("screened", w_hat)
@@ -464,7 +461,7 @@ def run_episode(
         learner.d_hat_fn(src_kde, trg_kde),
         traj,
         SIM_DT,
-        x0_on_trajectory(traj),
+        traj.grid[0],  # the flight starts on the trajectory, s(0) = 0, as the tube bound assumes
         ground=config.safety.ground if config.task == "landing" else None,
         d_hat_hold_steps=D_HAT_HOLD_STEPS,
     )

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from safeshift.bounds import certify_trajectory, gamma
-from safeshift.controller import simulate_closed_loop, x0_on_trajectory
+from safeshift.controller import simulate_closed_loop
 from safeshift.core import StateBox, TouchdownSpeed, landing_pool, pendulum_pool
 from safeshift.explore import SIM_DT, default_config
 
@@ -46,7 +46,7 @@ def test_gamma_bounds_every_pool_flight_whose_thrust_never_clamps(task):
     clamped = set()
     for traj in cfg.pool():
         roll = simulate_closed_loop(
-            plant, cfg.gains, d_hat, traj, SIM_DT, x0_on_trajectory(traj),
+            plant, cfg.gains, d_hat, traj, SIM_DT, traj.grid[0],
             ground=ground, d_hat_hold_steps=1,
         )
         if roll.clamp_count:
@@ -96,7 +96,7 @@ def test_certify_touchdown_no_contact_branch():
     (traj,) = landing_pool([(1.0, 0.5)], 0.01, 10.0, 0.0)
     cert = certify_trajectory(traj, 0.1, TouchdownSpeed(-1.0, 0.0))
     assert cert.safe
-    assert cert.margin == pytest.approx(float(np.min(traj.q_g)) - 0.1, rel=1e-9)
+    assert cert.margin == pytest.approx(float(np.min(traj.grid[:, 0])) - 0.1, rel=1e-9)
 
 
 def test_certify_touchdown_contact_branch():
@@ -104,8 +104,9 @@ def test_certify_touchdown_contact_branch():
     ts = TouchdownSpeed(-1.0, 0.0)
     rho = 0.05
     cert = certify_trajectory(traj, rho, ts)
-    contact = traj.q_g - rho <= 0.0
-    worst = float(np.min(traj.qdot_g[contact])) - rho
+    q_g, qdot_g = traj.grid.T
+    contact = q_g - rho <= 0.0
+    worst = float(np.min(qdot_g[contact])) - rho
     assert cert.margin == pytest.approx(worst - (-1.0), rel=1e-9)
     assert cert.safe == (cert.margin > 0)
 

@@ -256,6 +256,8 @@ def test_nested_field_must_be_object(key, value, tmp_path, capsys):
         ({"beta": 10**400}, "beta: expected a finite number"),
         ({"safety": {"q_abs_max": 10**400}}, "safety: q_abs_max: expected a finite number"),
         ({"pool": {"amplitudes": [10**400]}}, "pool: amplitudes: expected a finite number"),
+        # more grid steps than an array index holds, though 1e19 * 0.01 rounds back to 1e17
+        ({"horizon": 1e17}, "horizon: too long for the grid step 0.01"),
     ],
 )
 def test_malformed_field_value_names_field(extra, field_name, tmp_path, capsys):

@@ -12,7 +12,6 @@ from safeshift.controller import (
     ControllerGains,
     control_law,
     simulate_closed_loop,
-    x0_on_trajectory,
 )
 from safeshift.core import desired_values
 from safeshift.dynamics import DRONE, PENDULUM, Plant
@@ -68,7 +67,7 @@ def test_rollout_records_tracking_error_and_composite_variable():
         ZERO,
         traj,
         0.001,
-        x0_on_trajectory(traj),
+        traj.grid[0],
         ground=0.0,
     )
     assert roll.status == "touchdown"
@@ -115,7 +114,7 @@ def test_perfect_model_keeps_s_near_zero():
             PENDULUM.residual,
             traj,
             dt,
-            x0_on_trajectory(traj),
+            traj.grid[0],
         )
 
     roll = run(0.001)
@@ -135,7 +134,7 @@ def test_nominal_loop_tracks_tightly_without_residual():
         ZERO,
         traj,
         0.001,
-        x0_on_trajectory(traj),
+        traj.grid[0],
     )
     assert np.max(np.abs(roll.x_tilde[:, 0])) < 1e-3
 
@@ -184,19 +183,6 @@ def test_disturbed_rollout_respects_time_envelope():
     assert np.all(np.abs(s_values) <= envelope * 1.02 + 1e-12)
 
 
-def test_dt_must_divide_trajectory_grid():
-    (traj,) = pendulum_pool([0.5], 0.01, 1.0)
-    with pytest.raises(ValueError):
-        simulate_closed_loop(
-            PENDULUM,
-            ControllerGains(10.0, 5.0),
-            ZERO,
-            traj,
-            0.003,
-            x0_on_trajectory(traj),
-        )
-
-
 def test_touchdown_truncates_landing_rollout():
     # a constant uncompensated downward force drags the actual altitude
     # through the ground while the reference is still (barely) above it
@@ -207,7 +193,7 @@ def test_touchdown_truncates_landing_rollout():
         ZERO,
         traj,
         0.001,
-        x0_on_trajectory(traj),
+        traj.grid[0],
         ground=0.0,
     )
     assert roll.status == "touchdown"
@@ -250,7 +236,7 @@ def test_contact_row_keeps_the_held_d_hat_and_computes_no_control():
         d_hat,
         traj,
         0.001,
-        x0_on_trajectory(traj),
+        traj.grid[0],
         ground=0.0,
     )
     assert roll.status == "touchdown"
@@ -275,7 +261,7 @@ def test_residual_is_evaluated_once_per_row_and_stage():
         ZERO,
         traj,
         0.001,
-        x0_on_trajectory(traj),
+        traj.grid[0],
         ground=0.0,
     )
     rows = len(roll.times)
@@ -293,7 +279,7 @@ def test_a_flight_cut_short_keeps_only_its_rows():
         ZERO,
         traj,
         0.001,
-        x0_on_trajectory(traj),
+        traj.grid[0],
         ground=0.0,
     )
     assert roll.status == "touchdown" and len(roll.times) < 10001

@@ -10,17 +10,18 @@ from hypothesis import given, strategies as st
 
 from safeshift.core import (
     Dataset,
-    DesiredTrajectory,
     LandingPool,
     PendulumPool,
     StateBox,
     TouchdownSpeed,
     contact_time,
     desired_values,
+    grid_steps,
     landing_pool,
     pendulum_pool,
     safety_contains,
 )
+from safeshift.explore import TRAJ_DT, default_config
 
 
 # -- closed-form desired points -----------------------------------------------
@@ -132,24 +133,14 @@ def test_default_pool_sizes():
     assert len(LandingPool().rates) * len(LandingPool().hovers) == 60
 
 
-def test_trajectory_grid_is_uniform_and_indexable():
-    (traj,) = pendulum_pool([0.5], 0.01, 2.0)
-    assert traj.dt == pytest.approx(0.01)
-    assert traj.horizon == pytest.approx(2.0)
-    assert traj.times[50] == pytest.approx(0.5)
-    assert traj.q_g[50] == pytest.approx(0.5 * math.sin(0.5))
-    xy = traj.grid_xy()
-    assert xy.shape == (len(traj), 2)
-    np.testing.assert_allclose(xy[:, 0], traj.q_g)
-
-
-def test_trajectory_rejects_non_uniform_grid():
-    t = np.array([0.0, 0.1, 0.3])
-    z = np.zeros(3)
-    with pytest.raises(ValueError):
-        DesiredTrajectory(
-            task="pendulum", params={}, times=t, q_g=z, qdot_g=z, cost=0.0
-        )
+def test_trajectory_grid_is_the_desired_rows_on_the_traj_dt_grid():
+    for task in ("pendulum", "landing"):
+        cfg = default_config(task)
+        times = np.arange(grid_steps(cfg.horizon, TRAJ_DT) + 1) * TRAJ_DT
+        for traj in cfg.pool():
+            want = np.column_stack(desired_values(task, traj.params, times)[:2])
+            assert np.array_equal(traj.grid, want)
+            assert traj.horizon == cfg.horizon
 
 
 # -- safety sets ----------------------------------------------------------------

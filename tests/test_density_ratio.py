@@ -187,7 +187,7 @@ def test_kde_density_of_scattered_rows_matches_the_full_pass():
     # own; a row's density is the same float in any subset, including a
     # block of one row and sizes one past a whole number of blocks
     pool = default_config("landing").pool()
-    grids = np.concatenate([traj.grid_xy() for traj in pool])
+    grids = np.concatenate([traj.grid for traj in pool])
     rng = np.random.default_rng(24)
     near = grids[rng.choice(len(grids), 500, replace=False)]
     src = kde_fit(near + rng.normal(0.0, 0.05, near.shape))

@@ -405,7 +405,7 @@ def _landing_cache_and_source():
     cfg = default_config("landing")
     pool = cfg.pool()
     g = np.random.default_rng(2)
-    src_pts = np.concatenate([pool[k].grid_xy()[::7] for k in (0, 25, 50)])
+    src_pts = np.concatenate([pool[k].grid[::7] for k in (0, 25, 50)])
     src = kde_fit(src_pts + g.normal(0.0, 0.05, src_pts.shape))
     return cfg, build_pool_cache(pool), src
 
@@ -444,7 +444,7 @@ def _full_scoring(cfg, learner, src_kde):
     """
     admitted, checks = [], []
     for k, traj in enumerate(cfg.pool()):
-        grid = traj.grid_xy()
+        grid = traj.grid
         target = subsample_rows(grid, explore.KDE_TRG_MAX)
         r_min = w_hat = 1.0
         if src_kde is not None:
@@ -539,7 +539,7 @@ def test_walk_stops_at_the_first_admitted_candidate(task, monkeypatch):
         assert rec.status in ("ok", "touchdown") and rec.n_certified == 1
         f = next(k for k, cand in enumerate(pool) if cand.traj.params == rec.params)
         seen = {
-            "p_src": [cand.grid for cand in pool],
+            "p_src": [cand.traj.grid for cand in pool],
             "sigma": list(pool),
             "cert": [cand.traj for cand in pool],
         }
@@ -557,7 +557,7 @@ def test_walk_without_an_admissible_candidate_checks_each_candidate_once(monkeyp
     # fresh cache, so built here), sigma, the certificate
     cfg = tube02_config()
     cache = build_pool_cache(cfg.pool())
-    src = kde_fit(np.concatenate([cand.grid for cand in cache]))  # every candidate within W_MAX
+    src = kde_fit(np.concatenate([cand.traj.grid for cand in cache]))  # every candidate within W_MAX
     calls = []
     monkeypatch.setattr(explore, "kde_density", lambda kde, x: calls.extend((kde, x)) or kde_density(kde, x))
     monkeypatch.setattr(
@@ -568,7 +568,7 @@ def test_walk_without_an_admissible_candidate_checks_each_candidate_once(monkeyp
     learner.eval_candidate = lambda cand, r_min: calls.append(cand) or real_sigma(cand, r_min)
     out = run_episode(cache, learner, src, cfg)
     assert out.status == "no_safe_candidate" and out.n_certified == 0
-    want = [obj for c in cache for obj in (src, c.grid, c.trg_kde, c.grid, c, c.traj)]
+    want = [obj for c in cache for obj in (src, c.traj.grid, c.trg_kde, c.traj.grid, c, c.traj)]
     assert len(calls) == len(want) and all(a is b for a, b in zip(calls, want))
 
 
@@ -600,7 +600,7 @@ def test_screened_check_is_nan_after_w_hat(w_hat, monkeypatch):
     if w_hat == "far":
         src = kde_fit(np.random.default_rng(0).normal(10.0, 0.1, (50, 2)))
     else:
-        src = kde_fit(np.concatenate([cand.grid for cand in cache]))  # every candidate within W_MAX
+        src = kde_fit(np.concatenate([cand.traj.grid for cand in cache]))  # every candidate within W_MAX
         monkeypatch.setattr(explore, "max_ratio", lambda p_trg, p_src: math.nan)
     out = run_episode(cache, StubLearner(default=0.0), src, cfg)
     assert out.status == "no_safe_candidate" and len(out.checks) == len(cache)
@@ -637,10 +637,17 @@ def test_certification_points_are_built_once_per_experiment(monkeypatch):
     cfg, cache, src = _landing_cache_and_source()
     cfg = replace(cfg, model_kind="gp_rbf")
     learner = make_learner(cfg, np.random.default_rng(0))
-    x = np.concatenate([cache[k].grid[::50] for k in (0, 30)])
+    x = np.concatenate([cache[k].traj.grid[::50] for k in (0, 30)])
     learner.retrain(Dataset(x, np.sin(x[:, 0])), None, None)
-    predicted = []
+    predicted, p_src = [], []
     monkeypatch.setattr(explore, "gp_predict", lambda model, pts: predicted.append(pts) or gp_predict(model, pts))
+
+    def density_spy(kde, x):
+        if kde is src:
+            p_src.append(x)
+        return kde_density(kde, x)
+
+    monkeypatch.setattr(explore, "kde_density", density_spy)
     for _ in range(3):
         run_episode(cache, learner, src, cfg)
     n = len(predicted) // 3
@@ -648,15 +655,19 @@ def test_certification_points_are_built_once_per_experiment(monkeypatch):
     assert all(a is b for a, b in zip(predicted, predicted[n:]))
     targets = [cand.trg_kde.samples for cand in cache]
     for pts in predicted[:n]:
-        grid = cache[_rank(targets, pts)].grid
+        grid = cache[_rank(targets, pts)].traj.grid
         np.testing.assert_array_equal(pts, subsample_rows(grid, explore.KDE_TRG_MAX))
+    # p_src reads each walked candidate's own grid, the same object every episode
+    m = len(p_src) // 3
+    assert m > 1 and len(p_src) == 3 * m
+    assert [_rank([cand.traj.grid for cand in cache], x) for x in p_src] == list(range(m)) * 3
 
 
 def test_robust_eval_candidate_constant_and_mixed():
     cfg = replace(default_config("pendulum"), sigma0_sq=0.49, horizon=2.0)
     learner = RobustLearner(cfg, np.random.default_rng(2))
     cand = Candidate(cfg.pool()[-1])
-    pts = cand.grid
+    pts = cand.traj.grid
     # r = 1, theta_y = 0: sigma is sigma0 everywhere
     assert learner.eval_candidate(cand, 1.0) == pytest.approx(0.7, rel=1e-12)
 
@@ -694,7 +705,7 @@ def test_robust_score_is_the_max_predicted_std_on_recorded_episodes(task, monkey
 
     all_r, argmins = [], []
     for src, model, cand, r_min, sigma in scored:
-        grid = cand.grid
+        grid = cand.traj.grid
         r = np.ones(len(grid))
         if src is not None:
             r = clipped_ratio(kde_density(src, grid), cand.p_trg)
@@ -728,7 +739,7 @@ def test_target_kdes_fit_once_per_experiment(monkeypatch):
     result = run_experiment(cfg, learner=StubLearner({1.0: 50.0, 0.9: 50.0}, default=0.01))
     assert [(r.status, r.params["C"]) for r in result.records] == [("ok", 0.8)] * 3
 
-    grids = [traj.grid_xy() for traj in sorted(cfg.pool(), key=explore._selection_key)]
+    grids = [traj.grid for traj in sorted(cfg.pool(), key=explore._selection_key)]
     assert all(len(grid) <= explore.KDE_TRG_MAX for grid in grids)  # fit on the full grid
     fits = [sum(np.array_equal(samples, grid) for samples in fitted) for grid in grids]
     assert fits == [1, 1, 1] + [0] * (len(grids) - 3)
@@ -770,7 +781,7 @@ def test_target_state_is_built_only_for_candidates_the_walk_reaches(monkeypatch)
     cfg = replace(default_config("landing"), model_kind="gp_rbf", episodes=4)
     learner = make_learner(cfg, np.random.default_rng(cfg.seed))
     episodes, current = [], []  # current: the running episode's number and source KDE
-    target_fits, target_densities, retrained = [], [], []
+    target_fits, target_densities, source_densities, retrained = [], [], [], []
     real_fit, real_density, real_episode = explore.kde_fit, explore.kde_density, explore.run_episode
     real_retrain = learner.retrain
 
@@ -782,7 +793,9 @@ def test_target_state_is_built_only_for_candidates_the_walk_reaches(monkeypatch)
 
     def density_spy(kde, x):
         assert current, "a density evaluated outside the walk"
-        if kde is not current[1]:
+        if kde is current[1]:
+            source_densities.append((current[0], x))
+        else:
             target_densities.append((current[0], kde, x))
         return real_density(kde, x)
 
@@ -806,8 +819,8 @@ def test_target_state_is_built_only_for_candidates_the_walk_reaches(monkeypatch)
     run_experiment(cfg, learner=learner)
 
     assert all(pool is episodes[0][0] for pool, _ in episodes)  # the state lives on the experiment's pool
-    trajs = sorted(cfg.pool(), key=explore._selection_key)
-    grids = [traj.grid_xy() for traj in trajs]
+    trajs = [cand.traj for cand in episodes[0][0]]
+    grids = [traj.grid for traj in trajs]
     flown = []
     for _, rec in episodes:
         assert rec.status in ("ok", "touchdown")
@@ -829,9 +842,14 @@ def test_target_state_is_built_only_for_candidates_the_walk_reaches(monkeypatch)
     for episode, kde, x in target_densities:
         k = kde_rank[id(kde)]
         assert episode > 1 and k <= flown[episode - 1]
-        np.testing.assert_array_equal(x, grids[k])
+        assert x is grids[k]
         density_ranks.append(k)
     assert sorted(density_ranks) == sorted(with_source)  # each once
+    # each later episode's p_src pass reads the pool's own grids, up to the flown one
+    for episode, f in enumerate(flown[1:], start=2):
+        passed = [x for e, x in source_densities if e == episode]
+        assert [_rank(grids, x) for x in passed] == list(range(f + 1))
+    assert all(e > 1 for e, _ in source_densities)
 
     assert len(retrained) == cfg.episodes
     for f, trg_kde in zip(flown, retrained):
