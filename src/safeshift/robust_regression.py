@@ -76,7 +76,7 @@ CLIP_NORM = 10.0
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss or parameters became non-finite during training."""
+    """A training step's gradient norm (the clip norm) was not finite."""
 
 
 @dataclass(frozen=True)
@@ -298,10 +298,11 @@ class _Workspace:
     theta_y gradient, a float.  The per-row buffers hold one row per
     training row, and only the hidden layers have them: the step never
     forms the features phi, because the head folds into the linear last
-    layer (see _grads).  ones (rows,) makes the sum over rows of da and of
-    each hidden layer's backward product one BLAS call, and w_t[i] (i >= 1)
-    is a contiguous copy of hidden layer i's weights transposed, which the
-    backward pass multiplies by.
+    layer (see _grads).  The step computes no loss, so the rows keep only
+    a, mu, var, the theta_y moment and da.  ones (rows,) makes the sum over
+    rows of da and of each hidden layer's backward product one BLAS call,
+    and w_t[i] (i >= 1) is a contiguous copy of hidden layer i's weights
+    transposed, which the backward pass multiplies by.
     """
 
     def __init__(self, net: FeatureNet, rows: int):
@@ -319,21 +320,20 @@ class _Workspace:
         self.dh = [np.empty((rows, m)) for m in widths]
         self.w_t = [None] + [np.empty(w.shape[::-1]) for w in net.weights[1:-1]]
         self.ones = np.ones(rows)
-        self.a, self.mu, self.var, self.e, self.da, self.t1, self.t2 = (
-            np.empty(rows) for _ in range(7)
-        )
+        self.a, self.mu, self.var, self.moment, self.da = (np.empty(rows) for _ in range(5))
 
 
-def _grads(model, x, y, r, ws: _Workspace, lam: float) -> float:
+def _grads(model, x, y, r, ws: _Workspace, lam: float) -> None:
     """Analytic gradients of the NLL with L1 weight lam, written into the workspace.
 
-    Fills ws.g_w, ws.g_b, ws.g_tp and ws.g_ty and returns the penalized
-    loss.  The last layer is linear and the head is one vector, so the
-    head activation a = phi theta_phi = h (W theta_phi) + b . theta_phi on
-    the last hidden output h, and with da = d loss / d a the last layer's
-    gradients are rank one: g_W = (h^T da) theta_phi^T, g_b = (sum da)
-    theta_phi, g_theta_phi = W^T (h^T da) + (sum da) b, and d loss / d h =
-    da (W theta_phi)^T.
+    Fills ws.g_w, ws.g_b, ws.g_tp and ws.g_ty.  The step computes the
+    gradient only, not the loss: `fit` detects divergence by a non-finite
+    gradient norm.  The last layer is linear and the head is one vector,
+    so the head activation a = phi theta_phi = h (W theta_phi) + b .
+    theta_phi on the last hidden output h, and with da = d loss / d a the
+    last layer's gradients are rank one: g_W = (h^T da) theta_phi^T, g_b =
+    (sum da) theta_phi, g_theta_phi = W^T (h^T da) + (sum da) b, and d
+    loss / d h = da (W theta_phi)^T.
     """
     n = len(x)
     weights, biases = model.net.weights, model.net.biases
@@ -348,35 +348,28 @@ def _grads(model, x, y, r, ws: _Workspace, lam: float) -> float:
     a = np.matmul(h, w_head, out=ws.a)
     a += float(biases[last] @ head)
     mu, var = _predictive(model, r, model.theta_y, a, out=(ws.mu, ws.var))
-    e = np.subtract(y, mu, out=ws.e)
-    # data NLL: 0.5 log(2 pi var) + e^2 / (2 var), mean over rows
-    t1 = np.multiply(2.0 * math.pi, var, out=ws.t1)
-    np.log(t1, out=t1)
-    t1 *= 0.5
-    t2 = np.multiply(e, e, out=ws.t2)
-    t2 /= np.multiply(2.0, var, out=ws.da)
-    t1 += t2
-    nll = float(np.add.reduce(t1)) / n
-    # d loss / d theta_y = mean_i r_i (y^2 - mu^2 - var) + lam; like the
-    # NLL, a sum of one vector, where a dot with ones saves no time
-    moment = np.multiply(y, y, out=ws.t1)
-    moment -= np.multiply(mu, mu, out=ws.t2)
+    # d loss / d theta_y = mean_i r_i (y^2 - mu^2 - var) + lam; a sum of
+    # one vector, where a dot with ones saves no time (ws.da holds mu^2
+    # until da overwrites it)
+    moment = np.multiply(y, y, out=ws.moment)
+    moment -= np.multiply(mu, mu, out=ws.da)
     moment -= var
     moment *= r
     ws.g_ty = float(np.add.reduce(moment)) / n + lam * float(np.sign(model.theta_y))
-    # d loss / d a = -(e * r) / n   (per sample)
-    da = np.multiply(e, r, out=ws.da)
+    # d loss / d a = -((y - mu) * r) / n   (per sample)
+    da = np.subtract(y, mu, out=ws.da)
+    da *= r
     np.negative(da, out=da)
     da /= n
     # the last layer, rank one
     h_da, da_sum = da @ h, float(ws.ones @ da)
-    np.multiply.outer(h_da, head, out=ws.g_w[last])
+    np.einsum("i,j->ij", h_da, head, out=ws.g_w[last])
     np.multiply(da_sum, head, out=ws.g_b[last])
     np.matmul(h_da, weights[last], out=ws.g_tp)
     ws.g_tp += da_sum * biases[last]
     ws.g_tp += lam * np.sign(head)
     # gradient on each hidden output
-    dh = np.multiply.outer(da, w_head, out=ws.dh[last - 1])
+    dh = np.einsum("i,j->ij", da, w_head, out=ws.dh[last - 1])
     for i in range(last - 1, -1, -1):
         dh *= np.greater(ws.pre[i], 0, out=ws.mask[i])
         h_in = x if i == 0 else ws.act[i - 1]
@@ -385,8 +378,6 @@ def _grads(model, x, y, r, ws: _Workspace, lam: float) -> float:
         if i > 0:
             np.copyto(ws.w_t[i], weights[i].T)
             dh = np.matmul(dh, ws.w_t[i], out=ws.dh[i - 1])
-    penalty = lam * (np.abs(head).sum() + abs(model.theta_y))
-    return nll + float(penalty)
 
 
 NEWTON_RTOL = 1e-12
@@ -551,7 +542,9 @@ def fit(
     trg_kde, .); passing None for either density means r = 1 (no shift
     information, e.g. the very first fit).  The fit starts from `init`:
     its net, head, and base distribution are reused (a base model from
-    `initial_model` starts a first fit).
+    `initial_model` starts a first fit).  The step computes the gradient
+    but no loss; the first epoch whose gradient norm (the clip norm) is
+    not finite raises TrainingDiverged, before that step moves anything.
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
@@ -590,13 +583,14 @@ def fit(
 
     for epoch in range(config.epochs):
         lr = LR * 0.5 * (1.0 + math.cos(math.pi * epoch / config.epochs))
-        loss = _grads(model, x, y, r, ws, config.lam)
-        if not math.isfinite(loss):
-            raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
+        _grads(model, x, y, r, ws, config.lam)
         # log-space theta_y gradient, then global-norm clipping: the
-        # squared norm is one dot of the flat gradient with itself
+        # squared norm is one dot of the flat gradient with itself, and a
+        # norm that is not finite is the fit diverging
         ws.g_sy[...] = ws.g_ty * float(theta_y) * THETA_Y_LR_MULT
         total = math.sqrt(float(ws.grad @ ws.grad))
+        if not math.isfinite(total):
+            raise TrainingDiverged(f"non-finite gradient norm at epoch {epoch}")
         scale = 1.0 if total <= CLIP_NORM else CLIP_NORM / total
         ws.grad *= lr * scale
         params -= ws.grad

@@ -9,10 +9,12 @@ Its `_grads` has the shipped step's formulas: the head folded into the
 linear last layer, whose gradients are rank one, so it never forms the
 features phi; the bias gradients and the sum of da as dots with a vector
 of ones; the clip norm as one dot of the concatenated gradient with
-itself; and log theta_y clipped as a float.  `_grads_feature_form` keeps
-the gradient backpropagated through phi, as if the head were a general
-output layer, with the `_loss_terms` it reads; the gradient tests compare
-the two forms.
+itself; and log theta_y clipped as a float.  Like the shipped step, it
+computes no loss, and the loop raises TrainingDiverged on a non-finite
+clip norm.  `_grads_feature_form` keeps the gradient backpropagated
+through phi, as if the head were a general output layer, with the
+`_loss_terms` it reads; the gradient tests compare the two forms, and
+`_loss_terms` is the NLL the finite-difference test differentiates.
 Its first normalization, at the start of a fit, is `_normalize_warm`
 with an all-None cache.
 Its mini-batch, frozen-net and cold-start branches are gone with the
@@ -120,7 +122,7 @@ def _grads_feature_form(model, x, y, r, lam):
     """Analytic gradients of the penalized NLL, backpropagated through the
     features phi as if the head were a general output layer."""
     n = len(x)
-    nll, phi, pre, a, var, mu, e = _loss_terms(model, x, y, r)
+    _, phi, pre, a, var, mu, e = _loss_terms(model, x, y, r)
     # d loss / d a = -(e * r) / n   (per sample)
     da = -(e * r) / n
     g_theta_phi = da @ phi + lam * np.sign(model.theta_phi)
@@ -139,8 +141,7 @@ def _grads_feature_form(model, x, y, r, lam):
         g_biases[i] = dz.sum(axis=0)
         if i > 0:
             dh = dz @ ws[i].T
-    penalty = lam * (np.abs(model.theta_phi).sum() + abs(model.theta_y))
-    return nll + float(penalty), g_weights, g_biases, g_theta_phi, g_theta_y
+    return g_weights, g_biases, g_theta_phi, g_theta_y
 
 
 def _grads(model, x, y, r, lam):
@@ -162,7 +163,6 @@ def _grads(model, x, y, r, lam):
     a = h @ w_head + float(bs[last] @ model.theta_phi)
     mu, var = _predictive(model, r, model.theta_y, a)
     e = y - mu
-    nll = float(np.mean(0.5 * np.log(2.0 * math.pi * var) + e * e / (2.0 * var)))
     # d loss / d theta_y = mean_i r_i (y^2 - mu^2 - var) + lam
     moment = r * (y * y - mu * mu - var)
     g_theta_y = float(moment.mean()) + lam * float(np.sign(model.theta_y))
@@ -182,8 +182,7 @@ def _grads(model, x, y, r, lam):
         g_biases[i] = ones @ dz
         if i > 0:
             dh = dz @ ws[i].T
-    penalty = lam * (np.abs(model.theta_phi).sum() + abs(model.theta_y))
-    return nll + float(penalty), g_weights, g_biases, g_theta_phi, g_theta_y
+    return g_weights, g_biases, g_theta_phi, g_theta_y
 
 
 def _solve_heads(g_mat, b_vec, start, lam):
@@ -257,13 +256,13 @@ def fit(
 
     for epoch in range(config.epochs):
         lr = rr.LR * 0.5 * (1.0 + math.cos(math.pi * epoch / config.epochs))
-        loss, g_w, g_b, g_tp, g_ty = _grads(model, x, y, r, config.lam)
-        if not math.isfinite(loss):
-            raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
+        g_w, g_b, g_tp, g_ty = _grads(model, x, y, r, config.lam)
         # log-space theta_y gradient, then global-norm clipping
         g_sy = g_ty * float(model.theta_y) * rr.THETA_Y_LR_MULT
         flat = np.concatenate([g.ravel() for g in (*g_w, *g_b, g_tp)] + [[g_sy]])
         total = math.sqrt(float(flat @ flat))
+        if not math.isfinite(total):
+            raise TrainingDiverged(f"non-finite gradient norm at epoch {epoch}")
         scale = 1.0 if total <= rr.CLIP_NORM else rr.CLIP_NORM / total
         step = lr * scale
 

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 from safeshift import cli
+from safeshift import robust_regression as rr
 from safeshift.cli import config_from_dict, config_to_dict, main
 from safeshift.controller import ControllerGains
-from safeshift.core import LandingPool
+from safeshift.core import Dataset, LandingPool
 from safeshift.dynamics import SimulationDiverged
 from safeshift.explore import ExperimentConfig, default_config
 
@@ -328,6 +329,24 @@ def test_runtime_divergence_exit_code(tmp_path, capsys, monkeypatch):
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "runtime failure" in capsys.readouterr().err
+
+
+def test_training_divergence_exit_code(tmp_path, capsys, monkeypatch):
+    # the first fit sees one non-finite target, written in after Dataset's
+    # check, so its first step's gradient norm is not finite
+    fit = rr.fit
+
+    def fit_on_a_nan_target(dataset, *args, **kwargs):
+        targets = dataset.targets.copy()
+        bad = Dataset(dataset.inputs, targets)
+        targets[0] = math.nan
+        return fit(bad, *args, **kwargs)
+
+    monkeypatch.setattr(rr, "fit", fit_on_a_nan_target)
+    cfg = write_config(tmp_path / "cfg.json", SMALL_PENDULUM)
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == "runtime failure: non-finite gradient norm at epoch 0\n"
 
 
 def test_flight_that_blows_up_within_a_step_ends_diverged(tmp_path, capsys):

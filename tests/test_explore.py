@@ -274,15 +274,55 @@ def test_flown_episode_records_its_own_audit():
 
 
 def test_dataset_growth_and_retrain_cadence():
-    # 2 s flights sampled every SAMPLE_STRIDE = 20 steps give 101 points each, and
+    # 1 s flights sampled every SAMPLE_STRIDE = 20 steps give 51 points each, and
     # three of them stay under MAX_TRAIN_POINTS
-    cfg = replace(default_config("pendulum"), episodes=3, horizon=2.0)
+    cfg = replace(default_config("pendulum"), episodes=3, horizon=1.0)
     stub = StubLearner(default=0.01)
     result = run_experiment(cfg, learner=stub)
     assert [r.status for r in result.records] == ["ok", "ok", "ok"]
-    assert [r.n_train for r in result.records] == [101, 202, 303]
+    assert [r.n_train for r in result.records] == [51, 102, 153]
+    assert 153 < explore.MAX_TRAIN_POINTS
     assert stub.retrain_calls == 3
     assert result.violations == 0
+
+
+class Retraining(StubLearner):
+    """StubLearner's scripted flights, with each retrain handed to a real learner."""
+
+    def __init__(self, learner):
+        super().__init__(default=0.01)
+        self.learner = learner
+
+    def retrain(self, dataset, src_kde, trg_kde):
+        super().retrain(dataset, src_kde, trg_kde)
+        return self.learner.retrain(dataset, src_kde, trg_kde)
+
+
+def test_both_learners_train_on_the_even_stride_rows_of_the_cap(monkeypatch):
+    # 4 s flights give 201 points each, so the dataset has 201, 402 and 603
+    # rows at the three retrains, the last two past MAX_TRAIN_POINTS
+    cap = explore.MAX_TRAIN_POINTS
+    cfg = replace(default_config("pendulum"), episodes=3, horizon=4.0)
+    trained = {"robust": [], "gp_rbf": []}
+    monkeypatch.setattr(
+        rr, "fit", lambda dataset, *args, init: trained["robust"].append(dataset) or init
+    )
+    monkeypatch.setattr(explore, "gp_fit", lambda x, y, *args: trained["gp_rbf"].append((x, y)))
+    for kind in trained:
+        kind_cfg = replace(cfg, model_kind=kind)
+        learner = make_learner(kind_cfg, np.random.default_rng(0))
+        result = run_experiment(kind_cfg, learner=Retraining(learner))
+        assert [r.n_train for r in result.records] == [201, cap, cap]
+    full = Dataset.empty()
+    for record, robust, (gp_x, gp_y) in zip(result.records, *trained.values()):
+        full = full.concat(explore._collect(cfg, record.rollout))
+        want = full.subsample(cap)
+        assert np.array_equal(robust.inputs, want.inputs)
+        assert np.array_equal(robust.targets, want.targets)
+        # even stride over the whole dataset, both ends included
+        assert np.array_equal(robust.inputs[[0, -1]], full.inputs[[0, -1]])
+        # the GP gets the very same rows
+        assert np.array_equal(gp_x, robust.inputs) and np.array_equal(gp_y, robust.targets)
 
 
 def test_no_safe_candidate_skips_collection_and_retraining():
