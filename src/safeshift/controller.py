@@ -12,10 +12,12 @@ plant's `gravity` and true `residual`, with the scalar RK4 step of
 `dynamics`, while the controller uses the same G(q) plus d_hat.
 
 Each formula has one implementation: every step evaluates
-`core.desired_values` at its time and calls `control_law` and
-`dynamics.step_rk4`.  The rollout records the state and the desired
-(q_g, qdot_g) the controller tracked at every step; the tracking error
-x_tilde = states - desired is derived from those rows, not stored.
+`core.desired_values` at its time, G(q) once (shared by `control_law`
+and the first RK4 stage) and the true residual at the recorded state,
+then calls `control_law` and `dynamics.step_rk4`.  The rollout records
+the state and the desired (q_g, qdot_g) the controller tracked at every
+step; the tracking error x_tilde = states - desired is derived from
+those rows, not stored.
 """
 
 from __future__ import annotations
@@ -50,18 +52,19 @@ class ControllerGains:
 
 
 def control_law(
-    plant: Plant,
     gains: ControllerGains,
     q: float,
     qdot: float,
     q_g: float,
     qdot_g: float,
     qddot_g: float,
+    g_q: float,
     d_hat: float,
 ) -> float:
     """Feedback-linearizing tracking control, linear in d_hat.
 
-    With q_tilde = q - q_g and qdot_tilde = qdot - qdot_g:
+    g_q is the plant's G(q) at q.  With q_tilde = q - q_g and
+    qdot_tilde = qdot - qdot_g:
 
         s       = qdot_tilde + lam * q_tilde
         qddot_r = qddot_g - lam * qdot_tilde
@@ -75,7 +78,7 @@ def control_law(
     qd_t = qdot - qdot_g
     s = qd_t + lam * q_t
     qddot_r = qddot_g - lam * qd_t
-    return qddot_r - gains.k * s + plant.gravity(q) - d_hat
+    return qddot_r - gains.k * s + g_q - d_hat
 
 
 @dataclass
@@ -150,7 +153,11 @@ def simulate_closed_loop(
     states = np.empty((n_steps + 1, 2))
     desired = np.empty((n_steps + 1, 2))
     eps = np.empty(n_steps + 1)
+    # flat views of the buffers: a row's floats are stored without a
+    # numpy scalar store each
+    states_f, desired_f, eps_f = (memoryview(a.reshape(-1)) for a in (states, desired, eps))
 
+    task, params = traj.task, traj.params
     force_input = plant.force_input
     gravity, residual_fn = plant.gravity, plant.residual
 
@@ -160,18 +167,18 @@ def simulate_closed_loop(
     status = "ok"
     clamp_count = 0
     d_hat = 0.0
-    n_rec = 0
     contact = False
     for i in range(n_steps + 1):
         t = t_all[i]
         # scalar t: Python floats with math's bits (see desired_values)
-        q_g, qdot_g, qddot_g = desired_values(traj.task, traj.params, t)
+        q_g, qdot_g, qddot_g = desired_values(task, params, t)
         # the contact row keeps the d_hat held over the step that reached
         # it, and no control is computed there
         if not contact:
             if i % d_hat_hold_steps == 0:
                 d_hat = d_hat_fn(q, qdot)
-            force = control_law(plant, gains, q, qdot, q_g, qdot_g, qddot_g, d_hat)
+            g_q = gravity(q)  # shared by the control law and the first stage
+            force = control_law(gains, q, qdot, q_g, qdot_g, qddot_g, g_q, d_hat)
             if force_input:
                 # thrust cannot pull: a negative demand is clamped to zero
                 applied = force if force > 0.0 else 0.0
@@ -179,20 +186,19 @@ def simulate_closed_loop(
             else:
                 applied = force
 
-        states[i, 0] = q
-        states[i, 1] = qdot
-        desired[i, 0] = q_g
-        desired[i, 1] = qdot_g
+        j = 2 * i
+        states_f[j] = q
+        states_f[j + 1] = qdot
+        desired_f[j] = q_g
+        desired_f[j + 1] = qdot_g
         d = residual_fn(q, qdot)
-        eps[i] = d - d_hat
-        n_rec = i + 1
+        eps_f[i] = d - d_hat
         if contact or i == n_steps:
             break
 
         try:
             # the first stage reuses the residual just recorded
-            k1 = applied + d - gravity(q)
-            q, qdot = step_rk4(deriv, t, q, qdot, applied, dt, k1)
+            q, qdot = step_rk4(deriv, t, q, qdot, applied, dt, applied + d - g_q)
         except SimulationDiverged:
             status = "diverged"
             break
@@ -200,6 +206,7 @@ def simulate_closed_loop(
 
     if contact:
         status = "touchdown"
+    n_rec = i + 1
     if n_rec < len(times):
         # a flight cut short keeps only its rows, not the full-horizon buffers
         times, states, desired, eps = (a[:n_rec].copy() for a in (times, states, desired, eps))

@@ -11,9 +11,11 @@ Each ratio formula lives in one helper that takes precomputed densities
 evaluate the KDEs and call them; the exploration loop calls them directly
 on cached densities: p_trg at most once per experiment on a candidate's
 grid, the first time the loop reaches it with a source KDE, and p_src on
-one candidate's grid at a time, each time the loop reaches it.
-That gives the candidate's w_hat and its r_min (its smallest clipped
-ratio on the grid, which is all the robust certificate reads).  The
+one block of a candidate's grid rows at a time (`KdeModel.block_rows`),
+each time the loop reaches it, until the W_MAX screen stops it or the
+grid ends.  That gives the candidate's w_hat and, past the screen, its
+r_min (its smallest clipped ratio on the grid, which is all the robust
+certificate reads).  The
 controller reads one state at a time through `point_ratio`.  It and
 `kde_density` compute every density with one kernel sum, so a state's
 density is the same float alone or in any batch (Silverman, Density
@@ -76,6 +78,11 @@ class KdeModel:
         return np.ascontiguousarray((self.samples / self.bandwidth).T)
 
     @property
+    def block_rows(self) -> int:
+        """Query rows per block of `kde_density`: KDE_BLOCK_ELEMENTS // n, at least 1."""
+        return max(1, KDE_BLOCK_ELEMENTS // len(self.samples))
+
+    @property
     def norm(self) -> float:
         """Normaliser n * prod(h) * (2 pi)^(d/2) of the kernel sum."""
         h = self.bandwidth
@@ -127,10 +134,9 @@ def kde_density(model: KdeModel, x) -> np.ndarray:
     pts = np.asarray(x, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != model.dim:
         raise ValueError("query dimension mismatch")
-    columns, norm, n = model.columns, model.norm, len(model.samples)
+    columns, norm, block = model.columns, model.norm, model.block_rows
     dens = np.empty(len(pts))
-    block = max(1, KDE_BLOCK_ELEMENTS // n)
-    z, t = np.empty((2, min(block, len(pts)), n))
+    z, t = np.empty((2, min(block, len(pts)), len(model.samples)))
     for lo in range(0, len(pts), block):
         q = (pts[lo : lo + block] / model.bandwidth).T[:, :, None]
         rows = q.shape[1]
@@ -148,19 +154,22 @@ def point_ratio(src: KdeModel, trg: KdeModel):
     """Single-point clipped density ratio ratio(q, qdot), for the rollout hot path.
 
     Each density is `_kernel_sum` at one state into (n,) buffers of its
-    own, and the ratio is `clipped_ratio`'s: the floats `density_ratio`
-    gives for the same state.
+    own, and the ratio is `clipped_ratio`'s clip on Python floats, written
+    so that a NaN density propagates as it does there: the floats
+    `density_ratio` gives for the same state.
     """
 
     def density(kde: KdeModel):
         columns, norm, (h0, h1) = kde.columns, kde.norm, kde.bandwidth.tolist()
         z, t = np.empty((2, len(kde.samples)))
-        return lambda q, qdot: _kernel_sum(columns, (q / h0, qdot / h1), z, t) / norm
+        return lambda q, qdot: float(_kernel_sum(columns, (q / h0, qdot / h1), z, t)) / norm
 
     p_src, p_trg = density(src), density(trg)
 
     def ratio(q: float, qdot: float) -> float:
-        return float(clipped_ratio(p_src(q, qdot), p_trg(q, qdot)))
+        p_t = p_trg(q, qdot)
+        r = p_src(q, qdot) / (DENSITY_FLOOR if p_t < DENSITY_FLOOR else p_t)
+        return R_HI if r > R_HI else r
 
     return ratio
 

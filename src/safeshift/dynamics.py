@@ -133,6 +133,7 @@ def step_rk4(
     sixth = dt / 6.0
     q = q + sixth * (qdot + 2.0 * qd2 + 2.0 * qd3 + qd4)
     qdot = qdot + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not (math.isfinite(q) and math.isfinite(qdot)) or max(abs(q), abs(qdot)) > DIVERGENCE_LIMIT:
+    lim = DIVERGENCE_LIMIT
+    if not (-lim <= q <= lim and -lim <= qdot <= lim):  # a NaN fails every comparison
         raise SimulationDiverged(f"state diverged at t={t + dt:.6f}")
     return q, qdot

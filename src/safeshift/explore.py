@@ -37,8 +37,9 @@ built when the walk first reads them (`Candidate`), at most once, and a
 candidate no walk reaches gets neither.
 The source density changes only when the dataset grows: it is fit once
 for the retrain and reused by the next episode, which evaluates p_src on
-the grid of each candidate it checks, and of no other.  So a candidate's
-r_min and w_hat depend only on its own grid and the source KDE.
+the grid of each candidate it checks, and of no other, block by block
+until the W_MAX screen stops it.  So a candidate's r_min and w_hat
+depend only on its own grid and the source KDE.
 """
 
 from __future__ import annotations
@@ -361,7 +362,9 @@ class CandidateCheck:
     is neither scored nor certified, so every field after w_hat is NaN."""
 
     outcome: str
-    w_hat: float  # largest estimated p_trg / p_src on the grid (1 without data)
+    # largest estimated p_trg / p_src on the grid (1 without data); of a
+    # screened candidate, on the rows up to the first block above W_MAX
+    w_hat: float
     r_min: float = math.nan  # smallest clipped ratio p_src / p_trg on the grid
     sigma_max: float = math.nan  # `eval_candidate` at r_min
     eps_m: float = math.nan  # beta * sigma_max
@@ -412,18 +415,30 @@ def check(cand: Candidate, learner, src_kde, config: ExperimentConfig) -> Candid
 
     src_kde is the KDE of all previously collected inputs; None means
     episode 1, where the source density is undefined and r = 1 everywhere.
-    Otherwise one p_src evaluation on cand's grid gives w_hat (the largest
-    p_trg / p_src there) and r_min (the smallest clipped ratio there);
-    both depend only on that grid and the source KDE.  The W_MAX screen
-    comes first: a candidate it screens gets no `eval_candidate` and no
-    `certify_trajectory` call.
+    Otherwise p_src is evaluated on cand's grid one `kde_density` block of
+    rows at a time, in grid order, and the W_MAX screen comes first: the
+    first block whose largest p_trg / p_src is above W_MAX (or NaN)
+    screens cand, which then gets no `eval_candidate` and no
+    `certify_trajectory` call, and no p_src on the rows after that block.
+    A candidate the screen lets through has p_src on every row, the floats
+    of one pass over the grid (`kde_density` is row-independent), so its
+    w_hat (the largest p_trg / p_src on the grid) and r_min (the smallest
+    clipped ratio there) depend only on that grid and the source KDE.
     """
     r_min = w_hat = 1.0
     if src_kde is not None:
-        p_src, p_trg = kde_density(src_kde, cand.traj.grid), cand.p_trg
-        w_hat = max_ratio(p_trg, p_src)
-        if not w_hat <= W_MAX:  # a NaN w_hat is screened out too
-            return CandidateCheck("screened", w_hat)
+        grid, p_trg = cand.traj.grid, cand.p_trg
+        p_src = np.empty(len(grid))
+        block = src_kde.block_rows
+        w_hat = -math.inf
+        for lo in range(0, len(grid), block):
+            rows = slice(lo, lo + block)
+            p_src[rows] = kde_density(src_kde, grid[rows])
+            w = max_ratio(p_trg[rows], p_src[rows])
+            if not w <= W_MAX:  # a NaN is screened out too
+                # every earlier block is within W_MAX, so w is the max so far
+                return CandidateCheck("screened", w)
+            w_hat = max(w_hat, w)
         r_min = float(np.min(clipped_ratio(p_src, p_trg)))
     sigma_max = learner.eval_candidate(cand, r_min)
     eps_m = config.beta * sigma_max

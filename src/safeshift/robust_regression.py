@@ -581,23 +581,26 @@ def fit(
     ws = _Workspace(net, len(x))
     power_cache: list = [None] * n_layers
 
-    for epoch in range(config.epochs):
-        lr = LR * 0.5 * (1.0 + math.cos(math.pi * epoch / config.epochs))
-        _grads(model, x, y, r, ws, config.lam)
-        # log-space theta_y gradient, then global-norm clipping: the
-        # squared norm is one dot of the flat gradient with itself, and a
-        # norm that is not finite is the fit diverging
-        ws.g_sy[...] = ws.g_ty * float(theta_y) * THETA_Y_LR_MULT
-        total = math.sqrt(float(ws.grad @ ws.grad))
-        if not math.isfinite(total):
-            raise TrainingDiverged(f"non-finite gradient norm at epoch {epoch}")
-        scale = 1.0 if total <= CLIP_NORM else CLIP_NORM / total
-        ws.grad *= lr * scale
-        params -= ws.grad
-        # log theta_y is clipped as a float
-        s_y[...] = min(max(float(s_y), log_floor), log_ceil)
-        np.exp(s_y, out=theta_y)
-        spectral_normalize(model.net, power_cache)
+    # a diverging step overflows on its way to the non-finite norm that
+    # raises TrainingDiverged, which is the one report of it
+    with np.errstate(all="ignore"):
+        for epoch in range(config.epochs):
+            lr = LR * 0.5 * (1.0 + math.cos(math.pi * epoch / config.epochs))
+            _grads(model, x, y, r, ws, config.lam)
+            # log-space theta_y gradient, then global-norm clipping: the
+            # squared norm is one dot of the flat gradient with itself, and a
+            # norm that is not finite is the fit diverging
+            ws.g_sy[...] = ws.g_ty * float(theta_y) * THETA_Y_LR_MULT
+            total = math.sqrt(float(ws.grad @ ws.grad))
+            if not math.isfinite(total):
+                raise TrainingDiverged(f"non-finite gradient norm at epoch {epoch}")
+            scale = 1.0 if total <= CLIP_NORM else CLIP_NORM / total
+            ws.grad *= lr * scale
+            params -= ws.grad
+            # log theta_y is clipped as a float
+            s_y[...] = min(max(float(s_y), log_floor), log_ceil)
+            np.exp(s_y, out=theta_y)
+            spectral_normalize(model.net, power_cache)
 
     # Gradient descent alone crawls through the coupled head/theta_y
     # scaling (mu carries a 1/sigma^2 factor, so calibrating theta_y keeps

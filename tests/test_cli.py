@@ -395,6 +395,25 @@ def test_unfactorizable_gp_kernel_is_a_runtime_failure(tmp_path, capsys, monkeyp
     _assert_one_runtime_failure_line(SMALL_PENDULUM, "gp_rbf", tmp_path, capsys)
 
 
+@pytest.mark.parametrize("bad", ["huge", "inf"])
+def test_diverging_robust_fit_is_a_runtime_failure(bad, tmp_path, capsys, monkeypatch):
+    # targets scaled by 1e300 overflow in the first step, and one infinite
+    # target (written in after Dataset's check) makes inf - inf there: the
+    # first gradient norm is not finite, and no numpy warning precedes
+    # the diagnostic
+    fit = rr.fit
+
+    def fit_on_bad_targets(dataset, *args, **kwargs):
+        targets = dataset.targets * 1e300 if bad == "huge" else dataset.targets.copy()
+        diverging = Dataset(dataset.inputs, targets)
+        if bad == "inf":
+            targets[0] = math.inf
+        return fit(diverging, *args, **kwargs)
+
+    monkeypatch.setattr(rr, "fit", fit_on_bad_targets)
+    _assert_one_runtime_failure_line(SMALL_PENDULUM, "robust", tmp_path, capsys)
+
+
 # The size is beyond a 47-bit address space, so numpy refuses it at once
 # without touching memory: a 1e14-point grid (728 TiB).
 @pytest.mark.parametrize("update", [{"episodes": 1, "horizon": 1e12}])

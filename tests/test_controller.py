@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import reference_rollout
 
 from safeshift.controller import (
     ControllerGains,
@@ -14,7 +15,7 @@ from safeshift.controller import (
     simulate_closed_loop,
 )
 from safeshift.core import desired_values
-from safeshift.dynamics import DRONE, PENDULUM, Plant
+from safeshift.dynamics import DRONE, PENDULUM
 from safeshift.core import landing_pool, pendulum_pool
 
 ZERO = lambda q, qdot: 0.0  # noqa: E731
@@ -29,8 +30,7 @@ def test_control_law_composite_variables():
     # q_tilde = 0.1, qdot_tilde = 0.4, s = 0.4 + 2 * 0.1 = 0.6, qddot_r =
     # -0.1 - 2 * 0.4 = -0.9; at unit inertia with G = 0, K = 5
     # u = qddot_r - 5 s = -0.9 - 3.0
-    plant = Plant(gravity=lambda q: 0.0, residual=ZERO)
-    u = control_law(plant, ControllerGains(5.0, 2.0), 0.3, 0.9, 0.2, 0.5, -0.1, 0.0)
+    u = control_law(ControllerGains(5.0, 2.0), 0.3, 0.9, 0.2, 0.5, -0.1, 0.0, 0.0)
     assert u == pytest.approx(-3.9)
 
 
@@ -52,7 +52,7 @@ def test_control_law_equals_the_manipulator_form(rng):
                 + plant.gravity(q)
                 - d_hat
             ) / 1.0
-            u = control_law(plant, gains, q, qdot, q_g, qdot_g, qddot_g, d_hat)
+            u = control_law(gains, q, qdot, q_g, qdot_g, qddot_g, plant.gravity(q), d_hat)
             assert u == manipulator
 
 
@@ -80,14 +80,13 @@ def test_rollout_records_tracking_error_and_composite_variable():
 
 def test_control_law_pendulum_gravity_term():
     # s = 0, qddot_r = 0, d_hat = 0 at q = pi/2 leaves only -G = -9.8
-    u = control_law(
-        PENDULUM, ControllerGains(10.0, 5.0), math.pi / 2, 0.0, math.pi / 2, 0.0, 0.0, 0.0
-    )
+    q = math.pi / 2
+    u = control_law(ControllerGains(10.0, 5.0), q, 0.0, q, 0.0, 0.0, PENDULUM.gravity(q), 0.0)
     assert u == pytest.approx(-9.8)
 
 
 def test_control_law_drone_hover_force():
-    force = control_law(DRONE, ControllerGains(10.0, 5.0), 1.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+    force = control_law(ControllerGains(10.0, 5.0), 1.0, 0.0, 1.0, 0.0, 0.0, DRONE.gravity(1.0), 0.0)
     assert force == pytest.approx(9.8)
 
 
@@ -96,8 +95,9 @@ def test_control_law_linear_in_d_hat(rng):
     desired = (0.2, 0.1, -0.3)
     for _ in range(25):
         q, qdot, d0, delta = rng.uniform(-2, 2, 4)
-        u0 = control_law(PENDULUM, gains, q, qdot, *desired, d0)
-        u1 = control_law(PENDULUM, gains, q, qdot, *desired, d0 + delta)
+        g_q = PENDULUM.gravity(q)
+        u0 = control_law(gains, q, qdot, *desired, g_q, d0)
+        u1 = control_law(gains, q, qdot, *desired, g_q, d0 + delta)
         # u is exactly linear in d_hat with slope -1
         assert u1 - u0 == pytest.approx(-delta, rel=1e-12, abs=1e-12)
 
@@ -285,3 +285,50 @@ def test_a_flight_cut_short_keeps_only_its_rows():
     assert roll.status == "touchdown" and len(roll.times) < 10001
     for rows in (roll.times, roll.states, roll.desired, roll.eps):
         assert rows.base is None and len(rows) == len(roll.times)
+
+
+def _learned(q, qdot):
+    """A smooth stand-in for a learned d_hat."""
+    return 0.3 * math.sin(3.0 * q) - 0.1 * qdot
+
+
+@pytest.mark.parametrize("flight", ["pendulum", "landing_clamps", "box_exit", "stage_blow_up"])
+def test_rollout_matches_the_reference_simulator_bit_for_bit(flight):
+    # the shipped simulator gives the pre-change simulator's floats in
+    # every array, its status and its clamp count: a pendulum flight to
+    # the horizon, a landing that clamps thrust and touches down, and two
+    # pendulum flights that diverge, one leaving the DIVERGENCE_LIMIT box
+    # and one whose first step reaches math.sin(inf) at a stage state
+    (pend,) = pendulum_pool([1.0], 0.01, 2.0)
+    (land,) = landing_pool([(3.0, 0.0)], 0.01, 10.0, 0.0)
+    plant, gains, traj, x0, ground, status = {
+        "pendulum": (PENDULUM, (1.0, 2.0), pend, pend.grid[0], None, "ok"),
+        "landing_clamps": (replace(DRONE, residual=lambda q, qdot: -0.5), (60.0, 10.0), land,
+                           (1.5, 2.0), 0.0, "touchdown"),
+        "box_exit": (PENDULUM, (1e4, 2.0), pend, pend.grid[0], None, "diverged"),
+        "stage_blow_up": (PENDULUM, (1e300, 2.0), pend, pend.grid[0], None, "diverged"),
+    }[flight]
+    args = (plant, ControllerGains(*gains), _learned, traj, 0.001, x0)
+    got = simulate_closed_loop(*args, ground=ground, d_hat_hold_steps=20)
+    want = reference_rollout.simulate_closed_loop(*args, ground=ground, d_hat_hold_steps=20)
+    assert (got.status, got.clamp_count) == (want.status, want.clamp_count)
+    # every flight takes steps, and only the one that runs to the horizon is full length
+    assert got.status == status and len(got.times) > 1
+    assert (len(got.times) == round(traj.horizon / 0.001) + 1) == (status == "ok")
+    assert (got.clamp_count > 0) == (flight == "landing_clamps")
+    for name in ("times", "states", "desired", "eps"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def test_a_raise_at_a_finite_state_propagates_from_the_rollout():
+    # only a raise at a non-finite stage state is a divergence
+    def residual(q, qdot):
+        if q > 0.01:
+            raise ValueError("fault in the plant")
+        return 0.0
+
+    (traj,) = pendulum_pool([1.0], 0.01, 2.0)
+    with pytest.raises(ValueError, match="fault in the plant"):
+        simulate_closed_loop(replace(PENDULUM, residual=residual), ControllerGains(1.0, 2.0), ZERO,
+                             traj, 0.001, traj.grid[0])

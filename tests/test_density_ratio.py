@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from safeshift.density_ratio import (
+    DENSITY_FLOOR,
     KDE_BLOCK_ELEMENTS,
     R_HI,
     SIGMA_FLOOR,
@@ -133,6 +134,20 @@ def test_point_ratio_matches_density_ratio():
         got = ratio(q, qdot)
         assert 0.0 <= got <= R_HI
         assert got == want
+
+    # both densities zero, the clip, a target density under DENSITY_FLOOR
+    # and NaN densities: a NaN state, and a KDE with a NaN sample on either
+    # side or both, where the clip must propagate NaN as clipped_ratio does
+    edge = np.array([[50.0, 50.0], [-2.5, 0.0], [-3.0, 0.0], [math.nan, 0.0], [0.0, 0.0]])
+    p_src, p_trg = kde_density(src, edge), kde_density(trg, edge)
+    assert p_src[0] == p_trg[0] == 0.0 and 0.0 < p_trg[2] < DENSITY_FLOOR and p_src[2] > 0.0
+    assert p_src[1] / p_trg[1] > R_HI and math.isnan(p_src[3])
+    with_nan = [KdeModel(np.vstack([kde.samples, [[math.nan, 0.0]]]), kde.bandwidth) for kde in (src, trg)]
+    for s, t in ((src, trg), (with_nan[0], trg), (src, with_nan[1]), tuple(with_nan)):
+        want = density_ratio(s, t, edge)
+        ratio = point_ratio(s, t)
+        got = np.array([ratio(q, qdot) for q, qdot in edge.tolist()])
+        assert got.tobytes() == want.tobytes()
 
 
 def test_max_ratio_diagnostic():

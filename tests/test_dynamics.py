@@ -158,6 +158,16 @@ def test_rk4_raises_on_divergence():
             q, qdot = _step(grow, 0.0, q, qdot, 0.0, 0.5)
 
 
+@pytest.mark.parametrize("accel", [math.nan, math.inf, -math.inf, 2e9, -2e9])
+def test_rk4_raises_on_a_new_state_that_is_not_finite_or_leaves_the_box(accel):
+    # accel never raises, so the check of the new state catches a velocity
+    # that is NaN, infinite or past DIVERGENCE_LIMIT = 1e6 (2e9 * 0.001)
+    with pytest.raises(SimulationDiverged, match=r"^state diverged at t=0\.001000$"):
+        step_rk4(lambda t, q, qdot, u: accel, 0.0, 0.0, 0.0, 0.0, 0.001, accel)
+    # a new state just inside the box is kept
+    assert step_rk4(lambda t, q, qdot, u: 9e8, 0.0, 0.0, 0.0, 0.0, 0.001, 9e8)[1] == 9e5
+
+
 def test_rk4_step_whose_stage_state_blows_up_diverges():
     # an overflowed control sends the second stage's velocity to inf, and
     # the third stage evaluates the pendulum's math.sin at q = inf

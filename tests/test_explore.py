@@ -16,6 +16,7 @@ from safeshift.controller import ControllerGains
 from safeshift.core import Dataset, LandingPool, PendulumPool, subsample_rows
 from safeshift.density_ratio import (
     DENSITY_FLOOR,
+    KDE_BLOCK_ELEMENTS,
     R_HI,
     clipped_ratio,
     density_ratio,
@@ -440,6 +441,49 @@ def _rank(seq, obj):
     return next(k for k, x in enumerate(seq) if x is obj)
 
 
+def _screen_stop(ratio, src_kde):
+    """The rows the W_MAX screen reads of a grid whose p_trg / p_src is
+    `ratio`: its `kde_density` blocks of KDE_BLOCK_ELEMENTS // n source
+    samples rows each, through the first whose max is above W_MAX or NaN,
+    else every row."""
+    block = KDE_BLOCK_ELEMENTS // len(src_kde.samples)
+    for lo in range(0, len(ratio), block):
+        if not np.max(ratio[lo : lo + block]) <= explore.W_MAX:
+            return min(lo + block, len(ratio))
+    return len(ratio)
+
+
+def _block_of(grids, x):
+    """(k, lo) such that x is the view grids[k][lo : lo + len(x)] itself."""
+    ptr = x.__array_interface__["data"][0]
+    for k, grid in enumerate(grids):
+        lo, off = divmod(ptr - grid.__array_interface__["data"][0], grid.strides[0])
+        if off == 0 and 0 <= lo < len(grid):
+            if x.__array_interface__ == grid[lo : lo + len(x)].__array_interface__:
+                return k, lo
+    raise AssertionError("p_src evaluated on rows that are not a block of a pool grid")
+
+
+def _p_src_passes(xs, grids, src_kde):
+    """Each candidate's p_src pass, from the arrays p_src was evaluated on
+    in call order: (its grid's rank, the rows read) per candidate.
+
+    Every call must be the next `kde_density` block of one grid, from row
+    0 and in row order, so a candidate's rows are a prefix of its grid,
+    read once.
+    """
+    block = KDE_BLOCK_ELEMENTS // len(src_kde.samples)
+    passes = []
+    for x in xs:
+        k, lo = _block_of(grids, x)
+        if lo == 0:
+            passes.append((k, 0))
+        assert passes[-1] == (k, lo), "p_src skipped or reread rows"
+        assert len(x) == min(block, len(grids[k]) - lo)
+        passes[-1] = (k, lo + len(x))
+    return passes
+
+
 def _landing_cache_and_source():
     """The landing pool's cache and a source KDE around the grids of three candidates."""
     cfg = default_config("landing")
@@ -480,7 +524,8 @@ def _full_scoring(cfg, learner, src_kde):
     when nothing is admitted.  The robust sigma is the closed form at the
     grid's smallest clipped ratio, the GP's the largest posterior std on
     the target sample the candidate's KDE is fit on.  A candidate above
-    W_MAX is scored too; its check is the screened one.
+    W_MAX is scored too; its check is the screened one, whose w_hat is
+    the max over the rows the screen reads (`_screen_stop`).
     """
     admitted, checks = [], []
     for k, traj in enumerate(cfg.pool()):
@@ -491,7 +536,8 @@ def _full_scoring(cfg, learner, src_kde):
             p_trg = kde_density(kde_fit(target), grid)
             p_src = kde_density(src_kde, grid)
             r_min = float(np.min(clipped_ratio(p_src, p_trg)))
-            w_hat = float(np.max(p_trg / np.maximum(p_src, DENSITY_FLOOR)))
+            ratio = p_trg / np.maximum(p_src, DENSITY_FLOOR)
+            w_hat = float(np.max(ratio[: _screen_stop(ratio, src_kde)]))
         if isinstance(learner, RobustLearner):
             sigma = rr.std_at(learner.model, r_min)
         elif learner.model is None:
@@ -525,7 +571,8 @@ def test_walk_flies_what_scoring_every_candidate_selects(task, model_kind, monke
     for _, (best, n_admitted, reference), rec in episodes:
         sizes.append(n_admitted)
         # each record the walk made equals, field by field, the reference
-        # check of the candidate at its rank
+        # check of the candidate at its rank: a screened one's w_hat is
+        # the max over the blocks up to the first above W_MAX
         for got, k in zip(rec.checks, order):
             want = reference[k]
             assert got.outcome == want.outcome and got.w_hat == want.w_hat
@@ -544,7 +591,9 @@ def test_walk_flies_what_scoring_every_candidate_selects(task, model_kind, monke
 def test_walk_stops_at_the_first_admitted_candidate(task, monkeypatch):
     # p_src, sigma and the certificate are evaluated only for candidates
     # ranked at or before the flown one, each at most once and in order;
-    # episode 1 evaluates no p_src
+    # episode 1 evaluates no p_src.  p_src is read block by block on a
+    # prefix of the grid: through the first block above W_MAX of a
+    # screened candidate, every row of the others
     cfg = replace(default_config(task), model_kind="gp_rbf", episodes=3)
     learner = make_learner(cfg, np.random.default_rng(cfg.seed))
     checks = []  # per episode, the (step, object) of each check in call order
@@ -574,27 +623,37 @@ def test_walk_stops_at_the_first_admitted_candidate(task, monkeypatch):
         return src
 
     episodes = _walk_episodes(cfg, learner, monkeypatch, before)
-    flown = []
+    flown, cut_short = [], 0
     for (pool, src, rec), calls in zip(episodes, checks):
         assert rec.status in ("ok", "touchdown") and rec.n_certified == 1
         f = next(k for k, cand in enumerate(pool) if cand.traj.params == rec.params)
-        seen = {
-            "p_src": [cand.traj.grid for cand in pool],
-            "sigma": list(pool),
-            "cert": [cand.traj for cand in pool],
-        }
+        seen = {"sigma": list(pool), "cert": [cand.traj for cand in pool]}
         ranks = {step: [_rank(seen[step], obj) for s, obj in calls if s == step] for step in seen}
-        assert ranks["p_src"] == ([] if src is None else list(range(f + 1)))
         assert ranks["cert"] == ranks["sigma"] == sorted(set(ranks["sigma"]))
         assert ranks["sigma"][-1] == f
         flown.append((f, len(ranks["sigma"])))
-    # some episode flies past a candidate the screen rejects
+        p_src = [x for s, x in calls if s == "p_src"]
+        if src is None:
+            assert p_src == []
+            continue
+        grids = [cand.traj.grid for cand in pool]
+        passes = _p_src_passes(p_src, grids, src)
+        assert [k for k, _ in passes] == list(range(f + 1))
+        for (k, stop), c in zip(passes, rec.checks):
+            ratio = pool[k].p_trg / np.maximum(kde_density(src, grids[k]), DENSITY_FLOOR)
+            assert stop == _screen_stop(ratio, src)
+            assert c.outcome == "screened" or stop == len(grids[k])
+            cut_short += stop < len(grids[k])
+    # some episode flies past a candidate the screen rejects, and some
+    # screen stops before the end of the grid
     assert any(0 < f and n < f + 1 for f, n in flown[1:])
+    assert cut_short > 0
 
 
 def test_walk_without_an_admissible_candidate_checks_each_candidate_once(monkeypatch):
-    # each candidate in selection order: p_src, its target density (a
-    # fresh cache, so built here), sigma, the certificate
+    # each candidate in selection order: its target density (a fresh
+    # cache, so built here), p_src on every row in kde_density's blocks of
+    # rows (none is above W_MAX), sigma, the certificate
     cfg = tube02_config()
     cache = build_pool_cache(cfg.pool())
     src = kde_fit(np.concatenate([cand.traj.grid for cand in cache]))  # every candidate within W_MAX
@@ -608,8 +667,21 @@ def test_walk_without_an_admissible_candidate_checks_each_candidate_once(monkeyp
     learner.eval_candidate = lambda cand, r_min: calls.append(cand) or real_sigma(cand, r_min)
     out = run_episode(cache, learner, src, cfg)
     assert out.status == "no_safe_candidate" and out.n_certified == 0
-    want = [obj for c in cache for obj in (src, c.traj.grid, c.trg_kde, c.traj.grid, c, c.traj)]
-    assert len(calls) == len(want) and all(a is b for a, b in zip(calls, want))
+    block = KDE_BLOCK_ELEMENTS // len(src.samples)
+    want = []
+    for c in cache:
+        grid = c.traj.grid
+        assert len(grid) > block  # more than one block
+        want += [c.trg_kde, grid]
+        for lo in range(0, len(grid), block):
+            want += [src, grid[lo : lo + block]]
+        want += [c, c.traj]
+    assert len(calls) == len(want)
+    for got, obj in zip(calls, want):
+        if isinstance(obj, np.ndarray) and obj.base is not None:  # a block: the view of those rows
+            assert got.__array_interface__ == obj.__array_interface__
+        else:
+            assert got is obj
 
 
 def test_flown_episode_reads_its_admitted_check():
@@ -697,10 +769,15 @@ def test_certification_points_are_built_once_per_experiment(monkeypatch):
     for pts in predicted[:n]:
         grid = cache[_rank(targets, pts)].traj.grid
         np.testing.assert_array_equal(pts, subsample_rows(grid, explore.KDE_TRG_MAX))
-    # p_src reads each walked candidate's own grid, the same object every episode
+    # p_src reads blocks of each walked candidate's own grid, the same rows
+    # every episode
     m = len(p_src) // 3
     assert m > 1 and len(p_src) == 3 * m
-    assert [_rank([cand.traj.grid for cand in cache], x) for x in p_src] == list(range(m)) * 3
+    passes = _p_src_passes(p_src[:m], [cand.traj.grid for cand in cache], src)
+    assert [k for k, _ in passes] == list(range(len(passes)))
+    for episode in (1, 2):
+        repeat = p_src[episode * m : (episode + 1) * m]
+        assert [x.__array_interface__ for x in repeat] == [x.__array_interface__ for x in p_src[:m]]
 
 
 def test_robust_eval_candidate_constant_and_mixed():
@@ -821,6 +898,7 @@ def test_target_state_is_built_only_for_candidates_the_walk_reaches(monkeypatch)
     cfg = replace(default_config("landing"), model_kind="gp_rbf", episodes=4)
     learner = make_learner(cfg, np.random.default_rng(cfg.seed))
     episodes, current = [], []  # current: the running episode's number and source KDE
+    sources = []  # each episode's source KDE
     target_fits, target_densities, source_densities, retrained = [], [], [], []
     real_fit, real_density, real_episode = explore.kde_fit, explore.kde_density, explore.run_episode
     real_retrain = learner.retrain
@@ -841,6 +919,7 @@ def test_target_state_is_built_only_for_candidates_the_walk_reaches(monkeypatch)
 
     def episode_spy(pool, learner, src_kde, config):
         current[:] = [len(episodes) + 1, src_kde]
+        sources.append(src_kde)
         try:
             rec = real_episode(pool, learner, src_kde, config)
         finally:
@@ -885,10 +964,14 @@ def test_target_state_is_built_only_for_candidates_the_walk_reaches(monkeypatch)
         assert x is grids[k]
         density_ranks.append(k)
     assert sorted(density_ranks) == sorted(with_source)  # each once
-    # each later episode's p_src pass reads the pool's own grids, up to the flown one
+    # each later episode's p_src passes read the pool's own grids, up to
+    # the flown one: every row of an unscreened candidate, once
     for episode, f in enumerate(flown[1:], start=2):
         passed = [x for e, x in source_densities if e == episode]
-        assert [_rank(grids, x) for x in passed] == list(range(f + 1))
+        passes = _p_src_passes(passed, grids, sources[episode - 1])
+        assert [k for k, _ in passes] == list(range(f + 1))
+        for (k, stop), c in zip(passes, episodes[episode - 1][1].checks):
+            assert c.outcome == "screened" or stop == len(grids[k])
     assert all(e > 1 for e, _ in source_densities)
 
     assert len(retrained) == cfg.episodes
